@@ -3,20 +3,16 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
 	"sync"
-	"time"
 
-	"milpjoin/joinorder"
-	"milpjoin/joinorder/cache"
 	"milpjoin/joinorder/cluster"
 )
 
 // maxBatchItems bounds one batch request; larger workloads should be
-// split client-side so no single batch monopolizes the admission queue.
+// split client-side so no single batch monopolizes the worker pool.
 const maxBatchItems = 256
 
 // BatchRequest is the JSON body of POST /v1/optimize/batch: many
@@ -51,26 +47,34 @@ type BatchResponse struct {
 	Results []BatchItem `json:"results"`
 }
 
-// batchItem is the in-flight state of one batch query.
-type batchItem struct {
-	req  *OptimizeRequest
-	q    *joinorder.Query
-	opts joinorder.Options
-	fp   string // canonical fingerprint; "" when uncacheable
-	resp *OptimizeResponse
-	err  *ErrorDetail
+// decodeBatch reads and validates the batch document as a whole; the
+// queries inside are gated one by one afterwards.
+func decodeBatch(w http.ResponseWriter, r *http.Request) (*BatchRequest, error) {
+	if strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
+		return nil, fmt.Errorf("the batch endpoint is JSON-only; for streaming answers use /v1/optimize/stream, one query per connection")
+	}
+	var breq BatchRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&breq); err != nil {
+		return nil, fmt.Errorf("parsing batch: %v", err)
+	}
+	if len(breq.Queries) == 0 {
+		return nil, fmt.Errorf("batch carries no queries")
+	}
+	if len(breq.Queries) > maxBatchItems {
+		return nil, fmt.Errorf("batch carries %d queries, limit %d; split it client-side", len(breq.Queries), maxBatchItems)
+	}
+	return &breq, nil
 }
 
-func (it *batchItem) fail(code, msg string, retryAfter time.Duration) {
-	it.err = &ErrorDetail{Code: code, Message: msg, RetryAfterMillis: retryAfter.Milliseconds()}
-}
-
-// handleBatch is POST /v1/optimize/batch. Items are parsed and
-// rate-limited individually, partitioned by cluster ownership (remote
-// shards are forwarded as sub-batches, failing open to local on peer
-// errors), and local items are admitted as one weighted ticket then
-// solved concurrently. The answer is always one JSON document with a
-// per-query envelope; asking for a stream is a structured bad_request.
+// handleBatch is POST /v1/optimize/batch: the batch front end of the
+// request pipeline. Every item passes the same gate as a single request
+// and fails independently; items another node owns travel there as one
+// sub-batch per peer (failing open to local on peer errors); the rest
+// are answered by plain serve calls, each with its own admission ticket,
+// deadline and queue time. At most MaxWorkers of them are in flight at
+// once, so a lone batch on an idle server never saturates the queue and
+// sheds itself. The answer is always one JSON document with a per-query
+// envelope; asking for a stream is a structured bad_request.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.ctr.batches.Add(1)
 	if rt := s.cfg.Cluster; rt != nil {
@@ -78,132 +82,89 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.draining.Load() {
 		s.ctr.drainReject.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, CodeDraining, time.Second, "server is draining")
+		writeError(w, errDraining())
 		return
 	}
-	if accept := r.Header.Get("Accept"); strings.Contains(accept, "text/event-stream") {
+	breq, err := decodeBatch(w, r)
+	if err != nil {
 		s.ctr.badRequest.Add(1)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, 0,
-			"the batch endpoint is JSON-only; for streaming answers use /v1/optimize/stream, one query per connection")
+		writeError(w, errBadRequest(err.Error()))
 		return
 	}
-	var breq BatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&breq); err != nil {
-		s.ctr.badRequest.Add(1)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, 0, "parsing batch: %v", err)
-		return
-	}
-	if len(breq.Queries) == 0 {
-		s.ctr.badRequest.Add(1)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, 0, "batch carries no queries")
-		return
-	}
-	if len(breq.Queries) > maxBatchItems {
-		s.ctr.badRequest.Add(1)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, 0,
-			"batch carries %d queries, limit %d; split it client-side", len(breq.Queries), maxBatchItems)
-		return
-	}
-	s.ctr.batchItems.Add(int64(len(breq.Queries)))
+	n := len(breq.Queries)
+	s.ctr.batchItems.Add(int64(n))
+	s.ctr.requests.Add(int64(n))
 
+	// Sub-batch forwarding happens outside serve; keep Drain waiting.
 	s.inflight.Add(1)
 	defer s.inflight.Done()
 
-	arrived := s.cfg.now()
 	forwarded := r.Header.Get(cluster.ForwardHeader) != ""
-	items := make([]*batchItem, len(breq.Queries))
+	results := make([]BatchItem, n)
+	prs := make([]*prepared, n) // nil: resolved by the gate
 	for i := range breq.Queries {
-		items[i] = s.prepareBatchItem(r, &breq, &breq.Queries[i], forwarded)
-	}
-	if !forwarded && s.cfg.Cluster != nil {
-		s.forwardSubBatches(r.Context(), items)
-	}
-	s.solveBatchLocal(r.Context(), items, arrived)
-
-	out := BatchResponse{Results: make([]BatchItem, len(items))}
-	for i, it := range items {
-		out.Results[i] = BatchItem{Index: i, Response: it.resp, Error: it.err}
-		if it.err == nil && it.resp == nil {
-			// Defensive: every item must resolve one way.
-			out.Results[i].Error = &ErrorDetail{Code: CodeInternal, Message: "item produced no outcome"}
-		}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// prepareBatchItem runs the per-item ingress gates: parse, tenant rate
-// limit (ingress only), fingerprint. A failed gate resolves the item
-// immediately.
-func (s *Server) prepareBatchItem(r *http.Request, breq *BatchRequest, req *OptimizeRequest, forwarded bool) *batchItem {
-	it := &batchItem{req: req}
-	s.ctr.requests.Add(1)
-	q, err := req.query()
-	if err != nil {
-		s.ctr.badRequest.Add(1)
-		it.fail(CodeBadRequest, err.Error(), 0)
-		return it
-	}
-	opts, err := req.options(s.cfg)
-	if err != nil {
-		s.ctr.badRequest.Add(1)
-		it.fail(CodeBadRequest, err.Error(), 0)
-		return it
-	}
-	if !forwarded {
+		req := &breq.Queries[i]
 		tenant := req.tenant(r)
 		if tenant == "" {
 			tenant = breq.Tenant
 		}
-		if ok, wait := s.tb.allow(tenant, s.cfg.now()); !ok {
-			s.ctr.rateLimited.Add(1)
-			it.fail(CodeRateLimited, fmt.Sprintf("tenant %q over rate limit", tenant), wait)
-			return it
-		}
+		pr, herr := s.gate(req, tenant, forwarded)
+		prs[i], results[i] = pr, BatchItem{Index: i, Error: herr.detail()}
 	}
-	it.q, it.opts = q, opts
-	if ce, err := cache.Canonicalize(q, cache.Exact); err == nil {
-		it.fp = ce.Key
-	}
-	return it
-}
+	s.forwardSubBatches(r.Context(), prs, results)
 
-// forwardSubBatches groups unresolved items by owning peer and ships
-// each remote group as one sub-batch. Items whose forward fails (or
-// whose sub-answer is malformed) stay unresolved and solve locally —
-// the same fail-open rule as single-request forwarding.
-func (s *Server) forwardSubBatches(ctx context.Context, items []*batchItem) {
-	rt := s.cfg.Cluster
-	groups := map[string][]*batchItem{}
-	peers := map[string]cluster.Peer{}
-	for _, it := range items {
-		if it.err != nil || it.resp != nil || it.fp == "" {
+	slots := make(chan struct{}, s.cfg.MaxWorkers)
+	var wg sync.WaitGroup
+	for i, pr := range prs {
+		if pr == nil || results[i].Response != nil || results[i].Error != nil {
 			continue
 		}
-		if owner, remote := rt.Route(it.fp); remote {
-			groups[owner.ID] = append(groups[owner.ID], it)
-			peers[owner.ID] = owner
+		slots <- struct{}{}
+		wg.Add(1)
+		go func(res *BatchItem, pr *prepared) {
+			defer wg.Done()
+			resp, herr := s.serve(r.Context(), pr, nil)
+			res.Response, res.Error = resp, herr.detail()
+			<-slots
+		}(&results[i], pr)
+	}
+	wg.Wait()
+	writeJSON(w, http.StatusOK, BatchResponse{Results: results})
+}
+
+// forwardSubBatches groups gated items by owning peer and ships each
+// remote group as one sub-batch. Items whose forward fails (or whose
+// sub-answer is malformed) stay unresolved and are served locally — the
+// same fail-open rule as single-request forwarding.
+func (s *Server) forwardSubBatches(ctx context.Context, prs []*prepared, results []BatchItem) {
+	groups := map[cluster.Peer][]int{} // owner → item indices
+	for i, pr := range prs {
+		if pr == nil {
+			continue
+		}
+		if owner, remote := s.remoteOwner(pr); remote {
+			groups[owner] = append(groups[owner], i)
 		}
 	}
 	var wg sync.WaitGroup
-	for id, group := range groups {
+	for peer, group := range groups {
 		wg.Add(1)
-		go func(peer cluster.Peer, group []*batchItem) {
+		go func(peer cluster.Peer, group []int) {
 			defer wg.Done()
-			s.forwardOneSubBatch(ctx, peer, group)
-		}(peers[id], group)
+			s.forwardOneSubBatch(ctx, peer, group, prs, results)
+		}(peer, group)
 	}
 	wg.Wait()
 }
 
-func (s *Server) forwardOneSubBatch(ctx context.Context, peer cluster.Peer, group []*batchItem) {
+func (s *Server) forwardOneSubBatch(ctx context.Context, peer cluster.Peer, group []int, prs []*prepared, results []BatchItem) {
 	sub := BatchRequest{Queries: make([]OptimizeRequest, len(group))}
-	for i, it := range group {
-		sub.Queries[i] = *it.req
+	for j, i := range group {
+		sub.Queries[j] = *prs[i].req
 	}
 	body, err := json.Marshal(sub)
 	if err != nil {
-		return // items stay unresolved; local solve picks them up
+		return // items stay unresolved; local serve picks them up
 	}
 	hdr := http.Header{}
 	hdr.Set("Content-Type", "application/json")
@@ -221,110 +182,7 @@ func (s *Server) forwardOneSubBatch(ctx context.Context, peer cluster.Peer, grou
 	if err := json.NewDecoder(resp.Body).Decode(&bresp); err != nil || len(bresp.Results) != len(group) {
 		return
 	}
-	for i, res := range bresp.Results {
-		group[i].resp, group[i].err = res.Response, res.Error
+	for j, res := range bresp.Results {
+		results[group[j]].Response, results[group[j]].Error = res.Response, res.Error
 	}
-}
-
-// solveBatchLocal answers every still-unresolved item here: one weighted
-// admission ticket for the whole group, then concurrent solves bounded
-// by the granted weight.
-func (s *Server) solveBatchLocal(ctx context.Context, items []*batchItem, arrived time.Time) {
-	var local []*batchItem
-	maxBudget := time.Duration(0)
-	for _, it := range items {
-		if it.err == nil && it.resp == nil {
-			local = append(local, it)
-			if tl := it.opts.EffectiveBudget().TimeLimit; tl > maxBudget {
-				maxBudget = tl
-			}
-		}
-	}
-	if len(local) == 0 {
-		return
-	}
-	weight := min(len(local), s.cfg.MaxWorkers)
-	deadline := arrived.Add(maxBudget)
-	t, err := s.adm.admit(deadline, weight)
-	if errors.Is(err, errSaturated) {
-		// The queue is full: degrade willing items, envelope the rest.
-		s.runBatchItems(ctx, local, s.cfg.MaxWorkers, arrived, true)
-		return
-	}
-	waitCtx, cancel := context.WithDeadline(ctx, deadline)
-	defer cancel()
-	select {
-	case <-t.ready:
-	case <-waitCtx.Done():
-		if s.adm.cancel(t) {
-			retry := s.shedRetryAfter()
-			for _, it := range local {
-				if ctx.Err() != nil {
-					s.ctr.canceled.Add(1)
-					it.fail(CodeClientClosed, "client closed request", 0)
-				} else {
-					s.ctr.timeouts.Add(1)
-					it.fail(CodeTimeout, "batch deadline expired in the admission queue", retry)
-				}
-			}
-			return
-		}
-	}
-	defer s.adm.release(t)
-	queueWait := s.cfg.now().Sub(arrived)
-	s.ctr.queueNanos.Add(int64(queueWait))
-	s.runBatchItems(waitCtx, local, weight, arrived, false)
-}
-
-// runBatchItems solves items concurrently under a worker bound. shed
-// marks the saturated path: items refusing degraded answers get the
-// saturated envelope, the rest are answered by the fallback strategy.
-func (s *Server) runBatchItems(ctx context.Context, items []*batchItem, workers int, arrived time.Time, shed bool) {
-	if workers < 1 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for _, it := range items {
-		wg.Add(1)
-		go func(it *batchItem) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			pr := &prepared{
-				req:     it.req,
-				q:       it.q,
-				opts:    it.opts,
-				arrived: arrived,
-				id:      fmt.Sprintf("r%06d", s.reqID.Add(1)),
-			}
-			var resp *OptimizeResponse
-			var herr *httpError
-			if shed {
-				if !it.req.allowDegraded() {
-					s.ctr.rejected.Add(1)
-					it.fail(CodeSaturated, "admission queue saturated and request refuses degraded answers", s.shedRetryAfter())
-					return
-				}
-				s.ctr.shed.Add(1)
-				resp, herr = s.serveDegraded(ctx, pr, nil)
-			} else {
-				s.ctr.solves.Add(1)
-				opts := it.opts
-				solveStart := s.cfg.now()
-				if dl, ok := ctx.Deadline(); ok {
-					if remaining := dl.Sub(solveStart); remaining < opts.Budget.TimeLimit {
-						opts.Budget.TimeLimit = max(remaining, time.Millisecond)
-					}
-				}
-				resp, herr = s.runSolve(ctx, pr, opts, 0, nil)
-			}
-			if herr != nil {
-				it.fail(herr.code, herr.msg, herr.retryAfter)
-				return
-			}
-			it.resp = resp
-		}(it)
-	}
-	wg.Wait()
 }

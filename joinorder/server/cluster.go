@@ -27,12 +27,27 @@ func routingFingerprint(key string) string {
 	return key
 }
 
+// remoteOwner is the one place a request's routing fingerprint is
+// computed: it names the healthy peer owning pr's query when that is not
+// this node. Non-clustered servers, forwarded arrivals (pinned local) and
+// uncacheable queries (nothing to gain from shard affinity) never
+// canonicalize and always answer false.
+func (s *Server) remoteOwner(pr *prepared) (cluster.Peer, bool) {
+	if s.cfg.Cluster == nil || pr.forwarded {
+		return cluster.Peer{}, false
+	}
+	ce, err := cache.Canonicalize(pr.q, cache.Exact)
+	if err != nil {
+		return cluster.Peer{}, false
+	}
+	return s.cfg.Cluster.Route(ce.Key)
+}
+
 // tryForward routes one prepared optimize request through the cluster:
 // when another healthy node owns the query's fingerprint, the raw body is
 // proxied there and the peer's response relayed verbatim. It reports
-// whether the response was written. A false return — no cluster, a
-// forwarded arrival, an uncacheable query, local ownership, or a failed
-// forward (fail open) — means the caller must serve locally.
+// whether the response was written. A false return — no remote owner or
+// a failed forward (fail open) — means the caller must serve locally.
 func (s *Server) tryForward(w http.ResponseWriter, r *http.Request, pr *prepared) bool {
 	rt := s.cfg.Cluster
 	if rt == nil {
@@ -43,12 +58,7 @@ func (s *Server) tryForward(w http.ResponseWriter, r *http.Request, pr *prepared
 		rt.ServedLocal()
 		return false
 	}
-	ce, err := cache.Canonicalize(pr.q, cache.Exact)
-	if err != nil {
-		// Uncacheable queries gain nothing from shard affinity.
-		return false
-	}
-	owner, remote := rt.Route(ce.Key)
+	owner, remote := s.remoteOwner(pr)
 	if !remote {
 		return false
 	}
@@ -87,18 +97,17 @@ func relayResponse(w http.ResponseWriter, resp *http.Response, owner cluster.Pee
 // survive this node's restart) without re-announcing through OnStore.
 func (s *Server) handleClusterEntry(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, CodeDraining, 0, "server is draining")
+		writeError(w, errDraining())
 		return
 	}
 	var e cluster.Entry
 	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
 	if err := json.NewDecoder(body).Decode(&e); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, 0, "parsing entry: %v", err)
+		writeError(w, errBadRequest("parsing entry: "+err.Error()))
 		return
 	}
 	if err := s.co.ImportRecord(e.Kind, e.Key, e.Val); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, 0, "%v", err)
+		writeError(w, errBadRequest(err.Error()))
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

@@ -11,19 +11,28 @@
 //	POST /v1/optimize/stream same request, answered as an SSE stream of
 //	                         solver events (watch the anytime gap close
 //	                         live; disconnecting cancels the solve)
+//	POST /v1/optimize/batch  many requests in, one JSON document out with
+//	                         a result-or-error envelope per query
+//	POST /v1/cluster/entry   peer-to-peer cache replication ingest
 //	GET  /healthz            liveness (503 while draining)
 //	GET  /varz               expvar counters (JSON)
 //	GET  /metrics            Prometheus text exposition
 //
-// Admission control is three gates in order: a per-tenant token bucket
-// (429 + Retry-After when exhausted), a bounded worker pool sized off
-// GOMAXPROCS, and a bounded queue ordered by request deadline. When the
-// queue is saturated the server degrades instead of failing: the request
-// is answered immediately with the cache's fallback-strategy plan (the
-// DegradeUnder path, which also starts one deduplicated background refine
-// whose result lands in the cache for the retry the Retry-After header
-// invites). Every request therefore gets a plan, a degraded plan, or a
-// 429 — never a silent drop.
+// The three optimize endpoints are decode/encode front ends over one
+// request pipeline, gate → route → admit → solve. The gates run in one
+// order everywhere: drain check, body decode, per-tenant token bucket
+// (charged at the ingress node only; 429 + Retry-After when exhausted),
+// query, options. Routing fingerprints a gated request only on a
+// clustered server and forwards it when another node owns it. Admission
+// (serve) is a bounded worker pool sized off GOMAXPROCS behind a bounded
+// queue ordered by request deadline; a batch is admitted item by item,
+// each with its own weight, deadline and queue time. When the queue is
+// saturated, or a request's deadline burns away in it, the server
+// degrades instead of failing: the request is answered immediately with
+// the cache's fallback-strategy plan (the DegradeUnder path, which also
+// starts one deduplicated background refine whose result lands in the
+// cache for the retry the Retry-After header invites). Every request
+// therefore gets a plan, a degraded plan, or a 429 — never a silent drop.
 package server
 
 import (

@@ -167,8 +167,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// prepared is one admitted-for-processing optimize request: parsed,
-// rate-limit cleared, options resolved.
+// prepared is one optimize request that cleared the gate: rate-limit
+// charged, query and options resolved. Every front end hands it to serve.
 type prepared struct {
 	req     *OptimizeRequest
 	q       *joinorder.Query
@@ -183,54 +183,32 @@ type prepared struct {
 	forwarded bool
 }
 
-// httpError is a terminal non-2xx outcome of serve. code is the stable
-// machine-readable error code carried by the response's ErrorEnvelope.
-type httpError struct {
-	status     int
-	code       string
-	msg        string
-	retryAfter time.Duration
-}
-
-// prepare runs the pre-admission gates shared by both endpoints: drain
-// check, body decode, tenant rate limit, query and option resolution. On
-// failure it writes the error response and returns ok=false.
-func (s *Server) prepare(w http.ResponseWriter, r *http.Request) (*prepared, bool) {
-	s.ctr.requests.Add(1)
-	if s.draining.Load() {
-		s.ctr.drainReject.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, CodeDraining, time.Second, "server is draining")
-		return nil, false
-	}
-	req, raw, err := decodeRequest(w, r)
-	if err != nil {
-		s.ctr.badRequest.Add(1)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, 0, "%v", err)
-		return nil, false
-	}
-	forwarded := r.Header.Get(cluster.ForwardHeader) != ""
+// gate runs the transport-free pre-admission gates on one decoded
+// request, in the order every front end shares: tenant bill (ingress
+// only), query, options. The front end has already checked the drain
+// flag and decoded the body.
+func (s *Server) gate(req *OptimizeRequest, tenant string, forwarded bool) (*prepared, *httpError) {
 	if !forwarded {
 		// Forwarded arrivals were already charged at their ingress node;
 		// charging the forwarding hop again would double-bill the tenant.
-		if ok, wait := s.tb.allow(req.tenant(r), s.cfg.now()); !ok {
+		if ok, wait := s.tb.allow(tenant, s.cfg.now()); !ok {
 			s.ctr.rateLimited.Add(1)
-			w.Header().Set("Retry-After", retryAfterSeconds(wait))
-			writeError(w, http.StatusTooManyRequests, CodeRateLimited, wait, "tenant %q over rate limit", req.tenant(r))
-			return nil, false
+			return nil, &httpError{
+				status:     http.StatusTooManyRequests,
+				code:       CodeRateLimited,
+				msg:        fmt.Sprintf("tenant %q over rate limit", tenant),
+				retryAfter: wait,
+			}
 		}
 	}
 	q, err := req.query()
-	if err != nil {
-		s.ctr.badRequest.Add(1)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, 0, "%v", err)
-		return nil, false
+	var opts joinorder.Options
+	if err == nil {
+		opts, err = req.options(s.cfg)
 	}
-	opts, err := req.options(s.cfg)
 	if err != nil {
 		s.ctr.badRequest.Add(1)
-		writeError(w, http.StatusBadRequest, CodeBadRequest, 0, "%v", err)
-		return nil, false
+		return nil, errBadRequest(err.Error())
 	}
 	return &prepared{
 		req:       req,
@@ -238,9 +216,29 @@ func (s *Server) prepare(w http.ResponseWriter, r *http.Request) (*prepared, boo
 		opts:      opts,
 		arrived:   s.cfg.now(),
 		id:        fmt.Sprintf("r%06d", s.reqID.Add(1)),
-		raw:       raw,
 		forwarded: forwarded,
-	}, true
+	}, nil
+}
+
+// gateHTTP is the decode half of the two single-request front ends:
+// drain check, body decode, then the shared gate.
+func (s *Server) gateHTTP(w http.ResponseWriter, r *http.Request) (*prepared, *httpError) {
+	s.ctr.requests.Add(1)
+	if s.draining.Load() {
+		s.ctr.drainReject.Add(1)
+		return nil, errDraining()
+	}
+	req, raw, err := decodeRequest(w, r)
+	if err != nil {
+		s.ctr.badRequest.Add(1)
+		return nil, errBadRequest(err.Error())
+	}
+	pr, herr := s.gate(req, req.tenant(r), r.Header.Get(cluster.ForwardHeader) != "")
+	if herr != nil {
+		return nil, herr
+	}
+	pr.raw = raw
+	return pr, nil
 }
 
 // callFlags records what the cache-layer event stream reported about one
@@ -264,9 +262,10 @@ func (f *callFlags) observe(ev joinorder.Event) {
 }
 
 // serve runs one prepared request through admission and the cached
-// optimizer. onEvent, when non-nil, additionally receives every solver
-// event (the SSE relay). Exactly one of the response and the error is
-// non-nil.
+// optimizer; it is the only code that touches the admitter, sheds,
+// shrinks the budget and settles the outcome counters. onEvent, when
+// non-nil, additionally receives every solver event (the SSE relay).
+// Exactly one of the response and the error is non-nil.
 func (s *Server) serve(ctx context.Context, pr *prepared, onEvent func(joinorder.Event)) (*OptimizeResponse, *httpError) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
@@ -392,7 +391,7 @@ func (s *Server) runSolve(ctx context.Context, pr *prepared, opts joinorder.Opti
 			return nil, &httpError{status: http.StatusGatewayTimeout, code: CodeTimeout, msg: fmt.Sprintf("no plan within the budget: %v", err)}
 		case errors.Is(err, joinorder.ErrInvalidQuery), errors.Is(err, joinorder.ErrInvalidOptions), errors.Is(err, joinorder.ErrUnknownStrategy):
 			s.ctr.badRequest.Add(1)
-			return nil, &httpError{status: http.StatusBadRequest, code: CodeBadRequest, msg: err.Error()}
+			return nil, errBadRequest(err.Error())
 		case errors.Is(err, joinorder.ErrInfeasible):
 			s.ctr.failed.Add(1)
 			return nil, &httpError{status: http.StatusUnprocessableEntity, code: CodeInfeasible, msg: err.Error()}
@@ -433,8 +432,7 @@ const statusClientClosedRequest = 499
 // full of requests each holding at most the default budget, spread over
 // the worker pool.
 func (s *Server) shedRetryAfter() time.Duration {
-	running, queued := s.adm.load()
-	_ = running
+	_, queued := s.adm.load()
 	per := s.cfg.Cache.DegradeUnder
 	if per <= 0 {
 		per = 100 * time.Millisecond
@@ -499,8 +497,9 @@ func defaultStrategy(s string) string {
 // handleOptimize is POST /v1/optimize: one JSON answer when the solve
 // finishes (or is degraded/shed).
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	pr, ok := s.prepare(w, r)
-	if !ok {
+	pr, herr := s.gateHTTP(w, r)
+	if herr != nil {
+		writeError(w, herr)
 		return
 	}
 	if s.tryForward(w, r, pr) {
@@ -508,10 +507,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, herr := s.serve(r.Context(), pr, nil)
 	if herr != nil {
-		if herr.retryAfter > 0 {
-			w.Header().Set("Retry-After", retryAfterSeconds(herr.retryAfter))
-		}
-		writeError(w, herr.status, herr.code, herr.retryAfter, "%s", herr.msg)
+		writeError(w, herr)
 		return
 	}
 	if resp.Degraded {

@@ -732,8 +732,8 @@ func TestOptimizeAutoPortfolio(t *testing.T) {
 	}
 }
 
-// TestErrorEnvelopeUnmarshal: the client-side decoder accepts both the
-// structured envelope and the legacy flat {"error": "msg"} form.
+// TestErrorEnvelopeUnmarshal: Go clients decode the structured envelope
+// directly and can use it as an error.
 func TestErrorEnvelopeUnmarshal(t *testing.T) {
 	var env ErrorEnvelope
 	structured := `{"error":{"code":"timeout","message":"no plan","retry_after_ms":1500}}`
@@ -745,16 +745,6 @@ func TestErrorEnvelopeUnmarshal(t *testing.T) {
 	}
 	if got := env.Error(); got != "timeout: no plan" {
 		t.Errorf("Error() = %q", got)
-	}
-	legacy := `{"error":"server is draining"}`
-	if err := json.Unmarshal([]byte(legacy), &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Err.Code != "" || env.Err.Message != "server is draining" || env.Err.RetryAfterMillis != 0 {
-		t.Errorf("legacy envelope = %+v", env.Err)
-	}
-	if got := env.Error(); got != "server is draining" {
-		t.Errorf("legacy Error() = %q", got)
 	}
 }
 

@@ -24,11 +24,12 @@ const sseEventBuffer = 512
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, CodeInternal, 0, "response writer does not support streaming")
+		writeError(w, &httpError{status: http.StatusInternalServerError, code: CodeInternal, msg: "response writer does not support streaming"})
 		return
 	}
-	pr, ok := s.prepare(w, r)
-	if !ok {
+	pr, herr := s.gateHTTP(w, r)
+	if herr != nil {
+		writeError(w, herr)
 		return
 	}
 	s.ctr.streams.Add(1)
@@ -78,12 +79,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			ErrorEnvelope
 			Status int `json:"status"`
 		}{
-			ErrorEnvelope: ErrorEnvelope{Err: ErrorDetail{
-				Code:             out.herr.code,
-				Message:          out.herr.msg,
-				RetryAfterMillis: out.herr.retryAfter.Milliseconds(),
-			}},
-			Status: out.herr.status,
+			ErrorEnvelope: ErrorEnvelope{Err: *out.herr.detail()},
+			Status:        out.herr.status,
 		})
 	} else {
 		writeSSE(w, "result", out.resp) //nolint:errcheck // client may be gone

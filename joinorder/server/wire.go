@@ -276,37 +276,12 @@ type ErrorDetail struct {
 // ErrorEnvelope is the JSON body of every non-2xx /v1 answer:
 //
 //	{"error": {"code": "rate_limited", "message": "...", "retry_after_ms": 1000}}
-//
-// Go clients decode it directly; UnmarshalJSON also tolerates the legacy
-// flat form {"error": "message"} emitted by older servers, mapping it to
-// an empty code.
 type ErrorEnvelope struct {
 	Err ErrorDetail `json:"error"`
 }
 
-// UnmarshalJSON accepts both the structured envelope and the legacy
-// {"error": "message"} flat string form.
-func (e *ErrorEnvelope) UnmarshalJSON(data []byte) error {
-	var flat struct {
-		Error json.RawMessage `json:"error"`
-	}
-	if err := json.Unmarshal(data, &flat); err != nil {
-		return err
-	}
-	if len(flat.Error) > 0 && flat.Error[0] == '"' {
-		e.Err = ErrorDetail{}
-		return json.Unmarshal(flat.Error, &e.Err.Message)
-	}
-	return json.Unmarshal(flat.Error, &e.Err)
-}
-
 // Error makes the envelope usable as a Go error by clients.
-func (e *ErrorEnvelope) Error() string {
-	if e.Err.Code == "" {
-		return e.Err.Message
-	}
-	return e.Err.Code + ": " + e.Err.Message
-}
+func (e *ErrorEnvelope) Error() string { return e.Err.Code + ": " + e.Err.Message }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -316,10 +291,39 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
 }
 
-func writeError(w http.ResponseWriter, status int, code string, retryAfter time.Duration, format string, args ...any) {
-	writeJSON(w, status, ErrorEnvelope{Err: ErrorDetail{
-		Code:             code,
-		Message:          fmt.Sprintf(format, args...),
-		RetryAfterMillis: retryAfter.Milliseconds(),
-	}})
+// httpError is a terminal non-2xx outcome of the request pipeline. code
+// is the stable machine-readable error code of the ErrorDetail every
+// front end reports it as.
+type httpError struct {
+	status     int
+	code       string
+	msg        string
+	retryAfter time.Duration
+}
+
+func errBadRequest(msg string) *httpError {
+	return &httpError{status: http.StatusBadRequest, code: CodeBadRequest, msg: msg}
+}
+
+func errDraining() *httpError {
+	return &httpError{status: http.StatusServiceUnavailable, code: CodeDraining, msg: "server is draining", retryAfter: time.Second}
+}
+
+// detail is the one mapping from a pipeline error to its wire payload,
+// shared by the unary envelope, the SSE "error" event and batch items.
+// A nil error maps to nil.
+func (e *httpError) detail() *ErrorDetail {
+	if e == nil {
+		return nil
+	}
+	return &ErrorDetail{Code: e.code, Message: e.msg, RetryAfterMillis: e.retryAfter.Milliseconds()}
+}
+
+// writeError answers with e's status and envelope; retryable errors
+// mirror their backoff hint in the Retry-After header.
+func writeError(w http.ResponseWriter, e *httpError) {
+	if e.retryAfter > 0 {
+		w.Header().Set("Retry-After", retryAfterSeconds(e.retryAfter))
+	}
+	writeJSON(w, e.status, ErrorEnvelope{Err: *e.detail()})
 }
