@@ -74,7 +74,7 @@ func (o *Optimizer) refreshCorrected(ctx context.Context, q, corrected *joinorde
 		// File the corrected plan under the ORIGINAL query's exact key:
 		// both queries share a structure, so the original's canonical
 		// permutation translates the plan.
-		ce, cerr := Canonicalize(q, Exact)
+		ce, cerr := o.canonicalize(q, Exact)
 		if cerr != nil {
 			return
 		}

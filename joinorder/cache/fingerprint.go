@@ -16,13 +16,14 @@ package cache
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"milpjoin/joinorder"
 )
@@ -146,20 +147,31 @@ func Canonicalize(q *joinorder.Query, mode Mode) (*Canonical, error) {
 // and evaluation cost, as raw float bits (Exact) or ranks (Shape).
 type pairWeight struct{ sel, eval uint64 }
 
+// pairPred is one binary predicate of the graph: its table pair (a < b)
+// and its weight.
+type pairPred struct {
+	a, b int
+	w    pairWeight
+}
+
+// pairCell is one entry of the adjacency matrix: the weight hash of the
+// pair's predicate multiset (0 when there is no edge) and where that
+// multiset sits in graph.preds.
+type pairCell struct {
+	h       uint64
+	lo, cnt int32
+}
+
 // graph is the abstract weighted join graph being canonicalized.
 type graph struct {
 	n    int
 	vert []uint64    // per-vertex invariant hash (cardinality, sorted flag)
 	vdat [][2]uint64 // per-vertex invariant data, emitted into encodings
-	adj  [][]uint64  // adj[v][u]: weight hash of pair {v,u}, 0 when no edge
-	pair map[[2]int][]pairWeight
-}
-
-func pairKey(a, b int) [2]int {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]int{a, b}
+	adj  [][]pairCell
+	// preds holds the predicates sorted by pair and then by weight, so the
+	// parallel predicates of one pair are adjacent and in an order that
+	// does not depend on the labeling.
+	preds []pairPred
 }
 
 // buildGraph validates cacheability and assembles the invariant-weighted
@@ -203,11 +215,11 @@ func buildGraph(q *joinorder.Query, mode Mode) (*graph, error) {
 	}
 
 	g := &graph{
-		n:    n,
-		vert: make([]uint64, n),
-		vdat: make([][2]uint64, n),
-		adj:  make([][]uint64, n),
-		pair: make(map[[2]int][]pairWeight),
+		n:     n,
+		vert:  make([]uint64, n),
+		vdat:  make([][2]uint64, n),
+		adj:   make([][]pairCell, n),
+		preds: make([]pairPred, len(q.Predicates)),
 	}
 	for i := range q.Tables {
 		var sorted uint64
@@ -219,34 +231,34 @@ func buildGraph(q *joinorder.Query, mode Mode) (*graph, error) {
 	}
 	for i := range q.Predicates {
 		p := &q.Predicates[i]
-		k := pairKey(p.Tables[0], p.Tables[1])
-		g.pair[k] = append(g.pair[k], pairWeight{sel: sel(p.Sel), eval: eval(p.EvalCostPerTuple)})
-	}
-	// Parallel predicates on the same pair form an (order-canonical)
-	// multiset; sort so the weight is label-invariant.
-	for k, ws := range g.pair {
-		sort.Slice(ws, func(a, b int) bool {
-			if ws[a].sel != ws[b].sel {
-				return ws[a].sel < ws[b].sel
-			}
-			return ws[a].eval < ws[b].eval
-		})
-		g.pair[k] = ws
-	}
-	for v := 0; v < n; v++ {
-		g.adj[v] = make([]uint64, n)
-	}
-	for k, ws := range g.pair {
-		h := uint64(fnvOffset)
-		for _, w := range ws {
-			h = fnvMix(h, w.sel, w.eval)
+		a, b := p.Tables[0], p.Tables[1]
+		if a > b {
+			a, b = b, a
 		}
-		h = fnvMix(h, uint64(len(ws)), 0x9e3779b97f4a7c15)
+		g.preds[i] = pairPred{a, b, pairWeight{sel: sel(p.Sel), eval: eval(p.EvalCostPerTuple)}}
+	}
+	slices.SortFunc(g.preds, func(x, y pairPred) int {
+		return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b),
+			cmp.Compare(x.w.sel, y.w.sel), cmp.Compare(x.w.eval, y.w.eval))
+	})
+	matrix := make([]pairCell, n*n)
+	for v := range g.adj {
+		g.adj[v] = matrix[v*n : (v+1)*n : (v+1)*n]
+	}
+	for lo := 0; lo < len(g.preds); {
+		a, b := g.preds[lo].a, g.preds[lo].b
+		hi := lo
+		h := uint64(fnvOffset)
+		for ; hi < len(g.preds) && g.preds[hi].a == a && g.preds[hi].b == b; hi++ {
+			h = fnvMix(h, g.preds[hi].w.sel, g.preds[hi].w.eval)
+		}
+		h = fnvMix(h, uint64(hi-lo), 0x9e3779b97f4a7c15)
 		if h == 0 {
 			h = 1 // reserve 0 for "no edge"
 		}
-		g.adj[k[0]][k[1]] = h
-		g.adj[k[1]][k[0]] = h
+		g.adj[a][b] = pairCell{h, int32(lo), int32(hi - lo)}
+		g.adj[b][a] = g.adj[a][b]
+		lo = hi
 	}
 	return g, nil
 }
@@ -255,8 +267,8 @@ func buildGraph(q *joinorder.Query, mode Mode) (*graph, error) {
 // vals (0 for the smallest). Queries that differ only by a monotone
 // perturbation of their statistics receive identical ranks.
 func ranker(vals []float64) func(float64) uint64 {
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
 	rank := make(map[uint64]uint64, len(sorted))
 	for _, v := range sorted {
 		b := math.Float64bits(v)
@@ -304,9 +316,9 @@ func (g *graph) refine(colors []uint64) []uint64 {
 				if u == v {
 					continue
 				}
-				sig = append(sig, fnvMix(fnvOffset, cur[u], g.adj[v][u]))
+				sig = append(sig, fnvMix(fnvOffset, cur[u], g.adj[v][u].h))
 			}
-			sort.Slice(sig, func(a, b int) bool { return sig[a] < sig[b] })
+			slices.Sort(sig)
 			h := fnvMix(fnvOffset, cur[v], 0)
 			for _, s := range sig {
 				h = fnvMix(h, s, 0)
@@ -321,22 +333,13 @@ func (g *graph) refine(colors []uint64) []uint64 {
 }
 
 // samePartition reports whether two colorings induce the same partition of
-// the vertices.
+// the vertices: every pair of vertices shares a color in both or in neither.
 func samePartition(a, b []uint64) bool {
-	repA := make(map[uint64]int)
-	repB := make(map[uint64]int)
 	for i := range a {
-		ra, okA := repA[a[i]]
-		rb, okB := repB[b[i]]
-		if okA != okB {
-			return false
-		}
-		if okA && ra != rb {
-			return false
-		}
-		if !okA {
-			repA[a[i]] = i
-			repB[b[i]] = i
+		for j := 0; j < i; j++ {
+			if (a[i] == a[j]) != (b[i] == b[j]) {
+				return false
+			}
 		}
 	}
 	return true
@@ -344,20 +347,28 @@ func samePartition(a, b []uint64) bool {
 
 // cells groups vertices by color, ordered by color value — an ordering
 // that is invariant under relabeling because colors are functions of the
-// abstract graph.
+// abstract graph. Within a cell, vertices stay in index order.
 func cells(colors []uint64) [][]int {
-	byColor := make(map[uint64][]int)
-	order := make([]uint64, 0)
-	for v, c := range colors {
-		if _, ok := byColor[c]; !ok {
-			order = append(order, c)
-		}
-		byColor[c] = append(byColor[c], v)
+	type colored struct {
+		c uint64
+		v int
 	}
-	sort.Slice(order, func(a, b int) bool { return order[a] < order[b] })
-	out := make([][]int, len(order))
-	for i, c := range order {
-		out[i] = byColor[c]
+	byColor := make([]colored, len(colors))
+	for v, c := range colors {
+		byColor[v] = colored{c, v}
+	}
+	slices.SortFunc(byColor, func(a, b colored) int {
+		return cmp.Or(cmp.Compare(a.c, b.c), cmp.Compare(a.v, b.v))
+	})
+	verts := make([]int, len(colors))
+	out := make([][]int, 0, len(colors))
+	start := 0
+	for i, cv := range byColor {
+		verts[i] = cv.v
+		if i+1 == len(byColor) || byColor[i+1].c != cv.c {
+			out = append(out, verts[start:i+1:i+1])
+			start = i + 1
+		}
 	}
 	return out
 }
@@ -372,25 +383,21 @@ func (g *graph) uniformCell(cell []int) bool {
 	if len(cell) < 2 {
 		return true
 	}
-	intra := g.adj[cell[0]][cell[1]]
+	intra := g.adj[cell[0]][cell[1]].h
 	for i := 0; i < len(cell); i++ {
 		for j := i + 1; j < len(cell); j++ {
-			if g.adj[cell[i]][cell[j]] != intra {
+			if g.adj[cell[i]][cell[j]].h != intra {
 				return false
 			}
 		}
 	}
-	inCell := make(map[int]bool, len(cell))
-	for _, v := range cell {
-		inCell[v] = true
-	}
 	for x := 0; x < g.n; x++ {
-		if inCell[x] {
+		if _, in := slices.BinarySearch(cell, x); in { // cells are in index order
 			continue
 		}
-		w := g.adj[cell[0]][x]
+		w := g.adj[cell[0]][x].h
 		for _, v := range cell[1:] {
-			if g.adj[v][x] != w {
+			if g.adj[v][x].h != w {
 				return false
 			}
 		}
@@ -407,8 +414,12 @@ type canonSearch struct {
 	g        *graph
 	bestEnc  []byte
 	bestPerm []int
-	leaves   int
-	nodes    int
+	// enc and perm are the buffers the next leaf is encoded into; a leaf
+	// that becomes the best swaps them with bestEnc and bestPerm.
+	enc    []byte
+	perm   []int
+	leaves int
+	nodes  int
 }
 
 func (s *canonSearch) search(colors []uint64) error {
@@ -432,9 +443,13 @@ func (s *canonSearch) search(colors []uint64) error {
 		if s.leaves > maxCanonLeaves {
 			return errCanonBudget
 		}
-		enc, perm := s.g.encode(part)
-		if s.bestEnc == nil || bytes.Compare(enc, s.bestEnc) < 0 {
-			s.bestEnc, s.bestPerm = enc, perm
+		if s.enc == nil {
+			s.enc = make([]byte, 0, 8+16*s.g.n+40*len(s.g.preds))
+		}
+		s.enc, s.perm = s.g.encode(part, s.enc[:0], s.perm)
+		if s.bestEnc == nil || bytes.Compare(s.enc, s.bestEnc) < 0 {
+			s.bestEnc, s.enc = s.enc, s.bestEnc
+			s.bestPerm, s.perm = s.perm, s.bestPerm
 		}
 		return nil
 	}
@@ -456,43 +471,41 @@ func (s *canonSearch) search(colors []uint64) error {
 	return nil
 }
 
-// encode serializes the graph under the discrete partition's labeling. The
-// encoding contains the complete invariant data (vertex statistics and
-// every edge's weight multiset), so equal encodings imply isomorphic
-// queries — fingerprint collisions between genuinely different queries
-// would require a SHA-256 collision.
-func (g *graph) encode(part [][]int) ([]byte, []int) {
+func append64(buf []byte, a, b uint64) []byte {
+	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(buf, a), b)
+}
+
+// encode serializes the graph under the discrete partition's labeling,
+// appending to buf and filling perm (allocated when nil). The encoding
+// contains the complete invariant data (vertex statistics and every edge's
+// weight multiset), so equal encodings imply isomorphic queries —
+// fingerprint collisions between genuinely different queries would require
+// a SHA-256 collision.
+func (g *graph) encode(part [][]int, buf []byte, perm []int) ([]byte, []int) {
 	n := g.n
-	perm := make([]int, n) // original -> canonical
-	inv := make([]int, n)  // canonical -> original
-	for pos, cell := range part {
+	if perm == nil {
+		perm = make([]int, n)
+	}
+	for pos, cell := range part { // original -> canonical
 		perm[cell[0]] = pos
-		inv[pos] = cell[0]
 	}
-	var buf bytes.Buffer
-	w64 := func(vs ...uint64) {
-		var b [8]byte
-		for _, v := range vs {
-			binary.BigEndian.PutUint64(b[:], v)
-			buf.Write(b[:])
-		}
-	}
-	w64(uint64(n))
-	for pos := 0; pos < n; pos++ {
-		v := inv[pos]
-		w64(g.vdat[v][0], g.vdat[v][1])
+	buf = binary.BigEndian.AppendUint64(buf, uint64(n))
+	for _, cell := range part {
+		buf = append64(buf, g.vdat[cell[0]][0], g.vdat[cell[0]][1])
 	}
 	for i := 0; i < n; i++ {
+		vi := part[i][0]
 		for j := i + 1; j < n; j++ {
-			ws := g.pair[pairKey(inv[i], inv[j])]
-			if len(ws) == 0 {
+			c := g.adj[vi][part[j][0]]
+			if c.h == 0 {
 				continue
 			}
-			w64(uint64(i), uint64(j), uint64(len(ws)))
-			for _, w := range ws {
-				w64(w.sel, w.eval)
+			buf = append64(buf, uint64(i), uint64(j))
+			buf = binary.BigEndian.AppendUint64(buf, uint64(c.cnt))
+			for _, p := range g.preds[c.lo : c.lo+c.cnt] {
+				buf = append64(buf, p.w.sel, p.w.eval)
 			}
 		}
 	}
-	return buf.Bytes(), perm
+	return buf, perm
 }

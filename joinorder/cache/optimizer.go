@@ -82,8 +82,8 @@ type Config struct {
 // concurrent use.
 type Optimizer struct {
 	cfg     Config
-	exact   *store[*canonicalResult]
-	donors  *store[*donor]
+	exact   *store[string, *canonicalResult]
+	donors  *store[string, *donor]
 	flights flightGroup
 	ctr     counters
 	bg      sync.WaitGroup
@@ -162,8 +162,8 @@ func New(cfg Config) (*Optimizer, error) {
 		return nil, err
 	}
 	o := &Optimizer{cfg: cfg}
-	o.exact = newStore[*canonicalResult](cfg.MaxEntries, cfg.MaxBytes, cfg.TTL, &o.ctr.evicted, &o.ctr.expired)
-	o.donors = newStore[*donor](cfg.MaxEntries, 0, cfg.TTL, nil, nil)
+	o.exact = newStore[string, *canonicalResult](cfg.MaxEntries, cfg.MaxBytes, cfg.TTL, &o.ctr.evicted, &o.ctr.expired)
+	o.donors = newStore[string, *donor](cfg.MaxEntries, 0, cfg.TTL, nil, nil)
 	if cfg.Persist != nil {
 		if err := o.replay(); err != nil {
 			return nil, fmt.Errorf("%w: replaying persistent cache: %v", joinorder.ErrInvalidOptions, err)
@@ -225,17 +225,38 @@ func (o *Optimizer) Entries() []EntryInfo {
 // KindDegraded event kinds, interleaved with the underlying solver's
 // events under one monotonic sequence.
 func (o *Optimizer) Optimize(ctx context.Context, q *joinorder.Query, opts joinorder.Options) (*joinorder.Result, error) {
+	return o.OptimizeCanonical(ctx, q, o.Canonicalize(q), opts)
+}
+
+// Canonicalize returns q's Exact canonical form for OptimizeCanonical, or
+// nil when q is uncacheable or malformed. Callers that need the
+// fingerprint before the lookup (routing, a request memo) compute it here
+// once and hand it back, so no request is canonicalized twice.
+func (o *Optimizer) Canonicalize(q *joinorder.Query) *Canonical {
+	ce, _ := o.canonicalize(q, Exact)
+	return ce
+}
+
+// canonicalize is Canonicalize counted in Stats.Canonicalizations.
+func (o *Optimizer) canonicalize(q *joinorder.Query, mode Mode) (*Canonical, error) {
+	o.ctr.canonicalizations.Add(1)
+	return Canonicalize(q, mode)
+}
+
+// OptimizeCanonical is Optimize for a caller that already holds ce, the
+// result of o.Canonicalize(q) (nil: uncacheable). ce is only read, so one
+// Canonical may serve any number of concurrent calls.
+func (o *Optimizer) OptimizeCanonical(ctx context.Context, q *joinorder.Query, ce *Canonical, opts joinorder.Options) (*joinorder.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	start := o.cfg.now()
-	ce, err := Canonicalize(q, Exact)
-	if err != nil {
+	if ce == nil {
 		// Uncacheable or malformed: the underlying optimizer owns
 		// validation and the public error surface.
 		o.ctr.uncacheable.Add(1)
 		return o.cfg.Optimize(ctx, q, opts)
 	}
+	start := o.cfg.now()
 	okey := optionsKey(opts)
 	ekey := "e|" + okey + "|" + ce.Key
 
@@ -294,7 +315,7 @@ func (o *Optimizer) solve(ctx context.Context, q *joinorder.Query, opts joinorde
 	var cs *Canonical
 	warmed := false
 	if !o.cfg.DisableWarmStart && opts.InitialPlan == nil {
-		if c, err := Canonicalize(q, Shape); err == nil {
+		if c, err := o.canonicalize(q, Shape); err == nil {
 			cs = c
 			if d, ok := o.donors.get("s|"+okey+"|"+cs.Key, o.cfg.now()); ok {
 				opts.InitialPlan = &joinorder.Plan{
@@ -321,7 +342,7 @@ func (o *Optimizer) solve(ctx context.Context, q *joinorder.Query, opts joinorde
 
 	now := o.cfg.now()
 	if cs == nil && !o.cfg.DisableWarmStart {
-		cs, _ = Canonicalize(q, Shape)
+		cs, _ = o.canonicalize(q, Shape)
 	}
 	if cs != nil {
 		o.storeDonor("s|"+okey+"|"+cs.Key,

@@ -160,7 +160,7 @@ func (o *Optimizer) ImportRecord(kind, key string, val []byte) error {
 // resident. Use it when the statistics behind a cached plan are known to
 // be stale; OptimizeExecuted with feedback calls it automatically.
 func (o *Optimizer) Invalidate(q *joinorder.Query, opts joinorder.Options) bool {
-	ce, err := Canonicalize(q, Exact)
+	ce, err := o.canonicalize(q, Exact)
 	if err != nil {
 		return false
 	}
@@ -168,7 +168,7 @@ func (o *Optimizer) Invalidate(q *joinorder.Query, opts joinorder.Options) bool 
 	ekey := "e|" + okey + "|" + ce.Key
 	removed := o.exact.remove(ekey)
 	o.persistDelete(persist.KindExact, ekey)
-	if cs, err := Canonicalize(q, Shape); err == nil {
+	if cs, err := o.canonicalize(q, Shape); err == nil {
 		skey := "s|" + okey + "|" + cs.Key
 		o.donors.remove(skey)
 		o.persistDelete(persist.KindDonor, skey)

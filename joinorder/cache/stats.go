@@ -27,6 +27,11 @@ type Stats struct {
 	// Uncacheable counts requests whose queries the fingerprint rejects
 	// (passed through to the optimizer untouched).
 	Uncacheable int64 `json:"uncacheable"`
+	// Canonicalizations counts fingerprint computations of either mode made
+	// through the optimizer: one per lookup whose caller did not bring the
+	// canonical form, one more (Shape) per miss that consults the donor
+	// index.
+	Canonicalizations int64 `json:"canonicalizations"`
 	// Evicted counts entries removed by the LRU bounds (entry count or
 	// MaxBytes), including evictions during persistent-log replay.
 	Evicted int64 `json:"evicted"`
@@ -76,6 +81,7 @@ type counters struct {
 	degraded          atomic.Int64
 	refines           atomic.Int64
 	uncacheable       atomic.Int64
+	canonicalizations atomic.Int64
 	evicted           atomic.Int64
 	expired           atomic.Int64
 	invalidated       atomic.Int64
@@ -96,6 +102,7 @@ func (c *counters) snapshot() Stats {
 		Degraded:          c.degraded.Load(),
 		Refines:           c.refines.Load(),
 		Uncacheable:       c.uncacheable.Load(),
+		Canonicalizations: c.canonicalizations.Load(),
 		Evicted:           c.evicted.Load(),
 		Expired:           c.expired.Load(),
 		Invalidated:       c.invalidated.Load(),

@@ -108,7 +108,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if tenant == "" {
 			tenant = breq.Tenant
 		}
-		pr, herr := s.gate(req, tenant, forwarded)
+		pr, herr := s.gate(req, nil, tenant, forwarded)
 		prs[i], results[i] = pr, BatchItem{Index: i, Error: herr.detail()}
 	}
 	s.forwardSubBatches(r.Context(), prs, results)

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strings"
 
-	"milpjoin/joinorder/cache"
 	"milpjoin/joinorder/cluster"
 )
 
@@ -27,20 +26,15 @@ func routingFingerprint(key string) string {
 	return key
 }
 
-// remoteOwner is the one place a request's routing fingerprint is
-// computed: it names the healthy peer owning pr's query when that is not
-// this node. Non-clustered servers, forwarded arrivals (pinned local) and
-// uncacheable queries (nothing to gain from shard affinity) never
-// canonicalize and always answer false.
+// remoteOwner names the healthy peer owning pr's query when that is not
+// this node, routing on the fingerprint the gate already computed.
+// Non-clustered servers, forwarded arrivals (pinned local) and uncacheable
+// queries (nothing to gain from shard affinity) always answer false.
 func (s *Server) remoteOwner(pr *prepared) (cluster.Peer, bool) {
-	if s.cfg.Cluster == nil || pr.forwarded {
+	if s.cfg.Cluster == nil || pr.forwarded || pr.canon == nil {
 		return cluster.Peer{}, false
 	}
-	ce, err := cache.Canonicalize(pr.q, cache.Exact)
-	if err != nil {
-		return cluster.Peer{}, false
-	}
-	return s.cfg.Cluster.Route(ce.Key)
+	return s.cfg.Cluster.Route(pr.canon.Key)
 }
 
 // tryForward routes one prepared optimize request through the cluster:
@@ -77,7 +71,7 @@ func (s *Server) tryForward(w http.ResponseWriter, r *http.Request, pr *prepared
 
 // relayResponse copies a peer's HTTP answer to the client.
 func relayResponse(w http.ResponseWriter, resp *http.Response, owner cluster.Peer) {
-	for _, h := range []string{"Content-Type", "Retry-After"} {
+	for _, h := range []string{"Content-Type", "Content-Length", "Retry-After"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}

@@ -22,8 +22,12 @@
 // request pipeline, gate → route → admit → solve. The gates run in one
 // order everywhere: drain check, body decode, per-tenant token bucket
 // (charged at the ingress node only; 429 + Retry-After when exhausted),
-// query, options. Routing fingerprints a gated request only on a
-// clustered server and forwards it when another node owns it. Admission
+// query, options, canonical form. The two single-request endpoints look
+// the body's bytes up in a request memo first: a byte-identical repeat
+// reuses the decoded, validated and fingerprinted form of its first
+// sighting and only the per-request gates run. Routing forwards a gated
+// request, on the fingerprint the gate computed, when another node of the
+// cluster owns it; the same fingerprint then keys the plan cache. Admission
 // (serve) is a bounded worker pool sized off GOMAXPROCS behind a bounded
 // queue ordered by request deadline; a batch is admitted item by item,
 // each with its own weight, deadline and queue time. When the queue is

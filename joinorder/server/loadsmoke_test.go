@@ -29,7 +29,9 @@ func loadClient() *http.Client {
 // TestLoadSmokeConcurrentInflight is the admission-control acceptance
 // check: the daemon holds ≥ 500 concurrent in-flight requests — verified
 // server-side, workers running plus requests queued — and answers every
-// single one with a plan.
+// single one with a plan. The request memo runs at capacity meanwhile (32
+// texts for 50 distinct bodies): evicting under load loses no request, and
+// repeats of a resident body are memo hits.
 func TestLoadSmokeConcurrentInflight(t *testing.T) {
 	const clients = 500
 
@@ -40,6 +42,7 @@ func TestLoadSmokeConcurrentInflight(t *testing.T) {
 		MaxWorkers: 8,
 		QueueDepth: clients, // nothing sheds in this phase
 		Cache: cache.Config{
+			MaxEntries: 8,
 			Optimize: func(ctx context.Context, q *joinorder.Query, opts joinorder.Options) (*joinorder.Result, error) {
 				select {
 				case <-release:
@@ -76,7 +79,9 @@ func TestLoadSmokeConcurrentInflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := client.Post(ts.URL+"/v1/optimize", "application/json", bytes.NewReader(bodies[i%len(bodies)]))
+			// Consecutive clients share a body, so a repeat arrives while the
+			// text is still resident in the undersized memo.
+			resp, err := client.Post(ts.URL+"/v1/optimize", "application/json", bytes.NewReader(bodies[i*len(bodies)/clients]))
 			if err != nil {
 				failed.Add(1)
 				return
@@ -110,6 +115,12 @@ func TestLoadSmokeConcurrentInflight(t *testing.T) {
 
 	if got := answered.Load(); got != clients || failed.Load() != 0 {
 		t.Fatalf("answered=%d failed=%d, want %d/0", got, failed.Load(), clients)
+	}
+	snap := s.Snapshot()
+	t.Logf("request memo: %d hits, %d misses, %d evictions", snap.RequestMemoHits, snap.RequestMemoMisses, snap.RequestMemoEvictions)
+	if snap.RequestMemoHits == 0 || snap.RequestMemoEvictions == 0 {
+		t.Errorf("request_memo_hits = %d, request_memo_evictions = %d; want both above zero with the memo at capacity",
+			snap.RequestMemoHits, snap.RequestMemoEvictions)
 	}
 }
 

@@ -47,6 +47,13 @@ type Snapshot struct {
 	Batches    int64 `json:"batches"`
 	BatchItems int64 `json:"batch_items"`
 
+	// The request memo in front of the plan cache: byte-identical request
+	// bodies that skipped decoding and canonicalization, and what it holds.
+	RequestMemoHits      int64 `json:"request_memo_hits"`
+	RequestMemoMisses    int64 `json:"request_memo_misses"`
+	RequestMemoEvictions int64 `json:"request_memo_evictions"`
+	RequestMemoBytes     int64 `json:"request_memo_bytes"`
+
 	Cache cache.Stats `json:"cache"`
 	// Cluster is present only on clustered servers.
 	Cluster *cluster.Stats `json:"cluster,omitempty"`
@@ -60,6 +67,7 @@ func (s *Server) Snapshot() Snapshot {
 		cs := s.cfg.Cluster.Stats()
 		cl = &cs
 	}
+	memo := s.memo.Stats()
 	return Snapshot{
 		Requests:      s.ctr.requests.Load(),
 		OK:            s.ctr.ok.Load(),
@@ -87,8 +95,14 @@ func (s *Server) Snapshot() Snapshot {
 		Incumbents:    s.ctr.incumbents.Load(),
 		Batches:       s.ctr.batches.Load(),
 		BatchItems:    s.ctr.batchItems.Load(),
-		Cache:         s.co.Stats(),
-		Cluster:       cl,
+
+		RequestMemoHits:      memo.Hits,
+		RequestMemoMisses:    memo.Misses,
+		RequestMemoEvictions: memo.Evictions,
+		RequestMemoBytes:     memo.Bytes,
+
+		Cache:   s.co.Stats(),
+		Cluster: cl,
 	}
 }
 
@@ -145,12 +159,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("joinoptd_solver_simplex_iters_total", "Simplex iterations, summed over solves.", snap.SimplexIters)
 	counter("joinoptd_solver_incumbents_total", "Incumbent improvements, summed over solves.", snap.Incumbents)
 
+	counter("joinoptd_request_memo_hits_total", "Request bodies found in the request memo (decode and canonicalization skipped).", snap.RequestMemoHits)
+	counter("joinoptd_request_memo_misses_total", "Request bodies not found in the request memo.", snap.RequestMemoMisses)
+	counter("joinoptd_request_memo_evictions_total", "Request memo entries evicted by its entry or byte bound.", snap.RequestMemoEvictions)
+	gauge("joinoptd_request_memo_bytes", "Approximate resident bytes of the request memo.", float64(snap.RequestMemoBytes))
+
 	counter("joinoptd_cache_hits_total", "Requests served from the exact plan cache.", snap.Cache.Hits)
 	counter("joinoptd_cache_misses_total", "Requests that fell through to a solve.", snap.Cache.Misses)
 	counter("joinoptd_cache_coalesced_total", "Requests that joined an identical in-flight solve.", snap.Cache.Coalesced)
 	counter("joinoptd_cache_warm_starts_total", "Misses warm-started from a shape-matched cached plan.", snap.Cache.WarmStarts)
 	counter("joinoptd_cache_degraded_total", "Tight-deadline requests served a fallback plan.", snap.Cache.Degraded)
 	counter("joinoptd_cache_refines_total", "Background refine solves completed.", snap.Cache.Refines)
+	counter("joinoptd_cache_canonicalizations_total", "Query fingerprints computed by the plan cache.", snap.Cache.Canonicalizations)
 	counter("joinoptd_cache_evicted_total", "Entries evicted by the LRU bound.", snap.Cache.Evicted)
 	counter("joinoptd_cache_expired_total", "Entries expired by TTL.", snap.Cache.Expired)
 	counter("joinoptd_cache_replayed_total", "Entries loaded from the persistent log at startup.", snap.Cache.Replayed)

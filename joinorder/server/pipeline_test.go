@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -35,7 +36,57 @@ func errorOutcome(e ErrorDetail) outcome {
 // canceled context still leaves an observable answer) and decodes it.
 type frontEnd struct {
 	name string
-	send func(t *testing.T, s *Server, ctx context.Context, req *OptimizeRequest) outcome
+	// send also returns the JSON payload the outcome was read from, with
+	// its timing fields blanked (see timeless).
+	send func(t *testing.T, s *Server, ctx context.Context, req *OptimizeRequest) (outcome, string)
+}
+
+// timeless re-renders a JSON document with every field that depends on
+// the clock set to zero, so two answers to the same request compare equal.
+func timeless(t *testing.T, data []byte) string {
+	t.Helper()
+	var doc any
+	decodeInto(t, data, &doc)
+	var blank func(v any)
+	blank = func(v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, e := range v {
+				switch k {
+				case "queue_ms", "total_ms", "elapsed_sec", "retry_after_ms":
+					v[k] = 0
+				default:
+					blank(e)
+				}
+			}
+		case []any:
+			for _, e := range v {
+				blank(e)
+			}
+		}
+	}
+	blank(doc)
+	out, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// primeMemo files req's wire form in the request memo without sending a
+// request, so no counter moves. A body the gate would reject is left out,
+// as the gate itself leaves it out.
+func primeMemo(t *testing.T, s *Server, req *OptimizeRequest) {
+	t.Helper()
+	raw, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded OptimizeRequest
+	decodeInto(t, raw, &decoded)
+	if rv, herr := s.resolve(&decoded); herr == nil {
+		s.memo.Put(raw, rv, 0)
+	}
 }
 
 func serveRecorded(t *testing.T, s *Server, ctx context.Context, path string, body any) *httptest.ResponseRecorder {
@@ -57,44 +108,46 @@ func decodeInto(t *testing.T, data []byte, v any) {
 }
 
 var frontEnds = []frontEnd{
-	{"unary", func(t *testing.T, s *Server, ctx context.Context, req *OptimizeRequest) outcome {
+	{"unary", func(t *testing.T, s *Server, ctx context.Context, req *OptimizeRequest) (outcome, string) {
 		rec := serveRecorded(t, s, ctx, "/v1/optimize", req)
+		body := strconv.Itoa(rec.Code) + " " + timeless(t, rec.Body.Bytes())
 		if rec.Code != http.StatusOK {
 			var env ErrorEnvelope
 			decodeInto(t, rec.Body.Bytes(), &env)
-			return errorOutcome(env.Err)
+			return errorOutcome(env.Err), body
 		}
 		var resp OptimizeResponse
 		decodeInto(t, rec.Body.Bytes(), &resp)
-		return planOutcome(&resp)
+		return planOutcome(&resp), body
 	}},
-	{"stream", func(t *testing.T, s *Server, ctx context.Context, req *OptimizeRequest) outcome {
+	{"stream", func(t *testing.T, s *Server, ctx context.Context, req *OptimizeRequest) (outcome, string) {
 		rec := serveRecorded(t, s, ctx, "/v1/optimize/stream", req)
 		if rec.Code != http.StatusOK {
 			// Gate failures precede the stream and answer as plain HTTP.
 			var env ErrorEnvelope
 			decodeInto(t, rec.Body.Bytes(), &env)
-			return errorOutcome(env.Err)
+			return errorOutcome(env.Err), strconv.Itoa(rec.Code) + " " + timeless(t, rec.Body.Bytes())
 		}
 		events := readSSE(t, rec.Body)
 		if len(events) == 0 {
 			t.Fatal("stream carried no events")
 		}
 		last := events[len(events)-1]
+		body := last.name + " " + timeless(t, []byte(last.data))
 		switch last.name {
 		case "error":
 			var env ErrorEnvelope
 			decodeInto(t, []byte(last.data), &env)
-			return errorOutcome(env.Err)
+			return errorOutcome(env.Err), body
 		case "result":
 			var resp OptimizeResponse
 			decodeInto(t, []byte(last.data), &resp)
-			return planOutcome(&resp)
+			return planOutcome(&resp), body
 		}
 		t.Fatalf("stream ended with %q event", last.name)
-		return outcome{}
+		return outcome{}, ""
 	}},
-	{"batch", func(t *testing.T, s *Server, ctx context.Context, req *OptimizeRequest) outcome {
+	{"batch", func(t *testing.T, s *Server, ctx context.Context, req *OptimizeRequest) (outcome, string) {
 		rec := serveRecorded(t, s, ctx, "/v1/optimize/batch", BatchRequest{Queries: []OptimizeRequest{*req}})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("batch status = %d: %s", rec.Code, rec.Body)
@@ -104,10 +157,11 @@ var frontEnds = []frontEnd{
 		if len(out.Results) != 1 {
 			t.Fatalf("batch answered %d items, want 1", len(out.Results))
 		}
+		body := timeless(t, rec.Body.Bytes())
 		if it := out.Results[0]; it.Error != nil {
-			return errorOutcome(*it.Error)
+			return errorOutcome(*it.Error), body
 		}
-		return planOutcome(out.Results[0].Response)
+		return planOutcome(out.Results[0].Response), body
 	}},
 }
 
@@ -130,7 +184,11 @@ func countersOf(s *Server) pipelineCounters {
 // /v1/optimize/stream and a one-item /v1/optimize/batch: the three are
 // decode/encode shells over one gate → route → admit → solve pipeline,
 // so each must report the same error code, retry hint, degraded flag and
-// queueing, and leave the same counters behind.
+// queueing, and leave the same counters behind. Every scenario runs twice
+// per front end, with the probe's body first unseen and then already in
+// the request memo: a memo hit must be indistinguishable on the wire,
+// timing fields aside, and in the counters. (Batch items never consult the
+// memo; their second pass pins that priming it changes nothing for them.)
 func TestFrontEndParity(t *testing.T) {
 	strict := false
 	milp := func(r *OptimizeRequest) { r.Strategy = "milp"; r.Timeout = "30s" }
@@ -209,70 +267,96 @@ func TestFrontEndParity(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			var first pipelineCounters
 			for i, fe := range frontEnds {
-				bo := newBlockingOptimizer()
-				s := mustServer(t, Config{
-					MaxWorkers:  1,
-					QueueDepth:  1,
-					TenantRate:  0.001,
-					TenantBurst: 1,
-					Cache: cache.Config{
-						Optimize:         bo.fn,
-						DegradeUnder:     50 * time.Millisecond,
-						BackgroundBudget: 500 * time.Millisecond,
-					},
-				})
-				var once sync.Once
-				release := func() { once.Do(func() { close(bo.release) }) }
-				if sc.before != nil {
-					sc.before(s)
-				}
-
-				// Occupants always arrive through the unary front end, each
-				// as its own tenant and with its own query.
-				var occupants sync.WaitGroup
-				for k := 0; k < sc.occupy; k++ {
-					occ := &OptimizeRequest{Query: workload.Generate(workload.Chain, 6+k, int64(k+1), workload.Config{}), Tenant: string(rune('a' + k))}
-					milp(occ)
-					occupants.Add(1)
-					go func() {
-						defer occupants.Done()
-						serveRecorded(t, s, context.Background(), "/v1/optimize", occ)
-					}()
-					if k == 0 {
-						<-bo.started
-					} else {
-						waitFor(t, queuedIs(s, k))
+				var unseen string
+				for _, memoized := range []bool{false, true} {
+					name := fe.name
+					if memoized {
+						name += " (memo hit)"
 					}
-				}
+					bo := newBlockingOptimizer()
+					s := mustServer(t, Config{
+						MaxWorkers:  1,
+						QueueDepth:  1,
+						TenantRate:  0.001,
+						TenantBurst: 1,
+						Cache: cache.Config{
+							Optimize:         bo.fn,
+							DegradeUnder:     50 * time.Millisecond,
+							BackgroundBudget: 500 * time.Millisecond,
+						},
+					})
+					var once sync.Once
+					release := func() { once.Do(func() { close(bo.release) }) }
+					if sc.before != nil {
+						sc.before(s)
+					}
 
-				probe := &OptimizeRequest{Query: workload.Generate(workload.Star, 8, 3, workload.Config{}), Strategy: "greedy", Timeout: "2s"}
-				sc.probe(probe)
-				ctx, cancel := context.WithCancel(context.Background())
-				got := make(chan outcome, 1)
-				go func() {
-					defer close(got) // a Fatal inside send must not hang the receive below
-					got <- fe.send(t, s, ctx, probe)
-				}()
-				if sc.during != nil {
-					sc.during(t, s, release, cancel)
-				}
-				if o := <-got; o != sc.want {
-					t.Errorf("%s: outcome = %+v, want %+v", fe.name, o, sc.want)
-				}
-				cancel()
+					// Occupants always arrive through the unary front end, each
+					// as its own tenant and with its own query.
+					var occupants sync.WaitGroup
+					for k := 0; k < sc.occupy; k++ {
+						occ := &OptimizeRequest{Query: workload.Generate(workload.Chain, 6+k, int64(k+1), workload.Config{}), Tenant: string(rune('a' + k))}
+						milp(occ)
+						occupants.Add(1)
+						go func() {
+							defer occupants.Done()
+							serveRecorded(t, s, context.Background(), "/v1/optimize", occ)
+						}()
+						if k == 0 {
+							<-bo.started
+						} else {
+							waitFor(t, queuedIs(s, k))
+						}
+					}
 
-				release()
-				occupants.Wait()
-				drainCtx, stop := context.WithTimeout(context.Background(), 5*time.Second)
-				if err := s.Drain(drainCtx); err != nil {
-					t.Fatalf("%s: drain: %v", fe.name, err)
-				}
-				stop()
+					probe := &OptimizeRequest{Query: workload.Generate(workload.Star, 8, 3, workload.Config{}), Strategy: "greedy", Timeout: "2s"}
+					sc.probe(probe)
+					if memoized {
+						primeMemo(t, s, probe)
+					}
+					type answer struct {
+						o    outcome
+						body string
+					}
+					ctx, cancel := context.WithCancel(context.Background())
+					got := make(chan answer, 1)
+					go func() {
+						defer close(got) // a Fatal inside send must not hang the receive below
+						o, body := fe.send(t, s, ctx, probe)
+						got <- answer{o, body}
+					}()
+					if sc.during != nil {
+						sc.during(t, s, release, cancel)
+					}
+					a := <-got
+					if a.o != sc.want {
+						t.Errorf("%s: outcome = %+v, want %+v", name, a.o, sc.want)
+					}
+					if !memoized {
+						unseen = a.body
+					} else if a.body != unseen {
+						t.Errorf("%s answered\n%s\nbut on first sight\n%s", name, a.body, unseen)
+					}
+					cancel()
 
-				if c := countersOf(s); i == 0 {
-					first = c
-				} else if c != first {
-					t.Errorf("%s counters = %+v\n%s counters = %+v", fe.name, c, frontEnds[0].name, first)
+					release()
+					occupants.Wait()
+					drainCtx, stop := context.WithTimeout(context.Background(), 5*time.Second)
+					if err := s.Drain(drainCtx); err != nil {
+						t.Fatalf("%s: drain: %v", name, err)
+					}
+					stop()
+
+					// The primed pass must really have been a memo hit: exactly
+					// the probe, unless the gate rejects its body (never primed).
+					if hits := s.Snapshot().RequestMemoHits; fe.name != "batch" && (hits == 1) != (memoized && sc.want.code != CodeBadRequest) {
+						t.Errorf("%s: request_memo_hits = %d", name, hits)
+					}
+					if c := countersOf(s); i == 0 && !memoized {
+						first = c
+					} else if c != first {
+						t.Errorf("%s counters = %+v\n%s counters = %+v", name, c, frontEnds[0].name, first)
+					}
 				}
 			}
 		})

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -25,10 +26,12 @@ import (
 type Server struct {
 	cfg Config
 	co  *cache.Optimizer
-	adm *admitter
-	tb  *tenantBuckets
-	log *slog.Logger
-	mux *http.ServeMux
+	// memo maps request bodies to their resolved form; see gateHTTP.
+	memo *cache.Memo[*resolved]
+	adm  *admitter
+	tb   *tenantBuckets
+	log  *slog.Logger
+	mux  *http.ServeMux
 
 	draining atomic.Bool
 	inflight sync.WaitGroup
@@ -96,11 +99,12 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg: cfg,
-		co:  co,
-		adm: newAdmitter(cfg.MaxWorkers, cfg.QueueDepth),
-		tb:  newTenantBuckets(cfg.TenantRate, cfg.TenantBurst),
-		log: cfg.Logger,
+		cfg:  cfg,
+		co:   co,
+		memo: newRequestMemo(cfg.Cache),
+		adm:  newAdmitter(cfg.MaxWorkers, cfg.QueueDepth),
+		tb:   newTenantBuckets(cfg.TenantRate, cfg.TenantBurst),
+		log:  cfg.Logger,
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/optimize", s.handleOptimize)
@@ -167,12 +171,25 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
+// resolved is what the gate derives from a request's bytes alone: the
+// decoded request, its validated query, its options under this server's
+// budget limits, and the query's canonical form (nil when uncacheable).
+// The request memo shares one resolved between all byte-identical
+// requests, concurrently, so nothing in it is written after resolve
+// returns.
+type resolved struct {
+	req   *OptimizeRequest
+	q     *joinorder.Query
+	opts  joinorder.Options
+	canon *cache.Canonical
+}
+
 // prepared is one optimize request that cleared the gate: rate-limit
 // charged, query and options resolved. Every front end hands it to serve.
+// The embedded resolved may be shared with other requests; every other
+// field belongs to this request alone.
 type prepared struct {
-	req     *OptimizeRequest
-	q       *joinorder.Query
-	opts    joinorder.Options
+	*resolved
 	arrived time.Time
 	id      string
 	// raw is the request body as received, kept for cluster forwarding.
@@ -181,13 +198,50 @@ type prepared struct {
 	// cluster.ForwardHeader was present): it is pinned local and its
 	// tenant budget was charged at the ingress node.
 	forwarded bool
+	// memoHit marks a request whose resolved came from the request memo.
+	memoHit bool
+}
+
+// Request-memo sizing, derived from the plan cache's own bounds so there
+// is nothing to configure: several request texts reach one plan entry
+// (relabelings, budgets, whitespace), and a text's decoded form is a few
+// times its length.
+const (
+	memoTextsPerPlan  = 4
+	memoBytesPerEntry = 8 << 10 // byte budget per entry when Cache.MaxBytes is unset
+	memoResolvedScale = 3       // resident bytes of a resolved per byte of its text
+	maxMemoBody       = 64 << 10
+)
+
+func newRequestMemo(cc cache.Config) *cache.Memo[*resolved] {
+	entries := memoTextsPerPlan * cc.MaxEntries
+	maxBytes := cc.MaxBytes
+	if maxBytes == 0 {
+		maxBytes = int64(entries) * memoBytesPerEntry
+	}
+	return cache.NewMemo[*resolved](entries, maxBytes)
+}
+
+// resolve runs the gates that depend on the request's bytes alone: query,
+// options, canonical form.
+func (s *Server) resolve(req *OptimizeRequest) (*resolved, *httpError) {
+	q, err := req.query()
+	var opts joinorder.Options
+	if err == nil {
+		opts, err = req.options(s.cfg)
+	}
+	if err != nil {
+		return nil, errBadRequest(err.Error())
+	}
+	return &resolved{req: req, q: q, opts: opts, canon: s.co.Canonicalize(q)}, nil
 }
 
 // gate runs the transport-free pre-admission gates on one decoded
 // request, in the order every front end shares: tenant bill (ingress
-// only), query, options. The front end has already checked the drain
-// flag and decoded the body.
-func (s *Server) gate(req *OptimizeRequest, tenant string, forwarded bool) (*prepared, *httpError) {
+// only), then resolve — skipped when the front end found rv in the
+// request memo. The front end has already checked the drain flag and
+// decoded the body.
+func (s *Server) gate(req *OptimizeRequest, rv *resolved, tenant string, forwarded bool) (*prepared, *httpError) {
 	if !forwarded {
 		// Forwarded arrivals were already charged at their ingress node;
 		// charging the forwarding hop again would double-bill the tenant.
@@ -201,41 +255,57 @@ func (s *Server) gate(req *OptimizeRequest, tenant string, forwarded bool) (*pre
 			}
 		}
 	}
-	q, err := req.query()
-	var opts joinorder.Options
-	if err == nil {
-		opts, err = req.options(s.cfg)
-	}
-	if err != nil {
-		s.ctr.badRequest.Add(1)
-		return nil, errBadRequest(err.Error())
+	memoHit := rv != nil
+	if !memoHit {
+		var herr *httpError
+		if rv, herr = s.resolve(req); herr != nil {
+			s.ctr.badRequest.Add(1)
+			return nil, herr
+		}
 	}
 	return &prepared{
-		req:       req,
-		q:         q,
-		opts:      opts,
+		resolved:  rv,
 		arrived:   s.cfg.now(),
 		id:        fmt.Sprintf("r%06d", s.reqID.Add(1)),
 		forwarded: forwarded,
+		memoHit:   memoHit,
 	}, nil
 }
 
 // gateHTTP is the decode half of the two single-request front ends:
-// drain check, body decode, then the shared gate.
+// drain check, body read, request memo, then the shared gate. A body seen
+// before skips decoding and resolve; everything per-request — drain flag,
+// tenant bill, id, arrival time, forwarded flag — is settled afresh. Only
+// bodies that clear the whole gate are memoized.
 func (s *Server) gateHTTP(w http.ResponseWriter, r *http.Request) (*prepared, *httpError) {
 	s.ctr.requests.Add(1)
 	if s.draining.Load() {
 		s.ctr.drainReject.Add(1)
 		return nil, errDraining()
 	}
-	req, raw, err := decodeRequest(w, r)
+	raw, err := readBody(w, r)
 	if err != nil {
 		s.ctr.badRequest.Add(1)
 		return nil, errBadRequest(err.Error())
 	}
-	pr, herr := s.gate(req, req.tenant(r), r.Header.Get(cluster.ForwardHeader) != "")
+	memoable := len(raw) <= maxMemoBody
+	var rv *resolved
+	if memoable {
+		rv, _ = s.memo.Get(raw)
+	}
+	req := &OptimizeRequest{}
+	if rv != nil {
+		req = rv.req
+	} else if err := json.Unmarshal(raw, req); err != nil {
+		s.ctr.badRequest.Add(1)
+		return nil, errBadRequest(fmt.Sprintf("parsing request: %v", err))
+	}
+	pr, herr := s.gate(req, rv, req.tenant(r), r.Header.Get(cluster.ForwardHeader) != "")
 	if herr != nil {
 		return nil, herr
+	}
+	if memoable && !pr.memoHit {
+		s.memo.Put(raw, pr.resolved, memoResolvedScale*int64(len(raw)))
 	}
 	pr.raw = raw
 	return pr, nil
@@ -375,7 +445,7 @@ func (s *Server) runSolve(ctx context.Context, pr *prepared, opts joinorder.Opti
 	}
 
 	solveStart := s.cfg.now()
-	res, err := s.co.Optimize(ctx, pr.q, opts)
+	res, err := s.co.OptimizeCanonical(ctx, pr.q, pr.canon, opts)
 	solveWait := s.cfg.now().Sub(solveStart)
 	s.ctr.solveNanos.Add(int64(solveWait))
 
@@ -466,6 +536,9 @@ func (s *Server) logRequest(pr *prepared, outcome string, queueWait, solveWait t
 	}
 	if t := pr.req.Tenant; t != "" {
 		attrs = append(attrs, slog.String("tenant", t))
+	}
+	if pr.memoHit {
+		attrs = append(attrs, slog.Bool("memo", true))
 	}
 	if resp != nil && resp.Result != nil {
 		attrs = append(attrs,

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"sync"
 	"time"
 
 	"milpjoin/internal/sql"
@@ -202,19 +205,23 @@ func (r *OptimizeRequest) options(cfg Config) (joinorder.Options, error) {
 	return opts, opts.Validate()
 }
 
-// decodeRequest reads and parses one optimize request body, returning the
-// raw bytes alongside so the cluster layer can forward them verbatim.
-func decodeRequest(w http.ResponseWriter, r *http.Request) (*OptimizeRequest, []byte, error) {
+// readBody reads one optimize request body into a buffer sized from
+// Content-Length when the client sent one.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	data, err := io.ReadAll(body)
+	var data []byte
+	var err error
+	if n := r.ContentLength; n >= 0 && n <= maxRequestBytes {
+		// net/http ends the body at Content-Length, so this reads all of it.
+		data = make([]byte, n)
+		_, err = io.ReadFull(body, data)
+	} else {
+		data, err = io.ReadAll(body)
+	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("reading request: %v", err)
+		return nil, fmt.Errorf("reading request: %v", err)
 	}
-	var req OptimizeRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		return nil, nil, fmt.Errorf("parsing request: %v", err)
-	}
-	return &req, data, nil
+	return data, nil
 }
 
 // tenant resolves the rate-limiting bucket name: header, then body field,
@@ -283,12 +290,25 @@ type ErrorEnvelope struct {
 // Error makes the envelope usable as a Go error by clients.
 func (e *ErrorEnvelope) Error() string { return e.Err.Code + ": " + e.Err.Message }
 
+// jsonBufs recycles response encoding buffers between requests.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON answers with v as one compact JSON document, encoded in full
+// before the status line goes out so the response carries Content-Length
+// and costs one write.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer jsonBufs.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		// The envelope is strings and an integer, so this cannot recurse.
+		writeError(w, &httpError{status: http.StatusInternalServerError, code: CodeInternal, msg: "encoding response: " + err.Error()})
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
+	w.Write(buf.Bytes()) //nolint:errcheck // client gone; nothing to do
 }
 
 // httpError is a terminal non-2xx outcome of the request pipeline. code
