@@ -10,10 +10,8 @@ package milpjoin_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"math"
-	"os"
 	"testing"
 	"time"
 
@@ -23,7 +21,6 @@ import (
 	"milpjoin/internal/experiments"
 	"milpjoin/internal/solver"
 	"milpjoin/internal/workload"
-	"milpjoin/joinorder"
 )
 
 // --- Figure 1: MILP model size census -----------------------------------
@@ -48,22 +45,6 @@ func BenchmarkFigure1Census(b *testing.B) {
 		}
 	}
 }
-
-func benchmarkEncode(b *testing.B, n int, prec core.Precision) {
-	q := workload.Generate(workload.Star, n, 1, workload.Config{})
-	opts := core.Options{Precision: prec, Metric: cost.OperatorCost, Op: cost.HashJoin}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Encode(q, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEncode20TablesHigh(b *testing.B)   { benchmarkEncode(b, 20, core.PrecisionHigh) }
-func BenchmarkEncode60TablesHigh(b *testing.B)   { benchmarkEncode(b, 60, core.PrecisionHigh) }
-func BenchmarkEncode60TablesMedium(b *testing.B) { benchmarkEncode(b, 60, core.PrecisionMedium) }
-func BenchmarkEncode60TablesLow(b *testing.B)    { benchmarkEncode(b, 60, core.PrecisionLow) }
 
 // --- Figure 2: anytime quality, MILP vs dynamic programming -------------
 
@@ -201,21 +182,6 @@ func benchmarkPresolve(b *testing.B, disable bool) {
 func BenchmarkAblationPresolveOn(b *testing.B)  { benchmarkPresolve(b, false) }
 func BenchmarkAblationPresolveOff(b *testing.B) { benchmarkPresolve(b, true) }
 
-// DP baseline scaling (the 2^n wall).
-func benchmarkDPScaling(b *testing.B, n int) {
-	q := workload.Generate(workload.Star, n, 1, workload.Config{})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := dp.OptimizeLeftDeep(context.Background(), q, cost.DefaultSpec(), dp.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDP10Tables(b *testing.B) { benchmarkDPScaling(b, 10) }
-func BenchmarkDP15Tables(b *testing.B) { benchmarkDPScaling(b, 15) }
-func BenchmarkDP18Tables(b *testing.B) { benchmarkDPScaling(b, 18) }
-
 // Gomory cut ablation: root cuts on the join encodings (sparse-cut filter
 // keeps only cheap ones; the big-M structure limits their value, which is
 // itself a finding worth measuring).
@@ -278,55 +244,4 @@ func boolMetric(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-// --- Stats baseline ------------------------------------------------------
-
-// BenchmarkStatsBaseline runs the canonical smoke workload through the
-// public API and writes the per-phase solver Stats of the final iteration
-// to BENCH_baseline.json — a machine-readable effort baseline (per-phase
-// timings, simplex iterations, node counts) that the CI benchmark smoke
-// job regenerates on every run. Set BENCH_STATS_OUT to redirect the output
-// file (CI uses this to write per-PR snapshots next to the baseline).
-func BenchmarkStatsBaseline(b *testing.B) {
-	cases := []struct {
-		name  string
-		shape workload.GraphShape
-		n     int
-	}{
-		{"chain8", workload.Chain, 8},
-		{"star10", workload.Star, 10},
-	}
-	baseline := make(map[string]*joinorder.Stats)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for _, c := range cases {
-			q := workload.Generate(c.shape, c.n, 1, workload.Config{})
-			res, err := joinorder.Optimize(context.Background(), q, joinorder.Options{
-				Strategy:  "milp",
-				TimeLimit: 30 * time.Second,
-				Threads:   2,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Stats == nil {
-				b.Fatal("milp result carries no stats")
-			}
-			baseline[c.name] = res.Stats
-		}
-	}
-	b.ReportMetric(float64(baseline["chain8"].SimplexIters), "simplex-iters")
-	b.ReportMetric(float64(baseline["chain8"].Nodes), "nodes")
-	data, err := json.MarshalIndent(baseline, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	out := os.Getenv("BENCH_STATS_OUT")
-	if out == "" {
-		out = "BENCH_baseline.json"
-	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		b.Fatal(err)
-	}
 }

@@ -127,7 +127,7 @@ func TestRunExecuted(t *testing.T) {
 			{Tables: []int{3, 4}, Sel: 0.1},
 		},
 	}
-	opts := joinorder.Options{Strategy: "dp-bushy", TimeLimit: 10 * time.Second}
+	opts := joinorder.Options{Strategy: "dp-bushy", Budget: joinorder.Budget{TimeLimit: 10 * time.Second}}
 
 	var text bytes.Buffer
 	if err := runExecuted(context.Background(), &text, nil, q, opts, joinorder.ExecOptions{DataSeed: 9}, false); err != nil {
@@ -195,9 +195,9 @@ func TestPrintJSONDocument(t *testing.T) {
 	}
 	counts := make(map[string]int)
 	res, err := joinorder.Optimize(context.Background(), q, joinorder.Options{
-		Strategy:  "milp",
-		TimeLimit: 30 * time.Second,
-		OnEvent:   func(ev joinorder.Event) { counts[ev.Kind.String()]++ },
+		Strategy: "milp",
+		Budget:   joinorder.Budget{TimeLimit: 30 * time.Second},
+		OnEvent:  func(ev joinorder.Event) { counts[ev.Kind.String()]++ },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestPrintJSONCacheDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := joinorder.Options{Strategy: "dp-leftdeep", TimeLimit: 10 * time.Second}
+	opts := joinorder.Options{Strategy: "dp-leftdeep", Budget: joinorder.Budget{TimeLimit: 10 * time.Second}}
 	var res *joinorder.Result
 	for i := 0; i < 3; i++ { // first run solves, the rest hit
 		if res, err = co.Optimize(context.Background(), q, opts); err != nil {

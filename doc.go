@@ -10,8 +10,9 @@
 // property as a Go idiom:
 //
 //	res, err := joinorder.Optimize(ctx, query, joinorder.Options{
-//		Strategy:  "milp",                 // or dp-leftdeep, dp-bushy, ikkbz, greedy, ...
-//		TimeLimit: 10 * time.Second,       // composes with the ctx deadline (min wins)
+//		Strategy: "milp", // or dp-leftdeep, dp-bushy, ikkbz, greedy, ...
+//		// TimeLimit composes with the ctx deadline (min wins).
+//		Budget: joinorder.Budget{TimeLimit: 10 * time.Second},
 //	})
 //
 // The solver stack is observable end to end: Options.OnEvent streams typed

@@ -27,7 +27,7 @@ func main() {
 	fmt.Printf("chain query, %d tables — anytime MILP optimization (budget %v)\n", tables, budget)
 	fmt.Printf("%-10s %-14s %-14s %s\n", "time", "incumbent", "lower bound", "proven Cost/LB")
 
-	// The context deadline composes with Options.TimeLimit: the solver
+	// The context deadline composes with Budget.TimeLimit: the solver
 	// stops at whichever budget expires first — here the context's.
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
@@ -36,9 +36,11 @@ func main() {
 		Precision: joinorder.PrecisionMedium,
 		Metric:    joinorder.OperatorCost,
 		Op:        joinorder.HashJoin,
-		TimeLimit: time.Minute, // the context deadline is tighter and wins
-		GapTol:    0.5,         // stop once provably within 50% of the optimum
-		Threads:   4,
+		Budget: joinorder.Budget{
+			TimeLimit: time.Minute, // the context deadline is tighter and wins
+			GapTol:    0.5,         // stop once provably within 50% of the optimum
+			Threads:   4,
+		},
 		// The event stream carries the anytime trajectory: incumbent and
 		// bound events snapshot the best plan cost and proven bound.
 		OnEvent: func(ev joinorder.Event) {

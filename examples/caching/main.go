@@ -45,7 +45,7 @@ func main() {
 	opts := joinorder.Options{
 		Strategy:  "milp",
 		Precision: joinorder.PrecisionMedium,
-		TimeLimit: 30 * time.Second,
+		Budget:    joinorder.Budget{TimeLimit: 30 * time.Second},
 	}
 	query := workload.Generate(workload.Chain, 10, 1, workload.Config{})
 
@@ -82,7 +82,7 @@ func main() {
 
 	// 3. Tight deadline: served degraded, refined in the background.
 	tight := opts
-	tight.TimeLimit = 100 * time.Millisecond
+	tight.Budget.TimeLimit = 100 * time.Millisecond
 	fresh := workload.Generate(workload.Star, 12, 9, workload.Config{})
 	res = solve("fresh query, 100ms budget", fresh, tight)
 	fmt.Printf("  served strategy: %s (degraded=%d)\n", res.Strategy, co.Stats().Degraded)

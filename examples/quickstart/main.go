@@ -33,8 +33,7 @@ func main() {
 	result, err := joinorder.Optimize(context.Background(), query, joinorder.Options{
 		Precision: joinorder.PrecisionHigh,
 		Metric:    joinorder.Cout,
-		TimeLimit: 10 * time.Second,
-		Threads:   2,
+		Budget:    joinorder.Budget{TimeLimit: 10 * time.Second, Threads: 2},
 	})
 	if err != nil {
 		log.Fatal(err)

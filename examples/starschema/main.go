@@ -44,8 +44,7 @@ func main() {
 		CardCap:           1e9,
 		ChooseOperators:   true,
 		InterestingOrders: true,
-		TimeLimit:         30 * time.Second,
-		Threads:           4,
+		Budget:            joinorder.Budget{TimeLimit: 30 * time.Second, Threads: 4},
 	})
 	if err != nil {
 		log.Fatal(err)

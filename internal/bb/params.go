@@ -47,11 +47,6 @@ type Params struct {
 	// (default 50; the root always dives). Zero keeps the default; a
 	// negative value disables diving entirely.
 	DiveEvery int
-	// OnImprovement, when non-nil, is invoked (serialised) whenever the
-	// incumbent or the global bound improves. Incumbent and bound events
-	// on the Events stream carry the same information plus more context;
-	// OnImprovement remains as the narrow anytime-trajectory hook.
-	OnImprovement func(p Progress)
 	// Events, when non-nil, receives the full structured event stream of
 	// the search: worker lifecycle, the root LP relaxation, incumbents,
 	// bound improvements, periodic node-batch snapshots, and heuristic
@@ -84,16 +79,6 @@ type Params struct {
 	// dropped silently. The sender owns the channel lifecycle; closing
 	// it stops the draining.
 	Incumbents <-chan []float64
-}
-
-// Progress is an anytime snapshot of the search.
-type Progress struct {
-	Incumbent    float64 // best integer objective so far (+Inf if none)
-	Bound        float64 // global lower bound
-	Gap          float64 // relative gap (+Inf while no incumbent)
-	Nodes        int     // nodes explored so far
-	Elapsed      time.Duration
-	HasIncumbent bool
 }
 
 func (p Params) withDefaults() Params {

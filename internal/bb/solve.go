@@ -132,7 +132,7 @@ type searcher struct {
 	incumbent    []float64
 	incObj       float64
 	hasInc       bool
-	lastBound    float64 // bound at the last progress notification
+	lastBound    float64 // bound at the last improvement notification
 	nodes        int
 	simplexIters int
 	failures     int
@@ -239,12 +239,11 @@ func (s *searcher) worker(id int) {
 			s.peakOpen = len(s.open)
 		}
 		s.checkTermination()
-		// Surface bound improvements to the anytime consumers (the
-		// incumbent path notifies separately in offerIncumbent).
-		if s.params.OnImprovement != nil || s.params.Events != nil {
-			if b := s.globalBoundLocked(); b-s.lastBound > 1e-3*(1+math.Abs(b)) {
-				s.notifyLocked(obs.KindBound)
-			}
+		// Count and surface bound improvements (the incumbent path
+		// notifies separately in offerIncumbent). Unconditional: the
+		// Stats counter must not depend on somebody listening.
+		if b := s.globalBoundLocked(); b-s.lastBound > 1e-3*(1+math.Abs(b)) {
+			s.notifyLocked(obs.KindBound)
 		}
 		s.cond.Broadcast()
 		s.mu.Unlock()
@@ -623,8 +622,7 @@ func (s *searcher) offerIncumbent(x []float64, trusted bool) bool {
 }
 
 // notifyLocked records an incumbent or bound improvement: it updates the
-// improvement counters, emits the matching event, and invokes the legacy
-// progress callback. Caller holds s.mu.
+// improvement counters and emits the matching event. Caller holds s.mu.
 func (s *searcher) notifyLocked(kind obs.EventKind) {
 	switch kind {
 	case obs.KindIncumbent:
@@ -632,20 +630,8 @@ func (s *searcher) notifyLocked(kind obs.EventKind) {
 	case obs.KindBound:
 		s.boundImps++
 	}
-	bound := s.globalBoundLocked()
-	s.lastBound = bound
+	s.lastBound = s.globalBoundLocked()
 	s.emitLocked(obs.Event{Kind: kind, Worker: -1})
-	if s.params.OnImprovement == nil {
-		return
-	}
-	s.params.OnImprovement(Progress{
-		Incumbent:    s.incObj,
-		Bound:        bound,
-		Gap:          relGap(s.incObj, bound),
-		Nodes:        s.nodes,
-		Elapsed:      time.Since(s.start),
-		HasIncumbent: s.hasInc,
-	})
 }
 
 // checkFeasibleComputational verifies bounds and row activities of a full

@@ -8,7 +8,18 @@ import (
 	"time"
 
 	"milpjoin/internal/milp"
+	"milpjoin/internal/obs"
 )
+
+// improvements returns an event sink that appends the solve's incumbent
+// and bound events — its anytime trajectory — to into.
+func improvements(into *[]obs.Event) *obs.Emitter {
+	return obs.NewEmitter(time.Time{}, func(ev obs.Event) {
+		if ev.Kind == obs.KindIncumbent || ev.Kind == obs.KindBound {
+			*into = append(*into, ev)
+		}
+	})
+}
 
 func solveModel(t *testing.T, m *milp.Model, p Params) *Result {
 	t.Helper()
@@ -276,15 +287,13 @@ func TestAnytimeCallback(t *testing.T) {
 	}
 	m.AddConstr(e, milp.LE, 20, "cap")
 
-	var progress []Progress
-	res := solveModel(t, m, Params{
-		OnImprovement: func(p Progress) { progress = append(progress, p) },
-	})
+	var progress []obs.Event
+	res := solveModel(t, m, Params{Events: improvements(&progress)})
 	if res.Status != StatusOptimal {
 		t.Fatalf("status = %v", res.Status)
 	}
 	if len(progress) == 0 {
-		t.Fatal("no progress callbacks")
+		t.Fatal("no incumbent or bound events")
 	}
 	// Incumbents must improve monotonically.
 	for i := 1; i < len(progress); i++ {
@@ -370,20 +379,48 @@ func TestBoundsNeverExceedIncumbent(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for trial := 0; trial < 10; trial++ {
 		m := randomMILP(rng, 5, 3)
-		var bounds []float64
-		res, err := Solve(context.Background(), m.Compile(), Params{
-			OnImprovement: func(p Progress) { bounds = append(bounds, p.Bound) },
-		})
+		var progress []obs.Event
+		res, err := Solve(context.Background(), m.Compile(), Params{Events: improvements(&progress)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Status == StatusOptimal {
-			for _, b := range bounds {
-				if b > res.Obj+1e-6 {
-					t.Errorf("trial %d: reported bound %g above optimum %g", trial, b, res.Obj)
+			for _, ev := range progress {
+				if ev.Bound > res.Obj+1e-6 {
+					t.Errorf("trial %d: reported bound %g above optimum %g", trial, ev.Bound, res.Obj)
 				}
 			}
 		}
+	}
+}
+
+// TestBoundImprovementsCountedWithoutListener: Stats.BoundImprovements is
+// a property of the search, not of who is listening — the same
+// single-threaded, node-capped solve reports the same positive count with
+// and without an event sink.
+func TestBoundImprovementsCountedWithoutListener(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	m := milp.NewModel("boundimps")
+	e := milp.LinExpr{}
+	for j := 0; j < 25; j++ {
+		v := m.AddBinary(-(1 + rng.Float64()*10), "")
+		e = e.Add(v, 1+rng.Float64()*10)
+	}
+	m.AddConstr(e, milp.LE, 30, "cap")
+
+	silent := solveModel(t, m, Params{Threads: 1, MaxNodes: 200})
+	var progress []obs.Event
+	heard := solveModel(t, m, Params{Threads: 1, MaxNodes: 200, Events: improvements(&progress)})
+	if silent.Stats.BoundImprovements == 0 {
+		t.Fatal("no bound improvements counted without an event sink")
+	}
+	if silent.Stats.BoundImprovements != heard.Stats.BoundImprovements {
+		t.Errorf("BoundImprovements = %d without a sink, %d with one",
+			silent.Stats.BoundImprovements, heard.Stats.BoundImprovements)
+	}
+	if silent.Nodes != heard.Nodes || silent.Bound != heard.Bound || silent.Obj != heard.Obj {
+		t.Errorf("listening changed the search: nodes %d/%d bound %g/%g obj %g/%g",
+			silent.Nodes, heard.Nodes, silent.Bound, heard.Bound, silent.Obj, heard.Obj)
 	}
 }
 
@@ -485,15 +522,10 @@ func TestInitialIncumbentInstalled(t *testing.T) {
 	m.AddConstr(milp.Expr(a, 3.0, b, 4.0, c, 2.0), milp.LE, 6, "cap")
 	comp := m.Compile()
 
-	var first Progress
-	seen := false
+	var progress []obs.Event
 	res, err := Solve(context.Background(), comp, Params{
 		InitialIncumbent: []float64{1, 0, 1}, // value 17, feasible
-		OnImprovement: func(p Progress) {
-			if !seen {
-				first, seen = p, true
-			}
-		},
+		Events:           improvements(&progress),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -501,8 +533,8 @@ func TestInitialIncumbentInstalled(t *testing.T) {
 	if res.Status != StatusOptimal {
 		t.Fatalf("status %v", res.Status)
 	}
-	if !seen || first.Incumbent > -17+1e-9 {
-		t.Errorf("first incumbent %v, want ≤ -17 from the MIP start", first.Incumbent)
+	if len(progress) == 0 || progress[0].Incumbent > -17+1e-9 {
+		t.Errorf("improvement events %v, want a first incumbent ≤ -17 from the MIP start", progress)
 	}
 	// Infeasible starts must be ignored, not installed.
 	res2, err := Solve(context.Background(), m.Compile(), Params{InitialIncumbent: []float64{1, 1, 1}})

@@ -369,7 +369,6 @@ func partitionMILPConfig(opts Options) (core.Options, solver.Params) {
 	mopts.InitialPlan = nil
 	mopts.Incumbents = nil
 	params := opts.Params
-	params.OnImprovement = nil
 	params.OnEvent = nil
 	params.InitialSolution = nil
 	params.Incumbents = nil

@@ -34,10 +34,9 @@ func TestMILPDeterministicAcrossWorkerCounts(t *testing.T) {
 		var base *joinorder.Result
 		for _, threads := range []int{1, 2, 8} {
 			opts := joinorder.Options{
-				Strategy:  "milp",
-				Threads:   threads,
-				Seed:      7,
-				TimeLimit: 2 * time.Minute,
+				Strategy: "milp",
+				Budget:   joinorder.Budget{Threads: threads, TimeLimit: 2 * time.Minute},
+				Seed:     7,
 			}
 			res, err := joinorder.Optimize(context.Background(), q, opts)
 			if err != nil {
@@ -77,7 +76,7 @@ func TestMILPDeterministicAcrossWorkerCounts(t *testing.T) {
 // the search, which is timing, not nondeterminism.
 func TestMILPSingleWorkerRunsAreIdentical(t *testing.T) {
 	q := workload.Generate(workload.Cycle, 7, 7, workload.Config{MinLogCard: 1, MaxLogCard: 3})
-	opts := joinorder.Options{Strategy: "milp", Threads: 1, Seed: 3, TimeLimit: 2 * time.Minute}
+	opts := joinorder.Options{Strategy: "milp", Budget: joinorder.Budget{Threads: 1, TimeLimit: 2 * time.Minute}, Seed: 3}
 
 	var first *joinorder.Result
 	for run := 0; run < 3; run++ {

@@ -1,7 +1,7 @@
 // Package difftest cross-checks the optimizers against each other on
 // randomized workloads: the MILP strategy against the exact left-deep DP
 // baseline (within the encoding's proven approximation guarantee), the DP
-// baselines against an exhaustive oracle, and the strategy hierarchy
+// baselines against exhaustive oracles, and the strategy hierarchy
 // dp-bushy ≤ dp-leftdeep ≤ greedy. Any disagreement is a bug in one of
 // the optimizers — there is no "expected output" file to go stale.
 //
@@ -13,13 +13,16 @@ package difftest
 import (
 	"context"
 	"math"
+	"math/bits"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
 	"milpjoin/internal/core"
 	"milpjoin/internal/cost"
 	"milpjoin/internal/dp"
+	"milpjoin/internal/plan"
 	"milpjoin/internal/workload"
 	"milpjoin/joinorder"
 )
@@ -130,7 +133,7 @@ func TestMILPAgainstExactDP(t *testing.T) {
 				Strategy:  "milp",
 				Precision: prec,
 				CardCap:   cap,
-				TimeLimit: 15 * time.Second,
+				Budget:    joinorder.Budget{TimeLimit: 15 * time.Second},
 			}
 			res, err := joinorder.Optimize(context.Background(), q, opts)
 			if err != nil {
@@ -232,12 +235,58 @@ func TestDPAgainstExhaustiveOracle(t *testing.T) {
 	})
 }
 
-// TestDPConvAgainstBushyOracle cross-checks the two exact bushy
-// optimizers — subset-recursion dp-bushy and layered-enumeration dpconv —
-// on the whole matrix: walking the same plan space, they must agree on
-// the optimal cost exactly (both also re-cost their trees, so agreement
-// here pins the enumeration, not just the pricing).
+// bushyTrees enumerates every ordered bushy join tree over a table set
+// (a bitmask): n!·Catalan(n-1) trees. Subtrees are shared between results.
+func bushyTrees(set int) []*plan.Tree {
+	if set&(set-1) == 0 {
+		return []*plan.Tree{plan.Leaf(bits.TrailingZeros(uint(set)))}
+	}
+	var ts []*plan.Tree
+	for left := (set - 1) & set; left > 0; left = (left - 1) & set {
+		for _, l := range bushyTrees(left) {
+			for _, r := range bushyTrees(set ^ left) {
+				ts = append(ts, plan.Join(l, r))
+			}
+		}
+	}
+	return ts
+}
+
+// TestDPConvAgainstBushyOracle validates the exact bushy strategy through
+// the public API against brute force: on every matrix query small enough
+// to enumerate, its cost equals the minimum of plan.TreeCost over every
+// bushy tree.
 func TestDPConvAgainstBushyOracle(t *testing.T) {
+	forEachQuery(t, func(t *testing.T, shape workload.GraphShape, n int, seed int64, q *joinorder.Query) {
+		if n > 6 {
+			return
+		}
+		conv, err := joinorder.Optimize(context.Background(), q, joinorder.Options{Strategy: "dpconv"})
+		if err != nil {
+			t.Fatalf("n=%d seed=%d: dpconv: %v", n, seed, err)
+		}
+		best := math.Inf(1)
+		for _, tr := range bushyTrees(1<<n - 1) {
+			c, err := plan.TreeCost(q, tr, cost.CoutSpec())
+			if err != nil {
+				t.Fatalf("n=%d seed=%d: %v: %v", n, seed, tr, err)
+			}
+			best = math.Min(best, c)
+		}
+		if math.Abs(conv.Cost-best) > 1e-9*math.Max(1, best) {
+			t.Errorf("%v n=%d seed=%d: dpconv %g != exhaustive optimum %g (tree %v)",
+				shape, n, seed, conv.Cost, best, conv.Tree)
+		}
+		if conv.Status != joinorder.StatusOptimal {
+			t.Errorf("%v n=%d seed=%d: status %v, want optimal", shape, n, seed, conv.Status)
+		}
+	})
+}
+
+// TestBushyNamesAreOneStrategy: "dp-bushy" and "dpconv" are two wire names
+// for one search, so outside "auto" (where the race's live cutoff makes
+// runs timing-dependent) they return the same cost, tree and plan.
+func TestBushyNamesAreOneStrategy(t *testing.T) {
 	forEachQuery(t, func(t *testing.T, shape workload.GraphShape, n int, seed int64, q *joinorder.Query) {
 		bushy, err := joinorder.Optimize(context.Background(), q, joinorder.Options{Strategy: "dp-bushy"})
 		if err != nil {
@@ -247,12 +296,18 @@ func TestDPConvAgainstBushyOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d seed=%d: dpconv: %v", n, seed, err)
 		}
-		if math.Abs(conv.Cost-bushy.Cost) > 1e-6*math.Max(1, bushy.Cost) {
-			t.Errorf("%v n=%d seed=%d: dpconv %g != dp-bushy %g (conv %v, bushy %v)",
-				shape, n, seed, conv.Cost, bushy.Cost, conv.Tree, bushy.Tree)
+		if bushy.Strategy != "dp-bushy" || conv.Strategy != "dpconv" {
+			t.Errorf("%v n=%d seed=%d: results name %q/%q", shape, n, seed, bushy.Strategy, conv.Strategy)
 		}
-		if conv.Status != joinorder.StatusOptimal || bushy.Status != joinorder.StatusOptimal {
-			t.Errorf("%v n=%d seed=%d: statuses %v/%v, want optimal", shape, n, seed, conv.Status, bushy.Status)
+		if bushy.Cost != conv.Cost || bushy.Status != conv.Status {
+			t.Errorf("%v n=%d seed=%d: dp-bushy %g (%v) != dpconv %g (%v)",
+				shape, n, seed, bushy.Cost, bushy.Status, conv.Cost, conv.Status)
+		}
+		if bushy.Tree.String() != conv.Tree.String() {
+			t.Errorf("%v n=%d seed=%d: trees differ: %v vs %v", shape, n, seed, bushy.Tree, conv.Tree)
+		}
+		if !reflect.DeepEqual(bushy.Plan, conv.Plan) {
+			t.Errorf("%v n=%d seed=%d: plans differ: %v vs %v", shape, n, seed, bushy.Plan, conv.Plan)
 		}
 	})
 }

@@ -68,8 +68,8 @@ func forEachExecQuery(t *testing.T, fn func(t *testing.T, shape workload.GraphSh
 func measuredCout(t *testing.T, db *exec.Database, q *joinorder.Query, strategy string) (uint64, float64, bool) {
 	t.Helper()
 	res, err := joinorder.Optimize(context.Background(), q, joinorder.Options{
-		Strategy:  strategy,
-		TimeLimit: 10 * time.Second,
+		Strategy: strategy,
+		Budget:   joinorder.Budget{TimeLimit: 10 * time.Second},
 	})
 	if errors.Is(err, joinorder.ErrNoPlan) {
 		return 0, 0, false

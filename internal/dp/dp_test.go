@@ -198,7 +198,7 @@ func TestBushyNeverWorseThanLeftDeep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tree, bCost, err := OptimizeBushy(context.Background(), q, spec, Options{})
+				tree, bCost, err := OptimizeConv(context.Background(), q, spec, ConvOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -228,7 +228,7 @@ func TestBushyMatchesLeftDeepOnTwoTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, b, err := OptimizeBushy(context.Background(), q, cost.CoutSpec(), Options{})
+	_, b, err := OptimizeConv(context.Background(), q, cost.CoutSpec(), ConvOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +239,11 @@ func TestBushyMatchesLeftDeepOnTwoTables(t *testing.T) {
 
 func TestBushyGuards(t *testing.T) {
 	q := workload.Generate(workload.Chain, 22, 1, workload.Config{})
-	if _, _, err := OptimizeBushy(context.Background(), q, cost.CoutSpec(), Options{}); !errors.Is(err, ErrTooLarge) {
+	if _, _, err := OptimizeConv(context.Background(), q, cost.CoutSpec(), ConvOptions{}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 	q2 := workload.Generate(workload.Chain, 16, 1, workload.Config{})
-	if _, _, err := OptimizeBushy(context.Background(), q2, cost.CoutSpec(), Options{Deadline: time.Now().Add(time.Millisecond)}); !errors.Is(err, ErrTimeout) {
+	if _, _, err := OptimizeConv(context.Background(), q2, cost.CoutSpec(), ConvOptions{Options: Options{Deadline: time.Now().Add(time.Millisecond)}}); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 }

@@ -35,15 +35,16 @@ type ConvOptions struct {
 	Cutoff func() float64
 }
 
-// OptimizeConv finds the cost-minimal bushy join tree with the layered
-// DPconv-style enumeration (arXiv:2409.08013): subsets are processed in
-// layers of increasing cardinality, splits are canonicalised to the half
-// containing the subset's lowest table so each unordered partition is
-// priced once (both orientations are priced under asymmetric operator
-// costs), and an optional live cutoff prunes dominated layers — giving the
-// exact DP an anytime interface. Cardinalities follow the same canonical
-// lowest-bit recurrence as OptimizeBushy, so both searches agree exactly on
-// every subset and, with no cutoff, on the optimal plan and cost.
+// OptimizeConv finds the cost-minimal bushy join tree (cross products
+// allowed) — the package's one exact bushy enumerator, and the measure of
+// what the left-deep restriction costs. It is the O(3^n) subset DP of
+// Moerkotte & Neumann that the paper cites, in the layered DPconv-style
+// order (arXiv:2409.08013): subsets are processed in layers of increasing
+// cardinality, splits are canonicalised to the half containing the
+// subset's lowest table so each unordered partition is priced once (both
+// orientations are priced under asymmetric operator costs), and an
+// optional live cutoff prunes dominated layers — giving the exact DP an
+// anytime interface. The subset loop polls the context and the deadline.
 func OptimizeConv(ctx context.Context, q *qopt.Query, spec cost.Spec, opts ConvOptions) (*plan.Tree, float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -129,8 +130,7 @@ func OptimizeConv(ctx context.Context, q *qopt.Query, spec cost.Spec, opts ConvO
 					return nil, 0, ErrTimeout
 				}
 			}
-			// Cardinality via the canonical lowest-bit chain (identical
-			// to OptimizeBushy so both DPs agree on every subset).
+			// Cardinality via the canonical lowest-bit chain.
 			t := bits.TrailingZeros(uint(s))
 			bit := 1 << t
 			prev := s &^ bit

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/bits"
 	"testing"
 
 	"milpjoin/internal/cost"
@@ -11,33 +12,65 @@ import (
 	"milpjoin/internal/workload"
 )
 
-// TestConvMatchesBushy: the layered enumeration and the subset recursion
-// walk the same bushy plan space, so without a cutoff they must agree on
-// the optimal cost for every shape, seed, and metric.
+// allBushyTrees enumerates every ordered bushy join tree over the tables
+// in set (a bitmask): n!·Catalan(n-1) trees, 30,240 for six tables.
+// Subtrees are shared between results and must be treated as immutable.
+func allBushyTrees(set int) []*plan.Tree {
+	if set&(set-1) == 0 {
+		return []*plan.Tree{plan.Leaf(bits.TrailingZeros(uint(set)))}
+	}
+	var ts []*plan.Tree
+	for left := (set - 1) & set; left > 0; left = (left - 1) & set {
+		for _, l := range allBushyTrees(left) {
+			for _, r := range allBushyTrees(set ^ left) {
+				ts = append(ts, plan.Join(l, r))
+			}
+		}
+	}
+	return ts
+}
+
+// TestConvMatchesBushy checks the enumerator against an independent
+// oracle: every bushy tree over six tables, priced by the shared exact
+// evaluator plan.TreeCost. The DP's inline cardinality recurrence and
+// split pricing must land on the exhaustive minimum for every shape,
+// seed, and metric.
 func TestConvMatchesBushy(t *testing.T) {
+	const n = 6
+	trees := allBushyTrees(1<<n - 1)
+	if len(trees) != 30240 {
+		t.Fatalf("oracle enumerates %d trees over %d tables, want 30240", len(trees), n)
+	}
 	specs := []cost.Spec{cost.CoutSpec(), cost.DefaultSpec()}
 	for _, shape := range []workload.GraphShape{workload.Chain, workload.Cycle, workload.Star, workload.Clique} {
 		for seed := int64(0); seed < 6; seed++ {
-			q := workload.Generate(shape, 7, seed, workload.Config{})
+			q := workload.Generate(shape, n, seed, workload.Config{})
 			for _, spec := range specs {
-				bTree, bCost, err := OptimizeBushy(context.Background(), q, spec, Options{})
-				if err != nil {
-					t.Fatalf("%v seed %d bushy: %v", shape, seed, err)
+				want := math.Inf(1)
+				var wantTree *plan.Tree
+				for _, tr := range trees {
+					c, err := plan.TreeCost(q, tr, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if c < want {
+						want, wantTree = c, tr
+					}
 				}
 				cTree, cCost, err := OptimizeConv(context.Background(), q, spec, ConvOptions{})
 				if err != nil {
 					t.Fatalf("%v seed %d conv: %v", shape, seed, err)
 				}
-				if math.Abs(cCost-bCost) > 1e-6*(1+bCost) {
-					t.Fatalf("%v seed %d %v: conv %g vs bushy %g (conv %v, bushy %v)",
-						shape, seed, spec.Metric, cCost, bCost, cTree, bTree)
+				if math.Abs(cCost-want) > 1e-9*(1+want) {
+					t.Fatalf("%v seed %d %v: conv %g vs exhaustive %g (conv %v, exhaustive %v)",
+						shape, seed, spec.Metric, cCost, want, cTree, wantTree)
 				}
 				// The reported cost must equal the exact tree cost.
 				recost, err := plan.TreeCost(q, cTree, spec)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if math.Abs(recost-cCost) > 1e-6*(1+cCost) {
+				if math.Abs(recost-cCost) > 1e-9*(1+cCost) {
 					t.Fatalf("%v seed %d: conv reports %g but tree costs %g", shape, seed, cCost, recost)
 				}
 				if err := cTree.Validate(q); err != nil {

@@ -66,10 +66,6 @@ func (s Status) String() string {
 	}
 }
 
-// Progress is an anytime snapshot forwarded to OnImprovement callbacks.
-// Objective values include the model's objective constant.
-type Progress = bb.Progress
-
 // Event is one observation from the solver stack (see internal/obs).
 // Objective values (incumbent, bound, LP objective) include the model's
 // objective constant.
@@ -127,8 +123,6 @@ type Params struct {
 	CutRounds int
 	// Branching selects the branching rule.
 	Branching bb.BranchRule
-	// OnImprovement receives anytime progress (serialised).
-	OnImprovement func(Progress)
 	// OnEvent receives the full structured event stream of the solve:
 	// presolve summary, cut rounds, the root LP relaxation, incumbents,
 	// bound improvements, heuristic dives, node batches, and worker
@@ -329,13 +323,6 @@ func Solve(ctx context.Context, m *milp.Model, params Params) (*Result, error) {
 		MaxNodes:  params.MaxNodes,
 		Branching: params.Branching,
 		Events:    emitter,
-	}
-	if params.OnImprovement != nil {
-		bbParams.OnImprovement = func(p bb.Progress) {
-			p.Incumbent += objConst
-			p.Bound += objConst
-			params.OnImprovement(p)
-		}
 	}
 	if len(params.InitialSolution) == m.NumVars() {
 		start := params.InitialSolution

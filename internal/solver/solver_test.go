@@ -177,8 +177,12 @@ func TestAnytimeCallbackIncludesConstant(t *testing.T) {
 	}
 	m.AddConstr(e, milp.LE, 22, "cap")
 
-	var seen []Progress
-	res, err := Solve(context.Background(), m, Params{OnImprovement: func(p Progress) { seen = append(seen, p) }})
+	var seen []Event
+	res, err := Solve(context.Background(), m, Params{OnEvent: func(ev Event) {
+		if ev.Kind == KindIncumbent || ev.Kind == KindBound {
+			seen = append(seen, ev)
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +190,7 @@ func TestAnytimeCallbackIncludesConstant(t *testing.T) {
 		t.Fatalf("status = %v", res.Status)
 	}
 	if len(seen) == 0 {
-		t.Fatal("no callbacks")
+		t.Fatal("no incumbent or bound events")
 	}
 	final := seen[len(seen)-1]
 	if math.Abs(final.Incumbent-res.Solution.Obj) > 1e-5 {

@@ -37,10 +37,10 @@ type memberOutcome struct {
 // with its exact cost, the MILP member drains the bus as live MIP starts
 // (injected at branch-and-bound node boundaries), and the pruning exact DP
 // uses the bus incumbent as its cutoff. The race stops at the first
-// optimality proof — a member returning StatusOptimal, or dpconv proving
-// no plan beats the bus incumbent — which cancels the remaining members;
-// the returned Result is the cheapest plan any member produced, with
-// Winner naming its member.
+// optimality proof — a member returning StatusOptimal, or the bushy DP
+// proving no plan beats the bus incumbent — which cancels the remaining
+// members; the returned Result is the cheapest plan any member produced,
+// with Winner naming its member.
 func optimizeAuto(ctx context.Context, q *Query, opts Options) (*Result, error) {
 	members := opts.Portfolio
 	if len(members) == 0 {
@@ -113,7 +113,7 @@ func optimizeAuto(ctx context.Context, q *Query, opts Options) (*Result, error) 
 		switch member {
 		case "milp":
 			mopts.incumbents = bus.Subscribe(member)
-		case "dpconv":
+		case "dpconv", "dp-bushy":
 			mopts.cutoff = bus.BestCost
 		}
 		o, err := Lookup(member)

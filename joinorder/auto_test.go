@@ -45,8 +45,7 @@ func TestAutoDeterministicWinner(t *testing.T) {
 	opts := joinorder.Options{
 		Strategy:  "auto",
 		Portfolio: []string{"dpconv", "greedy"},
-		TimeLimit: 30 * time.Second,
-		Threads:   1,
+		Budget:    joinorder.Budget{TimeLimit: 30 * time.Second, Threads: 1},
 		Seed:      7,
 	}
 	run := func() *joinorder.Result {
@@ -85,11 +84,10 @@ func TestAutoEventStreamCoherent(t *testing.T) {
 	q := workload.Generate(workload.Star, 12, 3, workload.Config{})
 	var events []joinorder.Event
 	res, err := joinorder.Optimize(context.Background(), q, joinorder.Options{
-		Strategy:  "auto",
-		TimeLimit: 10 * time.Second,
-		Threads:   1,
-		Seed:      1,
-		OnEvent:   func(ev joinorder.Event) { events = append(events, ev) },
+		Strategy: "auto",
+		Budget:   joinorder.Budget{TimeLimit: 10 * time.Second, Threads: 1},
+		Seed:     1,
+		OnEvent:  func(ev joinorder.Event) { events = append(events, ev) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -167,8 +165,7 @@ func TestAutoOnPlanSurfacesMembers(t *testing.T) {
 	_, err := joinorder.Optimize(context.Background(), q, joinorder.Options{
 		Strategy:  "auto",
 		Portfolio: []string{"gradient", "greedy"},
-		TimeLimit: 20 * time.Second,
-		Threads:   1,
+		Budget:    joinorder.Budget{TimeLimit: 20 * time.Second, Threads: 1},
 		Seed:      2,
 		OnPlan: func(u joinorder.PlanUpdate) {
 			byStrategy[u.Strategy]++

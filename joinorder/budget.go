@@ -11,11 +11,7 @@ import (
 // four knobs as one value lets callers (and the hybrid decomposer) split,
 // scale, and forward a budget without tracking parallel fields.
 //
-// A zero field means "not set": the corresponding deprecated flat Options
-// field (TimeLimit, GapTol, MaxNodes, Threads) applies instead, and when
-// both are zero the strategy default does. A non-zero Budget field always
-// wins over its flat alias — the precedence rule Options.Validate
-// documents and enforces type checks for.
+// A zero field means "not set": the strategy default applies.
 type Budget struct {
 	// TimeLimit bounds wall-clock time (zero: none). It composes with
 	// the context deadline: the effective budget is the minimum.
@@ -28,11 +24,6 @@ type Budget struct {
 	// Threads is the parallel worker count for strategies that support
 	// it (zero: 1).
 	Threads int
-}
-
-// IsZero reports whether no budget field is set.
-func (b Budget) IsZero() bool {
-	return b.TimeLimit == 0 && b.GapTol == 0 && b.MaxNodes == 0 && b.Threads == 0
 }
 
 // validate rejects negative fields; zero means unset and is always valid.
@@ -80,25 +71,4 @@ func (b Budget) Split(n int) Budget {
 		return b
 	}
 	return b.Scale(1 / float64(n))
-}
-
-// EffectiveBudget resolves the run's resource limits: each Budget field,
-// falling back to its deprecated flat Options alias when zero. All
-// strategies, the cache, and the server read budgets through this one
-// resolution, so the precedence rule holds everywhere.
-func (o Options) EffectiveBudget() Budget {
-	b := o.Budget
-	if b.TimeLimit == 0 {
-		b.TimeLimit = o.TimeLimit
-	}
-	if b.GapTol == 0 {
-		b.GapTol = o.GapTol
-	}
-	if b.MaxNodes == 0 {
-		b.MaxNodes = o.MaxNodes
-	}
-	if b.Threads == 0 {
-		b.Threads = o.Threads
-	}
-	return b
 }

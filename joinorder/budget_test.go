@@ -7,32 +7,6 @@ import (
 	"milpjoin/joinorder"
 )
 
-// TestEffectiveBudgetPrecedence: each non-zero Budget field wins over its
-// deprecated flat alias; a zero Budget field falls back to the alias.
-func TestEffectiveBudgetPrecedence(t *testing.T) {
-	opts := joinorder.Options{
-		Budget:    joinorder.Budget{TimeLimit: 2 * time.Second, MaxNodes: 500},
-		TimeLimit: 9 * time.Second, // loses to Budget.TimeLimit
-		GapTol:    1e-3,            // wins: Budget.GapTol is zero
-		MaxNodes:  9999,            // loses to Budget.MaxNodes
-		Threads:   8,               // wins: Budget.Threads is zero
-	}
-	got := opts.EffectiveBudget()
-	want := joinorder.Budget{TimeLimit: 2 * time.Second, GapTol: 1e-3, MaxNodes: 500, Threads: 8}
-	if got != want {
-		t.Errorf("EffectiveBudget() = %+v, want %+v", got, want)
-	}
-
-	// Pure flat options resolve unchanged.
-	flat := joinorder.Options{TimeLimit: time.Second, GapTol: 1e-4, MaxNodes: 10, Threads: 2}
-	if got := flat.EffectiveBudget(); got != (joinorder.Budget{TimeLimit: time.Second, GapTol: 1e-4, MaxNodes: 10, Threads: 2}) {
-		t.Errorf("flat EffectiveBudget() = %+v", got)
-	}
-	if !(joinorder.Options{}).EffectiveBudget().IsZero() {
-		t.Error("zero options resolve to a non-zero budget")
-	}
-}
-
 // TestBudgetScaleSplit: divisible resources scale with floors; per-solve
 // qualities pass through.
 func TestBudgetScaleSplit(t *testing.T) {

@@ -57,7 +57,6 @@ func (o *Optimizer) refreshCorrected(ctx context.Context, q, corrected *joinorde
 	bgOpts := opts
 	bgOpts.OnEvent, bgOpts.OnPlan = nil, nil
 	bgOpts.InitialPlan = nil
-	bgOpts.TimeLimit = o.cfg.BackgroundBudget
 	bgOpts.Budget.TimeLimit = o.cfg.BackgroundBudget
 	bgCtx := context.WithoutCancel(ctx)
 	o.bg.Add(1)

@@ -37,7 +37,7 @@ type Config struct {
 	// MIP starts on misses.
 	DisableWarmStart bool
 	// DegradeUnder enables graceful degradation: when a request's
-	// effective time budget (Options.TimeLimit composed with the context
+	// effective time budget (Budget.TimeLimit composed with the context
 	// deadline) is at most this, the cache serves a heuristic plan
 	// immediately and refines the real answer in the background,
 	// publishing it to the cache for the next request (0: disabled).
@@ -369,7 +369,7 @@ func (o *Optimizer) degradeBudget(ctx context.Context, opts joinorder.Options, n
 	if o.cfg.DegradeUnder <= 0 {
 		return false
 	}
-	budget := opts.EffectiveBudget().TimeLimit
+	budget := opts.Budget.TimeLimit
 	if dl, ok := ctx.Deadline(); ok {
 		if r := dl.Sub(now); budget <= 0 || r < budget {
 			budget = r
@@ -391,7 +391,6 @@ func (o *Optimizer) serveDegraded(ctx context.Context, q *joinorder.Query, opts 
 		// Callbacks are severed — the requester already returned.
 		bgOpts := opts
 		bgOpts.OnEvent, bgOpts.OnPlan = nil, nil
-		bgOpts.TimeLimit = o.cfg.BackgroundBudget
 		bgOpts.Budget.TimeLimit = o.cfg.BackgroundBudget
 		bgCtx := context.WithoutCancel(ctx)
 		o.bg.Add(1)
@@ -441,24 +440,22 @@ func storeForm(res *joinorder.Result, c *Canonical) *canonicalResult {
 	return &canonicalResult{res: &cp}
 }
 
-// optionsKey digests every option that changes what a solve returns.
-// Budget fields are read through the Options.EffectiveBudget resolution
-// (so the Budget struct and its deprecated flat aliases digest
-// identically); of those, TimeLimit and Threads are deliberately
-// excluded: they bound effort, not the optimum, and a proven-optimal
-// cached plan answers the query under any budget. Callback fields never
-// affect results.
+// optionsKey digests every option that changes what a solve returns. Of
+// the Budget fields, TimeLimit and Threads are deliberately excluded: they
+// bound effort, not the optimum, and a proven-optimal cached plan answers
+// the query under any budget. Callback fields never affect results. The
+// string is embedded in every exact key written to the plan log, so its
+// format is pinned by TestOptionsKeyPinned.
 func optionsKey(o joinorder.Options) string {
 	strat := o.Strategy
 	if strat == "" {
 		strat = "milp"
 	}
-	b := o.EffectiveBudget()
 	// Portfolio membership changes what "auto" returns, so it is part of
 	// the digest; member order is kept (it breaks cost ties).
 	return fmt.Sprintf("%s,m%d,op%d,p%d,tr%g,cc%g,gt%g,mn%d,co%t,io%t,ep%t,dp%d,pc%d,sf%g,s%d,pf%v",
 		strat, o.Metric, o.Op, o.Precision, o.ThresholdRatio, o.CardCap,
-		b.GapTol, b.MaxNodes, o.ChooseOperators, o.InterestingOrders,
+		o.Budget.GapTol, o.Budget.MaxNodes, o.ChooseOperators, o.InterestingOrders,
 		o.ExpensivePredicates, o.MaxDPTables, o.PartitionCap, o.SeamBudgetFrac,
 		o.Seed, o.Portfolio)
 }

@@ -41,7 +41,7 @@ func (c *countingOptimize) strategyCalls(s string) int64 {
 }
 
 func milpOpts() joinorder.Options {
-	return joinorder.Options{Strategy: "milp", TimeLimit: 30 * time.Second}
+	return joinorder.Options{Strategy: "milp", Budget: joinorder.Budget{TimeLimit: 30 * time.Second}}
 }
 
 // mustNew builds the optimizer or fails the test; every config used by
@@ -155,14 +155,37 @@ func TestCacheDistinguishesOptions(t *testing.T) {
 	if got := co.calls.Load(); got != 2 {
 		t.Fatalf("different precision shared an entry: %d calls", got)
 	}
-	// TimeLimit and Threads bound effort, not the optimum: same entry.
-	opts.TimeLimit = time.Minute
-	opts.Threads = 2
+	// Budget.TimeLimit and Budget.Threads bound effort, not the optimum: same entry.
+	opts.Budget.TimeLimit = time.Minute
+	opts.Budget.Threads = 2
 	if _, err := o.Optimize(context.Background(), q, opts); err != nil {
 		t.Fatal(err)
 	}
 	if got := co.calls.Load(); got != 2 {
 		t.Fatalf("budget-only option change missed: %d calls", got)
+	}
+}
+
+// TestOptionsKeyPinned: optionsKey is embedded in every exact key written
+// to the plan log, so a persisted log only replays warm while the digest
+// stays byte-identical. The literals were written by the code that still
+// carried the flat budget aliases.
+func TestOptionsKeyPinned(t *testing.T) {
+	for _, tc := range []struct {
+		opts joinorder.Options
+		want string
+	}{
+		{joinorder.Options{},
+			"milp,m0,op0,p0,tr0,cc0,gt0,mn0,cofalse,iofalse,epfalse,dp0,pc0,sf0,s0,pf[]"},
+		{joinorder.Options{Strategy: "dp-leftdeep", Budget: joinorder.Budget{GapTol: 1e-3, MaxNodes: 500}},
+			"dp-leftdeep,m0,op0,p0,tr0,cc0,gt0.001,mn500,cofalse,iofalse,epfalse,dp0,pc0,sf0,s0,pf[]"},
+		{joinorder.Options{Strategy: "auto", Portfolio: []string{"milp", "dpconv", "greedy"},
+			Metric: joinorder.OperatorCost, Op: joinorder.SortMergeJoin, Seed: 7},
+			"auto,m1,op1,p0,tr0,cc0,gt0,mn0,cofalse,iofalse,epfalse,dp0,pc0,sf0,s7,pf[milp dpconv greedy]"},
+	} {
+		if got := optionsKey(tc.opts); got != tc.want {
+			t.Errorf("optionsKey(%+v)\n got %q\nwant %q", tc.opts, got, tc.want)
+		}
 	}
 }
 
@@ -367,7 +390,7 @@ func TestDegradedServing(t *testing.T) {
 	q := workload.Generate(workload.Cycle, 6, 8, workload.Config{})
 
 	opts := milpOpts()
-	opts.TimeLimit = 10 * time.Millisecond
+	opts.Budget.TimeLimit = 10 * time.Millisecond
 	res, err := o.Optimize(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -512,13 +535,11 @@ func TestAutoResultCachedWithWinner(t *testing.T) {
 	// milp + greedy: the proven winner carries a left-deep Plan, which is
 	// what the translation cache can store. (A dpconv winner whose optimum
 	// is genuinely bushy — star optima use cross-product subtrees — has
-	// Tree but no Plan and passes through uncached, like dp-bushy always
-	// has.)
+	// Tree but no Plan and passes through uncached.)
 	opts := joinorder.Options{
 		Strategy:  "auto",
 		Portfolio: []string{"milp", "greedy"},
-		TimeLimit: 30 * time.Second,
-		Threads:   1,
+		Budget:    joinorder.Budget{TimeLimit: 30 * time.Second, Threads: 1},
 	}
 	r1, err := o.Optimize(context.Background(), q, opts)
 	if err != nil {
@@ -564,8 +585,7 @@ func TestDegradedAutoRefinesWithPortfolio(t *testing.T) {
 	opts := joinorder.Options{
 		Strategy:  "auto",
 		Portfolio: []string{"milp", "greedy"},
-		TimeLimit: 10 * time.Millisecond,
-		Threads:   1,
+		Budget:    joinorder.Budget{TimeLimit: 10 * time.Millisecond, Threads: 1},
 	}
 	res, err := o.Optimize(context.Background(), q, opts)
 	if err != nil {
@@ -576,7 +596,7 @@ func TestDegradedAutoRefinesWithPortfolio(t *testing.T) {
 	}
 	o.Wait()
 
-	opts.TimeLimit = 30 * time.Second
+	opts.Budget.TimeLimit = 30 * time.Second
 	res2, err := o.Optimize(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -74,10 +74,9 @@ func TestConcurrentOptimizeEventStreams(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			results[i], errs[i] = joinorder.Optimize(context.Background(), q, joinorder.Options{
-				Strategy:  "milp",
-				Threads:   2,
-				TimeLimit: 30 * time.Second,
-				OnEvent:   rec.record,
+				Strategy: "milp",
+				Budget:   joinorder.Budget{Threads: 2, TimeLimit: 30 * time.Second},
+				OnEvent:  rec.record,
 			})
 		}(i)
 	}
@@ -166,8 +165,8 @@ func TestEventStreamAnytimeTrajectory(t *testing.T) {
 func TestResultJSONRoundTrip(t *testing.T) {
 	q := smallQuery()
 	res, err := joinorder.Optimize(context.Background(), q, joinorder.Options{
-		Strategy:  "milp",
-		TimeLimit: 30 * time.Second,
+		Strategy: "milp",
+		Budget:   joinorder.Budget{TimeLimit: 30 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -32,7 +32,6 @@ func init() {
 func optimizeHybrid(ctx context.Context, q *Query, opts Options) (*Result, error) {
 	start := time.Now()
 	a := newAnytime("hybrid", opts)
-	budget := opts.EffectiveBudget()
 	dopts := decomp.Options{
 		Spec:         opts.spec(),
 		PartitionCap: opts.PartitionCap,
@@ -45,7 +44,7 @@ func optimizeHybrid(ctx context.Context, q *Query, opts Options) (*Result, error
 			InterestingOrders:   opts.InterestingOrders,
 			ExpensivePredicates: opts.ExpensivePredicates,
 		},
-		Params: solver.Params{GapTol: budget.GapTol, Threads: budget.Threads},
+		Params: solver.Params{GapTol: opts.Budget.GapTol, Threads: opts.Budget.Threads},
 	}
 	if a != nil {
 		dopts.OnImprovement = func(pl *plan.Plan, c float64) {

@@ -8,15 +8,15 @@
 // The one-call form dispatches through the strategy registry:
 //
 //	res, err := joinorder.Optimize(ctx, query, joinorder.Options{
-//		Strategy:  "milp",
-//		TimeLimit: 5 * time.Second,
+//		Strategy: "milp",
+//		Budget:   joinorder.Budget{TimeLimit: 5 * time.Second},
 //	})
 //
 // Cancellation is first-class, matching the paper's anytime selling
 // point: cancel the context mid-solve and the MILP strategy returns
 // promptly with StatusCanceled carrying the best plan found so far plus a
 // proven lower bound on the optimum. A context deadline composes with
-// Options.TimeLimit as the minimum of the two budgets. Strategies without
+// Options.Budget.TimeLimit as the minimum of the two. Strategies without
 // anytime behaviour (the DP baselines) return ErrCanceled instead.
 //
 // The internal/ packages (encoder, solver, simplex, baselines) are
@@ -57,8 +57,8 @@ type CorrelatedGroup = qopt.CorrelatedGroup
 // optionally annotated with a join operator per join.
 type Plan = plan.Plan
 
-// Tree is a (possibly bushy) join tree, produced by the dp-bushy strategy
-// and derivable from any Plan via Plan.LeftDeep.
+// Tree is a (possibly bushy) join tree, produced by the exact bushy
+// strategies and derivable from any Plan via Plan.LeftDeep.
 type Tree = plan.Tree
 
 // Metric selects how plans are priced.
@@ -180,23 +180,8 @@ type Options struct {
 	Op Operator
 
 	// Budget bundles the run's resource limits (time, gap tolerance,
-	// node cap, threads) as one splittable value. Each zero Budget field
-	// falls back to the matching deprecated flat field below; a non-zero
-	// Budget field always wins. See Budget and Options.EffectiveBudget.
+	// node cap, threads) as one splittable value. See Budget.
 	Budget Budget
-
-	// TimeLimit bounds wall-clock time (zero: none). It composes with
-	// the context deadline: the effective budget is the minimum.
-	//
-	// Deprecated: set Budget.TimeLimit. When both are non-zero,
-	// Budget.TimeLimit wins.
-	TimeLimit time.Duration
-	// Threads is the parallel worker count for strategies that support
-	// it (MILP branch and bound; default 1).
-	//
-	// Deprecated: set Budget.Threads. When both are non-zero,
-	// Budget.Threads wins.
-	Threads int
 
 	// Precision selects the MILP threshold spacing (default
 	// PrecisionMedium; MILP strategy only).
@@ -207,17 +192,6 @@ type Options struct {
 	// CardCap bounds the representable cardinality range (default 1e12;
 	// MILP strategy only).
 	CardCap float64
-	// GapTol is the relative optimality gap at which the MILP search
-	// stops (default 1e-6).
-	//
-	// Deprecated: set Budget.GapTol. When both are non-zero,
-	// Budget.GapTol wins.
-	GapTol float64
-	// MaxNodes bounds explored branch-and-bound nodes (zero: none).
-	//
-	// Deprecated: set Budget.MaxNodes. When both are non-zero,
-	// Budget.MaxNodes wins.
-	MaxNodes int
 
 	// ChooseOperators lets the optimizer pick a join operator per join
 	// (MILP Section 5.3 extension and the DP baselines).
@@ -288,12 +262,6 @@ type Options struct {
 // Validate checks the caller-supplied option values. Every public entry
 // point validates before optimizing, so no panic is reachable from bad
 // API input.
-//
-// Budget precedence: the resource limits may arrive through the Budget
-// struct, the deprecated flat fields (TimeLimit, GapTol, MaxNodes,
-// Threads), or both. Both spellings are validated; at resolution time
-// (EffectiveBudget) each non-zero Budget field wins over its flat alias,
-// and a zero pair means the strategy default.
 func (o Options) Validate() error {
 	if err := o.Budget.validate(); err != nil {
 		return err
@@ -313,18 +281,6 @@ func (o Options) Validate() error {
 	case HashJoin, SortMergeJoin, BlockNestedLoopJoin:
 	default:
 		return fmt.Errorf("%w: unknown operator %d", ErrInvalidOptions, int(o.Op))
-	}
-	if o.TimeLimit < 0 {
-		return fmt.Errorf("%w: negative time limit %v", ErrInvalidOptions, o.TimeLimit)
-	}
-	if o.Threads < 0 {
-		return fmt.Errorf("%w: negative thread count %d", ErrInvalidOptions, o.Threads)
-	}
-	if o.GapTol < 0 {
-		return fmt.Errorf("%w: negative gap tolerance %g", ErrInvalidOptions, o.GapTol)
-	}
-	if o.MaxNodes < 0 {
-		return fmt.Errorf("%w: negative node limit %d", ErrInvalidOptions, o.MaxNodes)
 	}
 	if o.CardCap != 0 && o.CardCap < 1 {
 		return fmt.Errorf("%w: cardinality cap %g must be at least 1", ErrInvalidOptions, o.CardCap)
@@ -378,10 +334,10 @@ func (o Options) spec() cost.Spec {
 	return cost.Spec{Metric: o.Metric, Op: op, Params: cost.Params{}.WithDefaults()}
 }
 
-// deadline converts the effective time limit into an absolute deadline
-// (zero when no limit is configured).
+// deadline converts the time limit into an absolute deadline (zero when
+// no limit is configured).
 func (o Options) deadline(now time.Time) time.Time {
-	limit := o.EffectiveBudget().TimeLimit
+	limit := o.Budget.TimeLimit
 	if limit <= 0 {
 		return time.Time{}
 	}
@@ -398,7 +354,7 @@ const (
 	// StatusFeasible means the plan carries no optimality proof: it
 	// came from a heuristic, or the search stopped early on a limit.
 	StatusFeasible
-	// StatusTimeLimit means the time budget (Options.TimeLimit or the
+	// StatusTimeLimit means the time budget (Budget.TimeLimit or the
 	// context deadline) expired; Plan is the best incumbent found.
 	StatusTimeLimit
 	// StatusCanceled means the context was canceled mid-solve; Plan is
@@ -423,8 +379,9 @@ func (s Status) String() string {
 }
 
 // Result is the outcome of an optimization run. When the strategy returned
-// without error, Tree is non-nil; Plan is additionally non-nil for every
-// left-deep strategy (all but dp-bushy).
+// without error, Tree is non-nil; Plan is additionally non-nil whenever the
+// tree is left-deep (always, except for a genuinely bushy optimum of
+// dp-bushy/dpconv).
 type Result struct {
 	// Strategy is the name of the optimizer that produced the result.
 	Strategy string

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -29,9 +30,9 @@ func TestEveryRegisteredStrategyOptimizes(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			res, err := joinorder.Optimize(context.Background(), q, joinorder.Options{
-				Strategy:  name,
-				TimeLimit: 30 * time.Second,
-				Seed:      1,
+				Strategy: name,
+				Budget:   joinorder.Budget{TimeLimit: 30 * time.Second},
+				Seed:     1,
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -62,7 +63,13 @@ func TestEveryRegisteredStrategyOptimizes(t *testing.T) {
 }
 
 func TestRequiredStrategiesRegistered(t *testing.T) {
-	for _, name := range []string{"milp", "dp-leftdeep", "dp-bushy", "ikkbz", "greedy"} {
+	// The registry is exactly these nine; the Steinbrunn heuristics
+	// (ii, sa, 2po, sampling) live in internal/heuristic only.
+	want := []string{"auto", "dp-bushy", "dp-leftdeep", "dpconv", "gradient", "greedy", "hybrid", "ikkbz", "milp"}
+	if got := joinorder.Strategies(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Strategies() = %v, want %v", got, want)
+	}
+	for _, name := range want {
 		if _, err := joinorder.Lookup(name); err != nil {
 			t.Errorf("required strategy %q not registered: %v", name, err)
 		}
@@ -92,7 +99,7 @@ func TestCancelMidSolveReturnsIncumbent(t *testing.T) {
 	res, err := joinorder.Optimize(ctx, largeQuery(), joinorder.Options{
 		Strategy:  "milp",
 		Precision: joinorder.PrecisionHigh,
-		Threads:   2,
+		Budget:    joinorder.Budget{Threads: 2},
 	})
 	returned := time.Now()
 	if err != nil {
@@ -168,9 +175,9 @@ func TestInvalidInputTypedErrors(t *testing.T) {
 	for _, opts := range []joinorder.Options{
 		{ThresholdRatio: 0.5},
 		{Precision: joinorder.Precision(42)},
-		{TimeLimit: -time.Second},
-		{Threads: -1},
-		{GapTol: -0.1},
+		{Budget: joinorder.Budget{TimeLimit: -time.Second}},
+		{Budget: joinorder.Budget{Threads: -1}},
+		{Budget: joinorder.Budget{GapTol: -0.1}},
 		{InterestingOrders: true},
 		{Metric: joinorder.Metric(9)},
 	} {
@@ -197,13 +204,12 @@ func (s testStrategy) Optimize(context.Context, *joinorder.Query, joinorder.Opti
 	return nil, nil
 }
 
-// TestTimeLimitReturnsIncumbent: Options.TimeLimit alone (no context
+// TestTimeLimitReturnsIncumbent: Budget.TimeLimit alone (no context
 // deadline) also yields anytime behaviour on a query too large to finish.
 func TestTimeLimitReturnsIncumbent(t *testing.T) {
 	res, err := joinorder.Optimize(context.Background(), largeQuery(), joinorder.Options{
-		Strategy:  "milp",
-		TimeLimit: 300 * time.Millisecond,
-		Threads:   2,
+		Strategy: "milp",
+		Budget:   joinorder.Budget{TimeLimit: 300 * time.Millisecond, Threads: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -217,13 +223,13 @@ func TestTimeLimitReturnsIncumbent(t *testing.T) {
 }
 
 // TestContextDeadlineMapsToTimeLimit: a context deadline is a time budget,
-// so it reports StatusTimeLimit — indistinguishable from Options.TimeLimit.
+// so it reports StatusTimeLimit — indistinguishable from Budget.TimeLimit.
 func TestContextDeadlineMapsToTimeLimit(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	res, err := joinorder.Optimize(ctx, largeQuery(), joinorder.Options{
 		Strategy: "milp",
-		Threads:  2,
+		Budget:   joinorder.Budget{Threads: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,17 +9,19 @@ import (
 )
 
 func TestOptionsValidate(t *testing.T) {
+	validBudget := joinorder.Budget{TimeLimit: time.Second, GapTol: 1e-3, MaxNodes: 100, Threads: 2}
 	cases := []struct {
 		name    string
 		mutate  func(*joinorder.Options)
 		wantErr bool
 	}{
 		{"zero value", func(o *joinorder.Options) {}, false},
-		{"negative time limit", func(o *joinorder.Options) { o.TimeLimit = -time.Second }, true},
-		{"negative threads", func(o *joinorder.Options) { o.Threads = -1 }, true},
-		{"negative gap tol", func(o *joinorder.Options) { o.GapTol = -1e-6 }, true},
-		{"negative max nodes", func(o *joinorder.Options) { o.MaxNodes = -1 }, true},
-		{"positive max nodes", func(o *joinorder.Options) { o.MaxNodes = 1000 }, false},
+		// One bad budget field among valid ones is still rejected.
+		{"negative time limit", func(o *joinorder.Options) { o.Budget = validBudget; o.Budget.TimeLimit = -time.Second }, true},
+		{"negative threads", func(o *joinorder.Options) { o.Budget = validBudget; o.Budget.Threads = -1 }, true},
+		{"negative gap tol", func(o *joinorder.Options) { o.Budget = validBudget; o.Budget.GapTol = -1e-6 }, true},
+		{"negative max nodes", func(o *joinorder.Options) { o.Budget = validBudget; o.Budget.MaxNodes = -1 }, true},
+		{"positive max nodes", func(o *joinorder.Options) { o.Budget.MaxNodes = 1000 }, false},
 		{"zero card cap (default)", func(o *joinorder.Options) { o.CardCap = 0 }, false},
 		{"sub-one card cap", func(o *joinorder.Options) { o.CardCap = 0.5 }, true},
 		{"negative card cap", func(o *joinorder.Options) { o.CardCap = -1e12 }, true},
@@ -29,9 +31,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative budget gap tol", func(o *joinorder.Options) { o.Budget.GapTol = -1e-6 }, true},
 		{"negative budget max nodes", func(o *joinorder.Options) { o.Budget.MaxNodes = -1 }, true},
 		{"negative budget threads", func(o *joinorder.Options) { o.Budget.Threads = -1 }, true},
-		{"budget set", func(o *joinorder.Options) {
-			o.Budget = joinorder.Budget{TimeLimit: time.Second, GapTol: 1e-3, MaxNodes: 100, Threads: 2}
-		}, false},
+		{"budget set", func(o *joinorder.Options) { o.Budget = validBudget }, false},
 		{"partition cap one", func(o *joinorder.Options) { o.PartitionCap = 1 }, true},
 		{"negative partition cap", func(o *joinorder.Options) { o.PartitionCap = -3 }, true},
 		{"valid partition cap", func(o *joinorder.Options) { o.PartitionCap = 12 }, false},
@@ -74,7 +74,7 @@ func TestOptionsValidate(t *testing.T) {
 func TestOptimizeRejectsInvalidOptions(t *testing.T) {
 	q := smallQuery()
 	for _, opts := range []joinorder.Options{
-		{MaxNodes: -5},
+		{Budget: joinorder.Budget{MaxNodes: -5}},
 		{CardCap: 0.1},
 		{MaxDPTables: -2},
 	} {

@@ -340,7 +340,7 @@ func (s *Server) serve(ctx context.Context, pr *prepared, onEvent func(joinorder
 	s.inflight.Add(1)
 	defer s.inflight.Done()
 
-	deadline := pr.arrived.Add(pr.opts.EffectiveBudget().TimeLimit)
+	deadline := pr.arrived.Add(pr.opts.Budget.TimeLimit)
 	weight := requestWeight(pr.opts)
 	if weight > 1 {
 		s.ctr.portfolio.Add(1)

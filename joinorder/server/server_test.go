@@ -11,6 +11,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -778,6 +779,34 @@ func TestRequestBudgetObject(t *testing.T) {
 	req = &OptimizeRequest{Budget: &BudgetRequest{MaxNodes: -1}}
 	if _, err = req.options(cfg); err == nil {
 		t.Error("negative budget.max_nodes accepted")
+	}
+}
+
+// TestFlatAndBudgetTimeoutAreOneRequest: the flat wire "timeout" (the
+// spelling bench/serving.go sends) and "budget.timeout" resolve to the
+// same options, so the second spelling is served from the first's cache
+// entry with the same plan.
+func TestFlatAndBudgetTimeoutAreOneRequest(t *testing.T) {
+	s := mustServer(t, Config{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	flat := queryBody(t, workload.Chain, 8, 1, func(r *OptimizeRequest) { r.Strategy = "dp-leftdeep"; r.Timeout = "10s" })
+	object := queryBody(t, workload.Chain, 8, 1, func(r *OptimizeRequest) {
+		r.Strategy = "dp-leftdeep"
+		r.Timeout = ""
+		r.Budget = &BudgetRequest{Timeout: "10s"}
+	})
+	resp, first := postOptimize(t, ts, flat)
+	if resp.StatusCode != http.StatusOK || first.CacheHit {
+		t.Fatalf("flat timeout: status %d, response %+v", resp.StatusCode, first)
+	}
+	resp, second := postOptimize(t, ts, object)
+	if resp.StatusCode != http.StatusOK || !second.CacheHit {
+		t.Fatalf("budget.timeout: status %d, response %+v (want a hit on the flat request's entry)", resp.StatusCode, second)
+	}
+	if !reflect.DeepEqual(first.Result.Plan, second.Result.Plan) || first.Result.Cost != second.Result.Cost {
+		t.Errorf("plans differ: %v (%g) vs %v (%g)", first.Result.Plan, first.Result.Cost, second.Result.Plan, second.Result.Cost)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"milpjoin/internal/core"
-	"milpjoin/internal/cost"
 	"milpjoin/internal/dp"
 	"milpjoin/internal/heuristic"
 	"milpjoin/internal/obs"
@@ -16,26 +15,20 @@ import (
 	"milpjoin/internal/solver"
 )
 
-// The built-in strategies. Five deterministic optimizers plus the four
-// randomized Steinbrunn heuristics, all behind the same interface — the
+// The built-in strategies, all behind the same interface — the
 // prerequisite for per-query strategy switching (hybrid MILP/non-MILP
-// optimization à la Schönberger & Trummer).
+// optimization à la Schönberger & Trummer). "auto" and "hybrid" register
+// themselves next to their implementations. The exact bushy search answers
+// to two names: "dp-bushy" (the baseline's historical name) and "dpconv"
+// (the portfolio member).
 func init() {
 	mustRegister("milp", "anytime MILP encoding with proven optimality bounds (the paper's approach)", optimizeMILP)
 	mustRegister("dp-leftdeep", "exact left-deep dynamic programming (Selinger-style, cross products allowed)", optimizeDPLeftDeep)
-	mustRegister("dp-bushy", "exact bushy-tree dynamic programming (DPsub, O(3^n))", optimizeDPBushy)
+	mustRegister("dp-bushy", "exact bushy-tree dynamic programming (O(3^n) layered subset enumeration; same search as dpconv)", optimizeBushy("dp-bushy"))
 	mustRegister("ikkbz", "polynomial IKKBZ for acyclic join graphs under C_out", optimizeIKKBZ)
 	mustRegister("greedy", "greedy smallest-intermediate-result ordering", optimizeGreedy)
-	mustRegister("dpconv", "exact bushy DP with layered enumeration and live cutoff pruning (DPconv-style)", optimizeDPConv)
-	mustRegister("ii", "randomized iterative improvement (Steinbrunn et al.)", heuristicStrategy("ii", heuristic.IterativeImprovement))
-	mustRegister("sa", "simulated annealing (Steinbrunn et al.)", heuristicStrategy("sa", heuristic.SimulatedAnnealing))
-	mustRegister("2po", "two-phase optimization: iterative improvement then low-temperature annealing", heuristicStrategy("2po", heuristic.TwoPhase))
-	mustRegister("gradient", "stochastic gradient descent on a continuous join-order relaxation (SPSA)", heuristicStrategy("gradient", heuristic.GradientDescent))
-	mustRegister("sampling", "uniform random sampling of join orders (weakest baseline)", func(ctx context.Context, q *Query, opts Options) (*Result, error) {
-		return runHeuristic(ctx, q, opts, "sampling", func(ctx context.Context, q *Query, opts Options, a *anytime) (*Plan, float64, error) {
-			return heuristic.RandomSampling(ctx, q, opts.spec(), 0, heuristicOptions(opts, a))
-		})
-	})
+	mustRegister("dpconv", "exact bushy DP with layered enumeration and live cutoff pruning (DPconv-style)", optimizeBushy("dpconv"))
+	mustRegister("gradient", "stochastic gradient descent on a continuous join-order relaxation (SPSA)", optimizeGradient)
 }
 
 // anytime is the uniform improvement surface the non-MILP strategies
@@ -100,12 +93,11 @@ func optimizeMILP(ctx context.Context, q *Query, opts Options) (*Result, error) 
 		InitialPlan:         opts.InitialPlan,
 		Incumbents:          opts.incumbents,
 	}
-	budget := opts.EffectiveBudget()
 	params := solver.Params{
-		TimeLimit: budget.TimeLimit,
-		GapTol:    budget.GapTol,
-		Threads:   budget.Threads,
-		MaxNodes:  budget.MaxNodes,
+		TimeLimit: opts.Budget.TimeLimit,
+		GapTol:    opts.Budget.GapTol,
+		Threads:   opts.Budget.Threads,
+		MaxNodes:  opts.Budget.MaxNodes,
 	}
 	if onEvent := opts.OnEvent; onEvent != nil {
 		params.OnEvent = func(ev Event) { onEvent(ev) }
@@ -183,58 +175,38 @@ func optimizeDPLeftDeep(ctx context.Context, q *Query, opts Options) (*Result, e
 	}, nil
 }
 
-// optimizeDPBushy is the exact bushy-tree baseline; it returns a Tree and
-// no left-deep Plan.
-func optimizeDPBushy(ctx context.Context, q *Query, opts Options) (*Result, error) {
-	start := time.Now()
-	tree, c, err := dp.OptimizeBushy(ctx, q, opts.spec(), dp.Options{
-		MaxTables: opts.MaxDPTables,
-		Deadline:  opts.deadline(start),
-	})
-	if err != nil {
-		return nil, mapBaselineErr(ctx, err)
+// optimizeBushy is the exact bushy-tree search, registered under both
+// "dp-bushy" and "dpconv": layered subset enumeration with an optional
+// live cutoff (the portfolio's incumbent bus) pruning dominated subsets.
+// The Result carries a left-deep Plan as well whenever the optimal tree
+// happens to be linear.
+func optimizeBushy(name string) func(context.Context, *Query, Options) (*Result, error) {
+	return func(ctx context.Context, q *Query, opts Options) (*Result, error) {
+		start := time.Now()
+		tree, c, err := dp.OptimizeConv(ctx, q, opts.spec(), dp.ConvOptions{
+			Options: dp.Options{
+				MaxTables: opts.MaxDPTables,
+				Deadline:  opts.deadline(start),
+			},
+			Cutoff: opts.cutoff,
+		})
+		if err != nil {
+			return nil, mapBaselineErr(ctx, err)
+		}
+		elapsed := time.Since(start)
+		pl := leftDeepFromTree(tree, opts.Metric)
+		newAnytime(name, opts).improved(pl, c, elapsed, c)
+		return &Result{
+			Strategy:  name,
+			Status:    StatusOptimal,
+			Plan:      pl,
+			Tree:      tree,
+			Cost:      c,
+			Objective: c,
+			Bound:     c,
+			Elapsed:   elapsed,
+		}, nil
 	}
-	elapsed := time.Since(start)
-	newAnytime("dp-bushy", opts).improved(leftDeepFromTree(tree, opts.Metric), c, elapsed, c)
-	return &Result{
-		Strategy:  "dp-bushy",
-		Status:    StatusOptimal,
-		Tree:      tree,
-		Cost:      c,
-		Objective: c,
-		Bound:     c,
-		Elapsed:   elapsed,
-	}, nil
-}
-
-// optimizeDPConv is the DPconv-style exact bushy search: layered subset
-// enumeration with an optional live cutoff (the portfolio's incumbent bus)
-// pruning dominated subsets. With no cutoff it matches dp-bushy exactly.
-func optimizeDPConv(ctx context.Context, q *Query, opts Options) (*Result, error) {
-	start := time.Now()
-	tree, c, err := dp.OptimizeConv(ctx, q, opts.spec(), dp.ConvOptions{
-		Options: dp.Options{
-			MaxTables: opts.MaxDPTables,
-			Deadline:  opts.deadline(start),
-		},
-		Cutoff: opts.cutoff,
-	})
-	if err != nil {
-		return nil, mapBaselineErr(ctx, err)
-	}
-	elapsed := time.Since(start)
-	pl := leftDeepFromTree(tree, opts.Metric)
-	newAnytime("dpconv", opts).improved(pl, c, elapsed, c)
-	return &Result{
-		Strategy:  "dpconv",
-		Status:    StatusOptimal,
-		Plan:      pl,
-		Tree:      tree,
-		Cost:      c,
-		Objective: c,
-		Bound:     c,
-		Elapsed:   elapsed,
-	}, nil
 }
 
 // leftDeepFromTree flattens a linear tree into the cost-equivalent
@@ -329,38 +301,23 @@ func optimizeGreedy(ctx context.Context, q *Query, opts Options) (*Result, error
 	}, nil
 }
 
-// heuristicStrategy adapts one of the randomized anytime searches.
-func heuristicStrategy(name string, fn func(context.Context, *Query, cost.Spec, heuristic.Options) (*Plan, float64, error)) func(context.Context, *Query, Options) (*Result, error) {
-	return func(ctx context.Context, q *Query, opts Options) (*Result, error) {
-		return runHeuristic(ctx, q, opts, name, func(ctx context.Context, q *Query, opts Options, a *anytime) (*Plan, float64, error) {
-			return fn(ctx, q, opts.spec(), heuristicOptions(opts, a))
-		})
-	}
-}
-
-// heuristicOptions translates public options for the randomized searches,
-// routing every strict improvement to the uniform anytime surface.
-func heuristicOptions(opts Options, a *anytime) heuristic.Options {
+// optimizeGradient runs the randomized anytime gradient-descent search,
+// routing every strict improvement to the uniform anytime surface, and
+// classifies how it stopped: a canceled context yields StatusCanceled with
+// the best plan found, an expired budget StatusTimeLimit, and a completed
+// search StatusFeasible (the heuristic never certifies optimality).
+func optimizeGradient(ctx context.Context, q *Query, opts Options) (*Result, error) {
+	start := time.Now()
 	h := heuristic.Options{
 		Seed:     opts.Seed,
-		Deadline: opts.deadline(time.Now()),
+		Deadline: opts.deadline(start),
 	}
-	if a != nil {
+	if a := newAnytime("gradient", opts); a != nil {
 		h.OnImprovement = func(p *plan.Plan, c float64, elapsed time.Duration) {
 			a.improved(p, c, elapsed, math.Inf(-1))
 		}
 	}
-	return h
-}
-
-// runHeuristic runs an anytime randomized search and classifies how it
-// stopped: a canceled context yields StatusCanceled with the best plan
-// found, an expired budget StatusTimeLimit, and a completed search
-// StatusFeasible (the heuristics never certify optimality).
-func runHeuristic(ctx context.Context, q *Query, opts Options, name string,
-	fn func(context.Context, *Query, Options, *anytime) (*Plan, float64, error)) (*Result, error) {
-	start := time.Now()
-	pl, c, err := fn(ctx, q, opts, newAnytime(name, opts))
+	pl, c, err := heuristic.GradientDescent(ctx, q, opts.spec(), h)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, fmt.Errorf("%w: %w", ErrCanceled, cerr)
@@ -368,7 +325,7 @@ func runHeuristic(ctx context.Context, q *Query, opts Options, name string,
 		return nil, fmt.Errorf("%w: %v", ErrNoPlan, err)
 	}
 	status := StatusFeasible
-	limit := opts.EffectiveBudget().TimeLimit
+	limit := opts.Budget.TimeLimit
 	switch {
 	case ctx.Err() != nil:
 		status = StatusCanceled
@@ -376,7 +333,7 @@ func runHeuristic(ctx context.Context, q *Query, opts Options, name string,
 		status = StatusTimeLimit
 	}
 	return &Result{
-		Strategy:  name,
+		Strategy:  "gradient",
 		Status:    status,
 		Plan:      pl,
 		Tree:      pl.LeftDeep(),

@@ -118,8 +118,7 @@ func BenchmarkPortfolioAuto(b *testing.B) {
 	baseOpts := func(limit time.Duration) joinorder.Options {
 		return joinorder.Options{
 			Precision: joinorder.PrecisionMedium,
-			TimeLimit: limit,
-			Threads:   2,
+			Budget:    joinorder.Budget{TimeLimit: limit, Threads: 2},
 			Seed:      1,
 		}
 	}
