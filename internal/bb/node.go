@@ -28,15 +28,13 @@ type node struct {
 	parentBound float64
 }
 
-// applyBounds walks the chain root→node, tightening l and u in place.
+// applyBounds tightens l and u in place by every bound change on the chain
+// from the node back to the root. Each change is a max on a lower or a min
+// on an upper bound, so the order of the walk does not matter and the chain
+// need not be collected first.
 func (nd *node) applyBounds(l, u []float64) {
-	// Collect the path; chains are short (tree depth).
-	var path []*node
-	for cur := nd; cur != nil && cur.parent != nil; cur = cur.parent {
-		path = append(path, cur)
-	}
-	for i := len(path) - 1; i >= 0; i-- {
-		ch := path[i].change
+	for cur := nd; cur.parent != nil; cur = cur.parent {
+		ch := cur.change
 		if ch.isLower {
 			if ch.value > l[ch.varIdx] {
 				l[ch.varIdx] = ch.value

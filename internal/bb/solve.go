@@ -440,7 +440,7 @@ func (s *searcher) processNode(nd *node, nodeIdx, wid int) (children []*node, re
 	w.frac = s.fractionalVars(lp.X, w.frac)
 	frac := w.frac
 	if len(frac) == 0 {
-		s.offerIncumbent(lp.X, true)
+		s.offerIncumbent(lp.X)
 		return nil, nil
 	}
 
@@ -593,14 +593,11 @@ func (s *searcher) selectBranchVar(x []float64, frac []int) (int, float64) {
 }
 
 // offerIncumbent installs a candidate integer solution if it improves the
-// incumbent. Trusted candidates come from LP solves whose integral
-// variables are integer within tolerance; they are stored as-is (rounding
-// them without recomputing the logical columns could violate rows).
-// Untrusted candidates (heuristics) are revalidated first.
-func (s *searcher) offerIncumbent(x []float64, trusted bool) bool {
-	if !trusted && !s.checkFeasibleComputational(x) {
-		return false
-	}
+// incumbent. Candidates are trusted: they come from LP solves whose
+// integral variables are integer within tolerance, or from completeAndOffer
+// after revalidation, and are stored as-is (rounding them without
+// recomputing the logical columns could violate rows).
+func (s *searcher) offerIncumbent(x []float64) bool {
 	var obj float64
 	for j, c := range s.comp.Problem.C {
 		obj += c * x[j]
@@ -635,15 +632,16 @@ func (s *searcher) notifyLocked(kind obs.EventKind) {
 }
 
 // checkFeasibleComputational verifies bounds and row activities of a full
-// computational-form point against the ROOT bounds.
-func (s *searcher) checkFeasibleComputational(x []float64) bool {
+// computational-form point against the ROOT bounds. ax is scratch for the
+// row activities (one entry per row, clobbered).
+func (s *searcher) checkFeasibleComputational(x, ax []float64) bool {
 	const tol = 1e-6
 	for j, v := range x {
 		if v < s.rootL[j]-tol || v > s.rootU[j]+tol {
 			return false
 		}
 	}
-	ax := s.comp.Problem.A.MulVec(x)
+	s.comp.Problem.A.MulVecTo(ax, x)
 	for i, b := range s.comp.Problem.B {
 		if math.Abs(ax[i]-b) > tol*(1+math.Abs(b)) {
 			return false
@@ -680,7 +678,7 @@ func (s *searcher) tryRounding(w *workerState, x []float64) {
 
 // completeAndOffer extends a structural assignment with exact logical
 // values (s_i = b_i − (A_s·x_s)_i: the logical columns are the identity
-// block) and offers the completed point as an untrusted incumbent. It
+// block), revalidates the completed point and offers it as an incumbent. It
 // reports whether the point improved the incumbent. A nil worker state
 // (the MIP-start path, before workers exist) falls back to allocating.
 func (s *searcher) completeAndOffer(w *workerState, xs []float64) bool {
@@ -709,7 +707,11 @@ func (s *searcher) completeAndOffer(w *workerState, xs []float64) bool {
 	for i := range act {
 		x[ns+i] = s.comp.Problem.B[i] - act[i]
 	}
-	return s.offerIncumbent(x, false)
+	// act has served its purpose; the check reuses it for A·x.
+	if !s.checkFeasibleComputational(x, act) {
+		return false
+	}
+	return s.offerIncumbent(x)
 }
 
 // growZeroed returns s resized to n with every element zeroed.
@@ -742,7 +744,7 @@ func (s *searcher) dive(w *workerState, l, u []float64, lp *simplex.Result) bool
 		w.dfrac = s.fractionalVars(cur.X, w.dfrac)
 		frac := w.dfrac
 		if len(frac) == 0 {
-			return s.offerIncumbent(cur.X, true)
+			return s.offerIncumbent(cur.X)
 		}
 		// Batch-fix all nearly-integral variables, then the single
 		// most-integral fractional one.

@@ -90,12 +90,15 @@ type solver struct {
 	pricing     PricingStats
 
 	iters       int
-	pivotsSince int // pivots since last refactorization
 	degenStreak int
 	bland       bool
-	repairs     int  // emergency basis resets performed
-	refactors   int  // LU refactorizations performed
-	refreshed   bool // fresh factorization since the last pivot
+	repairs     int // emergency basis resets performed
+	refactors   int // LU factorizations computed (adopted factors not counted)
+	// refreshed: factor and basic values are exact for the current basis —
+	// the eta file is empty and x_B came from recomputeBasics. Pivots and
+	// bound flips clear it (a flip keeps the factor fresh but updates x_B
+	// incrementally). Final statuses are only declared from this state.
+	refreshed bool
 
 	start time.Time
 }
@@ -151,8 +154,10 @@ func (s *solver) init(warm *Basis) {
 			}
 			s.status[j] = s.snapStatus(j, s.status[j])
 		}
-		if err := s.factor.refactorize(s.p.A, s.head); err == nil {
-			s.refactors++
+		if s.loadFactor() == nil {
+			// Keep this factor intact for a sibling that warm starts from
+			// the same basis; the solve refactorizes into another slot.
+			s.factor.keep()
 			s.setNonbasicValues()
 			s.recomputeBasics()
 			return
@@ -203,12 +208,11 @@ func (s *solver) installLogicalBasis() {
 		s.status[j] = Basic
 		s.head[k] = j
 	}
-	if err := s.factor.refactorize(s.p.A, s.head); err != nil {
+	if err := s.loadFactor(); err != nil {
 		// The logical block is the identity; this cannot happen unless
 		// the caller violated the contract.
 		panic(fmt.Sprintf("simplex: logical basis singular: %v", err))
 	}
-	s.refactors++
 	s.setNonbasicValues()
 	s.recomputeBasics()
 }
@@ -245,7 +249,8 @@ func (s *solver) setNonbasicValues() {
 }
 
 // recomputeBasics solves for the basic variable values from scratch:
-// x_B = B⁻¹(b − A_N·x_N).
+// x_B = B⁻¹(b − A_N·x_N). Every caller has just loaded the factor for the
+// current head, so the state it leaves is exact (see solver.refreshed).
 func (s *solver) recomputeBasics() {
 	rhs := s.w // reuse workspace
 	copy(rhs, s.p.B)
@@ -263,6 +268,7 @@ func (s *solver) recomputeBasics() {
 	for k, j := range s.head {
 		s.x[j] = rhs[k]
 	}
+	s.refreshed = true
 }
 
 // infeasibility returns the total bound violation of basic variables,
@@ -314,7 +320,6 @@ func (s *solver) run() (*Result, error) {
 				if err := s.refactorizeOrRepair(); err != nil {
 					return nil, err
 				}
-				s.refreshed = true
 				continue
 			}
 			if phase1 {
@@ -341,7 +346,6 @@ func (s *solver) run() (*Result, error) {
 				if err := s.refactorizeOrRepair(); err != nil {
 					return nil, err
 				}
-				s.refreshed = true
 				continue
 			}
 			if phase1 {
@@ -627,7 +631,6 @@ func (s *solver) ratioTest(q int, sigma float64, phase1 bool) (t float64, leave 
 		if tk < tBest {
 			tBest = tk
 		}
-		_ = k
 	}
 
 	if tEnter <= tBest {
@@ -732,17 +735,28 @@ func (s *solver) applyPivot(q int, sigma, t float64, leave int, leaveStatus VarS
 	if !s.factor.update(leave, s.w, s.opts.PivotTol) {
 		return s.refactorizeOrRepair()
 	}
-	s.pivotsSince++
 	return nil
 }
 
-// refactorizeOrRepair refactorizes the current basis; on singularity it
-// falls back to the logical basis (bounded number of times).
+// loadFactor makes the factor exact for the current head (empty eta file),
+// adopting a retained factorization of the same basis when the workspace
+// holds one and counting the factorization otherwise.
+func (s *solver) loadFactor() error {
+	factorized, err := s.factor.load(s.p.A, s.head)
+	if factorized {
+		s.refactors++
+	}
+	return err
+}
+
+// refactorizeOrRepair makes factor and basic values exact for the current
+// basis; on singularity it falls back to the logical basis (bounded number
+// of times). With an empty eta file the factor is already the fresh one, so
+// only the basic values are recomputed.
 func (s *solver) refactorizeOrRepair() error {
-	if err := s.factor.refactorize(s.p.A, s.head); err != nil {
+	if err := s.loadFactor(); err != nil {
 		return s.repair()
 	}
-	s.refactors++
 	s.recomputeBasics()
 	return nil
 }
@@ -782,9 +796,8 @@ func (s *solver) finish(st Status) *Result {
 	}
 	res.Obj = obj
 	if st == StatusOptimal {
-		s.loadBasicCosts(false)
-		copy(s.y, s.cB)
-		s.factor.btran(s.y)
+		// run declares optimality straight after a phase-2 pricing pass
+		// over the exact state, so s.y already holds B⁻ᵀ·c_B.
 		ws.resY = append(ws.resY[:0], s.y...)
 		res.Y = ws.resY
 	}

@@ -186,10 +186,13 @@ type Result struct {
 	Y      []float64 // dual values (row prices), length m, for Optimal
 	Basis  *Basis    // final basis, usable for warm starts
 	Iters  int       // simplex iterations across both phases
-	// Refactors counts sparse LU refactorizations performed during the
-	// solve (basis installs, periodic rebuilds, and repair resets) — the
-	// dominant per-solve linear-algebra cost besides pivoting, surfaced
-	// for the observability layer.
+	// Refactors counts the sparse LU factorizations computed during the
+	// solve (basis installs, periodic rebuilds, end-of-solve refreshes and
+	// repair resets) — the dominant per-solve linear-algebra cost besides
+	// pivoting, surfaced for the observability layer. A basis whose fresh
+	// factorization the workspace still holds is adopted, not counted, so
+	// the number depends on what the workspace solved before; nothing
+	// else in the Result does.
 	Refactors int
 	// Pricing reports pricing-rule behaviour during the solve.
 	Pricing PricingStats

@@ -8,6 +8,16 @@ package simplex
 // devex weights, and pricing candidate lists) is reused across calls,
 // growing only when a larger problem arrives.
 //
+// A workspace also retains the last few fresh LU factorizations it computed
+// (see factorSlots), each keyed by the *sparse.CSC it was built from and the
+// ordered basis head, and a later Solve that needs the factor of the same
+// basis adopts it instead of factorizing again. LU is a deterministic
+// function of that key, so adoption changes no result bit — only
+// Result.Refactors. The key holds the matrix by pointer: a matrix that was
+// solved through a workspace must not be mutated in place while the
+// workspace is in use (build a new CSC instead; bounds, costs and the
+// right-hand side are free to change).
+//
 // A workspace is not safe for concurrent use, and the Result returned by a
 // Solve that used it (including Result.X, Result.Y, and Result.Basis) is
 // only valid until the next Solve with the same workspace — callers that
@@ -53,7 +63,8 @@ type Workspace struct {
 func NewWorkspace() *Workspace { return &Workspace{} }
 
 // ensure sizes every buffer for an m×n problem, growing but never shrinking
-// backing storage.
+// backing storage. A change of m drops the retained factorizations (see
+// basisFactor.reset).
 func (ws *Workspace) ensure(m, n int) {
 	ws.m, ws.n = m, n
 	ws.status = growStatuses(ws.status, n)

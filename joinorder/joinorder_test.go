@@ -241,3 +241,41 @@ func TestContextDeadlineMapsToTimeLimit(t *testing.T) {
 		t.Fatal("no incumbent plan at the context deadline")
 	}
 }
+
+// TestSearchCountersPinned pins what the MILP search does on three small
+// queries — nodes, simplex iterations, proven bound and plan cost, recorded
+// at the commit before node LPs began adopting retained factorizations —
+// against literals. Work inside the LP solver that reuses what it already
+// computed must not move any of them; only the number of LU factorizations
+// may fall, and it has to stay near one per node (it was 2.04).
+func TestSearchCountersPinned(t *testing.T) {
+	for _, tc := range []struct {
+		shape       workload.GraphShape
+		nodes       int
+		iters       int
+		bound, cost float64
+	}{
+		{workload.Chain, 200, 1400, 3.928020283258756e+11, 5.659403260234245e+15},
+		{workload.Cycle, 200, 1734, 1.7192393905082468e+11, 2.654057074044699e+15},
+		{workload.Star, 200, 640, 3.857771121859081e+11, 1.703971373634369e+15},
+	} {
+		q := workload.Generate(tc.shape, 8, 1, workload.Config{})
+		res, err := joinorder.Optimize(context.Background(), q, joinorder.Options{
+			Strategy:  "milp",
+			Metric:    joinorder.OperatorCost,
+			Op:        joinorder.HashJoin,
+			Precision: joinorder.PrecisionMedium,
+			Budget:    joinorder.Budget{MaxNodes: 200, Threads: 1},
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", tc.shape, err)
+		}
+		if res.Nodes != tc.nodes || res.Stats.SimplexIters != tc.iters || res.Bound != tc.bound || res.Cost != tc.cost {
+			t.Errorf("%v: nodes %d iters %d bound %v cost %v, want %d %d %v %v",
+				tc.shape, res.Nodes, res.Stats.SimplexIters, res.Bound, res.Cost, tc.nodes, tc.iters, tc.bound, tc.cost)
+		}
+		if limit := 1.3 * float64(res.Nodes); float64(res.Stats.Refactorizations) > limit {
+			t.Errorf("%v: %d LU factorizations for %d nodes, want at most %.0f", tc.shape, res.Stats.Refactorizations, res.Nodes, limit)
+		}
+	}
+}
