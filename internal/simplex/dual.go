@@ -25,8 +25,7 @@ const (
 // consistent with the nonbasic statuses (within the optimality tolerance).
 // It prices all columns with y = B⁻ᵀ·c_B.
 func (s *solver) dualFeasible() bool {
-	s.loadBasicCosts(false)
-	copy(s.y, s.cB)
+	copy(s.y, s.cost)
 	s.factor.btran(s.y)
 	for j := 0; j < s.n; j++ {
 		if s.status[j] == Basic || s.p.U[j]-s.p.L[j] <= 0 {
@@ -83,8 +82,7 @@ func (s *solver) dualLoop() dualOutcome {
 	nbPos := ws.nbPos
 
 	reprice := func() {
-		s.loadBasicCosts(false)
-		copy(s.y, s.cB)
+		copy(s.y, s.cost)
 		s.factor.btran(s.y)
 		nbList = nbList[:0]
 		for j := 0; j < s.n; j++ {
@@ -264,14 +262,7 @@ func (s *solver) dualLoop() dualOutcome {
 
 		// Pivot: entering variable absorbs the residual violation.
 		q := pivot
-		for i := range s.w {
-			s.w[i] = 0
-		}
-		rows, vals := s.p.A.Col(q)
-		for p, i := range rows {
-			s.w[i] = vals[p]
-		}
-		s.factor.ftran(s.w)
+		s.ftranColumn(q)
 
 		t := (s.x[jOut] - target) / alpha[q]
 		enterVal := s.x[q] + t
@@ -281,6 +272,7 @@ func (s *solver) dualLoop() dualOutcome {
 		s.status[jOut] = outStatus
 		s.x[jOut] = target
 		s.head[leave] = q
+		s.cost[leave] = s.p.C[q]
 		s.status[q] = Basic
 		s.x[q] = enterVal
 
@@ -309,7 +301,7 @@ func (s *solver) dualLoop() dualOutcome {
 		}
 		d[jOut] = -theta
 
-		if !s.factor.update(leave, s.w, s.opts.PivotTol) {
+		if !s.factor.update(leave, s.w, s.wInd, s.opts.PivotTol) {
 			if err := s.refactorizeOrRepair(); err != nil {
 				return dualGiveUp
 			}

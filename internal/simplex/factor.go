@@ -201,9 +201,10 @@ func (f *basisFactor) btran(v []float64) {
 }
 
 // update appends an eta for a pivot at basis position r with transformed
-// entering column w (dense, length m). Returns false if the pivot element
-// is numerically unusable and a refactorization should happen instead.
-func (f *basisFactor) update(r int, w []float64, pivotTol float64) bool {
+// entering column w (dense, length m) whose nonzeros sit at the positions
+// ind. Returns false if the pivot element is numerically unusable and a
+// refactorization should happen instead.
+func (f *basisFactor) update(r int, w []float64, ind []int, pivotTol float64) bool {
 	wr := w[r]
 	if math.Abs(wr) < pivotTol {
 		return false
@@ -214,9 +215,9 @@ func (f *basisFactor) update(r int, w []float64, pivotTol float64) bool {
 	}
 	c := f.chunks[f.chunk]
 	hi := f.fill
-	for i, wi := range w {
-		if i != r && wi != 0 {
-			c.ind[hi], c.val[hi] = i, wi
+	for _, i := range ind {
+		if i != r {
+			c.ind[hi], c.val[hi] = i, w[i]
 			hi++
 		}
 	}

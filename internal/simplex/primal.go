@@ -46,7 +46,7 @@ func Solve(p *Problem, warm *Basis, opts Options) (*Result, error) {
 	*s = solver{p: p, opts: opts, m: m, n: n, ws: ws}
 	s.init(warm)
 
-	if opts.PreferDual && warm != nil && s.infeasibility() > 0 && s.dualFeasible() {
+	if opts.PreferDual && warm != nil && s.nInfeasible > 0 && s.dualFeasible() {
 		switch s.dualLoop() {
 		case dualInfeasible:
 			return s.finish(StatusInfeasible), nil
@@ -55,7 +55,9 @@ func Solve(p *Problem, warm *Basis, opts Options) (*Result, error) {
 		case dualDone, dualGiveUp:
 			// Continue with the primal method: after dualDone it
 			// certifies optimality in a handful of iterations; after
-			// dualGiveUp it repairs from composite phase 1.
+			// dualGiveUp it repairs from composite phase 1. The dual
+			// loop moved x and head without keeping the phase state.
+			s.rebuildPhaseState()
 		}
 	}
 	return s.run()
@@ -77,9 +79,22 @@ type solver struct {
 	// cardinality approximations) are not held to absolute precision.
 	tolL, tolU []float64
 
-	y  []float64 // dual workspace (m)
-	w  []float64 // transformed entering column (m)
-	cB []float64 // basic objective workspace (m)
+	y []float64 // dual workspace (m)
+	w []float64 // transformed entering column (m)
+	// wInd lists, ascending, the basis positions where w is nonzero. Set by
+	// ftranColumn and valid until w is written again: by the next entering
+	// column or by recomputeBasics, which uses w as its right-hand side.
+	wInd []int
+
+	// Phase state per basis position, kept in step with x and head by every
+	// primal iteration at the positions it changes (wInd and the leaving
+	// position) and rebuilt in full by rebuildPhaseState: whether the basic
+	// variable violates a bound and how many do (phase 1 runs while any
+	// does), the phase-1 objective gradient and the phase-2 cost. The dual
+	// loop keeps only cost.
+	infeas      []bool
+	nInfeasible int
+	grad, cost  []float64
 
 	// Pricing state: devex reference-framework weights per variable, the
 	// static list of non-fixed columns, and the rotating partial-pricing
@@ -115,7 +130,10 @@ func (s *solver) init(warm *Basis) {
 	s.factor = &ws.factor
 	s.y = ws.y
 	s.w = ws.w
-	s.cB = ws.cB
+	s.wInd = ws.wInd
+	s.infeas = ws.infeas
+	s.grad = ws.grad
+	s.cost = ws.cost
 	s.tolL = ws.tolL
 	s.tolU = ws.tolU
 	s.devexW = ws.devexW
@@ -251,6 +269,7 @@ func (s *solver) setNonbasicValues() {
 // recomputeBasics solves for the basic variable values from scratch:
 // x_B = B⁻¹(b − A_N·x_N). Every caller has just loaded the factor for the
 // current head, so the state it leaves is exact (see solver.refreshed).
+// It overwrites w.
 func (s *solver) recomputeBasics() {
 	rhs := s.w // reuse workspace
 	copy(rhs, s.p.B)
@@ -268,22 +287,45 @@ func (s *solver) recomputeBasics() {
 	for k, j := range s.head {
 		s.x[j] = rhs[k]
 	}
+	s.rebuildPhaseState()
 	s.refreshed = true
 }
 
-// infeasibility returns the total bound violation of basic variables,
-// counting only violations beyond each variable's scaled tolerance.
-func (s *solver) infeasibility() float64 {
-	var sum float64
-	for _, j := range s.head {
-		if v := s.p.L[j] - s.x[j]; v > s.tolL[j] {
-			sum += v
-		}
-		if v := s.x[j] - s.p.U[j]; v > s.tolU[j] {
-			sum += v
+// rebuildPhaseState recomputes the phase state of every basis position from
+// x and head.
+func (s *solver) rebuildPhaseState() {
+	clear(s.infeas)
+	s.nInfeasible = 0
+	for k, j := range s.head {
+		s.cost[k] = s.p.C[j]
+		s.classify(k)
+	}
+}
+
+// classify brings the phase state of basis position k in line with the value
+// of the variable there. A violation counts beyond the variable's scaled
+// tolerance. The count and the gradient spell that test differently (l−x >
+// tol against x < l−tol), which can disagree in the last bit; each keeps its
+// spelling, because the count picks the phase and the gradient the prices.
+func (s *solver) classify(k int) {
+	j := s.head[k]
+	x, l, u := s.x[j], s.p.L[j], s.p.U[j]
+	if inf := l-x > s.tolL[j] || x-u > s.tolU[j]; inf != s.infeas[k] {
+		s.infeas[k] = inf
+		if inf {
+			s.nInfeasible++
+		} else {
+			s.nInfeasible--
 		}
 	}
-	return sum
+	switch {
+	case x < l-s.tolL[j]:
+		s.grad[k] = -1
+	case x > u+s.tolU[j]:
+		s.grad[k] = 1
+	default:
+		s.grad[k] = 0
+	}
 }
 
 // run executes the two-phase primal simplex loop.
@@ -301,11 +343,14 @@ func (s *solver) run() (*Result, error) {
 			}
 		}
 
-		phase1 := s.infeasibility() > 0
+		phase1 := s.nInfeasible > 0
 
 		// Pricing: y = B⁻ᵀ c_B with the phase-appropriate costs.
-		s.loadBasicCosts(phase1)
-		copy(s.y, s.cB)
+		if phase1 {
+			copy(s.y, s.grad)
+		} else {
+			copy(s.y, s.cost)
+		}
 		s.factor.btran(s.y)
 
 		q, sigma := s.chooseEntering(phase1)
@@ -329,15 +374,7 @@ func (s *solver) run() (*Result, error) {
 			return s.finish(StatusOptimal), nil
 		}
 
-		// Transformed entering column w = B⁻¹·a_q.
-		for i := range s.w {
-			s.w[i] = 0
-		}
-		rows, vals := s.p.A.Col(q)
-		for p, i := range rows {
-			s.w[i] = vals[p]
-		}
-		s.factor.ftran(s.w)
+		s.ftranColumn(q)
 
 		t, leave, leaveStatus, flip := s.ratioTest(q, sigma, phase1)
 		switch {
@@ -396,23 +433,24 @@ func (s *solver) aborted() bool {
 	return false
 }
 
-// loadBasicCosts fills cB with the basic objective: phase-1 infeasibility
-// gradients or phase-2 costs.
-func (s *solver) loadBasicCosts(phase1 bool) {
-	for k, j := range s.head {
-		if phase1 {
-			switch {
-			case s.x[j] < s.p.L[j]-s.tolL[j]:
-				s.cB[k] = -1
-			case s.x[j] > s.p.U[j]+s.tolU[j]:
-				s.cB[k] = 1
-			default:
-				s.cB[k] = 0
-			}
-		} else {
-			s.cB[k] = s.p.C[j]
+// ftranColumn computes the transformed entering column w = B⁻¹·a_q and
+// lists the positions of its nonzeros in wInd.
+func (s *solver) ftranColumn(q int) {
+	for i := range s.w {
+		s.w[i] = 0
+	}
+	rows, vals := s.p.A.Col(q)
+	for p, i := range rows {
+		s.w[i] = vals[p]
+	}
+	s.factor.ftran(s.w)
+	ind := s.wInd[:0]
+	for k, wk := range s.w {
+		if wk != 0 {
+			ind = append(ind, k)
 		}
 	}
+	s.wInd = ind
 }
 
 // chooseEntering prices nonbasic columns and returns the entering variable
@@ -595,7 +633,8 @@ func (s *solver) ratioTest(q int, sigma float64, phase1 bool) (t float64, leave 
 
 	// First pass: tightest blocking step.
 	tBest := math.Inf(1)
-	for k, j := range s.head {
+	for _, k := range s.wInd {
+		j := s.head[k]
 		wk := sigma * s.w[k]
 		var tk float64
 		if wk > pivTol { // x_j decreases
@@ -646,7 +685,8 @@ func (s *solver) ratioTest(q int, sigma float64, phase1 bool) (t float64, leave 
 	window := tBest + 1e-9*(1+tBest)
 	leave = -1
 	var bestPiv float64
-	for k, j := range s.head {
+	for _, k := range s.wInd {
+		j := s.head[k]
 		wk := sigma * s.w[k]
 		var tk float64
 		var st VarStatus
@@ -692,19 +732,28 @@ func (s *solver) ratioTest(q int, sigma float64, phase1 bool) (t float64, leave 
 		}
 	}
 	if leave < 0 {
-		// All blocks evaporated inside the window; treat as tBest with
-		// no leave, forcing a conservative zero-length step pivot
-		// cannot happen — signal unbounded-like to trigger repair.
+		// Unreachable by arithmetic: the row that set tBest in the first
+		// pass computes the same tk here, and tBest is inside the window.
+		// Kept as a guard against pivoting on no row: an infinite step
+		// makes run refresh the factorization and, if the state was
+		// already exact, repair (phase 1) or end unbounded.
 		return math.Inf(1), -1, 0, false
 	}
 	return tBest, leave, leaveStatus, false
 }
 
+// stepBasics moves the basic variables along the entering direction, x_B −=
+// step·w. Only the positions where w is nonzero move.
+func (s *solver) stepBasics(step float64) {
+	for _, k := range s.wInd {
+		s.x[s.head[k]] -= step * s.w[k]
+		s.classify(k)
+	}
+}
+
 // applyBoundFlip moves the entering variable across to its opposite bound.
 func (s *solver) applyBoundFlip(q int, sigma, t float64) {
-	for k, j := range s.head {
-		s.x[j] -= sigma * t * s.w[k]
-	}
+	s.stepBasics(sigma * t)
 	if sigma > 0 {
 		s.status[q] = NonbasicUpper
 		s.x[q] = s.p.U[q]
@@ -717,9 +766,7 @@ func (s *solver) applyBoundFlip(q int, sigma, t float64) {
 // applyPivot executes a basis change: entering q, leaving head[leave].
 func (s *solver) applyPivot(q int, sigma, t float64, leave int, leaveStatus VarStatus) error {
 	enterVal := s.x[q] + sigma*t
-	for k, j := range s.head {
-		s.x[j] -= sigma * t * s.w[k]
-	}
+	s.stepBasics(sigma * t)
 	jOut := s.head[leave]
 	s.status[jOut] = leaveStatus
 	if leaveStatus == NonbasicLower {
@@ -730,9 +777,11 @@ func (s *solver) applyPivot(q int, sigma, t float64, leave int, leaveStatus VarS
 	s.head[leave] = q
 	s.status[q] = Basic
 	s.x[q] = enterVal
+	s.cost[leave] = s.p.C[q]
+	s.classify(leave)
 	s.devexUpdate(q, jOut, s.w[leave])
 
-	if !s.factor.update(leave, s.w, s.opts.PivotTol) {
+	if !s.factor.update(leave, s.w, s.wInd, s.opts.PivotTol) {
 		return s.refactorizeOrRepair()
 	}
 	return nil

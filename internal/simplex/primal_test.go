@@ -442,6 +442,12 @@ func TestRandomLPsMatchBruteForce(t *testing.T) {
 // randomFeasibleLP builds a random LP with finite bounds that is feasible
 // by construction (b = A·x₀ with x₀ inside the box, equality-free senses).
 func randomFeasibleLP(rng *rand.Rand, m, ns int) *Problem {
+	return randomFeasibleLPWithDensity(rng, m, ns, 0.7)
+}
+
+// randomFeasibleLPWithDensity is randomFeasibleLP with the share of nonzero
+// matrix entries chosen by the caller.
+func randomFeasibleLPWithDensity(rng *rand.Rand, m, ns int, density float64) *Problem {
 	rows := make([][]float64, m)
 	x0 := make([]float64, ns)
 	l := make([]float64, ns)
@@ -459,7 +465,7 @@ func randomFeasibleLP(rng *rand.Rand, m, ns int) *Problem {
 		rows[i] = make([]float64, ns)
 		var dot float64
 		for j := 0; j < ns; j++ {
-			if rng.Float64() < 0.7 {
+			if rng.Float64() < density {
 				rows[i][j] = rng.NormFloat64()
 				dot += rows[i][j] * x0[j]
 			}

@@ -32,7 +32,10 @@ type Workspace struct {
 	head       []int
 	x          []float64
 	tolL, tolU []float64
-	y, w, cB   []float64
+	y, w       []float64
+	wInd       []int
+	infeas     []bool
+	grad, cost []float64 // basic objective per phase (m)
 
 	factor basisFactor
 
@@ -74,18 +77,17 @@ func (ws *Workspace) ensure(m, n int) {
 	ws.tolU = growFloats(ws.tolU, n)
 	ws.y = growFloats(ws.y, m)
 	ws.w = growFloats(ws.w, m)
-	ws.cB = growFloats(ws.cB, m)
+	ws.wInd = growInts(ws.wInd, m)
+	ws.grad = growFloats(ws.grad, m)
+	ws.cost = growFloats(ws.cost, m)
+	ws.infeas = growBools(ws.infeas, m)
 	ws.devexW = growFloats(ws.devexW, n)
 	ws.rho = growFloats(ws.rho, m)
 	ws.d = growFloats(ws.d, n)
 	ws.alpha = growFloats(ws.alpha, n)
 	ws.flipAcc = growFloats(ws.flipAcc, m)
 	ws.nbPos = growInts(ws.nbPos, n)
-	if cap(ws.seen) < n {
-		ws.seen = make([]bool, n) // all-false invariant holds for fresh storage
-	} else {
-		ws.seen = ws.seen[:n]
-	}
+	ws.seen = growBools(ws.seen, n) // all-false invariant holds for fresh storage
 	ws.factor.reset(m)
 }
 
@@ -109,6 +111,13 @@ func growFloats(s []float64, n int) []float64 {
 func growInts(s []int, n int) []int {
 	if cap(s) < n {
 		return make([]int, n)
+	}
+	return s[:n]
+}
+
+func growBools(s []bool, n int) []bool {
+	if cap(s) < n {
+		return make([]bool, n)
 	}
 	return s[:n]
 }

@@ -34,6 +34,15 @@ type LU struct {
 	// are the inverse maps.
 	P, Pinv []int
 	Q, Qinv []int
+
+	// Ascending pivot positions the triangular solves have work at: lCols
+	// are the positions whose L column is non-empty, uCols those whose U
+	// column has an off-diagonal entry or a diagonal other than 1. At every
+	// other position a solve would subtract nothing and divide by 1, which
+	// leaves the entry as it is bit for bit, so the solves walk these lists
+	// instead of 0..N. A simplex basis is mostly slack columns and most
+	// positions are on neither list.
+	lCols, uCols []int
 }
 
 // FactorOptions control pivoting behaviour.
@@ -132,6 +141,8 @@ func FactorizeInto(lu *LU, a *CSC, opts FactorOptions, ws *FactorScratch) error 
 	lu.Up = append(lu.Up[:0], 0)
 	lu.Ui = lu.Ui[:0]
 	lu.Ux = lu.Ux[:0]
+	lu.lCols = lu.lCols[:0]
+	lu.uCols = lu.uCols[:0]
 	lu.Udiag = growFloats(lu.Udiag, n)
 	lu.P = growInts(lu.P, n)
 	lu.Pinv = growInts(lu.Pinv, n)
@@ -285,6 +296,12 @@ func FactorizeInto(lu *LU, a *CSC, opts FactorOptions, ws *FactorScratch) error 
 				}
 			}
 		}
+		if len(lu.Li) > lu.Lp[k] {
+			lu.lCols = append(lu.lCols, k)
+		}
+		if len(lu.Ui) > lu.Up[k] || pivVal != 1 {
+			lu.uCols = append(lu.uCols, k)
+		}
 		lu.Lp = append(lu.Lp, len(lu.Li))
 		lu.Up = append(lu.Up, len(lu.Ui))
 	}
@@ -365,7 +382,7 @@ func (lu *LU) SolveTransposeInPlace(c, scratch []float64) {
 
 // lowerSolve solves L·y = y in place (pivot coordinates, unit diagonal).
 func (lu *LU) lowerSolve(y []float64) {
-	for k := 0; k < lu.N; k++ {
+	for _, k := range lu.lCols {
 		yk := y[k]
 		if yk == 0 {
 			continue
@@ -378,7 +395,8 @@ func (lu *LU) lowerSolve(y []float64) {
 
 // upperSolve solves U·z = z in place (pivot coordinates).
 func (lu *LU) upperSolve(z []float64) {
-	for k := lu.N - 1; k >= 0; k-- {
+	for t := len(lu.uCols) - 1; t >= 0; t-- {
+		k := lu.uCols[t]
 		zk := z[k] / lu.Udiag[k]
 		z[k] = zk
 		if zk == 0 {
@@ -392,7 +410,7 @@ func (lu *LU) upperSolve(z []float64) {
 
 // upperTransposeSolve solves Uᵀ·w = w in place.
 func (lu *LU) upperTransposeSolve(w []float64) {
-	for k := 0; k < lu.N; k++ {
+	for _, k := range lu.uCols {
 		s := w[k]
 		for p := lu.Up[k]; p < lu.Up[k+1]; p++ {
 			s -= lu.Ux[p] * w[lu.Ui[p]]
@@ -403,7 +421,8 @@ func (lu *LU) upperTransposeSolve(w []float64) {
 
 // lowerTransposeSolve solves Lᵀ·v = v in place (unit diagonal).
 func (lu *LU) lowerTransposeSolve(v []float64) {
-	for k := lu.N - 1; k >= 0; k-- {
+	for t := len(lu.lCols) - 1; t >= 0; t-- {
+		k := lu.lCols[t]
 		s := v[k]
 		for p := lu.Lp[k]; p < lu.Lp[k+1]; p++ {
 			s -= lu.Lx[p] * v[lu.Li[p]]

@@ -122,82 +122,6 @@ func TestColDot(t *testing.T) {
 	}
 }
 
-func TestVectorBasics(t *testing.T) {
-	v := NewVector(5)
-	v.Append(1, 2)
-	v.Append(4, -3)
-	v.Append(1, 1) // duplicate accumulates in Dense
-	d := v.Dense()
-	if d[1] != 3 || d[4] != -3 {
-		t.Fatalf("Dense = %v", d)
-	}
-	if v.Nnz() != 3 {
-		t.Errorf("Nnz = %d, want 3", v.Nnz())
-	}
-	v.Reset()
-	if v.Nnz() != 0 {
-		t.Errorf("after Reset Nnz = %d", v.Nnz())
-	}
-}
-
-func TestVectorFromDenseAndDot(t *testing.T) {
-	d := []float64{0, 1.5, 0, -2, 1e-16}
-	v := FromDense(d, 1e-12)
-	if v.Nnz() != 2 {
-		t.Fatalf("Nnz = %d, want 2 (tiny entry dropped)", v.Nnz())
-	}
-	x := []float64{1, 2, 3, 4, 5}
-	if got := v.Dot(x); got != 1.5*2-2*4 {
-		t.Errorf("Dot = %g, want %g", got, 1.5*2-2*4)
-	}
-}
-
-func TestVectorSortAndClone(t *testing.T) {
-	v := NewVector(10)
-	v.Append(7, 1)
-	v.Append(2, 2)
-	v.Append(5, 3)
-	c := v.Clone()
-	v.Sort()
-	if v.Ind[0] != 2 || v.Ind[1] != 5 || v.Ind[2] != 7 {
-		t.Fatalf("Sort order wrong: %v", v.Ind)
-	}
-	if c.Ind[0] != 7 {
-		t.Fatalf("Clone was mutated by Sort on original")
-	}
-}
-
-func TestVectorAddScaledTo(t *testing.T) {
-	v := NewVector(4)
-	v.Append(0, 1)
-	v.Append(3, 2)
-	d := []float64{10, 10, 10, 10}
-	v.AddScaledTo(d, 2)
-	want := []float64{12, 10, 10, 14}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("AddScaledTo = %v, want %v", d, want)
-		}
-	}
-}
-
-func TestWorkspaceGenerations(t *testing.T) {
-	w := NewWorkspace(4)
-	w.NextGen()
-	w.SetMark(2)
-	if !w.Marked(2) || w.Marked(1) {
-		t.Fatal("mark semantics broken")
-	}
-	w.NextGen()
-	if w.Marked(2) {
-		t.Fatal("NextGen did not clear marks")
-	}
-	w.Ensure(8)
-	if len(w.Val) != 8 || len(w.Mark) != 8 {
-		t.Fatalf("Ensure did not grow workspace: %d %d", len(w.Val), len(w.Mark))
-	}
-}
-
 // --- helpers ---
 
 func randomCSC(rng *rand.Rand, rows, cols int, density float64) *CSC {
