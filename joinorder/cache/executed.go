@@ -77,6 +77,6 @@ func (o *Optimizer) refreshCorrected(ctx context.Context, q, corrected *joinorde
 		if cerr != nil {
 			return
 		}
-		o.storeExact("e|"+optionsKey(opts)+"|"+ce.Key, storeForm(res, ce), o.cfg.now())
+		o.storeExact(ExactKey(ce, opts), storeForm(res, ce), o.cfg.now())
 	}()
 }

@@ -22,14 +22,15 @@ func TestOptimizeCanonicalSkipsFingerprinting(t *testing.T) {
 	if ce == nil {
 		t.Fatal("generated query is uncacheable")
 	}
-	r1, err := o.OptimizeCanonical(ctx, q, ce, opts) // miss: Shape for the donor index
+	ekey := ExactKey(ce, opts)
+	r1, err := o.OptimizeCanonical(ctx, q, ce, ekey, opts) // miss: Shape for the donor index
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := o.Stats().Canonicalizations; n != 2 {
 		t.Fatalf("%d canonicalizations after Canonicalize + miss, want 2", n)
 	}
-	r2, err := o.OptimizeCanonical(ctx, q, ce, opts)
+	r2, err := o.OptimizeCanonical(ctx, q, ce, ekey, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestOptimizeCanonicalSkipsFingerprinting(t *testing.T) {
 	if o.Canonicalize(q) != nil {
 		t.Fatal("correlated query has a canonical form")
 	}
-	if _, err := o.OptimizeCanonical(ctx, q, nil, opts); err != nil {
+	if _, err := o.OptimizeCanonical(ctx, q, nil, ExactKey(nil, opts), opts); err != nil {
 		t.Fatal(err)
 	}
 	if s := o.Stats(); s.Uncacheable != 1 || co.calls.Load() != 2 {

@@ -225,7 +225,8 @@ func (o *Optimizer) Entries() []EntryInfo {
 // KindDegraded event kinds, interleaved with the underlying solver's
 // events under one monotonic sequence.
 func (o *Optimizer) Optimize(ctx context.Context, q *joinorder.Query, opts joinorder.Options) (*joinorder.Result, error) {
-	return o.OptimizeCanonical(ctx, q, o.Canonicalize(q), opts)
+	ce := o.Canonicalize(q)
+	return o.OptimizeCanonical(ctx, q, ce, ExactKey(ce, opts), opts)
 }
 
 // Canonicalize returns q's Exact canonical form for OptimizeCanonical, or
@@ -243,10 +244,38 @@ func (o *Optimizer) canonicalize(q *joinorder.Query, mode Mode) (*Canonical, err
 	return Canonicalize(q, mode)
 }
 
+// ExactKey is the key of the exact entry that answers the query with
+// canonical form ce under opts: the options digest plus the fingerprint,
+// "" when ce is nil (uncacheable). Every lookup, store, probe and
+// invalidation of an exact entry spells its key here. The digest ignores
+// the budget's TimeLimit and Threads and the callbacks (see optionsKey), so
+// a key computed once stays valid while only those change.
+func ExactKey(ce *Canonical, opts joinorder.Options) string {
+	if ce == nil {
+		return ""
+	}
+	return "e|" + optionsKey(opts) + "|" + ce.Key
+}
+
+// donorKey is ExactKey's counterpart for the shape-level donor index.
+func donorKey(cs *Canonical, opts joinorder.Options) string {
+	return "s|" + optionsKey(opts) + "|" + cs.Key
+}
+
+// Holds reports whether a live exact entry is resident under ekey (an
+// ExactKey), honouring the TTL. It is a probe, not a lookup: the entry's
+// recency and hit count and the Hits/Misses/Expired counters are untouched,
+// so a caller may ask before deciding who answers and let the lookup that
+// follows do the accounting.
+func (o *Optimizer) Holds(ekey string) bool {
+	return ekey != "" && o.exact.has(ekey, o.cfg.now())
+}
+
 // OptimizeCanonical is Optimize for a caller that already holds ce, the
-// result of o.Canonicalize(q) (nil: uncacheable). ce is only read, so one
-// Canonical may serve any number of concurrent calls.
-func (o *Optimizer) OptimizeCanonical(ctx context.Context, q *joinorder.Query, ce *Canonical, opts joinorder.Options) (*joinorder.Result, error) {
+// result of o.Canonicalize(q) (nil: uncacheable), and ekey, ExactKey(ce,
+// opts). Both are only read, so one pair may serve any number of concurrent
+// calls, under any TimeLimit.
+func (o *Optimizer) OptimizeCanonical(ctx context.Context, q *joinorder.Query, ce *Canonical, ekey string, opts joinorder.Options) (*joinorder.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -257,9 +286,6 @@ func (o *Optimizer) OptimizeCanonical(ctx context.Context, q *joinorder.Query, c
 		return o.cfg.Optimize(ctx, q, opts)
 	}
 	start := o.cfg.now()
-	okey := optionsKey(opts)
-	ekey := "e|" + okey + "|" + ce.Key
-
 	em := newCallEmitter(start, opts)
 
 	if cres, ok := o.exact.get(ekey, start); ok {
@@ -295,7 +321,7 @@ func (o *Optimizer) OptimizeCanonical(ctx context.Context, q *joinorder.Query, c
 		o.ctr.misses.Add(1)
 		return o.cfg.Optimize(ctx, q, em.rewire(opts))
 	}
-	res, cres, err := o.solve(ctx, q, opts, ce, em)
+	res, cres, err := o.solve(ctx, q, opts, ce, ekey, em)
 	o.flights.complete(ekey, f, cres, err)
 	if err != nil {
 		return nil, err
@@ -307,17 +333,17 @@ func (o *Optimizer) OptimizeCanonical(ctx context.Context, q *joinorder.Query, c
 // underlying solve, cache population. It returns the caller-space result
 // and its canonical-space form for coalesced waiters (nil when the result
 // carries no left-deep plan).
-func (o *Optimizer) solve(ctx context.Context, q *joinorder.Query, opts joinorder.Options, ce *Canonical, em *callEmitter) (*joinorder.Result, *canonicalResult, error) {
+func (o *Optimizer) solve(ctx context.Context, q *joinorder.Query, opts joinorder.Options, ce *Canonical, ekey string, em *callEmitter) (*joinorder.Result, *canonicalResult, error) {
 	o.ctr.misses.Add(1)
 	em.emit(joinorder.Event{Kind: joinorder.KindCacheMiss})
 
-	okey := optionsKey(opts)
 	var cs *Canonical
+	var dkey string // donorKey(cs, opts), formatted once per solve
 	warmed := false
 	if !o.cfg.DisableWarmStart && opts.InitialPlan == nil {
 		if c, err := o.canonicalize(q, Shape); err == nil {
-			cs = c
-			if d, ok := o.donors.get("s|"+okey+"|"+cs.Key, o.cfg.now()); ok {
+			cs, dkey = c, donorKey(c, opts)
+			if d, ok := o.donors.get(dkey, o.cfg.now()); ok {
 				opts.InitialPlan = &joinorder.Plan{
 					Order:     cs.FromCanonical(d.order),
 					Operators: slices.Clone(d.ops),
@@ -342,10 +368,12 @@ func (o *Optimizer) solve(ctx context.Context, q *joinorder.Query, opts joinorde
 
 	now := o.cfg.now()
 	if cs == nil && !o.cfg.DisableWarmStart {
-		cs, _ = o.canonicalize(q, Shape)
+		if cs, _ = o.canonicalize(q, Shape); cs != nil {
+			dkey = donorKey(cs, opts)
+		}
 	}
 	if cs != nil {
-		o.storeDonor("s|"+okey+"|"+cs.Key,
+		o.storeDonor(dkey,
 			cloneDonor(cs.ToCanonical(res.Plan.Order), res.Plan.Operators), now)
 	}
 	var cres *canonicalResult
@@ -354,7 +382,7 @@ func (o *Optimizer) solve(ctx context.Context, q *joinorder.Query, opts joinorde
 		// time-limited incumbent from one request must not masquerade
 		// as the answer for the next.
 		cres = storeForm(res, ce)
-		o.storeExact("e|"+okey+"|"+ce.Key, cres, now)
+		o.storeExact(ekey, cres, now)
 	} else {
 		// Still good enough to hand to coalesced waiters of this
 		// flight — they asked for exactly this solve.
@@ -398,7 +426,7 @@ func (o *Optimizer) serveDegraded(ctx context.Context, q *joinorder.Query, opts 
 			defer o.bg.Done()
 			bctx, cancel := context.WithTimeout(bgCtx, o.cfg.BackgroundBudget)
 			defer cancel()
-			_, cres, err := o.solve(bctx, q, bgOpts, ce, newCallEmitter(o.cfg.now(), bgOpts))
+			_, cres, err := o.solve(bctx, q, bgOpts, ce, ekey, newCallEmitter(o.cfg.now(), bgOpts))
 			o.flights.complete(ekey, f, cres, err)
 			o.ctr.refines.Add(1)
 		}()

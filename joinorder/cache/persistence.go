@@ -164,12 +164,11 @@ func (o *Optimizer) Invalidate(q *joinorder.Query, opts joinorder.Options) bool 
 	if err != nil {
 		return false
 	}
-	okey := optionsKey(opts)
-	ekey := "e|" + okey + "|" + ce.Key
+	ekey := ExactKey(ce, opts)
 	removed := o.exact.remove(ekey)
 	o.persistDelete(persist.KindExact, ekey)
 	if cs, err := o.canonicalize(q, Shape); err == nil {
-		skey := "s|" + okey + "|" + cs.Key
+		skey := donorKey(cs, opts)
 		o.donors.remove(skey)
 		o.persistDelete(persist.KindDonor, skey)
 	}

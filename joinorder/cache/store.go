@@ -57,7 +57,7 @@ func (s *store[K, V]) get(key K, now time.Time) (V, bool) {
 		return zero, false
 	}
 	e := el.Value.(*storeEntry[K, V])
-	if s.ttl > 0 && now.Sub(e.at) > s.ttl {
+	if s.stale(e, now) {
 		s.removeLocked(el)
 		if s.expired != nil {
 			s.expired.Add(1)
@@ -68,6 +68,21 @@ func (s *store[K, V]) get(key K, now time.Time) (V, bool) {
 	e.hits++
 	s.ll.MoveToFront(el)
 	return e.val, true
+}
+
+// has reports whether get would find a live value for key, without being a
+// lookup: recency, the hit count and the expiry counter stay as they were,
+// and an entry past its TTL is left for get to remove.
+func (s *store[K, V]) has(key K, now time.Time) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.m[key]
+	return ok && !s.stale(el.Value.(*storeEntry[K, V]), now)
+}
+
+// stale reports whether e has outlived the TTL.
+func (s *store[K, V]) stale(e *storeEntry[K, V], now time.Time) bool {
+	return s.ttl > 0 && now.Sub(e.at) > s.ttl
 }
 
 // put inserts or replaces the value for key, evicting least recently used

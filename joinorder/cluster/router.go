@@ -96,9 +96,14 @@ type Stats struct {
 	Peers int    `json:"peers"`
 	// PeersUp counts peers (excluding self) currently passing probes.
 	PeersUp int `json:"peers_up"`
-	// RoutedLocal counts requests the ring assigned to this node (plus
-	// forwarded arrivals, which are always served locally).
+	// RoutedLocal counts requests answered on this node without a forward
+	// attempt: those the ring assigned to it, those whose owner is down,
+	// replica reads (also in ReplicaHits) and forwarded arrivals, which are
+	// always served locally.
 	RoutedLocal int64 `json:"routed_local"`
+	// ReplicaHits counts requests another healthy node owns that were
+	// answered here because this node held the entry.
+	ReplicaHits int64 `json:"replica_hits"`
 	// Forwards counts requests proxied to their owning peer.
 	Forwards int64 `json:"forwards"`
 	// ForwardErrors counts forwards that failed and fell open to a local
@@ -132,6 +137,7 @@ type Router struct {
 	shipped  atomic.Int64 // replication items fully processed
 
 	routedLocal      atomic.Int64
+	replicaHits      atomic.Int64
 	forwards         atomic.Int64
 	forwardErrors    atomic.Int64
 	replicated       atomic.Int64
@@ -198,7 +204,8 @@ func (r *Router) Ring() *Ring { return r.ring }
 // Route decides where a request with the given routing fingerprint runs:
 // the owning peer and true when it should be forwarded, or the local
 // node and false when this node owns it — or when the owner is down
-// (fail open: a reachable answer beats a correct shard).
+// (fail open: a reachable answer beats a correct shard). A caller that
+// holds the answer may decline a forward; it says so with ServedReplica.
 func (r *Router) Route(fp string) (Peer, bool) {
 	owner := r.ring.Owner(fp)
 	if owner.ID == r.self.ID || !r.Healthy(owner.ID) {
@@ -210,6 +217,13 @@ func (r *Router) Route(fp string) (Peer, bool) {
 
 // ServedLocal records a forwarded arrival (it is pinned local).
 func (r *Router) ServedLocal() { r.routedLocal.Add(1) }
+
+// ServedReplica records a request Route sent to a peer that the caller
+// answers itself instead, from its copy of the entry.
+func (r *Router) ServedReplica() {
+	r.routedLocal.Add(1)
+	r.replicaHits.Add(1)
+}
 
 // Healthy reports the latest probe verdict for the peer (self is always
 // healthy).
@@ -408,6 +422,7 @@ func (r *Router) Stats() Stats {
 		Peers:            len(r.cfg.Peers),
 		PeersUp:          up,
 		RoutedLocal:      r.routedLocal.Load(),
+		ReplicaHits:      r.replicaHits.Load(),
 		Forwards:         r.forwards.Load(),
 		ForwardErrors:    r.forwardErrors.Load(),
 		Replicated:       r.replicated.Load(),

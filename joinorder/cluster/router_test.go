@@ -83,6 +83,14 @@ func TestRouterRouteAndFailOpen(t *testing.T) {
 		t.Fatal("no fingerprint routed remotely across 200 keys")
 	}
 
+	// A remote route the caller answers itself is a replica read: served
+	// here, never forwarded.
+	local := r.Stats().RoutedLocal
+	r.ServedReplica()
+	if s := r.Stats(); s.ReplicaHits != 1 || s.RoutedLocal != local+1 || s.Forwards != 0 {
+		t.Fatalf("after one replica read: stats = %+v", s)
+	}
+
 	// A peer marked down routes locally (fail open).
 	r.markHealth("n1", false)
 	r.markHealth("n2", false)

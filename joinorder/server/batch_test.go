@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 
 	"milpjoin/internal/workload"
 	"milpjoin/joinorder"
+	"milpjoin/joinorder/cluster"
 )
 
 // postBatch ships a BatchRequest and decodes the BatchResponse.
@@ -224,4 +226,132 @@ func TestBatchClusterForwarding(t *testing.T) {
 	if tc.routers[0].Stats().Forwards == 0 {
 		t.Error("ingress node recorded no forwards")
 	}
+}
+
+// TestBatchClusterReplicaRead posts a mixed batch at one node of a warm
+// ring: for every node there is one item whose entry is already replicated
+// everywhere and one the cluster has never seen, plus a malformed item.
+// Residency splits the batch — resident items are served by the ingress
+// node, only the unseen ones travel, as one sub-batch per owning peer —
+// and the answer keeps request order and per-item envelopes.
+func TestBatchClusterReplicaRead(t *testing.T) {
+	tc := newTestCluster(t, 3, nil)
+	const ingress = 0
+
+	// One warm and one cold query per owner, found by walking seeds.
+	warm := make([]*OptimizeRequest, len(tc.peers))
+	cold := make([]*OptimizeRequest, len(tc.peers))
+	for seed, missing := int64(1), 2*len(tc.peers); missing > 0; seed++ {
+		if seed > 256 {
+			t.Fatal("256 seeds did not put two queries on every node")
+		}
+		q := workload.Generate(workload.Chain, 8, seed, workload.Config{})
+		req := &OptimizeRequest{Query: q, Strategy: "dp-leftdeep", Timeout: "10s"}
+		switch o := tc.ownerIndex(t, q); {
+		case warm[o] == nil:
+			warm[o] = req
+			missing--
+		case cold[o] == nil:
+			cold[o] = req
+			missing--
+		}
+	}
+	for o, req := range warm {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, _ := postOptimize(t, tc.https[o], body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("warming request at node %d: status %d", o, resp.StatusCode)
+		}
+	}
+	tc.flush(t)
+
+	// Interleave: warm and cold alternate, the malformed item sits inside.
+	var breq BatchRequest
+	isWarm := map[int]bool{}
+	const badAt = 3
+	for o := range tc.peers {
+		for _, req := range []*OptimizeRequest{warm[o], cold[o]} {
+			if len(breq.Queries) == badAt {
+				breq.Queries = append(breq.Queries, OptimizeRequest{SQL: "SELECT 1"}) // SQL without a catalog
+			}
+			isWarm[len(breq.Queries)] = req == warm[o]
+			breq.Queries = append(breq.Queries, *req)
+		}
+	}
+
+	before := make([]Snapshot, len(tc.servers))
+	for i, s := range tc.servers {
+		before[i] = s.Snapshot()
+	}
+	resp, out := postBatch(t, tc.https[ingress].URL, breq, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status = %d", resp.StatusCode)
+	}
+	if len(out.Results) != len(breq.Queries) {
+		t.Fatalf("batch answered %d items, want %d", len(out.Results), len(breq.Queries))
+	}
+	for i, it := range out.Results {
+		if it.Index != i {
+			t.Errorf("item %d carries index %d", i, it.Index)
+		}
+		if i == badAt {
+			if it.Error == nil || it.Error.Code != CodeBadRequest || it.Response != nil {
+				t.Errorf("malformed item %d = %+v, want a lone %s envelope", i, it, CodeBadRequest)
+			}
+			continue
+		}
+		if it.Error != nil || it.Response == nil || it.Response.Result == nil || it.Response.Result.Plan == nil {
+			t.Fatalf("item %d unanswered: %+v", i, it)
+		}
+		opts, err := breq.Queries[i].options(Config{}.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := joinorder.Optimize(context.Background(), breq.Queries[i].Query, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := it.Response.Result.Cost; got != ref.Cost {
+			t.Errorf("item %d costs %g, its query's optimum is %g: results out of order", i, got, ref.Cost)
+		}
+		if it.Response.CacheHit != isWarm[i] {
+			t.Errorf("item %d: cache_hit=%v, want %v", i, it.Response.CacheHit, isWarm[i])
+		}
+	}
+
+	remote := int64(len(tc.peers) - 1)
+	for i, s := range tc.servers {
+		after := s.Snapshot()
+		batches, items := after.Batches-before[i].Batches, after.BatchItems-before[i].BatchItems
+		d := cluster.Stats{
+			ReplicaHits: after.Cluster.ReplicaHits - before[i].Cluster.ReplicaHits,
+			Forwards:    after.Cluster.Forwards - before[i].Cluster.Forwards,
+		}
+		if i == ingress {
+			// One forward per remote peer; every remote peer's warm item was
+			// read here.
+			if want := (cluster.Stats{ReplicaHits: remote, Forwards: remote}); d != want {
+				t.Errorf("ingress router counted %+v, want %+v", d, want)
+			}
+			if batches != 1 || items != int64(len(breq.Queries)) {
+				t.Errorf("ingress received %d batches / %d items, want 1 / %d", batches, items, len(breq.Queries))
+			}
+			continue
+		}
+		// Exactly the one cold item this peer owns reached it.
+		if batches != 1 || items != 1 {
+			t.Errorf("node %d received %d sub-batches / %d items, want 1 / 1", i, batches, items)
+		}
+		if d != (cluster.Stats{}) {
+			t.Errorf("node %d router counted %+v for a forwarded sub-batch", i, d)
+		}
+	}
+	for i, cs := range tc.solves {
+		if got := cs.n.Load(); got != 2 {
+			t.Errorf("node %d performed %d solves, want 2 (its warm and its cold query)", i, got)
+		}
+	}
+	tc.flush(t)
 }

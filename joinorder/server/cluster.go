@@ -10,8 +10,9 @@ import (
 )
 
 // NodeHeader names the node that produced a response, for observability
-// and cluster tests. Forwarded answers carry the owner's ID through the
-// proxy hop.
+// and cluster tests: the ingress node for everything it answers itself
+// (what it owns, replica reads, fail-open solves), the owner's ID, carried
+// through the proxy hop, for a forwarded miss.
 const NodeHeader = "X-Joinopt-Node"
 
 // routingFingerprint extracts the canonical query fingerprint from a
@@ -26,22 +27,37 @@ func routingFingerprint(key string) string {
 	return key
 }
 
-// remoteOwner names the healthy peer owning pr's query when that is not
-// this node, routing on the fingerprint the gate already computed.
-// Non-clustered servers, forwarded arrivals (pinned local) and uncacheable
-// queries (nothing to gain from shard affinity) always answer false.
+// remoteOwner names the healthy peer that must answer pr: the owner of its
+// query when that is another node and this node does not hold the answer.
+// It routes on the fingerprint the gate already computed. Non-clustered
+// servers, forwarded arrivals (pinned local) and uncacheable queries
+// (nothing to gain from shard affinity) always answer false. So does a
+// replica read (marked on pr): an exact entry is a pure function of its key,
+// so a node holding a live one serves it through the ordinary local path and
+// only misses travel — the owner stays the one place where they coalesce and
+// solve. The probe is not a lookup; should the entry expire or be evicted
+// before serve looks it up, the request solves here, as fail-open already
+// may.
 func (s *Server) remoteOwner(pr *prepared) (cluster.Peer, bool) {
-	if s.cfg.Cluster == nil || pr.forwarded || pr.canon == nil {
+	rt := s.cfg.Cluster
+	if rt == nil || pr.forwarded || pr.canon == nil {
 		return cluster.Peer{}, false
 	}
-	return s.cfg.Cluster.Route(pr.canon.Key)
+	owner, remote := rt.Route(pr.canon.Key)
+	if remote && s.co.Holds(pr.ekey) {
+		rt.ServedReplica()
+		pr.replica = true
+		return cluster.Peer{}, false
+	}
+	return owner, remote
 }
 
 // tryForward routes one prepared optimize request through the cluster:
-// when another healthy node owns the query's fingerprint, the raw body is
-// proxied there and the peer's response relayed verbatim. It reports
-// whether the response was written. A false return — no remote owner or
-// a failed forward (fail open) — means the caller must serve locally.
+// when another healthy node owns the query's fingerprint and this node
+// does not hold its answer, the raw body is proxied there and the peer's
+// response relayed verbatim. It reports whether the response was written.
+// A false return — nothing to forward (see remoteOwner) or a failed
+// forward (fail open) — means the caller must serve locally.
 func (s *Server) tryForward(w http.ResponseWriter, r *http.Request, pr *prepared) bool {
 	rt := s.cfg.Cluster
 	if rt == nil {

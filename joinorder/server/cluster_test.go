@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -104,6 +107,18 @@ func (tc *testCluster) totalSolves() int64 {
 	return n
 }
 
+// flush waits until every node's replication queue has been shipped.
+func (tc *testCluster) flush(t testing.TB) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, rt := range tc.routers {
+		if err := rt.Flush(ctx); err != nil {
+			t.Fatalf("replication flush: %v", err)
+		}
+	}
+}
+
 // owner resolves which node the ring assigns a query to.
 func (tc *testCluster) owner(t testing.TB, q *joinorder.Query) cluster.Peer {
 	t.Helper()
@@ -112,6 +127,19 @@ func (tc *testCluster) owner(t testing.TB, q *joinorder.Query) cluster.Peer {
 		t.Fatal(err)
 	}
 	return tc.routers[0].Ring().Owner(ce.Key)
+}
+
+// ownerIndex is owner as an index into the cluster's node slices.
+func (tc *testCluster) ownerIndex(t testing.TB, q *joinorder.Query) int {
+	t.Helper()
+	id := tc.owner(t, q).ID
+	for i, p := range tc.peers {
+		if p.ID == id {
+			return i
+		}
+	}
+	t.Fatalf("owner %q is not a cluster member", id)
+	return -1
 }
 
 // clusterQuery builds one cacheable (proven-optimal) request body and its
@@ -126,10 +154,16 @@ func clusterQuery(t testing.TB, seed int64) (*joinorder.Query, []byte) {
 	return q, body
 }
 
+// sprayNode spreads copy c of query i across n nodes.
+func sprayNode(i, c, n int) int { return (i + c) % n }
+
 // TestClusterSingleSolvePerFingerprint is the tentpole invariant: under a
 // concurrent storm of identical queries sprayed across all three nodes,
-// the ring routes every copy to one owner, coalescing and caching collapse
+// the ring routes every miss to one owner, coalescing and caching collapse
 // the copies, and the whole cluster solves each fingerprint exactly once.
+// Who answers a copy is not part of it: the owner does, or — once the
+// replicated entry has reached it — the node the copy was sent to, so the
+// check is that every answer names one of the two.
 func TestClusterSingleSolvePerFingerprint(t *testing.T) {
 	tc := newTestCluster(t, 3, nil)
 
@@ -183,8 +217,8 @@ func TestClusterSingleSolvePerFingerprint(t *testing.T) {
 			if a.out.Result == nil || a.out.Result.Plan == nil {
 				t.Fatalf("query %d copy %d carries no plan", i, c)
 			}
-			if a.node != owner.ID {
-				t.Errorf("query %d copy %d answered by %s, ring owner is %s", i, c, a.node, owner.ID)
+			if asked := tc.peers[sprayNode(i, c, len(tc.peers))].ID; a.node != owner.ID && a.node != asked {
+				t.Errorf("query %d copy %d answered by %s; ring owner is %s, asked node %s", i, c, a.node, owner.ID, asked)
 			}
 		}
 	}
@@ -203,13 +237,7 @@ func TestClusterSingleSolvePerFingerprint(t *testing.T) {
 
 	// Replication: each owner announced its fresh entries to both ring
 	// successors, so with three nodes every exact entry lands everywhere.
-	for _, rt := range tc.routers {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		if err := rt.Flush(ctx); err != nil {
-			t.Fatalf("replication flush: %v", err)
-		}
-		cancel()
-	}
+	tc.flush(t)
 	for i, s := range tc.servers {
 		cs := s.Cache().Stats()
 		if cs.Entries != distinct {
@@ -239,13 +267,7 @@ func TestClusterFailOpen(t *testing.T) {
 	if owner.ID == tc.peers[0].ID {
 		t.Fatal("no query hashed away from n0 in 64 seeds")
 	}
-	var ownerIdx int
-	for i, p := range tc.peers {
-		if p.ID == owner.ID {
-			ownerIdx = i
-		}
-	}
-	tc.https[ownerIdx].Close()
+	tc.https[tc.ownerIndex(t, q)].Close()
 
 	resp, out := postOptimize(t, tc.https[0], body)
 	if resp.StatusCode != http.StatusOK || out == nil || out.Result == nil {
@@ -262,7 +284,7 @@ func TestClusterFailOpen(t *testing.T) {
 	if tc.routers[0].Healthy(owner.ID) {
 		t.Error("dead owner still marked healthy after failed forward")
 	}
-	if _, remote := tc.routers[0].Route("anything-owned-by-"+owner.ID); remote {
+	if _, remote := tc.routers[0].Route("anything-owned-by-" + owner.ID); remote {
 		// Route may pick a different owner for this key; only assert the
 		// original query now stays local.
 		ce, err := cache.Canonicalize(q, cache.Exact)
@@ -337,4 +359,158 @@ func TestClusterRestartWarmHitRate(t *testing.T) {
 	if replayed := s2.Cache().Stats().Replayed; replayed == 0 {
 		t.Error("restart replayed nothing")
 	}
+}
+
+// lockedBuffer collects a node's log lines for a test to read back.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestClusterReplicaRead pins who answers once an entry is replicated:
+// residency, not ownership, decides a hit — the node a request lands on
+// serves it from its own copy with no hop and no dependence on the owner
+// being up — while a miss (unseen, or expired on this node) still travels
+// to the ring owner, the one place where fingerprints solve.
+func TestClusterReplicaRead(t *testing.T) {
+	// send posts body to node i and reports who answered and what the
+	// node's router counted for it.
+	send := func(t *testing.T, tc *testCluster, i int, body []byte) (by string, out *OptimizeResponse, delta cluster.Stats) {
+		t.Helper()
+		before := tc.routers[i].Stats()
+		resp, out := postOptimize(t, tc.https[i], body)
+		if resp.StatusCode != http.StatusOK || out.Result == nil || out.Result.Plan == nil {
+			t.Fatalf("node %d: status %d, %+v", i, resp.StatusCode, out)
+		}
+		after := tc.routers[i].Stats()
+		return resp.Header.Get(NodeHeader), out, cluster.Stats{
+			RoutedLocal:   after.RoutedLocal - before.RoutedLocal,
+			ReplicaHits:   after.ReplicaHits - before.ReplicaHits,
+			Forwards:      after.Forwards - before.Forwards,
+			ForwardErrors: after.ForwardErrors - before.ForwardErrors,
+		}
+	}
+
+	logs := make([]*lockedBuffer, 3)
+	tc := newTestCluster(t, len(logs), func(i int, cfg *Config) {
+		logs[i] = &lockedBuffer{}
+		cfg.Logger = slog.New(slog.NewTextHandler(logs[i], nil))
+	})
+	q, body := clusterQuery(t, 1)
+	owner := tc.ownerIndex(t, q)
+	if resp, _ := postOptimize(t, tc.https[owner], body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warming request: status %d", resp.StatusCode)
+	}
+	tc.flush(t)
+
+	for i, p := range tc.peers {
+		t.Run("warm query at "+p.ID, func(t *testing.T) {
+			by, out, d := send(t, tc, i, body)
+			if by != p.ID || !out.CacheHit {
+				t.Errorf("answered by %q (cache_hit=%v), want a hit on the asked node %q", by, out.CacheHit, p.ID)
+			}
+			want := cluster.Stats{RoutedLocal: 1}
+			if i != owner {
+				want.ReplicaHits = 1
+			}
+			if d != want {
+				t.Errorf("router counted %+v, want %+v", d, want)
+			}
+		})
+	}
+	if got := tc.totalSolves(); got != 1 {
+		t.Fatalf("cluster performed %d solves for one fingerprint", got)
+	}
+
+	t.Run("replica reads are observable", func(t *testing.T) {
+		for i, ts := range tc.https {
+			want := 1
+			if i == owner {
+				want = 0
+			}
+			resp, err := http.Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			metrics, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if line := fmt.Sprintf("joinoptd_cluster_replica_hits_total %d\n", want); !strings.Contains(string(metrics), line) {
+				t.Errorf("node %d: /metrics lacks %q", i, line)
+			}
+			varz, err := json.Marshal(tc.servers[i].Snapshot().Cluster)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if field := fmt.Sprintf(`"replica_hits":%d`, want); !strings.Contains(string(varz), field) {
+				t.Errorf("node %d: /varz cluster block %s lacks %s", i, varz, field)
+			}
+			if got := strings.Count(logs[i].String(), "replica=true"); got != want {
+				t.Errorf("node %d logged replica=true %d times, want %d", i, got, want)
+			}
+		}
+	})
+
+	t.Run("unseen query at a non-owner is forwarded", func(t *testing.T) {
+		q2, body2 := clusterQuery(t, 2)
+		owner2 := tc.ownerIndex(t, q2)
+		by, out, d := send(t, tc, (owner2+1)%len(tc.peers), body2)
+		if by != tc.peers[owner2].ID || out.CacheHit {
+			t.Errorf("answered by %q (cache_hit=%v), want a solve on the owner %q", by, out.CacheHit, tc.peers[owner2].ID)
+		}
+		if want := (cluster.Stats{Forwards: 1}); d != want {
+			t.Errorf("router counted %+v, want %+v", d, want)
+		}
+		if got := tc.totalSolves(); got != 2 {
+			t.Errorf("cluster performed %d solves for two fingerprints", got)
+		}
+		tc.flush(t)
+	})
+
+	t.Run("owner down, replica still answers", func(t *testing.T) {
+		tc.https[owner].Close()
+		i := (owner + 1) % len(tc.peers)
+		by, out, d := send(t, tc, i, body)
+		if by != tc.peers[i].ID || !out.CacheHit {
+			t.Errorf("answered by %q (cache_hit=%v), want a hit on %q", by, out.CacheHit, tc.peers[i].ID)
+		}
+		if want := (cluster.Stats{RoutedLocal: 1, ReplicaHits: 1}); d != want {
+			t.Errorf("router counted %+v, want %+v: a held entry must not attempt the forward", d, want)
+		}
+		if !tc.routers[i].Healthy(tc.peers[owner].ID) {
+			t.Error("replica read demoted the owner it never contacted")
+		}
+	})
+
+	// The TTL runs on the cache's own clock, which a server test cannot
+	// reach, so this case waits it out on a cluster of its own.
+	t.Run("expired replica is not held", func(t *testing.T) {
+		const ttl = 50 * time.Millisecond
+		tc := newTestCluster(t, 3, func(_ int, cfg *Config) { cfg.Cache.TTL = ttl })
+		owner := tc.ownerIndex(t, q)
+		if resp, _ := postOptimize(t, tc.https[owner], body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("warming request: status %d", resp.StatusCode)
+		}
+		tc.flush(t)
+		time.Sleep(2 * ttl)
+		by, out, d := send(t, tc, (owner+1)%len(tc.peers), body)
+		if by != tc.peers[owner].ID || out.CacheHit {
+			t.Errorf("answered by %q (cache_hit=%v), want a fresh solve on the owner %q", by, out.CacheHit, tc.peers[owner].ID)
+		}
+		if want := (cluster.Stats{Forwards: 1}); d != want {
+			t.Errorf("router counted %+v, want %+v", d, want)
+		}
+		tc.flush(t)
+	})
 }

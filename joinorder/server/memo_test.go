@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -222,11 +221,11 @@ func TestMemoSharedWithStream(t *testing.T) {
 	}
 }
 
-// TestClusterCanonicalizesOnce: a request is fingerprinted once where it
-// is first seen — the gate's canonical form routes it and rides into the
-// cache — and not at all when its bytes are in the memo. (Before the memo
-// a locally-owned request was fingerprinted twice, a forwarded one three
-// times.)
+// TestClusterCanonicalizesOnce: a request is fingerprinted once on every
+// node that sees its text for the first time — the gate's canonical form
+// routes it, keys the residency probe and rides into the cache — and not
+// at all when its bytes are in the memo. (Before the memo a locally-owned
+// request was fingerprinted twice, a forwarded one three times.)
 func TestClusterCanonicalizesOnce(t *testing.T) {
 	tc := newTestCluster(t, 3, nil)
 	var body []byte
@@ -258,17 +257,15 @@ func TestClusterCanonicalizesOnce(t *testing.T) {
 			t.Errorf("%s: %d canonicalizations, want %d", name, got, want)
 		}
 	}
-	owner := tc.peers[0].ID
+	owner, other := tc.peers[0].ID, tc.peers[1].ID
+	spaced := append([]byte(" "), body...)
 	// The solve itself adds one Shape canonicalization for the donor index.
-	step("owner, first sight, plan miss", 0, body, 2, owner)
-	step("owner, new text, plan hit", 0, append([]byte(" "), body...), 1, owner)
-	step("owner, memo hit", 0, append([]byte(" "), body...), 0, owner)
-	step("forwarded, new text at both nodes", 1, append([]byte("  "), body...), 2, owner)
-	step("forwarded, memo hit at both nodes", 1, append([]byte("  "), body...), 0, owner)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	for _, rt := range tc.routers {
-		rt.Flush(ctx) //nolint:errcheck // let replication settle before teardown
-	}
+	step("forwarded miss, new text at both nodes", 1, body, 3, owner)
+	step("owner, memo hit (the forwarded bytes)", 0, body, 0, owner)
+	step("owner, new text, plan hit", 0, spaced, 1, owner)
+	// Once replication has landed the non-owner answers from its copy; the
+	// probe and the lookup share the key its gate computed.
+	tc.flush(t)
+	step("replica read, memo hit", 1, body, 0, other)
+	step("replica read, new text", 1, spaced, 1, other)
 }

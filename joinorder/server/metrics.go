@@ -191,6 +191,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauge("joinoptd_cluster_peers", "Configured cluster membership size.", float64(cl.Peers))
 		gauge("joinoptd_cluster_peers_up", "Peers currently passing health probes.", float64(cl.PeersUp))
 		counter("joinoptd_cluster_routed_local_total", "Requests served by this shard.", cl.RoutedLocal)
+		counter("joinoptd_cluster_replica_hits_total", "Requests another node owns answered here from this node's copy of the entry.", cl.ReplicaHits)
 		counter("joinoptd_cluster_forwards_total", "Requests forwarded to their owning peer.", cl.Forwards)
 		counter("joinoptd_cluster_forward_errors_total", "Forwards that failed open to a local solve.", cl.ForwardErrors)
 		counter("joinoptd_cluster_replicated_total", "Cache entry copies shipped to peers.", cl.Replicated)

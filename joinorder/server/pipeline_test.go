@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -425,5 +426,15 @@ func TestBatchNeverShedsItself(t *testing.T) {
 	}
 	if snap := s.Snapshot(); snap.Shed != 0 || snap.Rejected != 0 || snap.OK != maxBatchItems {
 		t.Errorf("shed=%d rejected=%d ok=%d, want 0/0/%d", snap.Shed, snap.Rejected, snap.OK, maxBatchItems)
+	}
+}
+
+// TestRequestIDSpelling pins the id format the request log has always
+// used, now that it is appended rather than formatted.
+func TestRequestIDSpelling(t *testing.T) {
+	for _, n := range []int64{1, 9, 10, 99999, 100000, 999999, 1000000, 123456789} {
+		if got, want := requestID(n), fmt.Sprintf("r%06d", n); got != want {
+			t.Errorf("requestID(%d) = %q, want %q", n, got, want)
+		}
 	}
 }

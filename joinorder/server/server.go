@@ -173,15 +173,17 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // resolved is what the gate derives from a request's bytes alone: the
 // decoded request, its validated query, its options under this server's
-// budget limits, and the query's canonical form (nil when uncacheable).
-// The request memo shares one resolved between all byte-identical
-// requests, concurrently, so nothing in it is written after resolve
-// returns.
+// budget limits, the query's canonical form (nil when uncacheable) and the
+// exact-entry key of the two ("" when uncacheable) — the one key the
+// residency probe and the cache lookup both use. The request memo shares
+// one resolved between all byte-identical requests, concurrently, so
+// nothing in it is written after resolve returns.
 type resolved struct {
 	req   *OptimizeRequest
 	q     *joinorder.Query
 	opts  joinorder.Options
 	canon *cache.Canonical
+	ekey  string
 }
 
 // prepared is one optimize request that cleared the gate: rate-limit
@@ -200,6 +202,9 @@ type prepared struct {
 	forwarded bool
 	// memoHit marks a request whose resolved came from the request memo.
 	memoHit bool
+	// replica marks a request another node owns that is answered here
+	// because this node holds its exact entry (see remoteOwner).
+	replica bool
 }
 
 // Request-memo sizing, derived from the plan cache's own bounds so there
@@ -223,7 +228,7 @@ func newRequestMemo(cc cache.Config) *cache.Memo[*resolved] {
 }
 
 // resolve runs the gates that depend on the request's bytes alone: query,
-// options, canonical form.
+// options, canonical form, exact-entry key.
 func (s *Server) resolve(req *OptimizeRequest) (*resolved, *httpError) {
 	q, err := req.query()
 	var opts joinorder.Options
@@ -233,7 +238,8 @@ func (s *Server) resolve(req *OptimizeRequest) (*resolved, *httpError) {
 	if err != nil {
 		return nil, errBadRequest(err.Error())
 	}
-	return &resolved{req: req, q: q, opts: opts, canon: s.co.Canonicalize(q)}, nil
+	canon := s.co.Canonicalize(q)
+	return &resolved{req: req, q: q, opts: opts, canon: canon, ekey: cache.ExactKey(canon, opts)}, nil
 }
 
 // gate runs the transport-free pre-admission gates on one decoded
@@ -266,10 +272,21 @@ func (s *Server) gate(req *OptimizeRequest, rv *resolved, tenant string, forward
 	return &prepared{
 		resolved:  rv,
 		arrived:   s.cfg.now(),
-		id:        fmt.Sprintf("r%06d", s.reqID.Add(1)),
+		id:        requestID(s.reqID.Add(1)),
 		forwarded: forwarded,
 		memoHit:   memoHit,
 	}, nil
+}
+
+// requestID spells the n-th request's id: "r" and n zero-padded to six
+// digits.
+func requestID(n int64) string {
+	b := make([]byte, 0, 8)
+	b = append(b, 'r')
+	for pad := int64(100000); pad > 1 && n < pad; pad /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, n, 10))
 }
 
 // gateHTTP is the decode half of the two single-request front ends:
@@ -445,7 +462,9 @@ func (s *Server) runSolve(ctx context.Context, pr *prepared, opts joinorder.Opti
 	}
 
 	solveStart := s.cfg.now()
-	res, err := s.co.OptimizeCanonical(ctx, pr.q, pr.canon, opts)
+	// opts differs from pr.opts in its time limit and callbacks only, which
+	// the key ignores.
+	res, err := s.co.OptimizeCanonical(ctx, pr.q, pr.canon, pr.ekey, opts)
 	solveWait := s.cfg.now().Sub(solveStart)
 	s.ctr.solveNanos.Add(int64(solveWait))
 
@@ -526,6 +545,9 @@ func retryAfterSeconds(d time.Duration) string {
 
 // logRequest emits the one structured record every optimize request gets.
 func (s *Server) logRequest(pr *prepared, outcome string, queueWait, solveWait time.Duration, resp *OptimizeResponse) {
+	if !s.log.Enabled(context.Background(), slog.LevelInfo) {
+		return
+	}
 	attrs := []slog.Attr{
 		slog.String("req", pr.id),
 		slog.String("outcome", outcome),
@@ -539,6 +561,9 @@ func (s *Server) logRequest(pr *prepared, outcome string, queueWait, solveWait t
 	}
 	if pr.memoHit {
 		attrs = append(attrs, slog.Bool("memo", true))
+	}
+	if pr.replica {
+		attrs = append(attrs, slog.Bool("replica", true))
 	}
 	if resp != nil && resp.Result != nil {
 		attrs = append(attrs,
