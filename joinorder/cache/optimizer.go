@@ -226,7 +226,8 @@ func (o *Optimizer) Entries() []EntryInfo {
 // events under one monotonic sequence.
 func (o *Optimizer) Optimize(ctx context.Context, q *joinorder.Query, opts joinorder.Options) (*joinorder.Result, error) {
 	ce := o.Canonicalize(q)
-	return o.OptimizeCanonical(ctx, q, ce, ExactKey(ce, opts), opts)
+	res, _, err := o.OptimizeCanonical(ctx, q, ce, ExactKey(ce, opts), opts)
+	return res, err
 }
 
 // Canonicalize returns q's Exact canonical form for OptimizeCanonical, or
@@ -271,11 +272,23 @@ func (o *Optimizer) Holds(ekey string) bool {
 	return ekey != "" && o.exact.has(ekey, o.cfg.now())
 }
 
+// EntryID names one stored version of an exact entry. Every store of a key
+// — a solve, a refine, a feedback refresh, an import, a replay — makes a new
+// version, so two equal non-zero ids mean the same stored plan, and anything
+// derived from (a query's canonical form, that plan) is still current. The
+// zero EntryID means "not served from a stored entry". An id keeps its
+// version's plan reachable, which is what makes it unambiguous for as long
+// as it is held.
+type EntryID struct{ cr *canonicalResult }
+
 // OptimizeCanonical is Optimize for a caller that already holds ce, the
 // result of o.Canonicalize(q) (nil: uncacheable), and ekey, ExactKey(ce,
 // opts). Both are only read, so one pair may serve any number of concurrent
-// calls, under any TimeLimit.
-func (o *Optimizer) OptimizeCanonical(ctx context.Context, q *joinorder.Query, ce *Canonical, ekey string, opts joinorder.Options) (*joinorder.Result, error) {
+// calls, under any TimeLimit. The EntryID is that of the stored entry the
+// result was translated from, taken in the lookup that found it; it is zero
+// for every answer that is not a plain hit (a solve, a coalesced or degraded
+// answer, an uncacheable query).
+func (o *Optimizer) OptimizeCanonical(ctx context.Context, q *joinorder.Query, ce *Canonical, ekey string, opts joinorder.Options) (*joinorder.Result, EntryID, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -283,7 +296,8 @@ func (o *Optimizer) OptimizeCanonical(ctx context.Context, q *joinorder.Query, c
 		// Uncacheable or malformed: the underlying optimizer owns
 		// validation and the public error surface.
 		o.ctr.uncacheable.Add(1)
-		return o.cfg.Optimize(ctx, q, opts)
+		res, err := o.cfg.Optimize(ctx, q, opts)
+		return res, EntryID{}, err
 	}
 	start := o.cfg.now()
 	em := newCallEmitter(start, opts)
@@ -292,9 +306,15 @@ func (o *Optimizer) OptimizeCanonical(ctx context.Context, q *joinorder.Query, c
 		o.ctr.hits.Add(1)
 		res := cres.serve(ce, o.cfg.now().Sub(start))
 		em.emitResult(joinorder.KindCacheHit, res)
-		return res, nil
+		return res, EntryID{cres}, nil
 	}
+	res, err := o.optimizeMiss(ctx, q, ce, ekey, opts, em, start)
+	return res, EntryID{}, err
+}
 
+// optimizeMiss answers a lookup that found no live entry: degraded when the
+// budget is tight, otherwise as leader or waiter of the key's flight.
+func (o *Optimizer) optimizeMiss(ctx context.Context, q *joinorder.Query, ce *Canonical, ekey string, opts joinorder.Options, em *callEmitter, start time.Time) (*joinorder.Result, error) {
 	if o.degradeBudget(ctx, opts, start) {
 		return o.serveDegraded(ctx, q, opts, ce, ekey, em, start)
 	}

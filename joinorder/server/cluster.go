@@ -72,6 +72,9 @@ func (s *Server) tryForward(w http.ResponseWriter, r *http.Request, pr *prepared
 	if !remote {
 		return false
 	}
+	// net/http may still be reading a request body after the round trip
+	// returns, so a buffer lent to it is never recycled.
+	pr.rawBuf = nil
 	resp, err := rt.Forward(r.Context(), owner, "/v1/optimize", r.Header, pr.raw)
 	if err != nil {
 		// The peer is unreachable: answer here rather than failing the

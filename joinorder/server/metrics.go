@@ -54,6 +54,12 @@ type Snapshot struct {
 	RequestMemoEvictions int64 `json:"request_memo_evictions"`
 	RequestMemoBytes     int64 `json:"request_memo_bytes"`
 
+	// Plan answers by how their body was produced: written from the bytes
+	// an earlier hit of the same request text rendered, or rendered in full.
+	// Hits ÷ (hits + renders) is the share of answers that skipped encoding.
+	ResponseTemplateHits    int64 `json:"response_template_hits"`
+	ResponseTemplateRenders int64 `json:"response_template_renders"`
+
 	Cache cache.Stats `json:"cache"`
 	// Cluster is present only on clustered servers.
 	Cluster *cluster.Stats `json:"cluster,omitempty"`
@@ -100,6 +106,9 @@ func (s *Server) Snapshot() Snapshot {
 		RequestMemoMisses:    memo.Misses,
 		RequestMemoEvictions: memo.Evictions,
 		RequestMemoBytes:     memo.Bytes,
+
+		ResponseTemplateHits:    s.ctr.keptHits.Load(),
+		ResponseTemplateRenders: s.ctr.renders.Load(),
 
 		Cache:   s.co.Stats(),
 		Cluster: cl,
@@ -163,6 +172,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("joinoptd_request_memo_misses_total", "Request bodies not found in the request memo.", snap.RequestMemoMisses)
 	counter("joinoptd_request_memo_evictions_total", "Request memo entries evicted by its entry or byte bound.", snap.RequestMemoEvictions)
 	gauge("joinoptd_request_memo_bytes", "Approximate resident bytes of the request memo.", float64(snap.RequestMemoBytes))
+	counter("joinoptd_response_template_hits_total", "Plan answers written from the bytes an earlier hit of the same request text rendered.", snap.ResponseTemplateHits)
+	counter("joinoptd_response_template_renders_total", "Plan answers rendered in full.", snap.ResponseTemplateRenders)
 
 	counter("joinoptd_cache_hits_total", "Requests served from the exact plan cache.", snap.Cache.Hits)
 	counter("joinoptd_cache_misses_total", "Requests that fell through to a solve.", snap.Cache.Misses)

@@ -13,7 +13,9 @@ import (
 	"time"
 
 	"milpjoin/internal/workload"
+	"milpjoin/joinorder"
 	"milpjoin/joinorder/cache"
+	"milpjoin/joinorder/cache/persist"
 )
 
 // outcome is what one front end told the client about one request,
@@ -38,8 +40,33 @@ func errorOutcome(e ErrorDetail) outcome {
 type frontEnd struct {
 	name string
 	// send also returns the JSON payload the outcome was read from, with
-	// its timing fields blanked (see timeless).
-	send func(t *testing.T, s *Server, ctx context.Context, req *OptimizeRequest) (outcome, string)
+	// its timing fields blanked (see timeless), and, for a plan, the bytes
+	// of the OptimizeResponse as this front end put them on the wire.
+	send func(t *testing.T, s *Server, ctx context.Context, req *OptimizeRequest) (outcome, string, []byte)
+}
+
+// numberless cuts the values of elapsed_sec, queue_ms and total_ms out of
+// the bytes of one OptimizeResponse, leaving every other byte as it is.
+func numberless(t *testing.T, doc []byte) string {
+	t.Helper()
+	rs, re, ok := memberValue(doc, "result")
+	if !ok {
+		t.Fatalf("no result member in %s", doc)
+	}
+	cuts := [3][2]int{}
+	for i, at := range []struct {
+		obj  []byte
+		base int
+		key  string
+	}{{doc[rs:re], rs, "elapsed_sec"}, {doc, 0, "queue_ms"}, {doc, 0, "total_ms"}} {
+		vs, ve, ok := memberValue(at.obj, at.key)
+		if !ok {
+			t.Fatalf("no %s member in %s", at.key, doc)
+		}
+		cuts[i] = [2]int{at.base + vs, at.base + ve}
+	}
+	return string(doc[:cuts[0][0]]) + "#" + string(doc[cuts[0][1]:cuts[1][0]]) + "#" +
+		string(doc[cuts[1][1]:cuts[2][0]]) + "#" + string(doc[cuts[2][1]:])
 }
 
 // timeless re-renders a JSON document with every field that depends on
@@ -86,7 +113,7 @@ func primeMemo(t *testing.T, s *Server, req *OptimizeRequest) {
 	var decoded OptimizeRequest
 	decodeInto(t, raw, &decoded)
 	if rv, herr := s.resolve(&decoded); herr == nil {
-		s.memo.Put(raw, rv, 0)
+		s.memoize(raw, rv)
 	}
 }
 
@@ -109,25 +136,25 @@ func decodeInto(t *testing.T, data []byte, v any) {
 }
 
 var frontEnds = []frontEnd{
-	{"unary", func(t *testing.T, s *Server, ctx context.Context, req *OptimizeRequest) (outcome, string) {
+	{"unary", func(t *testing.T, s *Server, ctx context.Context, req *OptimizeRequest) (outcome, string, []byte) {
 		rec := serveRecorded(t, s, ctx, "/v1/optimize", req)
 		body := strconv.Itoa(rec.Code) + " " + timeless(t, rec.Body.Bytes())
 		if rec.Code != http.StatusOK {
 			var env ErrorEnvelope
 			decodeInto(t, rec.Body.Bytes(), &env)
-			return errorOutcome(env.Err), body
+			return errorOutcome(env.Err), body, nil
 		}
 		var resp OptimizeResponse
 		decodeInto(t, rec.Body.Bytes(), &resp)
-		return planOutcome(&resp), body
+		return planOutcome(&resp), body, bytes.TrimSuffix(rec.Body.Bytes(), []byte("\n"))
 	}},
-	{"stream", func(t *testing.T, s *Server, ctx context.Context, req *OptimizeRequest) (outcome, string) {
+	{"stream", func(t *testing.T, s *Server, ctx context.Context, req *OptimizeRequest) (outcome, string, []byte) {
 		rec := serveRecorded(t, s, ctx, "/v1/optimize/stream", req)
 		if rec.Code != http.StatusOK {
 			// Gate failures precede the stream and answer as plain HTTP.
 			var env ErrorEnvelope
 			decodeInto(t, rec.Body.Bytes(), &env)
-			return errorOutcome(env.Err), strconv.Itoa(rec.Code) + " " + timeless(t, rec.Body.Bytes())
+			return errorOutcome(env.Err), strconv.Itoa(rec.Code) + " " + timeless(t, rec.Body.Bytes()), nil
 		}
 		events := readSSE(t, rec.Body)
 		if len(events) == 0 {
@@ -139,16 +166,16 @@ var frontEnds = []frontEnd{
 		case "error":
 			var env ErrorEnvelope
 			decodeInto(t, []byte(last.data), &env)
-			return errorOutcome(env.Err), body
+			return errorOutcome(env.Err), body, nil
 		case "result":
 			var resp OptimizeResponse
 			decodeInto(t, []byte(last.data), &resp)
-			return planOutcome(&resp), body
+			return planOutcome(&resp), body, []byte(last.data)
 		}
 		t.Fatalf("stream ended with %q event", last.name)
-		return outcome{}, ""
+		return outcome{}, "", nil
 	}},
-	{"batch", func(t *testing.T, s *Server, ctx context.Context, req *OptimizeRequest) (outcome, string) {
+	{"batch", func(t *testing.T, s *Server, ctx context.Context, req *OptimizeRequest) (outcome, string, []byte) {
 		rec := serveRecorded(t, s, ctx, "/v1/optimize/batch", BatchRequest{Queries: []OptimizeRequest{*req}})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("batch status = %d: %s", rec.Code, rec.Body)
@@ -160,9 +187,15 @@ var frontEnds = []frontEnd{
 		}
 		body := timeless(t, rec.Body.Bytes())
 		if it := out.Results[0]; it.Error != nil {
-			return errorOutcome(*it.Error), body
+			return errorOutcome(*it.Error), body, nil
 		}
-		return planOutcome(out.Results[0].Response), body
+		var wire struct {
+			Results []struct {
+				Response json.RawMessage `json:"response"`
+			} `json:"results"`
+		}
+		decodeInto(t, rec.Body.Bytes(), &wire)
+		return planOutcome(out.Results[0].Response), body, wire.Results[0].Response
 	}},
 }
 
@@ -190,6 +223,11 @@ func countersOf(s *Server) pipelineCounters {
 // the request memo: a memo hit must be indistinguishable on the wire,
 // timing fields aside, and in the counters. (Batch items never consult the
 // memo; their second pass pins that priming it changes nothing for them.)
+// Whenever the answer is a plan, its OptimizeResponse is the same bytes on
+// all three front ends and both passes but for elapsed_sec, queue_ms and
+// total_ms — also when two of them write bytes kept by an earlier hit and
+// the batch renders afresh ("plan cache hit") — and every scenario leaves
+// the counters it left before responses rendered themselves.
 func TestFrontEndParity(t *testing.T) {
 	strict := false
 	milp := func(r *OptimizeRequest) { r.Strategy = "milp"; r.Timeout = "30s" }
@@ -204,44 +242,58 @@ func TestFrontEndParity(t *testing.T) {
 		occupy int
 		before func(s *Server)
 		probe  func(r *OptimizeRequest)
+		// seed runs once the probe is built, before anything is sent.
+		seed func(t *testing.T, s *Server, probe *OptimizeRequest)
+		// warm sends the probe that many times through the unary front end
+		// first, so the probe proper finds what repeats of its text leave.
+		warm int
 		// during runs while the probe is in flight.
 		during func(t *testing.T, s *Server, release, cancel func())
 		want   outcome
+		// counters is what the scenario leaves behind, on every front end:
+		// the literals the pipeline produced before this file's renderer.
+		counters pipelineCounters
 	}{
 		{
-			name:  "bad query",
-			probe: func(r *OptimizeRequest) { r.Query = nil; r.SQL = "SELECT 1" },
-			want:  outcome{code: CodeBadRequest},
+			name:     "bad query",
+			probe:    func(r *OptimizeRequest) { r.Query = nil; r.SQL = "SELECT 1" },
+			want:     outcome{code: CodeBadRequest},
+			counters: pipelineCounters{Requests: 1, BadRequest: 1},
 		},
 		{
-			name:   "rate-limited tenant",
-			before: func(s *Server) { s.tb.allow("acme", time.Now()) },
-			probe:  func(r *OptimizeRequest) { r.Tenant = "acme" },
-			want:   outcome{code: CodeRateLimited, hint: true},
+			name:     "rate-limited tenant",
+			before:   func(s *Server) { s.tb.allow("acme", time.Now()) },
+			probe:    func(r *OptimizeRequest) { r.Tenant = "acme" },
+			want:     outcome{code: CodeRateLimited, hint: true},
+			counters: pipelineCounters{Requests: 1, RateLimited: 1},
 		},
 		{
-			name:   "saturated, degradable",
-			occupy: 2,
-			probe:  milp,
-			want:   outcome{degraded: true},
+			name:     "saturated, degradable",
+			occupy:   2,
+			probe:    milp,
+			want:     outcome{degraded: true},
+			counters: pipelineCounters{Requests: 3, OK: 3, Degraded: 1, Shed: 1, Solves: 2},
 		},
 		{
-			name:   "saturated, strict",
-			occupy: 2,
-			probe:  func(r *OptimizeRequest) { milp(r); r.AllowDegraded = &strict },
-			want:   outcome{code: CodeSaturated, hint: true},
+			name:     "saturated, strict",
+			occupy:   2,
+			probe:    func(r *OptimizeRequest) { milp(r); r.AllowDegraded = &strict },
+			want:     outcome{code: CodeSaturated, hint: true},
+			counters: pipelineCounters{Requests: 3, OK: 2, Rejected: 1, Solves: 2},
 		},
 		{
-			name:   "deadline spent in the queue, degradable",
-			occupy: 1,
-			probe:  func(r *OptimizeRequest) { milp(r); r.Timeout = "80ms" },
-			want:   outcome{degraded: true},
+			name:     "deadline spent in the queue, degradable",
+			occupy:   1,
+			probe:    func(r *OptimizeRequest) { milp(r); r.Timeout = "80ms" },
+			want:     outcome{degraded: true},
+			counters: pipelineCounters{Requests: 2, OK: 2, Degraded: 1, Shed: 1, Solves: 1},
 		},
 		{
-			name:   "deadline spent in the queue, strict",
-			occupy: 1,
-			probe:  func(r *OptimizeRequest) { milp(r); r.Timeout = "80ms"; r.AllowDegraded = &strict },
-			want:   outcome{code: CodeTimeout, hint: true},
+			name:     "deadline spent in the queue, strict",
+			occupy:   1,
+			probe:    func(r *OptimizeRequest) { milp(r); r.Timeout = "80ms"; r.AllowDegraded = &strict },
+			want:     outcome{code: CodeTimeout, hint: true},
+			counters: pipelineCounters{Requests: 2, OK: 1, Timeouts: 1, Solves: 1},
 		},
 		{
 			name:   "client gone while queued",
@@ -251,7 +303,8 @@ func TestFrontEndParity(t *testing.T) {
 				waitFor(t, queuedIs(s, 1))
 				cancel()
 			},
-			want: outcome{code: CodeClientClosed},
+			want:     outcome{code: CodeClientClosed},
+			counters: pipelineCounters{Requests: 2, OK: 1, Canceled: 1, Solves: 1},
 		},
 		{
 			name:   "queued behind a blocked worker",
@@ -262,12 +315,39 @@ func TestFrontEndParity(t *testing.T) {
 				time.Sleep(2 * time.Millisecond)
 				release()
 			},
-			want: outcome{queued: true},
+			want:     outcome{queued: true},
+			counters: pipelineCounters{Requests: 2, OK: 2, Solves: 2},
+		},
+		{
+			// The probe's entry is resident and its text has been answered
+			// twice already, so unary and stream write kept bytes while the
+			// batch item, which no memo holds, renders in full.
+			name: "plan cache hit",
+			seed: func(t *testing.T, s *Server, probe *OptimizeRequest) {
+				raw, err := json.Marshal(probe)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rv := resolveBody(t, s, raw)
+				val, err := json.Marshal(&joinorder.Result{
+					Strategy: "greedy", Status: joinorder.StatusOptimal,
+					Plan: fakePlan(probe.Query.NumTables()), Cost: 1000, Objective: 1000, Bound: 1000,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.co.ImportRecord(persist.KindExact, rv.ekey, val); err != nil {
+					t.Fatal(err)
+				}
+			},
+			warm:     2,
+			want:     outcome{queued: true}, // admitted at once, in more than zero nanoseconds
+			counters: pipelineCounters{Requests: 3, OK: 3, Solves: 3},
 		},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
-			var first pipelineCounters
-			for i, fe := range frontEnds {
+			var wire string // the first plan answer of the scenario, numberless
+			for _, fe := range frontEnds {
 				var unseen string
 				for _, memoized := range []bool{false, true} {
 					name := fe.name
@@ -279,7 +359,7 @@ func TestFrontEndParity(t *testing.T) {
 						MaxWorkers:  1,
 						QueueDepth:  1,
 						TenantRate:  0.001,
-						TenantBurst: 1,
+						TenantBurst: 1 + sc.warm, // the warm-ups bill the probe's tenant
 						Cache: cache.Config{
 							Optimize:         bo.fn,
 							DegradeUnder:     50 * time.Millisecond,
@@ -311,20 +391,31 @@ func TestFrontEndParity(t *testing.T) {
 					}
 
 					probe := &OptimizeRequest{Query: workload.Generate(workload.Star, 8, 3, workload.Config{}), Strategy: "greedy", Timeout: "2s"}
-					sc.probe(probe)
+					if sc.probe != nil {
+						sc.probe(probe)
+					}
+					if sc.seed != nil {
+						sc.seed(t, s, probe)
+					}
 					if memoized {
 						primeMemo(t, s, probe)
+					}
+					for k := 0; k < sc.warm; k++ {
+						if rec := serveRecorded(t, s, context.Background(), "/v1/optimize", probe); rec.Code != http.StatusOK {
+							t.Fatalf("%s: warm-up %d: %d %s", name, k, rec.Code, rec.Body)
+						}
 					}
 					type answer struct {
 						o    outcome
 						body string
+						wire []byte
 					}
 					ctx, cancel := context.WithCancel(context.Background())
 					got := make(chan answer, 1)
 					go func() {
 						defer close(got) // a Fatal inside send must not hang the receive below
-						o, body := fe.send(t, s, ctx, probe)
-						got <- answer{o, body}
+						o, body, wire := fe.send(t, s, ctx, probe)
+						got <- answer{o, body, wire}
 					}()
 					if sc.during != nil {
 						sc.during(t, s, release, cancel)
@@ -338,6 +429,13 @@ func TestFrontEndParity(t *testing.T) {
 					} else if a.body != unseen {
 						t.Errorf("%s answered\n%s\nbut on first sight\n%s", name, a.body, unseen)
 					}
+					if a.wire != nil {
+						if w := numberless(t, a.wire); wire == "" {
+							wire = w
+						} else if w != wire {
+							t.Errorf("%s wrote\n%s\nthe first front end\n%s", name, w, wire)
+						}
+					}
 					cancel()
 
 					release()
@@ -348,15 +446,33 @@ func TestFrontEndParity(t *testing.T) {
 					}
 					stop()
 
-					// The primed pass must really have been a memo hit: exactly
-					// the probe, unless the gate rejects its body (never primed).
-					if hits := s.Snapshot().RequestMemoHits; fe.name != "batch" && (hits == 1) != (memoized && sc.want.code != CodeBadRequest) {
-						t.Errorf("%s: request_memo_hits = %d", name, hits)
+					// The probe's text reaches the memo once per warm-up and, off
+					// the batch front end, once more; every arrival after the first
+					// is a hit, and the first too when the text was primed — unless
+					// the gate rejects the body, which is then never held. Of the
+					// plain hits among them, all but the first write kept bytes.
+					snap := s.Snapshot()
+					arrivals := int64(sc.warm)
+					if fe.name != "batch" {
+						arrivals++
 					}
-					if c := countersOf(s); i == 0 && !memoized {
-						first = c
-					} else if c != first {
-						t.Errorf("%s counters = %+v\n%s counters = %+v", name, c, frontEnds[0].name, first)
+					wantMemo, wantKept := arrivals, int64(0)
+					if !memoized {
+						wantMemo = max(arrivals-1, 0)
+					}
+					if sc.want.code == CodeBadRequest {
+						wantMemo = 0
+					}
+					if sc.warm > 0 {
+						wantKept = arrivals - 1
+					}
+					if snap.RequestMemoHits != wantMemo || snap.ResponseTemplateHits != wantKept ||
+						snap.ResponseTemplateHits+snap.ResponseTemplateRenders != snap.OK {
+						t.Errorf("%s: request_memo_hits = %d, want %d; response_template_hits = %d, want %d; renders = %d with %d ok",
+							name, snap.RequestMemoHits, wantMemo, snap.ResponseTemplateHits, wantKept, snap.ResponseTemplateRenders, snap.OK)
+					}
+					if c := countersOf(s); c != sc.counters {
+						t.Errorf("%s counters = %+v, want %+v", name, c, sc.counters)
 					}
 				}
 			}

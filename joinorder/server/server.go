@@ -65,6 +65,8 @@ type serverCounters struct {
 	portfolio    atomic.Int64 // strategy=auto requests admitted with weight > 1
 	batches      atomic.Int64 // batch requests received
 	batchItems   atomic.Int64 // individual queries across all batches
+	keptHits     atomic.Int64 // plan answers written from a request text's kept bytes
+	renders      atomic.Int64 // plan answers rendered in full
 }
 
 // requestWeight is the admission weight of one request: a portfolio race
@@ -177,13 +179,22 @@ func (s *Server) Drain(ctx context.Context) error {
 // exact-entry key of the two ("" when uncacheable) — the one key the
 // residency probe and the cache lookup both use. The request memo shares
 // one resolved between all byte-identical requests, concurrently, so
-// nothing in it is written after resolve returns.
+// nothing in it is written once it is memoized, except through kept.
 type resolved struct {
 	req   *OptimizeRequest
 	q     *joinorder.Query
 	opts  joinorder.Options
 	canon *cache.Canonical
 	ekey  string
+
+	// kept is the third level of the lookup text → fingerprint → plan →
+	// bytes: the response last rendered for this text as a plain cache hit,
+	// tagged with the entry that answered. runSolve reuses it while lookups
+	// return that entry and replaces it when they return another.
+	kept atomic.Pointer[keptResponse]
+	// keptMax bounds len(kept.body); memoize charges it to the memo's byte
+	// budget up front. Zero (a resolved no memo holds) keeps nothing.
+	keptMax int
 }
 
 // prepared is one optimize request that cleared the gate: rate-limit
@@ -194,8 +205,11 @@ type prepared struct {
 	*resolved
 	arrived time.Time
 	id      string
-	// raw is the request body as received, kept for cluster forwarding.
-	raw []byte
+	// raw is the request body as received, kept for cluster forwarding;
+	// rawBuf is the pooled buffer it lives in (nil: not pooled), which the
+	// front end releases when it has written its answer.
+	raw    []byte
+	rawBuf *[]byte
 	// forwarded marks a request that already hopped once (the
 	// cluster.ForwardHeader was present): it is pinned local and its
 	// tenant budget was charged at the ingress node.
@@ -215,7 +229,10 @@ const (
 	memoTextsPerPlan  = 4
 	memoBytesPerEntry = 8 << 10 // byte budget per entry when Cache.MaxBytes is unset
 	memoResolvedScale = 3       // resident bytes of a resolved per byte of its text
-	maxMemoBody       = 64 << 10
+	// A response names each table about as often as its request does; the
+	// slack covers the solver statistics a MILP answer carries.
+	memoKeptSlack = 1 << 10 // kept response bytes allowed beyond the text's length
+	maxMemoBody   = 64 << 10
 )
 
 func newRequestMemo(cc cache.Config) *cache.Memo[*resolved] {
@@ -225,6 +242,15 @@ func newRequestMemo(cc cache.Config) *cache.Memo[*resolved] {
 		maxBytes = int64(entries) * memoBytesPerEntry
 	}
 	return cache.NewMemo[*resolved](entries, maxBytes)
+}
+
+// memoize files rv under the request text it was resolved from. The entry
+// is charged for the text, the resolved form and the response bytes rv may
+// come to keep, so those count against the memo's byte budget whether or
+// not a hit ever renders them.
+func (s *Server) memoize(raw []byte, rv *resolved) {
+	rv.keptMax = len(raw) + memoKeptSlack
+	s.memo.Put(raw, rv, memoResolvedScale*int64(len(raw))+int64(rv.keptMax))
 }
 
 // resolve runs the gates that depend on the request's bytes alone: query,
@@ -300,7 +326,7 @@ func (s *Server) gateHTTP(w http.ResponseWriter, r *http.Request) (*prepared, *h
 		s.ctr.drainReject.Add(1)
 		return nil, errDraining()
 	}
-	raw, err := readBody(w, r)
+	raw, rawBuf, err := readBody(w, r)
 	if err != nil {
 		s.ctr.badRequest.Add(1)
 		return nil, errBadRequest(err.Error())
@@ -322,9 +348,9 @@ func (s *Server) gateHTTP(w http.ResponseWriter, r *http.Request) (*prepared, *h
 		return nil, herr
 	}
 	if memoable && !pr.memoHit {
-		s.memo.Put(raw, pr.resolved, memoResolvedScale*int64(len(raw)))
+		s.memoize(raw, pr.resolved)
 	}
-	pr.raw = raw
+	pr.raw, pr.rawBuf = raw, rawBuf
 	return pr, nil
 }
 
@@ -464,7 +490,7 @@ func (s *Server) runSolve(ctx context.Context, pr *prepared, opts joinorder.Opti
 	solveStart := s.cfg.now()
 	// opts differs from pr.opts in its time limit and callbacks only, which
 	// the key ignores.
-	res, err := s.co.OptimizeCanonical(ctx, pr.q, pr.canon, pr.ekey, opts)
+	res, entry, err := s.co.OptimizeCanonical(ctx, pr.q, pr.canon, pr.ekey, opts)
 	solveWait := s.cfg.now().Sub(solveStart)
 	s.ctr.solveNanos.Add(int64(solveWait))
 
@@ -508,8 +534,38 @@ func (s *Server) runSolve(ctx context.Context, pr *prepared, opts joinorder.Opti
 		QueueMillis: float64(queueWait) / float64(time.Millisecond),
 		TotalMillis: float64(s.cfg.now().Sub(pr.arrived)) / float64(time.Millisecond),
 	}
+	if pr.useKept(resp, entry) {
+		s.ctr.keptHits.Add(1)
+	} else {
+		s.ctr.renders.Add(1)
+	}
 	s.logRequest(pr, "ok", queueWait, solveWait, resp)
 	return resp, nil
+}
+
+// useKept ties resp, answered by entry, to the bytes its request text
+// keeps, and reports whether those were rendered by an earlier request. A
+// plain hit (non-zero entry) for a memoized text has a body that, but for
+// three numbers, is a function of (text, entry); the id came out of the
+// lookup that produced the result, so bytes kept under it were rendered from
+// this plan. Under another id, or none yet, the response is rendered and cut
+// here and the text keeps the outcome — also a refusal, so an entry whose
+// response cannot be kept is not rendered twice per hit.
+func (pr *prepared) useKept(resp *OptimizeResponse, entry cache.EntryID) bool {
+	if entry == (cache.EntryID{}) || pr.keptMax == 0 {
+		return false
+	}
+	k := pr.kept.Load()
+	reused := k != nil && k.entry == entry
+	if !reused {
+		k = keepResponse(resp, entry, pr.keptMax)
+		pr.kept.Store(k)
+	}
+	if k.body == nil {
+		return false
+	}
+	resp.kept = k
+	return reused
 }
 
 // statusClientClosedRequest is nginx's non-standard 499: the client went
@@ -548,14 +604,16 @@ func (s *Server) logRequest(pr *prepared, outcome string, queueWait, solveWait t
 	if !s.log.Enabled(context.Background(), slog.LevelInfo) {
 		return
 	}
-	attrs := []slog.Attr{
+	// Fifteen is every attr below at once, so the appends never grow.
+	var arr [15]slog.Attr
+	attrs := append(arr[:0],
 		slog.String("req", pr.id),
 		slog.String("outcome", outcome),
 		slog.Int("tables", pr.q.NumTables()),
 		slog.String("strategy", defaultStrategy(pr.opts.Strategy)),
 		slog.Duration("queue", queueWait.Truncate(time.Microsecond)),
 		slog.Duration("solve", solveWait.Truncate(time.Microsecond)),
-	}
+	)
 	if t := pr.req.Tenant; t != "" {
 		attrs = append(attrs, slog.String("tenant", t))
 	}
@@ -600,6 +658,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, herr)
 		return
 	}
+	defer pr.releaseBody()
 	if s.tryForward(w, r, pr) {
 		return
 	}
@@ -613,7 +672,17 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		// client when a non-degraded retry is likely to be admitted.
 		w.Header().Set("Retry-After", retryAfterSeconds(s.shedRetryAfter()))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeResponse(w, resp)
+}
+
+// releaseBody hands the request's pooled body buffer back, if it has one.
+// The front end calls it once its answer is written: the memo took its own
+// copy of the text and nothing decoded from it aliases the buffer.
+func (pr *prepared) releaseBody() {
+	if pr.rawBuf != nil {
+		bodyBufs.Put(pr.rawBuf)
+		pr.raw, pr.rawBuf = nil, nil
+	}
 }
 
 // handleHealthz is GET /healthz.

@@ -520,6 +520,8 @@ func TestHealthzVarzMetrics(t *testing.T) {
 		"joinoptd_requests_total 1",
 		`joinoptd_responses_total{outcome="ok"} 1`,
 		"joinoptd_cache_misses_total 1",
+		"joinoptd_response_template_hits_total 0",
+		"joinoptd_response_template_renders_total 1",
 		"# TYPE joinoptd_running_solves gauge",
 	} {
 		if !strings.Contains(metrics, want) {

@@ -32,6 +32,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, herr)
 		return
 	}
+	defer pr.releaseBody()
 	s.ctr.streams.Add(1)
 
 	w.Header().Set("Content-Type", "text/event-stream")

@@ -205,23 +205,40 @@ func (r *OptimizeRequest) options(cfg Config) (joinorder.Options, error) {
 	return opts, opts.Validate()
 }
 
-// readBody reads one optimize request body into a buffer sized from
-// Content-Length when the client sent one.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// bodyBufs recycles request body buffers between requests. Buffers above
+// maxMemoBody are left to the collector, so a rare large request does not
+// pin its size in the pool.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readBody reads one optimize request body. When the client sent a
+// Content-Length that a pooled buffer may hold, the bytes live in one, and
+// the second result is what the front end hands back (prepared.releaseBody)
+// once nothing reads them any more; otherwise it is nil. A request that
+// fails before a front end owns it leaves its buffer to the collector.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, *[]byte, error) {
 	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
 	var data []byte
+	var buf *[]byte
 	var err error
 	if n := r.ContentLength; n >= 0 && n <= maxRequestBytes {
+		if n <= maxMemoBody {
+			buf = bodyBufs.Get().(*[]byte)
+			if int64(cap(*buf)) < n {
+				*buf = make([]byte, n)
+			}
+			data = (*buf)[:n]
+		} else {
+			data = make([]byte, n)
+		}
 		// net/http ends the body at Content-Length, so this reads all of it.
-		data = make([]byte, n)
 		_, err = io.ReadFull(body, data)
 	} else {
 		data, err = io.ReadAll(body)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("reading request: %v", err)
+		return nil, nil, fmt.Errorf("reading request: %v", err)
 	}
-	return data, nil
+	return data, buf, nil
 }
 
 // tenant resolves the rate-limiting bucket name: header, then body field,
@@ -251,6 +268,10 @@ type OptimizeResponse struct {
 	QueueMillis float64 `json:"queue_ms"`
 	// TotalMillis is time from arrival to response.
 	TotalMillis float64 `json:"total_ms"`
+
+	// kept, when non-nil, is this response already rendered but for its
+	// three numbers (see runSolve and render.go).
+	kept *keptResponse
 }
 
 // Error codes carried by the ErrorEnvelope of every non-2xx /v1 answer.
@@ -300,7 +321,26 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	buf := jsonBufs.Get().(*bytes.Buffer)
 	defer jsonBufs.Put(buf)
 	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	writeBuffered(w, status, buf, json.NewEncoder(buf).Encode(v))
+}
+
+// writeResponse is writeJSON for a 200 OptimizeResponse, the one body on
+// the hit path: the response appends itself to the pooled buffer — the
+// bytes Encode would write, newline included, without Encode's reflective
+// pass and its re-scan of what MarshalJSON returned.
+func writeResponse(w http.ResponseWriter, resp *OptimizeResponse) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer jsonBufs.Put(buf)
+	buf.Reset()
+	doc, err := resp.appendJSON(buf.AvailableBuffer())
+	buf.Write(doc) // in place while doc fits the buffer; grows the pooled buffer when not
+	buf.WriteByte('\n')
+	writeBuffered(w, http.StatusOK, buf, err)
+}
+
+// writeBuffered sends an encoded body, or the 500 its encoding error maps to.
+func writeBuffered(w http.ResponseWriter, status int, buf *bytes.Buffer, err error) {
+	if err != nil {
 		// The envelope is strings and an integer, so this cannot recurse.
 		writeError(w, &httpError{status: http.StatusInternalServerError, code: CodeInternal, msg: "encoding response: " + err.Error()})
 		return
