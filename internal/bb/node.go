@@ -20,12 +20,30 @@ type node struct {
 	change boundChange // meaningless at the root (parent == nil)
 	depth  int
 	bound  float64 // inherited LP bound (lower bound on this subtree)
-	basis  *simplex.Basis
+	basis  *pairBasis
 
 	// branching bookkeeping for pseudocost updates: the fractionality
 	// consumed by this node's bound change.
 	frac        float64
 	parentBound float64
+}
+
+// pairBasis is the warm-start basis the two children of one branching share:
+// the final basis of their parent's LP, copied once. users counts the
+// children that may still start from it and is guarded by searcher.mu; the
+// searcher reuses the storage once it reaches zero (see searcher.release).
+type pairBasis struct {
+	simplex.Basis
+	users int
+}
+
+// warm returns the basis as simplex.Solve takes it; nil (the root, or a
+// node retrying cold) stays nil.
+func (b *pairBasis) warm() *simplex.Basis {
+	if b == nil {
+		return nil
+	}
+	return &b.Basis
 }
 
 // applyBounds tightens l and u in place by every bound change on the chain

@@ -128,6 +128,11 @@ type searcher struct {
 	cond     *sync.Cond
 	open     nodeHeap
 	inFlight map[int]float64 // workerID → bound of node being processed
+	// freeBases holds the warm bases both of whose nodes are done — solved,
+	// or pruned before their LP — for the next branching to copy into. A
+	// basis is two arrays over all columns and rows, and without the list
+	// one per branched node is a third of the bytes a search allocates.
+	freeBases []*pairBasis
 
 	incumbent    []float64
 	incObj       float64
@@ -208,6 +213,7 @@ func (s *searcher) worker(id int) {
 		nd := heap.Pop(&s.open).(*node)
 		// Late pruning against an incumbent found since the push.
 		if s.hasInc && nd.bound >= s.incObj-s.params.AbsGapTol {
+			s.release(nd)
 			s.mu.Unlock()
 			continue
 		}
@@ -229,10 +235,14 @@ func (s *searcher) worker(id int) {
 		delete(s.inFlight, id)
 		if repush != nil {
 			heap.Push(&s.open, repush)
+		} else {
+			s.release(nd)
 		}
 		for _, c := range children {
 			if !(s.hasInc && c.bound >= s.incObj-s.params.AbsGapTol) {
 				heap.Push(&s.open, c)
+			} else {
+				s.release(c)
 			}
 		}
 		if len(s.open) > s.peakOpen {
@@ -248,6 +258,39 @@ func (s *searcher) worker(id int) {
 		s.cond.Broadcast()
 		s.mu.Unlock()
 	}
+}
+
+// release takes from a node the warm basis it is done with — its LP has been
+// solved, it was pruned without one, or it will retry cold — and frees the
+// basis for reuse once the sibling is done too. Nodes still open when the
+// search ends keep theirs. Caller holds s.mu.
+func (s *searcher) release(nd *node) {
+	b := nd.basis
+	if b == nil {
+		return
+	}
+	nd.basis = nil
+	if b.users--; b.users == 0 {
+		s.freeBases = append(s.freeBases, b)
+	}
+}
+
+// childBasis copies the final basis of a node's LP for its two children,
+// into freed storage when there is some.
+func (s *searcher) childBasis(from *simplex.Basis) *pairBasis {
+	var b *pairBasis
+	s.mu.Lock()
+	if n := len(s.freeBases); n > 0 {
+		b, s.freeBases = s.freeBases[n-1], s.freeBases[:n-1]
+	}
+	s.mu.Unlock()
+	if b == nil {
+		b = new(pairBasis)
+	}
+	b.Status = append(b.Status[:0], from.Status...)
+	b.Head = append(b.Head[:0], from.Head...)
+	b.users = 2
+	return b
 }
 
 // drainInjected installs candidates published on Params.Incumbents: each
@@ -366,7 +409,7 @@ func (s *searcher) processNode(nd *node, nodeIdx, wid int) (children []*node, re
 	nd.applyBounds(l, u)
 
 	lpStart := time.Now()
-	lp, iters, st := s.solveLP(w, l, u, nd.basis)
+	lp, iters, st := s.solveLP(w, l, u, nd.basis.warm())
 	lpDur := time.Since(lpStart)
 	s.mu.Lock()
 	s.simplexIters += iters
@@ -403,7 +446,9 @@ func (s *searcher) processNode(nd *node, nodeIdx, wid int) (children []*node, re
 		// Retry once from a cold basis; afterwards give up on the node
 		// but record that the tree is no longer exhaustively explored.
 		if nd.basis != nil {
-			nd.basis = nil
+			s.mu.Lock()
+			s.release(nd)
+			s.mu.Unlock()
 			return nil, nd
 		}
 		s.mu.Lock()
@@ -446,11 +491,11 @@ func (s *searcher) processNode(nd *node, nodeIdx, wid int) (children []*node, re
 
 	// The dive below re-solves with this worker's workspace, which
 	// invalidates lp.X and lp.Basis. Snapshot the solution for branching
-	// and clone the basis once for both children (the children outlive
+	// and copy the basis once for both children (the children outlive
 	// this node arbitrarily on the heap).
 	w.x = append(w.x[:0], lp.X...)
 	x := w.x
-	childBasis := lp.Basis.Clone()
+	childBasis := s.childBasis(lp.Basis)
 
 	// Primal heuristics: cheap rounding at every node, diving at the
 	// root and periodically.

@@ -61,10 +61,9 @@ type etaChunk struct {
 //
 // B₀ lives in one of factorSlots retained factorizations; the others keep
 // bases factorized earlier so that load can adopt them instead of
-// factorizing again. The slots share the factorization scratch, the
-// basis-matrix build buffers and the eta file, and all of it is reused
-// across solves, so a warmed-up basisFactor refactorizes, adopts and
-// updates without heap allocation.
+// factorizing again. The slots share the factorization scratch and the eta
+// file, and all of it is reused across solves, so a warmed-up basisFactor
+// refactorizes, adopts and updates without heap allocation.
 type basisFactor struct {
 	m     int
 	slots [factorSlots]factorSlot
@@ -75,8 +74,7 @@ type basisFactor struct {
 	// rotating through every slot.
 	work int
 
-	fws   sparse.FactorScratch // factorization working storage
-	basis sparse.CSC           // reusable basis-matrix build buffers
+	fws sparse.FactorScratch // factorization working storage
 
 	etas    []eta
 	chunks  []etaChunk // eta arena, retained across solves
@@ -133,21 +131,7 @@ func (f *basisFactor) load(a *sparse.CSC, head []int) (factorized bool, err erro
 	}
 	sl := &f.slots[f.work]
 	sl.a, sl.used = nil, 0
-
-	// The basis matrix is assembled directly in CSC form (the columns of a
-	// are sorted and duplicate-free, so no triplet round-trip is needed).
-	b := &f.basis
-	b.Rows, b.Cols = f.m, f.m
-	b.ColPtr = append(b.ColPtr[:0], 0)
-	b.RowInd = b.RowInd[:0]
-	b.Val = b.Val[:0]
-	for _, j := range head {
-		rows, vals := a.Col(j)
-		b.RowInd = append(b.RowInd, rows...)
-		b.Val = append(b.Val, vals...)
-		b.ColPtr = append(b.ColPtr, len(b.RowInd))
-	}
-	if err := sparse.FactorizeInto(&sl.lu, b, sparse.FactorOptions{}, &f.fws); err != nil {
+	if err := sparse.FactorizeColumnsInto(&sl.lu, a, head, sparse.FactorOptions{}, &f.fws); err != nil {
 		return false, err
 	}
 	sl.a, sl.used = a, f.clock

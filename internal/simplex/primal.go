@@ -19,11 +19,15 @@ var ErrNumerical = errors.New("simplex: numerical failure")
 // allocation. With a nil workspace a private one is allocated, so the
 // Result is independently owned by the caller.
 func Solve(p *Problem, warm *Basis, opts Options) (*Result, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.checkShape(); err != nil {
 		return nil, err
 	}
 	m, n := p.NumRows(), p.NumCols()
 	opts = opts.withDefaults(m, n)
+	crossed, err := p.checkColumns(opts.FeasTol)
+	if err != nil {
+		return nil, err
+	}
 
 	ws := opts.Workspace
 	if ws == nil {
@@ -31,12 +35,10 @@ func Solve(p *Problem, warm *Basis, opts Options) (*Result, error) {
 	}
 
 	// Crossed bounds make the problem trivially infeasible.
-	for j := 0; j < n; j++ {
-		if p.L[j] > p.U[j]+opts.FeasTol {
-			res := ws.resetResult()
-			res.Status = StatusInfeasible
-			return res, nil
-		}
+	if crossed {
+		res := ws.resetResult()
+		res.Status = StatusInfeasible
+		return res, nil
 	}
 	if m == 0 {
 		return solveUnconstrained(p, opts)
@@ -138,51 +140,65 @@ func (s *solver) init(warm *Basis) {
 	s.tolU = ws.tolU
 	s.devexW = ws.devexW
 	s.start = time.Now()
+
+	// One pass over the columns. A tolerance is a function of FeasTol and one
+	// bound, and a branch-and-bound node moves a handful of bounds: only where
+	// the bound differs from the one the workspace computed it from is it
+	// computed again. Fixed columns can never enter, so pricing only ever
+	// scans the candidate list (a large win in diving re-solves, where most
+	// integer variables are fixed).
+	feasTol := s.opts.FeasTol
+	stale := ws.tolFeas != feasTol
+	ws.tolFeas = feasTol
+	active := ws.activeCols[:0]
 	for j := 0; j < s.n; j++ {
-		s.tolL[j] = s.opts.FeasTol
-		s.tolU[j] = s.opts.FeasTol
-		if l := s.p.L[j]; !math.IsInf(l, 0) {
-			s.tolL[j] *= 1 + math.Abs(l)
+		l, u := s.p.L[j], s.p.U[j]
+		if stale || l != ws.tolOfL[j] {
+			ws.tolOfL[j] = l
+			s.tolL[j] = scaledTol(feasTol, l)
 		}
-		if u := s.p.U[j]; !math.IsInf(u, 0) {
-			s.tolU[j] *= 1 + math.Abs(u)
+		if stale || u != ws.tolOfU[j] {
+			ws.tolOfU[j] = u
+			s.tolU[j] = scaledTol(feasTol, u)
 		}
 		s.devexW[j] = 1
-	}
-
-	// Candidate list: fixed columns can never enter, so pricing only ever
-	// scans this list (a large win in diving re-solves, where most
-	// integer variables are fixed).
-	ws.activeCols = ws.activeCols[:0]
-	for j := 0; j < s.n; j++ {
-		if s.p.U[j]-s.p.L[j] > 0 {
-			ws.activeCols = append(ws.activeCols, j)
+		if u-l > 0 {
+			active = append(active, j)
 		}
 	}
-	s.activeCols = ws.activeCols
+	ws.activeCols, s.activeCols = active, active
 
 	if warm != nil && warm.validIn(s.m, s.n, ws.seen) {
-		copy(s.status, warm.Status)
 		copy(s.head, warm.Head)
-		// Snap nonbasic statuses onto bounds that may have moved since
-		// the basis was recorded (branch-and-bound tightens bounds).
-		for j := 0; j < s.n; j++ {
-			if s.status[j] == Basic {
+		copy(s.w, s.p.B)
+		for j, st := range warm.Status {
+			if st == Basic {
+				s.status[j] = Basic
 				continue
 			}
-			s.status[j] = s.snapStatus(j, s.status[j])
+			// Snap nonbasic statuses onto bounds that may have moved since
+			// the basis was recorded (branch-and-bound tightens bounds).
+			s.placeNonbasic(j, s.snapStatus(j, st))
 		}
 		if s.loadFactor() == nil {
 			// Keep this factor intact for a sibling that warm starts from
 			// the same basis; the solve refactorizes into another slot.
 			s.factor.keep()
-			s.setNonbasicValues()
-			s.recomputeBasics()
+			s.solveBasics()
 			return
 		}
 		// Warm basis is singular under current bounds: fall through.
 	}
 	s.installLogicalBasis()
+}
+
+// scaledTol is the feasibility tolerance at a bound: relative to the bound's
+// magnitude, absolute where there is none.
+func scaledTol(tol, bound float64) float64 {
+	if !math.IsInf(bound, 0) {
+		tol *= 1 + math.Abs(bound)
+	}
+	return tol
 }
 
 // snapStatus adjusts a nonbasic status so that it refers to a finite bound.
@@ -218,8 +234,9 @@ func (s *solver) snapStatus(j int, st VarStatus) VarStatus {
 // variables at their nearest finite bound.
 func (s *solver) installLogicalBasis() {
 	ns := s.n - s.m // number of structural variables
+	copy(s.w, s.p.B)
 	for j := 0; j < ns; j++ {
-		s.status[j] = s.defaultNonbasicStatus(j)
+		s.placeNonbasic(j, s.defaultNonbasicStatus(j))
 	}
 	for k := 0; k < s.m; k++ {
 		j := ns + k
@@ -231,8 +248,7 @@ func (s *solver) installLogicalBasis() {
 		// the caller violated the contract.
 		panic(fmt.Sprintf("simplex: logical basis singular: %v", err))
 	}
-	s.setNonbasicValues()
-	s.recomputeBasics()
+	s.solveBasics()
 }
 
 func (s *solver) defaultNonbasicStatus(j int) VarStatus {
@@ -252,17 +268,30 @@ func (s *solver) defaultNonbasicStatus(j int) VarStatus {
 	}
 }
 
-// setNonbasicValues places every nonbasic variable on its bound.
-func (s *solver) setNonbasicValues() {
-	for j := 0; j < s.n; j++ {
-		switch s.status[j] {
-		case NonbasicLower:
-			s.x[j] = s.p.L[j]
-		case NonbasicUpper:
-			s.x[j] = s.p.U[j]
-		case NonbasicFree:
-			s.x[j] = 0
-		}
+// placeNonbasic rests variable j on the bound its nonbasic status st names and
+// takes its column, at that value, out of the right-hand side w holds for
+// solveBasics. Callers go through the columns in ascending order, the order
+// recomputeBasics subtracts in.
+func (s *solver) placeNonbasic(j int, st VarStatus) {
+	s.status[j] = st
+	var xj float64
+	switch st {
+	case NonbasicLower:
+		xj = s.p.L[j]
+	case NonbasicUpper:
+		xj = s.p.U[j]
+	}
+	s.x[j] = xj
+	if xj != 0 {
+		s.subtractColumn(j, xj)
+	}
+}
+
+// subtractColumn takes xj times column j out of w.
+func (s *solver) subtractColumn(j int, xj float64) {
+	rows, vals := s.p.A.Col(j)
+	for p, i := range rows {
+		s.w[i] -= vals[p] * xj
 	}
 }
 
@@ -271,21 +300,20 @@ func (s *solver) setNonbasicValues() {
 // current head, so the state it leaves is exact (see solver.refreshed).
 // It overwrites w.
 func (s *solver) recomputeBasics() {
-	rhs := s.w // reuse workspace
-	copy(rhs, s.p.B)
-	for j := 0; j < s.n; j++ {
-		if s.status[j] == Basic || s.x[j] == 0 {
-			continue
-		}
-		xj := s.x[j]
-		rows, vals := s.p.A.Col(j)
-		for p, i := range rows {
-			rhs[i] -= vals[p] * xj
+	copy(s.w, s.p.B)
+	for j, st := range s.status {
+		if xj := s.x[j]; st != Basic && xj != 0 {
+			s.subtractColumn(j, xj)
 		}
 	}
-	s.factor.ftran(rhs)
+	s.solveBasics()
+}
+
+// solveBasics finishes what recomputeBasics starts, from w = b − A_N·x_N.
+func (s *solver) solveBasics() {
+	s.factor.ftran(s.w)
 	for k, j := range s.head {
-		s.x[j] = rhs[k]
+		s.x[j] = s.w[k]
 	}
 	s.rebuildPhaseState()
 	s.refreshed = true

@@ -43,6 +43,15 @@ func (p *Problem) NumCols() int { return p.A.Cols }
 
 // Validate checks structural consistency of the problem.
 func (p *Problem) Validate() error {
+	if err := p.checkShape(); err != nil {
+		return err
+	}
+	_, err := p.checkColumns(0)
+	return err
+}
+
+// checkShape checks that the matrix is there and every vector has its length.
+func (p *Problem) checkShape() error {
 	if p.A == nil {
 		return errors.New("simplex: nil constraint matrix")
 	}
@@ -56,16 +65,26 @@ func (p *Problem) Validate() error {
 	if n < m {
 		return fmt.Errorf("simplex: %d variables for %d rows; logical columns missing", n, m)
 	}
-	for j := 0; j < n; j++ {
-		if p.L[j] > p.U[j] {
-			// Not an error: signals infeasibility, detected in Solve.
+	return nil
+}
+
+// checkColumns walks the bounds and costs of a problem of the right shape
+// once for both things Solve must know of them: an error for NaN, and whether
+// some column's bounds are crossed by more than tol. Crossed bounds are not an
+// error: they make the problem infeasible, which Solve reports once no column
+// has raised one, and a column with l > u is not looked at further.
+func (p *Problem) checkColumns(tol float64) (crossed bool, err error) {
+	for j, l := range p.L {
+		u := p.U[j]
+		if l > u {
+			crossed = crossed || l > u+tol
 			continue
 		}
-		if math.IsNaN(p.L[j]) || math.IsNaN(p.U[j]) || math.IsNaN(p.C[j]) {
-			return fmt.Errorf("simplex: NaN in column %d", j)
+		if math.IsNaN(l) || math.IsNaN(u) || math.IsNaN(p.C[j]) {
+			return false, fmt.Errorf("simplex: NaN in column %d", j)
 		}
 	}
-	return nil
+	return crossed, nil
 }
 
 // VarStatus describes the role of a variable in the current basis.

@@ -37,6 +37,11 @@ type Workspace struct {
 	infeas     []bool
 	grad, cost []float64 // basic objective per phase (m)
 
+	// The bounds and the FeasTol that tolL and tolU as they stand were
+	// computed from; a zero tolFeas means from nothing (see solver.init).
+	tolOfL, tolOfU []float64
+	tolFeas        float64
+
 	factor basisFactor
 
 	// Devex reference-framework weights and the static candidate list of
@@ -67,14 +72,19 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 
 // ensure sizes every buffer for an m×n problem, growing but never shrinking
 // backing storage. A change of m drops the retained factorizations (see
-// basisFactor.reset).
+// basisFactor.reset), a change of n the remembered tolerances.
 func (ws *Workspace) ensure(m, n int) {
+	if n != ws.n {
+		ws.tolFeas = 0
+	}
 	ws.m, ws.n = m, n
 	ws.status = growStatuses(ws.status, n)
 	ws.head = growInts(ws.head, m)
 	ws.x = growFloats(ws.x, n)
 	ws.tolL = growFloats(ws.tolL, n)
 	ws.tolU = growFloats(ws.tolU, n)
+	ws.tolOfL = growFloats(ws.tolOfL, n)
+	ws.tolOfU = growFloats(ws.tolOfU, n)
 	ws.y = growFloats(ws.y, m)
 	ws.w = growFloats(ws.w, m)
 	ws.wInd = growInts(ws.wInd, m)

@@ -70,6 +70,7 @@ type FactorScratch struct {
 	x        []float64 // dense accumulator (kept all-zero between calls)
 	mark     []bool    // visited flags (kept all-false between calls)
 	pattern  []int
+	solved   []float64 // x gathered along pattern
 	dfsStack []int
 	posStack []int
 	rowCount []int
@@ -112,10 +113,26 @@ func Factorize(a *CSC, opts FactorOptions) (*LU, error) {
 // reusing the storage already held by lu and the working arrays in ws. On
 // error the contents of lu are unspecified and must not be solved against
 // until a subsequent FactorizeInto succeeds.
+//
+// Every column of a must be free of duplicate rows and sorted by row, which
+// is what Triplet.Compress guarantees.
 func FactorizeInto(lu *LU, a *CSC, opts FactorOptions, ws *FactorScratch) error {
+	return FactorizeColumnsInto(lu, a, nil, opts, ws)
+}
+
+// FactorizeColumnsInto is FactorizeInto of the square matrix whose column k
+// is column cols[k] of a, without that matrix being built: a simplex basis is
+// the columns of the constraint matrix its head names. Column numbers in
+// opts.ColOrder, in LU.Q and in errors are positions in cols. A nil cols
+// means every column of a, in order.
+func FactorizeColumnsInto(lu *LU, a *CSC, cols []int, opts FactorOptions, ws *FactorScratch) error {
+	if factorizeHook != nil {
+		factorizeHook(a, cols, opts)
+	}
 	n := a.Rows
-	if a.Cols != n {
-		return fmt.Errorf("sparse: cannot factorize %dx%d matrix", a.Rows, a.Cols)
+	b := selection{a, cols}
+	if nc := b.numCols(); nc != n {
+		return fmt.Errorf("sparse: cannot factorize %dx%d matrix", n, nc)
 	}
 	pivTol := opts.PivotTol
 	if pivTol <= 0 || pivTol > 1 {
@@ -129,7 +146,7 @@ func FactorizeInto(lu *LU, a *CSC, opts FactorOptions, ws *FactorScratch) error 
 	order := opts.ColOrder
 	if order == nil {
 		ws.order = growInts(ws.order, n)
-		order = orderByColumnNnz(a, ws)
+		order = orderByColumnNnz(b, ws)
 	} else if len(order) != n {
 		return fmt.Errorf("sparse: column order has length %d, want %d", len(order), n)
 	}
@@ -153,136 +170,184 @@ func FactorizeInto(lu *LU, a *CSC, opts FactorOptions, ws *FactorScratch) error 
 	}
 
 	// The accumulator and visited flags are maintained all-zero/all-false
-	// between calls (every path below clears what it sets), so growth is
-	// the only initialisation needed.
+	// between calls (the general path below clears what it sets before it
+	// looks for a pivot), so growth is the only initialisation needed.
 	x := growFloats(ws.x, n)
 	mark := growBools(ws.mark, n)
 	ws.x, ws.mark = x, mark
 	pattern := ws.pattern[:0]
+	solved := ws.solved[:0]
 	dfsStack := ws.dfsStack[:0]
 	posStack := ws.posStack[:0]
 
-	// Row nonzero counts of A, used as a Markowitz-style sparsity
+	// Row nonzero counts of the matrix, used as a Markowitz-style sparsity
 	// tie-break among numerically acceptable pivot candidates.
 	rowCount := growInts(ws.rowCount, n)
 	ws.rowCount = rowCount
 	for i := range rowCount {
 		rowCount[i] = 0
 	}
-	for _, i := range a.RowInd {
-		rowCount[i]++
+	for k := 0; k < n; k++ {
+		rows, _ := b.col(k)
+		for _, i := range rows {
+			rowCount[i]++
+		}
 	}
 
+	// hasL reports whether row i is a pivot whose L column is non-empty:
+	// the rows through which a column's nonzeros reach further rows.
+	hasL := func(i int) bool {
+		piv := lu.Pinv[i]
+		return piv >= 0 && lu.Lp[piv+1] > lu.Lp[piv]
+	}
+
+	singular := -1 // step that found no pivot
+columns:
 	for k := 0; k < n; k++ {
 		cj := order[k]
 		lu.Q[k] = cj
 		lu.Qinv[cj] = k
 
-		// Pattern: reach of column cj's nonzeros in the graph of L,
-		// collected in postorder (so reverse order is topological).
-		pattern = pattern[:0]
-		bi, bv := a.Col(cj)
-		for _, root := range bi {
-			if mark[root] {
-				continue
+		// rows and vals are x = L \ B(:, cj) on its pattern: the reach of the
+		// column's nonzeros in the graph of L, in postorder. A simplex basis
+		// is mostly triangular already, and a column none of whose rows has
+		// an L column reaches only its own rows and solves to itself, so its
+		// stored entries are that pattern and those values as they stand.
+		// Only the rest pay for the depth-first search, the accumulator and
+		// the visited flags. Either way the entries come in the order the
+		// general path finds them, which is the order L and U are emitted in.
+		rows, vals := b.col(cj)
+		pivRow := -1
+		var pivVal float64
+		if len(rows) == 1 && lu.Pinv[rows[0]] < 0 {
+			// A singleton on an unpivoted row is its own pivot.
+			if !(math.Abs(vals[0]) >= dropTol) {
+				singular = k
+				break columns
 			}
-			// Iterative DFS with explicit position stack.
-			dfsStack = append(dfsStack[:0], root)
-			posStack = append(posStack[:0], 0)
-			mark[root] = true
-			for len(dfsStack) > 0 {
-				node := dfsStack[len(dfsStack)-1]
-				pos := posStack[len(posStack)-1]
-				expanded := false
-				if piv := lu.Pinv[node]; piv >= 0 {
-					lo, hi := lu.Lp[piv], lu.Lp[piv+1]
-					for p := lo + pos; p < hi; p++ {
-						child := lu.Li[p]
-						posStack[len(posStack)-1] = p - lo + 1
-						if !mark[child] {
+			pivRow, pivVal = rows[0], vals[0]
+		} else {
+			trivial := true
+			for _, i := range rows {
+				if hasL(i) {
+					trivial = false
+					break
+				}
+			}
+			if !trivial {
+				// Reach by iterative DFS with an explicit position stack. A
+				// row without an L column has no children: it goes straight
+				// onto the pattern, where pushing and popping it would put it.
+				pattern = pattern[:0]
+				for _, root := range rows {
+					if mark[root] {
+						continue
+					}
+					mark[root] = true
+					if !hasL(root) {
+						pattern = append(pattern, root)
+						continue
+					}
+					dfsStack = append(dfsStack[:0], root)
+					posStack = append(posStack[:0], 0)
+					for len(dfsStack) > 0 {
+						top := len(dfsStack) - 1
+						node := dfsStack[top]
+						piv := lu.Pinv[node]
+						lo, hi := lu.Lp[piv], lu.Lp[piv+1]
+						expanded := false
+						for p := lo + posStack[top]; p < hi; p++ {
+							child := lu.Li[p]
+							if mark[child] {
+								continue
+							}
 							mark[child] = true
+							if !hasL(child) {
+								pattern = append(pattern, child)
+								continue
+							}
+							posStack[top] = p - lo + 1
 							dfsStack = append(dfsStack, child)
 							posStack = append(posStack, 0)
 							expanded = true
 							break
 						}
+						if !expanded {
+							pattern = append(pattern, node)
+							dfsStack = dfsStack[:top]
+							posStack = posStack[:top]
+						}
 					}
 				}
-				if !expanded {
-					pattern = append(pattern, node)
-					dfsStack = dfsStack[:len(dfsStack)-1]
-					posStack = posStack[:len(posStack)-1]
+
+				// Numeric sparse triangular solve over the pattern, in
+				// topological (reverse postorder) order.
+				for p, i := range rows {
+					x[i] = vals[p]
+				}
+				for t := len(pattern) - 1; t >= 0; t-- {
+					i := pattern[t]
+					piv := lu.Pinv[i]
+					if piv < 0 {
+						continue
+					}
+					xi := x[i]
+					if xi == 0 {
+						continue
+					}
+					for p := lu.Lp[piv]; p < lu.Lp[piv+1]; p++ {
+						x[lu.Li[p]] -= lu.Lx[p] * xi
+					}
+				}
+				solved = solved[:0]
+				for _, i := range pattern {
+					solved = append(solved, x[i])
+					x[i] = 0
+					mark[i] = false
+				}
+				rows, vals = pattern, solved
+			}
+
+			// Pivot selection among unpivoted pattern rows: threshold
+			// partial pivoting. Any candidate within pivTol of the
+			// largest magnitude is numerically acceptable; among those we
+			// pick the row with the fewest nonzeros in the matrix
+			// (Markowitz-style tie-break) to limit fill-in.
+			var maxAbs float64
+			for p, i := range rows {
+				if lu.Pinv[i] >= 0 {
+					continue
+				}
+				if abs := math.Abs(vals[p]); abs > maxAbs {
+					maxAbs = abs
+				}
+			}
+			if maxAbs < dropTol {
+				singular = k
+				break columns
+			}
+			bestCount := math.MaxInt
+			for p, i := range rows {
+				if lu.Pinv[i] >= 0 {
+					continue
+				}
+				if math.Abs(vals[p]) >= pivTol*maxAbs && rowCount[i] < bestCount {
+					bestCount = rowCount[i]
+					pivRow, pivVal = i, vals[p]
 				}
 			}
 		}
 
-		// Numeric sparse triangular solve x = L \ B(:, cj) over the
-		// pattern, in topological (reverse postorder) order.
-		for p, i := range bi {
-			x[i] = bv[p]
-		}
-		for t := len(pattern) - 1; t >= 0; t-- {
-			i := pattern[t]
-			piv := lu.Pinv[i]
-			if piv < 0 {
-				continue
-			}
-			xi := x[i]
-			if xi == 0 {
-				continue
-			}
-			for p := lu.Lp[piv]; p < lu.Lp[piv+1]; p++ {
-				x[lu.Li[p]] -= lu.Lx[p] * xi
-			}
-		}
-
-		// Pivot selection among unpivoted pattern rows: threshold
-		// partial pivoting. Any candidate within pivTol of the
-		// largest magnitude is numerically acceptable; among those we
-		// pick the row with the fewest nonzeros in A (Markowitz-style
-		// tie-break) to limit fill-in.
-		var maxAbs float64
-		for _, i := range pattern {
-			if lu.Pinv[i] >= 0 {
-				continue
-			}
-			if abs := math.Abs(x[i]); abs > maxAbs {
-				maxAbs = abs
-			}
-		}
-		if maxAbs < dropTol {
-			for _, i := range pattern {
-				x[i] = 0
-				mark[i] = false
-			}
-			ws.pattern, ws.dfsStack, ws.posStack = pattern, dfsStack, posStack
-			return fmt.Errorf("%w: no pivot in column %d (step %d)", ErrSingular, cj, k)
-		}
-		pivRow := -1
-		bestCount := math.MaxInt
-		for _, i := range pattern {
-			if lu.Pinv[i] >= 0 {
-				continue
-			}
-			if math.Abs(x[i]) >= pivTol*maxAbs && rowCount[i] < bestCount {
-				bestCount = rowCount[i]
-				pivRow = i
-			}
-		}
-
-		pivVal := x[pivRow]
 		lu.P[k] = pivRow
 		lu.Pinv[pivRow] = k
 		lu.Udiag[k] = pivVal
 
 		// Emit U column k (pivoted rows) and L column k (unpivoted).
-		for _, i := range pattern {
-			v := x[i]
-			x[i] = 0
-			mark[i] = false
+		for p, i := range rows {
 			if i == pivRow {
 				continue
 			}
+			v := vals[p]
 			if piv := lu.Pinv[i]; piv >= 0 && piv < k {
 				if math.Abs(v) > dropTol {
 					lu.Ui = append(lu.Ui, piv)
@@ -306,18 +371,55 @@ func FactorizeInto(lu *LU, a *CSC, opts FactorOptions, ws *FactorScratch) error 
 		lu.Up = append(lu.Up, len(lu.Ui))
 	}
 
+	ws.pattern, ws.solved, ws.dfsStack, ws.posStack = pattern, solved, dfsStack, posStack
+	if singular >= 0 {
+		return fmt.Errorf("%w: no pivot in column %d (step %d)", ErrSingular, order[singular], singular)
+	}
+
 	// Remap L's row indices from original rows to pivot positions.
 	for p, i := range lu.Li {
 		lu.Li[p] = lu.Pinv[i]
 	}
-	ws.pattern, ws.dfsStack, ws.posStack = pattern, dfsStack, posStack
 	return nil
+}
+
+// factorizeHook, when a test has set it, is shown what every factorization is
+// asked for, so that the bases a whole search factorizes can be held to the
+// reference loop. Nothing outside tests sets it.
+var factorizeHook func(a *CSC, cols []int, opts FactorOptions)
+
+// selection is the matrix FactorizeColumnsInto factorizes: the columns of a
+// that pick names, or all of them when pick is nil.
+type selection struct {
+	a    *CSC
+	pick []int
+}
+
+func (b selection) numCols() int {
+	if b.pick == nil {
+		return b.a.Cols
+	}
+	return len(b.pick)
+}
+
+func (b selection) col(k int) (rows []int, vals []float64) {
+	if b.pick != nil {
+		k = b.pick[k]
+	}
+	return b.a.Col(k)
+}
+
+func (b selection) colNnz(k int) int {
+	if b.pick != nil {
+		k = b.pick[k]
+	}
+	return b.a.ColNnz(k)
 }
 
 // orderByColumnNnz returns column indices sorted by ascending nonzero count
 // (stable on ties by index), using ws.order and ws.buckets as storage.
-func orderByColumnNnz(a *CSC, ws *FactorScratch) []int {
-	n := a.Cols
+func orderByColumnNnz(b selection, ws *FactorScratch) []int {
+	n := b.numCols()
 	order := ws.order[:n]
 	for j := range order {
 		order[j] = j
@@ -325,7 +427,7 @@ func orderByColumnNnz(a *CSC, ws *FactorScratch) []int {
 	// Counting sort by nnz keeps this O(n + nnz).
 	maxNnz := 0
 	for j := 0; j < n; j++ {
-		if c := a.ColNnz(j); c > maxNnz {
+		if c := b.colNnz(j); c > maxNnz {
 			maxNnz = c
 		}
 	}
@@ -335,13 +437,13 @@ func orderByColumnNnz(a *CSC, ws *FactorScratch) []int {
 		buckets[i] = 0
 	}
 	for j := 0; j < n; j++ {
-		buckets[a.ColNnz(j)+1]++
+		buckets[b.colNnz(j)+1]++
 	}
 	for c := 1; c < len(buckets); c++ {
 		buckets[c] += buckets[c-1]
 	}
 	for j := 0; j < n; j++ {
-		c := a.ColNnz(j)
+		c := b.colNnz(j)
 		order[buckets[c]] = j
 		buckets[c]++
 	}

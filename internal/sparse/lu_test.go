@@ -296,15 +296,35 @@ func TestDenseLUNonSquare(t *testing.T) {
 }
 
 func BenchmarkLUFactorize(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	a := randomNonsingularCSC(rng, 500, 0.01)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Factorize(a, FactorOptions{}); err != nil {
+	b.Run("random", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(3))
+		a := randomNonsingularCSC(rng, 500, 0.01)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := Factorize(a, FactorOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// The matrix a branch-and-bound node refactorizes, the way it does: about
+	// half the 450 columns singletons, a third triangular as they stand, into
+	// factors and a scratch that have seen it before (0 allocs/op).
+	b.Run("basis", func(b *testing.B) {
+		a := basisShaped(rand.New(rand.NewSource(3)), 450).csc()
+		var lu LU
+		var ws FactorScratch
+		if err := FactorizeInto(&lu, a, FactorOptions{}, &ws); err != nil {
 			b.Fatal(err)
 		}
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := FactorizeInto(&lu, a, FactorOptions{}, &ws); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkLUSolve(b *testing.B) {
