@@ -405,7 +405,6 @@ func printJSON(w io.Writer, q *qopt.Query, res *joinorder.Result, strat, metric,
 func writeLP(path string, q *qopt.Query, opts joinorder.Options) error {
 	enc, err := core.Encode(q, core.Options{
 		Precision:       opts.Precision,
-		ThresholdRatio:  opts.ThresholdRatio,
 		CardCap:         opts.CardCap,
 		Metric:          opts.Metric,
 		Op:              opts.Op,

@@ -71,11 +71,11 @@ func main() {
 		cacheMaxBytes  = flag.Int64("cache-max-bytes", 0, "plan cache byte bound (0 = entry count only)")
 		cacheDir       = flag.String("cache-dir", "", "directory for the persistent plan log (empty = memory only)")
 		persistSync    = flag.String("persist-sync", "interval", "persistent log fsync policy: interval, always, or none")
-		degradeUnder   = flag.Duration("degrade-under", 150*time.Millisecond, "serve a fallback plan when the budget is below this (0 = never)")
+		degradeUnder   = flag.Duration("degrade-under", 150*time.Millisecond, "serve a greedy plan when the budget is at most this (0 = the 150ms default; degrading cannot be turned off)")
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight work on shutdown")
 		nodeID         = flag.String("node-id", "", "this node's cluster peer ID (requires -peers)")
 		peerList       = flag.String("peers", "", "static cluster membership as id=url,id=url (includes this node)")
-		replicas       = flag.Int("replicas", 2, "ring successors receiving copies of each stored entry")
+		replicas       = flag.Int("replicas", 2, "ring successors receiving copies of each stored entry (0 = none)")
 		probeInterval  = flag.Duration("probe-interval", 2*time.Second, "peer health probe period")
 		logEvents      = flag.Bool("log-events", false, "log every solver event at debug level")
 		verbose        = flag.Bool("v", false, "debug logging")
@@ -123,6 +123,7 @@ func main() {
 			fatal(err)
 		}
 		defer router.Close()
+		log.Info("cluster membership", "self", *nodeID, "peers", *peerList, "replicas", *replicas)
 	}
 
 	srv, err := server.New(server.Config{
@@ -152,9 +153,6 @@ func main() {
 		log.Info("plan cache replayed", "dir", *cacheDir,
 			"records", ps.LiveRecords, "entries", cs.Entries, "donors", cs.Donors,
 			"evicted", cs.ReplayEvicted, "torn_bytes_dropped", ps.TornBytesDropped)
-	}
-	if router != nil {
-		log.Info("cluster membership", "self", *nodeID, "peers", *peerList, "replicas", *replicas)
 	}
 
 	hs := &http.Server{

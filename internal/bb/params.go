@@ -1,10 +1,9 @@
 // Package bb implements branch and bound for mixed integer linear
 // programs: best-first search over LP relaxations with warm-started
-// simplex solves, most-fractional and pseudocost branching, diving and
-// rounding primal heuristics, parallel workers, and anytime
-// incumbent/bound reporting — the feature set the paper relies on from
-// commercial MILP solvers (anytime behaviour, optimality gaps, parallel
-// optimization).
+// simplex solves, pseudocost branching, diving and rounding primal
+// heuristics, parallel workers, and anytime incumbent/bound reporting —
+// the feature set the paper relies on from commercial MILP solvers
+// (anytime behaviour, optimality gaps, parallel optimization).
 package bb
 
 import (
@@ -15,16 +14,12 @@ import (
 	"milpjoin/internal/obs"
 )
 
-// BranchRule selects how fractional variables are chosen for branching.
-type BranchRule int
-
+// The search's tolerances and heuristic and event intervals.
 const (
-	// BranchPseudocost uses pseudocost scores with a most-fractional
-	// fallback until costs are initialised (default).
-	BranchPseudocost BranchRule = iota
-	// BranchMostFractional always picks the variable closest to 0.5
-	// fractionality.
-	BranchMostFractional
+	absGapTol         = 1e-9 // absolute gap at which a node is pruned or the search stops
+	intTol            = 1e-6 // integrality tolerance
+	diveEvery         = 50   // the diving heuristic runs at the root and every diveEvery-th node
+	eventNodeInterval = 256  // a node-batch event every this many explored nodes
 )
 
 // Params tune the search.
@@ -33,36 +28,19 @@ type Params struct {
 	TimeLimit time.Duration
 	// GapTol is the relative MIP gap at which search stops (default 1e-6).
 	GapTol float64
-	// AbsGapTol is the absolute gap termination threshold (default 1e-9).
-	AbsGapTol float64
 	// MaxNodes bounds the number of explored nodes; zero means no limit.
 	MaxNodes int
 	// Threads is the number of parallel workers (default 1).
 	Threads int
-	// IntTol is the integrality tolerance (default 1e-6).
-	IntTol float64
-	// Branching selects the branching rule.
-	Branching BranchRule
-	// DiveEvery runs the diving heuristic at every DiveEvery-th node
-	// (default 50; the root always dives). Zero keeps the default; a
-	// negative value disables diving entirely.
-	DiveEvery int
 	// Events, when non-nil, receives the full structured event stream of
 	// the search: worker lifecycle, the root LP relaxation, incumbents,
 	// bound improvements, periodic node-batch snapshots, and heuristic
 	// dives. Events are emitted while holding the search lock, so
 	// callbacks must be fast and must not call back into the solver.
 	Events *obs.Emitter
-	// EventNodeInterval emits a node-batch snapshot every this many
-	// explored nodes (default 256; negative disables batch events).
-	EventNodeInterval int
 	// UseDualSimplex repairs warm-started node LPs with the dual
 	// simplex method instead of the composite primal phase 1.
 	UseDualSimplex bool
-	// RefactorEvery overrides the simplex eta-file length bound before a
-	// basis refactorization (zero keeps the simplex default). Small values
-	// stress the refactorization path; mainly for testing and ablations.
-	RefactorEvery int
 	// InitialIncumbent optionally seeds the search with a known integer
 	// solution (a "MIP start"): the structural part of a
 	// computational-form assignment, length NumStructural. Logical
@@ -85,20 +63,8 @@ func (p Params) withDefaults() Params {
 	if p.GapTol <= 0 {
 		p.GapTol = 1e-6
 	}
-	if p.AbsGapTol <= 0 {
-		p.AbsGapTol = 1e-9
-	}
 	if p.Threads <= 0 {
 		p.Threads = 1
-	}
-	if p.IntTol <= 0 {
-		p.IntTol = 1e-6
-	}
-	if p.DiveEvery == 0 {
-		p.DiveEvery = 50
-	}
-	if p.EventNodeInterval == 0 {
-		p.EventNodeInterval = 256
 	}
 	return p
 }

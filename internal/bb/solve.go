@@ -212,7 +212,7 @@ func (s *searcher) worker(id int) {
 		}
 		nd := heap.Pop(&s.open).(*node)
 		// Late pruning against an incumbent found since the push.
-		if s.hasInc && nd.bound >= s.incObj-s.params.AbsGapTol {
+		if s.hasInc && nd.bound >= s.incObj-absGapTol {
 			s.release(nd)
 			s.mu.Unlock()
 			continue
@@ -224,7 +224,7 @@ func (s *searcher) worker(id int) {
 		if s.params.MaxNodes > 0 && s.nodes >= s.params.MaxNodes {
 			s.setStop(StatusNodeLimit)
 		}
-		if s.params.EventNodeInterval > 0 && s.nodes%s.params.EventNodeInterval == 0 {
+		if s.nodes%eventNodeInterval == 0 {
 			s.emitLocked(obs.Event{Kind: obs.KindNodeBatch, Worker: id})
 		}
 		s.mu.Unlock()
@@ -239,7 +239,7 @@ func (s *searcher) worker(id int) {
 			s.release(nd)
 		}
 		for _, c := range children {
-			if !(s.hasInc && c.bound >= s.incObj-s.params.AbsGapTol) {
+			if !(s.hasInc && c.bound >= s.incObj-absGapTol) {
 				heap.Push(&s.open, c)
 			} else {
 				s.release(c)
@@ -365,7 +365,7 @@ func (s *searcher) checkTermination() {
 	}
 	if s.hasInc {
 		bound := s.globalBoundLocked()
-		if s.incObj-bound <= s.params.AbsGapTol || relGap(s.incObj, bound) <= s.params.GapTol {
+		if s.incObj-bound <= absGapTol || relGap(s.incObj, bound) <= s.params.GapTol {
 			s.done = true // proved optimal within tolerance
 		}
 	}
@@ -467,7 +467,7 @@ func (s *searcher) processNode(nd *node, nodeIdx, wid int) (children []*node, re
 	s.mu.Lock()
 	cutoff := math.Inf(1)
 	if s.hasInc {
-		cutoff = s.incObj - s.params.AbsGapTol
+		cutoff = s.incObj - absGapTol
 	}
 	s.mu.Unlock()
 	if bound >= cutoff {
@@ -500,7 +500,7 @@ func (s *searcher) processNode(nd *node, nodeIdx, wid int) (children []*node, re
 	// Primal heuristics: cheap rounding at every node, diving at the
 	// root and periodically.
 	s.tryRounding(w, x)
-	if s.params.DiveEvery > 0 && (nd.parent == nil || nodeIdx%s.params.DiveEvery == 0) {
+	if nd.parent == nil || nodeIdx%diveEvery == 0 {
 		diveStart := time.Now()
 		var improved bool
 		pprof.Do(s.ctx, pprof.Labels("milp_phase", "heuristic_dive"), func(context.Context) {
@@ -554,7 +554,7 @@ func (s *searcher) reducedCostFixing(lp *simplex.Result) {
 	if !s.hasInc {
 		return
 	}
-	slack := s.incObj - s.params.AbsGapTol - lp.Obj
+	slack := s.incObj - absGapTol - lp.Obj
 	if slack < 0 || math.IsInf(slack, 1) {
 		return
 	}
@@ -581,12 +581,11 @@ func (s *searcher) reducedCostFixing(lp *simplex.Result) {
 func (s *searcher) solveLP(w *workerState, l, u []float64, warm *simplex.Basis) (*simplex.Result, int, simplex.Status) {
 	w.prob.L, w.prob.U = l, u
 	res, err := simplex.Solve(&w.prob, warm, simplex.Options{
-		Deadline:      s.deadline,
-		Stop:          &s.stopFlag,
-		Ctx:           s.ctx,
-		PreferDual:    s.params.UseDualSimplex && warm != nil,
-		RefactorEvery: s.params.RefactorEvery,
-		Workspace:     w.ws,
+		Deadline:   s.deadline,
+		Stop:       &s.stopFlag,
+		Ctx:        s.ctx,
+		PreferDual: s.params.UseDualSimplex && warm != nil,
+		Workspace:  w.ws,
 	})
 	if err != nil {
 		// Numerical failure: surface as an iteration-limit-style retry.
@@ -600,7 +599,7 @@ func (s *searcher) solveLP(w *workerState, l, u []float64, warm *simplex.Basis) 
 func (s *searcher) fractionalVars(x []float64, buf []int) []int {
 	out := buf[:0]
 	for _, j := range s.intVars {
-		if fracPart(x[j]) > s.params.IntTol {
+		if fracPart(x[j]) > intTol {
 			out = append(out, j)
 		}
 	}
@@ -612,23 +611,17 @@ func fracPart(v float64) float64 {
 	return math.Min(f, 1-f)
 }
 
-// selectBranchVar picks the branching variable among the fractional ones.
+// selectBranchVar picks the branching variable among the fractional ones:
+// the best pseudocost score, where a variable not yet observed in both
+// directions scores by its fractionality scaled below any reliable score.
 func (s *searcher) selectBranchVar(x []float64, frac []int) (int, float64) {
 	best := frac[0]
 	bestScore := math.Inf(-1)
 	for _, j := range frac {
 		f := x[j] - math.Floor(x[j])
-		var score float64
-		switch s.params.Branching {
-		case BranchMostFractional:
-			score = math.Min(f, 1-f)
-		default: // pseudocost with most-fractional fallback
-			pcScore, reliable := s.pc.score(j, f)
-			if reliable {
-				score = pcScore
-			} else {
-				score = math.Min(f, 1-f) * 1e-3
-			}
+		score, reliable := s.pc.score(j, f)
+		if !reliable {
+			score = math.Min(f, 1-f) * 1e-3
 		}
 		if score > bestScore {
 			best, bestScore = j, score

@@ -253,27 +253,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestBranchingRulesAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	for trial := 0; trial < 20; trial++ {
-		m := randomMILP(rng, 3+rng.Intn(3), 2+rng.Intn(3))
-		a, err := Solve(context.Background(), m.Compile(), Params{Branching: BranchPseudocost})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Solve(context.Background(), m.Compile(), Params{Branching: BranchMostFractional})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (a.Status == StatusOptimal) != (b.Status == StatusOptimal) {
-			t.Fatalf("trial %d: %v vs %v", trial, a.Status, b.Status)
-		}
-		if a.Status == StatusOptimal && math.Abs(a.Obj-b.Obj) > 1e-5 {
-			t.Fatalf("trial %d: pseudocost %g vs most-fractional %g", trial, a.Obj, b.Obj)
-		}
-	}
-}
-
 func TestAnytimeCallback(t *testing.T) {
 	m := milp.NewModel("anytime")
 	// A knapsack-like instance with several improving incumbents.
@@ -483,20 +462,21 @@ func TestDualSimplexNodeRepairAgrees(t *testing.T) {
 	}
 }
 
-// TestDualSimplexSurvivesFrequentRefactorization forces an LU rebuild every
-// few pivots (RefactorEvery: 3) so that warm starts routinely cross
-// refactorization boundaries mid-search, and asserts the dual-repaired
-// search still reaches the primal-verified optimum. This exercises the
-// in-place factorization reuse path under branch-and-bound load.
+// TestDualSimplexSurvivesFrequentRefactorization: every node LP that pivots
+// ends on a fresh factorization its children warm start from, so on these
+// larger models the dual-repaired search crosses refactorization boundaries
+// at most nodes; it must still reach the primal-verified optimum. The
+// periodic eta-length trigger is forced in internal/simplex (retain_test.go
+// and warm_test.go, RefactorEvery 2).
 func TestDualSimplexSurvivesFrequentRefactorization(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 30; trial++ {
-		m := randomMILP(rng, 3+rng.Intn(4), 2+rng.Intn(3))
+		m := randomMILP(rng, 10+rng.Intn(4), 6+rng.Intn(3))
 		primal, err := Solve(context.Background(), m.Compile(), Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dual, err := Solve(context.Background(), m.Compile(), Params{UseDualSimplex: true, RefactorEvery: 3})
+		dual, err := Solve(context.Background(), m.Compile(), Params{UseDualSimplex: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -507,7 +487,7 @@ func TestDualSimplexSurvivesFrequentRefactorization(t *testing.T) {
 			t.Fatalf("trial %d: primal obj %g vs dual %g", trial, primal.Obj, dual.Obj)
 		}
 		if dual.Stats.Refactorizations == 0 {
-			t.Fatalf("trial %d: expected refactorizations with RefactorEvery=3", trial)
+			t.Fatalf("trial %d: the search computed no factorization", trial)
 		}
 	}
 }

@@ -303,16 +303,6 @@ func TestPrecisionAccessors(t *testing.T) {
 	if len(Precisions()) != 3 {
 		t.Error("Precisions() should list three configurations")
 	}
-	opts, err := Options{ThresholdRatio: 7}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts.ratio() != 7 {
-		t.Error("explicit ratio ignored")
-	}
-	if _, err := (Options{ThresholdRatio: 0.5}).withDefaults(); err == nil {
-		t.Error("ThresholdRatio <= 1 should be rejected")
-	}
 }
 
 // TestGomoryCutsValidForPlans: root cuts must never exclude an integer

@@ -20,9 +20,8 @@ import (
 )
 
 // ErrInvalidOptions reports encoder options a caller could not legally
-// construct results from: unknown precision values, threshold ratios ≤ 1,
-// and similar input mistakes. It wraps the detail message so callers can
-// test with errors.Is.
+// construct results from: unknown precision values and similar input
+// mistakes. It wraps the detail message so callers can test with errors.Is.
 var ErrInvalidOptions = errors.New("core: invalid options")
 
 // Precision selects the cardinality approximation tolerance, matching the
@@ -76,9 +75,6 @@ func Precisions() []Precision {
 type Options struct {
 	// Precision selects the threshold spacing (default PrecisionMedium).
 	Precision Precision
-	// ThresholdRatio, when > 1, overrides Precision with an explicit
-	// geometric spacing.
-	ThresholdRatio float64
 	// CardCap bounds the representable cardinality range, as the paper's
 	// Example 2 suggests; any plan with an intermediate result at the cap
 	// is costed as if the result had exactly the cap cardinality.
@@ -132,15 +128,8 @@ type Options struct {
 // wrapping ErrInvalidOptions on bad input. A library must not panic on
 // caller mistakes: every public entry point validates before encoding.
 func (o Options) Validate() error {
-	if o.ThresholdRatio != 0 && o.ThresholdRatio <= 1 {
-		return fmt.Errorf("%w: threshold ratio %g must exceed 1", ErrInvalidOptions, o.ThresholdRatio)
-	}
-	if o.ThresholdRatio == 0 {
-		if _, err := o.Precision.Ratio(); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := o.Precision.Ratio()
+	return err
 }
 
 func (o Options) withDefaults() (Options, error) {
@@ -154,13 +143,10 @@ func (o Options) withDefaults() (Options, error) {
 	return o, nil
 }
 
-// ratio returns the effective threshold spacing. Options are validated
-// before encoding, so the unknown-precision fallback is unreachable there;
-// it defaults to the medium spacing for robustness.
+// ratio returns the threshold spacing. Options are validated before
+// encoding, so the unknown-precision fallback is unreachable there; it
+// defaults to the medium spacing for robustness.
 func (o Options) ratio() float64 {
-	if o.ThresholdRatio > 1 {
-		return o.ThresholdRatio
-	}
 	if r, err := o.Precision.Ratio(); err == nil {
 		return r
 	}

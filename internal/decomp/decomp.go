@@ -54,8 +54,8 @@ type Options struct {
 	// Deadline bounds the whole run (zero: per-partition defaults only).
 	Deadline time.Time
 	// MILP templates the per-partition MILP encoder options (precision,
-	// threshold ratio, cardinality cap). Metric, operator, cost params,
-	// plan injection, and callbacks are overridden per partition.
+	// cardinality cap). Metric, operator, cost params, plan injection, and
+	// callbacks are overridden per partition.
 	MILP core.Options
 	// Params templates the per-partition solver parameters (gap
 	// tolerance, threads). Time limits and callbacks are overridden.
@@ -72,17 +72,14 @@ func (o Options) withDefaults() Options {
 	if o.PartitionCap < 2 {
 		o.PartitionCap = 2
 	}
-	if o.SeamFrac <= 0 {
-		o.SeamFrac = DefaultSeamFrac
-	}
-	if o.SeamFrac >= 1 {
+	if o.SeamFrac <= 0 || o.SeamFrac >= 1 {
 		o.SeamFrac = DefaultSeamFrac
 	}
 	if o.DPCap <= 0 {
 		o.DPCap = DefaultDPCap
 	}
 	if o.DPCap > 20 {
-		o.DPCap = 20 // dpconv's hard ceiling
+		o.DPCap = 20 // dp.OptimizeConv's hard ceiling
 	}
 	return o
 }

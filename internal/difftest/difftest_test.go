@@ -15,7 +15,6 @@ import (
 	"math"
 	"math/bits"
 	"os"
-	"reflect"
 	"testing"
 	"time"
 
@@ -188,7 +187,7 @@ func TestMILPAgainstExactDP(t *testing.T) {
 func TestStrategyHierarchy(t *testing.T) {
 	forEachQuery(t, func(t *testing.T, shape workload.GraphShape, n int, seed int64, q *joinorder.Query) {
 		costs := map[string]float64{}
-		for _, strat := range []string{"dp-bushy", "dpconv", "dp-leftdeep", "greedy"} {
+		for _, strat := range []string{"dp-bushy", "dp-leftdeep", "greedy"} {
 			res, err := joinorder.Optimize(context.Background(), q, joinorder.Options{Strategy: strat})
 			if err != nil {
 				t.Fatalf("n=%d seed=%d: %s: %v", n, seed, strat, err)
@@ -203,10 +202,6 @@ func TestStrategyHierarchy(t *testing.T) {
 		if costs["dp-leftdeep"] > costs["greedy"]*tol {
 			t.Errorf("%v n=%d seed=%d: left-deep optimum %g worse than greedy %g",
 				shape, n, seed, costs["dp-leftdeep"], costs["greedy"])
-		}
-		if costs["dpconv"] > costs["dp-leftdeep"]*tol {
-			t.Errorf("%v n=%d seed=%d: dpconv optimum %g worse than left-deep %g (bushy space contains left-deep)",
-				shape, n, seed, costs["dpconv"], costs["dp-leftdeep"])
 		}
 	})
 }
@@ -261,9 +256,9 @@ func TestDPConvAgainstBushyOracle(t *testing.T) {
 		if n > 6 {
 			return
 		}
-		conv, err := joinorder.Optimize(context.Background(), q, joinorder.Options{Strategy: "dpconv"})
+		conv, err := joinorder.Optimize(context.Background(), q, joinorder.Options{Strategy: "dp-bushy"})
 		if err != nil {
-			t.Fatalf("n=%d seed=%d: dpconv: %v", n, seed, err)
+			t.Fatalf("n=%d seed=%d: dp-bushy: %v", n, seed, err)
 		}
 		best := math.Inf(1)
 		for _, tr := range bushyTrees(1<<n - 1) {
@@ -274,40 +269,11 @@ func TestDPConvAgainstBushyOracle(t *testing.T) {
 			best = math.Min(best, c)
 		}
 		if math.Abs(conv.Cost-best) > 1e-9*math.Max(1, best) {
-			t.Errorf("%v n=%d seed=%d: dpconv %g != exhaustive optimum %g (tree %v)",
+			t.Errorf("%v n=%d seed=%d: dp-bushy %g != exhaustive optimum %g (tree %v)",
 				shape, n, seed, conv.Cost, best, conv.Tree)
 		}
 		if conv.Status != joinorder.StatusOptimal {
 			t.Errorf("%v n=%d seed=%d: status %v, want optimal", shape, n, seed, conv.Status)
-		}
-	})
-}
-
-// TestBushyNamesAreOneStrategy: "dp-bushy" and "dpconv" are two wire names
-// for one search, so outside "auto" (where the race's live cutoff makes
-// runs timing-dependent) they return the same cost, tree and plan.
-func TestBushyNamesAreOneStrategy(t *testing.T) {
-	forEachQuery(t, func(t *testing.T, shape workload.GraphShape, n int, seed int64, q *joinorder.Query) {
-		bushy, err := joinorder.Optimize(context.Background(), q, joinorder.Options{Strategy: "dp-bushy"})
-		if err != nil {
-			t.Fatalf("n=%d seed=%d: dp-bushy: %v", n, seed, err)
-		}
-		conv, err := joinorder.Optimize(context.Background(), q, joinorder.Options{Strategy: "dpconv"})
-		if err != nil {
-			t.Fatalf("n=%d seed=%d: dpconv: %v", n, seed, err)
-		}
-		if bushy.Strategy != "dp-bushy" || conv.Strategy != "dpconv" {
-			t.Errorf("%v n=%d seed=%d: results name %q/%q", shape, n, seed, bushy.Strategy, conv.Strategy)
-		}
-		if bushy.Cost != conv.Cost || bushy.Status != conv.Status {
-			t.Errorf("%v n=%d seed=%d: dp-bushy %g (%v) != dpconv %g (%v)",
-				shape, n, seed, bushy.Cost, bushy.Status, conv.Cost, conv.Status)
-		}
-		if bushy.Tree.String() != conv.Tree.String() {
-			t.Errorf("%v n=%d seed=%d: trees differ: %v vs %v", shape, n, seed, bushy.Tree, conv.Tree)
-		}
-		if !reflect.DeepEqual(bushy.Plan, conv.Plan) {
-			t.Errorf("%v n=%d seed=%d: plans differ: %v vs %v", shape, n, seed, bushy.Plan, conv.Plan)
 		}
 	})
 }

@@ -31,25 +31,16 @@ type Options struct {
 	// Restarts is the number of independent starts for iterative
 	// improvement (default 10).
 	Restarts int
-	// MaxMovesWithoutImprovement declares a local optimum (default 4·n²).
-	MaxMovesWithoutImprovement int
-	// InitialTemperature and CoolingRate parameterise simulated
-	// annealing (defaults: half the start cost, 0.9).
-	InitialTemperature float64
-	CoolingRate        float64
 	// OnImprovement, when non-nil, observes every strict improvement.
 	OnImprovement func(p *plan.Plan, cost float64, elapsed time.Duration)
 }
 
-func (o Options) withDefaults(n int) Options {
+// coolingRate is simulated annealing's geometric cooling factor per stage.
+const coolingRate = 0.9
+
+func (o Options) withDefaults() Options {
 	if o.Restarts <= 0 {
 		o.Restarts = 10
-	}
-	if o.MaxMovesWithoutImprovement <= 0 {
-		o.MaxMovesWithoutImprovement = 4 * n * n
-	}
-	if o.CoolingRate <= 0 || o.CoolingRate >= 1 {
-		o.CoolingRate = 0.9
 	}
 	return o
 }
@@ -78,7 +69,7 @@ func newSearch(ctx context.Context, q *qopt.Query, spec cost.Spec, opts Options)
 		ctx:      ctx,
 		q:        q,
 		spec:     spec,
-		opts:     opts.withDefaults(q.NumTables()),
+		opts:     opts.withDefaults(),
 		rng:      rand.New(rand.NewSource(opts.Seed)),
 		start:    time.Now(),
 		bestCost: math.Inf(1),
@@ -157,12 +148,14 @@ func IterativeImprovement(ctx context.Context, q *qopt.Query, spec cost.Spec, op
 	if err != nil {
 		return nil, 0, err
 	}
+	n := q.NumTables()
+	maxStall := 4 * n * n // moves without improvement that declare a local optimum
 	for restart := 0; restart < s.opts.Restarts && !s.expired(); restart++ {
 		order := s.randomOrder()
 		cur := s.planCost(order)
 		s.offer(order, cur)
 		stall := 0
-		for stall < s.opts.MaxMovesWithoutImprovement && !s.expired() {
+		for stall < maxStall && !s.expired() {
 			undo := s.neighbor(order)
 			if c := s.planCost(order); c < cur {
 				cur = c
@@ -178,8 +171,15 @@ func IterativeImprovement(ctx context.Context, q *qopt.Query, spec cost.Spec, op
 }
 
 // SimulatedAnnealing runs Metropolis-accepted local search with geometric
-// cooling, per Steinbrunn's SA configuration.
+// cooling, per Steinbrunn's SA configuration, starting at half the cost of
+// its random start plan.
 func SimulatedAnnealing(ctx context.Context, q *qopt.Query, spec cost.Spec, opts Options) (*plan.Plan, float64, error) {
+	return anneal(ctx, q, spec, opts, 0)
+}
+
+// anneal is SimulatedAnnealing starting at temperature temp0, or at half the
+// start plan's cost when temp0 is zero.
+func anneal(ctx context.Context, q *qopt.Query, spec cost.Spec, opts Options, temp0 float64) (*plan.Plan, float64, error) {
 	s, err := newSearch(ctx, q, spec, opts)
 	if err != nil {
 		return nil, 0, err
@@ -188,7 +188,7 @@ func SimulatedAnnealing(ctx context.Context, q *qopt.Query, spec cost.Spec, opts
 	cur := s.planCost(order)
 	s.offer(order, cur)
 
-	temp := s.opts.InitialTemperature
+	temp := temp0
 	if temp <= 0 {
 		temp = math.Max(cur*0.5, 1)
 	}
@@ -211,7 +211,7 @@ func SimulatedAnnealing(ctx context.Context, q *qopt.Query, spec cost.Spec, opts
 				undo()
 			}
 		}
-		temp *= s.opts.CoolingRate
+		temp *= coolingRate
 		if improvedStage {
 			frozen = 0
 		} else {
@@ -237,9 +237,8 @@ func TwoPhase(ctx context.Context, q *qopt.Query, spec cost.Spec, opts Options) 
 	s.offer(iiPlan.Order, iiCost)
 
 	saOpts := s.opts
-	saOpts.InitialTemperature = math.Max(iiCost*0.05, 1) // low temperature
 	saOpts.Seed = s.opts.Seed + 1
-	saPlan, saCost, err := SimulatedAnnealing(ctx, q, spec, saOpts)
+	saPlan, saCost, err := anneal(ctx, q, spec, saOpts, math.Max(iiCost*0.05, 1)) // low temperature
 	if err == nil {
 		s.offer(saPlan.Order, saCost)
 	}

@@ -157,7 +157,7 @@ func (s *solver) dualLoop() dualOutcome {
 		for _, j := range nbList {
 			a := s.p.A.ColDot(j, rho)
 			alpha[j] = a
-			if math.Abs(a) < s.opts.PivotTol {
+			if math.Abs(a) < pivotTol {
 				continue
 			}
 			var eligible bool
@@ -301,7 +301,7 @@ func (s *solver) dualLoop() dualOutcome {
 		}
 		d[jOut] = -theta
 
-		if !s.factor.update(leave, s.w, s.wInd, s.opts.PivotTol) {
+		if !s.factor.update(leave, s.w, s.wInd) {
 			if err := s.refactorizeOrRepair(); err != nil {
 				return dualGiveUp
 			}

@@ -188,7 +188,7 @@ func (f *basisFactor) btran(v []float64) {
 // entering column w (dense, length m) whose nonzeros sit at the positions
 // ind. Returns false if the pivot element is numerically unusable and a
 // refactorization should happen instead.
-func (f *basisFactor) update(r int, w []float64, ind []int, pivotTol float64) bool {
+func (f *basisFactor) update(r int, w []float64, ind []int) bool {
 	wr := w[r]
 	if math.Abs(wr) < pivotTol {
 		return false

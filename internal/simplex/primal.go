@@ -24,7 +24,7 @@ func Solve(p *Problem, warm *Basis, opts Options) (*Result, error) {
 	}
 	m, n := p.NumRows(), p.NumCols()
 	opts = opts.withDefaults(m, n)
-	crossed, err := p.checkColumns(opts.FeasTol)
+	crossed, err := p.checkColumns(feasTol)
 	if err != nil {
 		return nil, err
 	}
@@ -141,15 +141,14 @@ func (s *solver) init(warm *Basis) {
 	s.devexW = ws.devexW
 	s.start = time.Now()
 
-	// One pass over the columns. A tolerance is a function of FeasTol and one
+	// One pass over the columns. A tolerance is a function of feasTol and one
 	// bound, and a branch-and-bound node moves a handful of bounds: only where
 	// the bound differs from the one the workspace computed it from is it
 	// computed again. Fixed columns can never enter, so pricing only ever
 	// scans the candidate list (a large win in diving re-solves, where most
 	// integer variables are fixed).
-	feasTol := s.opts.FeasTol
-	stale := ws.tolFeas != feasTol
-	ws.tolFeas = feasTol
+	stale := !ws.tolKnown
+	ws.tolKnown = true
 	active := ws.activeCols[:0]
 	for j := 0; j < s.n; j++ {
 		l, u := s.p.L[j], s.p.U[j]
@@ -433,9 +432,9 @@ func (s *solver) run() (*Result, error) {
 		}
 		s.iters++
 
-		if t <= s.opts.FeasTol {
+		if t <= feasTol {
 			s.degenStreak++
-			if s.degenStreak > s.opts.BlandAfter {
+			if s.degenStreak > blandAfter {
 				s.bland = true
 			}
 		} else {
@@ -541,17 +540,17 @@ func (s *solver) chooseEntering(phase1 bool) (int, float64) {
 			var sigma float64
 			switch st {
 			case NonbasicLower:
-				if d < -s.opts.OptTol {
+				if d < -optTol {
 					sigma = 1
 				}
 			case NonbasicUpper:
-				if d > s.opts.OptTol {
+				if d > optTol {
 					sigma = -1
 				}
 			case NonbasicFree:
-				if d < -s.opts.OptTol {
+				if d < -optTol {
 					sigma = 1
-				} else if d > s.opts.OptTol {
+				} else if d > optTol {
 					sigma = -1
 				}
 			}
@@ -594,21 +593,21 @@ func (s *solver) chooseEnteringBland(phase1 bool) (int, float64) {
 		d := cj - s.p.A.ColDot(j, s.y)
 		switch st {
 		case NonbasicLower:
-			if d < -s.opts.OptTol {
+			if d < -optTol {
 				s.pricing.ScannedCols += i + 1
 				return j, 1
 			}
 		case NonbasicUpper:
-			if d > s.opts.OptTol {
+			if d > optTol {
 				s.pricing.ScannedCols += i + 1
 				return j, -1
 			}
 		case NonbasicFree:
-			if d < -s.opts.OptTol {
+			if d < -optTol {
 				s.pricing.ScannedCols += i + 1
 				return j, 1
 			}
-			if d > s.opts.OptTol {
+			if d > optTol {
 				s.pricing.ScannedCols += i + 1
 				return j, -1
 			}
@@ -652,8 +651,6 @@ func (s *solver) resetDevex() {
 // the bound they violate (becoming feasible); feasible ones block at the
 // bound they would cross.
 func (s *solver) ratioTest(q int, sigma float64, phase1 bool) (t float64, leave int, leaveStatus VarStatus, flip bool) {
-	pivTol := s.opts.PivotTol
-
 	tEnter := math.Inf(1)
 	if !math.IsInf(s.p.L[q], -1) && !math.IsInf(s.p.U[q], 1) {
 		tEnter = s.p.U[q] - s.p.L[q]
@@ -665,7 +662,7 @@ func (s *solver) ratioTest(q int, sigma float64, phase1 bool) (t float64, leave 
 		j := s.head[k]
 		wk := sigma * s.w[k]
 		var tk float64
-		if wk > pivTol { // x_j decreases
+		if wk > pivotTol { // x_j decreases
 			switch {
 			case phase1 && s.x[j] > s.p.U[j]+s.tolU[j]:
 				tk = (s.x[j] - s.p.U[j]) / wk
@@ -677,7 +674,7 @@ func (s *solver) ratioTest(q int, sigma float64, phase1 bool) (t float64, leave 
 			default:
 				continue // below lower and sinking: already counted in gradient
 			}
-		} else if wk < -pivTol { // x_j increases
+		} else if wk < -pivotTol { // x_j increases
 			switch {
 			case phase1 && s.x[j] < s.p.L[j]-s.tolL[j]:
 				tk = (s.p.L[j] - s.x[j]) / -wk
@@ -718,7 +715,7 @@ func (s *solver) ratioTest(q int, sigma float64, phase1 bool) (t float64, leave 
 		wk := sigma * s.w[k]
 		var tk float64
 		var st VarStatus
-		if wk > pivTol {
+		if wk > pivotTol {
 			switch {
 			case phase1 && s.x[j] > s.p.U[j]+s.tolU[j]:
 				tk, st = (s.x[j]-s.p.U[j])/wk, NonbasicUpper
@@ -730,7 +727,7 @@ func (s *solver) ratioTest(q int, sigma float64, phase1 bool) (t float64, leave 
 			default:
 				continue
 			}
-		} else if wk < -pivTol {
+		} else if wk < -pivotTol {
 			switch {
 			case phase1 && s.x[j] < s.p.L[j]-s.tolL[j]:
 				tk, st = (s.p.L[j]-s.x[j])/-wk, NonbasicLower
@@ -809,7 +806,7 @@ func (s *solver) applyPivot(q int, sigma, t float64, leave int, leaveStatus VarS
 	s.classify(leave)
 	s.devexUpdate(q, jOut, s.w[leave])
 
-	if !s.factor.update(leave, s.w, s.wInd, s.opts.PivotTol) {
+	if !s.factor.update(leave, s.w, s.wInd) {
 		return s.refactorizeOrRepair()
 	}
 	return nil

@@ -248,17 +248,21 @@ func (p *PricingStats) Add(o PricingStats) {
 	p.TotalCols += o.TotalCols
 }
 
+// The solver's tolerances and its anti-cycling trigger. feasTol must stay a
+// constant: a workspace's remembered per-column tolerances (solver.init)
+// carry no record of the tolerance they were scaled from.
+const (
+	feasTol    = 1e-7 // primal feasibility
+	optTol     = 1e-7 // reduced-cost optimality
+	pivotTol   = 1e-8 // smallest ratio-test pivot accepted
+	blandAfter = 200  // consecutive degenerate iterations before Bland's rule
+)
+
 // Options tune the solver.
 type Options struct {
 	// MaxIter bounds total simplex iterations; 0 means a generous
 	// default proportional to the problem size.
 	MaxIter int
-	// FeasTol is the primal feasibility tolerance (default 1e-7).
-	FeasTol float64
-	// OptTol is the reduced-cost optimality tolerance (default 1e-7).
-	OptTol float64
-	// PivotTol rejects ratio-test pivots smaller than this (default 1e-8).
-	PivotTol float64
 	// RefactorEvery bounds the eta file length before refactorization
 	// (default 64).
 	RefactorEvery int
@@ -270,9 +274,6 @@ type Options struct {
 	// iteration loops poll it periodically, so long solves return
 	// StatusAborted shortly after cancellation.
 	Ctx context.Context
-	// BlandAfter switches to Bland's anti-cycling rule after this many
-	// consecutive degenerate iterations (default 200).
-	BlandAfter int
 	// PreferDual tries dual simplex iterations first when a warm-start
 	// basis is primal infeasible but dual feasible — the typical state
 	// of a branch-and-bound node after its parent's bound change. Falls
@@ -293,20 +294,8 @@ func (o Options) withDefaults(m, n int) Options {
 	if o.MaxIter <= 0 {
 		o.MaxIter = 200*(m+n) + 10000
 	}
-	if o.FeasTol <= 0 {
-		o.FeasTol = 1e-7
-	}
-	if o.OptTol <= 0 {
-		o.OptTol = 1e-7
-	}
-	if o.PivotTol <= 0 {
-		o.PivotTol = 1e-8
-	}
 	if o.RefactorEvery <= 0 {
 		o.RefactorEvery = 64
-	}
-	if o.BlandAfter <= 0 {
-		o.BlandAfter = 200
 	}
 	return o
 }

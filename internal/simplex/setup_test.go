@@ -50,7 +50,7 @@ func TestProblemChecksThroughReusedWorkspace(t *testing.T) {
 		{"NaN after crossed bounds", withColumns(good, func(q *Problem) { q.L[1], q.U[1], q.U[8] = 3, 2, nan }), "simplex: NaN in column 8", false},
 		{"NaN before crossed bounds", withColumns(good, func(q *Problem) { q.C[1], q.L[8], q.U[8] = nan, 3, 2 }), "simplex: NaN in column 1", false},
 		{"NaN cost of a crossed column", withColumns(good, func(q *Problem) { q.L[4], q.U[4], q.C[4] = 1, 0.5, nan }), "", true},
-		{"crossed within FeasTol", withColumns(good, func(q *Problem) { q.L[4] = q.U[4] + 1e-9 }), "", false},
+		{"crossed within feasTol", withColumns(good, func(q *Problem) { q.L[4] = q.U[4] + 1e-9 }), "", false},
 	} {
 		ws := NewWorkspace()
 		if _, err := Solve(good, nil, Options{Workspace: ws}); err != nil {
@@ -90,7 +90,7 @@ func TestProblemChecksThroughReusedWorkspace(t *testing.T) {
 
 // requireTolerances fails unless the scaled tolerances a workspace holds are,
 // bit for bit, the ones computed from the problem's bounds from scratch.
-func requireTolerances(t *testing.T, label string, ws *Workspace, p *Problem, feasTol float64) {
+func requireTolerances(t *testing.T, label string, ws *Workspace, p *Problem) {
 	t.Helper()
 	for j := range p.L {
 		wantL, wantU := feasTol, feasTol
@@ -109,10 +109,9 @@ func requireTolerances(t *testing.T, label string, ws *Workspace, p *Problem, fe
 // TestRememberedTolerancesMatchFreshWorkspace drives one workspace through
 // everything that must make it forget or update the tolerances it remembers
 // — problems of other sizes (growing into new storage and shrinking back),
-// another problem of the same size, a FeasTol change and its reversal, a
-// bound moving back and forth between two values and to infinity — and
-// after every solve holds its tolerances to a from-scratch computation and
-// its result to a new workspace's.
+// another problem of the same size, a bound moving back and forth between
+// two values and to infinity — and after every solve holds its tolerances
+// to a from-scratch computation and its result to a new workspace's.
 func TestRememberedTolerancesMatchFreshWorkspace(t *testing.T) {
 	small := randomFeasibleLP(rand.New(rand.NewSource(1)), 10, 14)
 	large := randomFeasibleLP(rand.New(rand.NewSource(2)), 25, 40)
@@ -124,35 +123,31 @@ func TestRememberedTolerancesMatchFreshWorkspace(t *testing.T) {
 
 	ws := NewWorkspace()
 	step := 0
-	solve := func(p *Problem, warm *Basis, feasTol float64) solveSnapshot {
+	solve := func(p *Problem, warm *Basis) solveSnapshot {
 		t.Helper()
 		step++
 		label := fmt.Sprintf("solve %d", step)
-		res, err := Solve(p, warm, Options{FeasTol: feasTol, Workspace: ws})
+		res, err := Solve(p, warm, Options{Workspace: ws})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		got := snapshot(res)
-		fresh, err := Solve(p, warm, Options{FeasTol: feasTol})
+		fresh, err := Solve(p, warm, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		requireSameBits(t, label, got, snapshot(fresh))
-		if feasTol == 0 {
-			feasTol = 1e-7
-		}
-		requireTolerances(t, label, ws, p, feasTol)
+		requireTolerances(t, label, ws, p)
 		return got
 	}
 
-	solve(small, nil, 0)
-	root := solve(large, nil, 0)
-	solve(other, nil, 0)
-	solve(small, nil, 0)
-	solve(large, nil, 0)
-	solve(large, nil, 1e-5)
-	solve(other, nil, 1e-5)
-	solve(large, nil, 0)
+	solve(small, nil)
+	root := solve(large, nil)
+	solve(other, nil)
+	solve(small, nil)
+	solve(large, nil)
+	solve(other, nil)
+	solve(large, nil)
 
 	if root.status != StatusOptimal {
 		t.Fatalf("fixture: root LP %v", root.status)
@@ -164,6 +159,6 @@ func TestRememberedTolerancesMatchFreshWorkspace(t *testing.T) {
 	lo, hi := root.x[j]-0.4, large.U[j]
 	for _, u := range []float64{lo, hi, lo, math.Inf(1), lo, hi} {
 		large.U[j] = u
-		solve(large, root.basis(), 0)
+		solve(large, root.basis())
 	}
 }

@@ -37,10 +37,10 @@ type Workspace struct {
 	infeas     []bool
 	grad, cost []float64 // basic objective per phase (m)
 
-	// The bounds and the FeasTol that tolL and tolU as they stand were
-	// computed from; a zero tolFeas means from nothing (see solver.init).
+	// The bounds that tolL and tolU as they stand were computed from; while
+	// tolKnown is false they were computed from nothing (see solver.init).
 	tolOfL, tolOfU []float64
-	tolFeas        float64
+	tolKnown       bool
 
 	factor basisFactor
 
@@ -75,7 +75,7 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // basisFactor.reset), a change of n the remembered tolerances.
 func (ws *Workspace) ensure(m, n int) {
 	if n != ws.n {
-		ws.tolFeas = 0
+		ws.tolKnown = false
 	}
 	ws.m, ws.n = m, n
 	ws.status = growStatuses(ws.status, n)

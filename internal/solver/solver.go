@@ -121,8 +121,6 @@ type Params struct {
 	// CutRounds runs this many rounds of root Gomory mixed-integer cut
 	// generation before branch and bound (0: off).
 	CutRounds int
-	// Branching selects the branching rule.
-	Branching bb.BranchRule
 	// OnEvent receives the full structured event stream of the solve:
 	// presolve summary, cut rounds, the root LP relaxation, incumbents,
 	// bound improvements, heuristic dives, node batches, and worker
@@ -321,7 +319,6 @@ func Solve(ctx context.Context, m *milp.Model, params Params) (*Result, error) {
 		GapTol:    params.GapTol,
 		Threads:   params.Threads,
 		MaxNodes:  params.MaxNodes,
-		Branching: params.Branching,
 		Events:    emitter,
 	}
 	if len(params.InitialSolution) == m.NumVars() {

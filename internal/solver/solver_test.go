@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"milpjoin/internal/bb"
 	"milpjoin/internal/milp"
 )
 
@@ -237,19 +236,6 @@ func TestMaxNodesStatus(t *testing.T) {
 	}
 	if res.Status != StatusNodeLimit && res.Status != StatusOptimal {
 		t.Fatalf("status = %v", res.Status)
-	}
-}
-
-func TestBranchRulePassthrough(t *testing.T) {
-	m := milp.NewModel("branch")
-	x := m.AddVar(0, 10, -1, milp.Integer, "x")
-	m.AddConstr(milp.Expr(x, 2.0), milp.LE, 7, "c")
-	res, err := Solve(context.Background(), m, Params{Branching: bb.BranchMostFractional})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != StatusOptimal || math.Abs(res.Solution.Obj-(-3)) > 1e-6 {
-		t.Fatalf("status %v obj %g", res.Status, res.Solution.Obj)
 	}
 }
 

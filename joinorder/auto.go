@@ -22,7 +22,7 @@ func init() {
 // bounds, and the injection target), the pruning exact DP, the
 // gradient-descent heuristic, and the instant greedy seed.
 func DefaultPortfolio() []string {
-	return []string{"milp", "dpconv", "gradient", "greedy"}
+	return []string{"milp", "dp-bushy", "gradient", "greedy"}
 }
 
 // memberOutcome is one member's terminal state in the race.
@@ -113,7 +113,7 @@ func optimizeAuto(ctx context.Context, q *Query, opts Options) (*Result, error) 
 		switch member {
 		case "milp":
 			mopts.incumbents = bus.Subscribe(member)
-		case "dpconv", "dp-bushy":
+		case "dp-bushy":
 			mopts.cutoff = bus.BestCost
 		}
 		o, err := Lookup(member)

@@ -44,7 +44,7 @@ func TestAutoDeterministicWinner(t *testing.T) {
 	q := workload.Generate(workload.Star, 10, 2, workload.Config{})
 	opts := joinorder.Options{
 		Strategy:  "auto",
-		Portfolio: []string{"dpconv", "greedy"},
+		Portfolio: []string{"dp-bushy", "greedy"},
 		Budget:    joinorder.Budget{TimeLimit: 30 * time.Second, Threads: 1},
 		Seed:      7,
 	}
@@ -65,8 +65,8 @@ func TestAutoDeterministicWinner(t *testing.T) {
 	}
 	// The exact DP proves optimality, so it must win over the unproven
 	// greedy answer (cheaper cost, or the stronger status on a tie).
-	if a.Winner != "dpconv" {
-		t.Errorf("winner = %q, want dpconv", a.Winner)
+	if a.Winner != "dp-bushy" {
+		t.Errorf("winner = %q, want dp-bushy", a.Winner)
 	}
 	if a.Status != joinorder.StatusOptimal {
 		t.Errorf("status = %v, want optimal", a.Status)

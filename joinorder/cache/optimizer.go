@@ -19,7 +19,7 @@ import (
 type OptimizeFunc func(ctx context.Context, q *joinorder.Query, opts joinorder.Options) (*joinorder.Result, error)
 
 // Config configures an Optimizer. The zero value is usable: 1024 entries,
-// no TTL, warm starts on, degraded serving off.
+// no TTL, degraded serving off.
 type Config struct {
 	// MaxEntries bounds the exact cache (default 1024). The warm-start
 	// donor index is bounded separately at the same size.
@@ -33,18 +33,12 @@ type Config struct {
 	// is checked on lookup; an expired entry is treated as a miss and
 	// removed, so stale plans are never served.
 	TTL time.Duration
-	// DisableWarmStart turns off injecting shape-matched cached plans as
-	// MIP starts on misses.
-	DisableWarmStart bool
 	// DegradeUnder enables graceful degradation: when a request's
 	// effective time budget (Budget.TimeLimit composed with the context
-	// deadline) is at most this, the cache serves a heuristic plan
+	// deadline) is at most this, the cache serves a greedy plan
 	// immediately and refines the real answer in the background,
 	// publishing it to the cache for the next request (0: disabled).
 	DegradeUnder time.Duration
-	// FallbackStrategy is the strategy served under degradation
-	// (default "greedy").
-	FallbackStrategy string
 	// BackgroundBudget is the time limit of a background refine solve
 	// (default 30s).
 	BackgroundBudget time.Duration
@@ -108,9 +102,6 @@ type donor struct {
 func (c Config) WithDefaults() Config {
 	if c.MaxEntries == 0 {
 		c.MaxEntries = 1024
-	}
-	if c.FallbackStrategy == "" {
-		c.FallbackStrategy = "greedy"
 	}
 	if c.BackgroundBudget == 0 {
 		c.BackgroundBudget = 30 * time.Second
@@ -360,7 +351,7 @@ func (o *Optimizer) solve(ctx context.Context, q *joinorder.Query, opts joinorde
 	var cs *Canonical
 	var dkey string // donorKey(cs, opts), formatted once per solve
 	warmed := false
-	if !o.cfg.DisableWarmStart && opts.InitialPlan == nil {
+	if opts.InitialPlan == nil {
 		if c, err := o.canonicalize(q, Shape); err == nil {
 			cs, dkey = c, donorKey(c, opts)
 			if d, ok := o.donors.get(dkey, o.cfg.now()); ok {
@@ -387,7 +378,7 @@ func (o *Optimizer) solve(ctx context.Context, q *joinorder.Query, opts joinorde
 	}
 
 	now := o.cfg.now()
-	if cs == nil && !o.cfg.DisableWarmStart {
+	if cs == nil {
 		if cs, _ = o.canonicalize(q, Shape); cs != nil {
 			dkey = donorKey(cs, opts)
 		}
@@ -426,8 +417,11 @@ func (o *Optimizer) degradeBudget(ctx context.Context, opts joinorder.Options, n
 	return budget > 0 && budget <= o.cfg.DegradeUnder
 }
 
-// serveDegraded answers a tight-deadline miss immediately with the
-// fallback strategy and starts one background refine solve (deduplicated
+// fallbackStrategy answers a degraded request: the instant greedy order.
+const fallbackStrategy = "greedy"
+
+// serveDegraded answers a tight-deadline miss immediately with
+// fallbackStrategy and starts one background refine solve (deduplicated
 // through the flight group) whose result lands in the cache for the next
 // request.
 func (o *Optimizer) serveDegraded(ctx context.Context, q *joinorder.Query, opts joinorder.Options, ce *Canonical, ekey string, em *callEmitter, start time.Time) (*joinorder.Result, error) {
@@ -452,7 +446,7 @@ func (o *Optimizer) serveDegraded(ctx context.Context, q *joinorder.Query, opts 
 		}()
 	}
 	fopts := opts
-	fopts.Strategy = o.cfg.FallbackStrategy
+	fopts.Strategy = fallbackStrategy
 	fopts.Portfolio = nil // portfolio members ride the refine, not the fallback
 	res, err := o.cfg.Optimize(ctx, q, em.rewire(fopts))
 	if err != nil {
@@ -500,12 +494,15 @@ func optionsKey(o joinorder.Options) string {
 		strat = "milp"
 	}
 	// Portfolio membership changes what "auto" returns, so it is part of
-	// the digest; member order is kept (it breaks cost ties).
-	return fmt.Sprintf("%s,m%d,op%d,p%d,tr%g,cc%g,gt%g,mn%d,co%t,io%t,ep%t,dp%d,pc%d,sf%g,s%d,pf%v",
-		strat, o.Metric, o.Op, o.Precision, o.ThresholdRatio, o.CardCap,
+	// the digest; member order is kept (it breaks cost ties). The tr0,
+	// epfalse and dp0 slots held the removed Options.ThresholdRatio,
+	// Options.ExpensivePredicates and Options.MaxDPTables at their zero
+	// values; they stay so that plan logs written before the removal still
+	// hit.
+	return fmt.Sprintf("%s,m%d,op%d,p%d,tr0,cc%g,gt%g,mn%d,co%t,io%t,epfalse,dp0,pc%d,sf%g,s%d,pf%v",
+		strat, o.Metric, o.Op, o.Precision, o.CardCap,
 		o.Budget.GapTol, o.Budget.MaxNodes, o.ChooseOperators, o.InterestingOrders,
-		o.ExpensivePredicates, o.MaxDPTables, o.PartitionCap, o.SeamBudgetFrac,
-		o.Seed, o.Portfolio)
+		o.PartitionCap, o.SeamBudgetFrac, o.Seed, o.Portfolio)
 }
 
 // callEmitter re-serialises the caller's event stream for one cache call:

@@ -179,9 +179,9 @@ func TestOptionsKeyPinned(t *testing.T) {
 			"milp,m0,op0,p0,tr0,cc0,gt0,mn0,cofalse,iofalse,epfalse,dp0,pc0,sf0,s0,pf[]"},
 		{joinorder.Options{Strategy: "dp-leftdeep", Budget: joinorder.Budget{GapTol: 1e-3, MaxNodes: 500}},
 			"dp-leftdeep,m0,op0,p0,tr0,cc0,gt0.001,mn500,cofalse,iofalse,epfalse,dp0,pc0,sf0,s0,pf[]"},
-		{joinorder.Options{Strategy: "auto", Portfolio: []string{"milp", "dpconv", "greedy"},
+		{joinorder.Options{Strategy: "auto", Portfolio: []string{"milp", "dp-bushy", "greedy"},
 			Metric: joinorder.OperatorCost, Op: joinorder.SortMergeJoin, Seed: 7},
-			"auto,m1,op1,p0,tr0,cc0,gt0,mn0,cofalse,iofalse,epfalse,dp0,pc0,sf0,s7,pf[milp dpconv greedy]"},
+			"auto,m1,op1,p0,tr0,cc0,gt0,mn0,cofalse,iofalse,epfalse,dp0,pc0,sf0,s7,pf[milp dp-bushy greedy]"},
 	} {
 		if got := optionsKey(tc.opts); got != tc.want {
 			t.Errorf("optionsKey(%+v)\n got %q\nwant %q", tc.opts, got, tc.want)
@@ -218,30 +218,6 @@ func TestWarmStartOnPerturbedCardinalities(t *testing.T) {
 	}
 	if s.WarmStartAccepted != 1 || res.MIPStart != "plan" {
 		t.Fatalf("warm start not accepted: MIPStart=%q stats=%+v", res.MIPStart, s)
-	}
-}
-
-func TestDisableWarmStart(t *testing.T) {
-	co := &countingOptimize{}
-	o := mustNew(t, Config{Optimize: co.fn, DisableWarmStart: true})
-	q := workload.Generate(workload.Cycle, 6, 5, workload.Config{})
-	if _, err := o.Optimize(context.Background(), q, milpOpts()); err != nil {
-		t.Fatal(err)
-	}
-	pq := *q
-	pq.Tables = append([]joinorder.Table(nil), q.Tables...)
-	for i := range pq.Tables {
-		pq.Tables[i].Card *= 1.5
-	}
-	res, err := o.Optimize(context.Background(), &pq, milpOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := o.Stats(); s.WarmStarts != 0 || s.Donors != 0 {
-		t.Fatalf("warm-start machinery ran while disabled: %+v", s)
-	}
-	if res.MIPStart == "plan" {
-		t.Fatal("plan MIP start injected while disabled")
 	}
 }
 
@@ -533,7 +509,7 @@ func TestAutoResultCachedWithWinner(t *testing.T) {
 	q := workload.Generate(workload.Star, 6, 4, workload.Config{})
 
 	// milp + greedy: the proven winner carries a left-deep Plan, which is
-	// what the translation cache can store. (A dpconv winner whose optimum
+	// what the translation cache can store. (A dp-bushy winner whose optimum
 	// is genuinely bushy — star optima use cross-product subtrees — has
 	// Tree but no Plan and passes through uncached.)
 	opts := joinorder.Options{

@@ -39,20 +39,16 @@ type Config struct {
 	Self string
 	// Peers is the full static membership, including self.
 	Peers []Peer
-	// Vnodes is the consistent-hash points per peer (default 64).
-	Vnodes int
 	// Replicas is how many ring successors beyond the owner receive
-	// copies of each stored entry (default 2; 0 disables replication).
+	// copies of each stored entry: 0 disables replication, a count at or
+	// above the other peers' means every peer, and a negative count is
+	// rejected by New.
 	Replicas int
 	// ProbeInterval is the health-probe period (default 2s; negative
 	// disables probing, leaving every peer permanently healthy).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one health probe (default 500ms).
 	ProbeTimeout time.Duration
-	// QueueDepth bounds the asynchronous replication queue (default
-	// 1024); when full, new entries are dropped and counted — replication
-	// is best-effort by design.
-	QueueDepth int
 	// Client is the HTTP client used for forwards, probes, and
 	// replication (default: a dedicated client with sane pooling).
 	Client *http.Client
@@ -61,21 +57,21 @@ type Config struct {
 	Logger *slog.Logger
 }
 
+// vnodes is the number of consistent-hash points per peer, and
+// replicationQueue bounds the asynchronous replication queue: when it is
+// full, new entries are dropped and counted — replication is best-effort by
+// design.
+const (
+	vnodes           = 64
+	replicationQueue = 1024
+)
+
 func (c Config) withDefaults() Config {
-	if c.Vnodes <= 0 {
-		c.Vnodes = 64
-	}
-	if c.Replicas == 0 {
-		c.Replicas = 2
-	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 2 * time.Second
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 500 * time.Millisecond
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Transport: &http.Transport{
@@ -155,7 +151,7 @@ type repItem struct {
 // Close releases them.
 func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
-	ring, err := NewRing(cfg.Peers, cfg.Vnodes)
+	ring, err := NewRing(cfg.Peers, vnodes)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", joinorder.ErrInvalidOptions, err)
 	}
@@ -163,15 +159,16 @@ func New(cfg Config) (*Router, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: cluster: self id %q not in peer list", joinorder.ErrInvalidOptions, cfg.Self)
 	}
-	if cfg.Replicas < 0 || cfg.Replicas >= len(cfg.Peers) {
-		// More replicas than other peers just means "everyone".
-		cfg.Replicas = max(0, len(cfg.Peers)-1)
+	if cfg.Replicas < 0 {
+		return nil, fmt.Errorf("%w: cluster: negative Replicas %d", joinorder.ErrInvalidOptions, cfg.Replicas)
 	}
+	// More replicas than other peers just means "everyone".
+	cfg.Replicas = min(cfg.Replicas, len(cfg.Peers)-1)
 	r := &Router{
 		cfg:  cfg,
 		ring: ring,
 		self: self,
-		repq: make(chan repItem, cfg.QueueDepth),
+		repq: make(chan repItem, replicationQueue),
 		done: make(chan struct{}),
 	}
 	for _, p := range cfg.Peers {
@@ -286,7 +283,7 @@ func (r *Router) Forward(ctx context.Context, peer Peer, path string, header htt
 // the entry and counts it. fp is the entry's routing fingerprint; kind,
 // key, val are the persist-layer record.
 func (r *Router) Replicate(fp, kind, key string, val []byte) {
-	if r.cfg.Replicas == 0 || len(r.cfg.Peers) < 2 {
+	if r.cfg.Replicas == 0 {
 		return
 	}
 	select {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"milpjoin/joinorder"
 )
 
 // testPeerServer is a minimal peer: it records replicated entries and
@@ -226,5 +229,8 @@ func TestRouterConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Self: "n0", Peers: nil}); err == nil {
 		t.Error("empty peer list accepted")
+	}
+	if _, err := New(Config{Self: "n0", Peers: threePeers(), Replicas: -1}); !errors.Is(err, joinorder.ErrInvalidOptions) {
+		t.Errorf("Replicas -1: err = %v, want ErrInvalidOptions", err)
 	}
 }

@@ -26,14 +26,9 @@ type ExecOptions struct {
 	// selectivities. Without it the plan streams end-to-end unchanged.
 	Feedback bool
 	// QErrorThreshold is the per-join q-error that triggers
-	// re-optimization (default 2; Feedback only).
+	// re-optimization (default 2; Feedback only). At most two
+	// re-optimizations run per execution.
 	QErrorThreshold float64
-	// MaxReoptimizations bounds mid-query re-optimizations (default 2;
-	// Feedback only).
-	MaxReoptimizations int
-	// BatchSize is the rows-per-pull granularity of the streaming
-	// pipelines (default exec.DefaultBatchSize).
-	BatchSize int
 }
 
 // JoinObservation is one executed join: the optimizer's estimate at the
@@ -131,8 +126,6 @@ func executePlan(ctx context.Context, db *exec.Database, res *Result, q *Query, 
 		ares, err := db.ExecuteAdaptive(ctx, res.Tree, exec.AdaptiveOptions{
 			EstQuery:        q,
 			QErrorThreshold: eo.QErrorThreshold,
-			MaxReopts:       eo.MaxReoptimizations,
-			BatchSize:       eo.BatchSize,
 			Reoptimize: func(ctx context.Context, remainder *Query) (*Tree, error) {
 				r, err := Optimize(ctx, remainder, reoptOpts)
 				if err != nil {
@@ -148,10 +141,7 @@ func executePlan(ctx context.Context, db *exec.Database, res *Result, q *Query, 
 		out.Reoptimizations = ares.Reopts
 		out.CorrectedQuery = ares.CorrectedQuery
 	} else {
-		run, err := db.Stream(res.Tree, exec.StreamOptions{
-			BatchSize: eo.BatchSize,
-			EstQuery:  q,
-		})
+		run, err := db.Stream(res.Tree, exec.StreamOptions{EstQuery: q})
 		if err != nil {
 			return nil, err
 		}

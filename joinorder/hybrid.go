@@ -38,11 +38,9 @@ func optimizeHybrid(ctx context.Context, q *Query, opts Options) (*Result, error
 		SeamFrac:     opts.SeamBudgetFrac,
 		Deadline:     opts.deadline(start),
 		MILP: core.Options{
-			Precision:           opts.Precision,
-			ThresholdRatio:      opts.ThresholdRatio,
-			CardCap:             opts.CardCap,
-			InterestingOrders:   opts.InterestingOrders,
-			ExpensivePredicates: opts.ExpensivePredicates,
+			Precision:         opts.Precision,
+			CardCap:           opts.CardCap,
+			InterestingOrders: opts.InterestingOrders,
 		},
 		Params: solver.Params{GapTol: opts.Budget.GapTol, Threads: opts.Budget.Threads},
 	}

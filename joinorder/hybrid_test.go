@@ -48,7 +48,7 @@ func TestHybridLargeSnowflake(t *testing.T) {
 }
 
 // TestHybridSmallMatchesExactBound: under the partition cap the hybrid
-// takes the exact path — its bound equals the bushy optimum from dpconv.
+// takes the exact path — its bound equals the bushy optimum from dp-bushy.
 func TestHybridSmallMatchesExactBound(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		q := workload.Generate(workload.Star, 8, seed, workload.Config{})
@@ -56,7 +56,7 @@ func TestHybridSmallMatchesExactBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := joinorder.Optimize(context.Background(), q, joinorder.Options{Strategy: "dpconv"})
+		exact, err := joinorder.Optimize(context.Background(), q, joinorder.Options{Strategy: "dp-bushy"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -186,9 +186,6 @@ type Options struct {
 	// Precision selects the MILP threshold spacing (default
 	// PrecisionMedium; MILP strategy only).
 	Precision Precision
-	// ThresholdRatio, when > 1, overrides Precision with an explicit
-	// geometric spacing (MILP strategy only).
-	ThresholdRatio float64
 	// CardCap bounds the representable cardinality range (default 1e12;
 	// MILP strategy only).
 	CardCap float64
@@ -200,13 +197,6 @@ type Options struct {
 	// properties and a pre-sorted sort-merge variant. Requires
 	// ChooseOperators (MILP strategy only).
 	InterestingOrders bool
-	// ExpensivePredicates enables the Section 5.1 evaluation-cost
-	// extension (MILP strategy only).
-	ExpensivePredicates bool
-
-	// MaxDPTables guards the DP strategies against the 2^n memory
-	// blow-up (default 24 left-deep, 20 bushy).
-	MaxDPTables int
 
 	// PartitionCap bounds partition sizes in the "hybrid" decomposition
 	// strategy: the join graph is cut into connected partitions of at
@@ -254,7 +244,7 @@ type Options struct {
 	incumbents <-chan *Plan
 
 	// cutoff, when non-nil, returns the exact cost of the best plan
-	// known outside the strategy; pruning searches (dpconv) drop every
+	// known outside the strategy; pruning searches (dp-bushy) drop every
 	// partial plan that cannot beat it (set by the "auto" orchestrator).
 	cutoff func() float64
 }
@@ -266,13 +256,8 @@ func (o Options) Validate() error {
 	if err := o.Budget.validate(); err != nil {
 		return err
 	}
-	if o.ThresholdRatio != 0 && o.ThresholdRatio <= 1 {
-		return fmt.Errorf("%w: threshold ratio %g must exceed 1", ErrInvalidOptions, o.ThresholdRatio)
-	}
-	if o.ThresholdRatio == 0 {
-		if _, err := o.Precision.Ratio(); err != nil {
-			return fmt.Errorf("%w: %v", ErrInvalidOptions, err)
-		}
+	if _, err := o.Precision.Ratio(); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalidOptions, err)
 	}
 	if o.Metric != Cout && o.Metric != OperatorCost {
 		return fmt.Errorf("%w: unknown metric %d", ErrInvalidOptions, int(o.Metric))
@@ -284,9 +269,6 @@ func (o Options) Validate() error {
 	}
 	if o.CardCap != 0 && o.CardCap < 1 {
 		return fmt.Errorf("%w: cardinality cap %g must be at least 1", ErrInvalidOptions, o.CardCap)
-	}
-	if o.MaxDPTables < 0 {
-		return fmt.Errorf("%w: negative DP table limit %d", ErrInvalidOptions, o.MaxDPTables)
 	}
 	if o.PartitionCap < 0 || o.PartitionCap == 1 {
 		return fmt.Errorf("%w: partition cap %d must be 0 (default) or at least 2", ErrInvalidOptions, o.PartitionCap)
@@ -381,7 +363,7 @@ func (s Status) String() string {
 // Result is the outcome of an optimization run. When the strategy returned
 // without error, Tree is non-nil; Plan is additionally non-nil whenever the
 // tree is left-deep (always, except for a genuinely bushy optimum of
-// dp-bushy/dpconv).
+// dp-bushy).
 type Result struct {
 	// Strategy is the name of the optimizer that produced the result.
 	Strategy string

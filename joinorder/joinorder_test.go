@@ -43,10 +43,10 @@ func TestEveryRegisteredStrategyOptimizes(t *testing.T) {
 			if res.Tree == nil {
 				t.Fatalf("%s: nil tree on success", name)
 			}
-			// The bushy-capable strategies (dp-bushy, dpconv, and auto
-			// when a bushy member wins) return a Tree and only attach a
-			// Plan when the optimum happens to be left-deep.
-			bushyCapable := name == "dp-bushy" || name == "dpconv" || name == "auto"
+			// The bushy-capable strategies (dp-bushy, and auto when it
+			// wins there) return a Tree and only attach a Plan when the
+			// optimum happens to be left-deep.
+			bushyCapable := name == "dp-bushy" || name == "auto"
 			if !bushyCapable && res.Plan == nil {
 				t.Fatalf("%s: nil plan on success", name)
 			}
@@ -63,9 +63,9 @@ func TestEveryRegisteredStrategyOptimizes(t *testing.T) {
 }
 
 func TestRequiredStrategiesRegistered(t *testing.T) {
-	// The registry is exactly these nine; the Steinbrunn heuristics
+	// The registry is exactly these eight; the Steinbrunn heuristics
 	// (ii, sa, 2po, sampling) live in internal/heuristic only.
-	want := []string{"auto", "dp-bushy", "dp-leftdeep", "dpconv", "gradient", "greedy", "hybrid", "ikkbz", "milp"}
+	want := []string{"auto", "dp-bushy", "dp-leftdeep", "gradient", "greedy", "hybrid", "ikkbz", "milp"}
 	if got := joinorder.Strategies(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Strategies() = %v, want %v", got, want)
 	}
@@ -173,7 +173,6 @@ func TestInvalidInputTypedErrors(t *testing.T) {
 	// Bad option values return ErrInvalidOptions — the panics these used
 	// to raise deep in the encoder are gone.
 	for _, opts := range []joinorder.Options{
-		{ThresholdRatio: 0.5},
 		{Precision: joinorder.Precision(42)},
 		{Budget: joinorder.Budget{TimeLimit: -time.Second}},
 		{Budget: joinorder.Budget{Threads: -1}},

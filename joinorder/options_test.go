@@ -26,7 +26,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"sub-one card cap", func(o *joinorder.Options) { o.CardCap = 0.5 }, true},
 		{"negative card cap", func(o *joinorder.Options) { o.CardCap = -1e12 }, true},
 		{"valid card cap", func(o *joinorder.Options) { o.CardCap = 1e9 }, false},
-		{"negative dp tables", func(o *joinorder.Options) { o.MaxDPTables = -1 }, true},
 		{"negative budget time limit", func(o *joinorder.Options) { o.Budget.TimeLimit = -time.Second }, true},
 		{"negative budget gap tol", func(o *joinorder.Options) { o.Budget.GapTol = -1e-6 }, true},
 		{"negative budget max nodes", func(o *joinorder.Options) { o.Budget.MaxNodes = -1 }, true},
@@ -38,10 +37,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"seam frac one", func(o *joinorder.Options) { o.SeamBudgetFrac = 1 }, true},
 		{"negative seam frac", func(o *joinorder.Options) { o.SeamBudgetFrac = -0.1 }, true},
 		{"valid seam frac", func(o *joinorder.Options) { o.SeamBudgetFrac = 0.4 }, false},
-		{"positive dp tables", func(o *joinorder.Options) { o.MaxDPTables = 12 }, false},
-		{"threshold ratio one", func(o *joinorder.Options) { o.ThresholdRatio = 1 }, true},
-		{"threshold ratio below one", func(o *joinorder.Options) { o.ThresholdRatio = 0.5 }, true},
-		{"threshold ratio valid", func(o *joinorder.Options) { o.ThresholdRatio = 2 }, false},
 		{"unknown metric", func(o *joinorder.Options) { o.Metric = 99 }, true},
 		{"unknown operator", func(o *joinorder.Options) { o.Op = 99 }, true},
 		{"interesting orders without operators", func(o *joinorder.Options) { o.InterestingOrders = true }, true},
@@ -76,7 +71,6 @@ func TestOptimizeRejectsInvalidOptions(t *testing.T) {
 	for _, opts := range []joinorder.Options{
 		{Budget: joinorder.Budget{MaxNodes: -5}},
 		{CardCap: 0.1},
-		{MaxDPTables: -2},
 	} {
 		if _, err := joinorder.Optimize(nil, q, opts); !errors.Is(err, joinorder.ErrInvalidOptions) {
 			t.Errorf("Optimize(%+v) = %v, want ErrInvalidOptions", opts, err)

@@ -45,6 +45,13 @@ type testCluster struct {
 
 func newTestCluster(t testing.TB, n int, mutate func(i int, cfg *Config)) *testCluster {
 	t.Helper()
+	return newTestClusterReplicas(t, n, 2, mutate)
+}
+
+// newTestClusterReplicas is newTestCluster with every router's
+// cluster.Config.Replicas set to replicas.
+func newTestClusterReplicas(t testing.TB, n, replicas int, mutate func(i int, cfg *Config)) *testCluster {
+	t.Helper()
 	listeners := make([]net.Listener, n)
 	peers := make([]cluster.Peer, n)
 	for i := range listeners {
@@ -60,7 +67,7 @@ func newTestCluster(t testing.TB, n int, mutate func(i int, cfg *Config)) *testC
 		rt, err := cluster.New(cluster.Config{
 			Self:          peers[i].ID,
 			Peers:         peers,
-			Replicas:      2,
+			Replicas:      replicas,
 			ProbeInterval: -1, // deterministic: health changes only via Forward failures
 			Logger:        testLogger(t),
 		})
@@ -246,6 +253,40 @@ func TestClusterSingleSolvePerFingerprint(t *testing.T) {
 		if cs.Imported == 0 {
 			t.Errorf("node %d imported no replicated entries", i)
 		}
+	}
+}
+
+// TestClusterReplicasZeroDisablesReplication: Replicas 0 is read as
+// written — no entry is shipped to a peer, so a non-owner holds nothing and
+// forwards the repeat of a solved query to its owner, which answers it from
+// its cache.
+func TestClusterReplicasZeroDisablesReplication(t *testing.T) {
+	tc := newTestClusterReplicas(t, 3, 0, nil)
+	q, body := clusterQuery(t, 1)
+	owner := tc.ownerIndex(t, q)
+	if resp, out := postOptimize(t, tc.https[owner], body); resp.StatusCode != http.StatusOK || out.CacheHit {
+		t.Fatalf("first request: status %d, %+v", resp.StatusCode, out)
+	}
+	tc.flush(t)
+	for i, rt := range tc.routers {
+		if s := rt.Stats(); s.Replicated != 0 {
+			t.Errorf("node %d replicated %d entries with Replicas 0", i, s.Replicated)
+		}
+	}
+
+	i := (owner + 1) % len(tc.peers)
+	before := tc.routers[i].Stats()
+	resp, out := postOptimize(t, tc.https[i], body)
+	after := tc.routers[i].Stats()
+	if by := resp.Header.Get(NodeHeader); resp.StatusCode != http.StatusOK || by != tc.peers[owner].ID || !out.CacheHit {
+		t.Errorf("repeat at a non-owner: status %d answered by %q (cache_hit=%v), want a hit on the owner %q",
+			resp.StatusCode, by, out != nil && out.CacheHit, tc.peers[owner].ID)
+	}
+	if fw, rh := after.Forwards-before.Forwards, after.ReplicaHits-before.ReplicaHits; fw != 1 || rh != 0 {
+		t.Errorf("non-owner counted %d forwards and %d replica hits, want 1 and 0", fw, rh)
+	}
+	if got := tc.totalSolves(); got != 1 {
+		t.Errorf("cluster performed %d solves for one fingerprint", got)
 	}
 }
 

@@ -42,6 +42,7 @@ package server
 import (
 	"fmt"
 	"log/slog"
+	"math"
 	"runtime"
 	"time"
 
@@ -82,9 +83,9 @@ type Config struct {
 	// at least 1, when TenantRate is set).
 	TenantBurst int
 
-	// Cache configures the fronted plan cache. Zero fields take the
-	// cache defaults, except DegradeUnder which the server defaults to
-	// 150ms so the saturated-queue degraded path exists out of the box.
+	// Cache configures the fronted plan cache. Zero fields take the cache
+	// defaults, except DegradeUnder: 0 means 150ms, not "never", because a
+	// request shed from a saturated queue is answered through that path.
 	Cache cache.Config
 
 	// Cluster, when set, shards this server into a joinoptd fleet: the
@@ -126,10 +127,7 @@ func (c Config) withDefaults() Config {
 		c.MaxTimeLimit = 60 * time.Second
 	}
 	if c.TenantRate > 0 && c.TenantBurst == 0 {
-		c.TenantBurst = int(c.TenantRate + 0.999)
-		if c.TenantBurst < 1 {
-			c.TenantBurst = 1
-		}
+		c.TenantBurst = max(1, int(math.Ceil(c.TenantRate)))
 	}
 	if c.Cache.DegradeUnder == 0 {
 		c.Cache.DegradeUnder = 150 * time.Millisecond

@@ -548,6 +548,28 @@ func TestServerConfigValidate(t *testing.T) {
 	}
 }
 
+// TestTenantBurstDefaultIsCeil: an unset TenantBurst is ceil(TenantRate),
+// at least 1, as the doc and joinoptd -tenant-burst promise.
+func TestTenantBurstDefaultIsCeil(t *testing.T) {
+	for _, tc := range []struct {
+		rate  float64
+		burst int
+	}{{0.001, 1}, {0.5, 1}, {1, 1}, {2.0005, 3}, {3, 3}} {
+		if got := (Config{TenantRate: tc.rate}).withDefaults().TenantBurst; got != tc.burst {
+			t.Errorf("TenantRate %g: TenantBurst %d, want %d", tc.rate, got, tc.burst)
+		}
+	}
+}
+
+// TestZeroDegradeUnderMeans150ms: the server always degrades — a request
+// shed from a saturated queue is answered through the cache's degrade path
+// — so a zero cache DegradeUnder resolves to 150ms, never to "off".
+func TestZeroDegradeUnderMeans150ms(t *testing.T) {
+	if got := (Config{}).withDefaults().Cache.DegradeUnder; got != 150*time.Millisecond {
+		t.Errorf("Config{} resolves Cache.DegradeUnder to %v, want 150ms", got)
+	}
+}
+
 // --- SSE ---
 
 // sseEvent is one parsed server-sent event.
@@ -703,7 +725,7 @@ func TestOptimizeAutoPortfolio(t *testing.T) {
 
 	body := queryBody(t, workload.Star, 8, 3, func(r *OptimizeRequest) {
 		r.Strategy = "auto"
-		r.Portfolio = []string{"dpconv", "greedy"}
+		r.Portfolio = []string{"dp-bushy", "greedy"}
 		r.Timeout = "10s"
 	})
 	resp, out := postOptimize(t, ts, body)
@@ -714,11 +736,11 @@ func TestOptimizeAutoPortfolio(t *testing.T) {
 	if out.Result == nil || out.Result.Strategy != "auto" {
 		t.Fatalf("result strategy %+v, want auto", out.Result)
 	}
-	if out.Result.Winner != "dpconv" && out.Result.Winner != "greedy" {
+	if out.Result.Winner != "dp-bushy" && out.Result.Winner != "greedy" {
 		t.Fatalf("winner %q not a portfolio member", out.Result.Winner)
 	}
 	if out.Result.Status != joinorder.StatusOptimal {
-		t.Errorf("status = %v, want optimal (dpconv finishes a star-8 exactly)", out.Result.Status)
+		t.Errorf("status = %v, want optimal (dp-bushy finishes a star-8 exactly)", out.Result.Status)
 	}
 	if snap := s.Snapshot(); snap.Portfolio != 1 {
 		t.Errorf("portfolio counter = %d, want 1", snap.Portfolio)

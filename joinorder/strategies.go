@@ -18,16 +18,13 @@ import (
 // The built-in strategies, all behind the same interface — the
 // prerequisite for per-query strategy switching (hybrid MILP/non-MILP
 // optimization à la Schönberger & Trummer). "auto" and "hybrid" register
-// themselves next to their implementations. The exact bushy search answers
-// to two names: "dp-bushy" (the baseline's historical name) and "dpconv"
-// (the portfolio member).
+// themselves next to their implementations.
 func init() {
 	mustRegister("milp", "anytime MILP encoding with proven optimality bounds (the paper's approach)", optimizeMILP)
 	mustRegister("dp-leftdeep", "exact left-deep dynamic programming (Selinger-style, cross products allowed)", optimizeDPLeftDeep)
-	mustRegister("dp-bushy", "exact bushy-tree dynamic programming (O(3^n) layered subset enumeration; same search as dpconv)", optimizeBushy("dp-bushy"))
+	mustRegister("dp-bushy", "exact bushy-tree dynamic programming (O(3^n) layered subset enumeration, live cutoff pruning under auto)", optimizeBushy)
 	mustRegister("ikkbz", "polynomial IKKBZ for acyclic join graphs under C_out", optimizeIKKBZ)
 	mustRegister("greedy", "greedy smallest-intermediate-result ordering", optimizeGreedy)
-	mustRegister("dpconv", "exact bushy DP with layered enumeration and live cutoff pruning (DPconv-style)", optimizeBushy("dpconv"))
 	mustRegister("gradient", "stochastic gradient descent on a continuous join-order relaxation (SPSA)", optimizeGradient)
 }
 
@@ -82,16 +79,14 @@ func (a *anytime) improved(p *Plan, c float64, elapsed time.Duration, bound floa
 // return the best incumbent plus a proven bound.
 func optimizeMILP(ctx context.Context, q *Query, opts Options) (*Result, error) {
 	copts := core.Options{
-		Precision:           opts.Precision,
-		ThresholdRatio:      opts.ThresholdRatio,
-		CardCap:             opts.CardCap,
-		Metric:              opts.Metric,
-		Op:                  opts.Op,
-		ChooseOperators:     opts.ChooseOperators,
-		InterestingOrders:   opts.InterestingOrders,
-		ExpensivePredicates: opts.ExpensivePredicates,
-		InitialPlan:         opts.InitialPlan,
-		Incumbents:          opts.incumbents,
+		Precision:         opts.Precision,
+		CardCap:           opts.CardCap,
+		Metric:            opts.Metric,
+		Op:                opts.Op,
+		ChooseOperators:   opts.ChooseOperators,
+		InterestingOrders: opts.InterestingOrders,
+		InitialPlan:       opts.InitialPlan,
+		Incumbents:        opts.incumbents,
 	}
 	params := solver.Params{
 		TimeLimit: opts.Budget.TimeLimit,
@@ -154,7 +149,6 @@ func optimizeMILP(ctx context.Context, q *Query, opts Options) (*Result, error) 
 func optimizeDPLeftDeep(ctx context.Context, q *Query, opts Options) (*Result, error) {
 	start := time.Now()
 	pl, c, err := dp.OptimizeLeftDeep(ctx, q, opts.spec(), dp.Options{
-		MaxTables:       opts.MaxDPTables,
 		Deadline:        opts.deadline(start),
 		ChooseOperators: opts.ChooseOperators,
 	})
@@ -175,38 +169,32 @@ func optimizeDPLeftDeep(ctx context.Context, q *Query, opts Options) (*Result, e
 	}, nil
 }
 
-// optimizeBushy is the exact bushy-tree search, registered under both
-// "dp-bushy" and "dpconv": layered subset enumeration with an optional
-// live cutoff (the portfolio's incumbent bus) pruning dominated subsets.
-// The Result carries a left-deep Plan as well whenever the optimal tree
-// happens to be linear.
-func optimizeBushy(name string) func(context.Context, *Query, Options) (*Result, error) {
-	return func(ctx context.Context, q *Query, opts Options) (*Result, error) {
-		start := time.Now()
-		tree, c, err := dp.OptimizeConv(ctx, q, opts.spec(), dp.ConvOptions{
-			Options: dp.Options{
-				MaxTables: opts.MaxDPTables,
-				Deadline:  opts.deadline(start),
-			},
-			Cutoff: opts.cutoff,
-		})
-		if err != nil {
-			return nil, mapBaselineErr(ctx, err)
-		}
-		elapsed := time.Since(start)
-		pl := leftDeepFromTree(tree, opts.Metric)
-		newAnytime(name, opts).improved(pl, c, elapsed, c)
-		return &Result{
-			Strategy:  name,
-			Status:    StatusOptimal,
-			Plan:      pl,
-			Tree:      tree,
-			Cost:      c,
-			Objective: c,
-			Bound:     c,
-			Elapsed:   elapsed,
-		}, nil
+// optimizeBushy is the exact bushy-tree search: layered subset enumeration
+// with an optional live cutoff (the portfolio's incumbent bus) pruning
+// dominated subsets. The Result carries a left-deep Plan as well whenever
+// the optimal tree happens to be linear.
+func optimizeBushy(ctx context.Context, q *Query, opts Options) (*Result, error) {
+	start := time.Now()
+	tree, c, err := dp.OptimizeConv(ctx, q, opts.spec(), dp.ConvOptions{
+		Options: dp.Options{Deadline: opts.deadline(start)},
+		Cutoff:  opts.cutoff,
+	})
+	if err != nil {
+		return nil, mapBaselineErr(ctx, err)
 	}
+	elapsed := time.Since(start)
+	pl := leftDeepFromTree(tree, opts.Metric)
+	newAnytime("dp-bushy", opts).improved(pl, c, elapsed, c)
+	return &Result{
+		Strategy:  "dp-bushy",
+		Status:    StatusOptimal,
+		Plan:      pl,
+		Tree:      tree,
+		Cost:      c,
+		Objective: c,
+		Bound:     c,
+		Elapsed:   elapsed,
+	}, nil
 }
 
 // leftDeepFromTree flattens a linear tree into the cost-equivalent

@@ -113,7 +113,7 @@ func BenchmarkPortfolioAuto(b *testing.B) {
 		{"Chain30", workload.Chain, 30, 3},
 		{"Clique15", workload.Clique, 15, 4},
 	}
-	strategies := []string{"milp", "dpconv", "gradient", "greedy"}
+	strategies := []string{"milp", "dp-bushy", "gradient", "greedy"}
 
 	baseOpts := func(limit time.Duration) joinorder.Options {
 		return joinorder.Options{
@@ -139,7 +139,7 @@ func BenchmarkPortfolioAuto(b *testing.B) {
 				res, err := joinorder.Optimize(context.Background(), q, opts)
 				fr := &fixedRun{}
 				if err != nil {
-					// dpconv exceeds its table cap on Chain30; a member
+					// dp-bushy exceeds its table cap on Chain30; a member
 					// that cannot run simply has no baseline.
 					fr.Err = err.Error()
 				} else {
