@@ -164,24 +164,6 @@ func benchmarkThreads(b *testing.B, threads int) {
 func BenchmarkAblationThreads1(b *testing.B) { benchmarkThreads(b, 1) }
 func BenchmarkAblationThreads4(b *testing.B) { benchmarkThreads(b, 4) }
 
-// Presolve ablation.
-func benchmarkPresolve(b *testing.B, disable bool) {
-	q := workload.Generate(workload.Star, 10, 5, workload.Config{})
-	enc, err := core.Encode(q, core.Options{Precision: core.PrecisionMedium, Metric: cost.OperatorCost, Op: cost.HashJoin})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := solver.Solve(context.Background(), enc.Model, solver.Params{TimeLimit: 30 * time.Second, DisablePresolve: disable, Threads: 2}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationPresolveOn(b *testing.B)  { benchmarkPresolve(b, false) }
-func BenchmarkAblationPresolveOff(b *testing.B) { benchmarkPresolve(b, true) }
-
 // Gomory cut ablation: root cuts on the join encodings (sparse-cut filter
 // keeps only cheap ones; the big-M structure limits their value, which is
 // itself a finding worth measuring).

@@ -22,7 +22,7 @@ import (
 
 func main() {
 	var (
-		figure  = flag.Int("figure", 1, "figure to regenerate: 1, 2, or 3 (extra: heuristic comparison)")
+		figure  = flag.Int("figure", 1, "figure to regenerate: 1 or 2")
 		sizes   = flag.String("sizes", "", "comma-separated table counts (default depends on figure)")
 		queries = flag.Int("queries", 0, "random queries per configuration (default 20 for -figure 1, 5 for -figure 2)")
 		timeout = flag.Duration("timeout", 10*time.Second, "per-query optimization budget for figure 2")
@@ -44,18 +44,6 @@ func main() {
 	defer stop()
 
 	switch *figure {
-	case 3: // extra experiment: MILP vs randomized algorithms
-		rows, err := experiments.HeuristicComparison(ctx, experiments.HeuristicComparisonConfig{
-			Tables:  firstOr(sz, 12),
-			Queries: *queries,
-			Budget:  *timeout,
-			Threads: *threads,
-			Seed:    *seed,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		experiments.RenderHeuristicComparison(os.Stdout, rows)
 	case 1:
 		cfg := experiments.Figure1Config{Sizes: sz, QueriesPerSize: *queries, Seed: *seed}
 		if *full {
@@ -105,15 +93,8 @@ func main() {
 			experiments.RenderFigure2(os.Stdout, cells)
 		}
 	default:
-		fatal(fmt.Errorf("unknown figure %d (1 and 2 are the paper's; 3 is the extra heuristic comparison)", *figure))
+		fatal(fmt.Errorf("unknown figure %d (the paper's are 1 and 2)", *figure))
 	}
-}
-
-func firstOr(xs []int, def int) int {
-	if len(xs) > 0 {
-		return xs[0]
-	}
-	return def
 }
 
 func parseSizes(s string) ([]int, error) {

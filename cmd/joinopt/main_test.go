@@ -214,7 +214,6 @@ func TestPrintJSONDocument(t *testing.T) {
 			Status string `json:"status"`
 			Stats  *struct {
 				SimplexIters int     `json:"simplex_iters"`
-				PresolveSec  float64 `json:"presolve_sec"`
 				SearchSec    float64 `json:"search_sec"`
 			} `json:"stats"`
 		} `json:"result"`

@@ -16,11 +16,10 @@
 //	})
 //
 // The solver stack is observable end to end: Options.OnEvent streams typed
-// events (presolve summary, cut rounds, root LP, incumbents, bounds,
-// heuristic dives, worker lifecycle) with serialised delivery and monotone
-// incumbent/bound guarantees, and every MILP Result carries per-phase Stats
-// (wall time per phase, simplex iterations, LU refactorizations, heuristic
-// success rates, per-worker node counts). Events, Stats, and Result marshal
+// events (cut rounds, root LP, incumbents, bounds, injected incumbents,
+// worker lifecycle) with serialised delivery and monotone incumbent/bound
+// guarantees, and every MILP Result carries per-phase Stats (wall time per
+// phase, simplex iterations, LU refactorizations, per-worker node counts). Events, Stats, and Result marshal
 // to JSON; cmd/joinopt exposes them via -stats, -trace-events, -json, and
 // an expvar/pprof -metrics endpoint.
 //

@@ -1,9 +1,11 @@
 // Package bb implements branch and bound for mixed integer linear
 // programs: best-first search over LP relaxations with warm-started
-// simplex solves, pseudocost branching, diving and rounding primal
-// heuristics, parallel workers, and anytime incumbent/bound reporting —
+// simplex solves, pseudocost branching, MIP starts and live injected
+// incumbents, parallel workers, and anytime incumbent/bound reporting —
 // the feature set the paper relies on from commercial MILP solvers
-// (anytime behaviour, optimality gaps, parallel optimization).
+// (anytime behaviour, optimality gaps, parallel optimization). The search
+// runs no primal heuristic of its own: incumbents come from integral node
+// LPs, the MIP start, and the injection feed.
 package bb
 
 import (
@@ -14,11 +16,10 @@ import (
 	"milpjoin/internal/obs"
 )
 
-// The search's tolerances and heuristic and event intervals.
+// The search's tolerances and event interval.
 const (
 	absGapTol         = 1e-9 // absolute gap at which a node is pruned or the search stops
 	intTol            = 1e-6 // integrality tolerance
-	diveEvery         = 50   // the diving heuristic runs at the root and every diveEvery-th node
 	eventNodeInterval = 256  // a node-batch event every this many explored nodes
 )
 
@@ -29,13 +30,18 @@ type Params struct {
 	// GapTol is the relative MIP gap at which search stops (default 1e-6).
 	GapTol float64
 	// MaxNodes bounds the number of explored nodes; zero means no limit.
+	// A node is counted when it is taken from the open pool, and the
+	// MaxNodes-th counted node stops the search before its LP runs: at 1
+	// no LP is solved at all (the result is the MIP start, if any, with
+	// Bound −Inf), and at N at most N−1 nodes solve their LPs (exactly
+	// N−1 with one thread).
 	MaxNodes int
 	// Threads is the number of parallel workers (default 1).
 	Threads int
 	// Events, when non-nil, receives the full structured event stream of
 	// the search: worker lifecycle, the root LP relaxation, incumbents,
-	// bound improvements, periodic node-batch snapshots, and heuristic
-	// dives. Events are emitted while holding the search lock, so
+	// injected incumbents, bound improvements, and periodic node-batch
+	// snapshots. Events are emitted while holding the search lock, so
 	// callbacks must be fast and must not call back into the solver.
 	Events *obs.Emitter
 	// UseDualSimplex repairs warm-started node LPs with the dual
@@ -48,10 +54,11 @@ type Params struct {
 	// installation; an infeasible start is silently ignored.
 	InitialIncumbent []float64
 	// Incumbents, when non-nil, is a live injection feed: candidate
-	// structural assignments (same space and length as
-	// InitialIncumbent) published by concurrent portfolio peers. Workers
-	// drain the channel at node boundaries; each candidate is completed
-	// with logical values, revalidated against the root bounds, and
+	// model-space structural assignments (length NumStructural; unlike
+	// InitialIncumbent they are not yet divided by the column scales)
+	// published by concurrent portfolio peers. Workers drain the channel
+	// at node boundaries; each candidate is scaled, completed with
+	// logical values, revalidated against the root bounds, and
 	// installed only if it improves the incumbent — tightening the
 	// primal cutoff mid-solve. Infeasible or worse candidates are
 	// dropped silently. The sender owns the channel lifecycle; closing
@@ -126,9 +133,9 @@ type Result struct {
 	Nodes        int
 	SimplexIters int
 	Elapsed      time.Duration
-	// Stats aggregates per-phase effort: LP and heuristic time, per-worker
-	// node counts, simplex iterations, LU refactorizations, pseudocost
-	// initializations, and heuristic success rates.
+	// Stats aggregates per-phase effort: LP time, per-worker node counts,
+	// simplex iterations, LU refactorizations, and pseudocost
+	// initializations.
 	Stats obs.Stats
 }
 

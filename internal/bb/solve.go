@@ -69,12 +69,12 @@ func Solve(ctx context.Context, comp *milp.Computational, params Params) (*Resul
 	heap.Push(&s.open, &node{bound: math.Inf(-1)})
 
 	if len(params.InitialIncumbent) == comp.NumStructural {
-		s.completeAndOffer(nil, params.InitialIncumbent)
+		s.completeAndOffer(nil, params.InitialIncumbent, nil)
 	}
 
 	// The watcher translates context cancellation into the shared stop
-	// flag so that workers blocked on the condition variable, busy in a
-	// node LP, or diving all notice promptly.
+	// flag so that workers blocked on the condition variable or busy in a
+	// node LP notice promptly.
 	watchDone := make(chan struct{})
 	go func() {
 		select {
@@ -152,9 +152,6 @@ type searcher struct {
 	rootLPIters    int
 	rootLPTime     time.Duration
 	lpTime         time.Duration
-	heurTime       time.Duration
-	heurCalls      int
-	heurSuccesses  int
 	incumbents     int
 	boundImps      int
 	injInstalled   int // injected incumbents installed (guarded by mu)
@@ -165,8 +162,8 @@ type searcher struct {
 	pricing   simplex.PricingStats // aggregated under mu
 
 	// Per-worker reusable state: simplex workspaces, the hoisted node LP
-	// problem, and node/dive scratch buffers. Indexed by worker id; each
-	// entry is touched only by its worker goroutine.
+	// problem, and node scratch buffers. Indexed by worker id; each entry
+	// is touched only by its worker goroutine.
 	workers []*workerState
 
 	start    time.Time
@@ -179,14 +176,10 @@ type searcher struct {
 // construction and, once warm, no heap allocation.
 type workerState struct {
 	ws   *simplex.Workspace
-	prob simplex.Problem // A/B/C fixed; L/U point at l/u (or dl/du) per call
+	prob simplex.Problem // A/B/C fixed; L/U point at l/u
 
 	l, u    []float64 // node bounds, copied from the root bounds
-	dl, du  []float64 // dive bounds
-	x       []float64 // snapshot of the node LP solution (survives dives)
 	frac    []int     // fractional-variable scratch for the node
-	dfrac   []int     // fractional-variable scratch for dive iterations
-	xs      []float64 // structural scratch for rounding
 	compX   []float64 // completion scratch: full point
 	compAct []float64 // completion scratch: row activities
 }
@@ -220,7 +213,6 @@ func (s *searcher) worker(id int) {
 		s.inFlight[id] = nd.bound
 		s.nodes++
 		s.nodesPerWorker[id]++
-		nodeIdx := s.nodes
 		if s.params.MaxNodes > 0 && s.nodes >= s.params.MaxNodes {
 			s.setStop(StatusNodeLimit)
 		}
@@ -229,7 +221,7 @@ func (s *searcher) worker(id int) {
 		}
 		s.mu.Unlock()
 
-		children, repush := s.processNode(nd, nodeIdx, id)
+		children, repush := s.processNode(nd, id)
 
 		s.mu.Lock()
 		delete(s.inFlight, id)
@@ -294,12 +286,12 @@ func (s *searcher) childBasis(from *simplex.Basis) *pairBasis {
 }
 
 // drainInjected installs candidates published on Params.Incumbents: each
-// structural assignment is completed with exact logical values,
-// revalidated against the root bounds, and installed only when it
-// improves the incumbent. Called at node boundaries by every worker,
-// outside the search lock; multiple workers receiving from the shared
-// channel concurrently is safe. A closed feed flips injClosed so workers
-// stop selecting on it (a closed channel would otherwise spin).
+// model-space assignment is scaled into the computational space, completed
+// with exact logical values, revalidated against the root bounds, and
+// installed only when it improves the incumbent. Called at node boundaries
+// by every worker, outside the search lock; multiple workers receiving from
+// the shared channel concurrently is safe. A closed feed flips injClosed so
+// workers stop selecting on it (a closed channel would otherwise spin).
 func (s *searcher) drainInjected(wid int) {
 	if s.params.Incumbents == nil || s.injClosed.Load() {
 		return
@@ -314,7 +306,7 @@ func (s *searcher) drainInjected(wid int) {
 			if len(xs) != s.comp.NumStructural {
 				continue
 			}
-			if s.completeAndOffer(s.workers[wid], xs) {
+			if s.completeAndOffer(s.workers[wid], xs, s.comp.ColScale) {
 				s.mu.Lock()
 				s.injInstalled++
 				s.emitLocked(obs.Event{Kind: obs.KindInjected, Worker: wid})
@@ -397,7 +389,7 @@ func (s *searcher) globalBoundLocked() float64 {
 
 // processNode solves one node LP and returns children to enqueue, plus an
 // optional node to re-push (used when a solve was aborted mid-flight).
-func (s *searcher) processNode(nd *node, nodeIdx, wid int) (children []*node, repush *node) {
+func (s *searcher) processNode(nd *node, wid int) (children []*node, repush *node) {
 	if s.stopFlag.Load() {
 		return nil, nd
 	}
@@ -405,11 +397,10 @@ func (s *searcher) processNode(nd *node, nodeIdx, wid int) (children []*node, re
 
 	w.l = append(w.l[:0], s.rootL...)
 	w.u = append(w.u[:0], s.rootU...)
-	l, u := w.l, w.u
-	nd.applyBounds(l, u)
+	nd.applyBounds(w.l, w.u)
 
 	lpStart := time.Now()
-	lp, iters, st := s.solveLP(w, l, u, nd.basis.warm())
+	lp, iters, st := s.solveLP(w, nd.basis.warm())
 	lpDur := time.Since(lpStart)
 	s.mu.Lock()
 	s.simplexIters += iters
@@ -489,35 +480,10 @@ func (s *searcher) processNode(nd *node, nodeIdx, wid int) (children []*node, re
 		return nil, nil
 	}
 
-	// The dive below re-solves with this worker's workspace, which
-	// invalidates lp.X and lp.Basis. Snapshot the solution for branching
-	// and copy the basis once for both children (the children outlive
-	// this node arbitrarily on the heap).
-	w.x = append(w.x[:0], lp.X...)
-	x := w.x
+	// The basis is copied once for both children, which outlive this
+	// node arbitrarily on the heap.
 	childBasis := s.childBasis(lp.Basis)
-
-	// Primal heuristics: cheap rounding at every node, diving at the
-	// root and periodically.
-	s.tryRounding(w, x)
-	if nd.parent == nil || nodeIdx%diveEvery == 0 {
-		diveStart := time.Now()
-		var improved bool
-		pprof.Do(s.ctx, pprof.Labels("milp_phase", "heuristic_dive"), func(context.Context) {
-			improved = s.dive(w, l, u, lp)
-		})
-		diveDur := time.Since(diveStart)
-		s.mu.Lock()
-		s.heurTime += diveDur
-		s.heurCalls++
-		if improved {
-			s.heurSuccesses++
-		}
-		s.emitLocked(obs.Event{Kind: obs.KindHeuristic, Worker: wid, Success: improved})
-		s.mu.Unlock()
-	}
-
-	bv, bval := s.selectBranchVar(x, frac)
+	bv, bval := s.selectBranchVar(lp.X, frac)
 	f := bval - math.Floor(bval)
 
 	down := &node{
@@ -575,11 +541,11 @@ func (s *searcher) reducedCostFixing(lp *simplex.Result) {
 }
 
 // solveLP runs the simplex method on the worker's hoisted problem (shared
-// matrix, rhs, and objective installed once) with node-local bounds. The
-// result aliases the worker's workspace and is only valid until the next
-// solveLP with the same worker.
-func (s *searcher) solveLP(w *workerState, l, u []float64, warm *simplex.Basis) (*simplex.Result, int, simplex.Status) {
-	w.prob.L, w.prob.U = l, u
+// matrix, rhs, and objective installed once) with the node bounds in w.l and
+// w.u. The result aliases the worker's workspace and is only valid until the
+// next solveLP with the same worker.
+func (s *searcher) solveLP(w *workerState, warm *simplex.Basis) (*simplex.Result, int, simplex.Status) {
+	w.prob.L, w.prob.U = w.l, w.u
 	res, err := simplex.Solve(&w.prob, warm, simplex.Options{
 		Deadline:   s.deadline,
 		Stop:       &s.stopFlag,
@@ -688,38 +654,14 @@ func (s *searcher) checkFeasibleComputational(x, ax []float64) bool {
 	return true
 }
 
-// tryRounding attempts the naive rounding heuristic: round all integral
-// structurals, recompute logical columns, and test feasibility.
-func (s *searcher) tryRounding(w *workerState, x []float64) {
-	ns := s.comp.NumStructural
-	w.xs = append(w.xs[:0], x[:ns]...)
-	xs := w.xs
-	for _, j := range s.intVars {
-		v := math.Round(xs[j])
-		// Clamp into root bounds.
-		if v < s.rootL[j] {
-			v = s.rootL[j]
-		}
-		if v > s.rootU[j] {
-			v = s.rootU[j]
-		}
-		xs[j] = v
-	}
-	improved := s.completeAndOffer(w, xs)
-	s.mu.Lock()
-	s.heurCalls++
-	if improved {
-		s.heurSuccesses++
-	}
-	s.mu.Unlock()
-}
-
 // completeAndOffer extends a structural assignment with exact logical
 // values (s_i = b_i − (A_s·x_s)_i: the logical columns are the identity
 // block), revalidates the completed point and offers it as an incumbent. It
-// reports whether the point improved the incumbent. A nil worker state
-// (the MIP-start path, before workers exist) falls back to allocating.
-func (s *searcher) completeAndOffer(w *workerState, xs []float64) bool {
+// reports whether the point improved the incumbent. A non-nil scale divides
+// the assignment by the column scales first, taking a model-space point into
+// the computational space. A nil worker state (the MIP-start path, before
+// workers exist) falls back to allocating.
+func (s *searcher) completeAndOffer(w *workerState, xs, scale []float64) bool {
 	ns := s.comp.NumStructural
 	ncols, nrows := s.comp.Problem.NumCols(), s.comp.Problem.NumRows()
 	var x, act []float64
@@ -732,6 +674,9 @@ func (s *searcher) completeAndOffer(w *workerState, xs []float64) bool {
 		act = make([]float64, nrows)
 	}
 	copy(x, xs[:ns])
+	for j := range scale {
+		x[j] /= scale[j]
+	}
 	a := s.comp.Problem.A
 	for j := 0; j < ns; j++ {
 		if x[j] == 0 {
@@ -764,73 +709,6 @@ func growZeroed(s []float64, n int) []float64 {
 	return s
 }
 
-// dive runs a depth-first fixing heuristic from an LP-feasible point. Each
-// round fixes every integer variable that is already near-integral plus the
-// single most-integral fractional one, then re-solves; with batch fixing
-// the dive reaches an integer point (or proves the path dead) in a number
-// of LP solves far smaller than the number of integer variables.
-func (s *searcher) dive(w *workerState, l, u []float64, lp *simplex.Result) bool {
-	const maxLPSolves = 400
-	w.dl = append(w.dl[:0], l...)
-	w.du = append(w.du[:0], u...)
-	dl, du := w.dl, w.du
-	cur := lp
-	for solves := 0; solves < maxLPSolves; solves++ {
-		if s.stopFlag.Load() {
-			return false
-		}
-		w.dfrac = s.fractionalVars(cur.X, w.dfrac)
-		frac := w.dfrac
-		if len(frac) == 0 {
-			return s.offerIncumbent(cur.X)
-		}
-		// Batch-fix all nearly-integral variables, then the single
-		// most-integral fractional one.
-		best, bestF := frac[0], math.Inf(1)
-		for _, j := range frac {
-			if f := fracPart(cur.X[j]); f < bestF {
-				best, bestF = j, f
-			}
-		}
-		fixVar := func(j int) {
-			v := math.Round(cur.X[j])
-			if v < dl[j] || v > du[j] {
-				v = math.Floor(cur.X[j])
-				if v < dl[j] {
-					v = math.Ceil(cur.X[j])
-				}
-			}
-			dl[j], du[j] = v, v
-		}
-		for _, j := range s.intVars {
-			if dl[j] != du[j] && fracPart(cur.X[j]) <= 0.01 {
-				fixVar(j)
-			}
-		}
-		fixVar(best)
-
-		lpStart := time.Now()
-		res, iters, st := s.solveLP(w, dl, du, cur.Basis)
-		s.mu.Lock()
-		s.simplexIters += iters
-		s.lpTime += time.Since(lpStart)
-		if res != nil {
-			s.refactors += res.Refactors
-			s.pricing.Add(res.Pricing)
-		}
-		cutoff := math.Inf(1)
-		if s.hasInc {
-			cutoff = s.incObj
-		}
-		s.mu.Unlock()
-		if st != simplex.StatusOptimal || res.Obj >= cutoff {
-			return false
-		}
-		cur = res
-	}
-	return false
-}
-
 // finish assembles the result after all workers exit.
 func (s *searcher) finish() *Result {
 	s.mu.Lock()
@@ -846,7 +724,6 @@ func (s *searcher) finish() *Result {
 			SearchTime:         time.Since(s.start),
 			LPTime:             s.lpTime,
 			RootLPTime:         s.rootLPTime,
-			HeuristicTime:      s.heurTime,
 			Nodes:              s.nodes,
 			PeakOpenNodes:      s.peakOpen,
 			Workers:            s.params.Threads,
@@ -857,8 +734,6 @@ func (s *searcher) finish() *Result {
 			DevexResets:        s.pricing.DevexResets,
 			PricingScannedCols: s.pricing.ScannedCols,
 			PricingTotalCols:   s.pricing.TotalCols,
-			HeuristicCalls:     s.heurCalls,
-			HeuristicSuccesses: s.heurSuccesses,
 			Incumbents:         s.incumbents,
 			BoundImprovements:  s.boundImps,
 			InjectedIncumbents: s.injInstalled,

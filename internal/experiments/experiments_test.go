@@ -226,50 +226,20 @@ func TestFormatRatio(t *testing.T) {
 	}
 }
 
-func TestHeuristicComparisonSmall(t *testing.T) {
-	rows, err := HeuristicComparison(context.Background(), HeuristicComparisonConfig{
-		Shape:   workload.Star,
-		Tables:  6,
-		Queries: 2,
-		Budget:  500 * time.Millisecond,
-		Threads: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d, want 5", len(rows))
-	}
-	provenSeen := false
-	for _, r := range rows {
-		if r.MedianCostRatio < 1-1e-9 {
-			t.Errorf("%s: ratio %g below 1 (best-of definition broken)", r.Algorithm, r.MedianCostRatio)
+// TestFigure2Threads runs the small grid at one and at four solver threads
+// (the figures -threads flag): either way every 6-table query is solved to
+// proven optimality inside the budget, so the MILP series ends at ratio 1.
+func TestFigure2Threads(t *testing.T) {
+	for _, threads := range []int{1, 4} {
+		cfg := smallFigure2Config()
+		cfg.Threads = threads
+		cells, err := Figure2(context.Background(), cfg, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.ProvenBound {
-			provenSeen = true
-			if math.IsInf(r.MedianProvenFactor, 1) || r.MedianProvenFactor < 1 {
-				t.Errorf("MILP proven factor = %g", r.MedianProvenFactor)
-			}
-		} else if !math.IsInf(r.MedianProvenFactor, 1) {
-			t.Errorf("%s: heuristic claims a proven factor %g", r.Algorithm, r.MedianProvenFactor)
-		}
-	}
-	if !provenSeen {
-		t.Error("no algorithm with proven bounds in the comparison")
-	}
-}
-
-func TestRenderHeuristicComparison(t *testing.T) {
-	rows := []HeuristicComparisonRow{
-		{Algorithm: "ILP", MedianCostRatio: 1, ProvenBound: true, MedianProvenFactor: 1.5},
-		{Algorithm: "SA", MedianCostRatio: 1.2, ProvenBound: false, MedianProvenFactor: math.Inf(1)},
-	}
-	var sb strings.Builder
-	RenderHeuristicComparison(&sb, rows)
-	out := sb.String()
-	for _, want := range []string{"ILP", "1.5", "SA", "none"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in:\n%s", want, out)
+		series := cells[0].Series[AlgorithmName(core.PrecisionMedium)]
+		if last := series[len(series)-1]; math.Abs(last-1) > 1e-5 {
+			t.Errorf("%d threads: final MILP ratio %g, want 1", threads, last)
 		}
 	}
 }

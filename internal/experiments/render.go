@@ -84,16 +84,3 @@ func formatRatio(v float64) string {
 		return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.3f", v), "0"), ".")
 	}
 }
-
-// RenderHeuristicComparison writes the extra MILP-vs-randomized comparison.
-func RenderHeuristicComparison(w io.Writer, rows []HeuristicComparisonRow) {
-	fmt.Fprintln(w, "MILP vs randomized algorithms (equal budgets; ratios vs best plan found)")
-	fmt.Fprintf(w, "%-26s %16s %16s\n", "algorithm", "median cost/best", "proven factor")
-	for _, r := range rows {
-		proven := "none"
-		if r.ProvenBound {
-			proven = formatRatio(r.MedianProvenFactor)
-		}
-		fmt.Fprintf(w, "%-26s %16s %16s\n", r.Algorithm, formatRatio(r.MedianCostRatio), proven)
-	}
-}

@@ -16,10 +16,9 @@ import (
 // a score vector decodes to the order sorting tables by score, and the
 // (non-differentiable) decode is handled with simultaneous-perturbation
 // (SPSA) two-point gradient estimates of the log plan cost. Momentum
-// smooths the noisy estimates and periodic restarts escape flat regions.
-// Like the other searches in this package the algorithm is anytime —
-// every strict improvement is reported through Options.OnImprovement —
-// and provides no lower bounds.
+// smooths the noisy estimates and restarts escape flat regions. The
+// algorithm is anytime — every strict improvement is reported through
+// Options.OnImprovement — and provides no lower bounds.
 func GradientDescent(ctx context.Context, q *qopt.Query, spec cost.Spec, opts Options) (*plan.Plan, float64, error) {
 	s, err := newSearch(ctx, q, spec, opts)
 	if err != nil {
@@ -63,8 +62,8 @@ func GradientDescent(ctx context.Context, q *qopt.Query, spec cost.Spec, opts Op
 		momentum     = 0.9
 		perturbation = 0.5
 		stepsPerRun  = 400
+		restarts     = 10
 	)
-	restarts := s.opts.Restarts
 	for restart := 0; restart < restarts && !s.expired(); restart++ {
 		// Fresh random start in [-1, 1); momentum resets with it.
 		for t := range theta {

@@ -3,6 +3,7 @@ package heuristic
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,41 +14,22 @@ import (
 	"milpjoin/internal/workload"
 )
 
-type algo struct {
-	name string
-	run  func(ctx context.Context, q *qopt.Query, spec cost.Spec, opts Options) (*plan.Plan, float64, error)
-}
-
-func algorithms() []algo {
-	return []algo{
-		{"II", IterativeImprovement},
-		{"SA", SimulatedAnnealing},
-		{"2PO", TwoPhase},
-		{"GD", GradientDescent},
-		{"RS", func(ctx context.Context, q *qopt.Query, spec cost.Spec, opts Options) (*plan.Plan, float64, error) {
-			return RandomSampling(ctx, q, spec, 500, opts)
-		}},
-	}
-}
-
 func TestHeuristicsProduceValidPlans(t *testing.T) {
 	for _, shape := range workload.Shapes() {
 		q := workload.Generate(shape, 8, 3, workload.Config{})
-		for _, a := range algorithms() {
-			pl, c, err := a.run(context.Background(), q, cost.CoutSpec(), Options{Seed: 1})
-			if err != nil {
-				t.Fatalf("%v %s: %v", shape, a.name, err)
-			}
-			if err := pl.Validate(q); err != nil {
-				t.Fatalf("%v %s: invalid plan: %v", shape, a.name, err)
-			}
-			recost, err := plan.Cost(q, pl, cost.CoutSpec())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(recost-c) > 1e-9*(1+c) {
-				t.Fatalf("%v %s: reported %g, actual %g", shape, a.name, c, recost)
-			}
+		pl, c, err := GradientDescent(context.Background(), q, cost.CoutSpec(), Options{Seed: 1})
+		if err != nil {
+			t.Fatalf("%v: %v", shape, err)
+		}
+		if err := pl.Validate(q); err != nil {
+			t.Fatalf("%v: invalid plan: %v", shape, err)
+		}
+		recost, err := plan.Cost(q, pl, cost.CoutSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(recost-c) > 1e-9*(1+c) {
+			t.Fatalf("%v: reported %g, actual %g", shape, c, recost)
 		}
 	}
 }
@@ -59,71 +41,64 @@ func TestHeuristicsNeverBeatOptimal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, a := range algorithms() {
-			_, c, err := a.run(context.Background(), q, cost.CoutSpec(), Options{Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c < opt-1e-6*(1+opt) {
-				t.Fatalf("seed %d %s: heuristic %g beats optimum %g", seed, a.name, c, opt)
-			}
+		_, c, err := GradientDescent(context.Background(), q, cost.CoutSpec(), Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-func TestIterativeImprovementFindsSmallOptimum(t *testing.T) {
-	// On tiny queries random-restart local search should reach the
-	// optimum with a deterministic seed.
-	q := workload.Generate(workload.Star, 5, 9, workload.Config{})
-	_, opt, err := dp.OptimizeLeftDeep(context.Background(), q, cost.CoutSpec(), dp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, c, err := IterativeImprovement(context.Background(), q, cost.CoutSpec(), Options{Seed: 2, Restarts: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(c-opt) > 1e-6*(1+opt) {
-		t.Errorf("II found %g, optimum %g", c, opt)
+		if c < opt-1e-6*(1+opt) {
+			t.Fatalf("seed %d: gradient descent %g beats optimum %g", seed, c, opt)
+		}
 	}
 }
 
 func TestDeterministicGivenSeed(t *testing.T) {
 	q := workload.Generate(workload.Chain, 9, 4, workload.Config{})
-	for _, a := range algorithms() {
-		_, c1, err := a.run(context.Background(), q, cost.CoutSpec(), Options{Seed: 11})
+	var runs [2][]float64 // every improvement, then the final cost
+	for i := range runs {
+		_, c, err := GradientDescent(context.Background(), q, cost.CoutSpec(), Options{
+			Seed:          11,
+			OnImprovement: func(_ *plan.Plan, c float64, _ time.Duration) { runs[i] = append(runs[i], c) },
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, c2, err := a.run(context.Background(), q, cost.CoutSpec(), Options{Seed: 11})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c1 != c2 {
-			t.Errorf("%s: nondeterministic with fixed seed: %g vs %g", a.name, c1, c2)
-		}
+		runs[i] = append(runs[i], c)
+	}
+	if !slices.Equal(runs[0], runs[1]) {
+		t.Errorf("nondeterministic with fixed seed: %v vs %v", runs[0], runs[1])
 	}
 }
 
+// TestDeadlineRespected: a 10ms deadline stops a search whose default
+// effort takes far longer, and the search still returns a valid plan.
 func TestDeadlineRespected(t *testing.T) {
-	q := workload.Generate(workload.Chain, 16, 5, workload.Config{})
+	q := workload.Generate(workload.Chain, 60, 5, workload.Config{})
 	start := time.Now()
-	_, _, err := SimulatedAnnealing(context.Background(), q, cost.CoutSpec(), Options{
+	if _, _, err := GradientDescent(context.Background(), q, cost.CoutSpec(), Options{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	full := time.Since(start)
+
+	start = time.Now()
+	pl, _, err := GradientDescent(context.Background(), q, cost.CoutSpec(), Options{
 		Seed:     1,
-		Deadline: start.Add(50 * time.Millisecond),
+		Deadline: start.Add(10 * time.Millisecond),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Errorf("SA ran %v past a 50ms deadline", elapsed)
+	if err := pl.Validate(q); err != nil {
+		t.Fatalf("invalid plan: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > full/2 {
+		t.Errorf("ran %v under a 10ms deadline; the whole search takes %v", elapsed, full)
 	}
 }
 
 func TestOnImprovementMonotone(t *testing.T) {
 	q := workload.Generate(workload.Cycle, 10, 6, workload.Config{})
 	var costs []float64
-	_, _, err := IterativeImprovement(context.Background(), q, cost.CoutSpec(), Options{
+	_, _, err := GradientDescent(context.Background(), q, cost.CoutSpec(), Options{
 		Seed: 3,
 		OnImprovement: func(p *plan.Plan, c float64, _ time.Duration) {
 			costs = append(costs, c)
@@ -144,32 +119,13 @@ func TestOnImprovementMonotone(t *testing.T) {
 
 func TestInvalidQueryRejected(t *testing.T) {
 	bad := &qopt.Query{Tables: []qopt.Table{{Card: 5}}}
-	for _, a := range algorithms() {
-		if _, _, err := a.run(context.Background(), bad, cost.CoutSpec(), Options{}); err == nil {
-			t.Errorf("%s accepted an invalid query", a.name)
-		}
-	}
-}
-
-func TestTwoPhaseAtLeastAsGoodAsIIHalf(t *testing.T) {
-	q := workload.Generate(workload.Star, 10, 8, workload.Config{})
-	_, ii, err := IterativeImprovement(context.Background(), q, cost.CoutSpec(), Options{Seed: 5, Restarts: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, tp, err := TwoPhase(context.Background(), q, cost.CoutSpec(), Options{Seed: 5, Restarts: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2PO embeds an II phase with half the restarts plus annealing; it
-	// should not be wildly worse (allow slack — different RNG streams).
-	if tp > ii*10 {
-		t.Errorf("2PO %g far worse than II %g", tp, ii)
+	if _, _, err := GradientDescent(context.Background(), bad, cost.CoutSpec(), Options{}); err == nil {
+		t.Error("gradient descent accepted an invalid query")
 	}
 }
 
 // TestGradientDescentFindsSmallOptimum: on a 6-table query the SPSA
-// relaxation with a few restarts lands on (or very near) the left-deep
+// relaxation with its restarts lands on (or very near) the left-deep
 // optimum.
 func TestGradientDescentFindsSmallOptimum(t *testing.T) {
 	q := workload.Generate(workload.Chain, 6, 7, workload.Config{})
@@ -177,7 +133,7 @@ func TestGradientDescentFindsSmallOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, c, err := GradientDescent(context.Background(), q, cost.CoutSpec(), Options{Seed: 3, Restarts: 10})
+	_, c, err := GradientDescent(context.Background(), q, cost.CoutSpec(), Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +149,7 @@ func TestGradientDescentAnytime(t *testing.T) {
 	last := math.Inf(1)
 	calls := 0
 	_, final, err := GradientDescent(context.Background(), q, cost.CoutSpec(), Options{
-		Seed:     1,
-		Restarts: 6,
+		Seed: 1,
 		OnImprovement: func(p *plan.Plan, c float64, _ time.Duration) {
 			calls++
 			if c >= last {

@@ -1,6 +1,6 @@
 // Package obs is the solver observability layer: a typed event stream and
-// per-phase statistics shared by every layer of the MILP stack (presolve,
-// simplex, branch and bound, solver facade) and surfaced through the public
+// per-phase statistics shared by every layer of the MILP stack (simplex,
+// branch and bound, solver facade) and surfaced through the public
 // joinorder API. It is a leaf package — the solver layers import it, never
 // the reverse — so one Event type can travel from the simplex kernel to the
 // CLI without adapter chains.
@@ -25,21 +25,15 @@ import (
 type EventKind int
 
 const (
-	// KindPresolve summarises the presolve phase: rounds swept, rows and
-	// columns removed.
-	KindPresolve EventKind = iota
 	// KindLPRelaxation reports the root LP relaxation solve: its
 	// objective (the first lower bound) and simplex iterations.
-	KindLPRelaxation
+	KindLPRelaxation EventKind = iota
 	// KindIncumbent reports a new best integer solution.
 	KindIncumbent
 	// KindBound reports an improvement of the proven global lower bound.
 	KindBound
 	// KindCutRound reports one round of root cut generation.
 	KindCutRound
-	// KindHeuristic reports a primal heuristic attempt (a dive) and
-	// whether it produced an improving incumbent.
-	KindHeuristic
 	// KindNodeBatch is a periodic snapshot of the branch-and-bound
 	// search: nodes explored, open-node count, current incumbent/bound.
 	KindNodeBatch
@@ -84,8 +78,6 @@ const (
 // String names the kind (stable identifiers, used in JSON output).
 func (k EventKind) String() string {
 	switch k {
-	case KindPresolve:
-		return "presolve"
 	case KindLPRelaxation:
 		return "lp_relaxation"
 	case KindIncumbent:
@@ -94,8 +86,6 @@ func (k EventKind) String() string {
 		return "bound"
 	case KindCutRound:
 		return "cut_round"
-	case KindHeuristic:
-		return "heuristic"
 	case KindNodeBatch:
 		return "node_batch"
 	case KindWorkerStart:
@@ -132,8 +122,8 @@ func (k EventKind) MarshalJSON() ([]byte, error) {
 
 // eventKinds lists every kind, for parsing the string form back.
 var eventKinds = []EventKind{
-	KindPresolve, KindLPRelaxation, KindIncumbent, KindBound, KindCutRound,
-	KindHeuristic, KindNodeBatch, KindWorkerStart, KindWorkerStop,
+	KindLPRelaxation, KindIncumbent, KindBound, KindCutRound,
+	KindNodeBatch, KindWorkerStart, KindWorkerStop,
 	KindCacheHit, KindCacheMiss, KindCacheCoalesced, KindWarmStart, KindDegraded,
 	KindInjected, KindStrategyStart, KindStrategyStop, KindWinner,
 }
@@ -182,13 +172,10 @@ type Event struct {
 	OpenNodes    int // open (unexplored) nodes at emission time
 
 	// Kind-specific payload (zero where not applicable).
-	Objective   float64 // KindLPRelaxation: root LP objective
-	Iters       int     // KindLPRelaxation, KindCutRound: simplex iterations
-	Rounds      int     // KindPresolve: sweeps; KindCutRound: round index
-	RowsRemoved int     // KindPresolve
-	ColsRemoved int     // KindPresolve
-	Cuts        int     // KindCutRound: cuts added this round
-	Success     bool    // KindHeuristic: found an improving incumbent
+	Objective float64 // KindLPRelaxation: root LP objective
+	Iters     int     // KindLPRelaxation, KindCutRound: simplex iterations
+	Rounds    int     // KindCutRound: round index
+	Cuts      int     // KindCutRound: cuts added this round
 }
 
 // String renders the event as a one-line log entry.
@@ -202,14 +189,10 @@ func (e Event) String() string {
 		fmt.Fprintf(&sb, " worker=%d", e.Worker)
 	}
 	switch e.Kind {
-	case KindPresolve:
-		fmt.Fprintf(&sb, " rounds=%d rows-removed=%d cols-removed=%d", e.Rounds, e.RowsRemoved, e.ColsRemoved)
 	case KindLPRelaxation:
 		fmt.Fprintf(&sb, " obj=%.6g iters=%d", e.Objective, e.Iters)
 	case KindCutRound:
 		fmt.Fprintf(&sb, " round=%d cuts=%d", e.Rounds, e.Cuts)
-	case KindHeuristic:
-		fmt.Fprintf(&sb, " success=%v", e.Success)
 	case KindNodeBatch:
 		fmt.Fprintf(&sb, " open=%d", e.OpenNodes)
 	}
@@ -242,10 +225,7 @@ type eventJSON struct {
 	Objective    *float64  `json:"objective,omitempty"`
 	Iters        int       `json:"iters,omitempty"`
 	Rounds       int       `json:"rounds,omitempty"`
-	RowsRemoved  int       `json:"rows_removed,omitempty"`
-	ColsRemoved  int       `json:"cols_removed,omitempty"`
 	Cuts         int       `json:"cuts,omitempty"`
-	Success      bool      `json:"success,omitempty"`
 }
 
 // finiteOrNil maps non-finite values to nil for JSON.
@@ -269,10 +249,7 @@ func (e Event) MarshalJSON() ([]byte, error) {
 		OpenNodes:    e.OpenNodes,
 		Iters:        e.Iters,
 		Rounds:       e.Rounds,
-		RowsRemoved:  e.RowsRemoved,
-		ColsRemoved:  e.ColsRemoved,
 		Cuts:         e.Cuts,
-		Success:      e.Success,
 	}
 	if e.Worker >= 0 {
 		w := e.Worker
@@ -321,10 +298,7 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 		Objective:    infOr(in.Objective, math.Inf(1)),
 		Iters:        in.Iters,
 		Rounds:       in.Rounds,
-		RowsRemoved:  in.RowsRemoved,
-		ColsRemoved:  in.ColsRemoved,
 		Cuts:         in.Cuts,
-		Success:      in.Success,
 	}
 	if in.Worker != nil {
 		e.Worker = *in.Worker

@@ -23,7 +23,7 @@ func TestNilEmitterIsSafe(t *testing.T) {
 func TestEmitterAssignsSequenceAndElapsed(t *testing.T) {
 	var got []Event
 	e := NewEmitter(time.Now().Add(-time.Second), func(ev Event) { got = append(got, ev) })
-	e.Emit(Event{Kind: KindPresolve})
+	e.Emit(Event{Kind: KindCutRound})
 	e.Emit(Event{Kind: KindIncumbent})
 	e.Emit(Event{Kind: KindBound, Elapsed: 42 * time.Millisecond})
 	if len(got) != 3 || e.Count() != 3 {
@@ -101,10 +101,9 @@ func TestEventStringPerKind(t *testing.T) {
 		ev   Event
 		want string
 	}{
-		{Event{Kind: KindPresolve, Worker: -1, Rounds: 2, RowsRemoved: 3}, "rows-removed=3"},
 		{Event{Kind: KindLPRelaxation, Worker: 0, Objective: 12.5, Iters: 9}, "obj=12.5"},
 		{Event{Kind: KindCutRound, Worker: -1, Rounds: 1, Cuts: 4}, "cuts=4"},
-		{Event{Kind: KindHeuristic, Worker: 1, Success: true}, "success=true"},
+		{Event{Kind: KindNodeBatch, Worker: 1, OpenNodes: 6}, "open=6"},
 		{Event{Kind: KindWorkerStart, Worker: 3}, "worker=3"},
 	}
 	for _, tc := range cases {
@@ -133,20 +132,13 @@ func TestRelGap(t *testing.T) {
 
 func TestStatsReporting(t *testing.T) {
 	s := Stats{
-		PresolveTime:       time.Millisecond,
 		TotalTime:          10 * time.Millisecond,
 		Nodes:              12,
 		Workers:            2,
 		NodesPerWorker:     []int{7, 5},
 		SimplexIters:       345,
-		HeuristicCalls:     4,
-		HeuristicSuccesses: 1,
-	}
-	if got := s.HeuristicSuccessRate(); got != 0.25 {
-		t.Errorf("HeuristicSuccessRate = %g", got)
-	}
-	if got := (Stats{}).HeuristicSuccessRate(); got != 0 {
-		t.Errorf("zero-stats HeuristicSuccessRate = %g", got)
+		PricingScannedCols: 1,
+		PricingTotalCols:   4,
 	}
 	if str := s.String(); !strings.Contains(str, "12 nodes") || !strings.Contains(str, "2 workers") {
 		t.Errorf("Stats.String() = %q", str)
@@ -162,8 +154,8 @@ func TestStatsReporting(t *testing.T) {
 	if doc["simplex_iters"] != float64(345) {
 		t.Errorf("simplex_iters = %v", doc["simplex_iters"])
 	}
-	if doc["heuristic_success_rate"] != 0.25 {
-		t.Errorf("heuristic_success_rate = %v", doc["heuristic_success_rate"])
+	if doc["pricing_scan_fraction"] != 0.25 {
+		t.Errorf("pricing_scan_fraction = %v", doc["pricing_scan_fraction"])
 	}
 	if doc["total_sec"] != 0.01 {
 		t.Errorf("total_sec = %v", doc["total_sec"])
@@ -198,7 +190,7 @@ func TestEventJSONRoundTrip(t *testing.T) {
 
 	// A pre-incumbent event: sentinels restored from nulls, worker -1
 	// restored from absence.
-	pre := Event{Kind: KindPresolve, Worker: -1,
+	pre := Event{Kind: KindCutRound, Worker: -1,
 		Incumbent: math.Inf(1), Bound: math.Inf(-1), Gap: math.Inf(1), Objective: math.Inf(1)}
 	data, err = json.Marshal(pre)
 	if err != nil {

@@ -62,11 +62,6 @@ func SlogAttrs(ev Event) []slog.Attr {
 		out = append(out, slog.Int("nodes", ev.Nodes))
 	}
 	switch ev.Kind {
-	case KindPresolve:
-		out = append(out,
-			slog.Int("rounds", ev.Rounds),
-			slog.Int("rows_removed", ev.RowsRemoved),
-			slog.Int("cols_removed", ev.ColsRemoved))
 	case KindLPRelaxation:
 		if !math.IsInf(ev.Objective, 0) && !math.IsNaN(ev.Objective) {
 			out = append(out, slog.Float64("objective", ev.Objective))
@@ -74,8 +69,6 @@ func SlogAttrs(ev Event) []slog.Attr {
 		out = append(out, slog.Int("iters", ev.Iters))
 	case KindCutRound:
 		out = append(out, slog.Int("round", ev.Rounds), slog.Int("cuts", ev.Cuts))
-	case KindHeuristic:
-		out = append(out, slog.Bool("success", ev.Success))
 	case KindNodeBatch:
 		out = append(out, slog.Int("open_nodes", ev.OpenNodes))
 	}

@@ -51,16 +51,16 @@ func TestSlogHandlerLevelGate(t *testing.T) {
 
 func TestSlogAttrsKindPayload(t *testing.T) {
 	attrs := SlogAttrs(Event{
-		Kind: KindPresolve, Worker: -1, Rounds: 2, RowsRemoved: 5, ColsRemoved: 7,
+		Kind: KindCutRound, Worker: -1, Rounds: 2, Cuts: 7,
 		Bound: math.Inf(-1), Gap: math.Inf(1),
 	})
 	found := map[string]bool{}
 	for _, a := range attrs {
 		found[a.Key] = true
 	}
-	for _, want := range []string{"seq", "elapsed", "rounds", "rows_removed", "cols_removed"} {
+	for _, want := range []string{"seq", "elapsed", "round", "cuts"} {
 		if !found[want] {
-			t.Errorf("presolve attrs missing %q (got %v)", want, attrs)
+			t.Errorf("cut-round attrs missing %q (got %v)", want, attrs)
 		}
 	}
 }

@@ -9,25 +9,17 @@ import (
 
 // Stats aggregate where a MILP solve spent its effort, per phase. The
 // solver facade returns them on every Result; the public API surfaces them
-// as joinorder.Result.Stats. Cumulative times (LPTime, HeuristicTime) are
-// summed across parallel workers, so they can exceed the wall-clock phase
-// times on multi-threaded runs.
+// as joinorder.Result.Stats. LPTime is summed across parallel workers, so
+// it can exceed the wall-clock phase times on multi-threaded runs.
 type Stats struct {
 	// Per-phase wall-clock time.
-	PresolveTime time.Duration // presolve sweeps
-	RootLPTime   time.Duration // root LP relaxation solve
-	CutTime      time.Duration // root cut generation
-	SearchTime   time.Duration // branch-and-bound phase (wall clock)
-	TotalTime    time.Duration // whole solve, including decode glue
+	RootLPTime time.Duration // root LP relaxation solve
+	CutTime    time.Duration // root cut generation
+	SearchTime time.Duration // branch-and-bound phase (wall clock)
+	TotalTime  time.Duration // whole solve, including decode glue
 
 	// Cumulative in-phase time, summed across workers.
-	LPTime        time.Duration // inside node LP solves
-	HeuristicTime time.Duration // inside diving heuristics
-
-	// Presolve outcome.
-	PresolveRounds int
-	RowsRemoved    int
-	ColsRemoved    int
+	LPTime time.Duration // inside node LP solves
 
 	// Root cuts.
 	CutRounds int
@@ -51,25 +43,22 @@ type Stats struct {
 	PricingScannedCols int
 	PricingTotalCols   int
 
-	// Branching and primal heuristics.
-	PseudocostInits    int // variables with initialised pseudocosts
-	HeuristicCalls     int // rounding and diving attempts
-	HeuristicSuccesses int // attempts that improved the incumbent
+	// Branching.
+	PseudocostInits int // variables with initialised pseudocosts
+
+	// HeuristicTime, HeuristicCalls and HeuristicSuccesses are always
+	// zero: branch and bound runs no primal heuristic. They are neither
+	// rendered nor marshalled, and stay only because the benchmark's
+	// staged replay (bench/solver_trace.go) still reads them.
+	HeuristicTime      time.Duration
+	HeuristicCalls     int
+	HeuristicSuccesses int
 
 	// Anytime trajectory.
 	Incumbents         int // incumbent improvements observed
 	BoundImprovements  int // bound-improvement notifications
 	InjectedIncumbents int // portfolio-peer incumbents installed mid-solve
 	Events             int // events emitted to the stream
-}
-
-// HeuristicSuccessRate is the fraction of primal heuristic attempts that
-// improved the incumbent (0 when none ran).
-func (s Stats) HeuristicSuccessRate() float64 {
-	if s.HeuristicCalls == 0 {
-		return 0
-	}
-	return float64(s.HeuristicSuccesses) / float64(s.HeuristicCalls)
 }
 
 // PricingScanFraction is the fraction of full-pricing work the partial and
@@ -85,14 +74,12 @@ func (s Stats) PricingScanFraction() float64 {
 func (s Stats) String() string {
 	var sb strings.Builder
 	d := func(v time.Duration) string { return v.Truncate(time.Microsecond).String() }
-	fmt.Fprintf(&sb, "phases:     presolve %s, root LP %s, cuts %s, search %s (total %s)\n",
-		d(s.PresolveTime), d(s.RootLPTime), d(s.CutTime), d(s.SearchTime), d(s.TotalTime))
+	fmt.Fprintf(&sb, "phases:     root LP %s, cuts %s, search %s (total %s)\n",
+		d(s.RootLPTime), d(s.CutTime), d(s.SearchTime), d(s.TotalTime))
 	fmt.Fprintf(&sb, "simplex:    %d iterations (%d at root), %d LU refactorizations, %s in node LPs\n",
 		s.SimplexIters, s.RootLPIters, s.Refactorizations, d(s.LPTime))
 	fmt.Fprintf(&sb, "pricing:    %d devex resets, %.1f%% of columns scanned\n",
 		s.DevexResets, 100*s.PricingScanFraction())
-	fmt.Fprintf(&sb, "presolve:   %d rounds, removed %d rows, %d cols\n",
-		s.PresolveRounds, s.RowsRemoved, s.ColsRemoved)
 	if s.CutRounds > 0 {
 		fmt.Fprintf(&sb, "cuts:       %d rounds, %d added\n", s.CutRounds, s.CutsAdded)
 	}
@@ -102,8 +89,6 @@ func (s Stats) String() string {
 	}
 	sb.WriteString("\n")
 	fmt.Fprintf(&sb, "branching:  %d pseudocost initializations\n", s.PseudocostInits)
-	fmt.Fprintf(&sb, "heuristics: %d/%d successful (%.1f%%), %s diving\n",
-		s.HeuristicSuccesses, s.HeuristicCalls, 100*s.HeuristicSuccessRate(), d(s.HeuristicTime))
 	fmt.Fprintf(&sb, "anytime:    %d incumbents, %d bound improvements, %d events",
 		s.Incumbents, s.BoundImprovements, s.Events)
 	if s.InjectedIncumbents > 0 {
@@ -114,16 +99,11 @@ func (s Stats) String() string {
 
 // statsJSON is the wire form: durations in seconds, stable snake_case keys.
 type statsJSON struct {
-	PresolveSec        float64 `json:"presolve_sec"`
 	RootLPSec          float64 `json:"root_lp_sec"`
 	CutSec             float64 `json:"cut_sec"`
 	SearchSec          float64 `json:"search_sec"`
 	TotalSec           float64 `json:"total_sec"`
 	LPSec              float64 `json:"lp_sec"`
-	HeuristicSec       float64 `json:"heuristic_sec"`
-	PresolveRounds     int     `json:"presolve_rounds"`
-	RowsRemoved        int     `json:"rows_removed"`
-	ColsRemoved        int     `json:"cols_removed"`
 	CutRounds          int     `json:"cut_rounds,omitempty"`
 	CutsAdded          int     `json:"cuts_added,omitempty"`
 	Nodes              int     `json:"nodes"`
@@ -138,9 +118,6 @@ type statsJSON struct {
 	PricingTotalCols   int     `json:"pricing_total_cols"`
 	PricingScanFrac    float64 `json:"pricing_scan_fraction"`
 	PseudocostInits    int     `json:"pseudocost_inits"`
-	HeuristicCalls     int     `json:"heuristic_calls"`
-	HeuristicSuccesses int     `json:"heuristic_successes"`
-	HeuristicRate      float64 `json:"heuristic_success_rate"`
 	Incumbents         int     `json:"incumbents"`
 	BoundImprovements  int     `json:"bound_improvements"`
 	InjectedIncumbents int     `json:"injected_incumbents,omitempty"`
@@ -150,16 +127,11 @@ type statsJSON struct {
 // MarshalJSON emits the stats with durations converted to seconds.
 func (s Stats) MarshalJSON() ([]byte, error) {
 	return json.Marshal(statsJSON{
-		PresolveSec:        s.PresolveTime.Seconds(),
 		RootLPSec:          s.RootLPTime.Seconds(),
 		CutSec:             s.CutTime.Seconds(),
 		SearchSec:          s.SearchTime.Seconds(),
 		TotalSec:           s.TotalTime.Seconds(),
 		LPSec:              s.LPTime.Seconds(),
-		HeuristicSec:       s.HeuristicTime.Seconds(),
-		PresolveRounds:     s.PresolveRounds,
-		RowsRemoved:        s.RowsRemoved,
-		ColsRemoved:        s.ColsRemoved,
 		CutRounds:          s.CutRounds,
 		CutsAdded:          s.CutsAdded,
 		Nodes:              s.Nodes,
@@ -174,9 +146,6 @@ func (s Stats) MarshalJSON() ([]byte, error) {
 		PricingTotalCols:   s.PricingTotalCols,
 		PricingScanFrac:    s.PricingScanFraction(),
 		PseudocostInits:    s.PseudocostInits,
-		HeuristicCalls:     s.HeuristicCalls,
-		HeuristicSuccesses: s.HeuristicSuccesses,
-		HeuristicRate:      s.HeuristicSuccessRate(),
 		Incumbents:         s.Incumbents,
 		BoundImprovements:  s.BoundImprovements,
 		InjectedIncumbents: s.InjectedIncumbents,

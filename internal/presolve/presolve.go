@@ -3,6 +3,12 @@
 // redundant rows, propagates activity bounds, and rounds integer bounds.
 // Reductions are recorded so solutions of the reduced model can be mapped
 // back to the original variable space.
+//
+// The solve path does not use it: on join-ordering encodings it removes no
+// row and no column, and branch and bound on its output repeats the search
+// on the unreduced model exactly (TestReplayMatchesProduction). Its one
+// caller is the benchmark's staged replay in bench/solver_trace.go, and it
+// goes when that replay drops its presolve span.
 package presolve
 
 import (

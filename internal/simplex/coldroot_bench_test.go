@@ -5,7 +5,6 @@ import (
 
 	"milpjoin/internal/core"
 	"milpjoin/internal/cost"
-	"milpjoin/internal/presolve"
 	"milpjoin/internal/simplex"
 	"milpjoin/internal/workload"
 )
@@ -21,14 +20,7 @@ func BenchmarkColdRootLP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pre, err := presolve.Apply(enc.Model, presolve.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if pre.Status != presolve.StatusReduced {
-		b.Fatalf("presolve status %d", pre.Status)
-	}
-	p := pre.Model.Compile().Problem
+	p := enc.Model.Compile().Problem
 	opts := simplex.Options{Workspace: simplex.NewWorkspace()}
 	solve := func() int {
 		res, err := simplex.Solve(p, nil, opts)

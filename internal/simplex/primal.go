@@ -145,8 +145,8 @@ func (s *solver) init(warm *Basis) {
 	// bound, and a branch-and-bound node moves a handful of bounds: only where
 	// the bound differs from the one the workspace computed it from is it
 	// computed again. Fixed columns can never enter, so pricing only ever
-	// scans the candidate list (a large win in diving re-solves, where most
-	// integer variables are fixed).
+	// scans the candidate list (a win deep in a branch-and-bound tree, where
+	// many integer variables are fixed).
 	stale := !ws.tolKnown
 	ws.tolKnown = true
 	active := ws.activeCols[:0]

@@ -1,8 +1,8 @@
-// Package solver is the user-facing MILP solver facade: it presolves a
-// model, runs branch and bound on the reduced form, and maps solutions back
-// to the original variable space. It exposes the solver features the paper
-// obtains from Gurobi: anytime incumbents with optimality bounds, MIP-gap
-// and time-limit termination, and parallel search.
+// Package solver is the user-facing MILP solver facade: it compiles a model
+// (with optional root cuts) to computational form, runs branch and bound on
+// it, and maps the incumbent back to model space. It exposes the solver
+// features the paper obtains from Gurobi: anytime incumbents with optimality
+// bounds, MIP-gap and time-limit termination, and parallel search.
 package solver
 
 import (
@@ -15,7 +15,6 @@ import (
 	"milpjoin/internal/bb"
 	"milpjoin/internal/milp"
 	"milpjoin/internal/obs"
-	"milpjoin/internal/presolve"
 )
 
 // Status is the outcome of a solve.
@@ -79,12 +78,10 @@ type Stats = obs.Stats
 
 // Event kinds, re-exported so callers need not import internal packages.
 const (
-	KindPresolve     = obs.KindPresolve
 	KindLPRelaxation = obs.KindLPRelaxation
 	KindIncumbent    = obs.KindIncumbent
 	KindBound        = obs.KindBound
 	KindCutRound     = obs.KindCutRound
-	KindHeuristic    = obs.KindHeuristic
 	KindNodeBatch    = obs.KindNodeBatch
 	KindWorkerStart  = obs.KindWorkerStart
 	KindWorkerStop   = obs.KindWorkerStop
@@ -114,17 +111,15 @@ type Params struct {
 	GapTol float64
 	// Threads is the number of parallel branch-and-bound workers.
 	Threads int
-	// MaxNodes bounds explored nodes (zero: none).
+	// MaxNodes bounds explored nodes (zero: none); see bb.Params.MaxNodes
+	// for how the limit counts.
 	MaxNodes int
-	// DisablePresolve skips the presolve phase.
-	DisablePresolve bool
 	// CutRounds runs this many rounds of root Gomory mixed-integer cut
 	// generation before branch and bound (0: off).
 	CutRounds int
 	// OnEvent receives the full structured event stream of the solve:
-	// presolve summary, cut rounds, the root LP relaxation, incumbents,
-	// bound improvements, heuristic dives, node batches, and worker
-	// lifecycle. Callbacks are serialised (never concurrent) and must be
+	// cut rounds, the root LP relaxation, incumbents, bound improvements,
+	// node batches, and worker lifecycle. Callbacks are serialised (never concurrent) and must be
 	// fast: they run on solver goroutines, some while search locks are
 	// held. Objective values include the model's objective constant.
 	OnEvent func(Event)
@@ -135,14 +130,12 @@ type Params struct {
 	// Incumbents, when non-nil, is a live injection feed: candidate
 	// feasible assignments in model space (length NumVars, same space as
 	// InitialSolution) published while the solve runs, e.g. by portfolio
-	// peers racing the same problem. Each candidate passes through the
-	// same presolve-reduce and column-scaling transform as
-	// InitialSolution and is then offered to branch and bound at node
-	// boundaries; infeasible or worse candidates are dropped silently.
-	// The sender owns the channel; closing it stops the feed. The
-	// receiving pump stops when the solve returns, so late sends are
-	// discarded rather than blocking the sender forever (the feed is
-	// drained with a bounded buffer).
+	// peers racing the same problem. Branch and bound drains it at node
+	// boundaries without blocking, scales each candidate like
+	// InitialSolution and offers it; infeasible or worse candidates are
+	// dropped silently. The sender owns the channel; closing it stops the
+	// feed, and nothing reads it once the solve returns, so a sender must
+	// not block on a full channel past that point.
 	Incumbents <-chan []float64
 }
 
@@ -158,11 +151,9 @@ type Result struct {
 	Nodes        int
 	SimplexIters int
 	Elapsed      time.Duration
-	// PresolveRounds reports how many presolve sweeps ran.
-	PresolveRounds int
 	// Stats aggregates per-phase effort: wall time per phase, simplex
-	// iterations, LU refactorizations, heuristic success rates, peak
-	// open-node count, and per-worker node counts.
+	// iterations, LU refactorizations, peak open-node count, and
+	// per-worker node counts.
 	Stats Stats
 }
 
@@ -199,7 +190,7 @@ func effectiveTimeLimit(ctx context.Context, now time.Time, configured time.Dura
 // it mid-solve returns promptly with StatusCanceled and the best incumbent
 // and bound found so far, and a context deadline composes with
 // Params.TimeLimit as the minimum of the two budgets (StatusTimeLimit). A
-// context that has already ended returns immediately, before presolve or
+// context that has already ended returns immediately, before compilation or
 // branch and bound start.
 func Solve(ctx context.Context, m *milp.Model, params Params) (*Result, error) {
 	if ctx == nil {
@@ -215,11 +206,10 @@ func Solve(ctx context.Context, m *milp.Model, params Params) (*Result, error) {
 	params.TimeLimit = effectiveTimeLimit(ctx, start, params.TimeLimit)
 
 	// The emitter serialises events from every phase against one
-	// solve-wide clock. The sink shifts objective values by the model
-	// constant of the presolved form; objConst is written before branch
-	// and bound starts, and events emitted earlier carry ±Inf objective
-	// values, so the shift is always safe.
-	var objConst float64
+	// solve-wide clock. The sink shifts objective values by the model's
+	// objective constant; events emitted before branch and bound starts
+	// carry ±Inf objective values, which the shift leaves alone.
+	objConst := m.ObjConstant()
 	var emitter *obs.Emitter
 	if params.OnEvent != nil {
 		onEvent := params.OnEvent
@@ -233,65 +223,12 @@ func Solve(ctx context.Context, m *milp.Model, params Params) (*Result, error) {
 			onEvent(ev)
 		})
 	}
-	var stats Stats
-	finishStats := func() Stats {
-		stats.TotalTime = time.Since(start)
-		stats.Events = emitter.Count()
-		return stats
-	}
 
 	work := m
-	var pre *presolve.Result
-	if !params.DisablePresolve {
-		var err error
-		pprof.Do(ctx, pprof.Labels("milp_phase", "presolve"), func(context.Context) {
-			pre, err = presolve.Apply(m, presolve.Options{})
-		})
-		if err != nil {
-			return nil, err
-		}
-		stats.PresolveTime = pre.Elapsed
-		stats.PresolveRounds = pre.Rounds
-		stats.RowsRemoved = pre.RowsRemoved
-		stats.ColsRemoved = pre.ColsRemoved
-		emitter.Emit(obs.Event{
-			Kind:        obs.KindPresolve,
-			Worker:      -1,
-			Incumbent:   math.Inf(1),
-			Bound:       math.Inf(-1),
-			Rounds:      pre.Rounds,
-			RowsRemoved: pre.RowsRemoved,
-			ColsRemoved: pre.ColsRemoved,
-		})
-		switch pre.Status {
-		case presolve.StatusInfeasible:
-			return &Result{
-				Status:  StatusInfeasible,
-				Bound:   math.Inf(1),
-				Elapsed: time.Since(start),
-				Stats:   finishStats(),
-			}, nil
-		case presolve.StatusSolved:
-			vals := pre.FixedSolution()
-			if err := m.CheckFeasible(vals, 1e-6); err != nil {
-				return &Result{Status: StatusInfeasible, Bound: math.Inf(1), Elapsed: time.Since(start), Stats: finishStats()}, nil
-			}
-			obj := m.EvalObjective(vals)
-			return &Result{
-				Status:         StatusOptimal,
-				Solution:       &milp.Solution{Values: vals, Obj: obj},
-				Bound:          obj,
-				PresolveRounds: pre.Rounds,
-				Elapsed:        time.Since(start),
-				Stats:          finishStats(),
-			}, nil
-		}
-		work = pre.Model
-	}
-
+	var cutTime time.Duration
+	var cutRounds, totalCuts int
 	if params.CutRounds > 0 {
 		cutStart := time.Now()
-		var totalCuts, cutRounds int
 		pprof.Do(ctx, pprof.Labels("milp_phase", "cuts"), func(context.Context) {
 			work, totalCuts = addGomoryCuts(work, params.CutRounds, 16, func(round, added, iters int) {
 				cutRounds = round
@@ -306,75 +243,24 @@ func Solve(ctx context.Context, m *milp.Model, params Params) (*Result, error) {
 				})
 			})
 		})
-		stats.CutTime = time.Since(cutStart)
-		stats.CutRounds = cutRounds
-		stats.CutsAdded = totalCuts
+		cutTime = time.Since(cutStart)
 	}
 
 	comp := work.Compile()
-	objConst = work.ObjConstant()
-
 	bbParams := bb.Params{
-		TimeLimit: params.TimeLimit,
-		GapTol:    params.GapTol,
-		Threads:   params.Threads,
-		MaxNodes:  params.MaxNodes,
-		Events:    emitter,
+		TimeLimit:  params.TimeLimit,
+		GapTol:     params.GapTol,
+		Threads:    params.Threads,
+		MaxNodes:   params.MaxNodes,
+		Events:     emitter,
+		Incumbents: params.Incumbents,
 	}
 	if len(params.InitialSolution) == m.NumVars() {
-		start := params.InitialSolution
-		if pre != nil {
-			start = pre.Reduce(start)
+		scaled := make([]float64, len(params.InitialSolution))
+		for j, v := range params.InitialSolution {
+			scaled[j] = v / comp.ColScale[j]
 		}
-		if start != nil {
-			scaled := make([]float64, len(start))
-			for j := range start {
-				scaled[j] = start[j] / comp.ColScale[j]
-			}
-			bbParams.InitialIncumbent = scaled
-		}
-	}
-	if params.Incumbents != nil {
-		// Forwarding pump: model-space candidates from the caller are
-		// reduced and scaled into the computational space branch and
-		// bound searches. The stop channel unblocks a pending inner
-		// send when the solve finishes before the feed closes.
-		inner := make(chan []float64, 4)
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			defer close(inner)
-			for {
-				select {
-				case <-stop:
-					return
-				case vals, ok := <-params.Incumbents:
-					if !ok {
-						return
-					}
-					if len(vals) != m.NumVars() {
-						continue
-					}
-					cand := vals
-					if pre != nil {
-						cand = pre.Reduce(cand)
-					}
-					if cand == nil || len(cand) != len(comp.ColScale) {
-						continue
-					}
-					scaled := make([]float64, len(cand))
-					for j := range cand {
-						scaled[j] = cand[j] / comp.ColScale[j]
-					}
-					select {
-					case inner <- scaled:
-					case <-stop:
-						return
-					}
-				}
-			}
-		}()
-		bbParams.Incumbents = inner
+		bbParams.InitialIncumbent = scaled
 	}
 
 	res, err := bb.Solve(ctx, comp, bbParams)
@@ -382,29 +268,22 @@ func Solve(ctx context.Context, m *milp.Model, params Params) (*Result, error) {
 		return nil, err
 	}
 
-	// Merge the search-phase stats from branch and bound with the
-	// presolve/cut phase stats accumulated above.
-	bbStats := res.Stats
-	bbStats.PresolveTime = stats.PresolveTime
-	bbStats.PresolveRounds = stats.PresolveRounds
-	bbStats.RowsRemoved = stats.RowsRemoved
-	bbStats.ColsRemoved = stats.ColsRemoved
-	bbStats.CutTime = stats.CutTime
-	bbStats.CutRounds = stats.CutRounds
-	bbStats.CutsAdded = stats.CutsAdded
-	stats = bbStats
+	// The search-phase stats from branch and bound, plus the cut phase.
+	stats := res.Stats
+	stats.CutTime = cutTime
+	stats.CutRounds = cutRounds
+	stats.CutsAdded = totalCuts
+	stats.TotalTime = time.Since(start)
+	stats.Events = emitter.Count()
 
 	out := &Result{
+		Bound:        res.Bound + objConst,
 		Gap:          res.Gap,
 		Nodes:        res.Nodes,
 		SimplexIters: res.SimplexIters,
 		Elapsed:      time.Since(start),
-		Stats:        finishStats(),
+		Stats:        stats,
 	}
-	if pre != nil {
-		out.PresolveRounds = pre.Rounds
-	}
-	out.Bound = res.Bound + objConst
 
 	switch res.Status {
 	case bb.StatusOptimal:
@@ -426,13 +305,7 @@ func Solve(ctx context.Context, m *milp.Model, params Params) (*Result, error) {
 	}
 
 	if res.HasIncumbent {
-		reduced := comp.Unscale(res.X[:work.NumVars()])
-		var vals []float64
-		if pre != nil {
-			vals = pre.Postsolve(reduced)
-		} else {
-			vals = reduced
-		}
+		vals := comp.Unscale(res.X[:m.NumVars()])
 		// Prefer integral values where the rounding stays feasible.
 		rounded := append([]float64(nil), vals...)
 		for j := 0; j < m.NumVars(); j++ {

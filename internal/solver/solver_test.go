@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"milpjoin/internal/milp"
+	"milpjoin/internal/presolve"
 )
 
 func TestKnapsackThroughFacade(t *testing.T) {
@@ -36,13 +37,30 @@ func TestKnapsackThroughFacade(t *testing.T) {
 	}
 }
 
+// TestPresolveOnlySolve holds a model that presolve settles without a
+// search (every variable fixed by a singleton equality) to the answer
+// Solve finds for it.
 func TestPresolveOnlySolve(t *testing.T) {
-	// Everything determined by singleton equalities: presolve solves it.
 	m := milp.NewModel("trivial")
 	x := m.AddVar(0, 10, 2, milp.Integer, "x")
 	y := m.AddContinuous(0, 10, 1, "y")
 	m.AddConstr(milp.Expr(x, 1.0), milp.EQ, 4, "fx")
 	m.AddConstr(milp.Expr(y, 2.0), milp.EQ, 6, "fy")
+
+	pre, err := presolve.Apply(m, presolve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pre.Status != presolve.StatusSolved {
+		t.Fatalf("presolve status = %d, want solved (presolve should finish)", pre.Status)
+	}
+	vals := pre.FixedSolution()
+	if err := m.CheckFeasible(vals, 1e-6); err != nil {
+		t.Fatalf("presolve solution infeasible: %v", err)
+	}
+	if obj := m.EvalObjective(vals); math.Abs(obj-11) > 1e-9 {
+		t.Errorf("presolve obj = %g, want 11", obj)
+	}
 
 	res, err := Solve(context.Background(), m, Params{})
 	if err != nil {
@@ -50,9 +68,6 @@ func TestPresolveOnlySolve(t *testing.T) {
 	}
 	if res.Status != StatusOptimal {
 		t.Fatalf("status = %v", res.Status)
-	}
-	if res.Nodes != 0 {
-		t.Errorf("nodes = %d, want 0 (presolve should finish)", res.Nodes)
 	}
 	if math.Abs(res.Solution.Obj-11) > 1e-9 {
 		t.Errorf("obj = %g, want 11", res.Solution.Obj)
@@ -98,20 +113,6 @@ func TestInfeasibleThroughPresolve(t *testing.T) {
 	}
 }
 
-func TestInfeasibleWithPresolveDisabled(t *testing.T) {
-	m := milp.NewModel("inf2")
-	x := m.AddBinary(0, "x")
-	y := m.AddBinary(0, "y")
-	m.AddConstr(milp.Expr(x, 1.0, y, 1.0), milp.EQ, 1.5, "half")
-	res, err := Solve(context.Background(), m, Params{DisablePresolve: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != StatusInfeasible {
-		t.Fatalf("status = %v", res.Status)
-	}
-}
-
 func TestUnbounded(t *testing.T) {
 	m := milp.NewModel("unb")
 	x := m.AddContinuous(0, math.Inf(1), -1, "x")
@@ -126,6 +127,9 @@ func TestUnbounded(t *testing.T) {
 	}
 }
 
+// TestPresolveOnOffAgree solves random small MILPs directly and through
+// presolve (solving the reduced model and mapping its answer back), and
+// checks both routes agree on feasibility and the optimal objective.
 func TestPresolveOnOffAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 40; trial++ {
@@ -148,21 +152,52 @@ func TestPresolveOnOffAgree(t *testing.T) {
 			sense := []milp.Sense{milp.LE, milp.GE, milp.EQ}[rng.Intn(3)]
 			m.AddConstr(e, sense, float64(rng.Intn(9)-3), "")
 		}
-		with, err := Solve(context.Background(), m, Params{})
+		withOK, withObj := solveThroughPresolve(t, m)
+		without, err := Solve(context.Background(), m, Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		without, err := Solve(context.Background(), m, Params{DisablePresolve: true})
-		if err != nil {
-			t.Fatal(err)
+		if withOK != (without.Status == StatusOptimal) {
+			t.Fatalf("trial %d: optimal with presolve %v vs without %v", trial, withOK, without.Status)
 		}
-		if (with.Status == StatusOptimal) != (without.Status == StatusOptimal) {
-			t.Fatalf("trial %d: with %v vs without %v", trial, with.Status, without.Status)
-		}
-		if with.Status == StatusOptimal && math.Abs(with.Solution.Obj-without.Solution.Obj) > 1e-5 {
-			t.Fatalf("trial %d: obj %g vs %g", trial, with.Solution.Obj, without.Solution.Obj)
+		if withOK && math.Abs(withObj-without.Solution.Obj) > 1e-5 {
+			t.Fatalf("trial %d: obj %g vs %g", trial, withObj, without.Solution.Obj)
 		}
 	}
+}
+
+// solveThroughPresolve presolves m, solves what remains, and returns
+// whether an optimum was found and its objective on m, evaluated on the
+// postsolved assignment after checking it is feasible for m.
+func solveThroughPresolve(t *testing.T, m *milp.Model) (bool, float64) {
+	t.Helper()
+	pre, err := presolve.Apply(m, presolve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vals []float64
+	switch pre.Status {
+	case presolve.StatusInfeasible:
+		return false, 0
+	case presolve.StatusSolved:
+		vals = pre.FixedSolution()
+	default:
+		res, err := Solve(context.Background(), pre.Model, Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Status != StatusOptimal {
+			return false, 0
+		}
+		vals = pre.Postsolve(res.Solution.Values)
+		if obj := m.EvalObjective(vals); math.Abs(obj-res.Solution.Obj) > 1e-5 {
+			t.Fatalf("postsolved obj %g, reduced model obj %g", obj, res.Solution.Obj)
+		}
+	}
+	if err := m.CheckFeasible(vals, 1e-6); err != nil {
+		t.Fatalf("postsolved solution infeasible: %v", err)
+	}
+	return true, m.EvalObjective(vals)
 }
 
 func TestAnytimeCallbackIncludesConstant(t *testing.T) {
@@ -214,7 +249,7 @@ func TestTimeLimitStatus(t *testing.T) {
 	}
 	if res.Status == StatusTimeLimit {
 		// Anytime property: even on timeout there is usually an
-		// incumbent from the heuristics, and the bound is valid.
+		// incumbent from an integral node LP, and the bound is valid.
 		if res.Solution != nil && res.Solution.Obj < res.Bound-1e-6 {
 			t.Errorf("incumbent %g below bound %g", res.Solution.Obj, res.Bound)
 		}
@@ -230,7 +265,7 @@ func TestMaxNodesStatus(t *testing.T) {
 		e = e.Add(v, 1+rng.Float64()*10)
 	}
 	m.AddConstr(e, milp.LE, 40, "cap")
-	res, err := Solve(context.Background(), m, Params{MaxNodes: 2, DisablePresolve: true})
+	res, err := Solve(context.Background(), m, Params{MaxNodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,11 @@ type Budget struct {
 	// GapTol is the relative optimality gap at which the MILP search
 	// stops (zero: the 1e-6 default).
 	GapTol float64
-	// MaxNodes bounds explored branch-and-bound nodes (zero: none).
+	// MaxNodes bounds explored branch-and-bound nodes (zero: none). The
+	// MaxNodes-th node counted stops the search before its LP runs, so
+	// MaxNodes 1 solves no LP and returns the MIP start with Bound −Inf,
+	// and MaxNodes N solves at most N−1 node LPs, exactly N−1 with one
+	// thread (TestMaxNodesCountsBeforeTheLP).
 	MaxNodes int
 	// Threads is the parallel worker count for strategies that support
 	// it (zero: 1).

@@ -46,10 +46,10 @@ func checkStream(t *testing.T, events []joinorder.Event) {
 			}
 			inc = ev.Incumbent
 		}
-		// Presolve and cut-round events fire before branch and bound and
-		// carry a -Inf bound placeholder; the monotone-bound guarantee
-		// covers the search-phase events.
-		if ev.Kind == joinorder.KindPresolve || ev.Kind == joinorder.KindCutRound {
+		// Cut-round events fire before branch and bound and carry a -Inf
+		// bound placeholder; the monotone-bound guarantee covers the
+		// search-phase events.
+		if ev.Kind == joinorder.KindCutRound {
 			continue
 		}
 		if ev.Bound < bound-1e-9 {

@@ -2,8 +2,8 @@
 // unified, context-aware API over every join-ordering strategy the
 // repository implements — the paper's MILP encoding (Trummer & Koch,
 // SIGMOD 2017) solved by the built-in branch-and-bound solver, the
-// classical dynamic-programming baselines, IKKBZ, and the randomized
-// heuristics of Steinbrunn et al.
+// classical dynamic-programming baselines, IKKBZ, greedy, and a
+// gradient-descent search over join orders.
 //
 // The one-call form dispatches through the strategy registry:
 //
@@ -91,9 +91,8 @@ const (
 )
 
 // Event is one observation from the solver's structured event stream:
-// presolve summary, cut rounds, the root LP relaxation, incumbents, bound
-// improvements, heuristic dives, periodic node batches, and worker
-// lifecycle. Events marshal to JSON and render as one-line log entries via
+// cut rounds, the root LP relaxation, incumbents, bound improvements,
+// periodic node batches, and worker lifecycle. Events marshal to JSON and render as one-line log entries via
 // String.
 type Event = solver.Event
 
@@ -101,19 +100,17 @@ type Event = solver.Event
 type EventKind = solver.EventKind
 
 // Stats aggregates per-phase solver effort: wall time per phase, simplex
-// iterations, LU refactorizations, pseudocost initializations, heuristic
-// success rates, peak open-node count, and per-worker node counts. Stats
+// iterations, LU refactorizations, pseudocost initializations, peak
+// open-node count, and per-worker node counts. Stats
 // marshal to JSON and render as a multi-line report via String.
 type Stats = solver.Stats
 
 // Event kinds observable on the stream.
 const (
-	KindPresolve     = solver.KindPresolve
 	KindLPRelaxation = solver.KindLPRelaxation
 	KindIncumbent    = solver.KindIncumbent
 	KindBound        = solver.KindBound
 	KindCutRound     = solver.KindCutRound
-	KindHeuristic    = solver.KindHeuristic
 	KindNodeBatch    = solver.KindNodeBatch
 	KindWorkerStart  = solver.KindWorkerStart
 	KindWorkerStop   = solver.KindWorkerStop

@@ -63,8 +63,7 @@ func TestEveryRegisteredStrategyOptimizes(t *testing.T) {
 }
 
 func TestRequiredStrategiesRegistered(t *testing.T) {
-	// The registry is exactly these eight; the Steinbrunn heuristics
-	// (ii, sa, 2po, sampling) live in internal/heuristic only.
+	// The registry is exactly these eight.
 	want := []string{"auto", "dp-bushy", "dp-leftdeep", "gradient", "greedy", "hybrid", "ikkbz", "milp"}
 	if got := joinorder.Strategies(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Strategies() = %v, want %v", got, want)
@@ -249,7 +248,9 @@ func TestContextDeadlineMapsToTimeLimit(t *testing.T) {
 // may fall, and in the search it has to stay near one per node (it was 2.04).
 // The last row is the other regime: 20 tables capped at 3 nodes, where one
 // cold root LP is nearly all the iterations (recorded at the commit before
-// the simplex passes began walking index lists).
+// the simplex passes began walking index lists). Chain-8's iteration count
+// was 1400 while branch and bound still ran a diving heuristic: the 2
+// iterations the root dive spent are gone, and nothing else moved.
 func TestSearchCountersPinned(t *testing.T) {
 	for _, tc := range []struct {
 		shape       workload.GraphShape
@@ -259,7 +260,7 @@ func TestSearchCountersPinned(t *testing.T) {
 		bound, cost float64
 		refactors   int // at most
 	}{
-		{workload.Chain, 8, 200, 1400, 3.928020283258756e+11, 5.659403260234245e+15, 260},
+		{workload.Chain, 8, 200, 1398, 3.928020283258756e+11, 5.659403260234245e+15, 260},
 		{workload.Cycle, 8, 200, 1734, 1.7192393905082468e+11, 2.654057074044699e+15, 260},
 		{workload.Star, 8, 200, 640, 3.857771121859081e+11, 1.703971373634369e+15, 260},
 		{workload.Chain, 20, 3, 1921, 1.350832322268465e+12, 1.1961377424918034e+40, 30},
@@ -281,6 +282,48 @@ func TestSearchCountersPinned(t *testing.T) {
 		}
 		if res.Stats.Refactorizations > tc.refactors {
 			t.Errorf("%v-%d: %d LU factorizations for %d nodes, want at most %d", tc.shape, tc.tables, res.Stats.Refactorizations, res.Nodes, tc.refactors)
+		}
+	}
+}
+
+// TestMaxNodesCountsBeforeTheLP pins what a node cap means: a node is
+// counted when it leaves the open pool, and the MaxNodes-th one stops the
+// search before its LP runs. MaxNodes 1 therefore solves no LP and answers
+// with the greedy MIP start and a −Inf bound; MaxNodes 2 solves the root LP
+// (299 iterations on chain-8); MaxNodes 3 also solves the second node's LP,
+// which its branching bound makes infeasible before a single iteration.
+func TestMaxNodesCountsBeforeTheLP(t *testing.T) {
+	q := workload.Generate(workload.Chain, 8, 1, workload.Config{})
+	greedy, err := joinorder.Optimize(context.Background(), q, joinorder.Options{
+		Strategy: "greedy", Metric: joinorder.OperatorCost, Op: joinorder.HashJoin,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		maxNodes, iters int
+		bound           float64
+	}{
+		{1, 0, math.Inf(-1)},
+		{2, 299, 1.5300892578833472e+11},
+		{3, 299, 1.5300892578833472e+11},
+	} {
+		res, err := joinorder.Optimize(context.Background(), q, joinorder.Options{
+			Strategy:  "milp",
+			Metric:    joinorder.OperatorCost,
+			Op:        joinorder.HashJoin,
+			Precision: joinorder.PrecisionMedium,
+			Budget:    joinorder.Budget{MaxNodes: tc.maxNodes, Threads: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Nodes != tc.maxNodes || res.Stats.SimplexIters != tc.iters || res.Bound != tc.bound {
+			t.Errorf("MaxNodes %d: nodes %d iters %d bound %v, want %d %d %v",
+				tc.maxNodes, res.Nodes, res.Stats.SimplexIters, res.Bound, tc.maxNodes, tc.iters, tc.bound)
+		}
+		if res.MIPStart != "greedy" || res.Cost != greedy.Cost {
+			t.Errorf("MaxNodes %d: MIP start %q cost %v, want the greedy plan's %v", tc.maxNodes, res.MIPStart, res.Cost, greedy.Cost)
 		}
 	}
 }
