@@ -1,6 +1,6 @@
 // End to end: optimize a query with the MILP encoder, then actually run
 // the chosen plan (and a deliberately bad one) over synthesized data with
-// the in-memory hash-join executor — showing that the cost model's
+// the streaming hash-join executor — showing that the cost model's
 // preferences translate into real intermediate-result sizes and that every
 // join order returns the same answer.
 //
@@ -65,7 +65,11 @@ func main() {
 
 	run := func(name string, p *plan.Plan) int {
 		start := time.Now()
-		out, err := db.Execute(p)
+		stream, err := db.Stream(p.LeftDeep(), exec.StreamOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		out, err := stream.Collect()
 		if err != nil {
 			log.Fatal(err)
 		}

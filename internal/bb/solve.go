@@ -44,7 +44,7 @@ func Solve(ctx context.Context, comp *milp.Computational, params Params) (*Resul
 	}
 	if err := ctx.Err(); err != nil {
 		// Already ended: report without exploring a single node.
-		s.setStop(ctxStatus(err))
+		s.setStop(ContextStatus(err))
 		return s.finish(), nil
 	}
 	n := comp.Problem.NumCols()
@@ -80,7 +80,7 @@ func Solve(ctx context.Context, comp *milp.Computational, params Params) (*Resul
 		select {
 		case <-ctx.Done():
 			s.mu.Lock()
-			s.setStop(ctxStatus(ctx.Err()))
+			s.setStop(ContextStatus(ctx.Err()))
 			s.cond.Broadcast()
 			s.mu.Unlock()
 		case <-watchDone:
@@ -108,8 +108,9 @@ func Solve(ctx context.Context, comp *milp.Computational, params Params) (*Resul
 	return s.finish(), nil
 }
 
-// ctxStatus maps a context error to the matching termination status.
-func ctxStatus(err error) Status {
+// ContextStatus maps a context error to the matching termination status:
+// an expired deadline is a time limit, anything else a cancellation.
+func ContextStatus(err error) Status {
 	if err == context.DeadlineExceeded {
 		return StatusTimeLimit
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"milpjoin/internal/bb"
 	"milpjoin/internal/cost"
 	"milpjoin/internal/dp"
 	"milpjoin/internal/milp"
@@ -85,7 +86,7 @@ func milpVsDP(t *testing.T, q *qopt.Query, opts Options, spec cost.Spec) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Solver.Status != solver.StatusOptimal {
+	if res.Solver.Status != bb.StatusOptimal {
 		t.Fatalf("solver status %v", res.Solver.Status)
 	}
 	if err := res.Plan.Validate(q); err != nil {
@@ -319,7 +320,7 @@ func TestGomoryCutsValidForPlans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plain.Solver.Status != solver.StatusOptimal || withCuts.Solver.Status != solver.StatusOptimal {
+		if plain.Solver.Status != bb.StatusOptimal || withCuts.Solver.Status != bb.StatusOptimal {
 			t.Fatalf("seed %d: statuses %v / %v", seed, plain.Solver.Status, withCuts.Solver.Status)
 		}
 		if math.Abs(plain.MILPObj-withCuts.MILPObj) > 1e-5*(1+math.Abs(plain.MILPObj)) {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"milpjoin/internal/bb"
 	"milpjoin/internal/cost"
 	"milpjoin/internal/dp"
 	"milpjoin/internal/plan"
@@ -30,7 +31,7 @@ func TestOperatorSelectionDecodesAndBeatsFixed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Solver.Status != solver.StatusOptimal {
+		if res.Solver.Status != bb.StatusOptimal {
 			t.Fatalf("seed %d: status %v", seed, res.Solver.Status)
 		}
 		if res.Plan.Operators == nil || len(res.Plan.Operators) != q.NumJoins() {
@@ -59,7 +60,7 @@ func TestOperatorSelectionMatchesDPWithOperators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Solver.Status != solver.StatusOptimal {
+	if res.Solver.Status != bb.StatusOptimal {
 		t.Fatalf("status %v", res.Solver.Status)
 	}
 	_, optCost, err := dp.OptimizeLeftDeep(context.Background(), q, cost.DefaultSpec(), dp.Options{ChooseOperators: true})
@@ -85,7 +86,7 @@ func TestInterestingOrdersEncodeAndSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Solver.Status != solver.StatusOptimal {
+	if res.Solver.Status != bb.StatusOptimal {
 		t.Fatalf("status %v", res.Solver.Status)
 	}
 	if err := res.Plan.Validate(q); err != nil {
@@ -126,7 +127,7 @@ func TestInterestingOrdersFavorsSortMergeOnSortedInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Solver.Status != solver.StatusOptimal {
+	if res.Solver.Status != bb.StatusOptimal {
 		t.Fatalf("status %v", res.Solver.Status)
 	}
 	foundSMJ := false
@@ -149,7 +150,7 @@ func TestExpensivePredicatesEvaluatedExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Solver.Status != solver.StatusOptimal {
+	if res.Solver.Status != bb.StatusOptimal {
 		t.Fatalf("status %v", res.Solver.Status)
 	}
 	enc := res.Encoding
@@ -181,7 +182,7 @@ func TestExpensivePredicateEvaluationCostCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dear.Solver.Status != solver.StatusOptimal || cheap.Solver.Status != solver.StatusOptimal {
+	if dear.Solver.Status != bb.StatusOptimal || cheap.Solver.Status != bb.StatusOptimal {
 		t.Fatalf("statuses %v / %v", cheap.Solver.Status, dear.Solver.Status)
 	}
 	if dear.MILPObj <= cheap.MILPObj {
@@ -226,7 +227,7 @@ func TestProjectionSolvesAndKeepsRequiredColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Solver.Status != solver.StatusOptimal {
+	if res.Solver.Status != bb.StatusOptimal {
 		t.Fatalf("status %v", res.Solver.Status)
 	}
 	cols := res.Encoding.DecodeColumns(res.Solver.Solution)
@@ -262,7 +263,7 @@ func TestProjectionKeepsPredicateColumnsAlive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Solver.Status != solver.StatusOptimal {
+	if res.Solver.Status != bb.StatusOptimal {
 		t.Fatalf("status %v", res.Solver.Status)
 	}
 	enc := res.Encoding
@@ -290,7 +291,7 @@ func TestOperatorSelectionWithExpensivePredicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Solver.Status != solver.StatusOptimal {
+	if res.Solver.Status != bb.StatusOptimal {
 		t.Fatalf("status %v", res.Solver.Status)
 	}
 	if err := res.Plan.Validate(q); err != nil {

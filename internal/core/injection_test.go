@@ -9,6 +9,7 @@ import (
 
 	"milpjoin/internal/cost"
 	"milpjoin/internal/dp"
+	"milpjoin/internal/obs"
 	"milpjoin/internal/plan"
 	"milpjoin/internal/solver"
 	"milpjoin/internal/workload"
@@ -37,8 +38,8 @@ func TestLiveIncumbentInjectionInstalls(t *testing.T) {
 	res, err := Optimize(context.Background(), q, opts, solver.Params{
 		Threads:   2,
 		TimeLimit: 5 * time.Second,
-		OnEvent: func(ev solver.Event) {
-			if ev.Kind == solver.KindInjected {
+		OnEvent: func(ev obs.Event) {
+			if ev.Kind == obs.KindInjected {
 				injectedEvents++
 			}
 		},
@@ -103,14 +104,14 @@ func TestInjectionRaceMonotoneEvents(t *testing.T) {
 	res, err := Optimize(context.Background(), q, opts, solver.Params{
 		Threads:   4,
 		TimeLimit: 1500 * time.Millisecond,
-		OnEvent: func(ev solver.Event) {
+		OnEvent: func(ev obs.Event) {
 			if int64(ev.Seq) <= lastSeq {
 				t.Errorf("sequence not increasing: %d after %d", ev.Seq, lastSeq)
 			}
 			lastSeq = int64(ev.Seq)
 			switch ev.Kind {
-			case solver.KindIncumbent, solver.KindInjected:
-				if ev.Kind == solver.KindInjected {
+			case obs.KindIncumbent, obs.KindInjected:
+				if ev.Kind == obs.KindInjected {
 					injected++
 				}
 				if ev.HasIncumbent {
@@ -119,7 +120,7 @@ func TestInjectionRaceMonotoneEvents(t *testing.T) {
 					}
 					incumbent = math.Min(incumbent, ev.Incumbent)
 				}
-			case solver.KindBound:
+			case obs.KindBound:
 				if ev.Bound < bound-1e-9*math.Abs(bound) {
 					t.Errorf("bound loosened: %g after %g", ev.Bound, bound)
 				}

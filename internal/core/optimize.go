@@ -54,7 +54,7 @@ func (o Options) Spec() cost.Spec {
 // first moment — mirroring the primal heuristics commercial solvers run.
 //
 // The context is honored throughout the solver stack: cancelling it
-// mid-solve returns promptly with solver.StatusCanceled and the best
+// mid-solve returns promptly with bb.StatusCanceled and the best
 // incumbent plan found so far, and a context deadline composes with
 // params.TimeLimit as the minimum of the two.
 func Optimize(ctx context.Context, q *qopt.Query, opts Options, params solver.Params) (*Result, error) {

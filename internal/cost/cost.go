@@ -123,14 +123,6 @@ func (p Params) Pages(card float64) float64 {
 	return math.Ceil(card * p.TupleBytes / p.PageBytes)
 }
 
-// PagesForBytes converts a byte volume to a page count.
-func (p Params) PagesForBytes(bytes float64) float64 {
-	if bytes <= 0 {
-		return 0
-	}
-	return math.Ceil(bytes / p.PageBytes)
-}
-
 // JoinCost prices one join given operand page counts.
 func JoinCost(op Operator, pgOuter, pgInner float64, p Params) float64 {
 	switch op {
@@ -147,19 +139,6 @@ func JoinCost(op Operator, pgOuter, pgInner float64, p Params) float64 {
 	default:
 		panic(fmt.Sprintf("cost: unknown operator %v", op))
 	}
-}
-
-// SortMergeJoinCostPresorted prices a sort-merge join where sorted inputs
-// skip their sort phase (the interesting-orders extension of Section 5.4).
-func SortMergeJoinCostPresorted(pgOuter, pgInner float64, outerSorted, innerSorted bool) float64 {
-	c := pgOuter + pgInner
-	if !outerSorted {
-		c += 2 * pgOuter * ceilLog2(pgOuter)
-	}
-	if !innerSorted {
-		c += 2 * pgInner * ceilLog2(pgInner)
-	}
-	return c
 }
 
 // ceilLog2 returns ⌈log2(x)⌉ for x ≥ 1 and 0 otherwise, matching the

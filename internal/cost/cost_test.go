@@ -16,9 +16,6 @@ func TestPages(t *testing.T) {
 	if got := p.Pages(0); got != 0 {
 		t.Errorf("Pages(0) = %g, want 0", got)
 	}
-	if got := p.PagesForBytes(2500); got != 3 {
-		t.Errorf("PagesForBytes(2500) = %g, want 3", got)
-	}
 }
 
 func TestHashJoinCost(t *testing.T) {
@@ -49,22 +46,6 @@ func TestBlockNestedLoopCost(t *testing.T) {
 	// Tiny outer still runs one block.
 	if got := JoinCost(BlockNestedLoopJoin, 0, 7, p); got != 7 {
 		t.Errorf("bnl cost(0,7) = %g, want 7", got)
-	}
-}
-
-func TestPresortedSortMerge(t *testing.T) {
-	both := SortMergeJoinCostPresorted(8, 4, true, true)
-	if both != 12 {
-		t.Errorf("presorted both = %g, want 12", both)
-	}
-	outerOnly := SortMergeJoinCostPresorted(8, 4, true, false)
-	if outerOnly != 12+16 {
-		t.Errorf("outer presorted = %g, want 28", outerOnly)
-	}
-	none := SortMergeJoinCostPresorted(8, 4, false, false)
-	p := Params{}.WithDefaults()
-	if none != JoinCost(SortMergeJoin, 8, 4, p) {
-		t.Errorf("unsorted presorted-cost %g != standard %g", none, JoinCost(SortMergeJoin, 8, 4, p))
 	}
 }
 

@@ -23,27 +23,36 @@ func NewSelectivityCorrections() SelectivityCorrections {
 // Len returns the number of corrected predicates.
 func (c SelectivityCorrections) Len() int { return len(c.PredSel) }
 
-// ObserveJoin folds one executed join into the corrections: the
-// estimated-vs-measured ratio of the join result is attributed to the
-// predicates first applied at that join, each scaled by the k-th root of
-// the ratio (independence across the applied predicates — the same
-// assumption the estimates themselves make). Selectivities are clamped
-// into (0, 1]. Joins with no applied predicate (cross products) carry no
-// selectivity signal and are ignored.
-func (c SelectivityCorrections) ObserveJoin(q *qopt.Query, appliedPreds []int, estimated, measured float64) {
-	if len(appliedPreds) == 0 {
+// ObserveJoin folds one executed join into the corrections. The expected
+// output is the product of the measured operand sizes and the current
+// selectivities (corrected where a correction exists, q's otherwise) of
+// the predicates first applied at that join — so only the join's own
+// selectivity error is attributed, never upstream cardinality error. The
+// measured-vs-expected ratio is split over those predicates by its k-th
+// root (independence across them, the assumption the estimates make) and
+// the results are clamped into (0, 1]. Cross products and joins with an
+// empty operand carry no selectivity signal and are ignored.
+func (c SelectivityCorrections) ObserveJoin(q *qopt.Query, appliedPreds []int, leftRows, rightRows int, measured float64) {
+	if len(appliedPreds) == 0 || leftRows <= 0 || rightRows <= 0 {
 		return
 	}
-	e := math.Max(estimated, 1e-12)
-	m := math.Max(measured, 1e-12)
-	factor := math.Pow(m/e, 1/float64(len(appliedPreds)))
+	expected := float64(leftRows) * float64(rightRows)
 	for _, pi := range appliedPreds {
-		sel := q.Predicates[pi].Sel
-		if prev, ok := c.PredSel[pi]; ok {
-			sel = prev
-		}
-		c.PredSel[pi] = clampSel(sel * factor)
+		expected *= math.Max(c.Sel(q, pi), 1e-12)
 	}
+	factor := math.Pow(math.Max(measured, 1e-12)/math.Max(expected, 1e-12), 1/float64(len(appliedPreds)))
+	for _, pi := range appliedPreds {
+		c.PredSel[pi] = clampSel(c.Sel(q, pi) * factor)
+	}
+}
+
+// Sel returns predicate pi's current selectivity: its correction if one
+// was learned, q's estimate otherwise.
+func (c SelectivityCorrections) Sel(q *qopt.Query, pi int) float64 {
+	if s, ok := c.PredSel[pi]; ok {
+		return s
+	}
+	return q.Predicates[pi].Sel
 }
 
 // ObserveScan folds one executed scan into the corrections: the measured
@@ -71,26 +80,6 @@ func (c SelectivityCorrections) Apply(q *qopt.Query) *qopt.Query {
 		}
 	}
 	return &out
-}
-
-// MaxCorrectionFactor returns the largest multiplicative change any
-// corrected predicate received relative to q (≥ 1; 1 means no change).
-func (c SelectivityCorrections) MaxCorrectionFactor(q *qopt.Query) float64 {
-	worst := 1.0
-	for pi, sel := range c.PredSel {
-		if pi < 0 || pi >= len(q.Predicates) {
-			continue
-		}
-		orig := q.Predicates[pi].Sel
-		r := sel / orig
-		if r < 1 {
-			r = 1 / r
-		}
-		if r > worst {
-			worst = r
-		}
-	}
-	return worst
 }
 
 func clampSel(s float64) float64 {

@@ -21,9 +21,9 @@ func feedbackQuery() *qopt.Query {
 func TestObserveJoinSinglePredicate(t *testing.T) {
 	q := feedbackQuery()
 	c := NewSelectivityCorrections()
-	// Estimated 100 rows, measured 1000: the single applied predicate's
-	// selectivity scales by 10.
-	c.ObserveJoin(q, []int{0}, 100, 1000)
+	// 100 × 100 operand rows at sel 0.01 expect 100; measured 1000: the
+	// single applied predicate's selectivity scales by 10.
+	c.ObserveJoin(q, []int{0}, 100, 100, 1000)
 	if got := c.PredSel[0]; math.Abs(got-0.1) > 1e-12 {
 		t.Errorf("corrected sel %g, want 0.1", got)
 	}
@@ -35,8 +35,9 @@ func TestObserveJoinSinglePredicate(t *testing.T) {
 func TestObserveJoinDistributesOverPredicates(t *testing.T) {
 	q := feedbackQuery()
 	c := NewSelectivityCorrections()
-	// Two predicates applied, ratio 100: each takes the square root, 10.
-	c.ObserveJoin(q, []int{0, 1}, 10, 1000)
+	// Two predicates applied, expected 100·100·0.01·0.1 = 10, ratio 100:
+	// each takes the square root, 10.
+	c.ObserveJoin(q, []int{0, 1}, 100, 100, 1000)
 	if got := c.PredSel[0]; math.Abs(got-0.1) > 1e-12 {
 		t.Errorf("pred 0 corrected to %g, want 0.1", got)
 	}
@@ -48,8 +49,9 @@ func TestObserveJoinDistributesOverPredicates(t *testing.T) {
 func TestObserveJoinCompounds(t *testing.T) {
 	q := feedbackQuery()
 	c := NewSelectivityCorrections()
-	c.ObserveJoin(q, []int{0}, 100, 1000) // ×10 → 0.1
-	c.ObserveJoin(q, []int{0}, 100, 200)  // ×2 on the corrected value
+	c.ObserveJoin(q, []int{0}, 100, 100, 1000) // ×10 → 0.1
+	// The corrected 0.1 now expects 1000 rows; 2000 doubles it.
+	c.ObserveJoin(q, []int{0}, 100, 100, 2000)
 	if got := c.PredSel[0]; math.Abs(got-0.2) > 1e-12 {
 		t.Errorf("compounded sel %g, want 0.2", got)
 	}
@@ -58,9 +60,13 @@ func TestObserveJoinCompounds(t *testing.T) {
 func TestObserveJoinIgnoresCrossProducts(t *testing.T) {
 	q := feedbackQuery()
 	c := NewSelectivityCorrections()
-	c.ObserveJoin(q, nil, 10, 1000)
+	c.ObserveJoin(q, nil, 100, 100, 1000)
 	if c.Len() != 0 {
 		t.Error("cross product produced a correction")
+	}
+	c.ObserveJoin(q, []int{0}, 0, 100, 0)
+	if c.Len() != 0 {
+		t.Error("join with an empty operand produced a correction")
 	}
 }
 
@@ -92,20 +98,6 @@ func TestApplyLeavesOriginalUntouched(t *testing.T) {
 	}
 	if q.Predicates[0].Sel != 0.01 {
 		t.Error("Apply mutated the input query")
-	}
-}
-
-func TestMaxCorrectionFactor(t *testing.T) {
-	q := feedbackQuery()
-	c := NewSelectivityCorrections()
-	if got := c.MaxCorrectionFactor(q); got != 1 {
-		t.Errorf("empty corrections factor %g, want 1", got)
-	}
-	c.PredSel[0] = 0.1   // ×10 up
-	c.PredSel[1] = 0.05  // ×2 down
-	c.PredSel[42] = 0.01 // out of range: ignored
-	if got := c.MaxCorrectionFactor(q); math.Abs(got-10) > 1e-9 {
-		t.Errorf("factor %g, want 10", got)
 	}
 }
 

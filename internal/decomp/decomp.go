@@ -255,7 +255,7 @@ func optimizeWhole(ctx context.Context, q *qopt.Query, opts Options, sizes []int
 			// underprices only by the non-negative expensive-predicate
 			// terms), but the reported cost is always plan.Cost.
 			res.Bound = c
-			pl := flattenTree(tree, opts.Spec.Metric)
+			pl := tree.LeftDeepPlan(opts.Spec.Metric)
 			if pl == nil {
 				if ldPl, _, lerr := dp.OptimizeLeftDeep(ctx, q, opts.Spec, dp.Options{Deadline: opts.Deadline}); lerr == nil {
 					pl = ldPl
@@ -318,7 +318,7 @@ func solvePartition(ctx context.Context, q *qopt.Query, p Partition, opts Option
 			Options: dp.Options{MaxTables: 20, Deadline: deadline},
 		})
 		if err == nil {
-			localPlan = flattenTree(tree, opts.Spec.Metric)
+			localPlan = tree.LeftDeepPlan(opts.Spec.Metric)
 		}
 		if localPlan == nil {
 			if pl, _, lerr := dp.OptimizeLeftDeep(ctx, sub, opts.Spec, dp.Options{Deadline: deadline}); lerr == nil {
@@ -408,36 +408,6 @@ func finishGreedy(q *qopt.Query, opts Options, res *Result) (*Result, error) {
 		opts.OnImprovement(clonePlan(pl), c)
 	}
 	return res, nil
-}
-
-// flattenTree converts a linear bushy tree into the cost-equivalent
-// left-deep plan (nil for genuinely bushy shapes). Under C_out a join is
-// orientation-blind, so chains where every join has a leaf child flatten;
-// under operator costs only strict left-deep shapes qualify.
-func flattenTree(t *plan.Tree, metric cost.Metric) *plan.Plan {
-	if t == nil {
-		return nil
-	}
-	var rev []int
-	n := t
-	for !n.IsLeaf() {
-		switch {
-		case n.Right.IsLeaf():
-			rev = append(rev, n.Right.Table)
-			n = n.Left
-		case metric == cost.Cout && n.Left.IsLeaf():
-			rev = append(rev, n.Left.Table)
-			n = n.Right
-		default:
-			return nil
-		}
-	}
-	rev = append(rev, n.Table)
-	order := make([]int, len(rev))
-	for i, tb := range rev {
-		order[len(rev)-1-i] = tb
-	}
-	return &plan.Plan{Order: order}
 }
 
 func clonePlan(p *plan.Plan) *plan.Plan {

@@ -3,13 +3,14 @@
 // (uniform keys with domain sizes derived from predicate selectivities)
 // and executes join plans against it.
 //
-// Two executors are provided. ExecuteTree is the materializing oracle:
-// it evaluates a (possibly bushy) join tree bottom-up with classic hash
-// joins, holding every intermediate result in memory. Stream is the
-// production path: a pull-based batch-at-a-time iterator pipeline (scans
-// with predicate pushdown, symmetric hash joins) that runs the same trees
-// without materializing between joins and records per-join measured vs.
-// estimated cardinalities into a Trace.
+// Stream is the one executor: a pull-based batch-at-a-time iterator
+// pipeline (scans with predicate pushdown, symmetric hash joins) that runs
+// any (possibly bushy) join tree without materializing between joins and
+// records per-join measured vs. estimated cardinalities into a Trace.
+// ExecuteAdaptive runs the same pipelines one join at a time and feeds the
+// measurements back into the plan. The materializing executor the
+// streaming one is differential-tested against lives in the package's
+// tests.
 //
 // The package closes the loop the paper leaves implicit: plans decoded
 // from the MILP are actual executable join orders, every join order of a
@@ -24,7 +25,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"milpjoin/internal/plan"
 	"milpjoin/internal/qopt"
 )
 
@@ -58,7 +58,7 @@ type Database struct {
 // independence-based estimates. Unary predicates become scan filters: the
 // table gets one extra column whose zero values (≈ selectivity of the
 // domain) pass the filter. Predicates over three or more tables are not
-// executable.
+// executable and are rejected here, the only place a Database is built.
 func Synthesize(q *qopt.Query, seed int64) (*Database, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -123,85 +123,6 @@ func (db *Database) AllColumns() []string {
 	return cols
 }
 
-// Execute runs a left-deep plan with materializing hash joins and returns
-// the final result; it is ExecuteTree on the plan's left-deep tree.
-func (db *Database) Execute(p *plan.Plan) (*Relation, error) {
-	if err := p.Validate(db.Query); err != nil {
-		return nil, err
-	}
-	return db.ExecuteTree(p.LeftDeep())
-}
-
-// ExecuteTree runs an arbitrary bushy join tree bottom-up, materializing
-// every intermediate result: scans apply unary predicates, and each join
-// matches on every binary predicate whose two tables first meet at that
-// node. Joins with no applicable predicate degenerate to cross products
-// (as the paper's plan space allows). It is the oracle the streaming
-// executor is differential-tested against.
-func (db *Database) ExecuteTree(t *plan.Tree) (*Relation, error) {
-	q := db.Query
-	if err := t.Validate(q); err != nil {
-		return nil, err
-	}
-	for pi, p := range q.Predicates {
-		if len(p.Tables) > 2 {
-			return nil, fmt.Errorf("exec: predicate %d spans %d tables, at most 2 are executable", pi, len(p.Tables))
-		}
-	}
-	var walk func(node *plan.Tree) (*Relation, []int, error)
-	walk = func(node *plan.Tree) (*Relation, []int, error) {
-		if node.IsLeaf() {
-			return db.scanBase(node.Table), []int{node.Table}, nil
-		}
-		left, lTabs, err := walk(node.Left)
-		if err != nil {
-			return nil, nil, err
-		}
-		right, rTabs, err := walk(node.Right)
-		if err != nil {
-			return nil, nil, err
-		}
-		var keys []keyPair
-		for pi := range q.Predicates {
-			p := &q.Predicates[pi]
-			if !p.IsBinary() {
-				continue
-			}
-			a, b := p.Tables[0], p.Tables[1]
-			switch {
-			case containsTable(lTabs, a) && containsTable(rTabs, b):
-				keys = append(keys, keyPair{left: predCol(a, pi), right: predCol(b, pi)})
-			case containsTable(lTabs, b) && containsTable(rTabs, a):
-				keys = append(keys, keyPair{left: predCol(b, pi), right: predCol(a, pi)})
-			}
-		}
-		out, err := hashJoin(left, right, keys)
-		if err != nil {
-			return nil, nil, err
-		}
-		return out, append(lTabs, rTabs...), nil
-	}
-	out, _, err := walk(t)
-	return out, err
-}
-
-// scanBase returns base table t with its unary predicates applied — the
-// materializing form of predicate pushdown at the scan.
-func (db *Database) scanBase(t int) *Relation {
-	rel := db.Relations[t]
-	filters := db.scanFilters(t)
-	if len(filters) == 0 {
-		return rel
-	}
-	out := &Relation{Cols: rel.Cols}
-	for _, row := range rel.Rows {
-		if passesFilters(row, filters) {
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	return out
-}
-
 // scanFilter is one pushed-down unary predicate: keep rows whose key
 // column is zero (the synthesized data encodes the selectivity as the
 // fraction of zeros in the column's domain).
@@ -240,61 +161,6 @@ func containsTable(tabs []int, t int) bool {
 	return false
 }
 
-// keyPair names one equi-join key on each side.
-type keyPair struct{ left, right string }
-
-// hashJoin equi-joins left and right on the key pairs; with no keys it
-// builds the cross product. The build side is the smaller input; keys are
-// hashed as int64 tuples (no per-row string formatting) with bucket
-// collisions resolved by comparing the actual key columns.
-func hashJoin(left, right *Relation, keys []keyPair) (*Relation, error) {
-	out := &Relation{Cols: append(append([]string(nil), left.Cols...), right.Cols...)}
-
-	if len(keys) == 0 {
-		for _, lr := range left.Rows {
-			for _, rr := range right.Rows {
-				out.Rows = append(out.Rows, concatRows(lr, rr))
-			}
-		}
-		return out, nil
-	}
-
-	lIdx := make([]int, len(keys))
-	rIdx := make([]int, len(keys))
-	for k, kp := range keys {
-		lIdx[k] = left.colIndex(kp.left)
-		rIdx[k] = right.colIndex(kp.right)
-		if lIdx[k] < 0 || rIdx[k] < 0 {
-			return nil, fmt.Errorf("exec: join key %v missing (left %d, right %d)", kp, lIdx[k], rIdx[k])
-		}
-	}
-
-	// Build on the smaller input.
-	build, probe := right, left
-	bIdx, pIdx := rIdx, lIdx
-	buildIsRight := true
-	if left.NumRows() < right.NumRows() {
-		build, probe = left, right
-		bIdx, pIdx = lIdx, rIdx
-		buildIsRight = false
-	}
-
-	tab := newHashTab(bIdx, build.NumRows())
-	for _, row := range build.Rows {
-		tab.insert(row)
-	}
-	for _, prow := range probe.Rows {
-		tab.probe(prow, pIdx, func(brow []int64) {
-			if buildIsRight {
-				out.Rows = append(out.Rows, concatRows(prow, brow))
-			} else {
-				out.Rows = append(out.Rows, concatRows(brow, prow))
-			}
-		})
-	}
-	return out, nil
-}
-
 // hashTab is a multimap from int64 key tuples to rows, keyed by a 64-bit
 // tuple hash with collisions resolved by comparing the key columns. The
 // empty-key table (cross products) stores every row in one bucket. The
@@ -330,24 +196,6 @@ func (t *hashTab) insert(row []int64) {
 	}
 	h := hashRow(row, t.idx)
 	t.buckets[h] = append(t.buckets[h], row)
-}
-
-func (t *hashTab) size() int {
-	n := 0
-	for _, b := range t.buckets {
-		n += len(b)
-	}
-	return n
-}
-
-// probe calls emit for every inserted row whose key tuple equals row's key
-// tuple at pIdx. It allocates nothing itself.
-func (t *hashTab) probe(row []int64, pIdx []int, emit func(match []int64)) {
-	for _, cand := range t.buckets[hashRow(row, pIdx)] {
-		if keysEqual(cand, t.idx, row, pIdx) {
-			emit(cand)
-		}
-	}
 }
 
 // bucket returns the hash bucket row's key tuple at pIdx lands in. The

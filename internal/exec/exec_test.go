@@ -59,7 +59,7 @@ func TestAllJoinOrdersProduceSameResult(t *testing.T) {
 		for _, order := range [][]int{
 			{0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3, 0, 2}, {2, 0, 3, 1},
 		} {
-			res, err := db.Execute(&plan.Plan{Order: order})
+			res, err := db.execute(&plan.Plan{Order: order})
 			if err != nil {
 				t.Fatalf("%v %v: %v", shape, order, err)
 			}
@@ -88,12 +88,12 @@ func TestCrossProductSizesExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Join 0 ⋈ 2 first: pure cross product of 7×3 = 21 rows.
-	res, err := db.Execute(&plan.Plan{Order: []int{0, 2, 1}})
+	res, err := db.execute(&plan.Plan{Order: []int{0, 2, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Final size must equal the size of any other order.
-	res2, err := db.Execute(&plan.Plan{Order: []int{0, 1, 2}})
+	res2, err := db.execute(&plan.Plan{Order: []int{0, 1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestMeasuredSizeTracksEstimate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := db.Execute(&plan.Plan{Order: []int{0, 1, 2}})
+		res, err := db.execute(&plan.Plan{Order: []int{0, 1, 2}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestExecuteRejectsInvalidPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Execute(&plan.Plan{Order: []int{0, 1}}); err == nil {
+	if _, err := db.execute(&plan.Plan{Order: []int{0, 1}}); err == nil {
 		t.Error("short plan accepted")
 	}
 }
@@ -184,7 +184,7 @@ func TestOptimizedPlanExecutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Use the greedy plan as "optimizer output" (cheap, deterministic).
-	base, err := db.Execute(&plan.Plan{Order: []int{0, 1, 2, 3, 4}})
+	base, err := db.execute(&plan.Plan{Order: []int{0, 1, 2, 3, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestOptimizedPlanExecutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, order := range [][]int{{4, 0, 3, 1, 2}, {2, 1, 0, 4, 3}} {
-		res, err := db.Execute(&plan.Plan{Order: order})
+		res, err := db.execute(&plan.Plan{Order: order})
 		if err != nil {
 			t.Fatal(err)
 		}

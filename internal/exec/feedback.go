@@ -17,12 +17,8 @@ type AdaptiveOptions struct {
 	EstQuery *qopt.Query
 	// QErrorThreshold is the per-join q-error above which the remainder
 	// of the query is re-optimized (default 2; +Inf never re-optimizes).
+	// At most two re-optimizations run per execution.
 	QErrorThreshold float64
-	// MaxReopts bounds the number of mid-query re-optimizations
-	// (default 2).
-	MaxReopts int
-	// BatchSize is the per-pull row count of the stage pipelines.
-	BatchSize int
 	// Reoptimize plans the unexecuted remainder: it receives a query
 	// whose tables are the current frontier (materialized intermediates
 	// with measured cardinalities, unexecuted base tables) and whose
@@ -50,6 +46,9 @@ type AdaptiveResult struct {
 	CorrectedQuery *qopt.Query
 }
 
+// maxReopts bounds the number of mid-query re-optimizations per execution.
+const maxReopts = 2
+
 // withDefaults fills zero fields.
 func (o AdaptiveOptions) withDefaults(db *Database) AdaptiveOptions {
 	if o.EstQuery == nil {
@@ -57,9 +56,6 @@ func (o AdaptiveOptions) withDefaults(db *Database) AdaptiveOptions {
 	}
 	if o.QErrorThreshold == 0 {
 		o.QErrorThreshold = 2
-	}
-	if o.MaxReopts == 0 {
-		o.MaxReopts = 2
 	}
 	return o
 }
@@ -82,11 +78,6 @@ func (db *Database) ExecuteAdaptive(ctx context.Context, t *plan.Tree, o Adaptiv
 	}
 	if err := checkSameStructure(q, o.EstQuery); err != nil {
 		return nil, err
-	}
-	for pi := range q.Predicates {
-		if len(q.Predicates[pi].Tables) > 2 {
-			return nil, fmt.Errorf("exec: predicate %d spans %d tables, at most 2 are executable", pi, len(q.Predicates[pi].Tables))
-		}
 	}
 
 	res := &AdaptiveResult{
@@ -111,12 +102,7 @@ func (db *Database) ExecuteAdaptive(ctx context.Context, t *plan.Tree, o Adaptiv
 		// Execute the deepest-leftmost join whose operands are frontier
 		// leaves as one streaming pipeline.
 		node := leftmostBothLeaf(tree)
-		env := &streamEnv{
-			srcs:      frontier,
-			estQ:      remQ,
-			batchSize: o.BatchSize,
-			trace:     res.Trace,
-		}
+		env := &streamEnv{srcs: frontier, estQ: remQ, trace: res.Trace}
 		for rp := range remQ.Predicates {
 			p := &remQ.Predicates[rp]
 			if !p.IsBinary() {
@@ -143,13 +129,13 @@ func (db *Database) ExecuteAdaptive(ctx context.Context, t *plan.Tree, o Adaptiv
 
 		// Fold the stage's measurements into the corrections: unary
 		// selectivities from the scans, join selectivities from the
-		// estimated-vs-measured ratio distributed over the predicates
-		// applied at this join.
+		// measured output against the measured operands, distributed over
+		// the predicates applied at this join.
 		for _, sc := range res.Trace.Scans[scansBefore:] {
 			res.Corrections.ObserveScan(sc.AppliedPreds, sc.InRows, sc.OutRows)
 		}
 		jt := res.Trace.Joins[len(res.Trace.Joins)-1]
-		observeJoin(res.Corrections, remQ, predMap, jt)
+		res.Corrections.ObserveJoin(o.EstQuery, jt.AppliedPreds, jt.LeftRows, jt.RightRows, jt.Measured)
 
 		// Merge the executed join into the frontier and shrink the tree.
 		la, lb := node.Left.Table, node.Right.Table
@@ -163,7 +149,7 @@ func (db *Database) ExecuteAdaptive(ctx context.Context, t *plan.Tree, o Adaptiv
 		// Re-optimize the remainder when the estimate was badly off and
 		// re-planning can still change anything (two or more joins left).
 		if o.Reoptimize != nil && jt.QError() > o.QErrorThreshold &&
-			len(frontier) >= 3 && res.Reopts < o.MaxReopts {
+			len(frontier) >= 3 && res.Reopts < maxReopts {
 			newRemQ, _ := remainderQuery(o.EstQuery, frontier, res.Corrections)
 			newTree, err := o.Reoptimize(ctx, newRemQ)
 			if err != nil || newTree == nil || newTree.Validate(newRemQ) != nil {
@@ -182,47 +168,6 @@ func (db *Database) ExecuteAdaptive(ctx context.Context, t *plan.Tree, o Adaptiv
 	res.Trace.ResultRows = res.Result.NumRows()
 	res.CorrectedQuery = res.Corrections.Apply(o.EstQuery)
 	return res, nil
-}
-
-// observeJoin folds one stage join into the corrections, translating the
-// remainder query's predicate indices back into original indices. The
-// expected output is computed from the measured operand sizes — not the
-// planner's estimate — so only the join's own selectivity error is
-// attributed to its predicates, never upstream cardinality error.
-func observeJoin(c cost.SelectivityCorrections, remQ *qopt.Query, predMap []int, jt *JoinTrace) {
-	if len(jt.AppliedPreds) == 0 || jt.LeftRows <= 0 || jt.RightRows <= 0 {
-		return
-	}
-	// The remainder query's selectivities already carry every prior
-	// correction, so they are the current belief being updated.
-	remSel := func(op int) float64 {
-		for rp, o := range predMap {
-			if o == op {
-				return remQ.Predicates[rp].Sel
-			}
-		}
-		return 0
-	}
-	expected := float64(jt.LeftRows) * float64(jt.RightRows)
-	for _, op := range jt.AppliedPreds {
-		expected *= math.Max(remSel(op), 1e-12)
-	}
-	m := math.Max(jt.Measured, 1e-12)
-	factor := math.Pow(m/math.Max(expected, 1e-12), 1/float64(len(jt.AppliedPreds)))
-	for _, op := range jt.AppliedPreds {
-		sel := remSel(op)
-		if sel == 0 {
-			continue
-		}
-		s := sel * factor
-		if s > 1 {
-			s = 1
-		}
-		if !(s > 0) {
-			s = 1e-12
-		}
-		c.PredSel[op] = s
-	}
 }
 
 // remainderQuery builds the optimizer's view of the unexecuted part of
@@ -251,12 +196,6 @@ func remainderQuery(estQ *qopt.Query, frontier []*source, corr cost.SelectivityC
 		})
 	}
 	var predMap []int
-	sel := func(pi int) float64 {
-		if s, ok := corr.PredSel[pi]; ok {
-			return s
-		}
-		return estQ.Predicates[pi].Sel
-	}
 	for pi := range estQ.Predicates {
 		p := &estQ.Predicates[pi]
 		switch len(p.Tables) {
@@ -266,7 +205,7 @@ func remainderQuery(estQ *qopt.Query, frontier []*source, corr cost.SelectivityC
 				continue // already applied at the scan
 			}
 			out.Predicates = append(out.Predicates, qopt.Predicate{
-				Name: p.Name, Tables: []int{si}, Sel: sel(pi),
+				Name: p.Name, Tables: []int{si}, Sel: corr.Sel(estQ, pi),
 			})
 			predMap = append(predMap, pi)
 		case 2:
@@ -275,7 +214,7 @@ func remainderQuery(estQ *qopt.Query, frontier []*source, corr cost.SelectivityC
 				continue // applied at the join that merged its tables
 			}
 			out.Predicates = append(out.Predicates, qopt.Predicate{
-				Name: p.Name, Tables: []int{a, b}, Sel: sel(pi),
+				Name: p.Name, Tables: []int{a, b}, Sel: corr.Sel(estQ, pi),
 			})
 			predMap = append(predMap, pi)
 		}

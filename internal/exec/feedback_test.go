@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -107,6 +108,7 @@ func TestAdaptiveMatchesStreamWithoutFeedback(t *testing.T) {
 			if len(res.Trace.Joins) != 4 {
 				t.Errorf("%v: %d join trace entries, want 4", shape, len(res.Trace.Joins))
 			}
+			checkPinnedAnswer(t, fmt.Sprintf("%v/%d", shape, trial), res)
 		}
 	}
 }
@@ -128,7 +130,6 @@ func TestAdaptiveReoptimizationImprovesExecutedCost(t *testing.T) {
 	res, err := db.ExecuteAdaptive(context.Background(), tree, AdaptiveOptions{
 		EstQuery:        est,
 		QErrorThreshold: 2,
-		MaxReopts:       2,
 		Reoptimize: func(_ context.Context, rem *qopt.Query) (*plan.Tree, error) {
 			return bestLeftDeepTree(t, rem), nil
 		},
@@ -156,6 +157,7 @@ func TestAdaptiveReoptimizationImprovesExecutedCost(t *testing.T) {
 		t.Errorf("corrected query carries sel %g, corrections say %g",
 			res.CorrectedQuery.Predicates[0].Sel, got)
 	}
+	checkPinnedAnswer(t, "corrupted-chain", res)
 	// Correctness is untouched: same final result as the oracle.
 	want := oracleFingerprint(t, db, tree)
 	fp, err := res.Result.Fingerprint(allColumns(db))
@@ -191,6 +193,7 @@ func TestAdaptiveReoptFailureFallsBack(t *testing.T) {
 	if res.Reopts != 0 {
 		t.Errorf("%d re-optimizations recorded despite failures", res.Reopts)
 	}
+	checkPinnedAnswer(t, "corrupted-chain/failing-reopt", res)
 	want := oracleFingerprint(t, db, tree)
 	fp, err := res.Result.Fingerprint(allColumns(db))
 	if err != nil {

@@ -60,11 +60,11 @@ func FuzzExecuteBushyPlan(f *testing.F) {
 		}
 		tree := treeFromBytes(n, merges)
 
-		oracle, err := db.ExecuteTree(tree)
+		oracle, _, err := db.executeTree(tree)
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := db.Stream(tree, StreamOptions{BatchSize: 1 + int(nB)%64})
+		run, err := db.Stream(tree, StreamOptions{batchSize: 1 + int(nB)%64})
 		if err != nil {
 			t.Fatal(err)
 		}

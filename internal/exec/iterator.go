@@ -6,8 +6,7 @@ package exec
 // rows belong to their Relation, join rows are freshly built — so hash
 // tables may keep references without copying.
 
-// DefaultBatchSize is the number of rows moved per Next() call when
-// StreamOptions leaves BatchSize zero.
+// DefaultBatchSize is the number of rows moved per Next() call.
 const DefaultBatchSize = 256
 
 // iterator is the internal operator interface.

@@ -9,9 +9,10 @@ import (
 
 // StreamOptions tune the streaming executor.
 type StreamOptions struct {
-	// BatchSize is the number of rows moved per iterator pull (default
-	// DefaultBatchSize).
-	BatchSize int
+	// batchSize is the number of rows moved per iterator pull; zero means
+	// DefaultBatchSize. Only the package's tests vary it, to check that
+	// the result does not depend on it.
+	batchSize int
 	// EstQuery supplies the optimizer's view of the query — the
 	// estimates recorded next to measured cardinalities in the Trace. It
 	// must be structurally identical to the database's query (same
@@ -85,7 +86,7 @@ func (db *Database) Stream(t *plan.Tree, o StreamOptions) (*Run, error) {
 	if err := checkSameStructure(q, estQ); err != nil {
 		return nil, err
 	}
-	env := &streamEnv{estQ: estQ, batchSize: o.BatchSize, trace: &Trace{}}
+	env := &streamEnv{estQ: estQ, batchSize: o.batchSize, trace: &Trace{}}
 	for ti, rel := range db.Relations {
 		env.srcs = append(env.srcs, &source{
 			rel:     rel,
@@ -95,9 +96,6 @@ func (db *Database) Stream(t *plan.Tree, o StreamOptions) (*Run, error) {
 	}
 	for pi := range q.Predicates {
 		p := &q.Predicates[pi]
-		if len(p.Tables) > 2 {
-			return nil, fmt.Errorf("exec: predicate %d spans %d tables, at most 2 are executable", pi, len(p.Tables))
-		}
 		if !p.IsBinary() {
 			continue // unary: pushed to the scan via scanFilters
 		}

@@ -53,7 +53,7 @@ func streamFingerprint(t *testing.T, db *Database, tree *plan.Tree, o StreamOpti
 
 func oracleFingerprint(t *testing.T, db *Database, tree *plan.Tree) uint64 {
 	t.Helper()
-	rel, err := db.ExecuteTree(tree)
+	rel, _, err := db.executeTree(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,47 +62,6 @@ func oracleFingerprint(t *testing.T, db *Database, tree *plan.Tree) uint64 {
 		t.Fatal(err)
 	}
 	return fp
-}
-
-// oracleJoinSizes materializes every join subtree bottom-up (the
-// ExecuteTree walk) and records the result size per joined table set,
-// keyed by the sorted table list — the ground truth the streaming trace's
-// measured cardinalities are checked against.
-func oracleJoinSizes(t *testing.T, db *Database, tree *plan.Tree) map[string]int {
-	t.Helper()
-	q := db.Query
-	sizes := map[string]int{}
-	var walk func(node *plan.Tree) (*Relation, []int)
-	walk = func(node *plan.Tree) (*Relation, []int) {
-		if node.IsLeaf() {
-			return db.scanBase(node.Table), []int{node.Table}
-		}
-		left, lTabs := walk(node.Left)
-		right, rTabs := walk(node.Right)
-		var keys []keyPair
-		for pi := range q.Predicates {
-			p := &q.Predicates[pi]
-			if !p.IsBinary() {
-				continue
-			}
-			a, b := p.Tables[0], p.Tables[1]
-			switch {
-			case containsTable(lTabs, a) && containsTable(rTabs, b):
-				keys = append(keys, keyPair{left: predCol(a, pi), right: predCol(b, pi)})
-			case containsTable(lTabs, b) && containsTable(rTabs, a):
-				keys = append(keys, keyPair{left: predCol(b, pi), right: predCol(a, pi)})
-			}
-		}
-		out, err := hashJoin(left, right, keys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tabs := append(lTabs, rTabs...)
-		sizes[fmt.Sprint(sortedInts(tabs))] = out.NumRows()
-		return out, tabs
-	}
-	walk(tree)
-	return sizes
 }
 
 func TestStreamMatchesOracleOnRandomBushyTrees(t *testing.T) {
@@ -140,15 +99,20 @@ func TestStreamTraceMeasuredMatchesOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(23))
 		for trial := 0; trial < 5; trial++ {
 			tree := randomBushyTree(5, rng)
-			sizes := oracleJoinSizes(t, db, tree)
+			_, joins, err := db.executeTree(tree)
+			if err != nil {
+				t.Fatal(err)
+			}
 			_, trace := streamFingerprint(t, db, tree, StreamOptions{})
-			for _, jt := range trace.Joins {
-				want, ok := sizes[fmt.Sprint(jt.Tables)]
-				if !ok {
-					t.Fatalf("%v: trace join %v has no oracle counterpart", shape, jt.Tables)
+			if len(joins) != len(trace.Joins) {
+				t.Fatalf("%v: %d trace joins, oracle ran %d", shape, len(trace.Joins), len(joins))
+			}
+			for i, jt := range trace.Joins {
+				if got, want := fmt.Sprint(jt.Tables), fmt.Sprint(joins[i].tables); got != want {
+					t.Errorf("%v: trace join %d covers %s, oracle's covers %s", shape, i, got, want)
 				}
-				if int(jt.Measured) != want {
-					t.Errorf("%v: join %v measured %g rows, oracle %d", shape, jt.Tables, jt.Measured, want)
+				if int(jt.Measured) != joins[i].rows {
+					t.Errorf("%v: join %v measured %g rows, oracle %d", shape, jt.Tables, jt.Measured, joins[i].rows)
 				}
 				if jt.Estimated <= 0 {
 					t.Errorf("%v: join %v estimate %g, want > 0", shape, jt.Tables, jt.Estimated)
@@ -232,7 +196,7 @@ func TestStreamBatchSizeInvariance(t *testing.T) {
 	tree := randomBushyTree(5, rand.New(rand.NewSource(53)))
 	want, _ := streamFingerprint(t, db, tree, StreamOptions{})
 	for _, bs := range []int{1, 3, 17, 4096} {
-		got, _ := streamFingerprint(t, db, tree, StreamOptions{BatchSize: bs})
+		got, _ := streamFingerprint(t, db, tree, StreamOptions{batchSize: bs})
 		if got != want {
 			t.Errorf("batch size %d changed the result", bs)
 		}

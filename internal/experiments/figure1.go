@@ -11,7 +11,6 @@ import (
 
 	"milpjoin/internal/core"
 	"milpjoin/internal/cost"
-	"milpjoin/internal/milp"
 	"milpjoin/internal/workload"
 )
 
@@ -104,6 +103,3 @@ func medianInt(xs []int) int {
 	sort.Ints(s)
 	return s[len(s)/2]
 }
-
-// ModelSnapshot re-exports the underlying size snapshot type for callers.
-type ModelSnapshot = milp.Snapshot

@@ -9,6 +9,7 @@ import (
 	"milpjoin/internal/core"
 	"milpjoin/internal/cost"
 	"milpjoin/internal/dp"
+	"milpjoin/internal/obs"
 	"milpjoin/internal/qopt"
 	"milpjoin/internal/solver"
 	"milpjoin/internal/workload"
@@ -190,8 +191,8 @@ func runMILP(ctx context.Context, q *qopt.Query, cfg Figure2Config, prec core.Pr
 	res, err := core.Optimize(ctx, q, opts, solver.Params{
 		TimeLimit: cfg.Timeout,
 		Threads:   cfg.Threads,
-		OnEvent: func(ev solver.Event) {
-			if ev.Kind != solver.KindIncumbent && ev.Kind != solver.KindBound {
+		OnEvent: func(ev obs.Event) {
+			if ev.Kind != obs.KindIncumbent && ev.Kind != obs.KindBound {
 				return
 			}
 			inc := math.Inf(1)

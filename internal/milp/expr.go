@@ -113,15 +113,3 @@ func Sum(vars ...Var) LinExpr {
 	}
 	return e
 }
-
-// WeightedSum builds Σ c_i·v_i; the slices must have equal length.
-func WeightedSum(vars []Var, coefs []float64) LinExpr {
-	if len(vars) != len(coefs) {
-		panic("milp: WeightedSum length mismatch")
-	}
-	e := LinExpr{vars: make([]Var, 0, len(vars)), coefs: make([]float64, 0, len(coefs))}
-	for i, v := range vars {
-		e = e.Add(v, coefs[i])
-	}
-	return e
-}

@@ -85,23 +85,21 @@ func TestExprPanicsOnBadInput(t *testing.T) {
 	assertPanics("odd pairs", func() { Expr(Var(0)) })
 	assertPanics("non-var", func() { Expr(1.0, 2.0) })
 	assertPanics("non-numeric", func() { Expr(Var(0), "x") })
-	assertPanics("weighted sum mismatch", func() { WeightedSum([]Var{0}, nil) })
 	assertPanics("unknown var in constraint", func() {
 		m := NewModel("")
 		m.AddConstr(Expr(Var(7), 1.0), LE, 0, "bad")
 	})
 }
 
-func TestSumAndWeightedSum(t *testing.T) {
+func TestSum(t *testing.T) {
 	e := Sum(Var(0), Var(1), Var(2))
 	if e.NumTerms() != 3 {
 		t.Fatalf("Sum terms = %d", e.NumTerms())
 	}
-	w := WeightedSum([]Var{0, 1}, []float64{2, -1})
 	var total float64
-	w.Terms(func(v Var, c float64) { total += c })
-	if total != 1 {
-		t.Errorf("coefficient total = %g, want 1", total)
+	e.Terms(func(v Var, c float64) { total += c })
+	if total != 3 {
+		t.Errorf("coefficient total = %g, want 3", total)
 	}
 }
 

@@ -87,6 +87,38 @@ func (p *Plan) LeftDeep() *Tree {
 	return t
 }
 
+// LeftDeepPlan flattens a linear tree into the cost-equivalent left-deep
+// plan; nil for a genuinely bushy tree (or a nil one). Under C_out join
+// cost is orientation-blind, so any chain where every join has a leaf
+// child flattens (the per-step table sets are identical); under operator
+// costs outer and inner are priced differently, so only strict left-deep
+// shapes (every right child a leaf) qualify.
+func (t *Tree) LeftDeepPlan(metric cost.Metric) *Plan {
+	if t == nil {
+		return nil
+	}
+	var rev []int
+	n := t
+	for !n.IsLeaf() {
+		switch {
+		case n.Right.IsLeaf():
+			rev = append(rev, n.Right.Table)
+			n = n.Left
+		case metric == cost.Cout && n.Left.IsLeaf():
+			rev = append(rev, n.Left.Table)
+			n = n.Right
+		default:
+			return nil
+		}
+	}
+	rev = append(rev, n.Table)
+	order := make([]int, len(rev))
+	for i, tb := range rev {
+		order[len(rev)-1-i] = tb
+	}
+	return &Plan{Order: order}
+}
+
 // TreeCost prices a bushy tree exactly under spec: cardinalities are
 // products of table cardinalities and applicable predicate selectivities
 // (with correlation corrections); C_out sums every non-root join result;

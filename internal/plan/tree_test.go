@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -89,6 +90,34 @@ func TestBushyTreeWithCorrelationGroups(t *testing.T) {
 	}
 	if got := subsetCard(q, tr); math.Abs(got-eval.FinalCard) > 1e-9*eval.FinalCard {
 		t.Errorf("subsetCard = %g, want %g", got, eval.FinalCard)
+	}
+}
+
+func TestLeftDeepPlan(t *testing.T) {
+	leftDeep := Join(Join(Leaf(2), Leaf(0)), Leaf(1))
+	zigzag := Join(Leaf(3), Join(Join(Leaf(2), Leaf(0)), Leaf(1))) // left leaf at the root
+	bushy := Join(Join(Leaf(0), Leaf(1)), Join(Leaf(2), Leaf(3)))
+	for _, tc := range []struct {
+		name   string
+		tree   *Tree
+		metric cost.Metric
+		want   []int // nil: no cost-equivalent left-deep plan
+	}{
+		{"left-deep/C_out", leftDeep, cost.Cout, []int{2, 0, 1}},
+		{"left-deep/operator", leftDeep, cost.OperatorCost, []int{2, 0, 1}},
+		{"zigzag/C_out", zigzag, cost.Cout, []int{2, 0, 1, 3}},
+		{"zigzag/operator", zigzag, cost.OperatorCost, nil},
+		{"bushy/C_out", bushy, cost.Cout, nil},
+		{"bushy/operator", bushy, cost.OperatorCost, nil},
+		{"nil", nil, cost.Cout, nil},
+	} {
+		got := tc.tree.LeftDeepPlan(tc.metric)
+		switch {
+		case tc.want == nil && got != nil:
+			t.Errorf("%s: flattened to %v, want nil", tc.name, got.Order)
+		case tc.want != nil && (got == nil || fmt.Sprint(got.Order) != fmt.Sprint(tc.want)):
+			t.Errorf("%s: flattened to %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -161,47 +161,3 @@ func (q *Query) MaxLogCard() float64 {
 	}
 	return s
 }
-
-// FinalLogCard returns log10 of the final result cardinality: all tables
-// joined, all predicates (and correlation corrections) applied.
-func (q *Query) FinalLogCard() float64 {
-	s := q.MaxLogCard()
-	for i := range q.Predicates {
-		s += q.LogSel(i)
-	}
-	for _, g := range q.Correlated {
-		s += math.Log10(g.CorrectionSel)
-	}
-	return s
-}
-
-// PredicatesApplicable returns the indices of predicates whose referenced
-// tables all appear in the given table set.
-func (q *Query) PredicatesApplicable(tables map[int]bool) []int {
-	var out []int
-	for i, p := range q.Predicates {
-		ok := true
-		for _, t := range p.Tables {
-			if !tables[t] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// JoinGraphEdges returns the binary-predicate edges (pairs of table
-// indices) of the join graph.
-func (q *Query) JoinGraphEdges() [][2]int {
-	var edges [][2]int
-	for _, p := range q.Predicates {
-		if p.IsBinary() {
-			edges = append(edges, [2]int{p.Tables[0], p.Tables[1]})
-		}
-	}
-	return edges
-}

@@ -72,44 +72,9 @@ func TestLogHelpers(t *testing.T) {
 	if got := q.LogSel(0); math.Abs(got-(-1)) > 1e-12 {
 		t.Errorf("LogSel(p0) = %g, want -1", got)
 	}
-	// MaxLogCard = 1 + 3 + 2 = 6; FinalLogCard = 6 − 1 = 5.
+	// MaxLogCard = 1 + 3 + 2 = 6.
 	if got := q.MaxLogCard(); math.Abs(got-6) > 1e-12 {
 		t.Errorf("MaxLogCard = %g, want 6", got)
-	}
-	if got := q.FinalLogCard(); math.Abs(got-5) > 1e-12 {
-		t.Errorf("FinalLogCard = %g, want 5", got)
-	}
-}
-
-func TestFinalLogCardWithCorrelation(t *testing.T) {
-	q := validQuery()
-	q.Predicates = append(q.Predicates, Predicate{Tables: []int{1, 2}, Sel: 0.1})
-	q.Correlated = []CorrelatedGroup{{Predicates: []int{0, 1}, CorrectionSel: 10}}
-	// 6 − 1 − 1 + 1 = 5.
-	if got := q.FinalLogCard(); math.Abs(got-5) > 1e-12 {
-		t.Errorf("FinalLogCard = %g, want 5", got)
-	}
-}
-
-func TestPredicatesApplicable(t *testing.T) {
-	q := validQuery()
-	q.Predicates = append(q.Predicates, Predicate{Tables: []int{1, 2}, Sel: 0.5})
-	got := q.PredicatesApplicable(map[int]bool{0: true, 1: true})
-	if len(got) != 1 || got[0] != 0 {
-		t.Errorf("applicable = %v, want [0]", got)
-	}
-	got = q.PredicatesApplicable(map[int]bool{0: true, 1: true, 2: true})
-	if len(got) != 2 {
-		t.Errorf("applicable = %v, want both", got)
-	}
-}
-
-func TestJoinGraphEdges(t *testing.T) {
-	q := validQuery()
-	q.Predicates = append(q.Predicates, Predicate{Tables: []int{0, 1, 2}, Sel: 0.5}) // ternary: excluded
-	edges := q.JoinGraphEdges()
-	if len(edges) != 1 || edges[0] != [2]int{0, 1} {
-		t.Errorf("edges = %v", edges)
 	}
 }
 

@@ -232,15 +232,6 @@ type PricingStats struct {
 	TotalCols int
 }
 
-// ScanFraction is the fraction of full-pricing work actually performed
-// (1 when no pricing pass ran).
-func (p PricingStats) ScanFraction() float64 {
-	if p.TotalCols == 0 {
-		return 1
-	}
-	return float64(p.ScannedCols) / float64(p.TotalCols)
-}
-
 // add accumulates counters from another solve.
 func (p *PricingStats) Add(o PricingStats) {
 	p.DevexResets += o.DevexResets

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"milpjoin/internal/bb"
 	"milpjoin/internal/milp"
 )
 
@@ -56,7 +57,7 @@ func TestEffectiveTimeLimit(t *testing.T) {
 
 // TestDeadlineComposesWithTimeLimit pins the composition contract end to
 // end: whichever of Params.TimeLimit and the context deadline is tighter
-// bounds the solve, and both report StatusTimeLimit.
+// bounds the solve, and both report bb.StatusTimeLimit.
 func TestDeadlineComposesWithTimeLimit(t *testing.T) {
 	run := func(ctx context.Context, limit time.Duration) (*Result, time.Duration) {
 		start := time.Now()
@@ -71,8 +72,8 @@ func TestDeadlineComposesWithTimeLimit(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	res, elapsed := run(ctx, time.Minute)
-	if res.Status != StatusTimeLimit {
-		t.Errorf("deadline-governed: status %v, want %v", res.Status, StatusTimeLimit)
+	if res.Status != bb.StatusTimeLimit {
+		t.Errorf("deadline-governed: status %v, want %v", res.Status, bb.StatusTimeLimit)
 	}
 	if elapsed > 5*time.Second {
 		t.Errorf("deadline-governed solve ran %v, deadline was 50ms", elapsed)
@@ -82,8 +83,8 @@ func TestDeadlineComposesWithTimeLimit(t *testing.T) {
 	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel2()
 	res2, elapsed2 := run(ctx2, 50*time.Millisecond)
-	if res2.Status != StatusTimeLimit {
-		t.Errorf("limit-governed: status %v, want %v", res2.Status, StatusTimeLimit)
+	if res2.Status != bb.StatusTimeLimit {
+		t.Errorf("limit-governed: status %v, want %v", res2.Status, bb.StatusTimeLimit)
 	}
 	if elapsed2 > 5*time.Second {
 		t.Errorf("limit-governed solve ran %v, limit was 50ms", elapsed2)
@@ -102,10 +103,10 @@ func TestCancellationMidSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != StatusCanceled && res.Status != StatusOptimal {
+	if res.Status != bb.StatusCanceled && res.Status != bb.StatusOptimal {
 		t.Errorf("status = %v, want canceled (or optimal if the solve won the race)", res.Status)
 	}
-	if res.Status == StatusCanceled {
+	if res.Status == bb.StatusCanceled {
 		if elapsed := time.Since(start); elapsed > 5*time.Second {
 			t.Errorf("cancellation took %v to unwind", elapsed)
 		}
@@ -117,28 +118,28 @@ func TestCancellationMidSolve(t *testing.T) {
 }
 
 func TestAlreadyEndedContext(t *testing.T) {
-	// Canceled before the call: StatusCanceled, nothing solved.
+	// Canceled before the call: bb.StatusCanceled, nothing solved.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := Solve(ctx, hardKnapsack(11), Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != StatusCanceled || res.Solution != nil || res.Nodes != 0 {
+	if res.Status != bb.StatusCanceled || res.Solution != nil || res.Nodes != 0 {
 		t.Errorf("canceled upfront: %+v", res)
 	}
 	if !math.IsInf(res.Bound, -1) {
 		t.Errorf("no search ran, bound should be -Inf, got %g", res.Bound)
 	}
 
-	// Expired deadline: a time budget of zero, so StatusTimeLimit.
+	// Expired deadline: a time budget of zero, so bb.StatusTimeLimit.
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Minute))
 	defer dcancel()
 	res, err = Solve(dctx, hardKnapsack(11), Params{TimeLimit: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != StatusTimeLimit || res.Nodes != 0 {
+	if res.Status != bb.StatusTimeLimit || res.Nodes != 0 {
 		t.Errorf("expired deadline: %+v", res)
 	}
 }

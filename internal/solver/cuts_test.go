@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"milpjoin/internal/bb"
 	"milpjoin/internal/milp"
 	"milpjoin/internal/simplex"
 )
@@ -44,7 +45,7 @@ func TestGomoryCutClosesClassicGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != StatusOptimal || math.Abs(res.Solution.Obj-(-1)) > 1e-6 {
+	if res.Status != bb.StatusOptimal || math.Abs(res.Solution.Obj-(-1)) > 1e-6 {
 		t.Fatalf("with cuts: %v %g, want optimal -1", res.Status, res.Solution.Obj)
 	}
 }
@@ -80,10 +81,10 @@ func TestGomoryCutsPreserveOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if (plain.Status == StatusOptimal) != (withCuts.Status == StatusOptimal) {
+		if (plain.Status == bb.StatusOptimal) != (withCuts.Status == bb.StatusOptimal) {
 			t.Fatalf("trial %d: plain %v vs cuts %v", trial, plain.Status, withCuts.Status)
 		}
-		if plain.Status == StatusOptimal {
+		if plain.Status == bb.StatusOptimal {
 			if math.Abs(plain.Solution.Obj-withCuts.Solution.Obj) > 1e-5 {
 				t.Fatalf("trial %d: plain %g vs cuts %g", trial, plain.Solution.Obj, withCuts.Solution.Obj)
 			}
@@ -116,7 +117,7 @@ func TestGomoryCutsWithContinuousVariables(t *testing.T) {
 		if plain.Status != withCuts.Status {
 			t.Fatalf("trial %d: %v vs %v", trial, plain.Status, withCuts.Status)
 		}
-		if plain.Status == StatusOptimal && math.Abs(plain.Solution.Obj-withCuts.Solution.Obj) > 1e-5 {
+		if plain.Status == bb.StatusOptimal && math.Abs(plain.Solution.Obj-withCuts.Solution.Obj) > 1e-5 {
 			t.Fatalf("trial %d: %g vs %g", trial, plain.Solution.Obj, withCuts.Solution.Obj)
 		}
 	}

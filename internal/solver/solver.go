@@ -7,7 +7,6 @@ package solver
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"runtime/pprof"
 	"time"
@@ -15,92 +14,6 @@ import (
 	"milpjoin/internal/bb"
 	"milpjoin/internal/milp"
 	"milpjoin/internal/obs"
-)
-
-// Status is the outcome of a solve.
-type Status int
-
-const (
-	// StatusOptimal means the returned solution is optimal within the
-	// configured gap tolerances.
-	StatusOptimal Status = iota
-	// StatusInfeasible means the model has no feasible solution.
-	StatusInfeasible
-	// StatusUnbounded means the objective is unbounded below.
-	StatusUnbounded
-	// StatusTimeLimit means the time limit expired before optimality was
-	// proven; Solution (if present) holds the best incumbent.
-	StatusTimeLimit
-	// StatusNodeLimit is the analogue for the node limit.
-	StatusNodeLimit
-	// StatusNoProgress means numerical failures prevented a proof of
-	// optimality; Solution (if present) is the best incumbent found.
-	StatusNoProgress
-	// StatusCanceled means the caller's context was canceled before the
-	// solve finished; Solution (if present) holds the best incumbent.
-	// A context whose *deadline* expires reports StatusTimeLimit
-	// instead: deadlines and Params.TimeLimit compose as one budget.
-	StatusCanceled
-)
-
-// String renders the status.
-func (s Status) String() string {
-	switch s {
-	case StatusOptimal:
-		return "optimal"
-	case StatusInfeasible:
-		return "infeasible"
-	case StatusUnbounded:
-		return "unbounded"
-	case StatusTimeLimit:
-		return "time limit"
-	case StatusNodeLimit:
-		return "node limit"
-	case StatusNoProgress:
-		return "no progress"
-	case StatusCanceled:
-		return "canceled"
-	default:
-		return fmt.Sprintf("Status(%d)", int(s))
-	}
-}
-
-// Event is one observation from the solver stack (see internal/obs).
-// Objective values (incumbent, bound, LP objective) include the model's
-// objective constant.
-type Event = obs.Event
-
-// EventKind classifies an Event.
-type EventKind = obs.EventKind
-
-// Stats aggregates per-phase solver effort (see internal/obs).
-type Stats = obs.Stats
-
-// Event kinds, re-exported so callers need not import internal packages.
-const (
-	KindLPRelaxation = obs.KindLPRelaxation
-	KindIncumbent    = obs.KindIncumbent
-	KindBound        = obs.KindBound
-	KindCutRound     = obs.KindCutRound
-	KindNodeBatch    = obs.KindNodeBatch
-	KindWorkerStart  = obs.KindWorkerStart
-	KindWorkerStop   = obs.KindWorkerStop
-
-	// Cache-layer kinds, emitted by joinorder/cache rather than the
-	// solver itself; re-exported so all kinds live in one namespace.
-	KindCacheHit       = obs.KindCacheHit
-	KindCacheMiss      = obs.KindCacheMiss
-	KindCacheCoalesced = obs.KindCacheCoalesced
-	KindWarmStart      = obs.KindWarmStart
-	KindDegraded       = obs.KindDegraded
-
-	// Portfolio kinds: live-injected incumbents and strategy-race
-	// lifecycle, emitted by branch and bound and the joinorder portfolio
-	// orchestrator respectively.
-	KindInjected      = obs.KindInjected
-	KindStrategyStart = obs.KindStrategyStart
-	KindStrategyStop  = obs.KindStrategyStop
-	KindWinner        = obs.KindWinner
 )
 
 // Params tune the solver.
@@ -122,7 +35,7 @@ type Params struct {
 	// node batches, and worker lifecycle. Callbacks are serialised (never concurrent) and must be
 	// fast: they run on solver goroutines, some while search locks are
 	// held. Objective values include the model's objective constant.
-	OnEvent func(Event)
+	OnEvent func(obs.Event)
 	// InitialSolution optionally seeds the search with a known feasible
 	// assignment in model space (a "MIP start"), length NumVars. An
 	// infeasible start is ignored.
@@ -141,7 +54,11 @@ type Params struct {
 
 // Result reports the outcome.
 type Result struct {
-	Status   Status
+	// Status is branch and bound's termination status. A context that
+	// was canceled reports bb.StatusCanceled; one whose deadline expired
+	// reports bb.StatusTimeLimit, since deadlines and Params.TimeLimit
+	// compose as one budget.
+	Status   bb.Status
 	Solution *milp.Solution // best solution found, nil if none
 	// Bound is the proven lower bound on the optimal objective,
 	// including the model constant.
@@ -154,15 +71,7 @@ type Result struct {
 	// Stats aggregates per-phase effort: wall time per phase, simplex
 	// iterations, LU refactorizations, peak open-node count, and
 	// per-worker node counts.
-	Stats Stats
-}
-
-// ctxStatus maps a context error to the matching termination status.
-func ctxStatus(err error) Status {
-	if err == context.DeadlineExceeded {
-		return StatusTimeLimit
-	}
-	return StatusCanceled
+	Stats obs.Stats
 }
 
 // effectiveTimeLimit combines the configured time limit with the context
@@ -187,9 +96,9 @@ func effectiveTimeLimit(ctx context.Context, now time.Time, configured time.Dura
 }
 
 // Solve minimizes the model. The context governs cancellation: cancelling
-// it mid-solve returns promptly with StatusCanceled and the best incumbent
-// and bound found so far, and a context deadline composes with
-// Params.TimeLimit as the minimum of the two budgets (StatusTimeLimit). A
+// it mid-solve returns promptly with bb.StatusCanceled and the best
+// incumbent and bound found so far, and a context deadline composes with
+// Params.TimeLimit as the minimum of the two budgets (bb.StatusTimeLimit). A
 // context that has already ended returns immediately, before compilation or
 // branch and bound start.
 func Solve(ctx context.Context, m *milp.Model, params Params) (*Result, error) {
@@ -201,7 +110,7 @@ func Solve(ctx context.Context, m *milp.Model, params Params) (*Result, error) {
 		params.GapTol = 1e-6
 	}
 	if err := ctx.Err(); err != nil {
-		return &Result{Status: ctxStatus(err), Bound: math.Inf(-1)}, nil
+		return &Result{Status: bb.ContextStatus(err), Bound: math.Inf(-1)}, nil
 	}
 	params.TimeLimit = effectiveTimeLimit(ctx, start, params.TimeLimit)
 
@@ -277,6 +186,7 @@ func Solve(ctx context.Context, m *milp.Model, params Params) (*Result, error) {
 	stats.Events = emitter.Count()
 
 	out := &Result{
+		Status:       res.Status,
 		Bound:        res.Bound + objConst,
 		Gap:          res.Gap,
 		Nodes:        res.Nodes,
@@ -286,22 +196,10 @@ func Solve(ctx context.Context, m *milp.Model, params Params) (*Result, error) {
 	}
 
 	switch res.Status {
-	case bb.StatusOptimal:
-		out.Status = StatusOptimal
 	case bb.StatusInfeasible:
-		out.Status = StatusInfeasible
 		out.Bound = math.Inf(1)
 	case bb.StatusUnbounded:
-		out.Status = StatusUnbounded
 		out.Bound = math.Inf(-1)
-	case bb.StatusTimeLimit:
-		out.Status = StatusTimeLimit
-	case bb.StatusNodeLimit:
-		out.Status = StatusNodeLimit
-	case bb.StatusNoProgress:
-		out.Status = StatusNoProgress
-	case bb.StatusCanceled:
-		out.Status = StatusCanceled
 	}
 
 	if res.HasIncumbent {

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"milpjoin/internal/bb"
 	"milpjoin/internal/milp"
+	"milpjoin/internal/obs"
 	"milpjoin/internal/presolve"
 )
 
@@ -23,7 +25,7 @@ func TestKnapsackThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != StatusOptimal {
+	if res.Status != bb.StatusOptimal {
 		t.Fatalf("status = %v", res.Status)
 	}
 	if math.Abs(res.Solution.Obj-(-21)) > 1e-6 {
@@ -66,7 +68,7 @@ func TestPresolveOnlySolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != StatusOptimal {
+	if res.Status != bb.StatusOptimal {
 		t.Fatalf("status = %v", res.Status)
 	}
 	if math.Abs(res.Solution.Obj-11) > 1e-9 {
@@ -85,7 +87,7 @@ func TestObjectiveConstantPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != StatusOptimal {
+	if res.Status != bb.StatusOptimal {
 		t.Fatalf("status = %v", res.Status)
 	}
 	// Optimal: y = 1 → obj = 100 + 6 − 1 = 105.
@@ -105,7 +107,7 @@ func TestInfeasibleThroughPresolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != StatusInfeasible {
+	if res.Status != bb.StatusInfeasible {
 		t.Fatalf("status = %v", res.Status)
 	}
 	if res.Solution != nil {
@@ -122,7 +124,7 @@ func TestUnbounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != StatusUnbounded {
+	if res.Status != bb.StatusUnbounded {
 		t.Fatalf("status = %v", res.Status)
 	}
 }
@@ -157,7 +159,7 @@ func TestPresolveOnOffAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if withOK != (without.Status == StatusOptimal) {
+		if withOK != (without.Status == bb.StatusOptimal) {
 			t.Fatalf("trial %d: optimal with presolve %v vs without %v", trial, withOK, without.Status)
 		}
 		if withOK && math.Abs(withObj-without.Solution.Obj) > 1e-5 {
@@ -186,7 +188,7 @@ func solveThroughPresolve(t *testing.T, m *milp.Model) (bool, float64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Status != StatusOptimal {
+		if res.Status != bb.StatusOptimal {
 			return false, 0
 		}
 		vals = pre.Postsolve(res.Solution.Values)
@@ -211,16 +213,16 @@ func TestAnytimeCallbackIncludesConstant(t *testing.T) {
 	}
 	m.AddConstr(e, milp.LE, 22, "cap")
 
-	var seen []Event
-	res, err := Solve(context.Background(), m, Params{OnEvent: func(ev Event) {
-		if ev.Kind == KindIncumbent || ev.Kind == KindBound {
+	var seen []obs.Event
+	res, err := Solve(context.Background(), m, Params{OnEvent: func(ev obs.Event) {
+		if ev.Kind == obs.KindIncumbent || ev.Kind == obs.KindBound {
 			seen = append(seen, ev)
 		}
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != StatusOptimal {
+	if res.Status != bb.StatusOptimal {
 		t.Fatalf("status = %v", res.Status)
 	}
 	if len(seen) == 0 {
@@ -247,7 +249,7 @@ func TestTimeLimitStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status == StatusTimeLimit {
+	if res.Status == bb.StatusTimeLimit {
 		// Anytime property: even on timeout there is usually an
 		// incumbent from an integral node LP, and the bound is valid.
 		if res.Solution != nil && res.Solution.Obj < res.Bound-1e-6 {
@@ -269,19 +271,19 @@ func TestMaxNodesStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != StatusNodeLimit && res.Status != StatusOptimal {
+	if res.Status != bb.StatusNodeLimit && res.Status != bb.StatusOptimal {
 		t.Fatalf("status = %v", res.Status)
 	}
 }
 
 func TestStatusStrings(t *testing.T) {
-	for st, want := range map[Status]string{
-		StatusOptimal:    "optimal",
-		StatusInfeasible: "infeasible",
-		StatusUnbounded:  "unbounded",
-		StatusTimeLimit:  "time limit",
-		StatusNodeLimit:  "node limit",
-		StatusNoProgress: "no progress",
+	for st, want := range map[bb.Status]string{
+		bb.StatusOptimal:    "optimal",
+		bb.StatusInfeasible: "infeasible",
+		bb.StatusUnbounded:  "unbounded",
+		bb.StatusTimeLimit:  "time limit",
+		bb.StatusNodeLimit:  "node limit",
+		bb.StatusNoProgress: "no progress",
 	} {
 		if st.String() != want {
 			t.Errorf("%v", st)

@@ -231,9 +231,12 @@ func TestShapesConnectedProperty(t *testing.T) {
 			n := 2 + int(seed)%12
 			q := Generate(shape, n, seed, Config{})
 			adj := make([][]int, n)
-			for _, e := range q.JoinGraphEdges() {
-				adj[e[0]] = append(adj[e[0]], e[1])
-				adj[e[1]] = append(adj[e[1]], e[0])
+			for _, p := range q.Predicates {
+				if p.IsBinary() {
+					a, b := p.Tables[0], p.Tables[1]
+					adj[a] = append(adj[a], b)
+					adj[b] = append(adj[b], a)
+				}
 			}
 			seen := make([]bool, n)
 			stack := []int{0}

@@ -58,15 +58,6 @@ func ParsePeers(s string) ([]Peer, error) {
 	return peers, nil
 }
 
-// FormatPeers is ParsePeers' inverse, for round-tripping configuration.
-func FormatPeers(peers []Peer) string {
-	parts := make([]string, len(peers))
-	for i, p := range peers {
-		parts[i] = p.ID + "=" + p.URL
-	}
-	return strings.Join(parts, ",")
-}
-
 // Ring is a consistent-hash ring over the peer set. Each peer projects
 // vnodes points onto a 64-bit circle; a key is owned by the peer whose
 // point follows the key's hash. Hashing is sha256-based and depends only

@@ -30,9 +30,9 @@ import (
 
 	"milpjoin/internal/core"
 	"milpjoin/internal/cost"
+	"milpjoin/internal/obs"
 	"milpjoin/internal/plan"
 	"milpjoin/internal/qopt"
-	"milpjoin/internal/solver"
 )
 
 // Query describes a select-project-join query: base tables with
@@ -94,46 +94,46 @@ const (
 // cut rounds, the root LP relaxation, incumbents, bound improvements,
 // periodic node batches, and worker lifecycle. Events marshal to JSON and render as one-line log entries via
 // String.
-type Event = solver.Event
+type Event = obs.Event
 
 // EventKind classifies an Event.
-type EventKind = solver.EventKind
+type EventKind = obs.EventKind
 
 // Stats aggregates per-phase solver effort: wall time per phase, simplex
 // iterations, LU refactorizations, pseudocost initializations, peak
 // open-node count, and per-worker node counts. Stats
 // marshal to JSON and render as a multi-line report via String.
-type Stats = solver.Stats
+type Stats = obs.Stats
 
 // Event kinds observable on the stream.
 const (
-	KindLPRelaxation = solver.KindLPRelaxation
-	KindIncumbent    = solver.KindIncumbent
-	KindBound        = solver.KindBound
-	KindCutRound     = solver.KindCutRound
-	KindNodeBatch    = solver.KindNodeBatch
-	KindWorkerStart  = solver.KindWorkerStart
-	KindWorkerStop   = solver.KindWorkerStop
+	KindLPRelaxation = obs.KindLPRelaxation
+	KindIncumbent    = obs.KindIncumbent
+	KindBound        = obs.KindBound
+	KindCutRound     = obs.KindCutRound
+	KindNodeBatch    = obs.KindNodeBatch
+	KindWorkerStart  = obs.KindWorkerStart
+	KindWorkerStop   = obs.KindWorkerStop
 
 	// Cache-layer kinds, emitted by the joinorder/cache front-end on the
 	// same stream: plan served from cache, lookup miss, request coalesced
 	// into an in-flight identical solve, cached plan injected as a MIP
 	// start, and deadline-degraded serving.
-	KindCacheHit       = solver.KindCacheHit
-	KindCacheMiss      = solver.KindCacheMiss
-	KindCacheCoalesced = solver.KindCacheCoalesced
-	KindWarmStart      = solver.KindWarmStart
-	KindDegraded       = solver.KindDegraded
+	KindCacheHit       = obs.KindCacheHit
+	KindCacheMiss      = obs.KindCacheMiss
+	KindCacheCoalesced = obs.KindCacheCoalesced
+	KindWarmStart      = obs.KindWarmStart
+	KindDegraded       = obs.KindDegraded
 
 	// Portfolio kinds, observable when Strategy is "auto": a peer
 	// incumbent installed mid-solve by branch and bound, member
 	// lifecycle, and the race outcome. Events on a portfolio stream
 	// carry the emitting member in Event.Strategy, and the incumbent/
 	// bound monotonicity guarantees hold per member, not globally.
-	KindInjected      = solver.KindInjected
-	KindStrategyStart = solver.KindStrategyStart
-	KindStrategyStop  = solver.KindStrategyStop
-	KindWinner        = solver.KindWinner
+	KindInjected      = obs.KindInjected
+	KindStrategyStart = obs.KindStrategyStart
+	KindStrategyStop  = obs.KindStrategyStop
+	KindWinner        = obs.KindWinner
 )
 
 // PlanUpdate is one anytime plan improvement surfaced by a strategy: the

@@ -7,6 +7,7 @@ import (
 	"math"
 	"time"
 
+	"milpjoin/internal/bb"
 	"milpjoin/internal/core"
 	"milpjoin/internal/dp"
 	"milpjoin/internal/heuristic"
@@ -114,11 +115,11 @@ func optimizeMILP(ctx context.Context, q *Query, opts Options) (*Result, error) 
 		Stats:    &sres.Stats,
 		MIPStart: res.MIPStart,
 	}
-	if sres.Status == solver.StatusInfeasible {
+	if sres.Status == bb.StatusInfeasible {
 		return nil, fmt.Errorf("%w: the MILP proved no plan fits the encoding (try a higher CardCap)", ErrInfeasible)
 	}
 	if res.Plan == nil {
-		if sres.Status == solver.StatusCanceled || ctx.Err() != nil {
+		if sres.Status == bb.StatusCanceled || ctx.Err() != nil {
 			return nil, fmt.Errorf("%w: no incumbent found before the context ended", ErrCanceled)
 		}
 		return nil, fmt.Errorf("%w: solver stopped with status %v", ErrNoPlan, sres.Status)
@@ -131,11 +132,11 @@ func optimizeMILP(ctx context.Context, q *Query, opts Options) (*Result, error) 
 		opts.OnPlan(PlanUpdate{Strategy: "milp", Plan: res.Plan, Cost: res.ExactCost, Elapsed: sres.Elapsed})
 	}
 	switch sres.Status {
-	case solver.StatusOptimal:
+	case bb.StatusOptimal:
 		out.Status = StatusOptimal
-	case solver.StatusTimeLimit:
+	case bb.StatusTimeLimit:
 		out.Status = StatusTimeLimit
-	case solver.StatusCanceled:
+	case bb.StatusCanceled:
 		out.Status = StatusCanceled
 	default: // node limit, numerical no-progress: a plan without proof
 		out.Status = StatusFeasible
@@ -183,7 +184,7 @@ func optimizeBushy(ctx context.Context, q *Query, opts Options) (*Result, error)
 		return nil, mapBaselineErr(ctx, err)
 	}
 	elapsed := time.Since(start)
-	pl := leftDeepFromTree(tree, opts.Metric)
+	pl := tree.LeftDeepPlan(opts.Metric)
 	newAnytime("dp-bushy", opts).improved(pl, c, elapsed, c)
 	return &Result{
 		Strategy:  "dp-bushy",
@@ -195,40 +196,6 @@ func optimizeBushy(ctx context.Context, q *Query, opts Options) (*Result, error)
 		Bound:     c,
 		Elapsed:   elapsed,
 	}, nil
-}
-
-// leftDeepFromTree flattens a linear tree into the cost-equivalent
-// left-deep Plan; nil for genuinely bushy trees. Under C_out join cost is
-// orientation-blind, so any chain where every join has a leaf child
-// flattens (the per-step table sets are identical); under operator costs
-// outer and inner are priced differently, so only strict left-deep shapes
-// (every right child a leaf) qualify. It lets the exact bushy strategies
-// feed the portfolio's plan-space injection channel whenever their optimum
-// happens to be left-deep.
-func leftDeepFromTree(t *Tree, metric Metric) *Plan {
-	if t == nil {
-		return nil
-	}
-	var rev []int
-	n := t
-	for !n.IsLeaf() {
-		switch {
-		case n.Right.IsLeaf():
-			rev = append(rev, n.Right.Table)
-			n = n.Left
-		case metric == Cout && n.Left.IsLeaf():
-			rev = append(rev, n.Left.Table)
-			n = n.Right
-		default:
-			return nil
-		}
-	}
-	rev = append(rev, n.Table)
-	order := make([]int, len(rev))
-	for i, tb := range rev {
-		order[len(rev)-1-i] = tb
-	}
-	return &Plan{Order: order}
 }
 
 // optimizeIKKBZ runs the polynomial IKKBZ algorithm. Its optimality

@@ -13,6 +13,7 @@ import (
 	"milpjoin/internal/cost"
 	"milpjoin/internal/decomp"
 	"milpjoin/internal/dp"
+	"milpjoin/internal/exec"
 	"milpjoin/internal/heuristic"
 	"milpjoin/internal/presolve"
 	"milpjoin/internal/simplex"
@@ -61,6 +62,8 @@ func TestSettableSurfaceDocumented(t *testing.T) {
 		{"dp.ConvOptions", dp.ConvOptions{}, false},
 		{"workload.Config", workload.Config{}, false},
 		{"cost.Params", cost.Params{}, false},
+		{"exec.StreamOptions", exec.StreamOptions{}, false},
+		{"exec.AdaptiveOptions", exec.AdaptiveOptions{}, false},
 	} {
 		typ := reflect.TypeOf(s.v)
 		for i := 0; i < typ.NumField(); i++ {
