@@ -248,7 +248,7 @@ func optimizeWhole(ctx context.Context, q *qopt.Query, opts Options, sizes []int
 	res := &Result{PartitionSizes: sizes}
 	if n <= opts.DPCap {
 		tree, c, err := dp.OptimizeConv(ctx, q, opts.Spec, dp.ConvOptions{
-			Options: dp.Options{MaxTables: 20, Deadline: opts.Deadline},
+			Options: dp.Options{Deadline: opts.Deadline},
 		})
 		if err == nil {
 			// The DP objective is a valid bound over every plan (it
@@ -315,7 +315,7 @@ func solvePartition(ctx context.Context, q *qopt.Query, p Partition, opts Option
 	var localPlan *plan.Plan
 	if len(p.Tables) <= opts.DPCap {
 		tree, _, err := dp.OptimizeConv(ctx, sub, opts.Spec, dp.ConvOptions{
-			Options: dp.Options{MaxTables: 20, Deadline: deadline},
+			Options: dp.Options{Deadline: deadline},
 		})
 		if err == nil {
 			localPlan = tree.LeftDeepPlan(opts.Spec.Metric)

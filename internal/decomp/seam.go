@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"milpjoin/internal/cost"
+	"milpjoin/internal/plan"
 	"milpjoin/internal/qopt"
 )
 
@@ -34,7 +35,7 @@ func seamOptimize(q *qopt.Query, spec cost.Spec, order []int, boundaries []int, 
 	if w < 2 {
 		return order, false
 	}
-	sw := newSeamWalker(q, spec)
+	ix := plan.NewIndex(q)
 	improvedAny := false
 	expired := func() bool {
 		return !deadline.IsZero() && time.Now().After(deadline)
@@ -44,7 +45,7 @@ func seamOptimize(q *qopt.Query, spec cost.Spec, order []int, boundaries []int, 
 		if expired() {
 			return false
 		}
-		return sw.improveWindow(order, s, w)
+		return improveWindow(ix, spec, order, s, w)
 	}
 
 	// Seam-centered pass first: cut-edge predicates concentrate there.
@@ -91,222 +92,19 @@ func seamOptimize(q *qopt.Query, spec cost.Spec, order []int, boundaries []int, 
 	}
 }
 
-// seamWalker holds the per-query state reused across windows.
-type seamWalker struct {
-	q       *qopt.Query
-	spec    cost.Spec
-	params  cost.Params
-	n       int
-	predsOf [][]int // table -> incident predicate indices
-	groupOf []int   // predicate -> correlated group index or -1
-
-	// scratch, reset per window
-	predLeft  []int // tables of pred not yet placed (prefix walk)
-	groupLeft []int // unapplied predicates of group
-}
-
-func newSeamWalker(q *qopt.Query, spec cost.Spec) *seamWalker {
-	sw := &seamWalker{
-		q:         q,
-		spec:      spec,
-		params:    spec.Params.WithDefaults(),
-		n:         q.NumTables(),
-		predsOf:   make([][]int, q.NumTables()),
-		groupOf:   make([]int, len(q.Predicates)),
-		predLeft:  make([]int, len(q.Predicates)),
-		groupLeft: make([]int, len(q.Correlated)),
-	}
-	for pi, p := range q.Predicates {
-		for _, t := range p.Tables {
-			sw.predsOf[t] = append(sw.predsOf[t], pi)
-		}
-		sw.groupOf[pi] = -1
-	}
-	for gi, g := range q.Correlated {
-		for _, pi := range g.Predicates {
-			sw.groupOf[pi] = gi
-		}
-	}
-	return sw
-}
-
-// relPred is a predicate completing inside the current window; wmask is
-// over window positions.
-type relPred struct {
-	wmask uint32
-	sel   float64
-	eval  float64
-}
-
-// relGroup is a correlated group completing inside the current window.
-type relGroup struct {
-	gmask uint32
-	corr  float64
-}
-
-// window is the DP context for one [s, s+w) slice of a fixed order: the
-// window-relevant predicates/groups and the set-function cardinality F.
-type window struct {
-	sw   *seamWalker
-	s, w int
-	win  []int // window tables by position
-	rel  []relPred
-	relG []relGroup
-	// F[sub] is the cardinality of prefix ∪ {window tables in sub} with
-	// every completed predicate and group applied — a pure set function.
-	F []float64
-}
-
-// buildWindow computes the prefix state (cardinality, applied predicates)
-// and the window-relevant predicate/group sets for order[s:s+w].
-func (sw *seamWalker) buildWindow(order []int, s, w int) *window {
-	q := sw.q
-	for pi, p := range q.Predicates {
-		sw.predLeft[pi] = len(p.Tables)
-	}
-	for gi, g := range q.Correlated {
-		sw.groupLeft[gi] = len(g.Predicates)
-	}
-	prefixCard := 1.0
-	for _, t := range order[:s] {
-		prefixCard *= q.Tables[t].Card
-		for _, pi := range sw.predsOf[t] {
-			if sw.predLeft[pi]--; sw.predLeft[pi] == 0 {
-				prefixCard *= q.Predicates[pi].Sel
-				if gi := sw.groupOf[pi]; gi != -1 {
-					if sw.groupLeft[gi]--; sw.groupLeft[gi] == 0 {
-						prefixCard *= q.Correlated[gi].CorrectionSel
-					}
-				}
-			}
-		}
-	}
-
-	wd := &window{sw: sw, s: s, w: w, win: order[s : s+w]}
-	posOf := map[int]int{}
-	for j, t := range wd.win {
-		posOf[t] = j
-	}
-	relOfPred := make(map[int]int)
-	for pi, p := range q.Predicates {
-		if sw.predLeft[pi] == 0 {
-			continue
-		}
-		var wmask uint32
-		inWin := 0
-		for _, t := range p.Tables {
-			if j, ok := posOf[t]; ok {
-				wmask |= 1 << uint(j)
-				inWin++
-			}
-		}
-		if inWin != sw.predLeft[pi] || inWin == 0 {
-			continue // completes in the suffix — invariant there
-		}
-		relOfPred[pi] = len(wd.rel)
-		wd.rel = append(wd.rel, relPred{wmask: wmask, sel: p.Sel, eval: p.EvalCostPerTuple})
-	}
-	for gi, g := range q.Correlated {
-		if sw.groupLeft[gi] == 0 {
-			continue
-		}
-		var gmask uint32
-		ok := true
-		for _, pi := range g.Predicates {
-			if sw.predLeft[pi] == 0 {
-				continue
-			}
-			ri, in := relOfPred[pi]
-			if !in {
-				ok = false
-				break
-			}
-			gmask |= wd.rel[ri].wmask
-		}
-		if ok {
-			wd.relG = append(wd.relG, relGroup{gmask: gmask, corr: g.CorrectionSel})
-		}
-	}
-
-	full := uint32(1)<<uint(w) - 1
-	wd.F = make([]float64, full+1)
-	wd.F[0] = prefixCard
-	for sub := uint32(1); sub <= full; sub++ {
-		low := bits.TrailingZeros32(sub)
-		c := wd.F[sub&(sub-1)] * q.Tables[wd.win[low]].Card
-		lowBit := uint32(1) << uint(low)
-		for _, r := range wd.rel {
-			if r.wmask&lowBit != 0 && r.wmask&^sub == 0 {
-				c *= r.sel
-			}
-		}
-		for _, g := range wd.relG {
-			if g.gmask&lowBit != 0 && g.gmask&^sub == 0 {
-				c *= g.corr
-			}
-		}
-		wd.F[sub] = c
-	}
-	return wd
-}
-
-// stepCost prices the join of window table t (a position) into
-// prefix ∪ prev. Mirrors plan.Evaluate: the first global table has no
-// join, and its deferred predicates bill at the first join with the raw
-// outer cardinality.
-func (wd *window) stepCost(prev uint32, t int) float64 {
-	sw := wd.sw
-	sub := prev | 1<<uint(t)
-	if wd.s == 0 && prev == 0 {
-		return 0 // placing the very first table
-	}
-	outer := wd.F[prev]
-	var deferredEval float64
-	if wd.s == 0 && prev&(prev-1) == 0 { // first join: raw outer, deferred events
-		first := bits.TrailingZeros32(prev)
-		outer = sw.q.Tables[wd.win[first]].Card
-		if sw.spec.Metric == cost.OperatorCost {
-			for _, r := range wd.rel {
-				if r.wmask == prev && r.eval > 0 {
-					deferredEval += r.eval * outer
-				}
-			}
-		}
-	}
-	switch sw.spec.Metric {
-	case cost.Cout:
-		if wd.s+bits.OnesCount32(sub) < sw.n {
-			return wd.F[sub]
-		}
-		return 0
-	default: // OperatorCost
-		c := cost.JoinCost(sw.spec.Op, sw.params.Pages(outer), sw.params.Pages(sw.q.Tables[wd.win[t]].Card), sw.params) + deferredEval
-		tBit := uint32(1) << uint(t)
-		for _, r := range wd.rel {
-			if r.eval > 0 && r.wmask&tBit != 0 && r.wmask&^sub == 0 {
-				c += r.eval * outer
-			}
-		}
-		return c
-	}
-}
-
-// walkCost prices the window along its current position order — the
-// baseline the DP must beat.
-func (wd *window) walkCost() float64 {
-	total := 0.0
-	var sub uint32
-	for j := range wd.win {
-		total += wd.stepCost(sub, j)
-		sub |= 1 << uint(j)
-	}
-	return total
-}
-
 // improveWindow re-optimizes order[s:s+w] in place; reports improvement.
-func (sw *seamWalker) improveWindow(order []int, s, w int) bool {
-	wd := sw.buildWindow(order, s, w)
-	curCost := wd.walkCost()
+// The window's subsets are priced on plan's cardinality lattice over the
+// fixed prefix order[:s], the way plan.Evaluate prices each join.
+func improveWindow(ix *plan.Index, spec cost.Spec, order []int, s, w int) bool {
+	win := order[s : s+w]
+	lat := ix.Lattice(order[:s], win, spec)
+	op := spec.Op
+	curCost := 0.0
+	var placed uint32
+	for j := range win {
+		curCost += lat.Step(placed, j, op)
+		placed |= 1 << uint(j)
+	}
 
 	full := uint32(1)<<uint(w) - 1
 	best := make([]float64, full+1)
@@ -316,7 +114,7 @@ func (sw *seamWalker) improveWindow(order []int, s, w int) bool {
 		for m := sub; m != 0; m &= m - 1 {
 			t := bits.TrailingZeros32(m)
 			prev := sub &^ (1 << uint(t))
-			if c := best[prev] + wd.stepCost(prev, t); c < best[sub] {
+			if c := best[prev] + lat.Step(prev, t, op); c < best[sub] {
 				best[sub] = c
 				parent[sub] = int8(t)
 			}
@@ -333,7 +131,7 @@ func (sw *seamWalker) improveWindow(order []int, s, w int) bool {
 	}
 	tables := make([]int, w)
 	for i, j := 0, len(perm)-1; j >= 0; i, j = i+1, j-1 {
-		tables[i] = wd.win[perm[j]]
+		tables[i] = win[perm[j]]
 	}
 	copy(order[s:s+w], tables)
 	return true

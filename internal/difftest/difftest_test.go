@@ -206,26 +206,63 @@ func TestStrategyHierarchy(t *testing.T) {
 	})
 }
 
+// variant is one input of the exact oracles.
+type variant struct {
+	name string
+	q    *joinorder.Query
+}
+
+// withFilteredTwin returns q and its filtered twin: q plus a filter of
+// selectivity 1e-3 on its highest-index table and, when q has at least two
+// binary predicates, a correlated group over the first two with correction
+// 3. A filter on the highest-index table is the input a subset DP that
+// extends each set by its lowest table never reaches except through the
+// singleton.
+func withFilteredTwin(q *joinorder.Query) []variant {
+	twin := *q
+	n := q.NumTables()
+	twin.Predicates = append(append([]joinorder.Predicate(nil), q.Predicates...),
+		joinorder.Predicate{Name: "filter", Tables: []int{n - 1}, Sel: 1e-3})
+	var binary []int
+	for pi, p := range q.Predicates {
+		if p.IsBinary() {
+			binary = append(binary, pi)
+		}
+	}
+	if len(binary) >= 2 {
+		twin.Correlated = append(append([]joinorder.CorrelatedGroup(nil), q.Correlated...),
+			joinorder.CorrelatedGroup{Predicates: binary[:2], CorrectionSel: 3})
+	}
+	return []variant{{"query", q}, {"filtered twin", &twin}}
+}
+
 // TestDPAgainstExhaustiveOracle validates the DP baseline itself against
-// brute-force enumeration on queries small enough to enumerate.
+// brute-force enumeration on queries small enough to enumerate, and on
+// their filtered twins, under C_out and hash-join operator cost.
 func TestDPAgainstExhaustiveOracle(t *testing.T) {
 	forEachQuery(t, func(t *testing.T, shape workload.GraphShape, n int, seed int64, q *joinorder.Query) {
 		if n > 8 {
 			return
 		}
-		res, err := joinorder.Optimize(context.Background(), q, joinorder.Options{Strategy: "dp-leftdeep"})
-		if err != nil {
-			t.Fatalf("n=%d seed=%d: dp: %v", n, seed, err)
-		}
-		// The default C_out spec — what the zero-value public options cost
-		// plans with.
-		spec := cost.Spec{Metric: cost.Cout, Params: cost.Params{}.WithDefaults()}
-		_, best, err := dp.ExhaustiveLeftDeep(q, spec)
-		if err != nil {
-			t.Fatalf("n=%d seed=%d: exhaustive: %v", n, seed, err)
-		}
-		if math.Abs(res.Cost-best) > 1e-6*math.Max(1, best) {
-			t.Errorf("%v n=%d seed=%d: DP cost %g != exhaustive optimum %g", shape, n, seed, res.Cost, best)
+		for _, v := range withFilteredTwin(q) {
+			for _, opts := range []joinorder.Options{
+				{Strategy: "dp-leftdeep"}, // the zero-value public options: C_out
+				{Strategy: "dp-leftdeep", Metric: joinorder.OperatorCost, Op: joinorder.HashJoin},
+			} {
+				res, err := joinorder.Optimize(context.Background(), v.q, opts)
+				if err != nil {
+					t.Fatalf("%s n=%d seed=%d: dp: %v", v.name, n, seed, err)
+				}
+				spec := cost.Spec{Metric: opts.Metric, Op: opts.Op, Params: cost.Params{}.WithDefaults()}
+				_, best, err := dp.ExhaustiveLeftDeep(v.q, spec)
+				if err != nil {
+					t.Fatalf("%s n=%d seed=%d: exhaustive: %v", v.name, n, seed, err)
+				}
+				if math.Abs(res.Cost-best) > 1e-6*math.Max(1, best) {
+					t.Errorf("%v %s n=%d seed=%d %v: DP cost %g != exhaustive optimum %g",
+						shape, v.name, n, seed, opts.Metric, res.Cost, best)
+				}
+			}
 		}
 	})
 }
@@ -249,31 +286,33 @@ func bushyTrees(set int) []*plan.Tree {
 
 // TestDPConvAgainstBushyOracle validates the exact bushy strategy through
 // the public API against brute force: on every matrix query small enough
-// to enumerate, its cost equals the minimum of plan.TreeCost over every
-// bushy tree.
+// to enumerate, and its filtered twin, its cost equals the minimum of
+// plan.TreeCost over every bushy tree.
 func TestDPConvAgainstBushyOracle(t *testing.T) {
 	forEachQuery(t, func(t *testing.T, shape workload.GraphShape, n int, seed int64, q *joinorder.Query) {
 		if n > 6 {
 			return
 		}
-		conv, err := joinorder.Optimize(context.Background(), q, joinorder.Options{Strategy: "dp-bushy"})
-		if err != nil {
-			t.Fatalf("n=%d seed=%d: dp-bushy: %v", n, seed, err)
-		}
-		best := math.Inf(1)
-		for _, tr := range bushyTrees(1<<n - 1) {
-			c, err := plan.TreeCost(q, tr, cost.CoutSpec())
+		for _, v := range withFilteredTwin(q) {
+			conv, err := joinorder.Optimize(context.Background(), v.q, joinorder.Options{Strategy: "dp-bushy"})
 			if err != nil {
-				t.Fatalf("n=%d seed=%d: %v: %v", n, seed, tr, err)
+				t.Fatalf("%s n=%d seed=%d: dp-bushy: %v", v.name, n, seed, err)
 			}
-			best = math.Min(best, c)
-		}
-		if math.Abs(conv.Cost-best) > 1e-9*math.Max(1, best) {
-			t.Errorf("%v n=%d seed=%d: dp-bushy %g != exhaustive optimum %g (tree %v)",
-				shape, n, seed, conv.Cost, best, conv.Tree)
-		}
-		if conv.Status != joinorder.StatusOptimal {
-			t.Errorf("%v n=%d seed=%d: status %v, want optimal", shape, n, seed, conv.Status)
+			best := math.Inf(1)
+			for _, tr := range bushyTrees(1<<n - 1) {
+				c, err := plan.TreeCost(v.q, tr, cost.CoutSpec())
+				if err != nil {
+					t.Fatalf("%s n=%d seed=%d: %v: %v", v.name, n, seed, tr, err)
+				}
+				best = math.Min(best, c)
+			}
+			if math.Abs(conv.Cost-best) > 1e-9*math.Max(1, best) {
+				t.Errorf("%v %s n=%d seed=%d: dp-bushy %g != exhaustive optimum %g (tree %v)",
+					shape, v.name, n, seed, conv.Cost, best, conv.Tree)
+			}
+			if conv.Status != joinorder.StatusOptimal {
+				t.Errorf("%v %s n=%d seed=%d: status %v, want optimal", shape, v.name, n, seed, conv.Status)
+			}
 		}
 	})
 }

@@ -7,15 +7,19 @@ import (
 	"testing"
 	"time"
 
+	"milpjoin/internal/cost"
+	"milpjoin/internal/dp"
 	"milpjoin/internal/workload"
 	"milpjoin/joinorder"
 )
 
 // TestHybridAgainstBushyOptimum cross-checks the hybrid decomposition
-// strategy against the exact bushy optimum on every small matrix query:
+// strategy against the exact bushy optimum on every small matrix query and
+// its filtered twin:
 //
 //  1. the hybrid's reported lower bound never exceeds the bushy optimum
-//     (the bound is valid over the full bushy plan space), and
+//     (the bound is valid over the full bushy plan space), nor the
+//     exhaustive left-deep optimum where that can be enumerated, and
 //  2. the hybrid's stitched plan never costs less than the bushy optimum
 //     (no plan does — any violation means a costing bug in the stitcher).
 //
@@ -25,31 +29,39 @@ import (
 func TestHybridAgainstBushyOptimum(t *testing.T) {
 	const tol = 1 + 1e-9
 	forEachQuery(t, func(t *testing.T, shape workload.GraphShape, n int, seed int64, q *joinorder.Query) {
-		bushy, err := joinorder.Optimize(context.Background(), q, joinorder.Options{Strategy: "dp-bushy"})
-		if err != nil {
-			t.Fatalf("%v n=%d seed=%d: dp-bushy: %v", shape, n, seed, err)
-		}
-		for name, opts := range map[string]joinorder.Options{
-			"exact path": {Strategy: "hybrid"},
-			"decomposed": {Strategy: "hybrid", PartitionCap: 4, Budget: joinorder.Budget{TimeLimit: 10 * time.Second}},
-		} {
-			res, err := joinorder.Optimize(context.Background(), q, opts)
+		for _, v := range withFilteredTwin(q) {
+			bushy, err := joinorder.Optimize(context.Background(), v.q, joinorder.Options{Strategy: "dp-bushy"})
 			if err != nil {
-				t.Fatalf("%v n=%d seed=%d: hybrid (%s): %v", shape, n, seed, name, err)
+				t.Fatalf("%v %s n=%d seed=%d: dp-bushy: %v", shape, v.name, n, seed, err)
 			}
-			if err := res.Plan.Validate(q); err != nil {
-				t.Fatalf("%v n=%d seed=%d: hybrid (%s) invalid plan: %v", shape, n, seed, name, err)
+			exhaustive := math.Inf(1)
+			if n <= 8 {
+				if _, exhaustive, err = dp.ExhaustiveLeftDeep(v.q, cost.CoutSpec()); err != nil {
+					t.Fatalf("%v %s n=%d seed=%d: exhaustive: %v", shape, v.name, n, seed, err)
+				}
 			}
-			if math.IsInf(res.Bound, 0) || math.IsNaN(res.Bound) {
-				t.Errorf("%v n=%d seed=%d: hybrid (%s) bound %g not finite", shape, n, seed, name, res.Bound)
-			}
-			if res.Bound > bushy.Cost*tol {
-				t.Errorf("%v n=%d seed=%d: hybrid (%s) bound %g exceeds bushy optimum %g",
-					shape, n, seed, name, res.Bound, bushy.Cost)
-			}
-			if res.Cost*tol < bushy.Cost {
-				t.Errorf("%v n=%d seed=%d: hybrid (%s) cost %g beats the bushy optimum %g — costing bug",
-					shape, n, seed, name, res.Cost, bushy.Cost)
+			for name, opts := range map[string]joinorder.Options{
+				"exact path": {Strategy: "hybrid"},
+				"decomposed": {Strategy: "hybrid", PartitionCap: 4, Budget: joinorder.Budget{TimeLimit: 10 * time.Second}},
+			} {
+				res, err := joinorder.Optimize(context.Background(), v.q, opts)
+				if err != nil {
+					t.Fatalf("%v %s n=%d seed=%d: hybrid (%s): %v", shape, v.name, n, seed, name, err)
+				}
+				if err := res.Plan.Validate(v.q); err != nil {
+					t.Fatalf("%v %s n=%d seed=%d: hybrid (%s) invalid plan: %v", shape, v.name, n, seed, name, err)
+				}
+				if math.IsInf(res.Bound, 0) || math.IsNaN(res.Bound) {
+					t.Errorf("%v %s n=%d seed=%d: hybrid (%s) bound %g not finite", shape, v.name, n, seed, name, res.Bound)
+				}
+				if res.Bound > bushy.Cost*tol || res.Bound > exhaustive*tol {
+					t.Errorf("%v %s n=%d seed=%d: hybrid (%s) bound %g exceeds the bushy optimum %g or the left-deep one %g",
+						shape, v.name, n, seed, name, res.Bound, bushy.Cost, exhaustive)
+				}
+				if res.Cost*tol < bushy.Cost {
+					t.Errorf("%v %s n=%d seed=%d: hybrid (%s) cost %g beats the bushy optimum %g — costing bug",
+						shape, v.name, n, seed, name, res.Cost, bushy.Cost)
+				}
 			}
 		}
 	})

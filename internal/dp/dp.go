@@ -28,10 +28,11 @@ var ErrTooLarge = errors.New("dp: query too large for dynamic programming")
 // is available in that case (DP has no anytime behaviour).
 var ErrTimeout = errors.New("dp: deadline exceeded")
 
+// maxTables guards the left-deep DP against the 2^n memory blow-up.
+const maxTables = 24
+
 // Options tune the DP run.
 type Options struct {
-	// MaxTables guards against the 2^n memory blow-up (default 24).
-	MaxTables int
 	// Deadline, when nonzero, aborts the run once passed.
 	Deadline time.Time
 	// ChooseOperators selects the cheapest operator per join instead of
@@ -39,17 +40,12 @@ type Options struct {
 	ChooseOperators bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxTables <= 0 {
-		o.MaxTables = 24
-	}
-	return o
-}
-
 // OptimizeLeftDeep finds the cost-minimal left-deep plan (cross products
-// allowed) by dynamic programming over table subsets. The subset loop
-// polls the context periodically; a canceled context aborts with its error
-// (DP has no anytime behaviour, so no partial plan is returned).
+// allowed) by dynamic programming over table subsets, priced on the
+// cardinality lattice of package plan so the DP's cost is the cost
+// plan.Cost reports for its plan. The subset loop polls the context
+// periodically; a canceled context aborts with its error (DP has no
+// anytime behaviour, so no partial plan is returned).
 func OptimizeLeftDeep(ctx context.Context, q *qopt.Query, spec cost.Spec, opts Options) (*plan.Plan, float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -60,51 +56,20 @@ func OptimizeLeftDeep(ctx context.Context, q *qopt.Query, spec cost.Spec, opts O
 	if err := ctx.Err(); err != nil {
 		return nil, 0, fmt.Errorf("dp: %w", err)
 	}
-	opts = opts.withDefaults()
 	n := q.NumTables()
-	if n > opts.MaxTables {
-		return nil, 0, fmt.Errorf("%w: %d tables (limit %d)", ErrTooLarge, n, opts.MaxTables)
+	if n > maxTables {
+		return nil, 0, fmt.Errorf("%w: %d tables (limit %d)", ErrTooLarge, n, maxTables)
 	}
-	params := spec.Params.WithDefaults()
+	lat := plan.NewIndex(q).Lattice(nil, allTables(n), spec)
 
 	size := 1 << n
-	card := make([]float64, size)
 	best := make([]float64, size)
 	choice := make([]int32, size)
-	for s := range best {
+	for s := 1; s < size; s++ {
 		best[s] = math.Inf(1)
 		choice[s] = -1
 	}
-
-	// Predicates indexed by member table, with a precomputed bitmask.
-	type predInfo struct {
-		mask int
-		sel  float64
-	}
-	predsByTable := make([][]predInfo, n)
-	for _, p := range q.Predicates {
-		mask := 0
-		for _, t := range p.Tables {
-			mask |= 1 << t
-		}
-		for _, t := range p.Tables {
-			predsByTable[t] = append(predsByTable[t], predInfo{mask: mask, sel: p.Sel})
-		}
-	}
-	type groupInfo struct {
-		mask int // union of member-predicate table sets
-		corr float64
-	}
-	var groups []groupInfo
-	for _, g := range q.Correlated {
-		mask := 0
-		for _, pi := range g.Predicates {
-			for _, t := range q.Predicates[pi].Tables {
-				mask |= 1 << t
-			}
-		}
-		groups = append(groups, groupInfo{mask: mask, corr: g.CorrectionSel})
-	}
+	chooseOps := opts.ChooseOperators && spec.Metric == cost.OperatorCost
 
 	full := size - 1
 	deadlineCheck := 0
@@ -117,58 +82,25 @@ func OptimizeLeftDeep(ctx context.Context, q *qopt.Query, spec cost.Spec, opts O
 				return nil, 0, ErrTimeout
 			}
 		}
-		if bits.OnesCount(uint(s)) == 1 {
-			t := bits.TrailingZeros(uint(s))
-			card[s] = q.Tables[t].Card
-			best[s] = 0
-			continue
-		}
-		// Cardinality: extend s\t by the lowest table t in s.
-		t := bits.TrailingZeros(uint(s))
-		prev := s &^ (1 << t)
-		c := card[prev] * q.Tables[t].Card
-		for _, pi := range predsByTable[t] {
-			if pi.mask&s == pi.mask {
-				c *= pi.sel
-			}
-		}
-		for _, g := range groups {
-			if g.mask&s == g.mask && g.mask&prev != g.mask {
-				// Group completed by adding t... only valid when t
-				// is in the group's mask; masks missing t complete
-				// earlier and were already counted.
-				c *= g.corr
-			}
-		}
-		card[s] = c
-
-		// Left-deep recurrence: last joined table r.
+		// Left-deep recurrence: last joined table r. Under C_out the join's
+		// cost is its result, whichever table r is.
+		result := lat.Result(uint32(s))
 		for rest := s; rest != 0; {
 			r := bits.TrailingZeros(uint(rest))
 			rest &^= 1 << r
 			sub := s &^ (1 << r)
-			if bits.OnesCount(uint(sub)) >= 1 && math.IsInf(best[sub], 1) {
+			if math.IsInf(best[sub], 1) {
 				continue
 			}
-			var joinCost float64
-			switch spec.Metric {
-			case cost.Cout:
-				if s != full {
-					joinCost = card[s]
+			joinCost := result
+			switch {
+			case chooseOps:
+				joinCost = math.Inf(1)
+				for _, op := range cost.Operators() {
+					joinCost = math.Min(joinCost, lat.Step(uint32(sub), r, op))
 				}
-			case cost.OperatorCost:
-				pgo := params.Pages(card[sub])
-				pgi := params.Pages(q.Tables[r].Card)
-				if opts.ChooseOperators {
-					joinCost = math.Inf(1)
-					for _, op := range cost.Operators() {
-						if c := cost.JoinCost(op, pgo, pgi, params); c < joinCost {
-							joinCost = c
-						}
-					}
-				} else {
-					joinCost = cost.JoinCost(spec.Op, pgo, pgi, params)
-				}
+			case spec.Metric != cost.Cout:
+				joinCost = lat.Step(uint32(sub), r, spec.Op)
 			}
 			if total := best[sub] + joinCost; total < best[s] {
 				best[s] = total
@@ -184,18 +116,26 @@ func OptimizeLeftDeep(ctx context.Context, q *qopt.Query, spec cost.Spec, opts O
 	// Reconstruct the join order.
 	order := make([]int, n)
 	s := full
-	for k := n - 1; k >= 1; k-- {
+	for k := n - 1; k >= 0; k-- {
 		r := int(choice[s])
 		order[k] = r
 		s &^= 1 << r
 	}
-	order[0] = bits.TrailingZeros(uint(s))
 
 	pl := &plan.Plan{Order: order}
-	if opts.ChooseOperators && spec.Metric == cost.OperatorCost {
-		pl.Operators = assignBestOperators(q, pl, params)
+	if chooseOps {
+		pl.Operators = assignBestOperators(q, pl, spec.Params.WithDefaults())
 	}
 	return pl, best[full], nil
+}
+
+// allTables is the identity window 0..n-1.
+func allTables(n int) []int {
+	ts := make([]int, n)
+	for i := range ts {
+		ts[i] = i
+	}
+	return ts
 }
 
 // assignBestOperators walks a plan and picks the cheapest operator per join
@@ -257,8 +197,9 @@ func ExhaustiveLeftDeep(q *qopt.Query, spec cost.Spec) (*plan.Plan, float64, err
 }
 
 // GreedyLeftDeep builds a plan by repeatedly appending the table that
-// minimizes the next intermediate result cardinality. Linear-time
-// heuristic; no optimality guarantee (used as a primal-quality yardstick).
+// minimizes the next intermediate result cardinality (plan.Walk's, so
+// filters and correlated-group corrections count). Linear-time heuristic;
+// no optimality guarantee (used as a primal-quality yardstick).
 func GreedyLeftDeep(q *qopt.Query, spec cost.Spec) (*plan.Plan, float64, error) {
 	if err := q.Validate(); err != nil {
 		return nil, 0, err
@@ -275,9 +216,8 @@ func GreedyLeftDeep(q *qopt.Query, spec cost.Spec) (*plan.Plan, float64, error) 
 	}
 	order := []int{start}
 	used[start] = true
-	inSet := map[int]bool{start: true}
-	curCard := q.Tables[start].Card
-	applied := make([]bool, len(q.Predicates))
+	w := plan.NewIndex(q).Walk()
+	w.Add(start, nil)
 
 	for len(order) < n {
 		bestT, bestCard := -1, math.Inf(1)
@@ -285,14 +225,7 @@ func GreedyLeftDeep(q *qopt.Query, spec cost.Spec) (*plan.Plan, float64, error) 
 			if used[t] {
 				continue
 			}
-			c := curCard * q.Tables[t].Card
-			inSet[t] = true
-			for pi, p := range q.Predicates {
-				if !applied[pi] && tablesIn(p.Tables, inSet) {
-					c *= p.Sel
-				}
-			}
-			inSet[t] = false
+			c := w.Peek(t)
 			// bestT == -1 keeps the first candidate even when every
 			// product has overflowed to +Inf (hundreds of tables), where
 			// no strict comparison would ever pick one.
@@ -301,14 +234,8 @@ func GreedyLeftDeep(q *qopt.Query, spec cost.Spec) (*plan.Plan, float64, error) 
 			}
 		}
 		used[bestT] = true
-		inSet[bestT] = true
+		w.Add(bestT, nil)
 		order = append(order, bestT)
-		for pi, p := range q.Predicates {
-			if !applied[pi] && tablesIn(p.Tables, inSet) {
-				applied[pi] = true
-			}
-		}
-		curCard = bestCard
 	}
 
 	pl := &plan.Plan{Order: order}
@@ -317,13 +244,4 @@ func GreedyLeftDeep(q *qopt.Query, spec cost.Spec) (*plan.Plan, float64, error) 
 		return nil, 0, err
 	}
 	return pl, c, nil
-}
-
-func tablesIn(tables []int, set map[int]bool) bool {
-	for _, t := range tables {
-		if !set[t] {
-			return false
-		}
-	}
-	return true
 }

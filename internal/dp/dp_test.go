@@ -3,6 +3,7 @@ package dp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -83,6 +84,95 @@ func TestDPWithNaryPredicate(t *testing.T) {
 	}
 }
 
+// filteredChain is the 4-table chain T0–T1–T2–T3 (cards 1000/100/10/5000,
+// sels 0.01/0.1/0.01) with a filter of selectivity 1e-4 on T3, the shape
+// the SQL front end emits for `WHERE t3.x = …`. The filter sits on the
+// highest-index table, which a subset recurrence extending each set by
+// its lowest table reaches only through the singleton {T3}.
+func filteredChain() *qopt.Query {
+	return &qopt.Query{
+		Tables: []qopt.Table{{Card: 1000}, {Card: 100}, {Card: 10}, {Card: 5000}},
+		Predicates: []qopt.Predicate{
+			{Tables: []int{0, 1}, Sel: 0.01},
+			{Tables: []int{1, 2}, Sel: 0.1},
+			{Tables: []int{2, 3}, Sel: 0.01},
+			{Tables: []int{3}, Sel: 1e-4},
+		},
+	}
+}
+
+// TestFilterOnHighestTable pins the exact optima of filteredChain: the
+// left-deep DP, the bushy DP and the exhaustive oracle agree, and each
+// DP's cost is the exact cost of its own plan.
+func TestFilterOnHighestTable(t *testing.T) {
+	q := filteredChain()
+	for _, tc := range []struct {
+		spec cost.Spec
+		want float64
+	}{{cost.CoutSpec(), 0.55}, {cost.DefaultSpec(), 240}} {
+		_, ex, err := ExhaustiveLeftDeep(q, tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, c, err := OptimizeLeftDeep(context.Background(), q, tc.spec, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recost, err := plan.Cost(q, pl, tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, bc, err := OptimizeConv(context.Background(), q, tc.spec, ConvOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		treeCost, err := plan.TreeCost(q, tree, tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, got := range map[string]float64{"exhaustive": ex, "dp-leftdeep": c, "its plan": recost} {
+			if math.Abs(got-tc.want) > 1e-9*tc.want {
+				t.Errorf("%v: %s cost %g, want %g", tc.spec.Metric, name, got, tc.want)
+			}
+		}
+		if bc > tc.want*(1+1e-9) || math.Abs(treeCost-bc) > 1e-9*bc {
+			t.Errorf("%v: dp-bushy %g (tree costs %g), want ≤ %g", tc.spec.Metric, bc, treeCost, tc.want)
+		}
+	}
+}
+
+// TestDPPricesExpensivePredicates: under operator cost, a predicate's
+// evaluation cost is paid once, per outer tuple of the join where it
+// completes. The DP prices it the way plan.Cost does, so its optimum is
+// the exhaustive one and its reported cost is its plan's.
+func TestDPPricesExpensivePredicates(t *testing.T) {
+	spec := cost.DefaultSpec()
+	for _, shape := range []workload.GraphShape{workload.Chain, workload.Cycle, workload.Star} {
+		for seed := int64(0); seed < 6; seed++ {
+			q := workload.Generate(shape, 6, seed, workload.Config{})
+			q.Predicates[0].EvalCostPerTuple = 0.5
+			q.Predicates = append(q.Predicates,
+				qopt.Predicate{Tables: []int{5}, Sel: 0.3, EvalCostPerTuple: 4},
+				qopt.Predicate{Tables: []int{int(seed) % 5}, Sel: 0.5, EvalCostPerTuple: 2})
+			pl, c, err := OptimizeLeftDeep(context.Background(), q, spec, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, ex, err := ExhaustiveLeftDeep(q, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recost, err := plan.Cost(q, pl, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(c-ex) > 1e-9*ex || math.Abs(recost-c) > 1e-9*c {
+				t.Errorf("%v seed %d: dp %g, its plan %g, exhaustive %g", shape, seed, c, recost, ex)
+			}
+		}
+	}
+}
+
 func TestDPTooLarge(t *testing.T) {
 	q := workload.Generate(workload.Chain, 30, 1, workload.Config{})
 	_, _, err := OptimizeLeftDeep(context.Background(), q, cost.CoutSpec(), Options{})
@@ -145,6 +235,29 @@ func TestGreedyValidAndBoundedByOptimal(t *testing.T) {
 		if gCost < optCost-1e-6*(1+optCost) {
 			t.Fatalf("seed %d: greedy %g beats optimal %g", seed, gCost, optCost)
 		}
+	}
+}
+
+// TestGreedyAppliesCorrelationCorrections: T0 joins T1 on two predicates
+// whose columns are fully correlated (group correction 10) and T2 on one.
+// Counted independently, T1 looks like the smaller next result (10 rows
+// against 20); with the correction it is 100, so greedy takes T2.
+func TestGreedyAppliesCorrelationCorrections(t *testing.T) {
+	q := &qopt.Query{
+		Tables: []qopt.Table{{Card: 10}, {Card: 100}, {Card: 100}},
+		Predicates: []qopt.Predicate{
+			{Tables: []int{0, 1}, Sel: 0.1},
+			{Tables: []int{0, 1}, Sel: 0.1},
+			{Tables: []int{0, 2}, Sel: 0.02},
+		},
+		Correlated: []qopt.CorrelatedGroup{{Predicates: []int{0, 1}, CorrectionSel: 10}},
+	}
+	pl, c, err := GreedyLeftDeep(q, cost.CoutSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(pl.Order) != "[0 2 1]" || c != 20 {
+		t.Errorf("greedy plan %v cost %g, want [0 2 1] cost 20", pl.Order, c)
 	}
 }
 

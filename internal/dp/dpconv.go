@@ -13,6 +13,9 @@ import (
 	"milpjoin/internal/qopt"
 )
 
+// maxBushyTables bounds the bushy DP: its split enumeration is Θ(3^n).
+const maxBushyTables = 20
+
 // ErrNoneBetter reports that the DPconv search proved no bushy plan beats
 // the caller-supplied cutoff: every partial plan was pruned against it, so
 // the incumbent the cutoff tracks is optimal over the bushy plan space.
@@ -44,7 +47,9 @@ type ConvOptions struct {
 // subset's lowest table so each unordered partition is priced once (both
 // orientations are priced under asymmetric operator costs), and an
 // optional live cutoff prunes dominated layers — giving the exact DP an
-// anytime interface. The subset loop polls the context and the deadline.
+// anytime interface. Subsets are priced on package plan's cardinality
+// lattice, as plan.TreeCost prices trees. The subset loop polls the
+// context and the deadline.
 func OptimizeConv(ctx context.Context, q *qopt.Query, spec cost.Spec, opts ConvOptions) (*plan.Tree, float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -55,56 +60,29 @@ func OptimizeConv(ctx context.Context, q *qopt.Query, spec cost.Spec, opts ConvO
 	if err := ctx.Err(); err != nil {
 		return nil, 0, fmt.Errorf("dp: %w", err)
 	}
-	opts.Options = opts.Options.withDefaults()
-	if opts.MaxTables > 20 {
-		opts.MaxTables = 20 // layered split enumeration is still Θ(3^n)
-	}
 	n := q.NumTables()
-	if n > opts.MaxTables {
-		return nil, 0, fmt.Errorf("%w: %d tables (bushy limit %d)", ErrTooLarge, n, opts.MaxTables)
+	if n > maxBushyTables {
+		return nil, 0, fmt.Errorf("%w: %d tables (bushy limit %d)", ErrTooLarge, n, maxBushyTables)
 	}
 	params := spec.Params.WithDefaults()
+	lat := plan.NewIndex(q).Lattice(nil, allTables(n), spec)
 
 	size := 1 << n
-	card := make([]float64, size)
 	best := make([]float64, size)
 	split := make([]int32, size) // left subset of the best split; 0 for leaves
 	for s := range best {
 		best[s] = math.Inf(1)
 	}
-
-	type predInfo struct {
-		mask int
-		sel  float64
-	}
-	predsByTable := make([][]predInfo, n)
-	for _, p := range q.Predicates {
-		mask := 0
-		for _, t := range p.Tables {
-			mask |= 1 << t
-		}
-		for _, t := range p.Tables {
-			predsByTable[t] = append(predsByTable[t], predInfo{mask: mask, sel: p.Sel})
-		}
-	}
-	type groupInfo struct {
-		mask int
-		corr float64
-	}
-	var groups []groupInfo
-	for _, g := range q.Correlated {
-		mask := 0
-		for _, pi := range g.Predicates {
-			for _, t := range q.Predicates[pi].Tables {
-				mask |= 1 << t
-			}
-		}
-		groups = append(groups, groupInfo{mask: mask, corr: g.CorrectionSel})
-	}
-
 	for t := 0; t < n; t++ {
-		card[1<<t] = q.Tables[t].Card
 		best[1<<t] = 0
+	}
+	// pages[m] is subset m's operand page count under operator cost.
+	var pages []float64
+	if spec.Metric == cost.OperatorCost {
+		pages = make([]float64, size)
+		for m := range pages {
+			pages[m] = params.Pages(lat.Operand(uint32(m)))
+		}
 	}
 
 	full := size - 1
@@ -130,30 +108,13 @@ func OptimizeConv(ctx context.Context, q *qopt.Query, spec cost.Spec, opts ConvO
 					return nil, 0, ErrTimeout
 				}
 			}
-			// Cardinality via the canonical lowest-bit chain.
-			t := bits.TrailingZeros(uint(s))
-			bit := 1 << t
+			bit := s & -s
 			prev := s &^ bit
-			c := card[prev] * q.Tables[t].Card
-			for _, pi := range predsByTable[t] {
-				if pi.mask&s == pi.mask {
-					c *= pi.sel
-				}
-			}
-			for _, g := range groups {
-				if g.mask&s == g.mask && g.mask&prev != g.mask {
-					c *= g.corr
-				}
-			}
-			card[s] = c
 
 			// Canonical splits: the half containing the lowest table.
 			// Each unordered partition is enumerated exactly once; under
 			// asymmetric operator costs both orientations are priced.
-			var coutCost float64
-			if spec.Metric == cost.Cout && s != full {
-				coutCost = card[s]
-			}
+			coutCost := lat.Result(uint32(s))
 			for low := (prev - 1) & prev; ; low = (low - 1) & prev {
 				sub := low | bit
 				rest := s ^ sub // never empty: low is a proper subset of prev
@@ -171,8 +132,7 @@ func OptimizeConv(ctx context.Context, q *qopt.Query, spec cost.Spec, opts ConvO
 						split[s] = int32(sub)
 					}
 				case cost.OperatorCost:
-					pgSub := params.Pages(card[sub])
-					pgRest := params.Pages(card[rest])
+					pgSub, pgRest := pages[sub], pages[rest]
 					if total := base + cost.JoinCost(spec.Op, pgSub, pgRest, params); total < best[s] {
 						best[s] = total
 						split[s] = int32(sub)

@@ -81,8 +81,8 @@ func IKKBZ(ctx context.Context, q *qopt.Query) (*plan.Plan, float64, error) {
 			return nil, 0, fmt.Errorf("dp: %w", err)
 		}
 		order := ikkbzForRoot(root, adj, card, n)
-		c := coutOfOrder(q, order)
-		if c < bestCost {
+		c, err := plan.Cost(q, &plan.Plan{Order: order}, cost.CoutSpec())
+		if err == nil && c < bestCost {
 			bestCost = c
 			bestOrder = order
 		}
@@ -184,19 +184,6 @@ func normalize(chain []*module) []*module {
 		}
 	}
 	return out
-}
-
-// coutOfOrder prices an order exactly (C_out, final result excluded).
-func coutOfOrder(q *qopt.Query, order []int) float64 {
-	c, err := planCout(q, order)
-	if err != nil {
-		return math.Inf(1)
-	}
-	return c
-}
-
-func planCout(q *qopt.Query, order []int) (float64, error) {
-	return plan.Cost(q, &plan.Plan{Order: order}, cost.CoutSpec())
 }
 
 func connected(adj []map[int]float64, n int) bool {

@@ -38,8 +38,6 @@ type Figure2Config struct {
 	// Metric/Op select the cost model (paper: hash joins).
 	Metric cost.Metric
 	Op     cost.Operator
-	// DPMaxTables bounds the DP's subset table budget (memory guard).
-	DPMaxTables int
 }
 
 // WithDefaults fills in a laptop-scale version of the paper's setup; pass
@@ -71,9 +69,6 @@ func (c Figure2Config) WithDefaults() Figure2Config {
 	}
 	if c.Metric == cost.OperatorCost && c.Op == 0 {
 		c.Op = cost.HashJoin
-	}
-	if c.DPMaxTables <= 0 {
-		c.DPMaxTables = 24
 	}
 	return c
 }
@@ -165,10 +160,7 @@ func runDP(ctx context.Context, q *qopt.Query, cfg Figure2Config) *Trace {
 	tr := &Trace{}
 	spec := cost.Spec{Metric: cfg.Metric, Op: cfg.Op, Params: cost.Params{}.WithDefaults()}
 	start := time.Now()
-	_, optCost, err := dp.OptimizeLeftDeep(ctx, q, spec, dp.Options{
-		Deadline:  start.Add(cfg.Timeout),
-		MaxTables: cfg.DPMaxTables,
-	})
+	_, optCost, err := dp.OptimizeLeftDeep(ctx, q, spec, dp.Options{Deadline: start.Add(cfg.Timeout)})
 	if err != nil {
 		return tr // too large or timed out: no plan within the budget
 	}

@@ -86,9 +86,10 @@ type Costing struct {
 	FinalCard float64
 }
 
-// Evaluate prices the plan exactly under spec. Cardinalities are the
-// products of table cardinalities and applicable predicate selectivities
-// (with correlation corrections), per the paper's model.
+// Evaluate prices the plan exactly under spec. Each join's result
+// cardinality is card(S) of the tables joined so far, the rule Index
+// states; its operands are the previous result and the inner table at its
+// raw cardinality.
 func Evaluate(q *qopt.Query, p *Plan, spec cost.Spec) (*Costing, error) {
 	if err := p.Validate(q); err != nil {
 		return nil, err
@@ -96,61 +97,26 @@ func Evaluate(q *qopt.Query, p *Plan, spec cost.Spec) (*Costing, error) {
 	params := spec.Params.WithDefaults()
 	n := q.NumTables()
 
-	inSet := make([]bool, n)
-	predApplied := make([]bool, len(q.Predicates))
-	groupApplied := make([]bool, len(q.Correlated))
-
-	inSet[p.Order[0]] = true
-	curCard := q.Tables[p.Order[0]].Card
+	w := NewIndex(q).Walk()
+	curCard, _ := w.Add(p.Order[0], nil)
 
 	c := &Costing{}
 	for j := 0; j+1 < n; j++ {
 		inner := p.Order[j+1]
-		innerCard := q.Tables[inner].Card
 		outerCard := curCard
-		inSet[inner] = true
-
 		step := JoinStep{
 			Inner:     inner,
 			OuterCard: outerCard,
-			InnerCard: innerCard,
+			InnerCard: q.Tables[inner].Card,
 		}
-
-		// Result cardinality: product, then newly applicable
-		// predicates and newly complete correlation groups.
-		resCard := outerCard * innerCard
-		for pi := range q.Predicates {
-			if predApplied[pi] {
-				continue
-			}
-			if tablesPresent(q.Predicates[pi].Tables, inSet) {
-				predApplied[pi] = true
-				resCard *= q.Predicates[pi].Sel
-				step.AppliedPreds = append(step.AppliedPreds, pi)
-
-				// Expensive-predicate evaluation cost: paid once,
-				// on the result that triggers evaluation (priced on
-				// the outer cardinality, mirroring the Σ pco·co
-				// term of Section 5.1).
-				if ec := q.Predicates[pi].EvalCostPerTuple; ec > 0 {
-					step.Cost += ec * outerCard
-				}
-			}
-		}
-		for gi, g := range q.Correlated {
-			if groupApplied[gi] {
-				continue
-			}
-			all := true
-			for _, pi := range g.Predicates {
-				if !predApplied[pi] {
-					all = false
-					break
-				}
-			}
-			if all {
-				groupApplied[gi] = true
-				resCard *= g.CorrectionSel
+		resCard, applied := w.Add(inner, nil)
+		step.AppliedPreds = applied
+		for _, pi := range applied {
+			// Expensive-predicate evaluation cost: paid once, on the
+			// result that triggers evaluation (priced on the outer
+			// cardinality, mirroring the Σ pco·co term of Section 5.1).
+			if ec := q.Predicates[pi].EvalCostPerTuple; ec > 0 {
+				step.Cost += ec * outerCard
 			}
 		}
 		step.ResultCard = resCard
@@ -171,7 +137,7 @@ func Evaluate(q *qopt.Query, p *Plan, spec cost.Spec) (*Costing, error) {
 			}
 		case cost.OperatorCost:
 			pgo := params.Pages(outerCard)
-			pgi := params.Pages(innerCard)
+			pgi := params.Pages(step.InnerCard)
 			step.Cost += cost.JoinCost(op, pgo, pgi, params)
 			c.Total += step.Cost
 		default:
@@ -192,13 +158,4 @@ func Cost(q *qopt.Query, p *Plan, spec cost.Spec) (float64, error) {
 		return math.NaN(), err
 	}
 	return c.Total, nil
-}
-
-func tablesPresent(tables []int, inSet []bool) bool {
-	for _, t := range tables {
-		if !inSet[t] {
-			return false
-		}
-	}
-	return true
 }

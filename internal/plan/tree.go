@@ -119,16 +119,20 @@ func (t *Tree) LeftDeepPlan(metric cost.Metric) *Plan {
 	return &Plan{Order: order}
 }
 
-// TreeCost prices a bushy tree exactly under spec: cardinalities are
-// products of table cardinalities and applicable predicate selectivities
-// (with correlation corrections); C_out sums every non-root join result;
-// OperatorCost prices each join with the spec's operator on both operand
-// page counts.
+// TreeCost prices a bushy tree exactly under spec: every join's result is
+// card(S) of the tables under it, the rule Index states, and a leaf
+// enters its join at its raw cardinality; C_out sums every non-root join
+// result; OperatorCost prices each join with the spec's operator on both
+// operand page counts. Predicate evaluation costs
+// (Predicate.EvalCostPerTuple) are not priced: a bushy tree has no single
+// outer operand to bill them on, so for queries with expensive predicates
+// TreeCost is below Cost of the same left-deep plan.
 func TreeCost(q *qopt.Query, t *Tree, spec cost.Spec) (float64, error) {
 	if err := t.Validate(q); err != nil {
 		return 0, err
 	}
 	params := spec.Params.WithDefaults()
+	ix := NewIndex(q)
 	var total float64
 	var walk func(node *Tree, isRoot bool) (card float64, err error)
 	walk = func(node *Tree, isRoot bool) (float64, error) {
@@ -143,7 +147,7 @@ func TreeCost(q *qopt.Query, t *Tree, spec cost.Spec) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		card := subsetCard(q, node)
+		card := ix.setCard(node.Tables(nil))
 		switch spec.Metric {
 		case cost.Cout:
 			if !isRoot {
@@ -160,53 +164,4 @@ func TreeCost(q *qopt.Query, t *Tree, spec cost.Spec) (float64, error) {
 		return 0, err
 	}
 	return total, nil
-}
-
-// subsetCard computes the exact cardinality of the join of all tables
-// under node.
-func subsetCard(q *qopt.Query, node *Tree) float64 {
-	return SubsetCard(q, node.Tables(nil))
-}
-
-// SubsetCard computes the estimated cardinality of the join of a table
-// subset: the product of table cardinalities, all applicable predicate
-// selectivities, and complete correlation-group corrections. It is the
-// per-node estimate the streaming executor compares measured join sizes
-// against.
-func SubsetCard(q *qopt.Query, tables []int) float64 {
-	present := map[int]bool{}
-	for _, tb := range tables {
-		present[tb] = true
-	}
-	card := 1.0
-	for tb := range present {
-		card *= q.Tables[tb].Card
-	}
-	applied := make([]bool, len(q.Predicates))
-	for pi, p := range q.Predicates {
-		ok := true
-		for _, tb := range p.Tables {
-			if !present[tb] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			applied[pi] = true
-			card *= p.Sel
-		}
-	}
-	for _, g := range q.Correlated {
-		all := true
-		for _, pi := range g.Predicates {
-			if !applied[pi] {
-				all = false
-				break
-			}
-		}
-		if all {
-			card *= g.CorrectionSel
-		}
-	}
-	return card
 }

@@ -88,8 +88,27 @@ func TestBushyTreeWithCorrelationGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := subsetCard(q, tr); math.Abs(got-eval.FinalCard) > 1e-9*eval.FinalCard {
-		t.Errorf("subsetCard = %g, want %g", got, eval.FinalCard)
+	if got := SubsetCard(q, tr.Tables(nil)); math.Abs(got-eval.FinalCard) > 1e-9*eval.FinalCard {
+		t.Errorf("SubsetCard = %g, want %g", got, eval.FinalCard)
+	}
+}
+
+// TestSubsetCardDeterministic: the streaming executor picks a join's build
+// side by comparing two SubsetCard values, so the same set must give the
+// same float64 on every call, whatever order its tables are listed in.
+func TestSubsetCardDeterministic(t *testing.T) {
+	q := &qopt.Query{}
+	for _, c := range []float64{12345.678, 98765.4321, 23456.789, 87654.321, 34567.891, 76543.219, 45678.912} {
+		q.Tables = append(q.Tables, qopt.Table{Card: c})
+	}
+	q.Predicates = []qopt.Predicate{{Tables: []int{0, 6}, Sel: 0.0123}, {Tables: []int{3}, Sel: 0.3}}
+	tables := []int{0, 1, 2, 3, 4, 5, 6}
+	want := math.Float64bits(SubsetCard(q, tables))
+	for i := 0; i < 2000; i++ {
+		tables[i%7], tables[(i*3+1)%7] = tables[(i*3+1)%7], tables[i%7]
+		if got := math.Float64bits(SubsetCard(q, tables)); got != want {
+			t.Fatalf("call %d (%v): %x, want %x", i, tables, got, want)
+		}
 	}
 }
 
