@@ -25,13 +25,13 @@ const (
 // consistent with the nonbasic statuses (within the optimality tolerance).
 // It prices all columns with y = B⁻ᵀ·c_B.
 func (s *solver) dualFeasible() bool {
-	copy(s.y, s.cost)
-	s.factor.btran(s.y)
+	s.factor.btran(s.cost, s.y)
+	rowP := s.factor.rowP()
 	for j := 0; j < s.n; j++ {
 		if s.status[j] == Basic || s.p.U[j]-s.p.L[j] <= 0 {
 			continue
 		}
-		d := s.p.C[j] - s.p.A.ColDot(j, s.y)
+		d := s.p.C[j] - colDot(s.p.A, rowP, j, s.y)
 		switch s.status[j] {
 		case NonbasicLower:
 			if d < -1e-6 {
@@ -74,7 +74,7 @@ type dualCandidate struct {
 // updates skip basic and fixed columns entirely.
 func (s *solver) dualLoop() dualOutcome {
 	ws := s.ws
-	rho := ws.rho         // BTRAN row workspace (m)
+	rho := ws.rho         // ρ = B⁻ᵀ·e_leave in pivot-row coordinates (m)
 	d := ws.d             // reduced costs, maintained incrementally (n)
 	alpha := ws.alpha     // pivot row entries (n)
 	flipAcc := ws.flipAcc // accumulated A·Δx over flips (m)
@@ -82,15 +82,15 @@ func (s *solver) dualLoop() dualOutcome {
 	nbPos := ws.nbPos
 
 	reprice := func() {
-		copy(s.y, s.cost)
-		s.factor.btran(s.y)
+		s.factor.btran(s.cost, s.y)
+		rowP := s.factor.rowP()
 		nbList = nbList[:0]
 		for j := 0; j < s.n; j++ {
 			if s.status[j] == Basic {
 				d[j] = 0
 				continue
 			}
-			d[j] = s.p.C[j] - s.p.A.ColDot(j, s.y)
+			d[j] = s.p.C[j] - colDot(s.p.A, rowP, j, s.y)
 			if s.p.U[j]-s.p.L[j] > 0 {
 				nbPos[j] = len(nbList)
 				nbList = append(nbList, j)
@@ -144,18 +144,17 @@ func (s *solver) dualLoop() dualOutcome {
 		}
 
 		// Pivot row: rho = B⁻ᵀ·e_leave; alpha_j = rhoᵀ·a_j.
-		for i := range rho {
-			rho[i] = 0
-		}
-		rho[leave] = 1
-		s.factor.btran(rho)
+		ws.unit[leave] = 1
+		s.factor.btran(ws.unit, rho)
+		ws.unit[leave] = 0
 
 		// Collect eligible candidates from the nonbasic list: entering j
 		// whose feasible movement pushes x_leave toward its violated bound
 		// (∂x_leave/∂x_j = −alpha_j).
 		cands = cands[:0]
+		rowP := s.factor.rowP()
 		for _, j := range nbList {
-			a := s.p.A.ColDot(j, rho)
+			a := colDot(s.p.A, rowP, j, rho)
 			alpha[j] = a
 			if math.Abs(a) < pivotTol {
 				continue

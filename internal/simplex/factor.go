@@ -27,6 +27,10 @@ type factorSlot struct {
 	lu   sparse.LU
 	a    *sparse.CSC
 	head []int
+	// rowP is a's row indices mapped through lu.Pinv, entry for entry: the
+	// coordinates btran leaves y in, so that pricing reads y[i] of row i at
+	// y[rowP[p]] without a scatter. Rebuilt with every factorization.
+	rowP []int
 	used uint64 // basisFactor.clock when last factorized or adopted
 }
 
@@ -81,6 +85,12 @@ type basisFactor struct {
 	chunk   int        // chunk the next eta is written to
 	fill    int        // offset in that chunk where it will start
 	scratch []float64
+
+	// Working storage of ftranColumn: the LU's pivot-coordinate scratch, and
+	// the basis positions where the result may be nonzero (all-clear
+	// between calls).
+	solve sparse.SolveScratch
+	marks sparse.Bitset
 }
 
 // reset prepares the factor for a new solve over an m-row basis, keeping
@@ -95,6 +105,7 @@ func (f *basisFactor) reset(m int) {
 	}
 	f.m = m
 	f.scratch = growFloats(f.scratch, m)
+	f.marks = sparse.GrowBitset(f.marks, m)
 	f.clearEtas()
 	f.work = -1
 }
@@ -136,6 +147,10 @@ func (f *basisFactor) load(a *sparse.CSC, head []int) (factorized bool, err erro
 	}
 	sl.a, sl.used = a, f.clock
 	sl.head = append(sl.head[:0], head...)
+	sl.rowP = growInts(sl.rowP, len(a.RowInd))
+	for p, i := range a.RowInd {
+		sl.rowP[p] = sl.lu.Pinv[i]
+	}
 	f.cur = f.work
 	f.clearEtas()
 	return true, nil
@@ -168,20 +183,74 @@ func (f *basisFactor) ftran(v []float64) {
 	}
 }
 
-// btran solves Bᵀ·y = v in place. v must have length m.
+// ftranColumn solves B·w = a for the column a whose entries are vals at
+// rows, as ftran would, at a cost set by the nonzeros. w must be zero (of
+// either sign) on entry; it is written only where the result may be nonzero.
+// The positions where w is nonzero are appended to ind, ascending.
+func (f *basisFactor) ftranColumn(rows []int, vals []float64, w []float64, ind []int) []int {
+	f.slots[f.cur].lu.SolveColumnInto(rows, vals, w, f.marks, &f.solve)
+	for e := range f.etas {
+		et := &f.etas[e]
+		vr := w[et.r] / et.wr
+		w[et.r] = vr
+		if vr == 0 {
+			continue
+		}
+		for k, i := range et.ind {
+			w[i] -= et.val[k] * vr
+			f.marks.Set(i)
+		}
+	}
+	return f.marks.Collect(ind, w)
+}
+
+// btran solves Bᵀ·y = c, c indexed by basis position, and leaves y in the
+// pivot-row coordinates of the current LU: the value of row i sits at
+// y[Pinv[i]], so column j's inner product with it runs over rowP (see
+// colDot). c is only read; y must have length m.
 //
 // B_k⁻ᵀ = B₀⁻ᵀ·E₁⁻ᵀ···E_k⁻ᵀ, so the eta updates apply in reverse creation
 // order, followed by the transposed LU solve.
-func (f *basisFactor) btran(v []float64) {
-	for e := len(f.etas) - 1; e >= 0; e-- {
-		et := &f.etas[e]
-		s := v[et.r]
-		for k, i := range et.ind {
-			s -= et.val[k] * v[i]
+func (f *basisFactor) btran(c, y []float64) {
+	if len(f.etas) > 0 {
+		v := f.scratch
+		copy(v, c)
+		for e := len(f.etas) - 1; e >= 0; e-- {
+			et := &f.etas[e]
+			s := v[et.r]
+			for k, i := range et.ind {
+				s -= et.val[k] * v[i]
+			}
+			v[et.r] = s / et.wr
 		}
-		v[et.r] = s / et.wr
+		c = v
 	}
-	f.slots[f.cur].lu.SolveTransposeInPlace(v, f.scratch)
+	f.slots[f.cur].lu.SolveTransposeToPivot(c, y)
+}
+
+// rowP returns the current LU's pivot positions of the constraint matrix's
+// entries (see factorSlot.rowP).
+func (f *basisFactor) rowP() []int { return f.slots[f.cur].rowP }
+
+// unpivot writes y, left in pivot-row coordinates by btran, to dst by row.
+func (f *basisFactor) unpivot(dst, y []float64) {
+	for k, i := range f.slots[f.cur].lu.P {
+		dst[i] = y[k]
+	}
+}
+
+// colDot is column j of a times y, where y is in the pivot-row coordinates
+// rowP maps a's entries to: a.ColDot(j, ·) of y by row, term for term.
+func colDot(a *sparse.CSC, rowP []int, j int, y []float64) float64 {
+	lo, hi := a.ColPtr[j], a.ColPtr[j+1]
+	vals := a.Val[lo:hi]
+	rows := rowP[lo:hi]
+	rows = rows[:len(vals)] // lets the compiler drop the bounds check on rows[p]
+	var s float64
+	for p, v := range vals {
+		s += v * y[rows[p]]
+	}
+	return s
 }
 
 // update appends an eta for a pivot at basis position r with transformed

@@ -77,9 +77,23 @@ func requirePhaseState(t *testing.T, label string, s *solver) (phase1 bool) {
 	return phase1
 }
 
+// requireColumnState checks what the next entering column's FTRAN relies on:
+// wInd lists, strictly ascending, exactly the positions where w is nonzero.
+func requireColumnState(t *testing.T, label string, s *solver) {
+	t.Helper()
+	if !slices.IsSorted(s.wInd) || len(slices.Compact(slices.Clone(s.wInd))) != len(s.wInd) {
+		t.Fatalf("%s: wInd %v is not strictly ascending", label, s.wInd)
+	}
+	for k, wk := range s.w {
+		if _, listed := slices.BinarySearch(s.wInd, k); listed != (wk != 0) {
+			t.Fatalf("%s: w[%d] = %v, listed in wInd: %v", label, k, wk, listed)
+		}
+	}
+}
+
 // TestPhaseStateMatchesRecompute stops a cold solve after every iteration
 // count it passes through and checks the phase state the solver maintained
-// incrementally. The LPs start from a slack basis that violates their ≥ and =
+// incrementally, and the transformed column's index list. The LPs start from a slack basis that violates their ≥ and =
 // rows, so a good share of the iterations are phase 1; a stop at iteration i
 // comes before the periodic refactorization, so up to RefactorEvery
 // iterations of incremental upkeep are behind each comparison.
@@ -115,9 +129,11 @@ func TestPhaseStateMatchesRecompute(t *testing.T) {
 			if res.Status != StatusIterLimit || res.Iters != i {
 				t.Fatalf("seed %d: stop at %d gave %v after %d iterations", tc.seed, i, res.Status, res.Iters)
 			}
-			if requirePhaseState(t, fmt.Sprintf("seed %d, iteration %d", tc.seed, i), &ws.sol) {
+			label := fmt.Sprintf("seed %d, iteration %d", tc.seed, i)
+			if requirePhaseState(t, label, &ws.sol) {
 				phase1Iters++
 			}
+			requireColumnState(t, label, &ws.sol)
 		}
 		if 10*phase1Iters < 3*total {
 			t.Errorf("seed %d: %d of %d iterations in phase 1, want at least 30%%", tc.seed, phase1Iters, total)
@@ -145,5 +161,6 @@ func TestPhaseStateRebuiltAfterDualLoop(t *testing.T) {
 			t.Fatalf("seed %d: the dual loop did not pivot", seed)
 		}
 		requirePhaseState(t, fmt.Sprintf("seed %d", seed), &ws.sol)
+		requireColumnState(t, fmt.Sprintf("seed %d", seed), &ws.sol)
 	}
 }

@@ -81,12 +81,17 @@ type solver struct {
 	// cardinality approximations) are not held to absolute precision.
 	tolL, tolU []float64
 
-	y []float64 // dual workspace (m)
+	// y = B⁻ᵀ·c_B of the last pricing pass, in the pivot-row coordinates of
+	// the factor's LU (see basisFactor.btran); finish scatters it by row.
+	y []float64
 	w []float64 // transformed entering column (m)
-	// wInd lists, ascending, the basis positions where w is nonzero. Set by
-	// ftranColumn and valid until w is written again: by the next entering
-	// column or by recomputeBasics, which uses w as its right-hand side.
+	// wInd lists, ascending, the basis positions where w is nonzero, and w
+	// is zero (of either sign) everywhere else. Set by ftranColumn; emptied
+	// by solveBasics, which uses w as its right-hand side and clears it.
 	wInd []int
+
+	// ratioCands holds the ratio test's blocking candidates (capacity m).
+	ratioCands []ratioCand
 
 	// Phase state per basis position, kept in step with x and head by every
 	// primal iteration at the positions it changes (wInd and the leaving
@@ -133,6 +138,7 @@ func (s *solver) init(warm *Basis) {
 	s.y = ws.y
 	s.w = ws.w
 	s.wInd = ws.wInd
+	s.ratioCands = ws.ratioCands
 	s.infeas = ws.infeas
 	s.grad = ws.grad
 	s.cost = ws.cost
@@ -308,12 +314,15 @@ func (s *solver) recomputeBasics() {
 	s.solveBasics()
 }
 
-// solveBasics finishes what recomputeBasics starts, from w = b − A_N·x_N.
+// solveBasics finishes what recomputeBasics starts, from w = b − A_N·x_N,
+// and leaves w all-zero for the next entering column.
 func (s *solver) solveBasics() {
 	s.factor.ftran(s.w)
 	for k, j := range s.head {
 		s.x[j] = s.w[k]
 	}
+	clear(s.w)
+	s.wInd = s.wInd[:0]
 	s.rebuildPhaseState()
 	s.refreshed = true
 }
@@ -357,6 +366,9 @@ func (s *solver) classify(k int) {
 
 // run executes the two-phase primal simplex loop.
 func (s *solver) run() (*Result, error) {
+	// yKept: y is still B⁻ᵀ·c_B for the phase-2 costs. A phase-2 bound flip
+	// leaves it so, because it moves neither the factor nor c_B.
+	yKept := false
 	for {
 		if s.iters >= s.opts.MaxIter {
 			return s.finish(StatusIterLimit), nil
@@ -368,17 +380,19 @@ func (s *solver) run() (*Result, error) {
 			if err := s.refactorizeOrRepair(); err != nil {
 				return nil, err
 			}
+			yKept = false
 		}
 
 		phase1 := s.nInfeasible > 0
 
 		// Pricing: y = B⁻ᵀ c_B with the phase-appropriate costs.
-		if phase1 {
-			copy(s.y, s.grad)
-		} else {
-			copy(s.y, s.cost)
+		switch {
+		case phase1:
+			s.factor.btran(s.grad, s.y)
+		case !yKept:
+			s.factor.btran(s.cost, s.y)
 		}
-		s.factor.btran(s.y)
+		yKept = false
 
 		q, sigma := s.chooseEntering(phase1)
 		if q < 0 {
@@ -424,6 +438,7 @@ func (s *solver) run() (*Result, error) {
 		case flip:
 			s.applyBoundFlip(q, sigma, t)
 			s.refreshed = false
+			yKept = !phase1
 		default:
 			if err := s.applyPivot(q, sigma, t, leave, leaveStatus); err != nil {
 				return nil, err
@@ -463,21 +478,11 @@ func (s *solver) aborted() bool {
 // ftranColumn computes the transformed entering column w = B⁻¹·a_q and
 // lists the positions of its nonzeros in wInd.
 func (s *solver) ftranColumn(q int) {
-	for i := range s.w {
-		s.w[i] = 0
+	for _, k := range s.wInd {
+		s.w[k] = 0
 	}
 	rows, vals := s.p.A.Col(q)
-	for p, i := range rows {
-		s.w[i] = vals[p]
-	}
-	s.factor.ftran(s.w)
-	ind := s.wInd[:0]
-	for k, wk := range s.w {
-		if wk != 0 {
-			ind = append(ind, k)
-		}
-	}
-	s.wInd = ind
+	s.wInd = s.factor.ftranColumn(rows, vals, s.w, s.wInd[:0])
 }
 
 // chooseEntering prices nonbasic columns and returns the entering variable
@@ -510,6 +515,7 @@ func (s *solver) chooseEntering(phase1 bool) (int, float64) {
 		section, minPool = nAct/8, 32
 	}
 
+	rowP := s.factor.rowP()
 	best, eligible := -1, 0
 	var bestScore, bestSigma float64
 	idx := s.priceCursor
@@ -536,7 +542,7 @@ func (s *solver) chooseEntering(phase1 bool) (int, float64) {
 			if !phase1 {
 				cj = s.p.C[j]
 			}
-			d := cj - s.p.A.ColDot(j, s.y)
+			d := cj - colDot(s.p.A, rowP, j, s.y)
 			var sigma float64
 			switch st {
 			case NonbasicLower:
@@ -581,6 +587,7 @@ func (s *solver) chooseEntering(phase1 bool) (int, float64) {
 // returns the first eligible column (Bland's anti-cycling rule).
 func (s *solver) chooseEnteringBland(phase1 bool) (int, float64) {
 	s.pricing.TotalCols += len(s.activeCols)
+	rowP := s.factor.rowP()
 	for i, j := range s.activeCols {
 		st := s.status[j]
 		if st == Basic {
@@ -590,7 +597,7 @@ func (s *solver) chooseEnteringBland(phase1 bool) (int, float64) {
 		if !phase1 {
 			cj = s.p.C[j]
 		}
-		d := cj - s.p.A.ColDot(j, s.y)
+		d := cj - colDot(s.p.A, rowP, j, s.y)
 		switch st {
 		case NonbasicLower:
 			if d < -optTol {
@@ -642,6 +649,14 @@ func (s *solver) resetDevex() {
 	}
 }
 
+// ratioCand is a basic variable that blocks the entering direction: at
+// basis position k, after step t, leaving with status st.
+type ratioCand struct {
+	k  int
+	t  float64
+	st VarStatus
+}
+
 // ratioTest finds the maximum step t for entering variable q moving in
 // direction sigma. It returns the step, the blocking basis position (or -1),
 // the status the leaving variable assumes, and whether the step is a bound
@@ -656,66 +671,16 @@ func (s *solver) ratioTest(q int, sigma float64, phase1 bool) (t float64, leave 
 		tEnter = s.p.U[q] - s.p.L[q]
 	}
 
-	// First pass: tightest blocking step.
+	// One pass over w's nonzeros: each basic variable that blocks, the step
+	// at which it does and the bound it stops at; tBest is the tightest step.
 	tBest := math.Inf(1)
-	for _, k := range s.wInd {
-		j := s.head[k]
-		wk := sigma * s.w[k]
-		var tk float64
-		if wk > pivotTol { // x_j decreases
-			switch {
-			case phase1 && s.x[j] > s.p.U[j]+s.tolU[j]:
-				tk = (s.x[j] - s.p.U[j]) / wk
-			case s.x[j] >= s.p.L[j]-s.tolL[j]:
-				if math.IsInf(s.p.L[j], -1) {
-					continue
-				}
-				tk = (s.x[j] - s.p.L[j]) / wk
-			default:
-				continue // below lower and sinking: already counted in gradient
-			}
-		} else if wk < -pivotTol { // x_j increases
-			switch {
-			case phase1 && s.x[j] < s.p.L[j]-s.tolL[j]:
-				tk = (s.p.L[j] - s.x[j]) / -wk
-			case s.x[j] <= s.p.U[j]+s.tolU[j]:
-				if math.IsInf(s.p.U[j], 1) {
-					continue
-				}
-				tk = (s.p.U[j] - s.x[j]) / -wk
-			default:
-				continue
-			}
-		} else {
-			continue
-		}
-		if tk < 0 {
-			tk = 0
-		}
-		if tk < tBest {
-			tBest = tk
-		}
-	}
-
-	if tEnter <= tBest {
-		return tEnter, -1, 0, true
-	}
-	if math.IsInf(tBest, 1) {
-		return tBest, -1, 0, false
-	}
-
-	// Second pass: among blocks within a relative window of tBest, pick
-	// the largest pivot magnitude for numerical stability (Bland mode
-	// picks the smallest variable index instead).
-	window := tBest + 1e-9*(1+tBest)
-	leave = -1
-	var bestPiv float64
+	cands := s.ratioCands[:0]
 	for _, k := range s.wInd {
 		j := s.head[k]
 		wk := sigma * s.w[k]
 		var tk float64
 		var st VarStatus
-		if wk > pivotTol {
+		if wk > pivotTol { // x_j decreases
 			switch {
 			case phase1 && s.x[j] > s.p.U[j]+s.tolU[j]:
 				tk, st = (s.x[j]-s.p.U[j])/wk, NonbasicUpper
@@ -725,9 +690,9 @@ func (s *solver) ratioTest(q int, sigma float64, phase1 bool) (t float64, leave 
 				}
 				tk, st = (s.x[j]-s.p.L[j])/wk, NonbasicLower
 			default:
-				continue
+				continue // below lower and sinking: already counted in gradient
 			}
-		} else if wk < -pivotTol {
+		} else if wk < -pivotTol { // x_j increases
 			switch {
 			case phase1 && s.x[j] < s.p.L[j]-s.tolL[j]:
 				tk, st = (s.p.L[j]-s.x[j])/-wk, NonbasicLower
@@ -745,21 +710,41 @@ func (s *solver) ratioTest(q int, sigma float64, phase1 bool) (t float64, leave 
 		if tk < 0 {
 			tk = 0
 		}
-		if tk > window {
+		if tk < tBest {
+			tBest = tk
+		}
+		cands = append(cands, ratioCand{k: k, t: tk, st: st})
+	}
+	s.ratioCands = cands
+
+	if tEnter <= tBest {
+		return tEnter, -1, 0, true
+	}
+	if math.IsInf(tBest, 1) {
+		return tBest, -1, 0, false
+	}
+
+	// Among the blocks within a relative window of tBest, pick the largest
+	// pivot magnitude for numerical stability (Bland mode picks the
+	// smallest variable index instead).
+	window := tBest + 1e-9*(1+tBest)
+	leave = -1
+	var bestPiv float64
+	for _, c := range cands {
+		if c.t > window {
 			continue
 		}
 		if s.bland {
-			if leave < 0 || j < s.head[leave] {
-				leave, leaveStatus = k, st
+			if leave < 0 || s.head[c.k] < s.head[leave] {
+				leave, leaveStatus = c.k, c.st
 			}
-		} else if p := math.Abs(s.w[k]); p > bestPiv {
-			bestPiv, leave, leaveStatus = p, k, st
+		} else if p := math.Abs(s.w[c.k]); p > bestPiv {
+			bestPiv, leave, leaveStatus = p, c.k, c.st
 		}
 	}
 	if leave < 0 {
-		// Unreachable by arithmetic: the row that set tBest in the first
-		// pass computes the same tk here, and tBest is inside the window.
-		// Kept as a guard against pivoting on no row: an infinite step
+		// Unreachable by arithmetic: the candidate that set tBest is inside
+		// the window. Kept as a guard against pivoting on no row: an infinite step
 		// makes run refresh the factorization and, if the state was
 		// already exact, repair (phase 1) or end unbounded.
 		return math.Inf(1), -1, 0, false
@@ -872,7 +857,8 @@ func (s *solver) finish(st Status) *Result {
 	if st == StatusOptimal {
 		// run declares optimality straight after a phase-2 pricing pass
 		// over the exact state, so s.y already holds B⁻ᵀ·c_B.
-		ws.resY = append(ws.resY[:0], s.y...)
+		ws.resY = growFloats(ws.resY, s.m)
+		s.factor.unpivot(ws.resY, s.y)
 		res.Y = ws.resY
 	}
 	return res

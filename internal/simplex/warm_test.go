@@ -1,8 +1,10 @@
 package simplex
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -158,6 +160,56 @@ func TestWorkspaceReuseAcrossSizes(t *testing.T) {
 				checkKKT(t, p, got)
 			}
 		}
+	}
+}
+
+// TestWorkspaceReuseAcrossRowCounts drives one workspace through LPs of 5,
+// 300, 70 and 300 rows, each solved cold and then warm from its optimal
+// basis after a bound tightening (primal repair and dual), and holds every
+// result to the same solve on a fresh workspace with ==. Between row counts
+// the sparse FTRAN's bitsets, the retained factors' pivot-row maps and the
+// ratio test's candidate buffer shrink and regrow; what a solve leaves in
+// them must not reach the next one.
+func TestWorkspaceReuseAcrossRowCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	shared := NewWorkspace()
+	check := func(label string, p *Problem, warm *Basis, opts Options) *Result {
+		t.Helper()
+		opts.Workspace = shared
+		got, err := Solve(p, warm, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		opts.Workspace = NewWorkspace()
+		want, err := Solve(p, warm, opts)
+		if err != nil {
+			t.Fatalf("%s, fresh workspace: %v", label, err)
+		}
+		if got.Status != want.Status || got.Iters != want.Iters || got.Obj != want.Obj ||
+			!slices.Equal(got.X, want.X) || !slices.Equal(got.Y, want.Y) {
+			t.Fatalf("%s: reused workspace gives %v after %d iterations, obj %v; a fresh one %v after %d, obj %v (or X, Y differ)",
+				label, got.Status, got.Iters, got.Obj, want.Status, want.Iters, want.Obj)
+		}
+		return got
+	}
+	for _, m := range []int{5, 300, 70, 300} {
+		ns := m + m/2
+		p := randomFeasibleLPWithDensity(rng, m, ns, min(1, 6/float64(ns)))
+		cold := check(fmt.Sprintf("m=%d cold", m), p, nil, Options{})
+		if cold.Status != StatusOptimal {
+			t.Fatalf("m=%d cold: %v", m, cold.Status)
+		}
+		basis := cold.Basis.Clone()
+		j := slices.IndexFunc(basis.Status[:ns], func(st VarStatus) bool { return st == Basic })
+		if j < 0 {
+			t.Fatalf("m=%d: no basic structural column to branch on", m)
+		}
+		origU := p.U[j]
+		p.U[j] = (p.L[j] + cold.X[j]) / 2
+		for _, dual := range []bool{false, true} {
+			check(fmt.Sprintf("m=%d warm (dual %v)", m, dual), p, basis, Options{PreferDual: dual})
+		}
+		p.U[j] = origU
 	}
 }
 

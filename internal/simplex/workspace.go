@@ -34,6 +34,7 @@ type Workspace struct {
 	tolL, tolU []float64
 	y, w       []float64
 	wInd       []int
+	ratioCands []ratioCand
 	infeas     []bool
 	grad, cost []float64 // basic objective per phase (m)
 
@@ -49,8 +50,10 @@ type Workspace struct {
 	devexW     []float64
 	activeCols []int
 
-	// Dual simplex working set.
+	// Dual simplex working set. unit is the right-hand side e_leave of the
+	// pivot row's BTRAN, kept all-zero between uses.
 	rho, d, alpha []float64
+	unit          []float64
 	flipAcc       []float64
 	cands         []dualCandidate
 	flips         []int
@@ -88,11 +91,15 @@ func (ws *Workspace) ensure(m, n int) {
 	ws.y = growFloats(ws.y, m)
 	ws.w = growFloats(ws.w, m)
 	ws.wInd = growInts(ws.wInd, m)
+	if cap(ws.ratioCands) < m {
+		ws.ratioCands = make([]ratioCand, 0, m)
+	}
 	ws.grad = growFloats(ws.grad, m)
 	ws.cost = growFloats(ws.cost, m)
 	ws.infeas = growBools(ws.infeas, m)
 	ws.devexW = growFloats(ws.devexW, n)
 	ws.rho = growFloats(ws.rho, m)
+	ws.unit = growFloats(ws.unit, m) // all-zero invariant holds for fresh storage
 	ws.d = growFloats(ws.d, n)
 	ws.alpha = growFloats(ws.alpha, n)
 	ws.flipAcc = growFloats(ws.flipAcc, m)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // ErrSingular reports that the matrix handed to Factorize is (numerically)
@@ -469,16 +470,152 @@ func (lu *LU) SolveInPlace(b, scratch []float64) {
 // SolveTransposeInPlace solves Aᵀ·y = c in original coordinates. c is
 // overwritten with y. scratch must have length N and is clobbered.
 func (lu *LU) SolveTransposeInPlace(c, scratch []float64) {
-	n := lu.N
-	// c' = Qᵀ c
-	for k := 0; k < n; k++ {
-		scratch[k] = c[lu.Q[k]]
-	}
-	lu.upperTransposeSolve(scratch)
-	lu.lowerTransposeSolve(scratch)
+	lu.SolveTransposeToPivot(c, scratch)
 	// y = Pᵀ v
-	for k := 0; k < n; k++ {
-		c[lu.P[k]] = scratch[k]
+	for k, i := range lu.P {
+		c[i] = scratch[k]
+	}
+}
+
+// SolveTransposeToPivot solves Aᵀ·y = c and leaves y in pivot-row
+// coordinates: v[k] = y[P[k]]. c, in original coordinates, is only read; v
+// must have length N. A caller that takes inner products of y with columns
+// of a matrix reads y there through the column's row indices mapped by
+// Pinv, and never scatters it.
+func (lu *LU) SolveTransposeToPivot(c, v []float64) {
+	// c' = Qᵀ c
+	for k, j := range lu.Q {
+		v[k] = c[j]
+	}
+	lu.upperTransposeSolve(v)
+	lu.lowerTransposeSolve(v)
+}
+
+// Bitset is a set of positions packed 64 to a word.
+type Bitset []uint64
+
+// GrowBitset returns b with room for positions 0..n-1, reusing its storage
+// when it is large enough. Grown storage is all-clear; kept storage is as it
+// was.
+func GrowBitset(b Bitset, n int) Bitset {
+	w := (n + 63) >> 6
+	if cap(b) < w {
+		return make(Bitset, w)
+	}
+	return b[:w]
+}
+
+// Set adds position i.
+func (b Bitset) Set(i int) { b[i>>6] |= 1 << (i & 63) }
+
+// Collect appends to dst, ascending, the positions in b at which v is
+// nonzero, and clears b.
+func (b Bitset) Collect(dst []int, v []float64) []int {
+	for wi, word := range b {
+		if word == 0 {
+			continue
+		}
+		b[wi] = 0
+		for word != 0 {
+			k := wi<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			if v[k] != 0 {
+				dst = append(dst, k)
+			}
+		}
+	}
+	return dst
+}
+
+// SolveScratch is the working storage of SolveColumnInto: a vector in pivot
+// coordinates kept all-zero between calls and the bitset of its positions
+// that may be nonzero, kept all-clear. The zero value is ready to use and
+// grows to the largest LU solved against. A scratch must not be shared
+// between concurrent solves.
+type SolveScratch struct {
+	z    []float64
+	mark Bitset
+}
+
+// SolveColumnInto solves A·x = b for the sparse right-hand side b whose
+// entries are vals at the original rows rows, as SolveInPlace would, at a
+// cost set by the nonzeros instead of by N. It writes x only where it is
+// nonzero and sets those positions in marks (a Bitset over N positions);
+// every other entry of x is left as it is, so a caller that wants x in full
+// passes it zero.
+//
+// b is scattered straight into pivot coordinates through Pinv, and the
+// triangular solves run off a bitset of the positions that may be nonzero,
+// visiting them in the ascending (L) and descending (U) order of the dense
+// loops. A position off the bitset holds zero, where the dense loop does no
+// arithmetic that could make it nonzero, so every nonzero of x comes out of
+// the same operations in the same order and has the bits SolveInPlace gives
+// it; only the sign of a zero can differ.
+func (lu *LU) SolveColumnInto(rows []int, vals []float64, x []float64, marks Bitset, ws *SolveScratch) {
+	n := lu.N
+	ws.z = growFloats(ws.z, n)
+	ws.mark = GrowBitset(ws.mark, n)
+	z, mark := ws.z, ws.mark
+	lo, hi := len(mark), -1 // the words that may hold marks
+	for p, i := range rows {
+		k := lu.Pinv[i]
+		z[k] = vals[p]
+		mark.Set(k)
+		lo, hi = min(lo, k>>6), max(hi, k>>6)
+	}
+
+	// L·y = Pb, ascending. L column k reaches only rows below k, so the
+	// marks it adds lie ahead of the scan.
+	for wi := lo; wi <= hi; wi++ {
+		for word := mark[wi]; word != 0; {
+			b := bits.TrailingZeros64(word)
+			k := wi<<6 | b
+			if yk := z[k]; yk != 0 {
+				for p := lu.Lp[k]; p < lu.Lp[k+1]; p++ {
+					i := lu.Li[p]
+					z[i] -= lu.Lx[p] * yk
+					mark.Set(i)
+					hi = max(hi, i>>6)
+				}
+			}
+			word = mark[wi] &^ (uint64(2)<<b - 1) // the marks above k
+		}
+	}
+
+	// U·z = y, descending over the positions on uCols. U column k reaches
+	// only rows above k, so the marks it adds lie ahead of the scan.
+	for wi := hi; wi >= lo; wi-- {
+		for word := mark[wi]; word != 0; {
+			b := 63 - bits.LeadingZeros64(word)
+			k := wi<<6 | b
+			if start, end := lu.Up[k], lu.Up[k+1]; start < end || lu.Udiag[k] != 1 {
+				zk := z[k] / lu.Udiag[k]
+				z[k] = zk
+				if zk != 0 {
+					for p := start; p < end; p++ {
+						i := lu.Ui[p]
+						z[i] -= lu.Ux[p] * zk
+						mark.Set(i)
+						lo = min(lo, i>>6)
+					}
+				}
+			}
+			word = mark[wi] & (uint64(1)<<b - 1) // the marks below k
+		}
+	}
+
+	// x = Q z at the nonzeros, leaving the scratch all-zero and all-clear.
+	for wi := lo; wi <= hi; wi++ {
+		word := mark[wi]
+		mark[wi] = 0
+		for ; word != 0; word &= word - 1 {
+			k := wi<<6 | bits.TrailingZeros64(word)
+			if zk := z[k]; zk != 0 {
+				x[lu.Q[k]] = zk
+				marks.Set(lu.Q[k])
+			}
+			z[k] = 0
+		}
 	}
 }
 

@@ -131,15 +131,10 @@ func randomMix(rng *rand.Rand, n int, share float64) basisCase {
 	return bc
 }
 
-// TestSolvesSkipTrivialColumnsBitIdentical pins that walking only the pivot
-// positions with work — a non-empty L column, a U column with off-diagonals
-// or a diagonal other than 1 — gives the same bits as walking all of them,
-// on bases mixed from identity and structural columns the way a simplex basis
-// is, and that entries at skipped positions pass through untouched whatever
-// they hold.
-func TestSolvesSkipTrivialColumnsBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-
+// namedBasisCases are the hand-built bases the solve kernels are held to the
+// reference on: identity, 1×1, a unit diagonal with off-diagonals, slacks
+// scaled to −1 and 0.5, and a fully dense block drawn from rng.
+func namedBasisCases(rng *rand.Rand) []basisCase {
 	oneStructural := identityCase("one structural column", 6)
 	oneStructural.cols[2] = map[int]float64{0: 3, 2: 4, 5: -2}
 
@@ -165,12 +160,23 @@ func TestSolvesSkipTrivialColumnsBitIdentical(t *testing.T) {
 		dense.cols[j][j] += 8
 	}
 
-	cases := []basisCase{
+	return []basisCase{
 		identityCase("pure identity", 6),
 		oneStructural, unitUpper, minusOne, scaledSlack, dense,
 		identityCase("1x1 identity", 1),
 		{name: "1x1 scaled", cols: []map[int]float64{{0: -4}}},
 	}
+}
+
+// TestSolvesSkipTrivialColumnsBitIdentical pins that walking only the pivot
+// positions with work — a non-empty L column, a U column with off-diagonals
+// or a diagonal other than 1 — gives the same bits as walking all of them,
+// on bases mixed from identity and structural columns the way a simplex basis
+// is, and that entries at skipped positions pass through untouched whatever
+// they hold.
+func TestSolvesSkipTrivialColumnsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	cases := namedBasisCases(rng)
 	for i := 0; i < 200; i++ {
 		cases = append(cases, randomMix(rng, 5+rng.Intn(56), 0.05+0.9*float64(i)/199))
 	}
