@@ -15,11 +15,11 @@ import (
 	"testing"
 	"time"
 
+	"milpjoin/internal/bb"
 	"milpjoin/internal/core"
 	"milpjoin/internal/cost"
 	"milpjoin/internal/dp"
 	"milpjoin/internal/experiments"
-	"milpjoin/internal/solver"
 	"milpjoin/internal/workload"
 )
 
@@ -51,20 +51,20 @@ func BenchmarkFigure1Census(b *testing.B) {
 // benchmarkFigure2Cell optimizes one random query per iteration under a
 // small budget and reports the median proven Cost/LB ratio.
 func benchmarkFigure2Cell(b *testing.B, shape workload.GraphShape, n int, prec core.Precision, budget time.Duration) {
-	opts := core.Options{Precision: prec, Metric: cost.OperatorCost, Op: cost.HashJoin}
+	opts := core.Options{Precision: prec, Metric: cost.OperatorCost, Op: cost.HashJoin, TimeLimit: budget, Threads: 2}
 	var gapSum float64
 	var plans int
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q := workload.Generate(shape, n, int64(i%5)+1, workload.Config{})
-		res, err := core.Optimize(context.Background(), q, opts, solver.Params{TimeLimit: budget, Threads: 2})
+		res, err := core.Optimize(context.Background(), q, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if res.Plan != nil {
 			plans++
-			if !math.IsInf(res.Solver.Gap, 1) {
-				gapSum += res.Solver.Gap
+			if !math.IsInf(res.Gap, 1) {
+				gapSum += res.Gap
 			}
 		}
 	}
@@ -130,10 +130,10 @@ func BenchmarkFigure2Chain30DP(b *testing.B) {
 // on a query size every configuration can close.
 func benchmarkPrecisionAblation(b *testing.B, prec core.Precision) {
 	q := workload.Generate(workload.Star, 10, 3, workload.Config{})
-	opts := core.Options{Precision: prec, Metric: cost.OperatorCost, Op: cost.HashJoin}
+	opts := core.Options{Precision: prec, Metric: cost.OperatorCost, Op: cost.HashJoin, TimeLimit: 30 * time.Second, Threads: 2}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Optimize(context.Background(), q, opts, solver.Params{TimeLimit: 30 * time.Second, Threads: 2})
+		res, err := core.Optimize(context.Background(), q, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -152,10 +152,10 @@ func BenchmarkAblationPrecisionLow(b *testing.B) { benchmarkPrecisionAblation(b,
 // Parallel search ablation (the solver feature the paper highlights).
 func benchmarkThreads(b *testing.B, threads int) {
 	q := workload.Generate(workload.Chain, 10, 4, workload.Config{})
-	opts := core.Options{Precision: core.PrecisionMedium, Metric: cost.OperatorCost, Op: cost.HashJoin}
+	opts := core.Options{Precision: core.PrecisionMedium, Metric: cost.OperatorCost, Op: cost.HashJoin, TimeLimit: 30 * time.Second, Threads: threads}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Optimize(context.Background(), q, opts, solver.Params{TimeLimit: 30 * time.Second, Threads: threads}); err != nil {
+		if _, err := core.Optimize(context.Background(), q, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,10 +169,11 @@ func BenchmarkAblationThreads4(b *testing.B) { benchmarkThreads(b, 4) }
 // itself a finding worth measuring).
 func benchmarkCuts(b *testing.B, rounds int) {
 	q := workload.Generate(workload.Star, 10, 3, workload.Config{})
-	opts := core.Options{Precision: core.PrecisionMedium, Metric: cost.OperatorCost, Op: cost.HashJoin}
+	opts := core.Options{Precision: core.PrecisionMedium, Metric: cost.OperatorCost, Op: cost.HashJoin,
+		TimeLimit: 10 * time.Second, Threads: 2, CutRounds: rounds}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Optimize(context.Background(), q, opts, solver.Params{TimeLimit: 10 * time.Second, Threads: 2, CutRounds: rounds})
+		res, err := core.Optimize(context.Background(), q, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,14 +187,14 @@ func BenchmarkAblationCutsOff(b *testing.B)     { benchmarkCuts(b, 0) }
 func BenchmarkAblationCuts2Rounds(b *testing.B) { benchmarkCuts(b, 2) }
 
 // MIP-start ablation: the greedy warm start that anchors the anytime
-// behaviour (disabled by passing an explicit empty InitialSolution is not
-// possible, so this measures the full pipeline against raw solver.Solve).
+// behaviour: the full pipeline against branch and bound on the encoded
+// model with no start.
 func BenchmarkAblationMIPStartOn(b *testing.B) {
 	q := workload.Generate(workload.Star, 12, 2, workload.Config{})
-	opts := core.Options{Precision: core.PrecisionMedium, Metric: cost.OperatorCost, Op: cost.HashJoin}
+	opts := core.Options{Precision: core.PrecisionMedium, Metric: cost.OperatorCost, Op: cost.HashJoin, TimeLimit: 2 * time.Second, Threads: 2}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Optimize(context.Background(), q, opts, solver.Params{TimeLimit: 2 * time.Second, Threads: 2})
+		res, err := core.Optimize(context.Background(), q, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -211,12 +212,12 @@ func BenchmarkAblationMIPStartOff(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := solver.Solve(context.Background(), enc.Model, solver.Params{TimeLimit: 2 * time.Second, Threads: 2})
+		res, err := bb.Solve(context.Background(), enc.Model.Compile(), bb.Params{TimeLimit: 2 * time.Second, Threads: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.ReportMetric(boolMetric(res.Solution != nil), "has-plan")
+			b.ReportMetric(boolMetric(res.HasIncumbent), "has-plan")
 		}
 	}
 }

@@ -122,7 +122,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts, err := buildOptions(*precision, *metric)
+	opts, err := joinorder.CostModel(*precision, *metric)
 	if err != nil {
 		fatal(err)
 	}
@@ -511,42 +511,6 @@ func parseShape(s string) (workload.GraphShape, error) {
 	default:
 		return 0, fmt.Errorf("unknown shape %q", s)
 	}
-}
-
-func buildOptions(precision, metric string) (joinorder.Options, error) {
-	opts := joinorder.Options{}
-	switch precision {
-	case "high":
-		opts.Precision = joinorder.PrecisionHigh
-	case "medium":
-		opts.Precision = joinorder.PrecisionMedium
-	case "low":
-		opts.Precision = joinorder.PrecisionLow
-	default:
-		return opts, fmt.Errorf("unknown precision %q", precision)
-	}
-	switch metric {
-	case "cout":
-		opts.Metric = joinorder.Cout
-	case "hash":
-		opts.Metric = joinorder.OperatorCost
-		opts.Op = joinorder.HashJoin
-	case "smj":
-		opts.Metric = joinorder.OperatorCost
-		opts.Op = joinorder.SortMergeJoin
-	case "bnl":
-		opts.Metric = joinorder.OperatorCost
-		opts.Op = joinorder.BlockNestedLoopJoin
-		opts.CardCap = 1e8
-	case "choose":
-		opts.Metric = joinorder.OperatorCost
-		opts.Op = joinorder.HashJoin
-		opts.ChooseOperators = true
-		opts.CardCap = 1e8
-	default:
-		return opts, fmt.Errorf("unknown metric %q", metric)
-	}
-	return opts, nil
 }
 
 func fatal(err error) {

@@ -29,23 +29,6 @@ func TestParseShape(t *testing.T) {
 	}
 }
 
-func TestBuildOptions(t *testing.T) {
-	opts, err := buildOptions("high", "cout")
-	if err != nil || opts.Metric != joinorder.Cout {
-		t.Fatalf("cout: %+v %v", opts, err)
-	}
-	opts, err = buildOptions("low", "choose")
-	if err != nil || !opts.ChooseOperators {
-		t.Fatalf("choose: %+v %v", opts, err)
-	}
-	if _, err := buildOptions("ultra", "hash"); err == nil {
-		t.Error("bad precision accepted")
-	}
-	if _, err := buildOptions("high", "quantum"); err == nil {
-		t.Error("bad metric accepted")
-	}
-}
-
 // TestLoadQueryExecute checks the generator swaps to the execution-
 // friendly workload config when -execute is set: table cardinalities
 // must stay small enough to actually run.

@@ -24,8 +24,8 @@
 // an expvar/pprof -metrics endpoint.
 //
 // Everything under internal/ is implementation detail: internal/core holds
-// the encoder (the paper's contribution), internal/solver the MILP solver
-// facade, and internal/experiments the harnesses regenerating the paper's
-// figures. Entry points: the joinorder package, cmd/joinopt, cmd/figures,
-// and the examples/ directory.
+// the encoder (the paper's contribution) and hands the encoded model to
+// internal/bb's branch and bound, and internal/experiments holds the
+// harnesses regenerating the paper's figures. Entry points: the joinorder
+// package, cmd/joinopt, cmd/figures, and the examples/ directory.
 package milpjoin

@@ -1,7 +1,8 @@
 // The MILP solver as a general-purpose library: the substrate built to
 // replace Gurobi is a complete mixed integer programming solver in its own
 // right. This example solves a 0/1 knapsack and an assignment problem with
-// the same modelling API the join-ordering encoder uses.
+// the same modelling API the join-ordering encoder uses, compiled to
+// computational form and handed to branch and bound.
 //
 //	go run ./examples/milpmodel
 package main
@@ -11,13 +12,28 @@ import (
 	"fmt"
 	"log"
 
+	"milpjoin/internal/bb"
 	"milpjoin/internal/milp"
-	"milpjoin/internal/solver"
 )
 
 func main() {
 	knapsack()
 	assignment()
+}
+
+// solve runs branch and bound on the compiled model and maps the incumbent
+// back to model space.
+func solve(m *milp.Model) (bb.Status, *milp.Solution) {
+	comp := m.Compile()
+	res, err := bb.Solve(context.Background(), comp, bb.Params{Threads: 2})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !res.HasIncumbent {
+		log.Fatalf("%s: %v without a solution", m.Name, res.Status)
+	}
+	vals := comp.Unscale(res.X[:m.NumVars()])
+	return res.Status, &milp.Solution{Values: vals, Obj: m.EvalObjective(vals)}
 }
 
 func knapsack() {
@@ -33,13 +49,10 @@ func knapsack() {
 	}
 	m.AddConstr(capacity, milp.LE, 26, "capacity")
 
-	res, err := solver.Solve(context.Background(), m, solver.Params{Threads: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("knapsack: %v, total value %.0f, picked:", res.Status, -res.Solution.Obj)
+	status, sol := solve(m)
+	fmt.Printf("knapsack: %v, total value %.0f, picked:", status, -sol.Obj)
 	for i, v := range vars {
-		if res.Solution.Value(v) > 0.5 {
+		if sol.Value(v) > 0.5 {
 			fmt.Printf(" item%d", i)
 		}
 	}
@@ -74,14 +87,11 @@ func assignment() {
 		m.AddConstr(col, milp.EQ, 1, fmt.Sprintf("task%d", t))
 	}
 
-	res, err := solver.Solve(context.Background(), m, solver.Params{Threads: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("assignment: %v, total cost %.0f\n", res.Status, res.Solution.Obj)
+	status, sol := solve(m)
+	fmt.Printf("assignment: %v, total cost %.0f\n", status, sol.Obj)
 	for w := 0; w < n; w++ {
 		for t := 0; t < n; t++ {
-			if res.Solution.Value(x[w][t]) > 0.5 {
+			if sol.Value(x[w][t]) > 0.5 {
 				fmt.Printf("  worker %d → task %d (cost %.0f)\n", w, t, costs[w][t])
 			}
 		}

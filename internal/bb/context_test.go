@@ -1,4 +1,4 @@
-package solver
+package bb
 
 import (
 	"context"
@@ -7,13 +7,12 @@ import (
 	"testing"
 	"time"
 
-	"milpjoin/internal/bb"
 	"milpjoin/internal/milp"
 )
 
-// hardKnapsack builds a correlated knapsack the solver cannot close within
+// hardKnapsack builds a correlated knapsack the search cannot close within
 // a few milliseconds — the workload for cancellation and deadline tests.
-func hardKnapsack(seed int64) *milp.Model {
+func hardKnapsack(seed int64) *milp.Computational {
 	rng := rand.New(rand.NewSource(seed))
 	m := milp.NewModel("hard")
 	e := milp.LinExpr{}
@@ -23,41 +22,12 @@ func hardKnapsack(seed int64) *milp.Model {
 		e = e.Add(v, w)
 	}
 	m.AddConstr(e, milp.LE, 100, "cap")
-	return m
-}
-
-func TestEffectiveTimeLimit(t *testing.T) {
-	now := time.Unix(1000, 0)
-	bg := context.Background()
-	withDeadline := func(d time.Duration) context.Context {
-		ctx, cancel := context.WithDeadline(bg, now.Add(d))
-		t.Cleanup(cancel)
-		return ctx
-	}
-
-	cases := []struct {
-		name       string
-		ctx        context.Context
-		configured time.Duration
-		want       time.Duration
-	}{
-		{"no deadline, no limit", bg, 0, 0},
-		{"no deadline keeps the configured limit", bg, time.Minute, time.Minute},
-		{"deadline alone becomes the limit", withDeadline(10 * time.Second), 0, 10 * time.Second},
-		{"tighter deadline wins", withDeadline(10 * time.Second), time.Minute, 10 * time.Second},
-		{"tighter configured limit wins", withDeadline(time.Minute), 10 * time.Second, 10 * time.Second},
-		{"expired deadline stays positive", withDeadline(-time.Second), time.Minute, time.Nanosecond},
-	}
-	for _, tc := range cases {
-		if got := effectiveTimeLimit(tc.ctx, now, tc.configured); got != tc.want {
-			t.Errorf("%s: effectiveTimeLimit = %v, want %v", tc.name, got, tc.want)
-		}
-	}
+	return m.Compile()
 }
 
 // TestDeadlineComposesWithTimeLimit pins the composition contract end to
 // end: whichever of Params.TimeLimit and the context deadline is tighter
-// bounds the solve, and both report bb.StatusTimeLimit.
+// bounds the solve, and both report StatusTimeLimit.
 func TestDeadlineComposesWithTimeLimit(t *testing.T) {
 	run := func(ctx context.Context, limit time.Duration) (*Result, time.Duration) {
 		start := time.Now()
@@ -72,8 +42,8 @@ func TestDeadlineComposesWithTimeLimit(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	res, elapsed := run(ctx, time.Minute)
-	if res.Status != bb.StatusTimeLimit {
-		t.Errorf("deadline-governed: status %v, want %v", res.Status, bb.StatusTimeLimit)
+	if res.Status != StatusTimeLimit {
+		t.Errorf("deadline-governed: status %v, want %v", res.Status, StatusTimeLimit)
 	}
 	if elapsed > 5*time.Second {
 		t.Errorf("deadline-governed solve ran %v, deadline was 50ms", elapsed)
@@ -83,8 +53,8 @@ func TestDeadlineComposesWithTimeLimit(t *testing.T) {
 	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel2()
 	res2, elapsed2 := run(ctx2, 50*time.Millisecond)
-	if res2.Status != bb.StatusTimeLimit {
-		t.Errorf("limit-governed: status %v, want %v", res2.Status, bb.StatusTimeLimit)
+	if res2.Status != StatusTimeLimit {
+		t.Errorf("limit-governed: status %v, want %v", res2.Status, StatusTimeLimit)
 	}
 	if elapsed2 > 5*time.Second {
 		t.Errorf("limit-governed solve ran %v, limit was 50ms", elapsed2)
@@ -103,43 +73,43 @@ func TestCancellationMidSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != bb.StatusCanceled && res.Status != bb.StatusOptimal {
+	if res.Status != StatusCanceled && res.Status != StatusOptimal {
 		t.Errorf("status = %v, want canceled (or optimal if the solve won the race)", res.Status)
 	}
-	if res.Status == bb.StatusCanceled {
+	if res.Status == StatusCanceled {
 		if elapsed := time.Since(start); elapsed > 5*time.Second {
 			t.Errorf("cancellation took %v to unwind", elapsed)
 		}
 		// The bound must stay valid on the partial search.
-		if res.Solution != nil && res.Solution.Obj < res.Bound-1e-6 {
-			t.Errorf("incumbent %g below bound %g", res.Solution.Obj, res.Bound)
+		if res.HasIncumbent && res.Obj < res.Bound-1e-6 {
+			t.Errorf("incumbent %g below bound %g", res.Obj, res.Bound)
 		}
 	}
 }
 
 func TestAlreadyEndedContext(t *testing.T) {
-	// Canceled before the call: bb.StatusCanceled, nothing solved.
+	// Canceled before the call: StatusCanceled, nothing solved.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := Solve(ctx, hardKnapsack(11), Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != bb.StatusCanceled || res.Solution != nil || res.Nodes != 0 {
+	if res.Status != StatusCanceled || res.HasIncumbent || res.Nodes != 0 {
 		t.Errorf("canceled upfront: %+v", res)
 	}
 	if !math.IsInf(res.Bound, -1) {
 		t.Errorf("no search ran, bound should be -Inf, got %g", res.Bound)
 	}
 
-	// Expired deadline: a time budget of zero, so bb.StatusTimeLimit.
+	// Expired deadline: StatusTimeLimit, however long Params.TimeLimit is.
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Minute))
 	defer dcancel()
 	res, err = Solve(dctx, hardKnapsack(11), Params{TimeLimit: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != bb.StatusTimeLimit || res.Nodes != 0 {
+	if res.Status != StatusTimeLimit || res.Nodes != 0 {
 		t.Errorf("expired deadline: %+v", res)
 	}
 }

@@ -10,7 +10,6 @@ package bb
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"milpjoin/internal/obs"
@@ -137,16 +136,4 @@ type Result struct {
 	// simplex iterations, LU refactorizations, and pseudocost
 	// initializations.
 	Stats obs.Stats
-}
-
-// relGap computes the relative gap between an incumbent and a bound.
-func relGap(inc, bound float64) float64 {
-	if math.IsInf(inc, 1) {
-		return math.Inf(1)
-	}
-	d := inc - bound
-	if d <= 0 {
-		return 0
-	}
-	return d / math.Max(1e-9, math.Abs(inc))
 }

@@ -19,11 +19,12 @@ import (
 // (when HasIncumbent) is in computational-form coordinates: the first
 // NumStructural entries are model variables.
 //
-// Cancelling ctx stops the search promptly: the worker loops observe the
-// cancellation between nodes and the simplex iteration loops poll it, so
-// the call returns with StatusCanceled (context.Canceled) or
+// Cancelling ctx stops the search promptly: a watcher raises the stop flag
+// that the worker loops observe between nodes and the simplex iteration
+// loops poll, so the call returns with StatusCanceled (context.Canceled) or
 // StatusTimeLimit (context.DeadlineExceeded) carrying the best incumbent
-// and proven bound found so far.
+// and proven bound found so far. A context deadline and Params.TimeLimit
+// compose: whichever comes first ends the search with StatusTimeLimit.
 func Solve(ctx context.Context, comp *milp.Computational, params Params) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -31,7 +32,6 @@ func Solve(ctx context.Context, comp *milp.Computational, params Params) (*Resul
 	params = params.withDefaults()
 	s := &searcher{
 		comp:      comp,
-		ctx:       ctx,
 		params:    params,
 		start:     time.Now(),
 		incObj:    math.Inf(1),
@@ -42,8 +42,10 @@ func Solve(ctx context.Context, comp *milp.Computational, params Params) (*Resul
 	if params.TimeLimit > 0 {
 		s.deadline = s.start.Add(params.TimeLimit)
 	}
+	heap.Push(&s.open, &node{bound: math.Inf(-1)})
 	if err := ctx.Err(); err != nil {
-		// Already ended: report without exploring a single node.
+		// Already ended: report without exploring a single node, so the
+		// bound is the unsolved root's −Inf.
 		s.setStop(ContextStatus(err))
 		return s.finish(), nil
 	}
@@ -65,8 +67,6 @@ func Solve(ctx context.Context, comp *milp.Computational, params Params) (*Resul
 		st.prob.C = comp.Problem.C
 		s.workers[w] = st
 	}
-
-	heap.Push(&s.open, &node{bound: math.Inf(-1)})
 
 	if len(params.InitialIncumbent) == comp.NumStructural {
 		s.completeAndOffer(nil, params.InitialIncumbent, nil)
@@ -119,7 +119,6 @@ func ContextStatus(err error) Status {
 
 type searcher struct {
 	comp   *milp.Computational
-	ctx    context.Context
 	params Params
 
 	rootL, rootU []float64
@@ -329,7 +328,7 @@ func (s *searcher) emitLocked(ev obs.Event) {
 	bound := s.globalBoundLocked()
 	ev.Incumbent = s.incObj
 	ev.Bound = bound
-	ev.Gap = relGap(s.incObj, bound)
+	ev.Gap = obs.RelGap(s.incObj, bound)
 	ev.HasIncumbent = s.hasInc
 	ev.Nodes = s.nodes
 	ev.OpenNodes = len(s.open) + len(s.inFlight)
@@ -358,7 +357,7 @@ func (s *searcher) checkTermination() {
 	}
 	if s.hasInc {
 		bound := s.globalBoundLocked()
-		if s.incObj-bound <= absGapTol || relGap(s.incObj, bound) <= s.params.GapTol {
+		if s.incObj-bound <= absGapTol || obs.RelGap(s.incObj, bound) <= s.params.GapTol {
 			s.done = true // proved optimal within tolerance
 		}
 	}
@@ -550,7 +549,6 @@ func (s *searcher) solveLP(w *workerState, warm *simplex.Basis) (*simplex.Result
 	res, err := simplex.Solve(&w.prob, warm, simplex.Options{
 		Deadline:   s.deadline,
 		Stop:       &s.stopFlag,
-		Ctx:        s.ctx,
 		PreferDual: s.params.UseDualSimplex && warm != nil,
 		Workspace:  w.ws,
 	})
@@ -748,7 +746,7 @@ func (s *searcher) finish() *Result {
 	}
 	bound := s.globalBoundLocked()
 	res.Bound = bound
-	res.Gap = relGap(s.incObj, bound)
+	res.Gap = obs.RelGap(s.incObj, bound)
 
 	switch {
 	case s.stopSet && s.stopStatus == StatusUnbounded:

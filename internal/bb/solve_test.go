@@ -49,6 +49,9 @@ func TestKnapsack(t *testing.T) {
 	if math.Abs(res.Obj-(-21)) > 1e-6 {
 		t.Errorf("obj = %g, want -21", res.Obj)
 	}
+	if math.Abs(res.Bound-res.Obj) > 1e-5 {
+		t.Errorf("bound %g != obj %g at optimality", res.Bound, res.Obj)
+	}
 }
 
 func TestPureLPSolvesAtRoot(t *testing.T) {
@@ -325,6 +328,10 @@ func TestTimeLimit(t *testing.T) {
 	}
 	if res.Status != StatusTimeLimit && res.Status != StatusOptimal {
 		t.Fatalf("status = %v", res.Status)
+	}
+	// Anytime property: the bound stays valid for a stopped search.
+	if res.HasIncumbent && res.Obj < res.Bound-1e-6 {
+		t.Errorf("incumbent %g below bound %g", res.Obj, res.Bound)
 	}
 }
 

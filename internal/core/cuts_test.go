@@ -1,4 +1,4 @@
-package solver
+package core
 
 import (
 	"context"
@@ -10,6 +10,17 @@ import (
 	"milpjoin/internal/milp"
 	"milpjoin/internal/simplex"
 )
+
+// solveModel runs the solve path of Optimize on a generic model, without
+// a MIP start or an injection feed.
+func solveModel(t *testing.T, m *milp.Model, opts Options) *Result {
+	t.Helper()
+	res, err := solve(context.Background(), m, opts, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func TestGomoryCutClosesClassicGap(t *testing.T) {
 	// max x + y s.t. 2x + 2y ≤ 3, x,y ∈ {0,1}: LP optimum 1.5, integer
@@ -41,12 +52,9 @@ func TestGomoryCutClosesClassicGap(t *testing.T) {
 		t.Fatalf("cut did not tighten the relaxation: %g → %g", gotBefore, gotAfter)
 	}
 	// Integer optimum unchanged.
-	res, err := Solve(context.Background(), build(), Params{CutRounds: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solveModel(t, build(), Options{CutRounds: 1})
 	if res.Status != bb.StatusOptimal || math.Abs(res.Solution.Obj-(-1)) > 1e-6 {
-		t.Fatalf("with cuts: %v %g, want optimal -1", res.Status, res.Solution.Obj)
+		t.Fatalf("with cuts: %v %v, want optimal -1", res.Status, res.Solution)
 	}
 }
 
@@ -73,14 +81,8 @@ func TestGomoryCutsPreserveOptimum(t *testing.T) {
 			m.AddConstr(e, sense, float64(rng.Intn(9)-3), "")
 		}
 
-		plain, err := Solve(context.Background(), m, Params{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		withCuts, err := Solve(context.Background(), m, Params{CutRounds: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
+		plain := solveModel(t, m, Options{})
+		withCuts := solveModel(t, m, Options{CutRounds: 3})
 		if (plain.Status == bb.StatusOptimal) != (withCuts.Status == bb.StatusOptimal) {
 			t.Fatalf("trial %d: plain %v vs cuts %v", trial, plain.Status, withCuts.Status)
 		}
@@ -106,14 +108,8 @@ func TestGomoryCutsWithContinuousVariables(t *testing.T) {
 		m.AddConstr(milp.Expr(x, 2.0, y, 3.0, z, 1.0), milp.LE, float64(4+rng.Intn(6)), "c1")
 		m.AddConstr(milp.Expr(x, 1.0, y, -1.0), milp.GE, float64(rng.Intn(3)-1), "c2")
 
-		plain, err := Solve(context.Background(), m, Params{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		withCuts, err := Solve(context.Background(), m, Params{CutRounds: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		plain := solveModel(t, m, Options{})
+		withCuts := solveModel(t, m, Options{CutRounds: 2})
 		if plain.Status != withCuts.Status {
 			t.Fatalf("trial %d: %v vs %v", trial, plain.Status, withCuts.Status)
 		}

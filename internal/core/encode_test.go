@@ -14,7 +14,6 @@ import (
 	"milpjoin/internal/milp"
 	"milpjoin/internal/plan"
 	"milpjoin/internal/qopt"
-	"milpjoin/internal/solver"
 	"milpjoin/internal/workload"
 )
 
@@ -60,12 +59,12 @@ func TestEncodePaperExampleShapes(t *testing.T) {
 
 func TestPaperExampleOptimalPlan(t *testing.T) {
 	q := paperQuery()
-	res, err := Optimize(context.Background(), q, Options{Metric: cost.Cout, Precision: PrecisionHigh}, solver.Params{})
+	res, err := Optimize(context.Background(), q, Options{Metric: cost.Cout, Precision: PrecisionHigh})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Plan == nil {
-		t.Fatalf("no plan (status %v)", res.Solver.Status)
+		t.Fatalf("no plan (status %v)", res.Status)
 	}
 	// Two co-optimal first joins exist: R ⋈ S (10·1000·0.1 = 1000) and
 	// the cross product T × R (100·10 = 1000); joining S and T first
@@ -73,7 +72,7 @@ func TestPaperExampleOptimalPlan(t *testing.T) {
 	if res.ExactCost != 1000 {
 		t.Errorf("plan %v has exact cost %g, want 1000", res.Plan.Order, res.ExactCost)
 	}
-	if err := res.Encoding.CheckPlanRepresentation(res.Solver.Solution); err != nil {
+	if err := res.Encoding.CheckPlanRepresentation(res.Solution); err != nil {
 		t.Error(err)
 	}
 }
@@ -82,12 +81,13 @@ func TestPaperExampleOptimalPlan(t *testing.T) {
 // plan must cost within the approximation tolerance of the DP optimum.
 func milpVsDP(t *testing.T, q *qopt.Query, opts Options, spec cost.Spec) {
 	t.Helper()
-	res, err := Optimize(context.Background(), q, opts, solver.Params{Threads: 2})
+	opts.Threads = 2
+	res, err := Optimize(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Solver.Status != bb.StatusOptimal {
-		t.Fatalf("solver status %v", res.Solver.Status)
+	if res.Status != bb.StatusOptimal {
+		t.Fatalf("solver status %v", res.Status)
 	}
 	if err := res.Plan.Validate(q); err != nil {
 		t.Fatalf("invalid plan: %v", err)
@@ -108,7 +108,7 @@ func milpVsDP(t *testing.T, q *qopt.Query, opts Options, spec cost.Spec) {
 	if res.ExactCost < optCost-1e-6*(1+optCost) {
 		t.Fatalf("MILP plan cost %g below DP optimum %g: costing bug", res.ExactCost, optCost)
 	}
-	if err := res.Encoding.CheckPlanRepresentation(res.Solver.Solution); err != nil {
+	if err := res.Encoding.CheckPlanRepresentation(res.Solution); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -167,7 +167,7 @@ func TestMILPWithUnaryPredicateFolded(t *testing.T) {
 	q.Predicates = append(q.Predicates, qopt.Predicate{
 		Name: "filter", Tables: []int{1}, Sel: 0.01, // S shrinks to 10
 	})
-	res, err := Optimize(context.Background(), q, Options{Metric: cost.Cout, Precision: PrecisionHigh}, solver.Params{})
+	res, err := Optimize(context.Background(), q, Options{Metric: cost.Cout, Precision: PrecisionHigh})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,20 +311,21 @@ func TestPrecisionAccessors(t *testing.T) {
 func TestGomoryCutsValidForPlans(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		q := workload.Generate(workload.Star, 6, seed, workload.Config{})
-		opts := Options{Metric: cost.OperatorCost, Op: cost.HashJoin, Precision: PrecisionMedium}
-		plain, err := Optimize(context.Background(), q, opts, solver.Params{Threads: 2})
+		opts := Options{Metric: cost.OperatorCost, Op: cost.HashJoin, Precision: PrecisionMedium, Threads: 2}
+		plain, err := Optimize(context.Background(), q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		withCuts, err := Optimize(context.Background(), q, opts, solver.Params{Threads: 2, CutRounds: 2})
+		opts.CutRounds = 2
+		withCuts, err := Optimize(context.Background(), q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plain.Solver.Status != bb.StatusOptimal || withCuts.Solver.Status != bb.StatusOptimal {
-			t.Fatalf("seed %d: statuses %v / %v", seed, plain.Solver.Status, withCuts.Solver.Status)
+		if plain.Status != bb.StatusOptimal || withCuts.Status != bb.StatusOptimal {
+			t.Fatalf("seed %d: statuses %v / %v", seed, plain.Status, withCuts.Status)
 		}
-		if math.Abs(plain.MILPObj-withCuts.MILPObj) > 1e-5*(1+math.Abs(plain.MILPObj)) {
-			t.Fatalf("seed %d: cuts changed the optimum: %g vs %g", seed, plain.MILPObj, withCuts.MILPObj)
+		if math.Abs(plain.Solution.Obj-withCuts.Solution.Obj) > 1e-5*(1+math.Abs(plain.Solution.Obj)) {
+			t.Fatalf("seed %d: cuts changed the optimum: %g vs %g", seed, plain.Solution.Obj, withCuts.Solution.Obj)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"milpjoin/internal/dp"
 	"milpjoin/internal/plan"
 	"milpjoin/internal/qopt"
-	"milpjoin/internal/solver"
 	"milpjoin/internal/workload"
 )
 
@@ -21,18 +20,19 @@ func operatorOpts() Options {
 		Precision:       PrecisionMedium,
 		CardCap:         1e8,
 		ChooseOperators: true,
+		Threads:         2,
 	}
 }
 
 func TestOperatorSelectionDecodesAndBeatsFixed(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		q := workload.Generate(workload.Star, 4, seed, workload.Config{})
-		res, err := Optimize(context.Background(), q, operatorOpts(), solver.Params{Threads: 2})
+		res, err := Optimize(context.Background(), q, operatorOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Solver.Status != bb.StatusOptimal {
-			t.Fatalf("seed %d: status %v", seed, res.Solver.Status)
+		if res.Status != bb.StatusOptimal {
+			t.Fatalf("seed %d: status %v", seed, res.Status)
 		}
 		if res.Plan.Operators == nil || len(res.Plan.Operators) != q.NumJoins() {
 			t.Fatalf("seed %d: no per-join operators decoded", seed)
@@ -56,12 +56,12 @@ func TestOperatorSelectionDecodesAndBeatsFixed(t *testing.T) {
 
 func TestOperatorSelectionMatchesDPWithOperators(t *testing.T) {
 	q := workload.Generate(workload.Chain, 4, 1, workload.Config{})
-	res, err := Optimize(context.Background(), q, operatorOpts(), solver.Params{Threads: 2})
+	res, err := Optimize(context.Background(), q, operatorOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Solver.Status != bb.StatusOptimal {
-		t.Fatalf("status %v", res.Solver.Status)
+	if res.Status != bb.StatusOptimal {
+		t.Fatalf("status %v", res.Status)
 	}
 	_, optCost, err := dp.OptimizeLeftDeep(context.Background(), q, cost.DefaultSpec(), dp.Options{ChooseOperators: true})
 	if err != nil {
@@ -82,12 +82,12 @@ func TestInterestingOrdersEncodeAndSolve(t *testing.T) {
 	}
 	opts := operatorOpts()
 	opts.InterestingOrders = true
-	res, err := Optimize(context.Background(), q, opts, solver.Params{Threads: 2})
+	res, err := Optimize(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Solver.Status != bb.StatusOptimal {
-		t.Fatalf("status %v", res.Solver.Status)
+	if res.Status != bb.StatusOptimal {
+		t.Fatalf("status %v", res.Status)
 	}
 	if err := res.Plan.Validate(q); err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestInterestingOrdersEncodeAndSolve(t *testing.T) {
 	// operators: ohp_j = 1 exactly when join j−1 was a sort-merge
 	// variant (or, for j = 0, the first table is sorted).
 	enc := res.Encoding
-	sol := res.Solver.Solution
+	sol := res.Solution
 	for j := 1; j < enc.J; j++ {
 		smj := sol.Value(enc.JOS[j-1][1]) > 0.5
 		pre := sol.Value(enc.JOS[j-1][3]) > 0.5
@@ -123,12 +123,12 @@ func TestInterestingOrdersFavorsSortMergeOnSortedInputs(t *testing.T) {
 	}
 	opts := operatorOpts()
 	opts.InterestingOrders = true
-	res, err := Optimize(context.Background(), q, opts, solver.Params{Threads: 2})
+	res, err := Optimize(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Solver.Status != bb.StatusOptimal {
-		t.Fatalf("status %v", res.Solver.Status)
+	if res.Status != bb.StatusOptimal {
+		t.Fatalf("status %v", res.Status)
 	}
 	foundSMJ := false
 	for _, op := range res.Plan.Operators {
@@ -145,16 +145,16 @@ func TestExpensivePredicatesEvaluatedExactlyOnce(t *testing.T) {
 	q := workload.Generate(workload.Chain, 4, 4, workload.Config{})
 	q.Predicates[0].EvalCostPerTuple = 5
 	q.Predicates[2].EvalCostPerTuple = 2
-	opts := Options{Metric: cost.Cout, Precision: PrecisionMedium, ExpensivePredicates: true, CardCap: 1e9}
-	res, err := Optimize(context.Background(), q, opts, solver.Params{Threads: 2})
+	opts := Options{Metric: cost.Cout, Precision: PrecisionMedium, ExpensivePredicates: true, CardCap: 1e9, Threads: 2}
+	res, err := Optimize(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Solver.Status != bb.StatusOptimal {
-		t.Fatalf("status %v", res.Solver.Status)
+	if res.Status != bb.StatusOptimal {
+		t.Fatalf("status %v", res.Status)
 	}
 	enc := res.Encoding
-	sol := res.Solver.Solution
+	sol := res.Solution
 	for _, pi := range []int{0, 2} {
 		total := 0.0
 		for j := 0; j < enc.J; j++ {
@@ -172,21 +172,21 @@ func TestExpensivePredicateEvaluationCostCounted(t *testing.T) {
 	// Identical plans, but one predicate becomes expensive: the MILP
 	// objective must grow.
 	q := paperQuery()
-	cheap, err := Optimize(context.Background(), q, Options{Metric: cost.Cout, Precision: PrecisionHigh, ExpensivePredicates: true}, solver.Params{})
+	cheap, err := Optimize(context.Background(), q, Options{Metric: cost.Cout, Precision: PrecisionHigh, ExpensivePredicates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q2 := paperQuery()
 	q2.Predicates[0].EvalCostPerTuple = 100
-	dear, err := Optimize(context.Background(), q2, Options{Metric: cost.Cout, Precision: PrecisionHigh, ExpensivePredicates: true}, solver.Params{})
+	dear, err := Optimize(context.Background(), q2, Options{Metric: cost.Cout, Precision: PrecisionHigh, ExpensivePredicates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dear.Solver.Status != bb.StatusOptimal || cheap.Solver.Status != bb.StatusOptimal {
-		t.Fatalf("statuses %v / %v", cheap.Solver.Status, dear.Solver.Status)
+	if dear.Status != bb.StatusOptimal || cheap.Status != bb.StatusOptimal {
+		t.Fatalf("statuses %v / %v", cheap.Status, dear.Status)
 	}
-	if dear.MILPObj <= cheap.MILPObj {
-		t.Errorf("expensive predicate did not increase objective: %g vs %g", dear.MILPObj, cheap.MILPObj)
+	if dear.Solution.Obj <= cheap.Solution.Obj {
+		t.Errorf("expensive predicate did not increase objective: %g vs %g", dear.Solution.Obj, cheap.Solution.Obj)
 	}
 }
 
@@ -222,15 +222,16 @@ func TestProjectionSolvesAndKeepsRequiredColumns(t *testing.T) {
 		Precision:  PrecisionMedium,
 		CardCap:    1e8,
 		Projection: true,
+		Threads:    2,
 	}
-	res, err := Optimize(context.Background(), q, opts, solver.Params{Threads: 2})
+	res, err := Optimize(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Solver.Status != bb.StatusOptimal {
-		t.Fatalf("status %v", res.Solver.Status)
+	if res.Status != bb.StatusOptimal {
+		t.Fatalf("status %v", res.Status)
 	}
-	cols := res.Encoding.DecodeColumns(res.Solver.Solution)
+	cols := res.Encoding.DecodeColumns(res.Solution)
 	if cols == nil {
 		t.Fatal("no column decode")
 	}
@@ -258,16 +259,17 @@ func TestProjectionKeepsPredicateColumnsAlive(t *testing.T) {
 		Precision:  PrecisionMedium,
 		CardCap:    1e8,
 		Projection: true,
+		Threads:    2,
 	}
-	res, err := Optimize(context.Background(), q, opts, solver.Params{Threads: 2})
+	res, err := Optimize(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Solver.Status != bb.StatusOptimal {
-		t.Fatalf("status %v", res.Solver.Status)
+	if res.Status != bb.StatusOptimal {
+		t.Fatalf("status %v", res.Status)
 	}
 	enc := res.Encoding
-	sol := res.Solver.Solution
+	sol := res.Solution
 	cols := enc.DecodeColumns(sol)
 	// Wherever predicate 1 (S.key–T.key) is not yet applied but S is in
 	// the operand, S.key must be present.
@@ -287,12 +289,12 @@ func TestOperatorSelectionWithExpensivePredicates(t *testing.T) {
 	q.Predicates[1].EvalCostPerTuple = 3
 	opts := operatorOpts()
 	opts.ExpensivePredicates = true
-	res, err := Optimize(context.Background(), q, opts, solver.Params{Threads: 2})
+	res, err := Optimize(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Solver.Status != bb.StatusOptimal {
-		t.Fatalf("status %v", res.Solver.Status)
+	if res.Status != bb.StatusOptimal {
+		t.Fatalf("status %v", res.Status)
 	}
 	if err := res.Plan.Validate(q); err != nil {
 		t.Fatal(err)
@@ -301,7 +303,7 @@ func TestOperatorSelectionWithExpensivePredicates(t *testing.T) {
 		t.Fatal("operators missing")
 	}
 	// The expensive predicate is evaluated exactly once.
-	enc, sol := res.Encoding, res.Solver.Solution
+	enc, sol := res.Encoding, res.Solution
 	total := 0.0
 	for j := 0; j < enc.J; j++ {
 		if v := enc.PCO[j][1]; v >= 0 {

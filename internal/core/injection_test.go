@@ -11,7 +11,6 @@ import (
 	"milpjoin/internal/dp"
 	"milpjoin/internal/obs"
 	"milpjoin/internal/plan"
-	"milpjoin/internal/solver"
 	"milpjoin/internal/workload"
 )
 
@@ -34,10 +33,12 @@ func TestLiveIncumbentInjectionInstalls(t *testing.T) {
 	close(ch)
 
 	injectedEvents := 0
-	opts := Options{Metric: cost.Cout, Precision: PrecisionHigh, Incumbents: ch}
-	res, err := Optimize(context.Background(), q, opts, solver.Params{
-		Threads:   2,
-		TimeLimit: 5 * time.Second,
+	res, err := Optimize(context.Background(), q, Options{
+		Metric:     cost.Cout,
+		Precision:  PrecisionHigh,
+		Incumbents: ch,
+		Threads:    2,
+		TimeLimit:  5 * time.Second,
 		OnEvent: func(ev obs.Event) {
 			if ev.Kind == obs.KindInjected {
 				injectedEvents++
@@ -50,14 +51,14 @@ func TestLiveIncumbentInjectionInstalls(t *testing.T) {
 	if res.MIPStart != "greedy" {
 		t.Errorf("MIPStart = %q, want greedy (injection must not masquerade as the seed)", res.MIPStart)
 	}
-	if got := res.Solver.Stats.InjectedIncumbents; got < 1 {
+	if got := res.Stats.InjectedIncumbents; got < 1 {
 		t.Errorf("InjectedIncumbents = %d, want ≥ 1", got)
 	}
 	if injectedEvents < 1 {
 		t.Errorf("no KindInjected event on the stream")
 	}
-	if injectedEvents != res.Solver.Stats.InjectedIncumbents {
-		t.Errorf("events %d != stats counter %d", injectedEvents, res.Solver.Stats.InjectedIncumbents)
+	if injectedEvents != res.Stats.InjectedIncumbents {
+		t.Errorf("events %d != stats counter %d", injectedEvents, res.Stats.InjectedIncumbents)
 	}
 	if res.Plan == nil {
 		t.Fatal("no plan")
@@ -100,10 +101,12 @@ func TestInjectionRaceMonotoneEvents(t *testing.T) {
 		bound           = math.Inf(-1)
 		injected  int
 	)
-	opts := Options{Metric: cost.Cout, Precision: PrecisionMedium, Incumbents: ch}
-	res, err := Optimize(context.Background(), q, opts, solver.Params{
-		Threads:   4,
-		TimeLimit: 1500 * time.Millisecond,
+	res, err := Optimize(context.Background(), q, Options{
+		Metric:     cost.Cout,
+		Precision:  PrecisionMedium,
+		Incumbents: ch,
+		Threads:    4,
+		TimeLimit:  1500 * time.Millisecond,
 		OnEvent: func(ev obs.Event) {
 			if int64(ev.Seq) <= lastSeq {
 				t.Errorf("sequence not increasing: %d after %d", ev.Seq, lastSeq)
@@ -134,7 +137,7 @@ func TestInjectionRaceMonotoneEvents(t *testing.T) {
 	if res.Plan == nil {
 		t.Fatal("no plan from an anytime solve")
 	}
-	if injected != res.Solver.Stats.InjectedIncumbents {
-		t.Errorf("KindInjected events %d != stats counter %d", injected, res.Solver.Stats.InjectedIncumbents)
+	if injected != res.Stats.InjectedIncumbents {
+		t.Errorf("KindInjected events %d != stats counter %d", injected, res.Stats.InjectedIncumbents)
 	}
 }

@@ -3,26 +3,44 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"runtime/pprof"
+	"time"
 
+	"milpjoin/internal/bb"
 	"milpjoin/internal/cost"
 	"milpjoin/internal/dp"
 	"milpjoin/internal/milp"
+	"milpjoin/internal/obs"
 	"milpjoin/internal/plan"
 	"milpjoin/internal/qopt"
-	"milpjoin/internal/solver"
 )
 
 // Result is the outcome of an end-to-end MILP-based optimization run.
 type Result struct {
-	// Plan is the best plan found (nil when the solver found none).
+	// Plan is the best plan found (nil when the search found none).
 	Plan *plan.Plan
-	// MILPObj is the plan's objective under the MILP's approximated cost.
-	MILPObj float64
 	// ExactCost is the plan's exact cost under the matching cost.Spec.
 	ExactCost float64
-	// Solver carries the underlying solver result (status, bound, gap,
-	// node and iteration counts, timing).
-	Solver *solver.Result
+	// Solution is the incumbent in model space, nil if none. Its Obj is
+	// the plan's objective under the MILP's approximated cost, objective
+	// constant included.
+	Solution *milp.Solution
+	// Status is branch and bound's termination status. A canceled context
+	// reports bb.StatusCanceled, an expired one bb.StatusTimeLimit.
+	Status bb.Status
+	// Bound is the proven lower bound on the optimal objective, including
+	// the model constant.
+	Bound float64
+	// Gap is branch and bound's relative gap at termination, taken on the
+	// objective without the model constant, as the search sees it.
+	Gap     float64
+	Nodes   int
+	Elapsed time.Duration
+	// Stats aggregates per-phase effort: wall time per phase, simplex
+	// iterations, LU refactorizations, peak open-node count, and
+	// per-worker node counts.
+	Stats obs.Stats
 	// Encoding is retained for inspection (model statistics, decode of
 	// alternative solutions).
 	Encoding *Encoding
@@ -36,65 +54,50 @@ type Result struct {
 // Spec returns the exact-costing spec matching the encoder options: the
 // same metric, operator, and physical parameters the MILP approximates.
 func (o Options) Spec() cost.Spec {
-	op := o.Op
-	if o.Metric == cost.OperatorCost && !o.ChooseOperators && op == 0 {
-		op = cost.HashJoin
-	}
-	return cost.Spec{Metric: o.Metric, Op: op, Params: o.CostParams.WithDefaults()}
+	return cost.Spec{Metric: o.Metric, Op: o.Op, Params: o.CostParams.WithDefaults()}
 }
 
-// Optimize encodes the query, solves the MILP, and decodes the incumbent
-// into a plan. Anytime callbacks in params surface the solver's incumbent
-// objective and lower bound as optimization progresses, giving the
-// guaranteed-quality traces of the paper's Figure 2.
+// Optimize encodes the query, solves the MILP with branch and bound under
+// the search knobs of opts, and decodes the incumbent into a plan. The
+// event stream (Options.OnEvent) surfaces the incumbent objective and
+// lower bound as optimization progresses, giving the guaranteed-quality
+// traces of the paper's Figure 2.
 //
-// Unless the caller supplies their own InitialSolution, a greedy join
-// order is injected as a MIP start where the encoding supports it, so the
-// solver has an incumbent (and hence a bounded Cost/LB ratio) from the
-// first moment — mirroring the primal heuristics commercial solvers run.
+// Options.InitialPlan, else a greedy join order, is injected as a MIP start
+// where the encoding supports it, so the search has an incumbent (and hence
+// a bounded Cost/LB ratio) from the first moment — mirroring the primal
+// heuristics commercial solvers run.
 //
-// The context is honored throughout the solver stack: cancelling it
-// mid-solve returns promptly with bb.StatusCanceled and the best
-// incumbent plan found so far, and a context deadline composes with
-// params.TimeLimit as the minimum of the two.
-func Optimize(ctx context.Context, q *qopt.Query, opts Options, params solver.Params) (*Result, error) {
+// Cancelling the context mid-solve returns promptly with bb.StatusCanceled
+// and the best incumbent plan found so far; a context deadline ends the
+// search with bb.StatusTimeLimit, as Options.TimeLimit does.
+func Optimize(ctx context.Context, q *qopt.Query, opts Options) (*Result, error) {
 	enc, err := Encode(q, opts)
 	if err != nil {
 		return nil, err
 	}
 	mipStart := ""
-	if params.InitialSolution != nil {
-		mipStart = "caller"
-	}
-	if params.InitialSolution == nil && opts.InitialPlan != nil {
-		if start, aerr := enc.AssignmentForPlan(opts.InitialPlan); aerr == nil {
-			if enc.Model.CheckFeasible(start, 1e-6) == nil {
-				params.InitialSolution = start
-				mipStart = "plan"
-			}
+	start := enc.feasibleAssignment(opts.InitialPlan)
+	if start != nil {
+		mipStart = "plan"
+	} else if greedy, _, gerr := dp.GreedyLeftDeep(q, opts.Spec()); gerr == nil {
+		if start = enc.feasibleAssignment(greedy); start != nil {
+			mipStart = "greedy"
 		}
 	}
-	if params.InitialSolution == nil {
-		if greedy, _, gerr := dp.GreedyLeftDeep(q, opts.Spec()); gerr == nil {
-			if start, aerr := enc.AssignmentForPlan(greedy); aerr == nil {
-				if enc.Model.CheckFeasible(start, 1e-6) == nil {
-					params.InitialSolution = start
-					mipStart = "greedy"
-				}
-			}
-		}
-	}
-	if opts.Incumbents != nil && params.Incumbents == nil {
+	var incumbents chan []float64
+	if opts.Incumbents != nil {
 		// Live injection pump: plans arriving mid-solve are translated
-		// into model-space assignments and forwarded to the solver,
-		// which offers them to branch and bound at node boundaries.
-		// The stop channel unblocks a pending send once the solve
-		// returns so a slow consumer never strands the sender.
-		inner := make(chan []float64, 4)
+		// into model-space assignments and forwarded to branch and bound,
+		// which offers them at node boundaries. The stop channel unblocks
+		// a pending send once the solve returns so a slow consumer never
+		// strands the sender. The buffer holds a few translated plans while
+		// every worker is inside a node LP; workers drain it between nodes.
+		incumbents = make(chan []float64, 4)
 		stop := make(chan struct{})
 		defer close(stop)
 		go func() {
-			defer close(inner)
+			defer close(incumbents)
 			for {
 				select {
 				case <-stop:
@@ -103,42 +106,145 @@ func Optimize(ctx context.Context, q *qopt.Query, opts Options, params solver.Pa
 					if !ok {
 						return
 					}
-					if pl == nil {
-						continue
-					}
-					vals, aerr := enc.AssignmentForPlan(pl)
-					if aerr != nil || enc.Model.CheckFeasible(vals, 1e-6) != nil {
+					vals := enc.feasibleAssignment(pl)
+					if vals == nil {
 						continue
 					}
 					select {
-					case inner <- vals:
+					case incumbents <- vals:
 					case <-stop:
 						return
 					}
 				}
 			}
 		}()
-		params.Incumbents = inner
 	}
-	sres, err := solver.Solve(ctx, enc.Model, params)
+	out, err := solve(ctx, enc.Model, opts, start, incumbents)
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{Solver: sres, Encoding: enc, MIPStart: mipStart}
-	if sres.Solution == nil {
+	out.Encoding, out.MIPStart = enc, mipStart
+	if out.Solution == nil {
 		return out, nil
 	}
-	pl, err := enc.Decode(sres.Solution)
-	if err != nil {
+	if out.Plan, err = enc.Decode(out.Solution); err != nil {
 		return nil, fmt.Errorf("core: decoding incumbent: %w", err)
 	}
-	out.Plan = pl
-	out.MILPObj = sres.Solution.Obj
-	exact, err := plan.Cost(q, pl, opts.Spec())
+	if out.ExactCost, err = plan.Cost(q, out.Plan, opts.Spec()); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// feasibleAssignment returns the model-space assignment of pl when the
+// encoding represents it feasibly, and nil otherwise (also for a nil plan).
+func (e *Encoding) feasibleAssignment(pl *plan.Plan) []float64 {
+	if pl == nil {
+		return nil
+	}
+	vals, err := e.AssignmentForPlan(pl)
+	if err != nil || e.Model.CheckFeasible(vals, 1e-6) != nil {
+		return nil
+	}
+	return vals
+}
+
+// solve minimizes m under the search knobs of opts: optional root cut
+// rounds, compilation, then branch and bound from the model-space MIP start
+// (nil: none) with the live injection feed. Events, Bound and the
+// incumbent's objective include the model's objective constant; the
+// incumbent is unscaled and rounded to integral values where that stays
+// feasible.
+func solve(ctx context.Context, m *milp.Model, opts Options, start []float64, incumbents <-chan []float64) (*Result, error) {
+	begin := time.Now()
+	// The emitter serialises events from every phase against one
+	// solve-wide clock. The sink shifts objective values by the model's
+	// objective constant; events emitted before branch and bound starts
+	// carry ±Inf objective values, which the shift leaves alone.
+	objConst := m.ObjConstant()
+	var emitter *obs.Emitter
+	if onEvent := opts.OnEvent; onEvent != nil {
+		emitter = obs.NewEmitter(begin, func(ev obs.Event) {
+			ev.Incumbent += objConst
+			ev.Bound += objConst
+			if ev.Kind == obs.KindLPRelaxation {
+				ev.Objective += objConst
+			}
+			ev.Gap = obs.RelGap(ev.Incumbent, ev.Bound)
+			onEvent(ev)
+		})
+	}
+
+	work := m
+	var cutTime time.Duration
+	var cutRounds, totalCuts int
+	if opts.CutRounds > 0 {
+		cutStart := time.Now()
+		pprof.Do(ctx, pprof.Labels("milp_phase", "cuts"), func(context.Context) {
+			work, totalCuts = addGomoryCuts(work, opts.CutRounds, 16, func(round, added, iters int) {
+				cutRounds = round
+				emitter.Emit(obs.Event{
+					Kind:      obs.KindCutRound,
+					Worker:    -1,
+					Incumbent: math.Inf(1),
+					Bound:     math.Inf(-1),
+					Rounds:    round,
+					Cuts:      added,
+					Iters:     iters,
+				})
+			})
+		})
+		cutTime = time.Since(cutStart)
+	}
+
+	comp := work.Compile()
+	params := bb.Params{
+		TimeLimit:  opts.TimeLimit,
+		GapTol:     opts.GapTol,
+		Threads:    opts.Threads,
+		MaxNodes:   opts.MaxNodes,
+		Events:     emitter,
+		Incumbents: incumbents,
+	}
+	if start != nil {
+		params.InitialIncumbent = make([]float64, len(start))
+		for j, v := range start {
+			params.InitialIncumbent[j] = v / comp.ColScale[j]
+		}
+	}
+	res, err := bb.Solve(ctx, comp, params)
 	if err != nil {
 		return nil, err
 	}
-	out.ExactCost = exact
+
+	out := &Result{
+		Status: res.Status,
+		Bound:  res.Bound + objConst,
+		Gap:    res.Gap,
+		Nodes:  res.Nodes,
+		Stats:  res.Stats,
+	}
+	if res.Status == bb.StatusUnbounded {
+		out.Bound = math.Inf(-1)
+	}
+	if res.HasIncumbent {
+		vals := comp.Unscale(res.X[:m.NumVars()])
+		// Prefer integral values where the rounding stays feasible.
+		rounded := append([]float64(nil), vals...)
+		for j := range rounded {
+			if m.IsIntegral(milp.Var(j)) {
+				rounded[j] = math.Round(rounded[j])
+			}
+		}
+		if m.CheckFeasible(rounded, 1e-5) == nil {
+			vals = rounded
+		}
+		out.Solution = &milp.Solution{Values: vals, Obj: m.EvalObjective(vals)}
+	}
+	out.Stats.CutTime, out.Stats.CutRounds, out.Stats.CutsAdded = cutTime, cutRounds, totalCuts
+	out.Stats.Events = emitter.Count()
+	out.Elapsed = time.Since(begin)
+	out.Stats.TotalTime = out.Elapsed
 	return out, nil
 }
 

@@ -14,8 +14,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
 
 	"milpjoin/internal/cost"
+	"milpjoin/internal/obs"
 	"milpjoin/internal/plan"
 )
 
@@ -122,6 +124,27 @@ type Options struct {
 	// byte-size based outer costing. Requires the query to carry
 	// columns.
 	Projection bool
+
+	// The search knobs, handed to branch and bound as the paper hands
+	// them to Gurobi. TimeLimit bounds wall-clock time (zero: none; a
+	// context deadline ends the search too). GapTol is the relative MIP
+	// gap at which search stops (default 1e-6). Threads is the number of
+	// parallel workers (default 1). MaxNodes bounds explored nodes (zero:
+	// none); see bb.Params.MaxNodes for how the limit counts.
+	TimeLimit time.Duration
+	GapTol    float64
+	Threads   int
+	MaxNodes  int
+	// OnEvent receives the full structured event stream of the solve:
+	// cut rounds, the root LP relaxation, incumbents, bound improvements,
+	// node batches, and worker lifecycle. Callbacks are serialised (never
+	// concurrent) and must be fast: they run on solver goroutines, some
+	// while search locks are held. Objective values include the model's
+	// objective constant.
+	OnEvent func(obs.Event)
+	// CutRounds runs this many rounds of root Gomory mixed-integer cut
+	// generation before branch and bound (0: off).
+	CutRounds int
 }
 
 // Validate checks the caller-supplied option values, returning an error

@@ -21,7 +21,6 @@ import (
 	"milpjoin/internal/dp"
 	"milpjoin/internal/plan"
 	"milpjoin/internal/qopt"
-	"milpjoin/internal/solver"
 )
 
 // Default knobs; zero values in Options resolve to these.
@@ -53,13 +52,11 @@ type Options struct {
 	DPCap int
 	// Deadline bounds the whole run (zero: per-partition defaults only).
 	Deadline time.Time
-	// MILP templates the per-partition MILP encoder options (precision,
-	// cardinality cap). Metric, operator, cost params, plan injection, and
-	// callbacks are overridden per partition.
+	// MILP templates the per-partition MILP options (precision,
+	// cardinality cap, gap tolerance, threads). Metric, operator, cost
+	// params, time limit, plan injection, and callbacks are overridden per
+	// partition.
 	MILP core.Options
-	// Params templates the per-partition solver parameters (gap
-	// tolerance, threads). Time limits and callbacks are overridden.
-	Params solver.Params
 	// OnImprovement receives every new best global plan with its exact
 	// cost: the first stitched plan, then each improving seam window.
 	OnImprovement func(*plan.Plan, float64)
@@ -280,16 +277,16 @@ func optimizeWhole(ctx context.Context, q *qopt.Query, opts Options, sizes []int
 	}
 
 	// MILP over the whole (small enough to encode) query.
-	mopts, params := partitionMILPConfig(opts)
+	mopts := partitionMILPConfig(opts)
 	if !opts.Deadline.IsZero() {
 		if left := time.Until(opts.Deadline); left > 0 {
-			params.TimeLimit = left
+			mopts.TimeLimit = left
 		} else {
 			res.TimedOut = true
 			return finishGreedy(q, opts, res)
 		}
 	}
-	mres, err := core.Optimize(ctx, q, mopts, params)
+	mres, err := core.Optimize(ctx, q, mopts)
 	if err == nil && mres.Plan != nil {
 		res.Plan = mres.Plan
 		if res.Cost, err = plan.Cost(q, mres.Plan, opts.Spec); err == nil {
@@ -326,16 +323,16 @@ func solvePartition(ctx context.Context, q *qopt.Query, p Partition, opts Option
 			}
 		}
 	} else {
-		mopts, params := partitionMILPConfig(opts)
+		mopts := partitionMILPConfig(opts)
 		if deadline.IsZero() {
-			params.TimeLimit = defaultMILPBudget
+			mopts.TimeLimit = defaultMILPBudget
 		} else {
-			params.TimeLimit = time.Until(deadline)
-			if params.TimeLimit < minMILPBudget {
-				params.TimeLimit = minMILPBudget
+			mopts.TimeLimit = time.Until(deadline)
+			if mopts.TimeLimit < minMILPBudget {
+				mopts.TimeLimit = minMILPBudget
 			}
 		}
-		if mres, err := core.Optimize(ctx, sub, mopts, params); err == nil && mres.Plan != nil {
+		if mres, err := core.Optimize(ctx, sub, mopts); err == nil && mres.Plan != nil {
 			localPlan = mres.Plan
 		}
 	}
@@ -354,10 +351,9 @@ func solvePartition(ctx context.Context, q *qopt.Query, p Partition, opts Option
 	return out
 }
 
-// partitionMILPConfig instantiates the per-partition MILP options and
-// solver params from the templates: uniform operator pricing, no plan
-// injection, no callbacks.
-func partitionMILPConfig(opts Options) (core.Options, solver.Params) {
+// partitionMILPConfig instantiates the per-partition MILP options from the
+// template: uniform operator pricing, no plan injection, no callbacks.
+func partitionMILPConfig(opts Options) core.Options {
 	mopts := opts.MILP
 	mopts.Metric = opts.Spec.Metric
 	mopts.Op = opts.Spec.Op
@@ -365,11 +361,8 @@ func partitionMILPConfig(opts Options) (core.Options, solver.Params) {
 	mopts.ChooseOperators = false
 	mopts.InitialPlan = nil
 	mopts.Incumbents = nil
-	params := opts.Params
-	params.OnEvent = nil
-	params.InitialSolution = nil
-	params.Incumbents = nil
-	return mopts, params
+	mopts.OnEvent = nil
+	return mopts
 }
 
 // greedyOrder is the zero-budget fallback for one partition.

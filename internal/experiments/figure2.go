@@ -11,7 +11,6 @@ import (
 	"milpjoin/internal/dp"
 	"milpjoin/internal/obs"
 	"milpjoin/internal/qopt"
-	"milpjoin/internal/solver"
 	"milpjoin/internal/workload"
 )
 
@@ -175,12 +174,10 @@ func runDP(ctx context.Context, q *qopt.Query, cfg Figure2Config) *Trace {
 // the trace needs no ad-hoc solver hooks.
 func runMILP(ctx context.Context, q *qopt.Query, cfg Figure2Config, prec core.Precision) (*Trace, error) {
 	tr := &Trace{}
-	opts := core.Options{
+	res, err := core.Optimize(ctx, q, core.Options{
 		Precision: prec,
 		Metric:    cfg.Metric,
 		Op:        cfg.Op,
-	}
-	res, err := core.Optimize(ctx, q, opts, solver.Params{
 		TimeLimit: cfg.Timeout,
 		Threads:   cfg.Threads,
 		OnEvent: func(ev obs.Event) {
@@ -200,7 +197,7 @@ func runMILP(ctx context.Context, q *qopt.Query, cfg Figure2Config, prec core.Pr
 	// Record the final state (bound improvements after the last
 	// callback, or a solve that finished before the first sample).
 	if res.Plan != nil {
-		tr.Add(res.Solver.Elapsed, res.MILPObj, res.Solver.Bound)
+		tr.Add(res.Elapsed, res.Solution.Obj, res.Bound)
 	}
 	return tr, nil
 }

@@ -1,7 +1,7 @@
 // Package milp provides the modelling layer of the MILP solver: variables
 // with bounds and types, linear constraints, and a minimisation objective.
 // It plays the role of the solver API the paper uses Gurobi for — models
-// are built programmatically, then handed to internal/solver.
+// are built programmatically, compiled, then handed to internal/bb.
 package milp
 
 import (

@@ -140,24 +140,6 @@ func (b *Bus) BestCost() float64 {
 	return b.bestCost
 }
 
-// Gap is the relative gap between the incumbent and the proven bound
-// (+Inf with no incumbent, 0 with no positive gap).
-func (b *Bus) Gap() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if math.IsInf(b.bestCost, 1) {
-		return math.Inf(1)
-	}
-	d := b.bestCost - b.bound
-	if d <= 0 || math.IsInf(b.bound, -1) {
-		if math.IsInf(b.bound, -1) {
-			return math.Inf(1)
-		}
-		return 0
-	}
-	return d / math.Max(1e-9, math.Abs(b.bestCost))
-}
-
 // Stats reports how many plans were published and how many improved the
 // incumbent.
 func (b *Bus) Stats() (published, improved int) {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"milpjoin/internal/obs"
 	"milpjoin/internal/plan"
 )
 
@@ -95,9 +96,16 @@ func TestBusLateSubscriberSeesIncumbent(t *testing.T) {
 	}
 }
 
+// TestBusBoundAndGap: the bus's incumbent and bound give the race-wide
+// gap under the one gap formula, obs.RelGap.
 func TestBusBoundAndGap(t *testing.T) {
 	b := NewBus()
-	if g := b.Gap(); !math.IsInf(g, 1) {
+	gap := func() float64 {
+		_, best, _ := b.Best()
+		bound, _ := b.BestBound()
+		return obs.RelGap(best, bound)
+	}
+	if g := gap(); !math.IsInf(g, 1) {
 		t.Fatalf("empty gap %g, want +Inf", g)
 	}
 	b.Publish("a", p(0, 1), 100)
@@ -107,11 +115,11 @@ func TestBusBoundAndGap(t *testing.T) {
 	if bound != 80 || from != "dp" {
 		t.Fatalf("bound = (%g, %q), want (80, dp)", bound, from)
 	}
-	if g := b.Gap(); math.Abs(g-0.2) > 1e-12 {
+	if g := gap(); math.Abs(g-0.2) > 1e-12 {
 		t.Fatalf("gap = %g, want 0.2", g)
 	}
 	b.PublishBound("dp", 100)
-	if g := b.Gap(); g != 0 {
+	if g := gap(); g != 0 {
 		t.Fatalf("closed gap = %g, want 0", g)
 	}
 }

@@ -466,9 +466,6 @@ func (s *solver) aborted() bool {
 	if s.opts.Stop != nil && s.opts.Stop.Load() {
 		return true
 	}
-	if s.opts.Ctx != nil && s.opts.Ctx.Err() != nil {
-		return true
-	}
 	if !s.opts.Deadline.IsZero() && time.Now().After(s.opts.Deadline) {
 		return true
 	}

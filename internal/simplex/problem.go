@@ -14,7 +14,6 @@
 package simplex
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -261,10 +260,6 @@ type Options struct {
 	Deadline time.Time
 	// Stop, when non-nil, aborts the solve once set.
 	Stop *atomic.Bool
-	// Ctx, when non-nil, aborts the solve once the context ends. The
-	// iteration loops poll it periodically, so long solves return
-	// StatusAborted shortly after cancellation.
-	Ctx context.Context
 	// PreferDual tries dual simplex iterations first when a warm-start
 	// basis is primal infeasible but dual feasible — the typical state
 	// of a branch-and-bound node after its parent's bound change. Falls

@@ -9,7 +9,6 @@ import (
 	"milpjoin/internal/decomp"
 	"milpjoin/internal/obs"
 	"milpjoin/internal/plan"
-	"milpjoin/internal/solver"
 )
 
 func init() {
@@ -41,8 +40,9 @@ func optimizeHybrid(ctx context.Context, q *Query, opts Options) (*Result, error
 			Precision:         opts.Precision,
 			CardCap:           opts.CardCap,
 			InterestingOrders: opts.InterestingOrders,
+			GapTol:            opts.Budget.GapTol,
+			Threads:           opts.Budget.Threads,
 		},
-		Params: solver.Params{GapTol: opts.Budget.GapTol, Threads: opts.Budget.Threads},
 	}
 	if a != nil {
 		dopts.OnImprovement = func(pl *plan.Plan, c float64) {

@@ -304,13 +304,45 @@ func (o Options) Validate() error {
 	return nil
 }
 
+// CostModel returns the options the textual cost-model names select, as the
+// joinopt flags and the server's request fields spell them: precision
+// "high", "medium" or "low"; metric "cout", "hash", "smj", "bnl" or
+// "choose" (operator selection over hash, sort-merge and block nested
+// loop). "" means "medium" and "hash". The block-nested-loop models cap
+// cardinalities at 1e8. An unknown name is an error wrapping
+// ErrInvalidOptions.
+func CostModel(precision, metric string) (Options, error) {
+	var o Options
+	switch precision {
+	case "", "medium":
+		o.Precision = PrecisionMedium
+	case "high":
+		o.Precision = PrecisionHigh
+	case "low":
+		o.Precision = PrecisionLow
+	default:
+		return o, fmt.Errorf("%w: unknown precision %q", ErrInvalidOptions, precision)
+	}
+	o.Metric, o.Op = OperatorCost, HashJoin
+	switch metric {
+	case "", "hash":
+	case "cout":
+		o.Metric = Cout
+	case "smj":
+		o.Op = SortMergeJoin
+	case "bnl":
+		o.Op, o.CardCap = BlockNestedLoopJoin, 1e8
+	case "choose":
+		o.ChooseOperators, o.CardCap = true, 1e8
+	default:
+		return o, fmt.Errorf("%w: unknown metric %q", ErrInvalidOptions, metric)
+	}
+	return o, nil
+}
+
 // spec is the exact-costing specification the options describe.
 func (o Options) spec() cost.Spec {
-	op := o.Op
-	if o.Metric == cost.OperatorCost && !o.ChooseOperators && op == 0 {
-		op = cost.HashJoin
-	}
-	return cost.Spec{Metric: o.Metric, Op: op, Params: cost.Params{}.WithDefaults()}
+	return cost.Spec{Metric: o.Metric, Op: o.Op, Params: cost.Params{}.WithDefaults()}
 }
 
 // deadline converts the time limit into an absolute deadline (zero when

@@ -66,6 +66,45 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
+// TestCostModel holds the one table of cost-model names that the joinopt
+// flags and the server's request fields share.
+func TestCostModel(t *testing.T) {
+	cases := []struct {
+		precision, metric string
+		want              joinorder.Options
+		wantErr           bool
+	}{
+		{"", "", joinorder.Options{Precision: joinorder.PrecisionMedium, Metric: joinorder.OperatorCost, Op: joinorder.HashJoin}, false},
+		{"high", "cout", joinorder.Options{Precision: joinorder.PrecisionHigh, Metric: joinorder.Cout, Op: joinorder.HashJoin}, false},
+		{"medium", "hash", joinorder.Options{Precision: joinorder.PrecisionMedium, Metric: joinorder.OperatorCost, Op: joinorder.HashJoin}, false},
+		{"low", "smj", joinorder.Options{Precision: joinorder.PrecisionLow, Metric: joinorder.OperatorCost, Op: joinorder.SortMergeJoin}, false},
+		{"high", "bnl", joinorder.Options{Precision: joinorder.PrecisionHigh, Metric: joinorder.OperatorCost, Op: joinorder.BlockNestedLoopJoin, CardCap: 1e8}, false},
+		{"low", "choose", joinorder.Options{Precision: joinorder.PrecisionLow, Metric: joinorder.OperatorCost, Op: joinorder.HashJoin, ChooseOperators: true, CardCap: 1e8}, false},
+		{"ultra", "hash", joinorder.Options{}, true},
+		{"high", "quantum", joinorder.Options{}, true},
+	}
+	for _, tc := range cases {
+		got, err := joinorder.CostModel(tc.precision, tc.metric)
+		if tc.wantErr {
+			if !errors.Is(err, joinorder.ErrInvalidOptions) {
+				t.Errorf("CostModel(%q, %q) = %v, want ErrInvalidOptions", tc.precision, tc.metric, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("CostModel(%q, %q): %v", tc.precision, tc.metric, err)
+			continue
+		}
+		if got.Precision != tc.want.Precision || got.Metric != tc.want.Metric || got.Op != tc.want.Op ||
+			got.ChooseOperators != tc.want.ChooseOperators || got.CardCap != tc.want.CardCap {
+			t.Errorf("CostModel(%q, %q) = %+v, want %+v", tc.precision, tc.metric, got, tc.want)
+		}
+		if err := got.Validate(); err != nil {
+			t.Errorf("CostModel(%q, %q) does not validate: %v", tc.precision, tc.metric, err)
+		}
+	}
+}
+
 func TestOptimizeRejectsInvalidOptions(t *testing.T) {
 	q := smallQuery()
 	for _, opts := range []joinorder.Options{

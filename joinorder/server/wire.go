@@ -129,18 +129,20 @@ func (r *OptimizeRequest) query() (*joinorder.Query, error) {
 }
 
 // options maps the request knobs onto joinorder.Options, applying the
-// server's default and maximum budgets. The mapping mirrors the CLI's
-// flag parsing so a request body and a joinopt invocation describe the
-// same solve.
+// server's default and maximum budgets. The cost-model names go through
+// joinorder.CostModel, as the CLI's flags do, so a request body and a
+// joinopt invocation describe the same solve.
 func (r *OptimizeRequest) options(cfg Config) (joinorder.Options, error) {
-	opts := joinorder.Options{
-		Strategy:       r.Strategy,
-		Portfolio:      r.Portfolio,
-		Budget:         joinorder.Budget{GapTol: r.GapTol, Threads: r.Threads},
-		Seed:           r.Seed,
-		PartitionCap:   r.PartitionCap,
-		SeamBudgetFrac: r.SeamBudgetFrac,
+	opts, err := joinorder.CostModel(r.Precision, r.Metric)
+	if err != nil {
+		return opts, err
 	}
+	opts.Strategy = r.Strategy
+	opts.Portfolio = r.Portfolio
+	opts.Budget = joinorder.Budget{GapTol: r.GapTol, Threads: r.Threads}
+	opts.Seed = r.Seed
+	opts.PartitionCap = r.PartitionCap
+	opts.SeamBudgetFrac = r.SeamBudgetFrac
 	// The budget object wins over the flat aliases field-by-field.
 	timeout := r.Timeout
 	if r.Budget != nil {
@@ -156,37 +158,6 @@ func (r *OptimizeRequest) options(cfg Config) (joinorder.Options, error) {
 		if r.Budget.Threads != 0 {
 			opts.Budget.Threads = r.Budget.Threads
 		}
-	}
-	switch r.Precision {
-	case "", "medium":
-		opts.Precision = joinorder.PrecisionMedium
-	case "high":
-		opts.Precision = joinorder.PrecisionHigh
-	case "low":
-		opts.Precision = joinorder.PrecisionLow
-	default:
-		return opts, fmt.Errorf("unknown precision %q", r.Precision)
-	}
-	switch r.Metric {
-	case "cout":
-		opts.Metric = joinorder.Cout
-	case "", "hash":
-		opts.Metric = joinorder.OperatorCost
-		opts.Op = joinorder.HashJoin
-	case "smj":
-		opts.Metric = joinorder.OperatorCost
-		opts.Op = joinorder.SortMergeJoin
-	case "bnl":
-		opts.Metric = joinorder.OperatorCost
-		opts.Op = joinorder.BlockNestedLoopJoin
-		opts.CardCap = 1e8
-	case "choose":
-		opts.Metric = joinorder.OperatorCost
-		opts.Op = joinorder.HashJoin
-		opts.ChooseOperators = true
-		opts.CardCap = 1e8
-	default:
-		return opts, fmt.Errorf("unknown metric %q", r.Metric)
 	}
 	opts.Budget.TimeLimit = cfg.DefaultTimeLimit
 	if timeout != "" {

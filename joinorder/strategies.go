@@ -13,7 +13,6 @@ import (
 	"milpjoin/internal/heuristic"
 	"milpjoin/internal/obs"
 	"milpjoin/internal/plan"
-	"milpjoin/internal/solver"
 )
 
 // The built-in strategies, all behind the same interface — the
@@ -79,7 +78,7 @@ func (a *anytime) improved(p *Plan, c float64, elapsed time.Duration, bound floa
 // strategy with true anytime behaviour: cancellation and time limits
 // return the best incumbent plus a proven bound.
 func optimizeMILP(ctx context.Context, q *Query, opts Options) (*Result, error) {
-	copts := core.Options{
+	res, err := core.Optimize(ctx, q, core.Options{
 		Precision:         opts.Precision,
 		CardCap:           opts.CardCap,
 		Metric:            opts.Metric,
@@ -88,50 +87,44 @@ func optimizeMILP(ctx context.Context, q *Query, opts Options) (*Result, error) 
 		InterestingOrders: opts.InterestingOrders,
 		InitialPlan:       opts.InitialPlan,
 		Incumbents:        opts.incumbents,
-	}
-	params := solver.Params{
-		TimeLimit: opts.Budget.TimeLimit,
-		GapTol:    opts.Budget.GapTol,
-		Threads:   opts.Budget.Threads,
-		MaxNodes:  opts.Budget.MaxNodes,
-	}
-	if onEvent := opts.OnEvent; onEvent != nil {
-		params.OnEvent = func(ev Event) { onEvent(ev) }
-	}
-	res, err := core.Optimize(ctx, q, copts, params)
+		TimeLimit:         opts.Budget.TimeLimit,
+		GapTol:            opts.Budget.GapTol,
+		Threads:           opts.Budget.Threads,
+		MaxNodes:          opts.Budget.MaxNodes,
+		OnEvent:           opts.OnEvent,
+	})
 	if err != nil {
 		if errors.Is(err, core.ErrInvalidOptions) {
 			return nil, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
 		}
 		return nil, err
 	}
-	sres := res.Solver
 	out := &Result{
 		Strategy: "milp",
-		Bound:    sres.Bound,
-		Gap:      sres.Gap,
-		Nodes:    sres.Nodes,
-		Elapsed:  sres.Elapsed,
-		Stats:    &sres.Stats,
+		Bound:    res.Bound,
+		Gap:      res.Gap,
+		Nodes:    res.Nodes,
+		Elapsed:  res.Elapsed,
+		Stats:    &res.Stats,
 		MIPStart: res.MIPStart,
 	}
-	if sres.Status == bb.StatusInfeasible {
+	if res.Status == bb.StatusInfeasible {
 		return nil, fmt.Errorf("%w: the MILP proved no plan fits the encoding (try a higher CardCap)", ErrInfeasible)
 	}
 	if res.Plan == nil {
-		if sres.Status == bb.StatusCanceled || ctx.Err() != nil {
+		if res.Status == bb.StatusCanceled || ctx.Err() != nil {
 			return nil, fmt.Errorf("%w: no incumbent found before the context ended", ErrCanceled)
 		}
-		return nil, fmt.Errorf("%w: solver stopped with status %v", ErrNoPlan, sres.Status)
+		return nil, fmt.Errorf("%w: solver stopped with status %v", ErrNoPlan, res.Status)
 	}
 	out.Plan = res.Plan
 	out.Tree = res.Plan.LeftDeep()
 	out.Cost = res.ExactCost
-	out.Objective = res.MILPObj
+	out.Objective = res.Solution.Obj
 	if opts.OnPlan != nil {
-		opts.OnPlan(PlanUpdate{Strategy: "milp", Plan: res.Plan, Cost: res.ExactCost, Elapsed: sres.Elapsed})
+		opts.OnPlan(PlanUpdate{Strategy: "milp", Plan: res.Plan, Cost: res.ExactCost, Elapsed: res.Elapsed})
 	}
-	switch sres.Status {
+	switch res.Status {
 	case bb.StatusOptimal:
 		out.Status = StatusOptimal
 	case bb.StatusTimeLimit:

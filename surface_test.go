@@ -1,6 +1,10 @@
 package milpjoin_test
 
 import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"reflect"
 	"regexp"
@@ -17,7 +21,6 @@ import (
 	"milpjoin/internal/heuristic"
 	"milpjoin/internal/presolve"
 	"milpjoin/internal/simplex"
-	"milpjoin/internal/solver"
 	"milpjoin/internal/sparse"
 	"milpjoin/internal/workload"
 	"milpjoin/joinorder"
@@ -31,8 +34,9 @@ import (
 // to the code, so that neither can drift from the other: every exported
 // field of the audited structs (wire types with their JSON tag), every
 // registered strategy, every flag of the three commands and every endpoint
-// has exactly one row with a verdict, and every row names something that
-// exists.
+// has exactly one row with a verdict, every row names something that
+// exists, and every non-test caller it cites is a function or method
+// declared in the named file.
 func TestSettableSurfaceDocumented(t *testing.T) {
 	want := map[string]bool{}
 	for _, s := range []struct {
@@ -51,7 +55,6 @@ func TestSettableSurfaceDocumented(t *testing.T) {
 		{"server.BudgetRequest", server.BudgetRequest{}, true},
 		{"server.BatchRequest", server.BatchRequest{}, true},
 		{"core.Options", core.Options{}, false},
-		{"solver.Params", solver.Params{}, false},
 		{"bb.Params", bb.Params{}, false},
 		{"simplex.Options", simplex.Options{}, false},
 		{"presolve.Options", presolve.Options{}, false},
@@ -98,6 +101,7 @@ func TestSettableSurfaceDocumented(t *testing.T) {
 	}
 
 	verdict := regexp.MustCompile(`^\([abcd]\)`)
+	funcs := declaredFuncs{}
 	got := map[string]bool{}
 	for _, row := range surfaceRows(t) {
 		cells := strings.Split(strings.Trim(row, "|"), "|")
@@ -112,6 +116,9 @@ func TestSettableSurfaceDocumented(t *testing.T) {
 		got[key] = true
 		if !verdict.MatchString(strings.TrimSpace(cells[5])) {
 			t.Errorf("%s: verdict %q does not start with (a), (b), (c) or (d)", key, strings.TrimSpace(cells[5]))
+		}
+		if err := funcs.check(strings.TrimSpace(cells[2])); err != "" {
+			t.Errorf("%s: non-test caller %s", key, err)
 		}
 	}
 	var missing, stale []string
@@ -133,6 +140,59 @@ func TestSettableSurfaceDocumented(t *testing.T) {
 	for _, k := range stale {
 		t.Errorf("DESIGN.md's settable-surface table has a row for %s, which does not exist", k)
 	}
+}
+
+// callerCell is a "Non-test caller" cell that names a function: a Go file
+// from the repository root, then the function, or the method as
+// Receiver.Method.
+var callerCell = regexp.MustCompile("^`([^`]+\\.go)` `((?:[A-Za-z_]\\w*\\.)?[A-Za-z_]\\w*)`$")
+
+// declaredFuncs caches, per Go file, the functions and methods it declares.
+type declaredFuncs map[string]map[string]bool
+
+// check returns why a caller cell does not name a declared function, or ""
+// when it does or names no caller ("—").
+func (d declaredFuncs) check(cell string) string {
+	if strings.HasPrefix(cell, "—") {
+		return ""
+	}
+	m := callerCell.FindStringSubmatch(cell)
+	if m == nil {
+		return fmt.Sprintf("%q is not a Go file and a function", cell)
+	}
+	decls, ok := d[m[1]]
+	if !ok {
+		f, err := parser.ParseFile(token.NewFileSet(), m[1], nil, parser.SkipObjectResolution)
+		if err != nil {
+			return fmt.Sprintf("%q: %v", cell, err)
+		}
+		decls = map[string]bool{}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			name := fd.Name.Name
+			if fd.Recv != nil {
+				recv := fd.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if ix, ok := recv.(*ast.IndexExpr); ok {
+					recv = ix.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					name = id.Name + "." + name
+				}
+			}
+			decls[name] = true
+		}
+		d[m[1]] = decls
+	}
+	if !decls[m[2]] {
+		return fmt.Sprintf("%q: %s declares no %s", cell, m[1], m[2])
+	}
+	return ""
 }
 
 // surfaceRows returns the body rows of the table in DESIGN.md's "Settable
