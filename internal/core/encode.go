@@ -30,13 +30,12 @@ type Encoding struct {
 	PAG [][]milp.Var // [j][g]: correlated group g complete in outer of join j (j ≥ 1)
 	LCO []milp.Var   // [j]: log10 cardinality of outer operand (j ≥ 1)
 	CTO [][]milp.Var // [j][r]: cardinality threshold r reached (j ≥ 1)
-	CO  []milp.Var   // [j]: approximated cardinality of outer operand
 	CI  []milp.Var   // [j]: exact cardinality of inner operand
 
 	// Extension handles (nil when the extension is off).
 	JOS [][]milp.Var // [j][i]: operator i selected for join j
 	OHP []milp.Var   // [j]: outer operand of join j is sorted
-	PCO [][]milp.Var // [j][p]: predicate p evaluated during join j
+	PCO [][]milp.Var // [j][p]: predicate p evaluated during join j; -1 for a free one
 	CLO [][]milp.Var // [j][l]: column l in outer operand of join j; row J = final result
 	// AJC[j][i] is the actual-cost variable of operator i at join j.
 	AJC [][]milp.Var
@@ -47,6 +46,8 @@ type Encoding struct {
 
 	// ops lists the operator implementations when ChooseOperators is on.
 	ops []cost.Operator
+	// prods lists the products of binaries priceOuter linearised.
+	prods []product
 
 	// derived data shared by the encoder parts.
 	effCard  []float64 // per-table cardinality with unary predicates folded in
@@ -101,7 +102,7 @@ func Encode(q *qopt.Query, opts Options) (*Encoding, error) {
 	default:
 		e.addFixedObjective()
 	}
-	if opts.ExpensivePredicates {
+	if opts.Metric == cost.OperatorCost {
 		e.addExpensivePredicates()
 	}
 	return e, nil
@@ -233,8 +234,9 @@ func (e *Encoding) addPredicateVars() {
 }
 
 // addCardinalityVars introduces ci (exact inner cardinalities), lco
-// (logarithmic outer cardinalities), the threshold variables cto, and the
-// approximated outer cardinalities co (Section 4.2).
+// (logarithmic outer cardinalities) and the threshold variables cto
+// (Section 4.2). The approximated outer cardinality co_j is the ladder over
+// cto_j, which every cost term embeds instead of a co variable.
 func (e *Encoding) addCardinalityVars() {
 	q := e.Query
 	m := e.Model
@@ -258,32 +260,10 @@ func (e *Encoding) addCardinalityVars() {
 		m.AddConstr(expr, milp.EQ, 0, fmt.Sprintf("cidef_%d", j))
 	}
 
-	// The approximated cardinality co_j is definable as a linear ladder
-	// over the threshold variables, so explicit co variables (and their
-	// very wide-coefficient defining rows) are only materialised when an
-	// extension needs the value itself; cost objectives embed the ladder
-	// directly.
-	needCO0 := e.Opts.ExpensivePredicates
-	needCOj := e.Opts.ExpensivePredicates || e.Opts.Projection
-	e.CO = make([]milp.Var, e.J)
-	for j := range e.CO {
-		e.CO[j] = -1
-	}
-	if needCO0 {
-		// Outer operand of join 0 is a single table: exact and linear.
-		e.CO[0] = m.AddContinuous(0, maxEff, 0, "co_0")
-		expr := milp.Expr(e.CO[0], 1.0)
-		for t := 0; t < n; t++ {
-			expr = expr.Add(e.TIO[0][t], -e.effCard[t])
-		}
-		m.AddConstr(expr, milp.EQ, 0, "codef_0")
-	}
-
 	// Joins 1…J−1: logarithmic cardinality, thresholds, approximation.
 	e.LCO = make([]milp.Var, e.J)
 	e.CTO = make([][]milp.Var, e.J)
 	e.LCO[0] = -1
-	capVal := e.coMax()
 	for j := 1; j < e.J; j++ {
 		e.LCO[j] = m.AddContinuous(e.lcoMin, e.lcoMax, 0, fmt.Sprintf("lco_%d", j))
 		expr := milp.Expr(e.LCO[j], 1.0)
@@ -312,18 +292,6 @@ func (e *Encoding) addCardinalityVars() {
 				m.AddConstr(milp.Expr(v, 1.0, e.CTO[j][r-1], -1.0), milp.LE, 0,
 					fmt.Sprintf("cord_%d_%d", j, r))
 			}
-		}
-
-		// co_j = 1 + Σ_r δ_r·cto_jr (the identity ladder), materialised
-		// only for extensions that use the value.
-		if needCOj {
-			e.CO[j] = m.AddContinuous(0, capVal, 0, fmt.Sprintf("co_%d", j))
-			coExpr := milp.Expr(e.CO[j], 1.0)
-			base, deltas := e.ladder(func(c float64) float64 { return c })
-			for r := range e.Thresholds {
-				coExpr = coExpr.Add(e.CTO[j][r], -deltas[r])
-			}
-			m.AddConstr(coExpr, milp.EQ, base, fmt.Sprintf("codef_%d", j))
 		}
 	}
 }
@@ -371,6 +339,35 @@ func (e *Encoding) outerCostAffine(j int, g func(card float64) float64) (milp.Li
 		expr = expr.Add(e.CTO[j][r], deltas[r])
 	}
 	return expr, base
+}
+
+// product records u = x·b for binaries x and b, as priceOuter links it.
+type product struct{ u, x, b milp.Var }
+
+// priceOuter adds k·b·card(outer_j) to the objective for a binary b, the
+// way plan.Evaluate bills a join's outer operand: join 0's is one table at
+// its raw cardinality, a later one the ladder 1 + Σ_r δ_r·cto_{j,r}. The
+// product is priced rung by rung: each x·b, x a binary of the sum, is a
+// continuous u ≥ x + b − 1, u ≥ 0, which minimisation presses onto it, so
+// every linking row has unit coefficients whatever the cardinality scale.
+func (e *Encoding) priceOuter(j int, b milp.Var, k float64, name string) {
+	m := e.Model
+	link := func(x milp.Var, c float64, r int) {
+		u := m.AddContinuous(0, 1, k*c, fmt.Sprintf("%s_%d", name, r))
+		m.AddConstr(milp.Expr(u, 1.0, x, -1.0, b, -1.0), milp.GE, -1, fmt.Sprintf("%sdef_%d", name, r))
+		e.prods = append(e.prods, product{u, x, b})
+	}
+	if j == 0 {
+		for t, tb := range e.Query.Tables {
+			link(e.TIO[0][t], tb.Card, t)
+		}
+		return
+	}
+	base, deltas := e.ladder(func(c float64) float64 { return c })
+	m.SetObjCoeff(b, m.ObjCoeff(b)+k*base)
+	for r, d := range deltas {
+		link(e.CTO[j][r], d, r)
+	}
 }
 
 // innerCostExpr returns the exact linear expression for the inner-operand

@@ -156,61 +156,51 @@ func (e *Encoding) linkSortedness(smjIdx, presortedIdx int) {
 	}
 }
 
-// addExpensivePredicates implements the evaluation-cost extension of
-// Section 5.1: pco variables mark the join at which each costly predicate
-// is first evaluated, and the pay-once cost pco·co is linearised.
+// addExpensivePredicates implements Section 5.1 under the billing rule
+// plan.Index states: a predicate with an evaluation cost is billed once, at
+// the join that completes it (pco_{p,j} = 1), per tuple of that join's outer
+// operand. A join predicate completes where pao turns on; a filter where
+// its table enters, as join 0's outer operand or as an inner one.
 func (e *Encoding) addExpensivePredicates() {
 	m := e.Model
 	q := e.Query
-	maxEff := 0.0
-	for t := range e.effCard {
-		if e.effCard[t] > maxEff {
-			maxEff = e.effCard[t]
-		}
-	}
-	capVal := e.coMax()
-
-	e.PCO = make([][]milp.Var, e.J)
-	for j := range e.PCO {
-		e.PCO[j] = make([]milp.Var, len(q.Predicates))
-		for i := range e.PCO[j] {
-			e.PCO[j][i] = -1
-		}
-	}
-
-	for _, pi := range e.binPreds {
-		ec := q.Predicates[pi].EvalCostPerTuple
-		if ec <= 0 {
+	for pi, p := range q.Predicates {
+		if p.EvalCostPerTuple <= 0 {
 			continue
 		}
+		if e.PCO == nil {
+			e.PCO = make([][]milp.Var, e.J)
+			for j := range e.PCO {
+				e.PCO[j] = make([]milp.Var, len(q.Predicates))
+				for i := range e.PCO[j] {
+					e.PCO[j][i] = -1
+				}
+			}
+		}
 		for j := 0; j < e.J; j++ {
-			// pco_pj = pao_{p,j+1} − pao_{p,j}, with the boundary
-			// conventions pao_{p,0} = 0 and pao_{p,J} = 1 (every
-			// predicate is evaluated by the end of the plan).
 			v := m.AddBinary(0, fmt.Sprintf("pco_p%d_%d", pi, j))
 			e.PCO[j][pi] = v
-			expr := milp.Expr(v, 1.0)
-			rhs := 0.0
-			if j+1 < e.J {
-				expr = expr.Add(e.PAO[j+1][pi], -1)
+			expr, rhs := milp.Expr(v, 1.0), 0.0
+			if t := p.Tables[0]; len(p.Tables) == 1 {
+				// pco_pj = tii_{t,j}, plus tio_{t,0} at join 0.
+				expr = expr.Add(e.TII[j][t], -1)
+				if j == 0 {
+					expr = expr.Add(e.TIO[0][t], -1)
+				}
 			} else {
-				rhs -= 1 // pao_{p,J} = 1
+				// pco_pj = pao_{p,j+1} − pao_{p,j}, with pao_{p,0} = 0 and
+				// pao_{p,J} = 1 (every predicate is evaluated by the end).
+				if j+1 < e.J {
+					expr = expr.Add(e.PAO[j+1][pi], -1)
+				} else {
+					rhs = 1
+				}
+				if j >= 1 {
+					expr = expr.Add(e.PAO[j][pi], 1)
+				}
 			}
-			if j >= 1 {
-				expr = expr.Add(e.PAO[j][pi], 1)
-			}
-			m.AddConstr(expr, milp.EQ, -rhs, fmt.Sprintf("pcodef_p%d_%d", pi, j))
-
-			// Evaluation cost ec · pco · co_j, linearised via
-			// epc ≥ co_j − cap·(1 − pco), epc ≥ 0.
-			capJ := capVal
-			if j == 0 {
-				capJ = maxEff
-			}
-			epc := m.AddContinuous(0, capJ, ec, fmt.Sprintf("epc_p%d_%d", pi, j))
-			m.AddConstr(
-				milp.Expr(epc, 1.0, e.CO[j], -1.0, v, -capJ),
-				milp.GE, -capJ, fmt.Sprintf("epcdef_p%d_%d", pi, j))
+			m.AddConstr(expr, milp.EQ, rhs, fmt.Sprintf("pcodef_p%d_%d", pi, j))
+			e.priceOuter(j, v, p.EvalCostPerTuple, fmt.Sprintf("epc_p%d_%d", pi, j))
 		}
 	}
 }

@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"milpjoin/internal/bb"
 	"milpjoin/internal/cost"
 	"milpjoin/internal/dp"
+	"milpjoin/internal/milp"
 	"milpjoin/internal/plan"
 	"milpjoin/internal/qopt"
 	"milpjoin/internal/workload"
@@ -145,7 +148,8 @@ func TestExpensivePredicatesEvaluatedExactlyOnce(t *testing.T) {
 	q := workload.Generate(workload.Chain, 4, 4, workload.Config{})
 	q.Predicates[0].EvalCostPerTuple = 5
 	q.Predicates[2].EvalCostPerTuple = 2
-	opts := Options{Metric: cost.Cout, Precision: PrecisionMedium, ExpensivePredicates: true, CardCap: 1e9, Threads: 2}
+	q.Predicates = append(q.Predicates, qopt.Predicate{Tables: []int{1}, Sel: 0.5, EvalCostPerTuple: 3})
+	opts := Options{Metric: cost.OperatorCost, Precision: PrecisionMedium, CardCap: 1e9, Threads: 2}
 	res, err := Optimize(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -153,9 +157,12 @@ func TestExpensivePredicatesEvaluatedExactlyOnce(t *testing.T) {
 	if res.Status != bb.StatusOptimal {
 		t.Fatalf("status %v", res.Status)
 	}
+	if res.MIPStart != "greedy" {
+		t.Errorf("MIP start %q, want the greedy plan", res.MIPStart)
+	}
 	enc := res.Encoding
 	sol := res.Solution
-	for _, pi := range []int{0, 2} {
+	for _, pi := range []int{0, 2, len(q.Predicates) - 1} {
 		total := 0.0
 		for j := 0; j < enc.J; j++ {
 			if v := enc.PCO[j][pi]; v >= 0 {
@@ -171,14 +178,14 @@ func TestExpensivePredicatesEvaluatedExactlyOnce(t *testing.T) {
 func TestExpensivePredicateEvaluationCostCounted(t *testing.T) {
 	// Identical plans, but one predicate becomes expensive: the MILP
 	// objective must grow.
-	q := paperQuery()
-	cheap, err := Optimize(context.Background(), q, Options{Metric: cost.Cout, Precision: PrecisionHigh, ExpensivePredicates: true})
+	opts := Options{Metric: cost.OperatorCost, Precision: PrecisionHigh}
+	cheap, err := Optimize(context.Background(), paperQuery(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q2 := paperQuery()
 	q2.Predicates[0].EvalCostPerTuple = 100
-	dear, err := Optimize(context.Background(), q2, Options{Metric: cost.Cout, Precision: PrecisionHigh, ExpensivePredicates: true})
+	dear, err := Optimize(context.Background(), q2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,6 +194,65 @@ func TestExpensivePredicateEvaluationCostCounted(t *testing.T) {
 	}
 	if dear.Solution.Obj <= cheap.Solution.Obj {
 		t.Errorf("expensive predicate did not increase objective: %g vs %g", dear.Solution.Obj, cheap.Solution.Obj)
+	}
+}
+
+// expensiveChain is a 5-table chain whose predicates cost 50/20/0/80 per
+// tuple to evaluate.
+func expensiveChain() *qopt.Query {
+	q := &qopt.Query{}
+	for i, c := range []float64{1000, 100, 10, 5000, 300} {
+		q.Tables = append(q.Tables, qopt.Table{Name: fmt.Sprintf("T%d", i), Card: c})
+	}
+	for i, sel := range []float64{0.01, 0.1, 0.01, 0.005} {
+		ec := []float64{50, 20, 0, 80}[i]
+		q.Predicates = append(q.Predicates, qopt.Predicate{Tables: []int{i, i + 1}, Sel: sel, EvalCostPerTuple: ec})
+	}
+	return q
+}
+
+// TestExpensivePredicatesFeasibleAtEveryCap: the Section 5.1 rows link
+// binaries with unit coefficients, so the incumbent is feasible in the
+// model whatever the precision and cardinality cap, and the evaluation
+// costs raise its objective.
+func TestExpensivePredicatesFeasibleAtEveryCap(t *testing.T) {
+	free := expensiveChain()
+	for i := range free.Predicates {
+		free.Predicates[i].EvalCostPerTuple = 0
+	}
+	for _, prec := range Precisions() {
+		for _, cardCap := range []float64{1e6, 1e9, 1e12} {
+			opts := Options{Metric: cost.OperatorCost, Precision: prec, CardCap: cardCap, Threads: 1}
+			res, err := Optimize(context.Background(), expensiveChain(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, err := Optimize(context.Background(), free, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Solution == nil || base.Solution == nil {
+				t.Fatalf("%v/%g: no incumbent", prec, cardCap)
+			}
+			if err := res.Encoding.Model.CheckFeasible(res.Solution.Values, 1e-5); err != nil {
+				t.Errorf("%v/%g: incumbent infeasible: %v", prec, cardCap, err)
+			}
+			m := res.Encoding.Model
+			for i := 0; i < m.NumConstrs(); i++ {
+				expr, _, _, name := m.Constr(i)
+				if !strings.HasPrefix(name, "epc_") && !strings.HasPrefix(name, "pcodef_") {
+					continue
+				}
+				expr.Terms(func(_ milp.Var, c float64) {
+					if c != 1 && c != -1 {
+						t.Errorf("%v/%g: row %s has coefficient %g", prec, cardCap, name, c)
+					}
+				})
+			}
+			if res.Solution.Obj <= base.Solution.Obj {
+				t.Errorf("%v/%g: objective %g, %g with the evaluation costs zeroed", prec, cardCap, res.Solution.Obj, base.Solution.Obj)
+			}
+		}
 	}
 }
 
@@ -287,9 +353,7 @@ func TestOperatorSelectionWithExpensivePredicates(t *testing.T) {
 	// choice) active in one encoding.
 	q := workload.Generate(workload.Chain, 4, 8, workload.Config{})
 	q.Predicates[1].EvalCostPerTuple = 3
-	opts := operatorOpts()
-	opts.ExpensivePredicates = true
-	res, err := Optimize(context.Background(), q, opts)
+	res, err := Optimize(context.Background(), q, operatorOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,6 +393,55 @@ func TestCardCapHonored(t *testing.T) {
 		}
 		if top > cap*enc.Opts.ratio()*enc.Opts.ratio() {
 			t.Errorf("cap %g: ladder overshoots to %g", cap, top)
+		}
+	}
+}
+
+// TestExpensivePredicatesNearLeftDeepOptimum: with every second predicate
+// given an evaluation cost, the greedy plan seeds the search, the incumbent
+// is feasible in the model, and the plan costs at most ten times (the
+// medium precision's factor) the left-deep optimum under the same billing
+// rule — on every draw whose optimal plan stays under the cardinality cap.
+func TestExpensivePredicatesNearLeftDeepOptimum(t *testing.T) {
+	if testing.Short() {
+		t.Skip("24 MILP searches")
+	}
+	opts := Options{Metric: cost.OperatorCost, Precision: PrecisionMedium, Threads: 1}
+	for _, shape := range []workload.GraphShape{workload.Chain, workload.Star, workload.Cycle} {
+		for seed := int64(1); seed <= 8; seed++ {
+			q := workload.Generate(shape, 5, seed, workload.Config{})
+			for i := 0; i < len(q.Predicates); i += 2 {
+				q.Predicates[i].EvalCostPerTuple = 10
+			}
+			res, err := Optimize(context.Background(), q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.MIPStart != "greedy" || res.Solution == nil {
+				t.Fatalf("%v/%d: MIP start %q", shape, seed, res.MIPStart)
+			}
+			if err := res.Encoding.Model.CheckFeasible(res.Solution.Values, 1e-5); err != nil {
+				t.Errorf("%v/%d: incumbent infeasible: %v", shape, seed, err)
+			}
+			best, opt, err := dp.OptimizeLeftDeep(context.Background(), q, opts.Spec(), dp.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps, err := plan.Evaluate(q, best, cost.CoutSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			peak := 0.0
+			for _, st := range steps.Steps[:len(steps.Steps)-1] {
+				peak = max(peak, st.ResultCard)
+			}
+			if peak >= 1e12 {
+				t.Logf("%v/%d: skipped, an intermediate of the optimal plan reaches %g", shape, seed, peak)
+				continue
+			}
+			if res.ExactCost > 10*opt {
+				t.Errorf("%v/%d: MILP plan costs %g, left-deep optimum %g", shape, seed, res.ExactCost, opt)
+			}
 		}
 	}
 }

@@ -9,11 +9,11 @@ import (
 
 // AssignmentForPlan constructs a full model-space variable assignment that
 // represents the given left-deep plan — the encoding-side inverse of
-// Decode. It supports the basic encoding (C_out or any fixed operator) and
-// the operator-selection / interesting-orders extensions, choosing the
-// cheapest applicable operator per join. The projection and expensive-
-// predicate encodings return an error: their auxiliary variables are not
-// derivable from the join order alone.
+// Decode. It supports the basic encoding (C_out or any fixed operator), the
+// operator-selection / interesting-orders extensions, choosing the cheapest
+// applicable operator per join, and evaluation costs, billing each predicate
+// at the join that completes it. The projection encoding returns an error:
+// its column variables are not derivable from the join order alone.
 //
 // The assignment is used as a MIP start: it hands the branch-and-bound
 // search an immediate incumbent (for example from the greedy heuristic),
@@ -22,8 +22,8 @@ func (e *Encoding) AssignmentForPlan(pl *plan.Plan) ([]float64, error) {
 	if err := pl.Validate(e.Query); err != nil {
 		return nil, err
 	}
-	if e.Opts.Projection || e.Opts.ExpensivePredicates {
-		return nil, fmt.Errorf("core: MIP start not supported with projection or expensive-predicate variables")
+	if e.Opts.Projection {
+		return nil, fmt.Errorf("core: MIP start not supported with projection variables")
 	}
 	q := e.Query
 	n := q.NumTables()
@@ -46,9 +46,6 @@ func (e *Encoding) AssignmentForPlan(pl *plan.Plan) ([]float64, error) {
 
 	for j := 0; j < e.J; j++ {
 		vals[e.CI[j]] = e.effCard[pl.Order[j+1]]
-	}
-	if e.CO[0] >= 0 {
-		vals[e.CO[0]] = e.effCard[pl.Order[0]]
 	}
 
 	// approxCard[j] is the ladder-approximated outer cardinality of join
@@ -102,9 +99,6 @@ func (e *Encoding) AssignmentForPlan(pl *plan.Plan) ([]float64, error) {
 				approx = th
 			}
 		}
-		if e.CO[j] >= 0 {
-			vals[e.CO[j]] = approx
-		}
 		approxCard[j] = approx
 	}
 
@@ -124,6 +118,25 @@ func (e *Encoding) AssignmentForPlan(pl *plan.Plan) ([]float64, error) {
 
 	if e.JOS != nil {
 		e.assignOperators(pl, vals, approxCard)
+	}
+	if e.PCO != nil {
+		// A predicate completes at the join that brings in its last table.
+		pos := make([]int, n)
+		for i, t := range pl.Order {
+			pos[t] = i
+		}
+		for pi, p := range q.Predicates {
+			last := 1
+			for _, t := range p.Tables {
+				last = max(last, pos[t])
+			}
+			if v := e.PCO[last-1][pi]; v >= 0 {
+				vals[v] = 1
+			}
+		}
+	}
+	for _, pr := range e.prods {
+		vals[pr.u] = vals[pr.x] * vals[pr.b]
 	}
 	return vals, nil
 }

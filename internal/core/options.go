@@ -3,11 +3,13 @@
 //
 // The encoder emits the variables of Table 1 (tio/tii for join operands,
 // pao for applicable predicates, lco for log-cardinalities, cto for
-// cardinality thresholds, co/ci for approximated operand cardinalities) and
-// the constraint families of Table 2, plus the Section 5 extensions: n-ary
-// and correlated predicates, expensive predicates, projection, operator
-// implementation selection, and intermediate result properties (interesting
-// orders). The decoder maps MILP solutions back to left-deep query plans.
+// cardinality thresholds, whose ladder approximates the outer operand's
+// cardinality co, ci for the inner operand's) and the constraint families of
+// Table 2, plus the Section 5 extensions: n-ary and correlated predicates,
+// expensive predicates (on whenever a predicate has an evaluation cost and
+// the metric is operator cost), projection, operator implementation
+// selection, and intermediate result properties (interesting orders). The
+// decoder maps MILP solutions back to left-deep query plans.
 package core
 
 import (
@@ -97,17 +99,13 @@ type Options struct {
 	// properties and a pre-sorted sort-merge variant. Requires
 	// ChooseOperators.
 	InterestingOrders bool
-	// ExpensivePredicates enables the Section 5.1 evaluation-cost
-	// extension: predicates with nonzero EvalCostPerTuple pay their cost
-	// once, at the join where they are first applied.
-	ExpensivePredicates bool
 	// InitialPlan optionally seeds branch and bound with this plan's
 	// model-space assignment (a "MIP start") instead of the default
 	// greedy join order — the warm-start path of the plan cache, which
 	// feeds incumbents from structurally similar solved queries. The
 	// plan is validated and feasibility-checked; when it cannot be used
-	// (projection or expensive-predicate encodings, or a plan the
-	// cardinality cap excludes) the greedy fallback applies as usual.
+	// (projection encodings, or a plan the cardinality cap excludes) the
+	// greedy fallback applies as usual.
 	InitialPlan *plan.Plan
 	// Incumbents, when non-nil, is the live generalisation of
 	// InitialPlan: a feed of candidate plans published while the solve

@@ -22,7 +22,6 @@ func (e *Encoding) addProjection() error {
 	m := e.Model
 	q := e.Query
 	p := e.Opts.CostParams
-	capVal := e.Opts.CardCap
 
 	nL := len(q.Columns)
 	e.CLO = make([][]milp.Var, e.J+1)
@@ -93,13 +92,9 @@ func (e *Encoding) addProjection() error {
 			}
 			continue
 		}
-		// Outer of join j ≥ 1: Σ_l Byte(l)·(co_j·clo_jl), linearised
-		// with one auxiliary variable per (join, column).
+		// Outer of join j ≥ 1: Σ_l Byte(l)·co_j·clo_jl.
 		for l, col := range q.Columns {
-			w := m.AddContinuous(0, capVal, perPage*col.Bytes, fmt.Sprintf("wbytes_%d_c%d", j, l))
-			m.AddConstr(
-				milp.Expr(w, 1.0, e.CO[j], -1.0, e.CLO[j][l], -capVal),
-				milp.GE, -capVal, fmt.Sprintf("wdef_%d_c%d", j, l))
+			e.priceOuter(j, e.CLO[j][l], perPage*col.Bytes, fmt.Sprintf("wb_%d_c%d", j, l))
 		}
 	}
 	return nil

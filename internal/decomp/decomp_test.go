@@ -60,17 +60,15 @@ func relDiff(a, b float64) float64 {
 // stitchTotal walks a partition permutation through appendCost.
 func stitchTotal(st *stitcher, order []int) float64 {
 	var (
-		mask   uint64
-		card   float64
-		placed int
-		total  float64
+		mask  uint64
+		card  float64
+		total float64
 	)
 	for _, p := range order {
-		add, ncard := st.appendCost(mask, p, card, placed)
+		add, ncard := st.appendCost(mask, p, card)
 		total += add
 		card = ncard
 		mask |= 1 << uint(p)
-		placed += st.sizes[p]
 	}
 	return total
 }
@@ -106,8 +104,8 @@ func TestStitchAppendCostMatchesPlanCost(t *testing.T) {
 	}
 }
 
-// TestStitchSingleTableFirstPartition: a size-1 first partition must not
-// drop the deferred unary-predicate events of its table.
+// TestStitchSingleTableFirstPartition: a size-1 first partition must bill
+// its table's filter at the plan's first join, as a lone leaf.
 func TestStitchSingleTableFirstPartition(t *testing.T) {
 	q := &qopt.Query{
 		Tables: []qopt.Table{{Card: 1000}, {Card: 500}, {Card: 200}},
@@ -171,9 +169,8 @@ func TestOrderDPIsOptimalOverPermutations(t *testing.T) {
 
 // TestSeamFullWindowFindsLeftDeepOptimum: with the window covering the
 // whole order, the seam DP is a complete left-deep search and must match
-// the brute-force optimum under plan.Cost. (dp.OptimizeLeftDeep is NOT
-// the ground truth here: its objective omits expensive-predicate
-// evaluation costs, which the enriched queries deliberately include.)
+// dp.OptimizeLeftDeep's optimum under plan.Cost, evaluation costs of the
+// enriched queries included.
 func TestSeamFullWindowFindsLeftDeepOptimum(t *testing.T) {
 	const n = 7
 	for _, shape := range []workload.GraphShape{workload.Chain, workload.Star, workload.Clique} {
@@ -186,14 +183,12 @@ func TestSeamFullWindowFindsLeftDeepOptimum(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := math.Inf(1)
-				for _, perm := range perms(n) {
-					if c, cerr := plan.Cost(q, &plan.Plan{Order: perm}, spec); cerr == nil && c < want {
-						want = c
-					}
+				_, want, err := dp.OptimizeLeftDeep(context.Background(), q, spec, dp.Options{})
+				if err != nil {
+					t.Fatal(err)
 				}
 				if relDiff(got, want) > 1e-9 {
-					t.Fatalf("%v seed %d %v: seam %g, brute force %g", shape, seed, spec.Metric, got, want)
+					t.Fatalf("%v seed %d %v: seam %g, dp-leftdeep %g", shape, seed, spec.Metric, got, want)
 				}
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"milpjoin/internal/cost"
+	"milpjoin/internal/plan"
 	"milpjoin/internal/qopt"
 )
 
@@ -19,196 +20,88 @@ const quotientDPMax = 16
 // partitions before stitching.
 const maxPartitions = 64
 
-// predEvent marks a predicate completing while one partition is appended:
-// at local step within that partition's internal order, provided every
-// partition in required was already placed.
-type predEvent struct {
-	pred     int
-	step     int
-	required uint64
-}
-
-// groupEvent is the same for a correlated group: the group's correction
-// applies at the step where its last predicate completes.
-type groupEvent struct {
-	group    int
-	step     int
-	required uint64
-}
-
 // stitcher orders fixed partition-internal join orders into one global
-// left-deep plan. Its incremental coster mirrors plan.Evaluate exactly —
-// cardinalities are per table set, predicates and correlation corrections
-// apply at the join where they first complete, C_out excludes the final
-// result, operator costs price outer/inner pages per join — so the cost
-// it minimizes is the cost plan.Cost reports for the stitched plan.
+// left-deep plan. Its incremental coster is a plan.Walk over the query's
+// plan.Index, repositioned at the placed partitions: the cost it minimizes
+// is the cost plan.Cost reports for the stitched plan.
 type stitcher struct {
-	q      *qopt.Query
 	spec   cost.Spec
 	params cost.Params
 	n      int
 	orders [][]int // per partition: global table ids in join order
 	sizes  []int
-	preds  [][][]predEvent  // [partition][step] -> completing predicates
-	groups [][][]groupEvent // [partition][step] -> completing groups
+	pages  []float64  // per table: the page count of its raw cardinality
+	w      *plan.Walk // over the partitions in at, in descending order
+	at     uint64
+	placed int // their tables
+	buf    []int
 }
 
 func newStitcher(q *qopt.Query, spec cost.Spec, orders [][]int) *stitcher {
 	st := &stitcher{
-		q:      q,
 		spec:   spec,
 		params: spec.Params.WithDefaults(),
 		n:      q.NumTables(),
 		orders: orders,
 		sizes:  make([]int, len(orders)),
+		pages:  make([]float64, q.NumTables()),
+		buf:    make([]int, 0, q.NumTables()),
 	}
-	partOf := make([]int, st.n)
-	stepOf := make([]int, st.n)
+	st.w = plan.NewIndex(q).Along(orders).Walk()
 	for p, ord := range orders {
 		st.sizes[p] = len(ord)
-		for j, t := range ord {
-			partOf[t], stepOf[t] = p, j
-		}
 	}
-	st.preds = make([][][]predEvent, len(orders))
-	st.groups = make([][][]groupEvent, len(orders))
-	for p := range orders {
-		st.preds[p] = make([][]predEvent, len(orders[p]))
-		st.groups[p] = make([][]groupEvent, len(orders[p]))
-	}
-	// A predicate completes while partition p is appended iff p holds one
-	// of its tables and all its other partitions are already placed; the
-	// step is the last of its tables inside p. Register one event per
-	// candidate "last partition" — exactly one fires per append chain.
-	predMask := make([]uint64, len(q.Predicates))
-	for pi, pred := range q.Predicates {
-		var pmask uint64
-		for _, t := range pred.Tables {
-			pmask |= 1 << uint(partOf[t])
-		}
-		predMask[pi] = pmask
-		for m := pmask; m != 0; m &= m - 1 {
-			p := bits.TrailingZeros64(m)
-			last := 0
-			for _, t := range pred.Tables {
-				if partOf[t] == p && stepOf[t] > last {
-					last = stepOf[t]
-				}
-			}
-			st.preds[p][last] = append(st.preds[p][last], predEvent{
-				pred:     pi,
-				step:     last,
-				required: pmask &^ (1 << uint(p)),
-			})
-		}
-	}
-	for gi, g := range q.Correlated {
-		var gmask uint64
-		for _, pi := range g.Predicates {
-			gmask |= predMask[pi]
-		}
-		for m := gmask; m != 0; m &= m - 1 {
-			p := bits.TrailingZeros64(m)
-			last := 0
-			for _, pi := range g.Predicates {
-				if predMask[pi]&(1<<uint(p)) == 0 {
-					continue
-				}
-				for _, t := range q.Predicates[pi].Tables {
-					if partOf[t] == p && stepOf[t] > last {
-						last = stepOf[t]
-					}
-				}
-			}
-			st.groups[p][last] = append(st.groups[p][last], groupEvent{
-				group:    gi,
-				step:     last,
-				required: gmask &^ (1 << uint(p)),
-			})
-		}
+	for t, tb := range q.Tables {
+		st.pages[t] = st.params.Pages(tb.Card)
 	}
 	return st
 }
 
 // appendCost walks partition p's internal order appended after the
-// partitions in placedMask (placed tables so far, entry cardinality card)
-// and returns the added plan cost plus the new running cardinality.
-// Events on the very first global table are deferred to the first join,
-// exactly as plan.Evaluate applies predicates only at joins; when the
-// first partition was a single table, its deferred events are rebuilt
-// here (they are a function of the mask alone, so DP states stay valid).
-func (st *stitcher) appendCost(placedMask uint64, p int, card float64, placed int) (float64, float64) {
-	var (
-		add      float64
-		pendSel  float64 = 1
-		pendEval float64
-		pending  bool
-	)
-	if placed == 1 {
-		p0 := bits.TrailingZeros64(placedMask)
-		for _, ev := range st.preds[p0][0] {
-			if ev.required == 0 {
-				pendSel *= st.q.Predicates[ev.pred].Sel
-				pendEval += st.q.Predicates[ev.pred].EvalCostPerTuple
-				pending = true
-			}
+// partitions in placedMask (whose join has cardinality card, raw while it
+// is one table) and returns the added plan cost plus the new running
+// cardinality.
+func (st *stitcher) appendCost(placedMask uint64, p int, card float64) (float64, float64) {
+	w := st.w
+	if placedMask != st.at {
+		// The walk keeps the partitions above the highest one that
+		// changed: the DP's ascending masks mostly change low bits.
+		h := uint(64 - bits.LeadingZeros64(placedMask^st.at))
+		keep := placedMask >> h << h
+		k := 0
+		for m := keep; m != 0; m &= m - 1 {
+			k += st.sizes[bits.TrailingZeros64(m)]
 		}
-		for _, ev := range st.groups[p0][0] {
-			if ev.required == 0 {
-				pendSel *= st.q.Correlated[ev.group].CorrectionSel
-				pending = true
-			}
+		st.buf = st.buf[:0]
+		for m := placedMask &^ keep; m != 0; {
+			hi := 63 - bits.LeadingZeros64(m)
+			st.buf = append(st.buf, st.orders[hi]...)
+			m &^= 1 << uint(hi)
 		}
+		w.Seek(k, st.buf, card)
+		st.at, st.placed = placedMask, k+len(st.buf)
+	} else {
+		w.Seek(st.placed, nil, card)
 	}
-	for j, t := range st.orders[p] {
-		tcard := st.q.Tables[t].Card
-		if placed == 0 && j == 0 {
-			card = tcard
-			for _, ev := range st.preds[p][0] {
-				if ev.required&^placedMask == 0 {
-					pendSel *= st.q.Predicates[ev.pred].Sel
-					pendEval += st.q.Predicates[ev.pred].EvalCostPerTuple
-					pending = true
-				}
+	tables, placed := st.orders[p], st.placed
+	if placed == 0 { // the plan's first table
+		card, tables, placed = w.Add(tables[0]), tables[1:], 1
+	}
+	var add float64
+	if st.spec.Metric == cost.Cout {
+		for _, t := range tables {
+			card = w.Add(t)
+			if placed++; placed < st.n {
+				add += card
 			}
-			for _, ev := range st.groups[p][0] {
-				if ev.required&^placedMask == 0 {
-					pendSel *= st.q.Correlated[ev.group].CorrectionSel
-					pending = true
-				}
-			}
-			continue
 		}
+		return add, card
+	}
+	op, params := st.spec.Op, st.params
+	for _, t := range tables {
 		outer := card
-		res := outer * tcard
-		var evalCost float64
-		if pending {
-			res *= pendSel
-			evalCost += pendEval * outer
-			pendSel, pendEval, pending = 1, 0, false
-		}
-		for _, ev := range st.preds[p][j] {
-			if ev.required&^placedMask == 0 {
-				res *= st.q.Predicates[ev.pred].Sel
-				if ec := st.q.Predicates[ev.pred].EvalCostPerTuple; ec > 0 {
-					evalCost += ec * outer
-				}
-			}
-		}
-		for _, ev := range st.groups[p][j] {
-			if ev.required&^placedMask == 0 {
-				res *= st.q.Correlated[ev.group].CorrectionSel
-			}
-		}
-		switch st.spec.Metric {
-		case cost.Cout:
-			if placed+j+1 < st.n {
-				add += res
-			}
-		default: // OperatorCost
-			add += cost.JoinCost(st.spec.Op, st.params.Pages(outer), st.params.Pages(tcard), st.params) + evalCost
-		}
-		card = res
+		card = w.Add(t)
+		add += w.Eval(outer) + cost.JoinCost(op, params.Pages(outer), st.pages[t], params)
 	}
 	return add, card
 }
@@ -223,12 +116,9 @@ func (st *stitcher) orderDP(deadline time.Time) ([]int, bool) {
 	costs := make([]float64, full+1)
 	cards := make([]float64, full+1)
 	parent := make([]int8, full+1)
-	placedOf := make([]int, full+1)
 	for m := uint64(1); m <= full; m++ {
 		costs[m] = math.Inf(1)
 		parent[m] = -1
-		low := bits.TrailingZeros64(m)
-		placedOf[m] = placedOf[m&(m-1)] + st.sizes[low]
 	}
 	checkEvery := 0
 	for mask := uint64(0); mask < full; mask++ {
@@ -243,7 +133,7 @@ func (st *stitcher) orderDP(deadline time.Time) ([]int, bool) {
 			if mask&bit != 0 {
 				continue
 			}
-			add, ncard := st.appendCost(mask, p, cards[mask], placedOf[mask])
+			add, ncard := st.appendCost(mask, p, cards[mask])
 			nm := mask | bit
 			if nc := costs[mask] + add; nc < costs[nm] {
 				costs[nm] = nc
@@ -275,10 +165,9 @@ func (st *stitcher) orderDP(deadline time.Time) ([]int, bool) {
 func (st *stitcher) orderGreedy() []int {
 	P := len(st.orders)
 	var (
-		mask   uint64
-		card   float64
-		placed int
-		order  []int
+		mask  uint64
+		card  float64
+		order []int
 	)
 	for len(order) < P {
 		best, bestAdd, bestCard := -1, math.Inf(1), 0.0
@@ -286,7 +175,7 @@ func (st *stitcher) orderGreedy() []int {
 			if mask&(uint64(1)<<uint(p)) != 0 {
 				continue
 			}
-			add, ncard := st.appendCost(mask, p, card, placed)
+			add, ncard := st.appendCost(mask, p, card)
 			// best == -1 keeps the first candidate even when every
 			// appended cost has overflowed to +Inf, where no strict
 			// comparison would ever pick one.
@@ -297,7 +186,6 @@ func (st *stitcher) orderGreedy() []int {
 		order = append(order, best)
 		mask |= 1 << uint(best)
 		card = bestCard
-		placed += st.sizes[best]
 	}
 	return order
 }

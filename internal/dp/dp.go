@@ -217,7 +217,7 @@ func GreedyLeftDeep(q *qopt.Query, spec cost.Spec) (*plan.Plan, float64, error) 
 	order := []int{start}
 	used[start] = true
 	w := plan.NewIndex(q).Walk()
-	w.Add(start, nil)
+	w.Add(start)
 
 	for len(order) < n {
 		bestT, bestCard := -1, math.Inf(1)
@@ -234,7 +234,7 @@ func GreedyLeftDeep(q *qopt.Query, spec cost.Spec) (*plan.Plan, float64, error) 
 			}
 		}
 		used[bestT] = true
-		w.Add(bestT, nil)
+		w.Add(bestT)
 		order = append(order, bestT)
 	}
 

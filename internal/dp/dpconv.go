@@ -48,8 +48,9 @@ type ConvOptions struct {
 // orientations are priced under asymmetric operator costs), and an
 // optional live cutoff prunes dominated layers — giving the exact DP an
 // anytime interface. Subsets are priced on package plan's cardinality
-// lattice, as plan.TreeCost prices trees. The subset loop polls the
-// context and the deadline.
+// lattice, as plan.TreeCost prices trees: a split's evaluation cost is the
+// lattice's Eval, billed on whichever half is the left operand. The subset
+// loop polls the context and the deadline.
 func OptimizeConv(ctx context.Context, q *qopt.Query, spec cost.Spec, opts ConvOptions) (*plan.Tree, float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -133,11 +134,13 @@ func OptimizeConv(ctx context.Context, q *qopt.Query, spec cost.Spec, opts ConvO
 					}
 				case cost.OperatorCost:
 					pgSub, pgRest := pages[sub], pages[rest]
-					if total := base + cost.JoinCost(spec.Op, pgSub, pgRest, params); total < best[s] {
+					fwd := lat.Eval(uint32(sub), uint32(rest)) + cost.JoinCost(spec.Op, pgSub, pgRest, params)
+					if total := base + fwd; total < best[s] {
 						best[s] = total
 						split[s] = int32(sub)
 					}
-					if total := base + cost.JoinCost(spec.Op, pgRest, pgSub, params); total < best[s] {
+					rev := lat.Eval(uint32(rest), uint32(sub)) + cost.JoinCost(spec.Op, pgRest, pgSub, params)
+					if total := base + rev; total < best[s] {
 						best[s] = total
 						split[s] = int32(rest)
 					}

@@ -56,11 +56,14 @@ func randomQuery(seed int64, size uint8) *qopt.Query {
 	return q
 }
 
-// FuzzSetCardinality checks the two readings of plan's cardinality rule
-// against each other on random queries: the left-deep DP (the subset
-// lattice) finds the exhaustive optimum and reports its plan's plan.Cost
-// under both metrics, and every plan.Evaluate step (the incremental walk)
-// has the SubsetCard of its prefix as its result cardinality.
+// FuzzSetCardinality checks the readings of plan's cardinality and
+// billing rules against each other on random queries: the left-deep DP
+// (the subset lattice) finds the exhaustive optimum and reports its plan's
+// plan.Cost under both metrics; the bushy DP finds the optimum of every
+// bushy tree under plan.TreeCost (up to six tables) and never exceeds the
+// left-deep optimum; TreeCost prices a left-deep tree as plan.Evaluate
+// prices its plan; and every Evaluate step (the incremental walk) has the
+// SubsetCard of its prefix as its result cardinality.
 func FuzzSetCardinality(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed, uint8(seed))
@@ -70,6 +73,9 @@ func FuzzSetCardinality(f *testing.F) {
 		if err := q.Validate(); err != nil {
 			t.Fatalf("generated an invalid query: %v", err)
 		}
+		n := q.NumTables()
+		near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b)) }
+		order := rand.New(rand.NewSource(seed)).Perm(n)
 		for _, spec := range []cost.Spec{cost.CoutSpec(), cost.DefaultSpec()} {
 			pl, c, err := OptimizeLeftDeep(context.Background(), q, spec, Options{})
 			if err != nil {
@@ -83,11 +89,44 @@ func FuzzSetCardinality(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if math.Abs(c-ex) > 1e-9*math.Max(1, ex) || math.Abs(recost-c) > 1e-9*math.Max(1, c) {
+			if !near(c, ex) || !near(recost, c) {
 				t.Fatalf("%v: dp-leftdeep %g (its plan %v costs %g), exhaustive %g", spec.Metric, c, pl.Order, recost, ex)
 			}
+
+			tree, bushy, err := OptimizeConv(context.Background(), q, spec, ConvOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bushy > c*(1+1e-9) {
+				t.Fatalf("%v: dp-bushy %g above dp-leftdeep %g", spec.Metric, bushy, c)
+			}
+			if n <= 6 {
+				want := math.Inf(1)
+				for _, tr := range allBushyTrees(1<<n - 1) {
+					tc, err := plan.TreeCost(q, tr, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = math.Min(want, tc)
+				}
+				if !near(bushy, want) {
+					t.Fatalf("%v: dp-bushy %g (tree %v), exhaustive bushy %g", spec.Metric, bushy, tree, want)
+				}
+			}
+
+			random := &plan.Plan{Order: order}
+			linear, err := plan.TreeCost(q, random.LeftDeep(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eval, err := plan.Cost(q, random, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !near(linear, eval) {
+				t.Fatalf("%v: order %v: TreeCost %g, Evaluate %g", spec.Metric, order, linear, eval)
+			}
 		}
-		order := rand.New(rand.NewSource(seed)).Perm(q.NumTables())
 		eval, err := plan.Evaluate(q, &plan.Plan{Order: order}, cost.CoutSpec())
 		if err != nil {
 			t.Fatal(err)

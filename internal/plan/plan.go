@@ -86,10 +86,10 @@ type Costing struct {
 	FinalCard float64
 }
 
-// Evaluate prices the plan exactly under spec. Each join's result
-// cardinality is card(S) of the tables joined so far, the rule Index
-// states; its operands are the previous result and the inner table at its
-// raw cardinality.
+// Evaluate prices the plan exactly under spec by the rules Index states:
+// each join's result cardinality is card(S) of the tables joined so far,
+// and its evaluation cost is billed on the outer pipeline; its operands are
+// the previous result and the inner table at its raw cardinality.
 func Evaluate(q *qopt.Query, p *Plan, spec cost.Spec) (*Costing, error) {
 	if err := p.Validate(q); err != nil {
 		return nil, err
@@ -98,7 +98,7 @@ func Evaluate(q *qopt.Query, p *Plan, spec cost.Spec) (*Costing, error) {
 	n := q.NumTables()
 
 	w := NewIndex(q).Walk()
-	curCard, _ := w.Add(p.Order[0], nil)
+	curCard := w.Add(p.Order[0])
 
 	c := &Costing{}
 	for j := 0; j+1 < n; j++ {
@@ -109,16 +109,9 @@ func Evaluate(q *qopt.Query, p *Plan, spec cost.Spec) (*Costing, error) {
 			OuterCard: outerCard,
 			InnerCard: q.Tables[inner].Card,
 		}
-		resCard, applied := w.Add(inner, nil)
-		step.AppliedPreds = applied
-		for _, pi := range applied {
-			// Expensive-predicate evaluation cost: paid once, on the
-			// result that triggers evaluation (priced on the outer
-			// cardinality, mirroring the Σ pco·co term of Section 5.1).
-			if ec := q.Predicates[pi].EvalCostPerTuple; ec > 0 {
-				step.Cost += ec * outerCard
-			}
-		}
+		resCard := w.Add(inner)
+		step.AppliedPreds = w.Done(nil)
+		step.Cost = w.Eval(outerCard)
 		step.ResultCard = resCard
 
 		op := spec.Op

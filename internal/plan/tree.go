@@ -119,49 +119,40 @@ func (t *Tree) LeftDeepPlan(metric cost.Metric) *Plan {
 	return &Plan{Order: order}
 }
 
-// TreeCost prices a bushy tree exactly under spec: every join's result is
-// card(S) of the tables under it, the rule Index states, and a leaf
-// enters its join at its raw cardinality; C_out sums every non-root join
-// result; OperatorCost prices each join with the spec's operator on both
-// operand page counts. Predicate evaluation costs
-// (Predicate.EvalCostPerTuple) are not priced: a bushy tree has no single
-// outer operand to bill them on, so for queries with expensive predicates
-// TreeCost is below Cost of the same left-deep plan.
+// TreeCost prices a bushy tree exactly under spec by the rules Index
+// states: every join's result is card(S) of the tables under it, and a
+// leaf enters its join at its raw cardinality; C_out sums every non-root
+// join result; OperatorCost prices each join with the spec's operator on
+// both operand page counts, plus the evaluation cost of the predicates it
+// completes per tuple of its left operand. On a left-deep tree this is
+// Cost of the same plan.
 func TreeCost(q *qopt.Query, t *Tree, spec cost.Spec) (float64, error) {
 	if err := t.Validate(q); err != nil {
 		return 0, err
 	}
+	if spec.Metric != cost.Cout && spec.Metric != cost.OperatorCost {
+		return 0, fmt.Errorf("plan: unknown metric %v", spec.Metric)
+	}
 	params := spec.Params.WithDefaults()
 	ix := NewIndex(q)
 	var total float64
-	var walk func(node *Tree, isRoot bool) (card float64, err error)
-	walk = func(node *Tree, isRoot bool) (float64, error) {
+	// walk returns card(S) and ec(S) of the node's table set S.
+	var walk func(node *Tree, isRoot bool) (card, ec float64)
+	walk = func(node *Tree, isRoot bool) (float64, float64) {
 		if node.IsLeaf() {
-			return q.Tables[node.Table].Card, nil
+			return q.Tables[node.Table].Card, 0
 		}
-		lc, err := walk(node.Left, false)
-		if err != nil {
-			return 0, err
+		lc, lec := walk(node.Left, false)
+		rc, rec := walk(node.Right, false)
+		card, ec := ix.setCard(node.Tables(nil))
+		switch {
+		case spec.Metric == cost.OperatorCost:
+			total += bill(ec-lec-rec, lc) + cost.JoinCost(spec.Op, params.Pages(lc), params.Pages(rc), params)
+		case !isRoot:
+			total += card
 		}
-		rc, err := walk(node.Right, false)
-		if err != nil {
-			return 0, err
-		}
-		card := ix.setCard(node.Tables(nil))
-		switch spec.Metric {
-		case cost.Cout:
-			if !isRoot {
-				total += card
-			}
-		case cost.OperatorCost:
-			total += cost.JoinCost(spec.Op, params.Pages(lc), params.Pages(rc), params)
-		default:
-			return 0, fmt.Errorf("plan: unknown metric %v", spec.Metric)
-		}
-		return card, nil
+		return card, ec
 	}
-	if _, err := walk(t, true); err != nil {
-		return 0, err
-	}
+	walk(t, true)
 	return total, nil
 }

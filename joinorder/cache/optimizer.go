@@ -498,7 +498,8 @@ func optionsKey(o joinorder.Options) string {
 	// epfalse and dp0 slots held the removed Options.ThresholdRatio,
 	// Options.ExpensivePredicates and Options.MaxDPTables at their zero
 	// values; they stay so that plan logs written before the removal still
-	// hit.
+	// hit. Evaluation costs need no slot: every strategy bills them from
+	// the query, which the fingerprint covers.
 	return fmt.Sprintf("%s,m%d,op%d,p%d,tr0,cc%g,gt%g,mn%d,co%t,io%t,epfalse,dp0,pc%d,sf%g,s%d,pf%v",
 		strat, o.Metric, o.Op, o.Precision, o.CardCap,
 		o.Budget.GapTol, o.Budget.MaxNodes, o.ChooseOperators, o.InterestingOrders,
