@@ -36,7 +36,6 @@ type Encoding struct {
 	JOS [][]milp.Var // [j][i]: operator i selected for join j
 	OHP []milp.Var   // [j]: outer operand of join j is sorted
 	PCO [][]milp.Var // [j][p]: predicate p evaluated during join j; -1 for a free one
-	CLO [][]milp.Var // [j][l]: column l in outer operand of join j; row J = final result
 	// AJC[j][i] is the actual-cost variable of operator i at join j.
 	AJC [][]milp.Var
 	// BLOCKS[j] and BNLZ[j][t] are the block-nested-loop auxiliaries:
@@ -68,12 +67,6 @@ func Encode(q *qopt.Query, opts Options) (*Encoding, error) {
 	if opts.InterestingOrders && !opts.ChooseOperators {
 		return nil, fmt.Errorf("core: InterestingOrders requires ChooseOperators")
 	}
-	if opts.Projection && len(q.Columns) == 0 {
-		return nil, fmt.Errorf("core: Projection requires a query with columns")
-	}
-	if opts.Projection && (opts.Metric != cost.OperatorCost || opts.ChooseOperators || opts.Op != cost.HashJoin) {
-		return nil, fmt.Errorf("core: Projection supports the fixed hash-join operator cost metric only")
-	}
 
 	n := q.NumTables()
 	e := &Encoding{
@@ -90,16 +83,11 @@ func Encode(q *qopt.Query, opts Options) (*Encoding, error) {
 	e.addPredicateVars()
 	e.addCardinalityVars()
 
-	switch {
-	case opts.Projection:
-		if err := e.addProjection(); err != nil {
-			return nil, err
-		}
-	case opts.ChooseOperators:
+	if opts.ChooseOperators {
 		if err := e.addOperatorSelection(); err != nil {
 			return nil, err
 		}
-	default:
+	} else {
 		e.addFixedObjective()
 	}
 	if opts.Metric == cost.OperatorCost {

@@ -241,14 +241,6 @@ func TestEncodeRejectsBadOptions(t *testing.T) {
 	if _, err := Encode(q, Options{InterestingOrders: true}); err == nil {
 		t.Error("InterestingOrders without ChooseOperators accepted")
 	}
-	if _, err := Encode(q, Options{Projection: true}); err == nil {
-		t.Error("Projection without columns accepted")
-	}
-	qc := paperQuery()
-	qc.Columns = []qopt.Column{{Table: 0, Bytes: 8, Required: true}}
-	if _, err := Encode(qc, Options{Projection: true, Metric: cost.Cout}); err == nil {
-		t.Error("Projection with Cout metric accepted")
-	}
 	bad := &qopt.Query{Tables: []qopt.Table{{Card: 10}}}
 	if _, err := Encode(bad, Options{}); err == nil {
 		t.Error("invalid query accepted")

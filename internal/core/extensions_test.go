@@ -256,98 +256,6 @@ func TestExpensivePredicatesFeasibleAtEveryCap(t *testing.T) {
 	}
 }
 
-func projectionQuery() *qopt.Query {
-	q := &qopt.Query{
-		Tables: []qopt.Table{
-			{Name: "R", Card: 100},
-			{Name: "S", Card: 2000},
-			{Name: "T", Card: 500},
-		},
-		Predicates: []qopt.Predicate{
-			{Tables: []int{0, 1}, Sel: 0.01},
-			{Tables: []int{1, 2}, Sel: 0.02},
-		},
-		Columns: []qopt.Column{
-			{Name: "R.key", Table: 0, Bytes: 8, Required: true},
-			{Name: "R.fat", Table: 0, Bytes: 200},
-			{Name: "S.key", Table: 1, Bytes: 8},
-			{Name: "S.out", Table: 1, Bytes: 16, Required: true},
-			{Name: "T.key", Table: 2, Bytes: 8},
-		},
-	}
-	q.Predicates[0].Columns = []int{0, 2}
-	q.Predicates[1].Columns = []int{2, 4}
-	return q
-}
-
-func TestProjectionSolvesAndKeepsRequiredColumns(t *testing.T) {
-	q := projectionQuery()
-	opts := Options{
-		Metric:     cost.OperatorCost,
-		Op:         cost.HashJoin,
-		Precision:  PrecisionMedium,
-		CardCap:    1e8,
-		Projection: true,
-		Threads:    2,
-	}
-	res, err := Optimize(context.Background(), q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != bb.StatusOptimal {
-		t.Fatalf("status %v", res.Status)
-	}
-	cols := res.Encoding.DecodeColumns(res.Solution)
-	if cols == nil {
-		t.Fatal("no column decode")
-	}
-	final := cols[len(cols)-1]
-	for l, col := range q.Columns {
-		if col.Required && !final[l] {
-			t.Errorf("required column %s missing from final result", col.Name)
-		}
-	}
-	// The 200-byte payload column is not required and feeds no
-	// predicate: it should be projected out of every intermediate
-	// result after (at the latest) the first join.
-	for j := 1; j < len(cols); j++ {
-		if cols[j][1] {
-			t.Errorf("fat column survives into operand %d", j)
-		}
-	}
-}
-
-func TestProjectionKeepsPredicateColumnsAlive(t *testing.T) {
-	q := projectionQuery()
-	opts := Options{
-		Metric:     cost.OperatorCost,
-		Op:         cost.HashJoin,
-		Precision:  PrecisionMedium,
-		CardCap:    1e8,
-		Projection: true,
-		Threads:    2,
-	}
-	res, err := Optimize(context.Background(), q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != bb.StatusOptimal {
-		t.Fatalf("status %v", res.Status)
-	}
-	enc := res.Encoding
-	sol := res.Solution
-	cols := enc.DecodeColumns(sol)
-	// Wherever predicate 1 (S.key–T.key) is not yet applied but S is in
-	// the operand, S.key must be present.
-	for j := 1; j < enc.J; j++ {
-		sPresent := sol.Value(enc.TIO[j][1]) > 0.5
-		applied := sol.Value(enc.PAO[j][1]) > 0.5
-		if sPresent && !applied && !cols[j][2] {
-			t.Errorf("join %d: S.key projected out before predicate applied", j)
-		}
-	}
-}
-
 func TestOperatorSelectionWithExpensivePredicates(t *testing.T) {
 	// Both Section 5.1 (evaluation cost) and Section 5.3 (operator
 	// choice) active in one encoding.

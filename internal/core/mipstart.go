@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"milpjoin/internal/plan"
@@ -12,8 +11,7 @@ import (
 // Decode. It supports the basic encoding (C_out or any fixed operator), the
 // operator-selection / interesting-orders extensions, choosing the cheapest
 // applicable operator per join, and evaluation costs, billing each predicate
-// at the join that completes it. The projection encoding returns an error:
-// its column variables are not derivable from the join order alone.
+// at the join that completes it.
 //
 // The assignment is used as a MIP start: it hands the branch-and-bound
 // search an immediate incumbent (for example from the greedy heuristic),
@@ -21,9 +19,6 @@ import (
 func (e *Encoding) AssignmentForPlan(pl *plan.Plan) ([]float64, error) {
 	if err := pl.Validate(e.Query); err != nil {
 		return nil, err
-	}
-	if e.Opts.Projection {
-		return nil, fmt.Errorf("core: MIP start not supported with projection variables")
 	}
 	q := e.Query
 	n := q.NumTables()

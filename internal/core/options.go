@@ -7,9 +7,9 @@
 // cardinality co, ci for the inner operand's) and the constraint families of
 // Table 2, plus the Section 5 extensions: n-ary and correlated predicates,
 // expensive predicates (on whenever a predicate has an evaluation cost and
-// the metric is operator cost), projection, operator implementation
-// selection, and intermediate result properties (interesting orders). The
-// decoder maps MILP solutions back to left-deep query plans.
+// the metric is operator cost), operator implementation selection, and
+// intermediate result properties (interesting orders). The decoder maps
+// MILP solutions back to left-deep query plans.
 package core
 
 import (
@@ -104,8 +104,8 @@ type Options struct {
 	// greedy join order — the warm-start path of the plan cache, which
 	// feeds incumbents from structurally similar solved queries. The
 	// plan is validated and feasibility-checked; when it cannot be used
-	// (projection encodings, or a plan the cardinality cap excludes) the
-	// greedy fallback applies as usual.
+	// (a plan the cardinality cap excludes) the greedy fallback applies as
+	// usual.
 	InitialPlan *plan.Plan
 	// Incumbents, when non-nil, is the live generalisation of
 	// InitialPlan: a feed of candidate plans published while the solve
@@ -118,10 +118,6 @@ type Options struct {
 	// sender owns the channel lifecycle; closing it stops the feed, and
 	// the forwarding pump stops when the solve returns.
 	Incumbents <-chan *plan.Plan
-	// Projection enables the Section 5.2 extension: column variables and
-	// byte-size based outer costing. Requires the query to carry
-	// columns.
-	Projection bool
 
 	// The search knobs, handed to branch and bound as the paper hands
 	// them to Gurobi. TimeLimit bounds wall-clock time (zero: none; a

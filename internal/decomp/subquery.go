@@ -35,12 +35,11 @@ func subQuery(q *qopt.Query, p Partition) (sub *qopt.Query, localOf []int) {
 		if !inside {
 			continue
 		}
-		lp := pred // copies the slice header; rebuild Tables, drop Columns
+		lp := pred // copies the slice header; rebuild Tables
 		lp.Tables = make([]int, len(pred.Tables))
 		for i, t := range pred.Tables {
 			lp.Tables[i] = localOf[t]
 		}
-		lp.Columns = nil
 		predOf[pi] = len(sub.Predicates)
 		sub.Predicates = append(sub.Predicates, lp)
 	}

@@ -1,8 +1,8 @@
 // Package qopt defines the query optimization problem model from Section 3
 // of the paper: a query is a set of tables to join plus predicates that
 // connect them, with table cardinalities and predicate selectivities.
-// Extensions cover n-ary predicates, correlated predicate groups, expensive
-// predicates, and per-table columns for the projection extension.
+// Extensions cover n-ary predicates, correlated predicate groups, and
+// expensive predicates.
 package qopt
 
 import (
@@ -21,18 +21,6 @@ type Table struct {
 	Sorted bool `json:"sorted,omitempty"`
 }
 
-// Column belongs to a table and carries a per-tuple byte size; used by the
-// projection extension (Section 5.2).
-type Column struct {
-	Name string `json:"name"`
-	// Table is the index of the owning table in Query.Tables.
-	Table int `json:"table"`
-	// Bytes is the per-tuple width of the column.
-	Bytes float64 `json:"bytes"`
-	// Required marks columns that must be present in the final result.
-	Required bool `json:"required,omitempty"`
-}
-
 // Predicate is a join/filter predicate over one or more tables. Binary
 // predicates (two tables) form the join graph of the basic model; unary and
 // n-ary predicates are the Section 5.1 extension.
@@ -45,10 +33,6 @@ type Predicate struct {
 	// EvalCostPerTuple is the per-tuple evaluation cost for the
 	// expensive-predicates extension; 0 means evaluation is free.
 	EvalCostPerTuple float64 `json:"evalCostPerTuple,omitempty"`
-	// Columns optionally lists the columns (indices into Query.Columns)
-	// the predicate reads; used by the projection extension to keep
-	// required columns alive until the predicate is evaluated.
-	Columns []int `json:"columns,omitempty"`
 }
 
 // IsBinary reports whether the predicate references exactly two tables.
@@ -68,7 +52,6 @@ type CorrelatedGroup struct {
 type Query struct {
 	Tables     []Table           `json:"tables"`
 	Predicates []Predicate       `json:"predicates"`
-	Columns    []Column          `json:"columns,omitempty"`
 	Correlated []CorrelatedGroup `json:"correlated,omitempty"`
 }
 
@@ -107,19 +90,6 @@ func (q *Query) Validate() error {
 		}
 		if p.EvalCostPerTuple < 0 {
 			return fmt.Errorf("qopt: predicate %d has negative evaluation cost", i)
-		}
-		for _, ci := range p.Columns {
-			if ci < 0 || ci >= len(q.Columns) {
-				return fmt.Errorf("qopt: predicate %d references unknown column %d", i, ci)
-			}
-		}
-	}
-	for i, c := range q.Columns {
-		if c.Table < 0 || c.Table >= len(q.Tables) {
-			return fmt.Errorf("qopt: column %d references unknown table %d", i, c.Table)
-		}
-		if c.Bytes <= 0 {
-			return fmt.Errorf("qopt: column %d has byte size %g", i, c.Bytes)
 		}
 	}
 	for i, g := range q.Correlated {

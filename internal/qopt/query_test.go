@@ -37,8 +37,6 @@ func TestValidateRejections(t *testing.T) {
 		"zero selectivity":    func(q *Query) { q.Predicates[0].Sel = 0 },
 		"selectivity above 1": func(q *Query) { q.Predicates[0].Sel = 1.5 },
 		"negative eval cost":  func(q *Query) { q.Predicates[0].EvalCostPerTuple = -1 },
-		"bad column table":    func(q *Query) { q.Columns = []Column{{Table: 9, Bytes: 4}} },
-		"bad column bytes":    func(q *Query) { q.Columns = []Column{{Table: 0, Bytes: 0}} },
 		"tiny group":          func(q *Query) { q.Correlated = []CorrelatedGroup{{Predicates: []int{0}, CorrectionSel: 2}} },
 		"group unknown pred": func(q *Query) {
 			q.Correlated = []CorrelatedGroup{{Predicates: []int{0, 5}, CorrectionSel: 2}}
@@ -103,8 +101,6 @@ func TestIsBinary(t *testing.T) {
 func TestQueryJSONRoundTrip(t *testing.T) {
 	q := validQuery()
 	q.Tables[0].Sorted = true
-	q.Columns = []Column{{Name: "R.a", Table: 0, Bytes: 8, Required: true}}
-	q.Predicates[0].Columns = []int{0}
 	q.Predicates[0].EvalCostPerTuple = 2.5
 	q.Correlated = []CorrelatedGroup{}
 
@@ -124,9 +120,6 @@ func TestQueryJSONRoundTrip(t *testing.T) {
 	}
 	if back.Predicates[0].Sel != 0.1 || back.Predicates[0].EvalCostPerTuple != 2.5 {
 		t.Errorf("predicates lost: %+v", back.Predicates)
-	}
-	if len(back.Columns) != 1 || !back.Columns[0].Required {
-		t.Errorf("columns lost: %+v", back.Columns)
 	}
 	// Lowercase keys are the wire format.
 	if !strings.Contains(string(data), `"card":1000`) || !strings.Contains(string(data), `"sel":0.1`) {

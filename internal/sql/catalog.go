@@ -8,7 +8,6 @@ package sql
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"milpjoin/internal/qopt"
 )
@@ -17,8 +16,6 @@ import (
 type ColumnStats struct {
 	// Distinct is the number of distinct values (≥ 1).
 	Distinct float64
-	// Bytes is the per-tuple width (used by the projection extension).
-	Bytes float64
 }
 
 // TableStats describe one base table.
@@ -176,38 +173,8 @@ func (c *Catalog) Translate(stmt *SelectStatement) (*qopt.Query, []string, error
 		})
 	}
 
-	// Columns for the projection extension: every catalog column of the
-	// referenced tables, with SELECT-list columns marked required
-	// (SELECT * marks all).
-	for ti, fr := range stmt.From {
-		ts := c.Tables[fr.Table]
-		names := make([]string, 0, len(ts.Columns))
-		for name := range ts.Columns {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			q.Columns = append(q.Columns, qopt.Column{
-				Name:     fr.Alias + "." + name,
-				Table:    ti,
-				Bytes:    math.Max(ts.Columns[name].Bytes, 1),
-				Required: stmt.SelectAll || stmt.selects(fr.Alias, name),
-			})
-		}
-	}
-
 	if err := q.Validate(); err != nil {
 		return nil, nil, err
 	}
 	return q, aliases, nil
-}
-
-// selects reports whether the select list names alias.column.
-func (s *SelectStatement) selects(alias, column string) bool {
-	for _, ref := range s.Select {
-		if ref.Qualifier == alias && ref.Column == column {
-			return true
-		}
-	}
-	return false
 }

@@ -3,11 +3,28 @@ package sql
 import (
 	"strings"
 	"testing"
+
+	"milpjoin/joinorder/cache"
 )
 
-// FuzzSQLParse checks the parser never panics and that every statement it
-// accepts re-parses after rendering its clauses back to text — accepted
-// input must be structurally self-consistent, not just lucky.
+// fuzzCatalog is the fixed catalog FuzzSQLParse translates against: the
+// table and column names its seeds use, with varied statistics.
+func fuzzCatalog() *Catalog {
+	c := NewCatalog()
+	for i, table := range []string{"a", "b", "c", "r", "s", "t", "tab", "tab2", "r1", "r2", "r3", "r4"} {
+		cols := map[string]ColumnStats{}
+		for j, col := range []string{"a", "b", "c", "d", "w", "x", "y", "z"} {
+			cols[col] = ColumnStats{Distinct: float64(10 * (i + j + 1))}
+		}
+		c.AddTable(table, TableStats{Card: float64(100 * (i + 1)), Columns: cols})
+	}
+	return c
+}
+
+// FuzzSQLParse checks the parser never panics, that every statement it
+// accepts names its tables and its select list, and that a statement the
+// fixed catalog translates into a join-only query (every predicate binary)
+// has a plan-cache fingerprint.
 func FuzzSQLParse(f *testing.F) {
 	f.Add("SELECT * FROM r, s WHERE r.a = s.b")
 	f.Add("SELECT r.a, s.b FROM r JOIN s ON r.a = s.b JOIN t ON s.c = t.d")
@@ -19,6 +36,7 @@ func FuzzSQLParse(f *testing.F) {
 	f.Add("SELECT * FROM r WHERE r.a = r.a")
 	f.Add("SELECT * FROM \x00")
 
+	cat := fuzzCatalog()
 	f.Fuzz(func(t *testing.T, input string) {
 		stmt, err := Parse(input)
 		if err != nil {
@@ -37,6 +55,19 @@ func FuzzSQLParse(f *testing.F) {
 		}
 		if !stmt.SelectAll && len(stmt.Select) == 0 {
 			t.Fatalf("accepted statement selecting nothing: %q", input)
+		}
+
+		q, _, err := cat.Translate(stmt)
+		if err != nil {
+			return
+		}
+		for _, p := range q.Predicates {
+			if !p.IsBinary() {
+				return
+			}
+		}
+		if _, err := cache.Canonicalize(q, cache.Exact); err != nil {
+			t.Fatalf("join-only query of %q has no fingerprint: %v", input, err)
 		}
 	})
 }

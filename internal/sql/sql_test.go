@@ -15,25 +15,25 @@ func testCatalog() *Catalog {
 		AddTable("orders", TableStats{
 			Card: 100000,
 			Columns: map[string]ColumnStats{
-				"id":       {Distinct: 100000, Bytes: 8},
-				"cust_id":  {Distinct: 5000, Bytes: 8},
-				"item_id":  {Distinct: 2000, Bytes: 8},
-				"quantity": {Distinct: 50, Bytes: 4},
+				"id":       {Distinct: 100000},
+				"cust_id":  {Distinct: 5000},
+				"item_id":  {Distinct: 2000},
+				"quantity": {Distinct: 50},
 			},
 			SortedOn: "id",
 		}).
 		AddTable("customers", TableStats{
 			Card: 5000,
 			Columns: map[string]ColumnStats{
-				"id":     {Distinct: 5000, Bytes: 8},
-				"region": {Distinct: 20, Bytes: 16},
+				"id":     {Distinct: 5000},
+				"region": {Distinct: 20},
 			},
 		}).
 		AddTable("items", TableStats{
 			Card: 2000,
 			Columns: map[string]ColumnStats{
-				"id":    {Distinct: 2000, Bytes: 8},
-				"price": {Distinct: 500, Bytes: 8},
+				"id":    {Distinct: 2000},
+				"price": {Distinct: 500},
 			},
 		})
 }
@@ -103,16 +103,6 @@ func TestTranslateDemoQuery(t *testing.T) {
 	// Filter: range default 1/3, unary.
 	if len(q.Predicates[2].Tables) != 1 || math.Abs(q.Predicates[2].Sel-1.0/3) > 1e-12 {
 		t.Errorf("filter predicate = %+v", q.Predicates[2])
-	}
-	// Required columns: o.id and c.region.
-	required := map[string]bool{}
-	for _, col := range q.Columns {
-		if col.Required {
-			required[col.Name] = true
-		}
-	}
-	if !required["o.id"] || !required["c.region"] || len(required) != 2 {
-		t.Errorf("required columns = %v", required)
 	}
 }
 

@@ -73,9 +73,6 @@ type Config struct {
 	// MinSel/MaxSel bound predicate selectivities, drawn uniformly.
 	// Defaults: 0.0001 and 1.
 	MinSel, MaxSel float64
-	// Columns, when true, also generates per-table columns for the
-	// projection extension.
-	Columns bool
 }
 
 func (c Config) withDefaults() Config {
@@ -164,20 +161,6 @@ func Generate(shape GraphShape, n int, seed int64, cfg Config) *qopt.Query {
 		}
 	default:
 		panic(fmt.Sprintf("workload: unknown shape %v", shape))
-	}
-
-	if cfg.Columns {
-		for i := 0; i < n; i++ {
-			cols := 2 + rng.Intn(5)
-			for c := 0; c < cols; c++ {
-				q.Columns = append(q.Columns, qopt.Column{
-					Name:     fmt.Sprintf("T%d.c%d", i, c),
-					Table:    i,
-					Bytes:    float64(4 * (1 + rng.Intn(16))),
-					Required: c == 0, // first column of each table is in the output
-				})
-			}
-		}
 	}
 	return q
 }

@@ -117,32 +117,6 @@ func TestDefaultsProducePaperLikeRanges(t *testing.T) {
 	}
 }
 
-func TestColumnsGeneration(t *testing.T) {
-	q := Generate(Star, 5, 9, Config{Columns: true})
-	if len(q.Columns) == 0 {
-		t.Fatal("no columns generated")
-	}
-	perTable := map[int]int{}
-	required := map[int]bool{}
-	for _, c := range q.Columns {
-		perTable[c.Table]++
-		if c.Required {
-			required[c.Table] = true
-		}
-		if c.Bytes <= 0 {
-			t.Errorf("column %s has bytes %g", c.Name, c.Bytes)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		if perTable[i] < 2 {
-			t.Errorf("table %d has %d columns, want ≥ 2", i, perTable[i])
-		}
-		if !required[i] {
-			t.Errorf("table %d has no required column", i)
-		}
-	}
-}
-
 func TestGeneratePanicsOnTinyQuery(t *testing.T) {
 	defer func() {
 		if recover() == nil {

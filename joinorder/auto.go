@@ -25,6 +25,14 @@ func DefaultPortfolio() []string {
 	return []string{"milp", "dp-bushy", "gradient", "greedy"}
 }
 
+// portfolioMembers lists the members an "auto" run under opts races.
+func portfolioMembers(opts Options) []string {
+	if len(opts.Portfolio) == 0 {
+		return DefaultPortfolio()
+	}
+	return opts.Portfolio
+}
+
 // memberOutcome is one member's terminal state in the race.
 type memberOutcome struct {
 	name string
@@ -42,10 +50,7 @@ type memberOutcome struct {
 // members; the returned Result is the cheapest plan any member produced,
 // with Winner naming its member.
 func optimizeAuto(ctx context.Context, q *Query, opts Options) (*Result, error) {
-	members := opts.Portfolio
-	if len(members) == 0 {
-		members = DefaultPortfolio()
-	}
+	members := portfolioMembers(opts)
 	start := time.Now()
 	bus := portfolio.NewBus()
 	defer bus.Close()

@@ -64,8 +64,8 @@ func (o *Optimizer) refreshCorrected(ctx context.Context, q, corrected *joinorde
 		defer o.bg.Done()
 		bctx, cancel := context.WithTimeout(bgCtx, o.cfg.BackgroundBudget)
 		defer cancel()
-		// Solving through o.Optimize populates the corrected query's own
-		// fingerprint and donor entries as a side effect.
+		// The underlying optimizer solves the corrected query outside the
+		// cache: it stores no entry or donor of its own.
 		res, err := o.cfg.Optimize(bctx, corrected, bgOpts)
 		if err != nil || res.Plan == nil || res.Status != joinorder.StatusOptimal {
 			return

@@ -29,8 +29,7 @@ import (
 )
 
 // ErrUncacheable reports a query outside the fingerprint's reach: fewer
-// than two tables, non-binary predicates, projection columns, correlated
-// groups, or a join graph so symmetric that canonicalization exceeds its
+// than two tables, non-binary predicates, correlated groups, or a join graph so symmetric that canonicalization exceeds its
 // search budget. Uncacheable queries bypass the cache and are solved
 // directly; correctness never depends on cacheability.
 var ErrUncacheable = errors.New("cache: query not cacheable")
@@ -180,9 +179,6 @@ func buildGraph(q *joinorder.Query, mode Mode) (*graph, error) {
 	n := len(q.Tables)
 	if n < 2 {
 		return nil, fmt.Errorf("%w: fewer than two tables", ErrUncacheable)
-	}
-	if len(q.Columns) > 0 {
-		return nil, fmt.Errorf("%w: projection columns", ErrUncacheable)
 	}
 	if len(q.Correlated) > 0 {
 		return nil, fmt.Errorf("%w: correlated predicate groups", ErrUncacheable)

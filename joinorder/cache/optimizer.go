@@ -69,11 +69,11 @@ type Config struct {
 //
 // Lookups key on the canonical query fingerprint (see Canonicalize), so a
 // relabeled — graph-isomorphic — query hits the entry of the original.
-// Only proven-optimal results enter the exact cache; every solved plan
-// additionally feeds a shape-level donor index that warm-starts solves of
-// structurally identical queries whose cardinalities drifted. Identical
-// concurrent requests coalesce into one solve. All methods are safe for
-// concurrent use.
+// Only proven-optimal results enter the exact cache; every plan solved under
+// options that read a MIP start (joinorder.ReadsInitialPlan) additionally
+// feeds a shape-level donor index that warm-starts solves of structurally
+// identical queries whose cardinalities drifted. Identical concurrent
+// requests coalesce into one solve. All methods are safe for concurrent use.
 type Optimizer struct {
 	cfg     Config
 	exact   *store[string, *canonicalResult]
@@ -340,29 +340,31 @@ func (o *Optimizer) optimizeMiss(ctx context.Context, q *joinorder.Query, ce *Ca
 	return res, nil
 }
 
-// solve is the miss path run by a flight leader: warm-start lookup,
-// underlying solve, cache population. It returns the caller-space result
-// and its canonical-space form for coalesced waiters (nil when the result
-// carries no left-deep plan).
+// solve is the miss path run by a flight leader: warm-start lookup (only
+// when the options read a MIP start), underlying solve, cache population.
+// It returns the caller-space result and its canonical-space form for
+// coalesced waiters (nil when the result carries no left-deep plan).
 func (o *Optimizer) solve(ctx context.Context, q *joinorder.Query, opts joinorder.Options, ce *Canonical, ekey string, em *callEmitter) (*joinorder.Result, *canonicalResult, error) {
 	o.ctr.misses.Add(1)
 	em.emit(joinorder.Event{Kind: joinorder.KindCacheMiss})
 
-	var cs *Canonical
-	var dkey string // donorKey(cs, opts), formatted once per solve
-	warmed := false
-	if opts.InitialPlan == nil {
+	var cs *Canonical // the Shape form, nil when no donor is kept
+	var dkey string   // donorKey(cs, opts), formatted once per solve
+	if joinorder.ReadsInitialPlan(opts) {
 		if c, err := o.canonicalize(q, Shape); err == nil {
 			cs, dkey = c, donorKey(c, opts)
-			if d, ok := o.donors.get(dkey, o.cfg.now()); ok {
-				opts.InitialPlan = &joinorder.Plan{
-					Order:     cs.FromCanonical(d.order),
-					Operators: slices.Clone(d.ops),
-				}
-				warmed = true
-				o.ctr.warmStarts.Add(1)
-				em.emit(joinorder.Event{Kind: joinorder.KindWarmStart})
+		}
+	}
+	warmed := false
+	if cs != nil && opts.InitialPlan == nil {
+		if d, ok := o.donors.get(dkey, o.cfg.now()); ok {
+			opts.InitialPlan = &joinorder.Plan{
+				Order:     cs.FromCanonical(d.order),
+				Operators: slices.Clone(d.ops),
 			}
+			warmed = true
+			o.ctr.warmStarts.Add(1)
+			em.emit(joinorder.Event{Kind: joinorder.KindWarmStart})
 		}
 	}
 
@@ -378,11 +380,6 @@ func (o *Optimizer) solve(ctx context.Context, q *joinorder.Query, opts joinorde
 	}
 
 	now := o.cfg.now()
-	if cs == nil {
-		if cs, _ = o.canonicalize(q, Shape); cs != nil {
-			dkey = donorKey(cs, opts)
-		}
-	}
 	if cs != nil {
 		o.storeDonor(dkey,
 			cloneDonor(cs.ToCanonical(res.Plan.Order), res.Plan.Operators), now)

@@ -3,6 +3,7 @@ package cache
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -189,35 +190,79 @@ func TestOptionsKeyPinned(t *testing.T) {
 	}
 }
 
+// TestWarmStartOnPerturbedCardinalities runs a query and a shape-matched
+// twin with drifted cardinalities through the cache per strategy: an exact
+// miss both times, and only options that read a MIP start
+// (joinorder.ReadsInitialPlan) canonicalize the Shape form, keep a donor
+// and warm-start the second solve from the first one's plan.
 func TestWarmStartOnPerturbedCardinalities(t *testing.T) {
-	co := &countingOptimize{}
-	o := mustNew(t, Config{Optimize: co.fn})
 	q := workload.Generate(workload.Cycle, 7, 5, workload.Config{})
-
-	if _, err := o.Optimize(context.Background(), q, milpOpts()); err != nil {
-		t.Fatal(err)
-	}
-
-	// Same topology, drifted statistics: an exact miss, but the shape
-	// index should donate the previous plan as a MIP start.
 	pq := *q
 	pq.Tables = append([]joinorder.Table(nil), q.Tables...)
 	for i := range pq.Tables {
 		pq.Tables[i].Card *= 1.3
 	}
-	res, err := o.Optimize(context.Background(), &pq, milpOpts())
-	if err != nil {
-		t.Fatal(err)
+	for _, opts := range []joinorder.Options{{}, {Strategy: "auto"}} {
+		if !joinorder.ReadsInitialPlan(opts) {
+			t.Errorf("%q: the default portfolio's MILP reads InitialPlan", opts.Strategy)
+		}
 	}
-	if got := co.calls.Load(); got != 2 {
-		t.Fatalf("perturbed query should re-solve: %d calls", got)
-	}
-	s := o.Stats()
-	if s.WarmStarts != 1 {
-		t.Fatalf("warm starts = %d, want 1 (stats %+v)", s.WarmStarts, s)
-	}
-	if s.WarmStartAccepted != 1 || res.MIPStart != "plan" {
-		t.Fatalf("warm start not accepted: MIPStart=%q stats=%+v", res.MIPStart, s)
+	for _, tc := range []struct {
+		strategy  string
+		portfolio []string
+		reads     bool
+	}{
+		{strategy: "milp", reads: true},
+		{strategy: "auto", portfolio: []string{"milp", "greedy"}, reads: true},
+		{strategy: "dp-leftdeep"},
+		{strategy: "greedy"},
+		{strategy: "auto", portfolio: []string{"dp-bushy", "greedy"}},
+	} {
+		name := fmt.Sprintf("%s%v", tc.strategy, tc.portfolio)
+		opts := joinorder.Options{Strategy: tc.strategy, Portfolio: tc.portfolio, Budget: joinorder.Budget{TimeLimit: 30 * time.Second}}
+		if got := joinorder.ReadsInitialPlan(opts); got != tc.reads {
+			t.Errorf("%s: ReadsInitialPlan = %v, want %v", name, got, tc.reads)
+		}
+		co := &countingOptimize{}
+		o := mustNew(t, Config{Optimize: co.fn})
+		if _, err := o.Optimize(context.Background(), q, opts); err != nil {
+			t.Fatal(err)
+		}
+		warmEvents := 0
+		opts.OnEvent = func(ev joinorder.Event) {
+			if ev.Kind == joinorder.KindWarmStart {
+				warmEvents++
+			}
+		}
+		res, err := o.Optimize(context.Background(), &pq, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := co.calls.Load(); got != 2 {
+			t.Fatalf("%s: perturbed query should re-solve: %d calls", name, got)
+		}
+		s := o.Stats()
+		want := Stats{Canonicalizations: 2}
+		if tc.reads {
+			want = Stats{WarmStarts: 1, Canonicalizations: 4, Donors: 1}
+		}
+		if s.WarmStarts != want.WarmStarts || s.Canonicalizations != want.Canonicalizations || s.Donors != want.Donors {
+			t.Errorf("%s: stats %+v, want warm starts %d, canonicalizations %d, donors %d",
+				name, s, want.WarmStarts, want.Canonicalizations, want.Donors)
+		}
+		if int64(warmEvents) != want.WarmStarts {
+			t.Errorf("%s: %d warm-start events, want %d", name, warmEvents, want.WarmStarts)
+		}
+		if tc.strategy == "milp" && (s.WarmStartAccepted != 1 || res.MIPStart != "plan") {
+			t.Errorf("%s: warm start not accepted: MIPStart=%q stats=%+v", name, res.MIPStart, s)
+		}
+		// Invalidation drops the donor too, and pays for the Shape form
+		// only where there is one.
+		o.Invalidate(&pq, opts)
+		if after := o.Stats(); after.Canonicalizations-s.Canonicalizations != want.Canonicalizations/2 || after.Donors != 0 {
+			t.Errorf("%s: Invalidate: %d canonicalizations, %d donors left; want %d, 0",
+				name, after.Canonicalizations-s.Canonicalizations, after.Donors, want.Canonicalizations/2)
+		}
 	}
 }
 

@@ -154,11 +154,12 @@ func (o *Optimizer) ImportRecord(kind, key string, val []byte) error {
 	return nil
 }
 
-// Invalidate removes the cached exact entry and warm-start donor for the
-// query under the given options, both from memory and (as tombstones)
-// from the persistent log. It reports whether an exact entry was
-// resident. Use it when the statistics behind a cached plan are known to
-// be stale; OptimizeExecuted with feedback calls it automatically.
+// Invalidate removes the cached exact entry for the query under the given
+// options and, when the options read a MIP start, its warm-start donor, both
+// from memory and (as tombstones) from the persistent log. It reports
+// whether an exact entry was resident. Use it when the statistics behind a
+// cached plan are known to be stale; OptimizeExecuted with feedback calls it
+// automatically.
 func (o *Optimizer) Invalidate(q *joinorder.Query, opts joinorder.Options) bool {
 	ce, err := o.canonicalize(q, Exact)
 	if err != nil {
@@ -167,10 +168,12 @@ func (o *Optimizer) Invalidate(q *joinorder.Query, opts joinorder.Options) bool 
 	ekey := ExactKey(ce, opts)
 	removed := o.exact.remove(ekey)
 	o.persistDelete(persist.KindExact, ekey)
-	if cs, err := o.canonicalize(q, Shape); err == nil {
-		skey := donorKey(cs, opts)
-		o.donors.remove(skey)
-		o.persistDelete(persist.KindDonor, skey)
+	if joinorder.ReadsInitialPlan(opts) {
+		if cs, err := o.canonicalize(q, Shape); err == nil {
+			skey := donorKey(cs, opts)
+			o.donors.remove(skey)
+			o.persistDelete(persist.KindDonor, skey)
+		}
 	}
 	if removed {
 		o.ctr.invalidated.Add(1)

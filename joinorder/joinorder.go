@@ -47,9 +47,6 @@ type Table = qopt.Table
 // Predicate is a join or selection predicate of a Query.
 type Predicate = qopt.Predicate
 
-// Column is a per-table column of a Query (projection extension).
-type Column = qopt.Column
-
 // CorrelatedGroup marks predicates with correlated selectivities.
 type CorrelatedGroup = qopt.CorrelatedGroup
 

@@ -179,8 +179,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("joinoptd_cache_misses_total", "Requests that fell through to a solve.", snap.Cache.Misses)
 	counter("joinoptd_cache_coalesced_total", "Requests that joined an identical in-flight solve.", snap.Cache.Coalesced)
 	counter("joinoptd_cache_warm_starts_total", "Misses warm-started from a shape-matched cached plan.", snap.Cache.WarmStarts)
+	counter("joinoptd_cache_warm_start_accepted_total", "Warm starts the solver used as its MIP start.", snap.Cache.WarmStartAccepted)
 	counter("joinoptd_cache_degraded_total", "Tight-deadline requests served a fallback plan.", snap.Cache.Degraded)
 	counter("joinoptd_cache_refines_total", "Background refine solves completed.", snap.Cache.Refines)
+	counter("joinoptd_cache_uncacheable_total", "Requests the fingerprint rejects, solved without the cache.", snap.Cache.Uncacheable)
 	counter("joinoptd_cache_canonicalizations_total", "Query fingerprints computed by the plan cache.", snap.Cache.Canonicalizations)
 	counter("joinoptd_cache_evicted_total", "Entries evicted by the LRU bound.", snap.Cache.Evicted)
 	counter("joinoptd_cache_expired_total", "Entries expired by TTL.", snap.Cache.Expired)

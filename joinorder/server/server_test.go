@@ -114,9 +114,9 @@ func TestOptimizeSQLRequest(t *testing.T) {
 	body, _ := json.Marshal(map[string]any{
 		"sql": "SELECT * FROM orders o, customers c, items i WHERE o.cust_id = c.id AND o.item_id = i.id",
 		"catalog": map[string]any{
-			"orders":    map[string]any{"Card": 100000, "Columns": map[string]any{"id": map[string]any{"Distinct": 100000, "Bytes": 8}, "cust_id": map[string]any{"Distinct": 5000, "Bytes": 8}, "item_id": map[string]any{"Distinct": 2000, "Bytes": 8}}},
-			"customers": map[string]any{"Card": 5000, "Columns": map[string]any{"id": map[string]any{"Distinct": 5000, "Bytes": 8}}},
-			"items":     map[string]any{"Card": 2000, "Columns": map[string]any{"id": map[string]any{"Distinct": 2000, "Bytes": 8}}},
+			"orders":    map[string]any{"Card": 100000, "Columns": map[string]any{"id": map[string]any{"Distinct": 100000}, "cust_id": map[string]any{"Distinct": 5000}, "item_id": map[string]any{"Distinct": 2000}}},
+			"customers": map[string]any{"Card": 5000, "Columns": map[string]any{"id": map[string]any{"Distinct": 5000}}},
+			"items":     map[string]any{"Card": 2000, "Columns": map[string]any{"id": map[string]any{"Distinct": 2000}}},
 		},
 		"strategy": "dp-leftdeep",
 		"timeout":  "5s",
@@ -128,6 +128,16 @@ func TestOptimizeSQLRequest(t *testing.T) {
 	}
 	if out.Result == nil || out.Result.Plan == nil || len(out.Result.Plan.Order) != 3 {
 		t.Fatalf("no 3-table plan: %+v", out.Result)
+	}
+	// A join-only SQL query is fingerprinted like any other: the repeats
+	// are cache hits.
+	for i := 0; i < 2; i++ {
+		if _, again := postOptimize(t, ts, body); again == nil || !again.CacheHit {
+			t.Errorf("repeat %d: not a cache hit: %+v", i+1, again)
+		}
+	}
+	if n := s.Cache().Stats().Uncacheable; n != 0 {
+		t.Errorf("%d uncacheable requests, want 0", n)
 	}
 }
 
@@ -526,6 +536,23 @@ func TestHealthzVarzMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
+// TestMetricsExportEveryCacheStat walks cache.Stats's JSON tags: each one
+// has a joinoptd_cache_<tag> line on /metrics.
+func TestMetricsExportEveryCacheStat(t *testing.T) {
+	s := mustServer(t, Config{})
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	metrics := "\n" + rec.Body.String()
+	typ := reflect.TypeOf(cache.Stats{})
+	for i := 0; i < typ.NumField(); i++ {
+		tag, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		name := "joinoptd_cache_" + tag
+		if !strings.Contains(metrics, "\n"+name+" ") && !strings.Contains(metrics, "\n"+name+"_total ") {
+			t.Errorf("/metrics has no %s line for cache.Stats.%s", name, typ.Field(i).Name)
 		}
 	}
 }

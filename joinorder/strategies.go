@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"milpjoin/internal/bb"
@@ -71,6 +72,24 @@ func (a *anytime) improved(p *Plan, c float64, elapsed time.Duration, bound floa
 		HasIncumbent: true,
 		Elapsed:      elapsed,
 	})
+}
+
+// ReadsInitialPlan reports whether a run under opts reads
+// Options.InitialPlan: only the MILP strategy does, alone or as a member of
+// an "auto" portfolio. The plan cache keeps warm-start donors for such runs
+// only.
+func ReadsInitialPlan(opts Options) bool {
+	name := opts.Strategy
+	if name == "" {
+		name = DefaultStrategy
+	}
+	switch name {
+	case "milp":
+		return true
+	case "auto":
+		return slices.Contains(portfolioMembers(opts), "milp")
+	}
+	return false
 }
 
 // optimizeMILP runs the paper's pipeline: encode the query as a MILP,
