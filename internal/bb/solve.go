@@ -61,12 +61,13 @@ func Solve(ctx context.Context, comp *milp.Computational, params Params) (*Resul
 	s.inFlight = make(map[int]float64)
 	s.workers = make([]*workerState, params.Threads)
 	for w := range s.workers {
-		st := &workerState{ws: simplex.NewWorkspace()}
+		st := workerPool.Get().(*workerState)
 		st.prob.A = comp.Problem.A
 		st.prob.B = comp.Problem.B
 		st.prob.C = comp.Problem.C
 		s.workers[w] = st
 	}
+	defer s.releaseWorkers()
 
 	if len(params.InitialIncumbent) == comp.NumStructural {
 		s.completeAndOffer(nil, params.InitialIncumbent, nil)
@@ -174,6 +175,11 @@ type searcher struct {
 // constraint matrix, rhs, and objective are installed in prob once; only
 // the bound slices change per node, so a node solve performs no problem
 // construction and, once warm, no heap allocation.
+//
+// Arenas outlive a search: Solve takes them from workerPool and hands them
+// back reset, so a process that solves many models (one per partition, one
+// per request) grows its solver memory once. The pool lets the collector
+// free arenas that sit idle, so no cap is needed.
 type workerState struct {
 	ws   *simplex.Workspace
 	prob simplex.Problem // A/B/C fixed; L/U point at l/u
@@ -182,6 +188,21 @@ type workerState struct {
 	frac    []int     // fractional-variable scratch for the node
 	compX   []float64 // completion scratch: full point
 	compAct []float64 // completion scratch: row activities
+}
+
+var workerPool = sync.Pool{New: func() any {
+	return &workerState{ws: simplex.NewWorkspace()}
+}}
+
+// releaseWorkers hands the search's arenas back to workerPool, holding
+// nothing of this search: the workspace forgets its problem and
+// factorizations, and prob its matrix and bounds.
+func (s *searcher) releaseWorkers() {
+	for _, st := range s.workers {
+		st.ws.Reset()
+		st.prob = simplex.Problem{}
+		workerPool.Put(st)
+	}
 }
 
 // worker is the node-processing loop run by each thread.

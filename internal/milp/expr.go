@@ -78,6 +78,9 @@ func (e LinExpr) compacted() LinExpr {
 	if len(e.vars) == 0 {
 		return e
 	}
+	if e.isCompact() {
+		return LinExpr{vars: append([]Var(nil), e.vars...), coefs: append([]float64(nil), e.coefs...)}
+	}
 	type term struct {
 		v Var
 		c float64
@@ -103,6 +106,17 @@ func (e LinExpr) compacted() LinExpr {
 		}
 	}
 	return out
+}
+
+// isCompact reports whether compacted would keep e's terms as they are:
+// strictly ascending variables and no zero coefficient.
+func (e LinExpr) isCompact() bool {
+	for i, c := range e.coefs {
+		if c == 0 || (i > 0 && e.vars[i] <= e.vars[i-1]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Sum builds the expression Σ v_i (all coefficients 1).

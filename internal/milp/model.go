@@ -233,12 +233,99 @@ func (c *Computational) Unscale(scaled []float64) []float64 {
 func (m *Model) Compile() *Computational {
 	n := m.NumVars()
 	rows := m.NumConstrs()
+	eq := m.equilibrate()
 
-	// Working copy of the rows for scaling.
+	l := make([]float64, n+rows)
+	u := make([]float64, n+rows)
+	c := make([]float64, n+rows)
+	for j := 0; j < n; j++ {
+		l[j] = m.lb[j] / eq.colScale[j]
+		u[j] = m.ub[j] / eq.colScale[j]
+		c[j] = m.obj[j] * eq.colScale[j]
+	}
+	for i, con := range m.constrs {
+		switch con.sense {
+		case LE:
+			l[n+i], u[n+i] = 0, math.Inf(1)
+		case GE:
+			l[n+i], u[n+i] = math.Inf(-1), 0
+		case EQ:
+			l[n+i], u[n+i] = 0, 0
+		}
+	}
+
+	// The matrix in compressed columns, straight from the column index: a
+	// row's terms name distinct variables (AddConstr compacts them) and the
+	// index lists a column's rows in ascending order, so every column comes
+	// out sorted and free of duplicates. Entries scaled to exactly zero are
+	// dropped. The identity block of the logical columns follows.
+	nnz := rows
+	for _, con := range m.constrs {
+		nnz += len(con.expr.vars)
+	}
+	colPtr := make([]int, n+rows+1)
+	rowInd := make([]int, 0, nnz)
+	val := make([]float64, 0, nnz)
+	for j, col := range eq.colEntries {
+		for _, e := range col {
+			if v := eq.coefs[e.i][e.k]; v != 0 {
+				rowInd = append(rowInd, e.i)
+				val = append(val, v)
+			}
+		}
+		colPtr[j+1] = len(rowInd)
+	}
+	for i := 0; i < rows; i++ {
+		rowInd = append(rowInd, i)
+		val = append(val, 1)
+		colPtr[n+i+1] = len(rowInd)
+	}
+
+	integral := make([]bool, n)
+	for j := 0; j < n; j++ {
+		integral[j] = m.vtype[j] != Continuous
+	}
+	return &Computational{
+		Problem: &simplex.Problem{
+			A: sparse.NewCSC(rows, n+rows, colPtr, rowInd, val),
+			B: eq.b, C: c, L: l, U: u,
+		},
+		NumStructural: n,
+		Integral:      integral,
+		ColScale:      eq.colScale,
+	}
+}
+
+// equilibrated is a model's constraint rows after equilibration: the scaled
+// coefficients of each row's terms, the scaled right-hand sides, the column
+// scales, and the index from each variable to its terms.
+type equilibrated struct {
+	coefs      [][]float64 // coefs[i][k] scales term k of row i
+	b          []float64
+	colScale   []float64
+	colEntries [][]colEntry // ascending by row
+}
+
+// colEntry locates one coefficient of a column: term k of row i.
+type colEntry struct{ i, k int }
+
+// equilibrate runs Compile's row and column scaling passes on a working copy
+// of the rows.
+func (m *Model) equilibrate() equilibrated {
+	n := m.NumVars()
+	rows := m.NumConstrs()
+
+	// Working copy of the rows for scaling, in one array.
+	total := 0
+	for _, con := range m.constrs {
+		total += len(con.expr.vars)
+	}
+	all := make([]float64, 0, total)
 	coefs := make([][]float64, rows)
 	b := make([]float64, rows)
 	for i, con := range m.constrs {
-		coefs[i] = append([]float64(nil), con.expr.coefs...)
+		all = append(all, con.expr.coefs...)
+		coefs[i] = all[len(all)-len(con.expr.coefs):]
 		b[i] = con.rhs
 	}
 
@@ -248,12 +335,24 @@ func (m *Model) Compile() *Computational {
 	}
 
 	// Column index: for each variable, the (row, position) of its
-	// coefficients. Built once; the structure never changes.
-	type entry struct{ i, k int }
-	colEntries := make([][]entry, n)
+	// coefficients, ascending by row. Built once, into one array sized by a
+	// count per column; the structure never changes.
+	colEntries := make([][]colEntry, n)
+	count := make([]int, n)
+	for _, con := range m.constrs {
+		for _, v := range con.expr.vars {
+			count[v]++
+		}
+	}
+	entries := make([]colEntry, total)
+	off := 0
+	for j, c := range count {
+		colEntries[j] = entries[off : off : off+c]
+		off += c
+	}
 	for i, con := range m.constrs {
 		for k, v := range con.expr.vars {
-			colEntries[v] = append(colEntries[v], entry{i, k})
+			colEntries[v] = append(colEntries[v], colEntry{i, k})
 		}
 	}
 
@@ -299,42 +398,7 @@ func (m *Model) Compile() *Computational {
 			colScale[j] *= s
 		}
 	}
-
-	tr := sparse.NewTriplet(rows, n+rows)
-	l := make([]float64, n+rows)
-	u := make([]float64, n+rows)
-	c := make([]float64, n+rows)
-	for j := 0; j < n; j++ {
-		l[j] = m.lb[j] / colScale[j]
-		u[j] = m.ub[j] / colScale[j]
-		c[j] = m.obj[j] * colScale[j]
-	}
-
-	for i, con := range m.constrs {
-		for k, v := range con.expr.vars {
-			tr.Add(i, int(v), coefs[i][k])
-		}
-		tr.Add(i, n+i, 1)
-		switch con.sense {
-		case LE:
-			l[n+i], u[n+i] = 0, math.Inf(1)
-		case GE:
-			l[n+i], u[n+i] = math.Inf(-1), 0
-		case EQ:
-			l[n+i], u[n+i] = 0, 0
-		}
-	}
-
-	integral := make([]bool, n)
-	for j := 0; j < n; j++ {
-		integral[j] = m.vtype[j] != Continuous
-	}
-	return &Computational{
-		Problem:       &simplex.Problem{A: tr.Compress(), B: b, C: c, L: l, U: u},
-		NumStructural: n,
-		Integral:      integral,
-		ColScale:      colScale,
-	}
+	return equilibrated{coefs: coefs, b: b, colScale: colScale, colEntries: colEntries}
 }
 
 // Solution is a variable assignment with its objective value.

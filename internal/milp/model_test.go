@@ -2,6 +2,7 @@ package milp
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -70,6 +71,39 @@ func TestExprCompaction(t *testing.T) {
 			t.Errorf("term = (%d, %g), want (y, 3)", v, c)
 		}
 	})
+}
+
+// TestExprCompactedNeverAliases holds both paths of compacted — terms
+// already compact, and terms that need sorting, merging or dropping — to a
+// result that shares no array with the caller's expression, so a caller
+// that keeps appending to its expression cannot reach into a stored row.
+func TestExprCompactedNeverAliases(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		e    LinExpr
+		want LinExpr
+	}{
+		{"compact", Expr(Var(0), 1.0, Var(2), -2.0, Var(5), 0.5), Expr(Var(0), 1.0, Var(2), -2.0, Var(5), 0.5)},
+		{"one term", Expr(Var(3), 4.0), Expr(Var(3), 4.0)},
+		{"unsorted", Expr(Var(2), 1.0, Var(0), 2.0), Expr(Var(0), 2.0, Var(2), 1.0)},
+		{"duplicate", Expr(Var(1), 1.0, Var(1), 2.0, Var(4), 1.0), Expr(Var(1), 3.0, Var(4), 1.0)},
+		{"zero", Expr(Var(0), 1.0, Var(1), 0.0, Var(2), 1.0), Expr(Var(0), 1.0, Var(2), 1.0)},
+		{"negative zero", Expr(Var(0), math.Copysign(0, -1), Var(1), 1.0), Expr(Var(1), 1.0)},
+	} {
+		// Spare capacity, so that an aliasing result would see appends.
+		e := LinExpr{vars: make([]Var, 0, 16), coefs: make([]float64, 0, 16)}.AddExpr(tc.e)
+		got := e.compacted()
+		if !slices.Equal(got.vars, tc.want.vars) || !slices.Equal(got.coefs, tc.want.coefs) {
+			t.Errorf("%s: compacted = %v %v, want %v %v", tc.name, got.vars, got.coefs, tc.want.vars, tc.want.coefs)
+		}
+		for i := range e.vars {
+			e.vars[i], e.coefs[i] = 99, 99
+		}
+		e = e.Add(98, 98)
+		if !slices.Equal(got.vars, tc.want.vars) || !slices.Equal(got.coefs, tc.want.coefs) {
+			t.Errorf("%s: writing the caller's expression changed the compacted one to %v %v", tc.name, got.vars, got.coefs)
+		}
+	}
 }
 
 func TestExprPanicsOnBadInput(t *testing.T) {

@@ -94,14 +94,23 @@ type basisFactor struct {
 }
 
 // reset prepares the factor for a new solve over an m-row basis, keeping
-// buffer capacity and — unless m changed — the retained factorizations. The
-// eta chunks are sized by m, so a change of m drops them too.
+// buffer capacity and — unless m changed — the retained factorizations. An
+// eta chunk is kept while it has room for etaChunkCols full columns of m,
+// so a workspace handed from a larger problem to a smaller one reuses its
+// eta arena.
 func (f *basisFactor) reset(m int) {
 	if m != f.m {
 		for i := range f.slots {
 			f.slots[i].a = nil
 		}
-		f.chunks = nil
+		kept := f.chunks[:0]
+		for _, c := range f.chunks {
+			if len(c.ind) >= etaChunkCols*m {
+				kept = append(kept, c)
+			}
+		}
+		clear(f.chunks[len(kept):])
+		f.chunks = kept
 	}
 	f.m = m
 	f.scratch = growFloats(f.scratch, m)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -78,6 +79,67 @@ func TestWarmResolveZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm resolve allocates %.2f objects/op, want 0", allocs)
+	}
+}
+
+// TestHandedBackWorkspaceZeroAllocs asserts that a workspace reset after a
+// larger problem solves a smaller one cold without heap allocation: the eta
+// arena, the LU storage and every solver array from the larger solve serve
+// the smaller one. This is what lets branch and bound hand worker arenas
+// from one search to the next.
+func TestHandedBackWorkspaceZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	rng := rand.New(rand.NewSource(34))
+	large := randomFeasibleLP(rng, 60, 90)
+	small := randomFeasibleLP(rng, 25, 40)
+	ws := NewWorkspace()
+	if res, err := Solve(large, nil, Options{Workspace: ws}); err != nil || res.Status != StatusOptimal {
+		t.Fatalf("large solve: %v %v", res, err)
+	}
+	ws.Reset()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Solve(small, nil, Options{Workspace: ws})
+	runtime.ReadMemStats(&after)
+	if err != nil || res.Status != StatusOptimal {
+		t.Fatalf("small solve: %v %v", res, err)
+	}
+	if res.Iters == 0 || res.Refactors == 0 {
+		t.Fatalf("small solve ran %d iterations and %d factorizations; the check needs both", res.Iters, res.Refactors)
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("cold solve through a handed-back workspace allocates %d objects (%d bytes), want 0",
+			n, after.TotalAlloc-before.TotalAlloc)
+	}
+}
+
+// TestHandedBackWorkspaceMatchesFresh passes one workspace, reset between
+// solves, through problems that shrink and grow, so that eta chunks sized
+// for one row count serve another, and holds every solve to a fresh
+// workspace's bit for bit, factorization count included.
+func TestHandedBackWorkspaceMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	ws := NewWorkspace()
+	for _, size := range [][2]int{{25, 40}, {60, 90}, {25, 40}, {8, 12}, {90, 120}, {40, 60}} {
+		p := randomFeasibleLP(rng, size[0], size[1])
+		got, err := Solve(p, nil, Options{Workspace: ws})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := snapshot(got)
+		want, err := Solve(p, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("%d×%d", size[0], size[1])
+		requireSameBits(t, label, g, snapshot(want))
+		if g.refactors != want.Refactors {
+			t.Fatalf("%s: %d factorizations, a fresh workspace computes %d", label, g.refactors, want.Refactors)
+		}
+		ws.Reset()
 	}
 }
 

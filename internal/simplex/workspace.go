@@ -73,6 +73,22 @@ type Workspace struct {
 // NewWorkspace returns an empty workspace ready for reuse across solves.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
+// Reset makes ws behave exactly like NewWorkspace() while keeping the
+// capacity of its buffers, so that one arena can serve solves of unrelated
+// problems one after another: the retained factorizations lose their keys
+// (and the matrices they held alive), the last problem and its options are
+// dropped, and every tolerance is recomputed by the next solve. Buffers
+// that are kept all-zero or all-false between solves stay so.
+func (ws *Workspace) Reset() {
+	f := &ws.factor
+	for i := range f.slots {
+		f.slots[i].a, f.slots[i].used = nil, 0
+	}
+	f.clock = 0
+	ws.sol = solver{}
+	ws.tolKnown = false
+}
+
 // ensure sizes every buffer for an m×n problem, growing but never shrinking
 // backing storage. A change of m drops the retained factorizations (see
 // basisFactor.reset), a change of n the remembered tolerances.
