@@ -36,13 +36,23 @@ type factorSlot struct {
 
 // eta records one product-form-of-inverse update: the basis column at
 // position r was replaced, and w = B⁻¹·a_enter is the transformed entering
-// column. Applying the update to a vector costs O(nnz(w)). ind and val are
-// windows into the factor's eta arena.
+// column. Applying the update to a vector costs O(nnz(w)). ind, val and next
+// are windows into the factor's eta arena.
+//
+// Every entry also has an address, its place in the eta file counted from
+// the first entry of the oldest eta, and is a link in its position's chain
+// of the row file (see basisFactor.rowHead). Links hold address + 1, so that
+// 0 ends a chain.
 type eta struct {
-	r   int       // basis position that changed
-	wr  float64   // pivot element w[r]
-	ind []int     // indices i ≠ r with w[i] ≠ 0
-	val []float64 // matching values
+	r    int       // basis position that changed
+	wr   float64   // pivot element w[r]
+	ind  []int32   // ascending indices i ≠ r with w[i] ≠ 0
+	val  []float64 // matching values
+	next []int32   // per entry, the link to the next older entry at its position
+	base int       // link of ind[0]: entry k has link base+k
+	// rlink is the link to the newest entry at position r among the older
+	// etas: where the sparse pull starts r's chain once v[r] turns nonzero.
+	rlink int32
 }
 
 // etaChunkCols sizes the chunks of the eta arena: each has room for this many
@@ -54,10 +64,13 @@ type eta struct {
 // by hand, and 6.1 MB in chunks.)
 const etaChunkCols = 8
 
-// etaChunk is one fixed-size piece of the eta arena.
+// etaChunk is one fixed-size piece of the eta arena. Its indices and row
+// links are int32, so an entry takes the 16 bytes an int index and a value
+// took before the row file existed.
 type etaChunk struct {
-	ind []int
-	val []float64
+	ind  []int32
+	next []int32
+	val  []float64
 }
 
 // basisFactor maintains B = B₀·E₁···E_k as a sparse LU factorization of B₀
@@ -84,7 +97,15 @@ type basisFactor struct {
 	chunks  []etaChunk // eta arena, retained across solves
 	chunk   int        // chunk the next eta is written to
 	fill    int        // offset in that chunk where it will start
+	etaNnz  int        // entries in the eta file: the address of the next one
 	scratch []float64
+
+	// The row file: per basis position, the link to its newest eta entry,
+	// whose next links to the one before (0: none). All-zero while the eta
+	// file is empty.
+	rowHead []int32
+	// pull is the working list of the sparse pull (capacity m).
+	pull []pullItem
 
 	// Working storage of ftranColumn: the LU's pivot-coordinate scratch, and
 	// the basis positions where the result may be nonzero (all-clear
@@ -115,6 +136,11 @@ func (f *basisFactor) reset(m int) {
 	f.m = m
 	f.scratch = growFloats(f.scratch, m)
 	f.marks = sparse.GrowBitset(f.marks, m)
+	if cap(f.rowHead) < m {
+		f.rowHead = make([]int32, m)
+		f.pull = make([]pullItem, 0, m)
+	}
+	f.rowHead = f.rowHead[:m]
 	f.clearEtas()
 	f.work = -1
 }
@@ -122,6 +148,8 @@ func (f *basisFactor) reset(m int) {
 func (f *basisFactor) clearEtas() {
 	f.etas = f.etas[:0]
 	f.chunk, f.fill = 0, 0
+	f.etaNnz = 0
+	clear(f.rowHead)
 }
 
 // load makes the factor represent exactly the basis columns of a selected by
@@ -207,7 +235,7 @@ func (f *basisFactor) ftranColumn(rows []int, vals []float64, w []float64, ind [
 		}
 		for k, i := range et.ind {
 			w[i] -= et.val[k] * vr
-			f.marks.Set(i)
+			f.marks.Set(int(i))
 		}
 	}
 	return f.marks.Collect(ind, w)
@@ -222,19 +250,118 @@ func (f *basisFactor) ftranColumn(rows []int, vals []float64, w []float64, ind [
 // order, followed by the transposed LU solve.
 func (f *basisFactor) btran(c, y []float64) {
 	if len(f.etas) > 0 {
-		v := f.scratch
-		copy(v, c)
-		for e := len(f.etas) - 1; e >= 0; e-- {
-			et := &f.etas[e]
-			s := v[et.r]
-			for k, i := range et.ind {
-				s -= et.val[k] * v[i]
-			}
-			v[et.r] = s / et.wr
-		}
-		c = v
+		f.pullEtas(c, f.scratch)
+		c = f.scratch
 	}
 	f.slots[f.cur].lu.SolveTransposeToPivot(c, y)
+}
+
+// pullEtas writes E₁⁻ᵀ···E_k⁻ᵀ·c to v. Each eta is a pull, a dot product
+// of its entries with v, so the dense loop costs Σ nnz of the etas however
+// sparse c is. The sparse pull costs about nnz(c) + k per eta instead, and
+// is taken when that is at most half the dense cost. Both give every
+// nonzero of v the same bits; a zero may differ in sign (see pullSparse).
+func (f *basisFactor) pullEtas(c, v []float64) {
+	copy(v, c)
+	k := len(f.etas)
+	// 2·(nnz(c) + k)·k ≤ Σ nnz exactly when nnz(c) ≤ most. The scan for the
+	// nonzeros of c stops, a block at a time, once it has found more.
+	most := f.etaNnz/(2*k) - k
+	scan := most
+	if btranHook != nil {
+		scan = len(v)
+	}
+	pull := f.pull[:len(v)]
+	n := 0
+	for lo := 0; lo < len(v) && n <= scan; lo += 64 {
+		for i, vi := range v[lo:min(lo+64, len(v))] {
+			pull[n].pos = int32(lo + i) // kept only if vi ≠ 0
+			if vi != 0 {
+				n++
+			}
+		}
+	}
+	sparse := n <= most
+	if btranHook != nil {
+		sparse = btranHook(f, c, sparse)
+	}
+	if !sparse {
+		f.pullDense(v)
+		return
+	}
+	pull = pull[:n]
+	for p := range pull {
+		pull[p].cur = f.rowHead[pull[p].pos]
+	}
+	f.pullSparse(v, pull)
+}
+
+// btranHook, when a test has set it, is shown the right-hand side of every
+// BTRAN through a non-empty eta file and the path pullEtas chose for it, and
+// returns the path to take.
+var btranHook func(f *basisFactor, c []float64, sparse bool) bool
+
+// pullDense applies the eta file to v in place, reverse creation order.
+func (f *basisFactor) pullDense(v []float64) {
+	for e := len(f.etas) - 1; e >= 0; e-- {
+		et := &f.etas[e]
+		s := v[et.r]
+		for k, i := range et.ind {
+			s -= et.val[k] * v[i]
+		}
+		v[et.r] = s / et.wr
+	}
+}
+
+// pullItem is a position of the sparse pull and its cursor: the link to the
+// newest entry at that position in the etas not yet applied.
+type pullItem struct{ pos, cur int32 }
+
+// pullSparse applies the eta file to v in place, as pullDense does, but
+// visits only the positions in pull: the nonzeros of v on entry, ascending,
+// each with the link to its newest eta entry.
+//
+// v changes only at an eta's pivot position, so pull, extended by every
+// pivot position whose value comes out nonzero, holds every nonzero of v at
+// every eta. An eta's indices ascend, so its terms at the positions in pull
+// are the dense loop's nonzero terms in the dense loop's order; a term it
+// leaves out multiplies a finite entry (update refuses others) by a zero,
+// and subtracting a zero changes at most the sign of a zero. Walking the
+// etas newest first, each cursor moves down its position's chain, so an
+// entry is found in O(1) and the pull costs O(|pull|) per eta.
+func (f *basisFactor) pullSparse(v []float64, pull []pullItem) {
+	for e := len(f.etas) - 1; e >= 0; e-- {
+		et := &f.etas[e]
+		r := et.r
+		s := v[r]
+		n := uint(len(et.val))
+		val, next := et.val[:n], et.next[:n]
+		for p := range pull {
+			it := &pull[p]
+			if k := uint(int(it.cur) - et.base); k < n {
+				s -= val[k] * v[it.pos]
+				it.cur = next[k]
+			}
+		}
+		s /= et.wr
+		v[r] = s
+		if s == 0 {
+			continue
+		}
+		// r has no entry of its own in this eta, so a cursor it already
+		// has is in place; a position joining the pull starts at rlink.
+		lo, hi := 0, len(pull)
+		for lo < hi {
+			if mid := int(uint(lo+hi) >> 1); int(pull[mid].pos) < r {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo == len(pull) || int(pull[lo].pos) != r {
+			pull = slices.Insert(pull, lo, pullItem{int32(r), et.rlink})
+		}
+	}
 }
 
 // rowP returns the current LU's pivot positions of the constraint matrix's
@@ -264,26 +391,38 @@ func colDot(a *sparse.CSC, rowP []int, j int, y []float64) float64 {
 
 // update appends an eta for a pivot at basis position r with transformed
 // entering column w (dense, length m) whose nonzeros sit at the positions
-// ind. Returns false if the pivot element is numerically unusable and a
-// refactorization should happen instead.
+// ind, ascending. Returns false if the pivot element is numerically unusable
+// or an entry of w is not finite, and a refactorization should happen
+// instead.
 func (f *basisFactor) update(r int, w []float64, ind []int) bool {
 	wr := w[r]
-	if math.Abs(wr) < pivotTol {
+	if !(math.Abs(wr) >= pivotTol) || math.IsInf(wr, 0) { // NaN fails the first test
 		return false
 	}
 	if f.chunk == len(f.chunks) {
 		n := etaChunkCols * f.m
-		f.chunks = append(f.chunks, etaChunk{make([]int, n), make([]float64, n)})
+		f.chunks = append(f.chunks, etaChunk{make([]int32, n), make([]int32, n), make([]float64, n)})
 	}
 	c := f.chunks[f.chunk]
-	hi := f.fill
+	lo, hi := f.fill, f.fill
 	for _, i := range ind {
 		if i != r {
-			c.ind[hi], c.val[hi] = i, w[i]
+			wi := w[i]
+			if math.IsNaN(wi) || math.IsInf(wi, 0) {
+				return false
+			}
+			c.ind[hi], c.val[hi] = int32(i), wi
 			hi++
 		}
 	}
-	f.etas = append(f.etas, eta{r: r, wr: wr, ind: c.ind[f.fill:hi], val: c.val[f.fill:hi]})
+	base := f.etaNnz + 1
+	for k, i := range c.ind[lo:hi] {
+		c.next[lo+k] = f.rowHead[i]
+		f.rowHead[i] = int32(base + k)
+	}
+	f.etas = append(f.etas, eta{r: r, wr: wr, ind: c.ind[lo:hi], val: c.val[lo:hi], next: c.next[lo:hi],
+		base: base, rlink: f.rowHead[r]})
+	f.etaNnz += hi - lo
 	f.fill = hi
 	if len(c.ind)-hi < f.m {
 		f.chunk, f.fill = f.chunk+1, 0 // no room left for another full column

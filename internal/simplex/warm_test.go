@@ -84,9 +84,11 @@ func TestWarmResolveZeroAllocs(t *testing.T) {
 
 // TestHandedBackWorkspaceZeroAllocs asserts that a workspace reset after a
 // larger problem solves a smaller one cold without heap allocation: the eta
-// arena, the LU storage and every solver array from the larger solve serve
-// the smaller one. This is what lets branch and bound hand worker arenas
-// from one search to the next.
+// arena with its row file, the LU storage and every solver array from the
+// larger solve serve the smaller one. This is what lets branch and bound
+// hand worker arenas from one search to the next. Every BTRAN of the small
+// solve is sent down the sparse pull, whose working list the workspace also
+// keeps, and Reset must leave the row file empty.
 func TestHandedBackWorkspaceZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -98,7 +100,17 @@ func TestHandedBackWorkspaceZeroAllocs(t *testing.T) {
 	if res, err := Solve(large, nil, Options{Workspace: ws}); err != nil || res.Status != StatusOptimal {
 		t.Fatalf("large solve: %v %v", res, err)
 	}
+	// A solve ends optimal on a fresh factor; one cut short keeps its etas.
+	if res, err := Solve(large, nil, Options{Workspace: ws, MaxIter: 20}); err != nil || ws.factor.etaNnz == 0 {
+		t.Fatalf("cut-short solve: %v %v, %d eta entries; the check needs a row file to clear", res.Status, err, ws.factor.etaNnz)
+	}
 	ws.Reset()
+	if f := &ws.factor; f.numEtas() != 0 || f.etaNnz != 0 || slices.ContainsFunc(f.rowHead, func(l int32) bool { return l != 0 }) {
+		t.Fatal("Reset leaves eta entries in the row file")
+	}
+	sparsePulls := 0
+	btranHook = func(*basisFactor, []float64, bool) bool { sparsePulls++; return true }
+	t.Cleanup(func() { btranHook = nil })
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -107,8 +119,9 @@ func TestHandedBackWorkspaceZeroAllocs(t *testing.T) {
 	if err != nil || res.Status != StatusOptimal {
 		t.Fatalf("small solve: %v %v", res, err)
 	}
-	if res.Iters == 0 || res.Refactors == 0 {
-		t.Fatalf("small solve ran %d iterations and %d factorizations; the check needs both", res.Iters, res.Refactors)
+	if res.Iters == 0 || res.Refactors == 0 || sparsePulls == 0 {
+		t.Fatalf("small solve ran %d iterations, %d factorizations and %d sparse pulls; the check needs all three",
+			res.Iters, res.Refactors, sparsePulls)
 	}
 	if n := after.Mallocs - before.Mallocs; n != 0 {
 		t.Errorf("cold solve through a handed-back workspace allocates %d objects (%d bytes), want 0",

@@ -85,6 +85,7 @@ func (ws *Workspace) Reset() {
 		f.slots[i].a, f.slots[i].used = nil, 0
 	}
 	f.clock = 0
+	f.clearEtas()
 	ws.sol = solver{}
 	ws.tolKnown = false
 }
