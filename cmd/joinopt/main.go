@@ -96,7 +96,7 @@ func main() {
 		metrics   = flag.String("metrics", "", "serve expvar counters and pprof profiles on this HTTP address (e.g. localhost:6060)")
 		cacheOn   = flag.Bool("cache", false, "route optimization through the fingerprint-keyed plan cache")
 		repeat    = flag.Int("repeat", 1, "optimize the query this many times (with -cache, runs after the first hit)")
-		partCap   = flag.Int("partition-cap", 0, "hybrid strategy: max tables per partition (0: the default 15)")
+		partCap   = flag.Int("partition-cap", 0, "hybrid strategy: max tables per partition (0: the default 15; above 24 taken as 24)")
 		seamFrac  = flag.Float64("seam-frac", 0, "hybrid strategy: budget fraction reserved for seam re-optimization (0: the default 0.25)")
 		execute   = flag.Bool("execute", false, "synthesize matching data and run the optimized plan through the streaming executor")
 		execSeed  = flag.Int64("exec-seed", 1, "data synthesis seed for -execute")

@@ -69,6 +69,25 @@ func TestPresolveOffTheSolvePath(t *testing.T) {
 	}
 }
 
+// TestHybridOffTheMILP holds the decision that the hybrid decomposer solves
+// every partition by the left-deep DP: internal/decomp imports no package of
+// the MILP stack.
+func TestHybridOffTheMILP(t *testing.T) {
+	milp := []string{"milpjoin/internal/core", "milpjoin/internal/bb", "milpjoin/internal/milp", "milpjoin/internal/simplex"}
+	for file, imps := range nonTestImports(t) {
+		if !strings.HasPrefix(file, "internal/decomp/") {
+			continue
+		}
+		for _, ip := range imps {
+			for _, pkg := range milp {
+				if ip == pkg {
+					t.Errorf("%s imports %s; every hybrid partition is solved by dp.OptimizeLeftDeep", file, pkg)
+				}
+			}
+		}
+	}
+}
+
 // TestNoOrphanInternalPackages fails on an internal package that only its
 // own tests use: every internal/ directory with non-test code must be
 // imported by a non-test file outside it. The benchmark module counts as

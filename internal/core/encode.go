@@ -49,8 +49,9 @@ type Encoding struct {
 	prods []product
 
 	// derived data shared by the encoder parts.
-	effCard  []float64 // per-table cardinality with unary predicates folded in
-	binPreds []int     // predicate indices with ≥ 2 tables
+	params   cost.Params // the default physical constants, read once
+	effCard  []float64   // per-table cardinality with unary predicates folded in
+	binPreds []int       // predicate indices with ≥ 2 tables
 	lcoMax   float64
 	lcoMin   float64
 }
@@ -96,9 +97,11 @@ func Encode(q *qopt.Query, opts Options) (*Encoding, error) {
 	return e, nil
 }
 
-// prepare computes effective cardinalities (unary predicates folded into
-// their table, i.e. selections pushed to the scans) and the lco range.
+// prepare reads the default physical constants and computes effective
+// cardinalities (unary predicates folded into their table, i.e. selections
+// pushed to the scans) and the lco range.
 func (e *Encoding) prepare() {
+	e.params = cost.Params{}.WithDefaults()
 	q := e.Query
 	n := q.NumTables()
 	e.effCard = make([]float64, n)
@@ -400,7 +403,7 @@ func (e *Encoding) addFixedObjective() {
 // join j. For the block nested loop join it introduces the linearisation
 // variables for the blocks×inner-pages product (Section 4.3).
 func (e *Encoding) operatorCostAffine(j int, op cost.Operator) (milp.LinExpr, float64) {
-	p := e.Opts.CostParams
+	p := e.params
 	pages := func(card float64) float64 { return p.Pages(card) }
 
 	switch op {
@@ -430,7 +433,7 @@ func (e *Encoding) operatorCostAffine(j int, op cost.Operator) (milp.LinExpr, fl
 // in the number of tables).
 func (e *Encoding) bnlCostAffine(j int) (milp.LinExpr, float64) {
 	m := e.Model
-	p := e.Opts.CostParams
+	p := e.params
 	n := e.Query.NumTables()
 	blocksOf := e.blocksOf
 	maxBlocks := math.Max(blocksOf(e.coMax()), blocksOf(maxSlice(e.effCard)))
@@ -482,7 +485,7 @@ func (e *Encoding) bnlCostAffine(j int) (milp.LinExpr, float64) {
 // blocksOf returns ⌈pages(card)/buffer⌉, at least 1 — the outer-loop count
 // of a block nested loop join.
 func (e *Encoding) blocksOf(card float64) float64 {
-	p := e.Opts.CostParams
+	p := e.params
 	b := math.Ceil(p.Pages(card) / p.BufferPages)
 	if b < 1 {
 		b = 1

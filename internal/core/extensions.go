@@ -14,7 +14,7 @@ import (
 // linearising jos·potentialCost.
 func (e *Encoding) addOperatorSelection() error {
 	m := e.Model
-	p := e.Opts.CostParams
+	p := e.params
 	if e.Opts.Metric != cost.OperatorCost {
 		return fmt.Errorf("core: operator selection requires the operator cost metric")
 	}
@@ -115,7 +115,7 @@ func (e *Encoding) addOperatorSelection() error {
 // smjInnerCost prices the inner side of a sort-merge join for table t,
 // skipping the sort phase for tables stored in sorted order.
 func (e *Encoding) smjInnerCost(t int) float64 {
-	p := e.Opts.CostParams
+	p := e.params
 	pg := p.Pages(e.effCard[t])
 	if e.Query.Tables[t].Sorted {
 		return pg

@@ -140,7 +140,7 @@ func (e *Encoding) AssignmentForPlan(pl *plan.Plan) ([]float64, error) {
 // the encoder's own approximated cost formulas) and sets the jos / ajc /
 // ohp variables accordingly.
 func (e *Encoding) assignOperators(pl *plan.Plan, vals []float64, approxCard []float64) {
-	p := e.Opts.CostParams
+	p := e.params
 	smjOuter := func(card float64) float64 {
 		pg := p.Pages(card)
 		return 2*pg*ceilLog2(pg) + pg

@@ -52,9 +52,10 @@ type Result struct {
 }
 
 // Spec returns the exact-costing spec matching the encoder options: the
-// same metric, operator, and physical parameters the MILP approximates.
+// same metric and operator, and the default physical parameters the MILP
+// approximates.
 func (o Options) Spec() cost.Spec {
-	return cost.Spec{Metric: o.Metric, Op: o.Op, Params: o.CostParams.WithDefaults()}
+	return cost.Spec{Metric: o.Metric, Op: o.Op, Params: cost.Params{}.WithDefaults()}
 }
 
 // Optimize encodes the query, solves the MILP with branch and bound under

@@ -89,8 +89,6 @@ type Options struct {
 	// Op is the operator priced when Metric is OperatorCost and operator
 	// selection is off (default HashJoin, the paper's setting).
 	Op cost.Operator
-	// CostParams hold the physical constants.
-	CostParams cost.Params
 
 	// ChooseOperators enables the Section 5.3 extension: the MILP picks
 	// a join operator per join.
@@ -156,7 +154,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.CardCap <= 0 {
 		o.CardCap = 1e12
 	}
-	o.CostParams = o.CostParams.WithDefaults()
 	return o, nil
 }
 

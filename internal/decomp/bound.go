@@ -1,7 +1,6 @@
 package decomp
 
 import (
-	"math"
 	"sort"
 
 	"milpjoin/internal/cost"
@@ -25,22 +24,11 @@ import (
 //
 // Operator cost: every one of the n-1 joins moves at least one page per
 // operand, so the total is at least (n-1) times the cheapest possible
-// single join (cheapest operator when operator choice is on).
-func lowerBound(q *qopt.Query, spec cost.Spec, chooseOperators bool) float64 {
+// single join of Spec.Op.
+func lowerBound(q *qopt.Query, spec cost.Spec) float64 {
 	n := q.NumTables()
-	params := spec.Params.WithDefaults()
 	if spec.Metric == cost.OperatorCost {
-		ops := []cost.Operator{spec.Op}
-		if chooseOperators {
-			ops = cost.Operators()
-		}
-		minJoin := math.Inf(1)
-		for _, op := range ops {
-			if c := cost.JoinCost(op, 1, 1, params); c < minJoin {
-				minJoin = c
-			}
-		}
-		return float64(n-1) * minJoin
+		return float64(n-1) * cost.JoinCost(spec.Op, 1, 1, spec.Params.WithDefaults())
 	}
 	// C_out below.
 	if n < 3 {

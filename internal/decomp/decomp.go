@@ -1,13 +1,13 @@
 // Package decomp implements the hybrid graph-decomposition pipeline for
-// queries too large for one monolithic MILP or exact DP: partition the
-// join graph along its weakest edges, solve each partition independently
-// under a divided time budget (exact DP for small partitions, the MILP
-// for larger ones), stitch the partition plans into one global left-deep
-// plan with an exact DP over the partition quotient graph, and spend the
-// leftover budget re-optimizing seam windows around the cuts. The result
-// is always a feasible plan plus a finite, exact-space-valid lower bound
-// (the cherry bound, or the bushy optimum when one exact solve covered
-// the whole query).
+// queries too large for one exact DP: partition the join graph along its
+// weakest edges, solve each partition's sub-query to its left-deep optimum
+// with dp.OptimizeLeftDeep (the greedy order when the solve phase runs
+// out), stitch the partition plans into one global left-deep plan with an
+// exact DP over the partition quotient graph, and spend the leftover
+// budget re-optimizing seam windows around the cuts. The result is always
+// a feasible plan plus a finite, exact-space-valid lower bound (the cherry
+// bound, or the bushy optimum when the whole query is one small
+// partition).
 package decomp
 
 import (
@@ -16,7 +16,6 @@ import (
 	"sort"
 	"time"
 
-	"milpjoin/internal/core"
 	"milpjoin/internal/cost"
 	"milpjoin/internal/dp"
 	"milpjoin/internal/plan"
@@ -27,14 +26,11 @@ import (
 const (
 	DefaultPartitionCap = 15
 	DefaultSeamFrac     = 0.25
-	DefaultDPCap        = 13
-
-	// defaultMILPBudget is the per-partition MILP time limit when the
-	// caller set no global deadline; minMILPBudget is the floor under a
-	// tight deadline so every partition still gets a real solve attempt.
-	defaultMILPBudget = 3 * time.Second
-	minMILPBudget     = 50 * time.Millisecond
 )
+
+// boundDPMax is the largest whole query whose reported bound is the bushy
+// optimum (dp.OptimizeConv, Θ(3^n)) rather than the cherry bound.
+const boundDPMax = 13
 
 // Options configure one hybrid optimization run. The hybrid pipeline
 // prices Spec.Op uniformly (operator annotations are not chosen per
@@ -42,21 +38,15 @@ const (
 type Options struct {
 	// Spec is the exact costing specification (metric, operator, params).
 	Spec cost.Spec
-	// PartitionCap bounds partition size (0: DefaultPartitionCap; min 2).
+	// PartitionCap bounds partition size (0: DefaultPartitionCap; at
+	// least 2 and at most dp.MaxTables, the left-deep DP's ceiling).
 	PartitionCap int
 	// SeamFrac is the fraction of the remaining budget reserved for seam
 	// re-optimization after partition solves and stitching (0: default).
 	SeamFrac float64
-	// DPCap is the largest partition solved by exact DP instead of the
-	// MILP (0: DefaultDPCap).
-	DPCap int
-	// Deadline bounds the whole run (zero: per-partition defaults only).
+	// Deadline bounds the whole run (zero: every partition DP runs to
+	// completion).
 	Deadline time.Time
-	// MILP templates the per-partition MILP options (precision,
-	// cardinality cap, gap tolerance, threads). Metric, operator, cost
-	// params, time limit, plan injection, and callbacks are overridden per
-	// partition.
-	MILP core.Options
 	// OnImprovement receives every new best global plan with its exact
 	// cost: the first stitched plan, then each improving seam window.
 	OnImprovement func(*plan.Plan, float64)
@@ -66,17 +56,9 @@ func (o Options) withDefaults() Options {
 	if o.PartitionCap <= 0 {
 		o.PartitionCap = DefaultPartitionCap
 	}
-	if o.PartitionCap < 2 {
-		o.PartitionCap = 2
-	}
+	o.PartitionCap = min(max(o.PartitionCap, 2), dp.MaxTables)
 	if o.SeamFrac <= 0 || o.SeamFrac >= 1 {
 		o.SeamFrac = DefaultSeamFrac
-	}
-	if o.DPCap <= 0 {
-		o.DPCap = DefaultDPCap
-	}
-	if o.DPCap > 20 {
-		o.DPCap = 20 // dp.OptimizeConv's hard ceiling
 	}
 	return o
 }
@@ -88,14 +70,15 @@ type Result struct {
 	// Cost is Plan's exact cost under the Spec.
 	Cost float64
 	// Bound is a valid lower bound on every plan (bushy included): the
-	// exact optimum when a single exact solve covered the query, else
-	// the cherry bound.
+	// bushy optimum when the whole query is one partition of at most 13
+	// tables, else the cherry bound.
 	Bound float64
 	// PartitionSizes lists the decomposition (len 1: no decomposition).
 	PartitionSizes []int
 	// SeamImproved reports whether seam re-optimization beat the stitch.
 	SeamImproved bool
-	// Optimal reports Cost == Bound (only possible via the exact path).
+	// Optimal reports Cost == Bound (outside degenerate cases, only with
+	// the bushy bound).
 	Optimal bool
 	// TimedOut reports the deadline or context cut the run short.
 	TimedOut bool
@@ -103,7 +86,8 @@ type Result struct {
 
 // Optimize runs the hybrid decomposition pipeline. It always returns a
 // feasible plan for a valid query: every stage (partition solve, stitch,
-// seam) has a greedy fallback under deadline pressure.
+// seam) has a greedy fallback under deadline pressure. A query that fits
+// one partition takes the same path, with a single partition to stitch.
 func Optimize(ctx context.Context, q *qopt.Query, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -125,53 +109,24 @@ func Optimize(ctx context.Context, q *qopt.Query, opts Options) (*Result, error)
 	for i, p := range parts {
 		sizes[i] = len(p.Tables)
 	}
-
-	if len(parts) == 1 {
-		return optimizeWhole(ctx, q, opts, sizes)
-	}
-
 	res := &Result{PartitionSizes: sizes}
 
-	// Budget split: the seam fraction of whatever remains is reserved
-	// for the polish loop; partition solves share the rest weighted by
-	// expected effort (exact DP 1, MILP 3), recomputed as solves finish.
-	now := time.Now()
+	// The seam fraction of the budget is reserved for the polish loop;
+	// every partition DP and the quotient DP run under the rest.
 	var solveDeadline time.Time
 	hasDeadline := !opts.Deadline.IsZero()
 	if hasDeadline {
 		remaining := time.Until(opts.Deadline)
-		solveDeadline = now.Add(time.Duration((1 - opts.SeamFrac) * float64(remaining)))
-	}
-	weight := func(p Partition) float64 {
-		if len(p.Tables) <= opts.DPCap {
-			return 1
-		}
-		return 3
-	}
-	weightLeft := 0.0
-	for _, p := range parts {
-		weightLeft += weight(p)
+		solveDeadline = time.Now().Add(time.Duration((1 - opts.SeamFrac) * float64(remaining)))
 	}
 
 	orders := make([][]int, len(parts))
 	for i, p := range parts {
-		var partDeadline time.Time
-		if hasDeadline {
-			left := time.Until(solveDeadline)
-			if left < 0 {
-				left = 0
-			}
-			share := time.Duration(float64(left) * weight(p) / weightLeft)
-			partDeadline = time.Now().Add(share)
-		}
-		weightLeft -= weight(p)
-		if ctx.Err() != nil || (hasDeadline && time.Now().After(solveDeadline)) {
-			// Out of solve budget: greedy for everything left.
+		var exact bool
+		orders[i], exact = solvePartition(ctx, q, p, opts.Spec, solveDeadline)
+		if !exact {
 			res.TimedOut = true
-			orders[i] = greedyOrder(q, p, opts.Spec)
-			continue
 		}
-		orders[i] = solvePartition(ctx, q, p, opts, partDeadline)
 	}
 
 	st := newStitcher(q, opts.Spec, orders)
@@ -232,175 +187,43 @@ func Optimize(ctx context.Context, q *qopt.Query, opts Options) (*Result, error)
 
 	res.Plan = bestPlan
 	res.Cost = bestCost
-	res.Bound = lowerBound(q, opts.Spec, false)
-	res.Optimal = res.Cost <= res.Bound*(1+1e-9) // only degenerate cases
-	return res, nil
-}
-
-// optimizeWhole handles the single-partition case: the query fits one
-// exact or MILP solve, so no stitching is needed and the bound can be
-// tight (the bushy optimum) on the exact path.
-func optimizeWhole(ctx context.Context, q *qopt.Query, opts Options, sizes []int) (*Result, error) {
-	n := q.NumTables()
-	res := &Result{PartitionSizes: sizes}
-	if n <= opts.DPCap {
-		tree, c, err := dp.OptimizeConv(ctx, q, opts.Spec, dp.ConvOptions{
+	res.Bound = lowerBound(q, opts.Spec)
+	if len(parts) == 1 && q.NumTables() <= boundDPMax {
+		// The bushy optimum bounds every plan, and it is cheap this small.
+		if _, c, err := dp.OptimizeConv(ctx, q, opts.Spec, dp.ConvOptions{
 			Options: dp.Options{Deadline: opts.Deadline},
-		})
-		if err == nil {
-			// The DP objective is a valid bound over every plan (it
-			// underprices only by the non-negative expensive-predicate
-			// terms), but the reported cost is always plan.Cost.
+		}); err == nil {
 			res.Bound = c
-			pl := tree.LeftDeepPlan(opts.Spec.Metric)
-			if pl == nil {
-				if ldPl, _, lerr := dp.OptimizeLeftDeep(ctx, q, opts.Spec, dp.Options{Deadline: opts.Deadline}); lerr == nil {
-					pl = ldPl
-				}
-			}
-			if pl != nil {
-				exact, cerr := plan.Cost(q, pl, opts.Spec)
-				if cerr != nil {
-					return nil, fmt.Errorf("decomp: costing exact plan: %w", cerr)
-				}
-				res.Plan, res.Cost = pl, exact
-				res.Optimal = exact <= c*(1+1e-9)
-				if opts.OnImprovement != nil {
-					opts.OnImprovement(clonePlan(res.Plan), res.Cost)
-				}
-				return res, nil
-			}
-		}
-		// Exact path timed out or produced no left-deep plan: greedy.
-		res.TimedOut = true
-		return finishGreedy(q, opts, res)
-	}
-
-	// MILP over the whole (small enough to encode) query.
-	mopts := partitionMILPConfig(opts)
-	if !opts.Deadline.IsZero() {
-		if left := time.Until(opts.Deadline); left > 0 {
-			mopts.TimeLimit = left
-		} else {
-			res.TimedOut = true
-			return finishGreedy(q, opts, res)
 		}
 	}
-	mres, err := core.Optimize(ctx, q, mopts)
-	if err == nil && mres.Plan != nil {
-		res.Plan = mres.Plan
-		if res.Cost, err = plan.Cost(q, mres.Plan, opts.Spec); err == nil {
-			res.Bound = lowerBound(q, opts.Spec, false)
-			if opts.OnImprovement != nil {
-				opts.OnImprovement(clonePlan(res.Plan), res.Cost)
-			}
-			return res, nil
-		}
-	}
-	res.TimedOut = ctx.Err() != nil
-	return finishGreedy(q, opts, res)
-}
-
-// solvePartition produces a join order (global table ids) for one
-// partition: exact DP when it fits, the MILP with its budget share
-// otherwise, greedy whenever either fails.
-func solvePartition(ctx context.Context, q *qopt.Query, p Partition, opts Options, deadline time.Time) []int {
-	if len(p.Tables) == 1 {
-		return []int{p.Tables[0]}
-	}
-	sub, _ := subQuery(q, p)
-	var localPlan *plan.Plan
-	if len(p.Tables) <= opts.DPCap {
-		tree, _, err := dp.OptimizeConv(ctx, sub, opts.Spec, dp.ConvOptions{
-			Options: dp.Options{Deadline: deadline},
-		})
-		if err == nil {
-			localPlan = tree.LeftDeepPlan(opts.Spec.Metric)
-		}
-		if localPlan == nil {
-			if pl, _, lerr := dp.OptimizeLeftDeep(ctx, sub, opts.Spec, dp.Options{Deadline: deadline}); lerr == nil {
-				localPlan = pl
-			}
-		}
-	} else {
-		mopts := partitionMILPConfig(opts)
-		if deadline.IsZero() {
-			mopts.TimeLimit = defaultMILPBudget
-		} else {
-			mopts.TimeLimit = time.Until(deadline)
-			if mopts.TimeLimit < minMILPBudget {
-				mopts.TimeLimit = minMILPBudget
-			}
-		}
-		if mres, err := core.Optimize(ctx, sub, mopts); err == nil && mres.Plan != nil {
-			localPlan = mres.Plan
-		}
-	}
-	if localPlan == nil {
-		if pl, _, err := dp.GreedyLeftDeep(sub, opts.Spec); err == nil {
-			localPlan = pl
-		}
-	}
-	if localPlan == nil { // cannot happen for a valid sub-query; stay safe
-		return append([]int(nil), p.Tables...)
-	}
-	out := make([]int, len(localPlan.Order))
-	for j, li := range localPlan.Order {
-		out[j] = p.Tables[li]
-	}
-	return out
-}
-
-// partitionMILPConfig instantiates the per-partition MILP options from the
-// template: uniform operator pricing, no plan injection, no callbacks.
-func partitionMILPConfig(opts Options) core.Options {
-	mopts := opts.MILP
-	mopts.Metric = opts.Spec.Metric
-	mopts.Op = opts.Spec.Op
-	mopts.CostParams = opts.Spec.Params
-	mopts.ChooseOperators = false
-	mopts.InitialPlan = nil
-	mopts.Incumbents = nil
-	mopts.OnEvent = nil
-	return mopts
-}
-
-// greedyOrder is the zero-budget fallback for one partition.
-func greedyOrder(q *qopt.Query, p Partition, spec cost.Spec) []int {
-	if len(p.Tables) == 1 {
-		return []int{p.Tables[0]}
-	}
-	sub, _ := subQuery(q, p)
-	pl, _, err := dp.GreedyLeftDeep(sub, spec)
-	if err != nil {
-		return append([]int(nil), p.Tables...)
-	}
-	out := make([]int, len(pl.Order))
-	for j, li := range pl.Order {
-		out[j] = p.Tables[li]
-	}
-	return out
-}
-
-// finishGreedy fills Result with the greedy plan — the last-resort path
-// that keeps "always a feasible plan" true under any budget.
-func finishGreedy(q *qopt.Query, opts Options, res *Result) (*Result, error) {
-	pl, _, err := dp.GreedyLeftDeep(q, opts.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("decomp: greedy fallback: %w", err)
-	}
-	c, err := plan.Cost(q, pl, opts.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("decomp: costing greedy fallback: %w", err)
-	}
-	res.Plan, res.Cost = pl, c
-	if res.Bound == 0 {
-		res.Bound = lowerBound(q, opts.Spec, false)
-	}
-	if opts.OnImprovement != nil {
-		opts.OnImprovement(clonePlan(pl), c)
-	}
+	res.Optimal = res.Cost <= res.Bound*(1+1e-9)
 	return res, nil
+}
+
+// solvePartition returns one partition's join order in global table ids:
+// the left-deep optimum of its sub-query, or the greedy order when the
+// context or deadline ends the DP first. exact reports the former.
+func solvePartition(ctx context.Context, q *qopt.Query, p Partition, spec cost.Spec, deadline time.Time) (order []int, exact bool) {
+	if len(p.Tables) == 1 {
+		return []int{p.Tables[0]}, true
+	}
+	sub, _ := subQuery(q, p)
+	var pl *plan.Plan
+	if ctx.Err() == nil && (deadline.IsZero() || time.Now().Before(deadline)) {
+		pl, _, _ = dp.OptimizeLeftDeep(ctx, sub, spec, dp.Options{Deadline: deadline})
+	}
+	exact = pl != nil
+	if !exact {
+		pl, _, _ = dp.GreedyLeftDeep(sub, spec)
+	}
+	if pl == nil { // cannot happen for a valid sub-query; stay safe
+		return append([]int(nil), p.Tables...), false
+	}
+	order = make([]int, len(pl.Order))
+	for j, li := range pl.Order {
+		order[j] = p.Tables[li]
+	}
+	return order, exact
 }
 
 func clonePlan(p *plan.Plan) *plan.Plan {

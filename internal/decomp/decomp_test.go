@@ -283,7 +283,7 @@ func TestLowerBoundValid(t *testing.T) {
 				enrich(q)
 			}
 			for _, spec := range specs() {
-				lb := lowerBound(q, spec, false)
+				lb := lowerBound(q, spec)
 				_, c, err := dp.OptimizeConv(context.Background(), q, spec, dp.ConvOptions{})
 				if err != nil {
 					t.Fatalf("%v seed %d: dpconv: %v", shape, seed, err)
@@ -339,13 +339,22 @@ func TestSubQueryRelabel(t *testing.T) {
 // feasible plan, a finite bound at or below the cost, and a monotone
 // improvement trajectory ending at the final cost.
 func TestOptimizeEndToEnd(t *testing.T) {
-	for _, shape := range []workload.GraphShape{workload.Snowflake, workload.Transitive} {
-		q := workload.Generate(shape, 40, 5, workload.Config{})
+	for _, tc := range []struct {
+		shape  workload.GraphShape
+		n, cap int
+	}{
+		{workload.Snowflake, 40, 8},
+		{workload.Transitive, 40, 8},
+		// A cap above dp.MaxTables is clamped to it.
+		{workload.Snowflake, 60, 40},
+	} {
+		shape := tc.shape
+		q := workload.Generate(shape, tc.n, 5, workload.Config{})
 		for _, spec := range specs() {
 			var trajectory []float64
 			res, err := Optimize(context.Background(), q, Options{
 				Spec:         spec,
-				PartitionCap: 8,
+				PartitionCap: tc.cap,
 				Deadline:     time.Now().Add(5 * time.Second),
 				OnImprovement: func(pl *plan.Plan, c float64) {
 					trajectory = append(trajectory, c)
@@ -369,9 +378,12 @@ func TestOptimizeEndToEnd(t *testing.T) {
 			}
 			total := 0
 			for _, s := range res.PartitionSizes {
+				if s > dp.MaxTables {
+					t.Fatalf("%v %v: partition of %d tables above dp.MaxTables", shape, spec.Metric, s)
+				}
 				total += s
 			}
-			if total != 40 || len(res.PartitionSizes) < 2 {
+			if total != tc.n || len(res.PartitionSizes) < 2 {
 				t.Fatalf("%v %v: partition sizes %v", shape, spec.Metric, res.PartitionSizes)
 			}
 			if len(trajectory) == 0 {
@@ -420,30 +432,40 @@ func TestOptimizeSinglePartitionExact(t *testing.T) {
 	}
 }
 
-// TestOptimizeMILPPartitionPath: partitions above DPCap route through the
-// per-partition MILP; the stitched result must still be valid and priced
-// exactly.
-func TestOptimizeMILPPartitionPath(t *testing.T) {
-	q := workload.Generate(workload.Snowflake, 24, 3, workload.Config{})
-	spec := cost.Spec{Metric: cost.Cout, Params: cost.Params{}.WithDefaults()}
-	res, err := Optimize(context.Background(), q, Options{
-		Spec:         spec,
-		PartitionCap: 8,
-		DPCap:        4, // push most partitions onto the MILP path
-		Deadline:     time.Now().Add(10 * time.Second),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Plan.Validate(q); err != nil {
-		t.Fatalf("invalid plan: %v", err)
-	}
-	c, err := plan.Cost(q, res.Plan, spec)
-	if err != nil || relDiff(c, res.Cost) > 1e-9 {
-		t.Fatalf("reported cost %g, plan.Cost %g (%v)", res.Cost, c, err)
-	}
-	if res.Bound > res.Cost*(1+1e-9) {
-		t.Fatalf("bound %g above cost %g", res.Bound, res.Cost)
+// TestPartitionsAreLeftDeepOptimal: every partition's order is the
+// left-deep optimum of its sub-query — it prices as dp.OptimizeLeftDeep's.
+func TestPartitionsAreLeftDeepOptimal(t *testing.T) {
+	for _, tc := range []struct {
+		shape workload.GraphShape
+		n     int
+		seed  int64
+	}{{workload.Snowflake, 24, 3}, {workload.Transitive, 40, 5}} {
+		q := workload.Generate(tc.shape, tc.n, tc.seed, workload.Config{})
+		for _, spec := range specs() {
+			for _, p := range partitionGraph(q, 8) {
+				order, exact := solvePartition(context.Background(), q, p, spec, time.Time{})
+				if !exact {
+					t.Fatalf("%v: partition %v fell back to greedy without a deadline", tc.shape, p.Tables)
+				}
+				sub, localOf := subQuery(q, p)
+				local := make([]int, len(order))
+				for j, g := range order {
+					local[j] = localOf[g]
+				}
+				got, err := plan.Cost(sub, &plan.Plan{Order: local}, spec)
+				if err != nil {
+					t.Fatalf("%v: partition %v order %v: %v", tc.shape, p.Tables, order, err)
+				}
+				_, want, err := dp.OptimizeLeftDeep(context.Background(), sub, spec, dp.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if relDiff(got, want) > 1e-9 {
+					t.Fatalf("%v %v partition %v: order prices %g, left-deep optimum %g",
+						tc.shape, spec.Metric, p.Tables, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -28,8 +28,9 @@ var ErrTooLarge = errors.New("dp: query too large for dynamic programming")
 // is available in that case (DP has no anytime behaviour).
 var ErrTimeout = errors.New("dp: deadline exceeded")
 
-// maxTables guards the left-deep DP against the 2^n memory blow-up.
-const maxTables = 24
+// MaxTables is the largest query OptimizeLeftDeep accepts: it guards the
+// left-deep DP against the 2^n memory blow-up.
+const MaxTables = 24
 
 // Options tune the DP run.
 type Options struct {
@@ -57,8 +58,8 @@ func OptimizeLeftDeep(ctx context.Context, q *qopt.Query, spec cost.Spec, opts O
 		return nil, 0, fmt.Errorf("dp: %w", err)
 	}
 	n := q.NumTables()
-	if n > maxTables {
-		return nil, 0, fmt.Errorf("%w: %d tables (limit %d)", ErrTooLarge, n, maxTables)
+	if n > MaxTables {
+		return nil, 0, fmt.Errorf("%w: %d tables (limit %d)", ErrTooLarge, n, MaxTables)
 	}
 	lat := plan.NewIndex(q).Lattice(nil, allTables(n), spec)
 

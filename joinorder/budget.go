@@ -8,8 +8,8 @@ import (
 // Budget bundles every resource limit of one optimization run: wall-clock
 // time, the proven-gap tolerance at which the search may stop, the
 // branch-and-bound node cap, and the parallel worker count. Carrying the
-// four knobs as one value lets callers (and the hybrid decomposer) split,
-// scale, and forward a budget without tracking parallel fields.
+// four knobs as one value lets callers forward a budget without tracking
+// parallel fields.
 //
 // A zero field means "not set": the strategy default applies.
 type Budget struct {
@@ -45,34 +45,4 @@ func (b Budget) validate() error {
 		return fmt.Errorf("%w: negative budget thread count %d", ErrInvalidOptions, b.Threads)
 	}
 	return nil
-}
-
-// Scale returns a copy with the divisible resources (TimeLimit, MaxNodes)
-// scaled by f, flooring non-zero values at 1ms / 1 node so a fraction of a
-// set budget never silently becomes "unlimited". GapTol and Threads are
-// per-solve qualities, not divisible quantities, and pass through.
-func (b Budget) Scale(f float64) Budget {
-	out := b
-	if b.TimeLimit > 0 {
-		out.TimeLimit = time.Duration(float64(b.TimeLimit) * f)
-		if out.TimeLimit < time.Millisecond {
-			out.TimeLimit = time.Millisecond
-		}
-	}
-	if b.MaxNodes > 0 {
-		out.MaxNodes = int(float64(b.MaxNodes) * f)
-		if out.MaxNodes < 1 {
-			out.MaxNodes = 1
-		}
-	}
-	return out
-}
-
-// Split divides the budget into n equal shares (n <= 1 returns the budget
-// unchanged).
-func (b Budget) Split(n int) Budget {
-	if n <= 1 {
-		return b
-	}
-	return b.Scale(1 / float64(n))
 }

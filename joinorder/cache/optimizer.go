@@ -278,7 +278,8 @@ type EntryID struct{ cr *canonicalResult }
 // calls, under any TimeLimit. The EntryID is that of the stored entry the
 // result was translated from, taken in the lookup that found it; it is zero
 // for every answer that is not a plain hit (a solve, a coalesced or degraded
-// answer, an uncacheable query).
+// answer, a hit found only by a new flight leader's second probe, an
+// uncacheable query).
 func (o *Optimizer) OptimizeCanonical(ctx context.Context, q *joinorder.Query, ce *Canonical, ekey string, opts joinorder.Options) (*joinorder.Result, EntryID, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -294,23 +295,45 @@ func (o *Optimizer) OptimizeCanonical(ctx context.Context, q *joinorder.Query, c
 	em := newCallEmitter(start, opts)
 
 	if cres, ok := o.exact.get(ekey, start); ok {
-		o.ctr.hits.Add(1)
-		res := cres.serve(ce, o.cfg.now().Sub(start))
-		em.emitResult(joinorder.KindCacheHit, res)
-		return res, EntryID{cres}, nil
+		return o.serveHit(cres, ce, em, start), EntryID{cres}, nil
 	}
 	res, err := o.optimizeMiss(ctx, q, ce, ekey, opts, em, start)
 	return res, EntryID{}, err
 }
 
-// optimizeMiss answers a lookup that found no live entry: degraded when the
-// budget is tight, otherwise as leader or waiter of the key's flight.
-func (o *Optimizer) optimizeMiss(ctx context.Context, q *joinorder.Query, ce *Canonical, ekey string, opts joinorder.Options, em *callEmitter, start time.Time) (*joinorder.Result, error) {
-	if o.degradeBudget(ctx, opts, start) {
-		return o.serveDegraded(ctx, q, opts, ce, ekey, em, start)
-	}
+// serveHit answers a request from the stored entry cres, counted as a hit.
+func (o *Optimizer) serveHit(cres *canonicalResult, ce *Canonical, em *callEmitter, start time.Time) *joinorder.Result {
+	o.ctr.hits.Add(1)
+	res := cres.serve(ce, o.cfg.now().Sub(start))
+	em.emitResult(joinorder.KindCacheHit, res)
+	return res
+}
 
+// missHook, when a test has set it, is called by every request whose lookup
+// missed, before it joins the key's flight, so that a test can hold a request
+// there while another one's flight completes. Nothing outside tests sets it.
+var missHook func(ekey string)
+
+// optimizeMiss answers a lookup that found no live entry: from the entry a
+// flight stored since, degraded when the budget is tight, otherwise as
+// leader or waiter of the key's flight.
+func (o *Optimizer) optimizeMiss(ctx context.Context, q *joinorder.Query, ce *Canonical, ekey string, opts joinorder.Options, em *callEmitter, start time.Time) (*joinorder.Result, error) {
+	if missHook != nil {
+		missHook(ekey)
+	}
 	f, leader := o.flights.join(ekey)
+	if leader {
+		// The flight the lookup missed may have completed since, and a
+		// flight stores its entry before it completes: a new leader
+		// probes again and completes its flight with what it finds.
+		if cres, ok := o.exact.get(ekey, o.cfg.now()); ok {
+			o.flights.complete(ekey, f, cres, nil)
+			return o.serveHit(cres, ce, em, start), nil
+		}
+	}
+	if o.degradeBudget(ctx, opts, start) {
+		return o.serveDegraded(ctx, q, opts, ce, ekey, em, f, leader)
+	}
 	if !leader {
 		o.ctr.coalesced.Add(1)
 		em.emit(joinorder.Event{Kind: joinorder.KindCacheCoalesced})
@@ -418,12 +441,12 @@ func (o *Optimizer) degradeBudget(ctx context.Context, opts joinorder.Options, n
 const fallbackStrategy = "greedy"
 
 // serveDegraded answers a tight-deadline miss immediately with
-// fallbackStrategy and starts one background refine solve (deduplicated
-// through the flight group) whose result lands in the cache for the next
-// request.
-func (o *Optimizer) serveDegraded(ctx context.Context, q *joinorder.Query, opts joinorder.Options, ce *Canonical, ekey string, em *callEmitter, start time.Time) (*joinorder.Result, error) {
+// fallbackStrategy. The leader of the key's flight f also starts one
+// background refine solve whose result lands in the cache for the next
+// request and completes f.
+func (o *Optimizer) serveDegraded(ctx context.Context, q *joinorder.Query, opts joinorder.Options, ce *Canonical, ekey string, em *callEmitter, f *flight, leader bool) (*joinorder.Result, error) {
 	o.ctr.degraded.Add(1)
-	if f, leader := o.flights.join(ekey); leader {
+	if leader {
 		// The refine keeps the request's Strategy (and Portfolio): an
 		// "auto" request is refined by the full portfolio race, so the
 		// cached answer is the race winner's plan, not only the MILP's.

@@ -347,6 +347,112 @@ func TestCoalescedWaiterHonorsOwnContext(t *testing.T) {
 	}
 }
 
+// parkFirstMiss holds the first request that misses at missHook until
+// release is closed; parked is closed once it is held there.
+func parkFirstMiss(t *testing.T) (parked, release chan struct{}) {
+	parked, release = make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	missHook = func(string) {
+		if held.CompareAndSwap(false, true) {
+			close(parked)
+			<-release
+		}
+	}
+	t.Cleanup(func() { missHook = nil })
+	return parked, release
+}
+
+// TestMissAfterCompletedFlightHits: a request whose lookup missed, and
+// which reaches the flight group only after another request's flight has
+// solved and stored the entry, is served that entry as a hit instead of
+// leading a second solve.
+func TestMissAfterCompletedFlightHits(t *testing.T) {
+	co := &countingOptimize{}
+	o := mustNew(t, Config{Optimize: co.fn})
+	q := workload.Generate(workload.Cycle, 6, 21, workload.Config{})
+	opts := joinorder.Options{Strategy: "dp-leftdeep"}
+	parked, release := parkFirstMiss(t)
+
+	type answer struct {
+		res *joinorder.Result
+		err error
+	}
+	late := make(chan answer, 1)
+	go func() {
+		res, err := o.Optimize(context.Background(), relabel(q, []int{5, 4, 3, 2, 1, 0}), opts)
+		late <- answer{res, err}
+	}()
+	<-parked
+	first, err := o.Optimize(context.Background(), q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	a := <-late
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	if got := co.calls.Load(); got != 1 {
+		t.Fatalf("%d underlying solves, want 1", got)
+	}
+	if s := o.Stats(); s.Hits != 1 || s.Misses != 1 || s.Coalesced != 0 {
+		t.Fatalf("stats = %+v, want 1 hit / 1 miss / 0 coalesced", s)
+	}
+	if a.res.Cost != first.Cost || a.res.Status != joinorder.StatusOptimal {
+		t.Fatalf("late request got cost %g status %v, want the stored %g optimal", a.res.Cost, a.res.Status, first.Cost)
+	}
+}
+
+// TestDegradedMissAfterCompletedRefineHits: the same for a tight-budget
+// request, whose flight is a background refine: once the refine has stored
+// its entry, the parked request is a hit, not a second degraded answer and
+// refine.
+func TestDegradedMissAfterCompletedRefineHits(t *testing.T) {
+	co := &countingOptimize{}
+	o := mustNew(t, Config{
+		Optimize:         co.fn,
+		DegradeUnder:     50 * time.Millisecond,
+		BackgroundBudget: 30 * time.Second,
+	})
+	q := workload.Generate(workload.Cycle, 6, 22, workload.Config{})
+	opts := joinorder.Options{Strategy: "dp-leftdeep", Budget: joinorder.Budget{TimeLimit: 10 * time.Millisecond}}
+	parked, release := parkFirstMiss(t)
+
+	type answer struct {
+		res *joinorder.Result
+		err error
+	}
+	late := make(chan answer, 1)
+	go func() {
+		res, err := o.Optimize(context.Background(), q, opts)
+		late <- answer{res, err}
+	}()
+	<-parked
+	res, err := o.Optimize(context.Background(), q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Strategy != "greedy" {
+		t.Fatalf("degraded request served by %q, want greedy", res.Strategy)
+	}
+	o.Wait()
+	close(release)
+	a := <-late
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	if a.res.Strategy != "dp-leftdeep" || a.res.Status != joinorder.StatusOptimal {
+		t.Fatalf("late request got %q/%v, want the refined dp-leftdeep optimum", a.res.Strategy, a.res.Status)
+	}
+	o.Wait()
+	if d, g := co.strategyCalls("dp-leftdeep"), co.strategyCalls("greedy"); d != 1 || g != 1 {
+		t.Fatalf("underlying calls: dp-leftdeep=%d greedy=%d, want 1 each", d, g)
+	}
+	if s := o.Stats(); s.Degraded != 1 || s.Refines != 1 || s.Hits != 1 {
+		t.Fatalf("stats = %+v, want 1 degraded / 1 refine / 1 hit", s)
+	}
+}
+
 func TestTTLExpiry(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }

@@ -5,29 +5,30 @@ import (
 	"math"
 	"time"
 
-	"milpjoin/internal/core"
 	"milpjoin/internal/decomp"
 	"milpjoin/internal/obs"
 	"milpjoin/internal/plan"
 )
 
 func init() {
-	mustRegister("hybrid", "graph decomposition for 100+ table queries: partition, solve per piece (exact DP or MILP), stitch with an exact quotient DP, seam re-optimization", optimizeHybrid)
+	mustRegister("hybrid", "graph decomposition for 100+ table queries: partition, solve each piece by left-deep DP, stitch with an exact quotient DP, seam re-optimization", optimizeHybrid)
 }
 
 // optimizeHybrid runs the decomposition pipeline of internal/decomp: the
 // join graph is cut along its weakest edges into partitions of at most
-// Options.PartitionCap tables, each partition is solved on its own slice
-// of the time budget, the partition plans are stitched into one global
+// Options.PartitionCap tables, each partition is solved to its left-deep
+// optimum by the subset DP of dp-leftdeep (the greedy order once the solve
+// phase is out of time), the partition plans are stitched into one global
 // left-deep plan, and the reserved Options.SeamBudgetFrac of the budget
 // re-optimizes windows around the cut seams. Every improving global plan
 // flows through Options.OnPlan/OnEvent, so under strategy "auto" the
 // hybrid feeds the portfolio's incumbent bus like any other member.
 //
-// The hybrid prices Options.Op uniformly (ChooseOperators is ignored) and
-// always returns a feasible plan with a finite, exact-space-valid lower
-// bound — typically loose (the cherry bound) unless the query fit a
-// single exact solve.
+// The hybrid prices Options.Op uniformly (ChooseOperators is ignored), reads
+// no MILP option, and always returns a feasible plan with a finite,
+// exact-space-valid lower bound — typically loose (the cherry bound) unless
+// the whole query is one partition of at most 13 tables, whose bound is the
+// bushy optimum.
 func optimizeHybrid(ctx context.Context, q *Query, opts Options) (*Result, error) {
 	start := time.Now()
 	a := newAnytime("hybrid", opts)
@@ -36,13 +37,6 @@ func optimizeHybrid(ctx context.Context, q *Query, opts Options) (*Result, error
 		PartitionCap: opts.PartitionCap,
 		SeamFrac:     opts.SeamBudgetFrac,
 		Deadline:     opts.deadline(start),
-		MILP: core.Options{
-			Precision:         opts.Precision,
-			CardCap:           opts.CardCap,
-			InterestingOrders: opts.InterestingOrders,
-			GapTol:            opts.Budget.GapTol,
-			Threads:           opts.Budget.Threads,
-		},
 	}
 	if a != nil {
 		dopts.OnImprovement = func(pl *plan.Plan, c float64) {

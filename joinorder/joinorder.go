@@ -194,9 +194,11 @@ type Options struct {
 
 	// PartitionCap bounds partition sizes in the "hybrid" decomposition
 	// strategy: the join graph is cut into connected partitions of at
-	// most this many tables, each solved independently before stitching
-	// (default 15; hybrid strategy only). Values below 2 other than the
-	// 0 default are rejected by Validate.
+	// most this many tables, each solved to its left-deep optimum by the
+	// subset DP of dp-leftdeep before stitching (default 15; hybrid
+	// strategy only). Values below 2 other than the 0 default are rejected
+	// by Validate; values above 24, the largest query that DP takes, are
+	// taken as 24.
 	PartitionCap int
 	// SeamBudgetFrac is the fraction of the hybrid strategy's time
 	// budget reserved for stitching partition plans and re-optimizing

@@ -69,7 +69,7 @@ type OptimizeRequest struct {
 	Seed int64 `json:"seed,omitempty"`
 
 	// PartitionCap bounds partition sizes for the hybrid strategy
-	// (default 15).
+	// (default 15; above 24 taken as 24).
 	PartitionCap int `json:"partition_cap,omitempty"`
 	// SeamBudgetFrac is the hybrid strategy's budget share reserved for
 	// seam re-optimization, in [0, 1) (default 0.25).
