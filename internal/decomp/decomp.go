@@ -29,7 +29,7 @@ const (
 )
 
 // boundDPMax is the largest whole query whose reported bound is the bushy
-// optimum (dp.OptimizeConv, Θ(3^n)) rather than the cherry bound.
+// optimum (dp.OptimizeBushy, Θ(3^n)) rather than the cherry bound.
 const boundDPMax = 13
 
 // Options configure one hybrid optimization run. The hybrid pipeline
@@ -190,7 +190,7 @@ func Optimize(ctx context.Context, q *qopt.Query, opts Options) (*Result, error)
 	res.Bound = lowerBound(q, opts.Spec)
 	if len(parts) == 1 && q.NumTables() <= boundDPMax {
 		// The bushy optimum bounds every plan, and it is cheap this small.
-		if _, c, err := dp.OptimizeConv(ctx, q, opts.Spec, dp.ConvOptions{
+		if _, c, err := dp.OptimizeBushy(ctx, q, opts.Spec, dp.BushyOptions{
 			Options: dp.Options{Deadline: opts.Deadline},
 		}); err == nil {
 			res.Bound = c

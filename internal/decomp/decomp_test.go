@@ -284,9 +284,9 @@ func TestLowerBoundValid(t *testing.T) {
 			}
 			for _, spec := range specs() {
 				lb := lowerBound(q, spec)
-				_, c, err := dp.OptimizeConv(context.Background(), q, spec, dp.ConvOptions{})
+				_, c, err := dp.OptimizeBushy(context.Background(), q, spec, dp.BushyOptions{})
 				if err != nil {
-					t.Fatalf("%v seed %d: dpconv: %v", shape, seed, err)
+					t.Fatalf("%v seed %d: bushy DP: %v", shape, seed, err)
 				}
 				if lb > c*(1+1e-9) {
 					t.Fatalf("%v seed %d %v: bound %g above bushy optimum %g", shape, seed, spec.Metric, lb, c)
@@ -412,7 +412,7 @@ func TestOptimizeSinglePartitionExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, bushy, err := dp.OptimizeConv(context.Background(), q, spec, dp.ConvOptions{})
+			_, bushy, err := dp.OptimizeBushy(context.Background(), q, spec, dp.BushyOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

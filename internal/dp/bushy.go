@@ -16,16 +16,16 @@ import (
 // maxBushyTables bounds the bushy DP: its split enumeration is Θ(3^n).
 const maxBushyTables = 20
 
-// ErrNoneBetter reports that the DPconv search proved no bushy plan beats
+// ErrNoneBetter reports that the bushy search proved no bushy plan beats
 // the caller-supplied cutoff: every partial plan was pruned against it, so
 // the incumbent the cutoff tracks is optimal over the bushy plan space.
 // Portfolio callers treat this as a proof of optimality for the racing
 // incumbent rather than a failure.
 var ErrNoneBetter = errors.New("dp: no plan better than cutoff")
 
-// ConvOptions extend Options with the anytime hooks of the DPconv-style
-// layered search.
-type ConvOptions struct {
+// BushyOptions extend Options with the anytime hooks of the layered bushy
+// search.
+type BushyOptions struct {
 	Options
 	// Cutoff, when non-nil, returns the exact cost of the best plan known
 	// so far from outside the search (for example a racing portfolio
@@ -38,12 +38,12 @@ type ConvOptions struct {
 	Cutoff func() float64
 }
 
-// OptimizeConv finds the cost-minimal bushy join tree (cross products
+// OptimizeBushy finds the cost-minimal bushy join tree (cross products
 // allowed) — the package's one exact bushy enumerator, and the measure of
 // what the left-deep restriction costs. It is the O(3^n) subset DP of
-// Moerkotte & Neumann that the paper cites, in the layered DPconv-style
-// order (arXiv:2409.08013): subsets are processed in layers of increasing
-// cardinality, splits are canonicalised to the half containing the
+// Moerkotte & Neumann that the paper cites, not DPconv's fast subset
+// convolution (arXiv:2409.08013). Subsets are processed in layers of
+// increasing cardinality, splits are canonicalised to the half containing the
 // subset's lowest table so each unordered partition is priced once (both
 // orientations are priced under asymmetric operator costs), and an
 // optional live cutoff prunes dominated layers — giving the exact DP an
@@ -51,7 +51,7 @@ type ConvOptions struct {
 // lattice, as plan.TreeCost prices trees: a split's evaluation cost is the
 // lattice's Eval, billed on whichever half is the left operand. The subset
 // loop polls the context and the deadline.
-func OptimizeConv(ctx context.Context, q *qopt.Query, spec cost.Spec, opts ConvOptions) (*plan.Tree, float64, error) {
+func OptimizeBushy(ctx context.Context, q *qopt.Query, spec cost.Spec, opts BushyOptions) (*plan.Tree, float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -176,7 +176,7 @@ func OptimizeConv(ctx context.Context, q *qopt.Query, spec cost.Spec, opts ConvO
 }
 
 // nextSubsetSameCount returns the next-larger integer with the same
-// popcount (Gosper's hack) — the layer iterator of the DPconv enumeration.
+// popcount (Gosper's hack) — the layer iterator of the bushy enumeration.
 func nextSubsetSameCount(s int) int {
 	c := s & -s
 	r := s + c

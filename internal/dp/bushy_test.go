@@ -57,7 +57,7 @@ func TestConvMatchesBushy(t *testing.T) {
 						want, wantTree = c, tr
 					}
 				}
-				cTree, cCost, err := OptimizeConv(context.Background(), q, spec, ConvOptions{})
+				cTree, cCost, err := OptimizeBushy(context.Background(), q, spec, BushyOptions{})
 				if err != nil {
 					t.Fatalf("%v seed %d conv: %v", shape, seed, err)
 				}
@@ -86,11 +86,11 @@ func TestConvMatchesBushy(t *testing.T) {
 func TestConvCutoffLoose(t *testing.T) {
 	q := workload.Generate(workload.Star, 8, 2, workload.Config{})
 	spec := cost.DefaultSpec()
-	_, want, err := OptimizeConv(context.Background(), q, spec, ConvOptions{})
+	_, want, err := OptimizeBushy(context.Background(), q, spec, BushyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, got, err := OptimizeConv(context.Background(), q, spec, ConvOptions{
+	_, got, err := OptimizeBushy(context.Background(), q, spec, BushyOptions{
 		Cutoff: func() float64 { return want * 1e6 },
 	})
 	if err != nil {
@@ -109,17 +109,17 @@ func TestConvCutoffLoose(t *testing.T) {
 func TestConvCutoffProvesNoneBetter(t *testing.T) {
 	q := workload.Generate(workload.Star, 8, 2, workload.Config{})
 	spec := cost.DefaultSpec()
-	_, opt, err := OptimizeConv(context.Background(), q, spec, ConvOptions{})
+	_, opt, err := OptimizeBushy(context.Background(), q, spec, BushyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = OptimizeConv(context.Background(), q, spec, ConvOptions{
+	_, _, err = OptimizeBushy(context.Background(), q, spec, BushyOptions{
 		Cutoff: func() float64 { return opt * 0.999 },
 	})
 	if !errors.Is(err, ErrNoneBetter) {
 		t.Fatalf("cutoff below the optimum: err = %v, want ErrNoneBetter", err)
 	}
-	_, got, err := OptimizeConv(context.Background(), q, spec, ConvOptions{
+	_, got, err := OptimizeBushy(context.Background(), q, spec, BushyOptions{
 		Cutoff: func() float64 { return opt },
 	})
 	if err != nil {
@@ -130,7 +130,7 @@ func TestConvCutoffProvesNoneBetter(t *testing.T) {
 	}
 	// A cutoff strictly between optimum and +Inf that some plan beats
 	// still returns that plan.
-	_, got, err = OptimizeConv(context.Background(), q, spec, ConvOptions{
+	_, got, err = OptimizeBushy(context.Background(), q, spec, BushyOptions{
 		Cutoff: func() float64 { return opt * 1.5 },
 	})
 	if err != nil {
@@ -144,13 +144,13 @@ func TestConvCutoffProvesNoneBetter(t *testing.T) {
 // TestConvTooLargeAndCancel: the guard rails shared with the other DPs.
 func TestConvTooLargeAndCancel(t *testing.T) {
 	big := workload.Generate(workload.Chain, 30, 1, workload.Config{})
-	if _, _, err := OptimizeConv(context.Background(), big, cost.CoutSpec(), ConvOptions{}); !errors.Is(err, ErrTooLarge) {
+	if _, _, err := OptimizeBushy(context.Background(), big, cost.CoutSpec(), BushyOptions{}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("30 tables: err = %v, want ErrTooLarge", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	q := workload.Generate(workload.Chain, 16, 1, workload.Config{})
-	if _, _, err := OptimizeConv(ctx, q, cost.CoutSpec(), ConvOptions{}); !errors.Is(err, context.Canceled) {
+	if _, _, err := OptimizeBushy(ctx, q, cost.CoutSpec(), BushyOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled ctx: err = %v, want context.Canceled", err)
 	}
 }

@@ -122,7 +122,7 @@ func TestFilterOnHighestTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, bc, err := OptimizeConv(context.Background(), q, tc.spec, ConvOptions{})
+		tree, bc, err := OptimizeBushy(context.Background(), q, tc.spec, BushyOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func TestBushyNeverWorseThanLeftDeep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tree, bCost, err := OptimizeConv(context.Background(), q, spec, ConvOptions{})
+				tree, bCost, err := OptimizeBushy(context.Background(), q, spec, BushyOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -341,7 +341,7 @@ func TestBushyMatchesLeftDeepOnTwoTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, b, err := OptimizeConv(context.Background(), q, cost.CoutSpec(), ConvOptions{})
+	_, b, err := OptimizeBushy(context.Background(), q, cost.CoutSpec(), BushyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,11 +352,11 @@ func TestBushyMatchesLeftDeepOnTwoTables(t *testing.T) {
 
 func TestBushyGuards(t *testing.T) {
 	q := workload.Generate(workload.Chain, 22, 1, workload.Config{})
-	if _, _, err := OptimizeConv(context.Background(), q, cost.CoutSpec(), ConvOptions{}); !errors.Is(err, ErrTooLarge) {
+	if _, _, err := OptimizeBushy(context.Background(), q, cost.CoutSpec(), BushyOptions{}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 	q2 := workload.Generate(workload.Chain, 16, 1, workload.Config{})
-	if _, _, err := OptimizeConv(context.Background(), q2, cost.CoutSpec(), ConvOptions{Options: Options{Deadline: time.Now().Add(time.Millisecond)}}); !errors.Is(err, ErrTimeout) {
+	if _, _, err := OptimizeBushy(context.Background(), q2, cost.CoutSpec(), BushyOptions{Options: Options{Deadline: time.Now().Add(time.Millisecond)}}); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 }

@@ -93,7 +93,7 @@ func FuzzSetCardinality(f *testing.F) {
 				t.Fatalf("%v: dp-leftdeep %g (its plan %v costs %g), exhaustive %g", spec.Metric, c, pl.Order, recost, ex)
 			}
 
-			tree, bushy, err := OptimizeConv(context.Background(), q, spec, ConvOptions{})
+			tree, bushy, err := OptimizeBushy(context.Background(), q, spec, BushyOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -133,7 +133,7 @@ func (b *Bus) BestBound() (float64, string) {
 }
 
 // BestCost returns the incumbent cost alone; it is the cutoff hook shape
-// pruning searches (dp.ConvOptions.Cutoff) expect.
+// pruning searches (dp.BushyOptions.Cutoff) expect.
 func (b *Bus) BestCost() float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -188,7 +188,7 @@ func optimizeDPLeftDeep(ctx context.Context, q *Query, opts Options) (*Result, e
 // the optimal tree happens to be linear.
 func optimizeBushy(ctx context.Context, q *Query, opts Options) (*Result, error) {
 	start := time.Now()
-	tree, c, err := dp.OptimizeConv(ctx, q, opts.spec(), dp.ConvOptions{
+	tree, c, err := dp.OptimizeBushy(ctx, q, opts.spec(), dp.BushyOptions{
 		Options: dp.Options{Deadline: opts.deadline(start)},
 		Cutoff:  opts.cutoff,
 	})

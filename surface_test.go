@@ -5,11 +5,15 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"milpjoin/internal/bb"
@@ -35,8 +39,8 @@ import (
 // field of the audited structs (wire types with their JSON tag), every
 // registered strategy, every flag of the three commands and every endpoint
 // has exactly one row with a verdict, every row names something that
-// exists, and every non-test caller it cites is a function or method
-// declared in the named file.
+// exists, every non-test caller it cites is a function or method declared
+// in the named file, and every (d) verdict names an open ROADMAP item.
 func TestSettableSurfaceDocumented(t *testing.T) {
 	want := map[string]bool{}
 	for _, s := range []struct {
@@ -62,7 +66,7 @@ func TestSettableSurfaceDocumented(t *testing.T) {
 		{"heuristic.Options", heuristic.Options{}, false},
 		{"decomp.Options", decomp.Options{}, false},
 		{"dp.Options", dp.Options{}, false},
-		{"dp.ConvOptions", dp.ConvOptions{}, false},
+		{"dp.BushyOptions", dp.BushyOptions{}, false},
 		{"workload.Config", workload.Config{}, false},
 		{"cost.Params", cost.Params{}, false},
 		{"exec.StreamOptions", exec.StreamOptions{}, false},
@@ -100,8 +104,9 @@ func TestSettableSurfaceDocumented(t *testing.T) {
 		want["`"+m[1]+" "+path+"`"] = true
 	}
 
-	verdict := regexp.MustCompile(`^\([abcd]\)`)
-	funcs := declaredFuncs{}
+	verdict := regexp.MustCompile(`^\(([abcd])\)(?: (\d+))?`)
+	open := openItems(t)
+	ix := packageIndex(t)
 	got := map[string]bool{}
 	for _, row := range surfaceRows(t) {
 		cells := strings.Split(strings.Trim(row, "|"), "|")
@@ -114,10 +119,13 @@ func TestSettableSurfaceDocumented(t *testing.T) {
 			t.Errorf("%s has two rows", key)
 		}
 		got[key] = true
-		if !verdict.MatchString(strings.TrimSpace(cells[5])) {
+		switch v := verdict.FindStringSubmatch(strings.TrimSpace(cells[5])); {
+		case v == nil:
 			t.Errorf("%s: verdict %q does not start with (a), (b), (c) or (d)", key, strings.TrimSpace(cells[5]))
+		case v[1] == "d" && !open[v[2]]:
+			t.Errorf("%s: verdict (d) names ROADMAP item %q, which is not open", key, v[2])
 		}
-		if err := funcs.check(strings.TrimSpace(cells[2])); err != "" {
+		if err := ix.checkCaller(strings.TrimSpace(cells[2])); err != "" {
 			t.Errorf("%s: non-test caller %s", key, err)
 		}
 	}
@@ -147,12 +155,9 @@ func TestSettableSurfaceDocumented(t *testing.T) {
 // Receiver.Method.
 var callerCell = regexp.MustCompile("^`([^`]+\\.go)` `((?:[A-Za-z_]\\w*\\.)?[A-Za-z_]\\w*)`$")
 
-// declaredFuncs caches, per Go file, the functions and methods it declares.
-type declaredFuncs map[string]map[string]bool
-
-// check returns why a caller cell does not name a declared function, or ""
-// when it does or names no caller ("—").
-func (d declaredFuncs) check(cell string) string {
+// checkCaller returns why a caller cell does not name a function declared
+// in a non-test Go file, or "" when it does or names no caller ("—").
+func (ix *repoIndex) checkCaller(cell string) string {
 	if strings.HasPrefix(cell, "—") {
 		return ""
 	}
@@ -160,37 +165,139 @@ func (d declaredFuncs) check(cell string) string {
 	if m == nil {
 		return fmt.Sprintf("%q is not a Go file and a function", cell)
 	}
-	decls, ok := d[m[1]]
+	f, ok := ix.files[m[1]]
 	if !ok {
-		f, err := parser.ParseFile(token.NewFileSet(), m[1], nil, parser.SkipObjectResolution)
-		if err != nil {
-			return fmt.Sprintf("%q: %v", cell, err)
-		}
-		decls = map[string]bool{}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			name := fd.Name.Name
-			if fd.Recv != nil {
-				recv := fd.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
-				}
-				if ix, ok := recv.(*ast.IndexExpr); ok {
-					recv = ix.X
-				}
-				if id, ok := recv.(*ast.Ident); ok {
-					name = id.Name + "." + name
-				}
-			}
-			decls[name] = true
-		}
-		d[m[1]] = decls
+		return fmt.Sprintf("%q: %s is not a non-test Go file", cell, m[1])
 	}
-	if !decls[m[2]] {
+	if !f.funcs[m[2]] {
 		return fmt.Sprintf("%q: %s declares no %s", cell, m[1], m[2])
+	}
+	return ""
+}
+
+// goFile is what the package index keeps of one non-test Go file.
+type goFile struct {
+	pkg     string          // package name
+	imports []string        // import paths
+	funcs   map[string]bool // functions, and methods as Receiver.Method
+}
+
+// repoIndex is one parse of every non-test Go file of the repository,
+// bench/ included: per file its package, imports and functions, and per
+// package name of this module (package main aside) every top-level name
+// and every Type.Member — struct fields, interface methods and methods.
+type repoIndex struct {
+	files map[string]*goFile         // keyed by slash path from the root
+	decls map[string]map[string]bool // package name → declared names
+}
+
+var loadIndex = sync.OnceValues(func() (*repoIndex, error) {
+	ix := &repoIndex{files: map[string]*goFile{}, decls: map[string]map[string]bool{}}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		key := filepath.ToSlash(p)
+		gf := &goFile{pkg: f.Name.Name, funcs: map[string]bool{}}
+		ix.files[key] = gf
+		for _, imp := range f.Imports {
+			ip, _ := strconv.Unquote(imp.Path.Value)
+			gf.imports = append(gf.imports, ip)
+		}
+		// The benchmark is a module of its own, and a main package exports
+		// nothing: neither names a package the documents may cite.
+		cited := gf.pkg != "main" && !strings.HasPrefix(key, "bench/")
+		decls := ix.decls[gf.pkg]
+		if cited && decls == nil {
+			decls = map[string]bool{}
+			ix.decls[gf.pkg] = decls
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				name := decl.Name.Name
+				if decl.Recv != nil {
+					name = typeName(decl.Recv.List[0].Type) + "." + name
+				}
+				gf.funcs[name] = true
+				if cited {
+					decls[name] = true
+				}
+			case *ast.GenDecl:
+				if !cited {
+					continue
+				}
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							decls[n.Name] = true
+						}
+					case *ast.TypeSpec:
+						decls[spec.Name.Name] = true
+						var fields []*ast.Field
+						switch typ := spec.Type.(type) {
+						case *ast.StructType:
+							fields = typ.Fields.List
+						case *ast.InterfaceType:
+							fields = typ.Methods.List
+						}
+						for _, fl := range fields {
+							if len(fl.Names) == 0 { // embedded
+								decls[spec.Name.Name+"."+typeName(fl.Type)] = true
+							}
+							for _, n := range fl.Names {
+								decls[spec.Name.Name+"."+n.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	return ix, err
+})
+
+// packageIndex returns the repository's package index, parsed once per
+// test binary.
+func packageIndex(t *testing.T) *repoIndex {
+	t.Helper()
+	ix, err := loadIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+// typeName is the name of a receiver or embedded type: T of T, *T, T[K],
+// pkg.T.
+func typeName(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.StarExpr:
+		return typeName(e.X)
+	case *ast.IndexExpr:
+		return typeName(e.X)
+	case *ast.IndexListExpr:
+		return typeName(e.X)
+	case *ast.SelectorExpr:
+		return e.Sel.Name
+	case *ast.Ident:
+		return e.Name
 	}
 	return ""
 }
