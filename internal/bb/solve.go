@@ -657,17 +657,17 @@ func (s *searcher) notifyLocked(kind obs.EventKind) {
 
 // checkFeasibleComputational verifies bounds and row activities of a full
 // computational-form point against the ROOT bounds. ax is scratch for the
-// row activities (one entry per row, clobbered).
+// row activities (one entry per row, clobbered). Both tests fail on NaN.
 func (s *searcher) checkFeasibleComputational(x, ax []float64) bool {
 	const tol = 1e-6
 	for j, v := range x {
-		if v < s.rootL[j]-tol || v > s.rootU[j]+tol {
+		if !(v >= s.rootL[j]-tol && v <= s.rootU[j]+tol) {
 			return false
 		}
 	}
 	s.comp.Problem.A.MulVecTo(ax, x)
 	for i, b := range s.comp.Problem.B {
-		if math.Abs(ax[i]-b) > tol*(1+math.Abs(b)) {
+		if !(math.Abs(ax[i]-b) <= tol*(1+math.Abs(b))) {
 			return false
 		}
 	}

@@ -532,3 +532,28 @@ func TestInitialIncumbentInstalled(t *testing.T) {
 		t.Errorf("bad MIP start corrupted the solve: %v %g", res2.Status, res2.Obj)
 	}
 }
+
+// TestComputationalCheckRejectsNaN holds both tests of the incumbent check
+// to failing on NaN: in a value, and in a row activity (x + s = 0 at
+// x = −Inf, s = +Inf, both within their bounds).
+func TestComputationalCheckRejectsNaN(t *testing.T) {
+	m := milp.NewModel("nan")
+	x := m.AddContinuous(math.Inf(-1), math.Inf(1), 1, "x")
+	m.AddConstr(milp.Expr(x, 1.0), milp.LE, 0, "c")
+	comp := m.Compile()
+	s := &searcher{comp: comp, rootL: comp.Problem.L, rootU: comp.Problem.U}
+	for _, tc := range []struct {
+		name string
+		x    []float64
+	}{
+		{"value", []float64{math.NaN(), 0}},
+		{"activity", []float64{math.Inf(-1), math.Inf(1)}},
+	} {
+		if s.checkFeasibleComputational(tc.x, make([]float64, 1)) {
+			t.Errorf("%s: %v accepted as feasible", tc.name, tc.x)
+		}
+	}
+	if !s.checkFeasibleComputational([]float64{-1, 1}, make([]float64, 1)) {
+		t.Error("feasible point x = −1, s = 1 rejected")
+	}
+}

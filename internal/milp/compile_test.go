@@ -128,3 +128,20 @@ func TestCompileEquilibration(t *testing.T) {
 		t.Errorf("x coefficient after equilibration = %g, want near 1", got)
 	}
 }
+
+// TestCompileLeavesUninvertibleColumn: a continuous column whose largest
+// entry, after the row pass, is too small for its inverse to be finite keeps
+// scale 1 instead of an infinite one.
+func TestCompileLeavesUninvertibleColumn(t *testing.T) {
+	m := NewModel("tiny")
+	x := m.AddContinuous(0, 1, 1, "x")
+	y := m.AddBinary(0, "y")
+	m.AddConstr(Expr(x, 1e-10, y, 1e300), LE, 1, "wide")
+	comp := m.Compile()
+	if s := comp.ColScale[x]; s != 1 {
+		t.Errorf("x scaled by %g, want 1", s)
+	}
+	if got := comp.Problem.A.At(0, int(x)); !(got > 0 && got < 1e-300) {
+		t.Errorf("x coefficient = %g, want its row-scaled value near 1e-310", got)
+	}
+}

@@ -35,9 +35,35 @@ func sameCSC(t *testing.T, name string, got, want *sparse.CSC) {
 	}
 }
 
-// TestCompileMatrixMatchesTriplet holds the compressed columns Compile writes
-// to the Triplet reference, entry for entry, on the join encodings of the
-// chain, cycle and star draws the benchmark pools are made of.
+// sameCompiled fails unless Compile's form got and the reference want agree
+// bit for bit on A, B, ColScale, L, U and C.
+func sameCompiled(t *testing.T, name string, got, want *milp.Computational) {
+	t.Helper()
+	sameCSC(t, name, got.Problem.A, want.Problem.A)
+	for _, arr := range []struct {
+		name      string
+		got, want []float64
+	}{
+		{"B", got.Problem.B, want.Problem.B},
+		{"ColScale", got.ColScale, want.ColScale},
+		{"L", got.Problem.L, want.Problem.L},
+		{"U", got.Problem.U, want.Problem.U},
+		{"C", got.Problem.C, want.Problem.C},
+	} {
+		if len(arr.got) != len(arr.want) {
+			t.Fatalf("%s: %s has %d entries, reference %d", name, arr.name, len(arr.got), len(arr.want))
+		}
+		for k, w := range arr.want {
+			if math.Float64bits(arr.got[k]) != math.Float64bits(w) {
+				t.Fatalf("%s: %s[%d] = %v, reference %v", name, arr.name, k, arr.got[k], w)
+			}
+		}
+	}
+}
+
+// TestCompileMatrixMatchesTriplet holds Compile to the dense reference, bit
+// for bit on all six arrays, on the join encodings of the chain, cycle and
+// star draws the benchmark pools are made of.
 func TestCompileMatrixMatchesTriplet(t *testing.T) {
 	for _, shape := range []workload.GraphShape{workload.Chain, workload.Cycle, workload.Star} {
 		for tables := 5; tables <= 10; tables++ {
@@ -52,7 +78,7 @@ func TestCompileMatrixMatchesTriplet(t *testing.T) {
 						t.Fatal(err)
 					}
 					name := fmt.Sprintf("shape %d, %d tables, seed %d, %+v", shape, tables, seed, opts)
-					sameCSC(t, name, enc.Model.Compile().Problem.A, enc.Model.TripletMatrix())
+					sameCompiled(t, name, enc.Model.Compile(), enc.Model.TripletMatrix())
 				}
 			}
 		}
@@ -93,6 +119,58 @@ func TestCompileMatrixMatchesTripletRandom(t *testing.T) {
 			}
 			m.AddConstr(e, []milp.Sense{milp.LE, milp.GE, milp.EQ}[rng.Intn(3)], rng.NormFloat64(), "")
 		}
-		sameCSC(t, fmt.Sprintf("trial %d", trial), m.Compile().Problem.A, m.TripletMatrix())
+		sameCompiled(t, fmt.Sprintf("trial %d", trial), m.Compile(), m.TripletMatrix())
 	}
+}
+
+// FuzzCompileMatchesReference holds Compile to the dense reference on
+// models decoded from arbitrary bytes. The first byte sets the number of
+// variables (1–8) and the second their types; every further three bytes
+// add one term: the variable (a set high bit starts a new row), and a
+// coefficient that is 0, −0, or of magnitude 1e-300 to 1e300. Rows repeat
+// variables freely, and their coefficients lie so far apart that scaling
+// underflows some of them to exactly zero.
+func FuzzCompileMatchesReference(f *testing.F) {
+	f.Add([]byte{3, 0b010, 0, 150, 9, 1, 200, 17, 2, 40, 1, 0x80, 255, 25, 0x81, 0, 2})
+	f.Add([]byte{7, 0b1010101, 0, 0, 8, 1, 100, 16, 0, 250, 24, 0x82, 150, 3, 2, 150, 11, 2, 160, 19, 0x83, 0, 1})
+	f.Add([]byte{1, 0, 0, 60, 8, 0, 60, 12, 0x80, 230, 9, 0, 50, 8})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		m := milp.NewModel("fuzz")
+		n := 1 + int(data[0]%8)
+		for j := 0; j < n; j++ {
+			if data[1]>>j&1 == 1 {
+				m.AddBinary(float64(j)-2, "")
+			} else {
+				m.AddContinuous(-10, float64(j+1), 1-float64(j)/4, "")
+			}
+		}
+		var e milp.LinExpr
+		addRow := func() {
+			i := m.NumConstrs()
+			m.AddConstr(e, []milp.Sense{milp.LE, milp.GE, milp.EQ}[i%3], float64(i)-1.5, "")
+			e = milp.LinExpr{}
+		}
+		for k := 2; k+2 < len(data); k += 3 {
+			if data[k]&0x80 != 0 && e.NumTerms() > 0 {
+				addRow()
+			}
+			var c float64
+			switch kind := data[k+2]; kind % 8 {
+			case 0:
+			case 1:
+				c = math.Copysign(0, -1)
+			default:
+				c = (1 + float64(kind>>3)/32) * math.Pow(10, float64(int(data[k+1])*600/255-300))
+				if kind%2 == 1 {
+					c = -c
+				}
+			}
+			e = e.Add(milp.Var(int(data[k]&0x7f)%n), c)
+		}
+		addRow()
+		sameCompiled(t, "fuzz", m.Compile(), m.TripletMatrix())
+	})
 }

@@ -30,21 +30,19 @@ func (m *Model) WriteLP(w io.Writer) error {
 	fmt.Fprintln(bw)
 
 	fmt.Fprintln(bw, "Subject To")
-	for i, con := range m.constrs {
-		name := con.name
+	for i, name := range m.rowNames {
 		if name == "" {
 			name = fmt.Sprintf("c%d", i)
 		}
 		fmt.Fprintf(bw, " %s:", name)
-		first := true
-		for k, v := range con.expr.vars {
-			writeTerm(bw, con.expr.coefs[k], m.VarName(v), first)
-			first = false
+		row := m.row(i)
+		for k, t := range row {
+			writeTerm(bw, t.c, m.VarName(t.v), k == 0)
 		}
-		if first {
+		if len(row) == 0 {
 			fmt.Fprint(bw, " 0")
 		}
-		fmt.Fprintf(bw, " %s %g\n", con.sense, con.rhs)
+		fmt.Fprintf(bw, " %s %g\n", m.sense[i], m.rhs[i])
 	}
 
 	fmt.Fprintln(bw, "Bounds")

@@ -63,15 +63,16 @@ type Model struct {
 	vtype    []VarType
 	varNames []string
 
-	constrs     []constraint
-	objConstant float64
-}
+	// The constraints, in one row store: row i holds
+	// terms[rowEnd[i-1]:rowEnd[i]] (from 0 for row 0), sorted by variable,
+	// one term per variable and no zero coefficient.
+	terms    []term
+	rowEnd   []int
+	sense    []Sense
+	rhs      []float64
+	rowNames []string
 
-type constraint struct {
-	expr  LinExpr
-	sense Sense
-	rhs   float64
-	name  string
+	objConstant float64
 }
 
 // NewModel returns an empty model.
@@ -106,14 +107,32 @@ func (m *Model) AddContinuous(lb, ub, obj float64, name string) Var {
 }
 
 // AddConstr adds the constraint expr sense rhs and returns its index.
+// The stored row is a compacted copy of expr's terms: sorted by variable,
+// duplicates merged, zeros dropped.
 func (m *Model) AddConstr(expr LinExpr, sense Sense, rhs float64, name string) int {
-	for _, v := range expr.vars {
-		if int(v) < 0 || int(v) >= len(m.lb) {
-			panic(fmt.Sprintf("milp: constraint %q references unknown variable %d", name, v))
+	for _, t := range expr.terms {
+		if int(t.v) < 0 || int(t.v) >= len(m.lb) {
+			panic(fmt.Sprintf("milp: constraint %q references unknown variable %d", name, t.v))
 		}
 	}
-	m.constrs = append(m.constrs, constraint{expr: expr.compacted(), sense: sense, rhs: rhs, name: name})
-	return len(m.constrs) - 1
+	lo := len(m.terms)
+	m.terms = append(m.terms, expr.terms...)
+	m.terms = m.terms[:lo+compact(m.terms[lo:])]
+	m.rowEnd = append(m.rowEnd, len(m.terms))
+	m.sense = append(m.sense, sense)
+	m.rhs = append(m.rhs, rhs)
+	m.rowNames = append(m.rowNames, name)
+	return len(m.rowEnd) - 1
+}
+
+// row returns the terms of constraint i, capped so that an append to them
+// cannot reach row i+1.
+func (m *Model) row(i int) []term {
+	lo, hi := 0, m.rowEnd[i]
+	if i > 0 {
+		lo = m.rowEnd[i-1]
+	}
+	return m.terms[lo:hi:hi]
 }
 
 // SetObjCoeff overwrites the objective coefficient of v.
@@ -136,7 +155,7 @@ func (m *Model) SetBounds(v Var, lb, ub float64) {
 func (m *Model) NumVars() int { return len(m.lb) }
 
 // NumConstrs returns the number of constraints.
-func (m *Model) NumConstrs() int { return len(m.constrs) }
+func (m *Model) NumConstrs() int { return len(m.rowEnd) }
 
 // NumIntVars returns the number of integer and binary variables.
 func (m *Model) NumIntVars() int {
@@ -169,10 +188,10 @@ func (m *Model) ObjCoeff(v Var) float64 { return m.obj[v] }
 // IsIntegral reports whether v must take integral values.
 func (m *Model) IsIntegral(v Var) bool { return m.vtype[v] != Continuous }
 
-// Constr returns the components of constraint i.
+// Constr returns the components of constraint i. The expression is a view of
+// the stored row; extending it copies.
 func (m *Model) Constr(i int) (expr LinExpr, sense Sense, rhs float64, name string) {
-	c := m.constrs[i]
-	return c.expr, c.sense, c.rhs, c.name
+	return LinExpr{terms: m.row(i)}, m.sense[i], m.rhs[i], m.rowNames[i]
 }
 
 // Snapshot captures variable/constraint counts, used by the experiment
@@ -183,15 +202,11 @@ type Snapshot struct {
 
 // Stats returns a size snapshot of the model.
 func (m *Model) Stats() Snapshot {
-	nz := 0
-	for _, c := range m.constrs {
-		nz += len(c.expr.vars)
-	}
 	return Snapshot{
 		Vars:     m.NumVars(),
 		IntVars:  m.NumIntVars(),
 		Constrs:  m.NumConstrs(),
-		Nonzeros: nz,
+		Nonzeros: len(m.terms),
 	}
 }
 
@@ -230,21 +245,94 @@ func (c *Computational) Unscale(scaled []float64) []float64 {
 // encodings span 12+ orders of magnitude). Column scaling is applied only
 // to continuous variables — integer columns keep scale 1 so integrality
 // and branching are unaffected — and is undone via Computational.ColScale.
+// The passes scale the compressed columns of the row store in place;
+// entries scaled to exactly zero are then dropped.
 func (m *Model) Compile() *Computational {
-	n := m.NumVars()
-	rows := m.NumConstrs()
-	eq := m.equilibrate()
+	n, rows := m.NumVars(), m.NumConstrs()
+	colPtr, rowInd, val := m.columns(rows)
+	b := make([]float64, rows)
+	copy(b, m.rhs)
+	colScale := make([]float64, n)
+	for j := range colScale {
+		colScale[j] = 1
+	}
+
+	rowScale := make([]float64, rows)
+	for pass := 0; pass < 2; pass++ {
+		// Rows: scale by the largest magnitude (only downward).
+		for i := range rowScale {
+			rowScale[i] = 1
+		}
+		for p, i := range rowInd {
+			if a := math.Abs(val[p]); a > rowScale[i] {
+				rowScale[i] = a
+			}
+		}
+		for i, mx := range rowScale {
+			rowScale[i] = 1 / mx // exactly 1 for a row left as it is
+			b[i] *= rowScale[i]
+		}
+		for p, i := range rowInd {
+			val[p] *= rowScale[i]
+		}
+		// Columns: rescale continuous variables whose largest
+		// coefficient drifted far from 1.
+		for j := 0; j < n; j++ {
+			if m.vtype[j] != Continuous {
+				continue
+			}
+			col := val[colPtr[j]:colPtr[j+1]]
+			mx := 0.0
+			for _, v := range col {
+				if a := math.Abs(v); a > mx {
+					mx = a
+				}
+			}
+			s := 1 / mx // multiply column entries by s
+			if (mx > 0.5 && mx < 2) || math.IsInf(s, 1) {
+				continue // well scaled, empty, or too small to invert
+			}
+			for p := range col {
+				col[p] *= s
+			}
+			// Multiplying column j by s substitutes x_scaled =
+			// x_model/s, so x_model = s·x_scaled: accumulate s.
+			colScale[j] *= s
+		}
+	}
+
+	// Drop the entries scaled to exactly zero, then append the identity
+	// block of the logical columns.
+	q, lo := 0, 0
+	for j := 0; j < n; j++ {
+		hi := colPtr[j+1]
+		for p := lo; p < hi; p++ {
+			if val[p] != 0 {
+				rowInd[q], val[q] = rowInd[p], val[p]
+				q++
+			}
+		}
+		lo, colPtr[j+1] = hi, q
+	}
+	rowInd, val = rowInd[:q], val[:q]
+	for i := 0; i < rows; i++ {
+		rowInd = append(rowInd, i)
+		val = append(val, 1)
+		colPtr[n+i+1] = len(rowInd)
+	}
 
 	l := make([]float64, n+rows)
 	u := make([]float64, n+rows)
 	c := make([]float64, n+rows)
+	integral := make([]bool, n)
 	for j := 0; j < n; j++ {
-		l[j] = m.lb[j] / eq.colScale[j]
-		u[j] = m.ub[j] / eq.colScale[j]
-		c[j] = m.obj[j] * eq.colScale[j]
+		l[j] = m.lb[j] / colScale[j]
+		u[j] = m.ub[j] / colScale[j]
+		c[j] = m.obj[j] * colScale[j]
+		integral[j] = m.vtype[j] != Continuous
 	}
-	for i, con := range m.constrs {
-		switch con.sense {
+	for i, sense := range m.sense {
+		switch sense {
 		case LE:
 			l[n+i], u[n+i] = 0, math.Inf(1)
 		case GE:
@@ -253,152 +341,43 @@ func (m *Model) Compile() *Computational {
 			l[n+i], u[n+i] = 0, 0
 		}
 	}
-
-	// The matrix in compressed columns, straight from the column index: a
-	// row's terms name distinct variables (AddConstr compacts them) and the
-	// index lists a column's rows in ascending order, so every column comes
-	// out sorted and free of duplicates. Entries scaled to exactly zero are
-	// dropped. The identity block of the logical columns follows.
-	nnz := rows
-	for _, con := range m.constrs {
-		nnz += len(con.expr.vars)
-	}
-	colPtr := make([]int, n+rows+1)
-	rowInd := make([]int, 0, nnz)
-	val := make([]float64, 0, nnz)
-	for j, col := range eq.colEntries {
-		for _, e := range col {
-			if v := eq.coefs[e.i][e.k]; v != 0 {
-				rowInd = append(rowInd, e.i)
-				val = append(val, v)
-			}
-		}
-		colPtr[j+1] = len(rowInd)
-	}
-	for i := 0; i < rows; i++ {
-		rowInd = append(rowInd, i)
-		val = append(val, 1)
-		colPtr[n+i+1] = len(rowInd)
-	}
-
-	integral := make([]bool, n)
-	for j := 0; j < n; j++ {
-		integral[j] = m.vtype[j] != Continuous
-	}
 	return &Computational{
 		Problem: &simplex.Problem{
 			A: sparse.NewCSC(rows, n+rows, colPtr, rowInd, val),
-			B: eq.b, C: c, L: l, U: u,
+			B: b, C: c, L: l, U: u,
 		},
 		NumStructural: n,
 		Integral:      integral,
-		ColScale:      eq.colScale,
+		ColScale:      colScale,
 	}
 }
 
-// equilibrated is a model's constraint rows after equilibration: the scaled
-// coefficients of each row's terms, the scaled right-hand sides, the column
-// scales, and the index from each variable to its terms.
-type equilibrated struct {
-	coefs      [][]float64 // coefs[i][k] scales term k of row i
-	b          []float64
-	colScale   []float64
-	colEntries [][]colEntry // ascending by row
-}
-
-// colEntry locates one coefficient of a column: term k of row i.
-type colEntry struct{ i, k int }
-
-// equilibrate runs Compile's row and column scaling passes on a working copy
-// of the rows.
-func (m *Model) equilibrate() equilibrated {
-	n := m.NumVars()
-	rows := m.NumConstrs()
-
-	// Working copy of the rows for scaling, in one array.
-	total := 0
-	for _, con := range m.constrs {
-		total += len(con.expr.vars)
+// columns transposes the row store into compressed columns, unscaled, with
+// room for spare more columns of one entry each. Rows are read in ascending
+// order, so every column comes out sorted by row, one entry per row.
+func (m *Model) columns(spare int) (colPtr, rowInd []int, val []float64) {
+	n, nnz := m.NumVars(), len(m.terms)
+	colPtr = make([]int, n+spare+1)
+	for _, t := range m.terms {
+		colPtr[t.v+1]++
 	}
-	all := make([]float64, 0, total)
-	coefs := make([][]float64, rows)
-	b := make([]float64, rows)
-	for i, con := range m.constrs {
-		all = append(all, con.expr.coefs...)
-		coefs[i] = all[len(all)-len(con.expr.coefs):]
-		b[i] = con.rhs
+	for j := 0; j < n; j++ {
+		colPtr[j+1] += colPtr[j]
 	}
-
-	colScale := make([]float64, n)
-	for j := range colScale {
-		colScale[j] = 1
-	}
-
-	// Column index: for each variable, the (row, position) of its
-	// coefficients, ascending by row. Built once, into one array sized by a
-	// count per column; the structure never changes.
-	colEntries := make([][]colEntry, n)
-	count := make([]int, n)
-	for _, con := range m.constrs {
-		for _, v := range con.expr.vars {
-			count[v]++
+	rowInd = make([]int, nnz, nnz+spare)
+	val = make([]float64, nnz, nnz+spare)
+	// colPtr[j] is column j's fill cursor; once every row is in, it holds
+	// the column's end, and shifting colPtr by one restores the starts.
+	for i := range m.rowEnd {
+		for _, t := range m.row(i) {
+			p := colPtr[t.v]
+			rowInd[p], val[p] = i, t.c
+			colPtr[t.v]++
 		}
 	}
-	entries := make([]colEntry, total)
-	off := 0
-	for j, c := range count {
-		colEntries[j] = entries[off : off : off+c]
-		off += c
-	}
-	for i, con := range m.constrs {
-		for k, v := range con.expr.vars {
-			colEntries[v] = append(colEntries[v], colEntry{i, k})
-		}
-	}
-
-	// Alternate row and column equilibration passes.
-	for pass := 0; pass < 2; pass++ {
-		// Rows: scale by the largest magnitude (only downward).
-		for i := range coefs {
-			mx := 1.0
-			for k := range coefs[i] {
-				if a := math.Abs(coefs[i][k]); a > mx {
-					mx = a
-				}
-			}
-			if mx > 1 {
-				inv := 1 / mx
-				for k := range coefs[i] {
-					coefs[i][k] *= inv
-				}
-				b[i] *= inv
-			}
-		}
-		// Columns: rescale continuous variables whose largest
-		// coefficient drifted far from 1.
-		for j := 0; j < n; j++ {
-			if m.vtype[j] != Continuous || len(colEntries[j]) == 0 {
-				continue
-			}
-			mx := 0.0
-			for _, e := range colEntries[j] {
-				if a := math.Abs(coefs[e.i][e.k]); a > mx {
-					mx = a
-				}
-			}
-			if mx == 0 || (mx > 0.5 && mx < 2) {
-				continue // already well scaled
-			}
-			s := 1 / mx // multiply column entries by s
-			for _, e := range colEntries[j] {
-				coefs[e.i][e.k] *= s
-			}
-			// Multiplying column j by s substitutes x_scaled =
-			// x_model/s, so x_model = s·x_scaled: accumulate s.
-			colScale[j] *= s
-		}
-	}
-	return equilibrated{coefs: coefs, b: b, colScale: colScale, colEntries: colEntries}
+	copy(colPtr[1:n+1], colPtr[:n])
+	colPtr[0] = 0
+	return colPtr, rowInd, val
 }
 
 // Solution is a variable assignment with its objective value.
@@ -426,34 +405,38 @@ func (m *Model) CheckFeasible(values []float64, tol float64) error {
 	if len(values) != m.NumVars() {
 		return fmt.Errorf("milp: assignment has %d values, want %d", len(values), m.NumVars())
 	}
+	// Every test is written so that NaN fails it.
 	for j, v := range values {
-		if v < m.lb[j]-tol || v > m.ub[j]+tol {
+		if !(v >= m.lb[j]-tol && v <= m.ub[j]+tol) {
 			return fmt.Errorf("milp: %s = %g outside [%g, %g]", m.VarName(Var(j)), v, m.lb[j], m.ub[j])
 		}
-		if m.vtype[j] != Continuous && math.Abs(v-math.Round(v)) > tol {
+		if m.vtype[j] != Continuous && !(math.Abs(v-math.Round(v)) <= tol) {
 			return fmt.Errorf("milp: %s = %g is fractional", m.VarName(Var(j)), v)
 		}
 	}
-	for i, con := range m.constrs {
+	for i, rhs := range m.rhs {
 		var lhs float64
-		for k, v := range con.expr.vars {
-			lhs += con.expr.coefs[k] * values[v]
+		for _, t := range m.row(i) {
+			lhs += t.c * values[t.v]
 		}
-		scale := 1 + math.Abs(con.rhs)
-		switch con.sense {
+		scale := 1 + math.Abs(rhs)
+		switch m.sense[i] {
 		case LE:
-			if lhs > con.rhs+tol*scale {
-				return fmt.Errorf("milp: constraint %d (%s): %g > %g", i, con.name, lhs, con.rhs)
+			if !(lhs <= rhs+tol*scale) {
+				return fmt.Errorf("milp: constraint %d (%s): %g > %g", i, m.rowNames[i], lhs, rhs)
 			}
 		case GE:
-			if lhs < con.rhs-tol*scale {
-				return fmt.Errorf("milp: constraint %d (%s): %g < %g", i, con.name, lhs, con.rhs)
+			if !(lhs >= rhs-tol*scale) {
+				return fmt.Errorf("milp: constraint %d (%s): %g < %g", i, m.rowNames[i], lhs, rhs)
 			}
 		case EQ:
-			if math.Abs(lhs-con.rhs) > tol*scale {
-				return fmt.Errorf("milp: constraint %d (%s): %g != %g", i, con.name, lhs, con.rhs)
+			if !(math.Abs(lhs-rhs) <= tol*scale) {
+				return fmt.Errorf("milp: constraint %d (%s): %g != %g", i, m.rowNames[i], lhs, rhs)
 			}
 		}
+	}
+	if obj := m.EvalObjective(values); math.IsNaN(obj) {
+		return fmt.Errorf("milp: objective is NaN")
 	}
 	return nil
 }

@@ -73,11 +73,13 @@ func TestExprCompaction(t *testing.T) {
 	})
 }
 
-// TestExprCompactedNeverAliases holds both paths of compacted — terms
-// already compact, and terms that need sorting, merging or dropping — to a
-// result that shares no array with the caller's expression, so a caller
-// that keeps appending to its expression cannot reach into a stored row.
-func TestExprCompactedNeverAliases(t *testing.T) {
+// TestConstrStoreNeverAliases holds the row store apart from every
+// expression outside it, whether AddConstr keeps the terms as they are or
+// sorts, merges or drops them: after AddConstr, writing to and appending to
+// the caller's expression, and appending to the expression Constr returns,
+// leave row i and row i+1 as they were stored.
+func TestConstrStoreNeverAliases(t *testing.T) {
+	next := Expr(Var(4), 7.0, Var(5), -1.0)
 	for _, tc := range []struct {
 		name string
 		e    LinExpr
@@ -90,18 +92,57 @@ func TestExprCompactedNeverAliases(t *testing.T) {
 		{"zero", Expr(Var(0), 1.0, Var(1), 0.0, Var(2), 1.0), Expr(Var(0), 1.0, Var(2), 1.0)},
 		{"negative zero", Expr(Var(0), math.Copysign(0, -1), Var(1), 1.0), Expr(Var(1), 1.0)},
 	} {
-		// Spare capacity, so that an aliasing result would see appends.
-		e := LinExpr{vars: make([]Var, 0, 16), coefs: make([]float64, 0, 16)}.AddExpr(tc.e)
-		got := e.compacted()
-		if !slices.Equal(got.vars, tc.want.vars) || !slices.Equal(got.coefs, tc.want.coefs) {
-			t.Errorf("%s: compacted = %v %v, want %v %v", tc.name, got.vars, got.coefs, tc.want.vars, tc.want.coefs)
+		m := NewModel("alias")
+		for j := 0; j < 6; j++ {
+			m.AddBinary(0, "")
 		}
-		for i := range e.vars {
-			e.vars[i], e.coefs[i] = 99, 99
+		m.AddConstr(Expr(Var(3), 1.0), LE, 1, "before")
+		// Spare capacity, so that an aliasing row would see appends.
+		e := LinExpr{terms: make([]term, 0, 16)}.AddExpr(tc.e)
+		i := m.AddConstr(e, LE, 1, "row")
+		m.AddConstr(next, GE, 0, "next")
+
+		for k := range e.terms {
+			e.terms[k] = term{99, 99}
 		}
-		e = e.Add(98, 98)
-		if !slices.Equal(got.vars, tc.want.vars) || !slices.Equal(got.coefs, tc.want.coefs) {
-			t.Errorf("%s: writing the caller's expression changed the compacted one to %v %v", tc.name, got.vars, got.coefs)
+		_ = e.Add(98, 98)
+		got, _, _, _ := m.Constr(i)
+		_ = got.Add(97, 97)
+		_ = got.AddExpr(Expr(Var(0), 96.0))
+
+		for _, row := range []struct {
+			i    int
+			want LinExpr
+		}{{i, tc.want}, {i + 1, next}} {
+			if got, _, _, _ := m.Constr(row.i); !slices.Equal(got.terms, row.want.terms) {
+				t.Errorf("%s: row %d = %v, want %v", tc.name, row.i, got.terms, row.want.terms)
+			}
+		}
+	}
+}
+
+// TestCheckFeasibleRejectsNaN holds every test CheckFeasible makes to
+// failing on NaN: in a value, in the integrality of an infinite value, in
+// a row activity of each sense (1e300·x − 1e300·y at x = y = 1e300 is
+// +Inf − Inf) and in the objective.
+func TestCheckFeasibleRejectsNaN(t *testing.T) {
+	free := func(m *Model, obj float64) Var { return m.AddContinuous(math.Inf(-1), math.Inf(1), obj, "") }
+	for _, tc := range []struct {
+		name   string
+		build  func(m *Model)
+		values []float64
+	}{
+		{"value", func(m *Model) { m.AddContinuous(0, 4, 1, "") }, []float64{math.NaN()}},
+		{"integrality", func(m *Model) { m.AddVar(0, math.Inf(1), 0, Integer, "") }, []float64{math.Inf(1)}},
+		{"activity LE", func(m *Model) { m.AddConstr(Expr(free(m, 0), 1e300, free(m, 0), -1e300), LE, 0, "") }, []float64{1e300, 1e300}},
+		{"activity GE", func(m *Model) { m.AddConstr(Expr(free(m, 0), 1e300, free(m, 0), -1e300), GE, 0, "") }, []float64{1e300, 1e300}},
+		{"activity EQ", func(m *Model) { m.AddConstr(Expr(free(m, 0), 1e300, free(m, 0), -1e300), EQ, 0, "") }, []float64{1e300, 1e300}},
+		{"objective", func(m *Model) { free(m, 1e300); free(m, -1e300) }, []float64{1e300, 1e300}},
+	} {
+		m := NewModel("nan")
+		tc.build(m)
+		if err := m.CheckFeasible(tc.values, 1e-6); err == nil {
+			t.Errorf("%s: %v accepted as feasible", tc.name, tc.values)
 		}
 	}
 }

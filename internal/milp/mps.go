@@ -20,12 +20,13 @@ func (m *Model) WriteMPS(w io.Writer) error {
 	}
 	fmt.Fprintf(bw, "NAME %s\n", sanitizeMPSName(name))
 
-	rowName := func(i int) string {
-		_, _, _, n := m.Constr(i)
+	rowNames := make([]string, m.NumConstrs())
+	for i, n := range m.rowNames {
 		if n == "" {
-			return fmt.Sprintf("c%d", i)
+			rowNames[i] = fmt.Sprintf("c%d", i)
+		} else {
+			rowNames[i] = sanitizeMPSName(n)
 		}
-		return sanitizeMPSName(n)
 	}
 	colName := func(j Var) string { return sanitizeMPSName(m.VarName(j)) }
 
@@ -34,9 +35,9 @@ func (m *Model) WriteMPS(w io.Writer) error {
 	// named "obj").
 	objRow := "obj"
 	{
-		taken := make(map[string]bool, m.NumConstrs())
-		for i := 0; i < m.NumConstrs(); i++ {
-			taken[rowName(i)] = true
+		taken := make(map[string]bool, len(rowNames))
+		for _, n := range rowNames {
+			taken[n] = true
 		}
 		for taken[objRow] {
 			objRow += "_"
@@ -45,8 +46,7 @@ func (m *Model) WriteMPS(w io.Writer) error {
 
 	fmt.Fprintln(bw, "ROWS")
 	fmt.Fprintf(bw, " N %s\n", objRow)
-	for i := 0; i < m.NumConstrs(); i++ {
-		_, sense, _, _ := m.Constr(i)
+	for i, sense := range m.sense {
 		var tag string
 		switch sense {
 		case LE:
@@ -56,28 +56,12 @@ func (m *Model) WriteMPS(w io.Writer) error {
 		case EQ:
 			tag = "E"
 		}
-		fmt.Fprintf(bw, " %s %s\n", tag, rowName(i))
+		fmt.Fprintf(bw, " %s %s\n", tag, rowNames[i])
 	}
 
-	// Column-major entries: objective plus per-constraint coefficients.
-	type entry struct {
-		row  string
-		coef float64
-	}
-	cols := make([][]entry, m.NumVars())
-	for j := 0; j < m.NumVars(); j++ {
-		if c := m.ObjCoeff(Var(j)); c != 0 {
-			cols[j] = append(cols[j], entry{objRow, c})
-		}
-	}
-	for i := 0; i < m.NumConstrs(); i++ {
-		expr, _, _, _ := m.Constr(i)
-		rn := rowName(i)
-		expr.Terms(func(v Var, c float64) {
-			cols[v] = append(cols[v], entry{rn, c})
-		})
-	}
-
+	// Column-major entries: the objective, then the constraint
+	// coefficients from the row store's transpose.
+	colPtr, rowInd, val := m.columns(0)
 	fmt.Fprintln(bw, "COLUMNS")
 	inInt := false
 	marker := 0
@@ -93,14 +77,17 @@ func (m *Model) WriteMPS(w io.Writer) error {
 			marker++
 			inInt = false
 		}
-		if len(cols[j]) == 0 {
+		cn := colName(Var(j))
+		switch c := m.obj[j]; {
+		case c != 0:
+			fmt.Fprintf(bw, " %s %s %s\n", cn, objRow, formatMPSNum(c))
+		case colPtr[j] == colPtr[j+1]:
 			// MPS requires every column to appear; emit a zero
 			// objective entry.
-			fmt.Fprintf(bw, " %s %s 0\n", colName(Var(j)), objRow)
-			continue
+			fmt.Fprintf(bw, " %s %s 0\n", cn, objRow)
 		}
-		for _, e := range cols[j] {
-			fmt.Fprintf(bw, " %s %s %s\n", colName(Var(j)), e.row, formatMPSNum(e.coef))
+		for p := colPtr[j]; p < colPtr[j+1]; p++ {
+			fmt.Fprintf(bw, " %s %s %s\n", cn, rowNames[rowInd[p]], formatMPSNum(val[p]))
 		}
 	}
 	if inInt {
@@ -108,10 +95,9 @@ func (m *Model) WriteMPS(w io.Writer) error {
 	}
 
 	fmt.Fprintln(bw, "RHS")
-	for i := 0; i < m.NumConstrs(); i++ {
-		_, _, rhs, _ := m.Constr(i)
+	for i, rhs := range m.rhs {
 		if rhs != 0 {
-			fmt.Fprintf(bw, " rhs %s %s\n", rowName(i), formatMPSNum(rhs))
+			fmt.Fprintf(bw, " rhs %s %s\n", rowNames[i], formatMPSNum(rhs))
 		}
 	}
 	if c := m.ObjConstant(); c != 0 {
