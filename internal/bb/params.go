@@ -52,17 +52,17 @@ type Params struct {
 	// values are recomputed and the candidate is validated before
 	// installation; an infeasible start is silently ignored.
 	InitialIncumbent []float64
-	// Incumbents, when non-nil, is a live injection feed: candidate
-	// model-space structural assignments (length NumStructural; unlike
-	// InitialIncumbent they are not yet divided by the column scales)
-	// published by concurrent portfolio peers. Workers drain the channel
-	// at node boundaries; each candidate is scaled, completed with
-	// logical values, revalidated against the root bounds, and
-	// installed only if it improves the incumbent — tightening the
-	// primal cutoff mid-solve. Infeasible or worse candidates are
-	// dropped silently. The sender owns the channel lifecycle; closing
-	// it stops the draining.
-	Incumbents <-chan []float64
+	// Incumbents, when non-nil, is a live injection feed: each call
+	// returns a candidate model-space structural assignment (length
+	// NumStructural; unlike InitialIncumbent not yet divided by the
+	// column scales) from a concurrent portfolio peer, or nil when it has
+	// nothing to offer now. Every worker calls it at node boundaries
+	// until it returns nil, so it must be safe for concurrent use. Each
+	// candidate is scaled, completed with logical values, revalidated
+	// against the root bounds, and installed only if it improves the
+	// incumbent — tightening the primal cutoff mid-solve. Infeasible or
+	// worse candidates are dropped silently.
+	Incumbents func() []float64
 }
 
 func (p Params) withDefaults() Params {

@@ -157,10 +157,9 @@ type searcher struct {
 	boundImps      int
 	injInstalled   int // injected incumbents installed (guarded by mu)
 
-	stopFlag  atomic.Bool
-	injClosed atomic.Bool // Params.Incumbents observed closed
-	pc        *pseudocosts
-	pricing   simplex.PricingStats // aggregated under mu
+	stopFlag atomic.Bool
+	pc       *pseudocosts
+	pricing  simplex.PricingStats // aggregated under mu
 
 	// Per-worker reusable state: simplex workspaces, the hoisted node LP
 	// problem, and node scratch buffers. Indexed by worker id; each entry
@@ -306,35 +305,24 @@ func (s *searcher) childBasis(from *simplex.Basis) *pairBasis {
 	return b
 }
 
-// drainInjected installs candidates published on Params.Incumbents: each
+// drainInjected installs the candidates Params.Incumbents hands out: each
 // model-space assignment is scaled into the computational space, completed
 // with exact logical values, revalidated against the root bounds, and
 // installed only when it improves the incumbent. Called at node boundaries
-// by every worker, outside the search lock; multiple workers receiving from
-// the shared channel concurrently is safe. A closed feed flips injClosed so
-// workers stop selecting on it (a closed channel would otherwise spin).
+// by every worker, outside the search lock.
 func (s *searcher) drainInjected(wid int) {
-	if s.params.Incumbents == nil || s.injClosed.Load() {
+	if s.params.Incumbents == nil {
 		return
 	}
-	for {
-		select {
-		case xs, ok := <-s.params.Incumbents:
-			if !ok {
-				s.injClosed.Store(true)
-				return
-			}
-			if len(xs) != s.comp.NumStructural {
-				continue
-			}
-			if s.completeAndOffer(s.workers[wid], xs, s.comp.ColScale) {
-				s.mu.Lock()
-				s.injInstalled++
-				s.emitLocked(obs.Event{Kind: obs.KindInjected, Worker: wid})
-				s.mu.Unlock()
-			}
-		default:
-			return
+	for xs := s.params.Incumbents(); xs != nil; xs = s.params.Incumbents() {
+		if len(xs) != s.comp.NumStructural {
+			continue
+		}
+		if s.completeAndOffer(s.workers[wid], xs, s.comp.ColScale) {
+			s.mu.Lock()
+			s.injInstalled++
+			s.emitLocked(obs.Event{Kind: obs.KindInjected, Worker: wid})
+			s.mu.Unlock()
 		}
 	}
 }

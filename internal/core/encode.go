@@ -412,10 +412,7 @@ func (e *Encoding) operatorCostAffine(j int, op cost.Operator) (milp.LinExpr, fl
 		inner := e.innerCostExpr(j, func(t int) float64 { return 3 * pages(e.effCard[t]) })
 		return outer.AddExpr(inner), c
 	case cost.SortMergeJoin:
-		smj := func(card float64) float64 {
-			pg := pages(card)
-			return 2*pg*ceilLog2(pg) + pg
-		}
+		smj := func(card float64) float64 { return cost.SortMergeInput(pages(card)) }
 		outer, c := e.outerCostAffine(j, smj)
 		inner := e.innerCostExpr(j, func(t int) float64 { return smj(e.effCard[t]) })
 		return outer.AddExpr(inner), c
@@ -501,12 +498,4 @@ func maxSlice(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// ceilLog2 mirrors cost.ceilLog2 for the encoder's ladder functions.
-func ceilLog2(x float64) float64 {
-	if x <= 1 {
-		return 0
-	}
-	return math.Ceil(math.Log2(x))
 }

@@ -42,10 +42,7 @@ func (e *Encoding) addOperatorSelection() error {
 		}
 	}
 	maxBlocks := math.Ceil(p.Pages(capVal) / p.BufferPages)
-	smjOuter := func(card float64) float64 {
-		pg := p.Pages(card)
-		return 2*pg*ceilLog2(pg) + pg
-	}
+	smjOuter := func(card float64) float64 { return cost.SortMergeInput(p.Pages(card)) }
 
 	e.JOS = make([][]milp.Var, e.J)
 	e.AJC = make([][]milp.Var, e.J)
@@ -120,7 +117,7 @@ func (e *Encoding) smjInnerCost(t int) float64 {
 	if e.Query.Tables[t].Sorted {
 		return pg
 	}
-	return 2*pg*ceilLog2(pg) + pg
+	return cost.SortMergeInput(pg)
 }
 
 // addSortednessVars introduces the ohp variables of Section 5.4: whether

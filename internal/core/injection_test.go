@@ -11,11 +11,12 @@ import (
 	"milpjoin/internal/dp"
 	"milpjoin/internal/obs"
 	"milpjoin/internal/plan"
+	"milpjoin/internal/portfolio"
 	"milpjoin/internal/workload"
 )
 
-// TestLiveIncumbentInjectionInstalls: a plan fed through Options.Incumbents
-// that beats the greedy MIP start in objective space is installed by
+// TestLiveIncumbentInjectionInstalls: a plan published on the portfolio
+// bus and taken through Options.Incumbents that beats the greedy MIP start in objective space is installed by
 // branch and bound at a node boundary and surfaces as a KindInjected
 // event plus the InjectedIncumbents counter. Chain-10/seed-5 is a fixture
 // where the greedy seed maps ~22% above the left-deep optimum's MILP
@@ -28,15 +29,14 @@ func TestLiveIncumbentInjectionInstalls(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ch := make(chan *plan.Plan, 1)
-	ch <- optPlan
-	close(ch)
+	bus := portfolio.NewBus()
+	bus.Publish("dp-leftdeep", optPlan, optCost)
 
 	injectedEvents := 0
 	res, err := Optimize(context.Background(), q, Options{
 		Metric:     cost.Cout,
 		Precision:  PrecisionHigh,
-		Incumbents: ch,
+		Incumbents: bus.Take,
 		Threads:    2,
 		TimeLimit:  5 * time.Second,
 		OnEvent: func(ev obs.Event) {
@@ -68,32 +68,35 @@ func TestLiveIncumbentInjectionInstalls(t *testing.T) {
 	}
 }
 
-// TestInjectionRaceMonotoneEvents floods the injection feed from a
-// concurrent goroutine for the whole solve (run under -race in CI) and
-// checks the serialized event stream stays coherent: incumbents only
-// improve, bounds only tighten, sequence numbers only grow — no torn
-// reads from the concurrent installs.
+// TestInjectionRaceMonotoneEvents floods the portfolio bus from a
+// concurrent goroutine for the whole solve while four workers take from it
+// (run under -race in CI) and checks the serialized event stream stays
+// coherent: incumbents only improve, bounds only tighten, sequence numbers
+// only grow — no torn reads from the concurrent installs.
 func TestInjectionRaceMonotoneEvents(t *testing.T) {
 	const tables = 16
 	q := workload.Generate(workload.Chain, tables, 9, workload.Config{})
 
-	ch := make(chan *plan.Plan)
+	bus := portfolio.NewBus()
 	stop := make(chan struct{})
+	done := make(chan struct{})
 	go func() {
-		// Feed random permutations continuously; infeasible or worse
-		// candidates are filtered/rejected downstream, occasional better
-		// ones install mid-solve.
+		// Publish random permutations continuously, each under a falling
+		// cost so every one replaces the bus incumbent; infeasible or
+		// worse candidates are filtered/rejected downstream, occasional
+		// better ones install mid-solve.
+		defer close(done)
 		rng := rand.New(rand.NewSource(7))
-		defer close(ch)
-		for {
+		for i := 0; ; i++ {
 			select {
-			case ch <- &plan.Plan{Order: rng.Perm(tables)}:
 			case <-stop:
 				return
+			default:
 			}
+			bus.Publish("flood", &plan.Plan{Order: rng.Perm(tables)}, -float64(i))
 		}
 	}()
-	defer close(stop)
+	defer func() { close(stop); <-done }()
 
 	var (
 		lastSeq   int64 = -1
@@ -104,7 +107,7 @@ func TestInjectionRaceMonotoneEvents(t *testing.T) {
 	res, err := Optimize(context.Background(), q, Options{
 		Metric:     cost.Cout,
 		Precision:  PrecisionMedium,
-		Incumbents: ch,
+		Incumbents: bus.Take,
 		Threads:    4,
 		TimeLimit:  1500 * time.Millisecond,
 		OnEvent: func(ev obs.Event) {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"milpjoin/internal/cost"
 	"milpjoin/internal/plan"
 )
 
@@ -141,10 +142,7 @@ func (e *Encoding) AssignmentForPlan(pl *plan.Plan) ([]float64, error) {
 // ohp variables accordingly.
 func (e *Encoding) assignOperators(pl *plan.Plan, vals []float64, approxCard []float64) {
 	p := e.params
-	smjOuter := func(card float64) float64 {
-		pg := p.Pages(card)
-		return 2*pg*ceilLog2(pg) + pg
-	}
+	smjOuter := func(card float64) float64 { return cost.SortMergeInput(p.Pages(card)) }
 	numOps := len(e.JOS[0])
 	presortedIdx := -1
 	if e.Opts.InterestingOrders {

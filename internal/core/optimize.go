@@ -86,39 +86,9 @@ func Optimize(ctx context.Context, q *qopt.Query, opts Options) (*Result, error)
 			mipStart = "greedy"
 		}
 	}
-	var incumbents chan []float64
+	var incumbents func() []float64
 	if opts.Incumbents != nil {
-		// Live injection pump: plans arriving mid-solve are translated
-		// into model-space assignments and forwarded to branch and bound,
-		// which offers them at node boundaries. The stop channel unblocks
-		// a pending send once the solve returns so a slow consumer never
-		// strands the sender. The buffer holds a few translated plans while
-		// every worker is inside a node LP; workers drain it between nodes.
-		incumbents = make(chan []float64, 4)
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			defer close(incumbents)
-			for {
-				select {
-				case <-stop:
-					return
-				case pl, ok := <-opts.Incumbents:
-					if !ok {
-						return
-					}
-					vals := enc.feasibleAssignment(pl)
-					if vals == nil {
-						continue
-					}
-					select {
-					case incumbents <- vals:
-					case <-stop:
-						return
-					}
-				}
-			}
-		}()
+		incumbents = func() []float64 { return enc.feasibleAssignment(opts.Incumbents()) }
 	}
 	out, err := solve(ctx, enc.Model, opts, start, incumbents)
 	if err != nil {
@@ -156,7 +126,7 @@ func (e *Encoding) feasibleAssignment(pl *plan.Plan) []float64 {
 // incumbent's objective include the model's objective constant; the
 // incumbent is unscaled and rounded to integral values where that stays
 // feasible.
-func solve(ctx context.Context, m *milp.Model, opts Options, start []float64, incumbents <-chan []float64) (*Result, error) {
+func solve(ctx context.Context, m *milp.Model, opts Options, start []float64, incumbents func() []float64) (*Result, error) {
 	begin := time.Now()
 	// The emitter serialises events from every phase against one
 	// solve-wide clock. The sink shifts objective values by the model's

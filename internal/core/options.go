@@ -106,16 +106,16 @@ type Options struct {
 	// usual.
 	InitialPlan *plan.Plan
 	// Incumbents, when non-nil, is the live generalisation of
-	// InitialPlan: a feed of candidate plans published while the solve
-	// runs, e.g. by portfolio peers racing the same query. Each plan
-	// passes through the same validate → AssignmentForPlan →
-	// feasibility-check path as InitialPlan and is offered to branch and
-	// bound at node boundaries, which installs it only when it improves
-	// the current incumbent — tightening the primal bound mid-solve.
-	// Plans the encoding cannot represent are dropped silently. The
-	// sender owns the channel lifecycle; closing it stops the feed, and
-	// the forwarding pump stops when the solve returns.
-	Incumbents <-chan *plan.Plan
+	// InitialPlan: branch and bound's workers call it at node boundaries
+	// for a plan published while the solve runs, e.g. by portfolio peers
+	// racing the same query, until it returns nil (nothing new), so it
+	// must be safe for concurrent use. Each plan passes through the same
+	// validate → AssignmentForPlan → feasibility-check path as
+	// InitialPlan and is installed only when it improves the current
+	// incumbent — tightening the primal bound mid-solve. A plan the
+	// encoding cannot represent is dropped, and ends that worker's drain
+	// until its next node boundary.
+	Incumbents func() *plan.Plan
 
 	// The search knobs, handed to branch and bound as the paper hands
 	// them to Gurobi. TimeLimit bounds wall-clock time (zero: none; a

@@ -141,6 +141,14 @@ func JoinCost(op Operator, pgOuter, pgInner float64, p Params) float64 {
 	}
 }
 
+// SortMergeInput prices one sort-merge input of pg pages: two passes per
+// level of the ⌈log2 pg⌉-level sort plus the merge read — the term the
+// MILP encoder builds its sort-merge costs from. JoinCost adds the same
+// terms per input, in a different order.
+func SortMergeInput(pg float64) float64 {
+	return 2*pg*ceilLog2(pg) + pg
+}
+
 // ceilLog2 returns ⌈log2(x)⌉ for x ≥ 1 and 0 otherwise, matching the
 // ceiling-log terms of the sort cost formula.
 func ceilLog2(x float64) float64 {

@@ -1,9 +1,9 @@
 // Package obs is the solver observability layer: a typed event stream and
 // per-phase statistics shared by every layer of the MILP stack (simplex,
-// branch and bound, solver facade) and surfaced through the public
-// joinorder API. It is a leaf package — the solver layers import it, never
-// the reverse — so one Event type can travel from the simplex kernel to the
-// CLI without adapter chains.
+// branch and bound, and core.Optimize, which drives them) and surfaced
+// through the public joinorder API. It is a leaf package — the solver
+// layers import it, never the reverse — so one Event type can travel from
+// the simplex kernel to the CLI without adapter chains.
 //
 // Events describe what the solver is doing (an incumbent was found, a cut
 // round ran, a worker started); Stats aggregate where the time went. Both

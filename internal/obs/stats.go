@@ -7,9 +7,10 @@ import (
 	"time"
 )
 
-// Stats aggregate where a MILP solve spent its effort, per phase. The
-// solver facade returns them on every Result; the public API surfaces them
-// as joinorder.Result.Stats. LPTime is summed across parallel workers, so
+// Stats aggregate where a MILP solve spent its effort, per phase. Branch
+// and bound fills them, core.Optimize adds the cut and total times and
+// returns them on every core.Result, and the public API surfaces them as
+// joinorder.Result.Stats. LPTime is summed across parallel workers, so
 // it can exceed the wall-clock phase times on multi-threaded runs.
 type Stats struct {
 	// Per-phase wall-clock time.

@@ -1,10 +1,10 @@
 // Package portfolio provides the shared incumbent bus for racing several
 // join-ordering strategies on one query: members publish every plan they
-// find with its exact cost, the bus keeps the global best, and subscribers
-// (the MILP branch-and-bound injection feed, primarily) receive improving
-// plans with latest-wins semantics — a slow consumer never blocks a
-// publisher, it just skips straight to the newest incumbent. Strategies
-// with proven lower bounds publish those too, so the race can report a
+// find with its exact cost, the bus keeps the global best, and the MILP
+// member takes it at branch-and-bound node boundaries with latest-wins
+// semantics — a publisher never waits for the reader, and a reader that
+// falls behind skips straight to the newest incumbent. Strategies with
+// proven lower bounds publish those too, so the race can report a
 // portfolio-wide optimality gap.
 package portfolio
 
@@ -19,20 +19,12 @@ import (
 // is not ready; use NewBus.
 type Bus struct {
 	mu        sync.Mutex
-	closed    bool
 	bestPlan  *plan.Plan
 	bestCost  float64
 	bestFrom  string
+	untaken   bool // bestPlan has not been returned by Take yet
 	bound     float64
 	boundFrom string
-	subs      []*subscriber
-	published int
-	improved  int
-}
-
-type subscriber struct {
-	skip string // member name whose publications are not echoed back
-	ch   chan *plan.Plan
 }
 
 // NewBus returns an empty bus: no incumbent (+Inf) and no bound (-Inf).
@@ -41,44 +33,34 @@ func NewBus() *Bus {
 }
 
 // Publish offers a plan found by member from at the given exact cost. It
-// returns true when the plan strictly improves the portfolio incumbent, in
-// which case every subscriber (except from's own feed) receives it. Plans
-// must be treated as immutable after publication. Publishing on a closed
-// bus is a no-op.
+// returns true when the plan strictly improves the portfolio incumbent,
+// which the next Take then returns. Plans must be treated as immutable
+// after publication.
 func (b *Bus) Publish(from string, p *plan.Plan, cost float64) bool {
 	if p == nil || math.IsNaN(cost) {
 		return false
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.published++
-	if b.closed || cost >= b.bestCost {
+	if cost >= b.bestCost {
 		return false
 	}
 	b.bestPlan, b.bestCost, b.bestFrom = p, cost, from
-	b.improved++
-	for _, s := range b.subs {
-		if s.skip == from {
-			continue
-		}
-		// Latest-wins: drop the stale plan (if any) and slot in the new
-		// incumbent. The second send can only fail if a concurrent
-		// receive-and-refill raced us, in which case the channel already
-		// holds a fresher-or-equal plan.
-		select {
-		case s.ch <- p:
-		default:
-			select {
-			case <-s.ch:
-			default:
-			}
-			select {
-			case s.ch <- p:
-			default:
-			}
-		}
-	}
+	b.untaken = true
 	return true
+}
+
+// Take returns the incumbent if it changed since the last Take, and nil
+// otherwise: a reader that calls it late still gets the current best, and
+// no plan is returned twice. Safe for concurrent use.
+func (b *Bus) Take() *plan.Plan {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.untaken {
+		return nil
+	}
+	b.untaken = false
+	return b.bestPlan
 }
 
 // PublishBound offers a proven lower bound on the optimal plan cost from
@@ -89,31 +71,10 @@ func (b *Bus) PublishBound(from string, bound float64) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed || bound <= b.bound {
+	if bound <= b.bound {
 		return
 	}
 	b.bound, b.boundFrom = bound, from
-}
-
-// Subscribe registers an incumbent feed for member skip: improving plans
-// published by any other member arrive on the returned channel with
-// latest-wins semantics (capacity one; stale plans are replaced, never
-// queued). The channel is closed by Close.
-func (b *Bus) Subscribe(skip string) <-chan *plan.Plan {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	s := &subscriber{skip: skip, ch: make(chan *plan.Plan, 1)}
-	if b.closed {
-		close(s.ch)
-		return s.ch
-	}
-	b.subs = append(b.subs, s)
-	// Hand a late subscriber the current incumbent so it never races
-	// blind against members that already published.
-	if b.bestPlan != nil && b.bestFrom != skip {
-		s.ch <- b.bestPlan
-	}
-	return s.ch
 }
 
 // Best returns the portfolio incumbent: plan, exact cost, and the member
@@ -138,27 +99,4 @@ func (b *Bus) BestCost() float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.bestCost
-}
-
-// Stats reports how many plans were published and how many improved the
-// incumbent.
-func (b *Bus) Stats() (published, improved int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.published, b.improved
-}
-
-// Close closes every subscriber channel and rejects further publications.
-// Safe to call once the race has a winner; idempotent.
-func (b *Bus) Close() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return
-	}
-	b.closed = true
-	for _, s := range b.subs {
-		close(s.ch)
-	}
-	b.subs = nil
 }

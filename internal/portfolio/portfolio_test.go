@@ -33,66 +33,34 @@ func TestBusKeepsStrictlyBestIncumbent(t *testing.T) {
 	if c != 50 || from != "b" || pl == nil || pl.Order[0] != 1 {
 		t.Fatalf("best = (%v, %g, %q)", pl, c, from)
 	}
-	pub, imp := b.Stats()
-	if pub != 4 || imp != 2 {
-		t.Fatalf("stats = (%d, %d), want (4, 2)", pub, imp)
-	}
-}
-
-func TestBusSubscriberSkipsOwnPublications(t *testing.T) {
-	b := NewBus()
-	ch := b.Subscribe("milp")
-	b.Publish("milp", p(0, 1), 10)
-	select {
-	case got := <-ch:
-		t.Fatalf("subscriber received its own publication %v", got)
-	default:
-	}
-	b.Publish("greedy", p(1, 0), 5)
-	select {
-	case got := <-ch:
-		if got.Order[0] != 1 {
-			t.Fatalf("wrong plan %v", got)
-		}
-	default:
-		t.Fatal("peer publication not delivered")
-	}
 }
 
 func TestBusLatestWins(t *testing.T) {
 	b := NewBus()
-	ch := b.Subscribe("milp")
+	if got := b.Take(); got != nil {
+		t.Fatalf("empty bus handed out %v", got)
+	}
 	b.Publish("a", p(0, 1, 2), 30)
-	b.Publish("a", p(2, 1, 0), 20) // not consumed yet: replaces, not queues
-	got, ok := <-ch
-	if !ok || got.Order[0] != 2 {
+	b.Publish("a", p(2, 1, 0), 20) // not taken yet: replaces, not queues
+	if got := b.Take(); got == nil || got.Order[0] != 2 {
 		t.Fatalf("got %v, want the latest plan", got)
 	}
-	select {
-	case stale := <-ch:
-		t.Fatalf("stale plan %v still queued", stale)
-	default:
+	if stale := b.Take(); stale != nil {
+		t.Fatalf("plan %v handed out twice", stale)
+	}
+	b.Publish("a", p(1, 0, 2), 25) // worse: nothing new to take
+	if got := b.Take(); got != nil {
+		t.Fatalf("non-improving publication handed out: %v", got)
 	}
 }
 
-func TestBusLateSubscriberSeesIncumbent(t *testing.T) {
+// TestBusLateTakeSeesIncumbent: a reader that starts after the members
+// published still gets the current incumbent on its first Take.
+func TestBusLateTakeSeesIncumbent(t *testing.T) {
 	b := NewBus()
 	b.Publish("greedy", p(0, 1), 7)
-	ch := b.Subscribe("milp")
-	select {
-	case got := <-ch:
-		if got == nil {
-			t.Fatal("nil incumbent")
-		}
-	default:
-		t.Fatal("late subscriber did not receive the current incumbent")
-	}
-	// A late subscriber whose own plan is the incumbent gets nothing.
-	own := b.Subscribe("greedy")
-	select {
-	case got := <-own:
-		t.Fatalf("own incumbent echoed back: %v", got)
-	default:
+	if got := b.Take(); got == nil || got.Order[0] != 0 {
+		t.Fatalf("late reader got %v, want the current incumbent", got)
 	}
 }
 
@@ -124,35 +92,11 @@ func TestBusBoundAndGap(t *testing.T) {
 	}
 }
 
-func TestBusCloseIdempotentAndTerminal(t *testing.T) {
-	b := NewBus()
-	ch := b.Subscribe("milp")
-	b.Close()
-	b.Close()
-	if _, ok := <-ch; ok {
-		t.Fatal("subscriber channel not closed")
-	}
-	if b.Publish("a", p(0, 1), 1) {
-		t.Fatal("publish on a closed bus succeeded")
-	}
-	late := b.Subscribe("x")
-	if _, ok := <-late; ok {
-		t.Fatal("subscription after close returned an open channel")
-	}
-}
-
 // TestBusConcurrentPublishers hammers the bus from several goroutines
 // (run under -race) and checks the final incumbent is the global
-// minimum and improvements were counted monotonically.
+// minimum.
 func TestBusConcurrentPublishers(t *testing.T) {
 	b := NewBus()
-	ch := b.Subscribe("consumer")
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range ch {
-		}
-	}()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -169,6 +113,83 @@ func TestBusConcurrentPublishers(t *testing.T) {
 	if _, c, _ := b.Best(); c != 1 {
 		t.Fatalf("final incumbent %g, want the global minimum 1", c)
 	}
-	b.Close()
-	<-done
+}
+
+// TestBusConcurrentTakers runs 8 Take callers against 4 publishers (run
+// under -race): no plan is taken twice, every taken plan was the bus's
+// best when it was published, and once the publishers are done exactly
+// one Take returns the final best and every later one returns nil.
+func TestBusConcurrentTakers(t *testing.T) {
+	const publishers, takers, rounds = 4, 8, 500
+	b := NewBus()
+	var (
+		mu       sync.Mutex
+		improved = map[*plan.Plan]bool{} // plans whose Publish improved the bus
+		taken    = map[*plan.Plan]int{}
+	)
+	var pubs, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < takers; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if pl := b.Take(); pl != nil {
+					mu.Lock()
+					taken[pl]++
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	for g := 0; g < publishers; g++ {
+		pubs.Add(1)
+		go func(g int) {
+			defer pubs.Done()
+			for i := 0; i < rounds; i++ {
+				pl := p(g, i)
+				// Costs fall overall but interleave across publishers, so
+				// some publications lose to a peer's.
+				cost := float64(rounds-i)*10 + float64((g*7+i*3)%10)
+				if b.Publish(fmt.Sprintf("m%d", g), pl, cost) {
+					mu.Lock()
+					improved[pl] = true
+					mu.Unlock()
+				}
+			}
+		}(g)
+	}
+	pubs.Wait()
+	close(stop)
+	readers.Wait()
+
+	for pl, n := range taken {
+		if n != 1 {
+			t.Errorf("plan %v taken %d times", pl.Order, n)
+		}
+		if !improved[pl] {
+			t.Errorf("taken plan %v was never the bus's best", pl.Order)
+		}
+	}
+	final, _, _ := b.Best()
+	if final == nil || !improved[final] {
+		t.Fatalf("final best %v is not an improving publication", final)
+	}
+	// After the last publication the final best is taken exactly once:
+	// either a taker got it already, or the next Take returns it.
+	if taken[final] == 0 {
+		if got := b.Take(); got != final {
+			t.Fatalf("first Take after the race = %v, want the final best %v", got, final.Order)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if got := b.Take(); got != nil {
+			t.Fatalf("Take after the final best was taken returned %v", got.Order)
+		}
+	}
 }

@@ -42,8 +42,8 @@ type memberOutcome struct {
 
 // optimizeAuto races the portfolio members concurrently on one query over
 // a shared incumbent bus: every member publishes each plan improvement
-// with its exact cost, the MILP member drains the bus as live MIP starts
-// (injected at branch-and-bound node boundaries), and the pruning exact DP
+// with its exact cost, the MILP member takes the bus incumbent as a live
+// MIP start at branch-and-bound node boundaries, and the pruning exact DP
 // uses the bus incumbent as its cutoff. The race stops at the first
 // optimality proof — a member returning StatusOptimal, or the bushy DP
 // proving no plan beats the bus incumbent — which cancels the remaining
@@ -53,7 +53,6 @@ func optimizeAuto(ctx context.Context, q *Query, opts Options) (*Result, error) 
 	members := portfolioMembers(opts)
 	start := time.Now()
 	bus := portfolio.NewBus()
-	defer bus.Close()
 	raceCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -82,44 +81,34 @@ func optimizeAuto(ctx context.Context, q *Query, opts Options) (*Result, error) 
 		})
 	}
 
+	// The caller's OnPlan sees every member's improvements, serialised
+	// across members like the merged event stream.
+	var onPlan func(PlanUpdate)
+	if callerOnPlan := opts.OnPlan; callerOnPlan != nil {
+		var planMu sync.Mutex
+		onPlan = func(u PlanUpdate) {
+			planMu.Lock()
+			defer planMu.Unlock()
+			callerOnPlan(u)
+		}
+	}
 	outcomes := make(chan memberOutcome, len(members))
-	var (
-		wg     sync.WaitGroup
-		planMu sync.Mutex // serialises the caller's OnPlan across members
-	)
+	var wg sync.WaitGroup
 	for i, name := range members {
 		mopts := opts
 		mopts.Strategy = name
 		mopts.Portfolio = nil
 		// De-correlate the randomized members deterministically.
 		mopts.Seed = opts.Seed + int64(i)
+		mopts.OnPlan = onPlan
+		mopts.bus = bus
 		member := name
-		// Publications flow to the bus first (so peers see them even
-		// with no caller callback), then to the caller's OnPlan —
-		// serialised across members like the merged event stream.
-		callerOnPlan := opts.OnPlan
-		mopts.OnPlan = func(u PlanUpdate) {
-			bus.Publish(member, u.Plan, u.Cost)
-			if callerOnPlan != nil {
-				planMu.Lock()
-				callerOnPlan(u)
-				planMu.Unlock()
-			}
-		}
 		if emitter != nil {
 			mopts.OnEvent = func(ev Event) {
 				ev.Strategy = member
 				ev.Seq = 0 // renumbered race-wide
 				emitter.Emit(ev)
 			}
-		} else {
-			mopts.OnEvent = nil
-		}
-		switch member {
-		case "milp":
-			mopts.incumbents = bus.Subscribe(member)
-		case "dp-bushy":
-			mopts.cutoff = bus.BestCost
 		}
 		o, err := Lookup(member)
 		if err != nil {
@@ -132,6 +121,9 @@ func optimizeAuto(ctx context.Context, q *Query, opts Options) (*Result, error) 
 			lifecycle(KindStrategyStart, member)
 			res, rerr := o.Optimize(raceCtx, q, mopts)
 			if rerr == nil {
+				// Built-in members publish as they improve; the final
+				// plan is the MILP's only one, and a registered
+				// member's only route onto the bus.
 				if res.Plan != nil {
 					bus.Publish(member, res.Plan, res.Cost)
 				}

@@ -21,8 +21,8 @@ func init() {
 // phase is out of time), the partition plans are stitched into one global
 // left-deep plan, and the reserved Options.SeamBudgetFrac of the budget
 // re-optimizes windows around the cut seams. Every improving global plan
-// flows through Options.OnPlan/OnEvent, so under strategy "auto" the
-// hybrid feeds the portfolio's incumbent bus like any other member.
+// is reported like any other member's: to the race's incumbent bus under
+// strategy "auto", to Options.OnPlan and to Options.OnEvent.
 //
 // The hybrid prices Options.Op uniformly (ChooseOperators is ignored), reads
 // no MILP option, and always returns a feasible plan with a finite,

@@ -32,6 +32,7 @@ import (
 	"milpjoin/internal/cost"
 	"milpjoin/internal/obs"
 	"milpjoin/internal/plan"
+	"milpjoin/internal/portfolio"
 	"milpjoin/internal/qopt"
 )
 
@@ -230,19 +231,18 @@ type Options struct {
 	// surface across strategies. Heuristics report every improvement
 	// live; exact strategies report their final plan; the MILP reports
 	// its decoded plan on completion (mid-solve MILP incumbents appear
-	// on the event stream only). Callbacks are serialised per strategy
-	// but may run concurrently across portfolio members.
+	// on the event stream only). Callbacks are serialised, across the
+	// members of an "auto" race too. It is the caller's observer only:
+	// the race's members reach each other through the incumbent bus.
 	OnPlan func(PlanUpdate)
 
-	// incumbents, when non-nil, feeds plans published mid-solve into the
-	// MILP branch and bound as live MIP starts (portfolio injection
-	// path; set by the "auto" orchestrator, never by callers).
-	incumbents <-chan *Plan
-
-	// cutoff, when non-nil, returns the exact cost of the best plan
-	// known outside the strategy; pruning searches (dp-bushy) drop every
-	// partial plan that cannot beat it (set by the "auto" orchestrator).
-	cutoff func() float64
+	// bus, when non-nil, is the incumbent bus of the "auto" race this
+	// run is a member of (set by the orchestrator, never by callers):
+	// every plan improvement is published to it under the strategy's
+	// name, the MILP takes peers' plans from it as live MIP starts at
+	// branch-and-bound node boundaries, and dp-bushy prunes against its
+	// best cost.
+	bus *portfolio.Bus
 }
 
 // Validate checks the caller-supplied option values. Every public entry

@@ -14,6 +14,7 @@ import (
 	"milpjoin/internal/heuristic"
 	"milpjoin/internal/obs"
 	"milpjoin/internal/plan"
+	"milpjoin/internal/portfolio"
 )
 
 // The built-in strategies, all behind the same interface — the
@@ -30,22 +31,23 @@ func init() {
 }
 
 // anytime is the uniform improvement surface the non-MILP strategies
-// report through: every strict plan improvement goes to Options.OnPlan
-// with the plan itself and to Options.OnEvent as a KindIncumbent event
-// (the MILP strategy emits its events from inside the solver instead and
-// reports the decoded plan once, on completion). A nil *anytime drops
-// everything.
+// report through: every strict plan improvement goes to the race's bus
+// (under "auto"), to Options.OnPlan with the plan itself, and to
+// Options.OnEvent as a KindIncumbent event (the MILP strategy emits its
+// events from inside the solver instead and reports the decoded plan once,
+// on completion). A nil *anytime drops everything.
 type anytime struct {
 	name    string
+	bus     *portfolio.Bus
 	onPlan  func(PlanUpdate)
 	emitter *obs.Emitter
 }
 
 func newAnytime(name string, opts Options) *anytime {
-	if opts.OnPlan == nil && opts.OnEvent == nil {
+	if opts.bus == nil && opts.OnPlan == nil && opts.OnEvent == nil {
 		return nil
 	}
-	a := &anytime{name: name, onPlan: opts.OnPlan}
+	a := &anytime{name: name, bus: opts.bus, onPlan: opts.OnPlan}
 	if onEvent := opts.OnEvent; onEvent != nil {
 		a.emitter = obs.NewEmitter(time.Now(), func(ev obs.Event) { onEvent(ev) })
 	}
@@ -59,7 +61,10 @@ func (a *anytime) improved(p *Plan, c float64, elapsed time.Duration, bound floa
 	if a == nil {
 		return
 	}
-	if a.onPlan != nil && p != nil {
+	if p != nil && a.bus != nil {
+		a.bus.Publish(a.name, p, c)
+	}
+	if p != nil && a.onPlan != nil {
 		a.onPlan(PlanUpdate{Strategy: a.name, Plan: p, Cost: c, Elapsed: elapsed})
 	}
 	a.emitter.Emit(obs.Event{
@@ -97,6 +102,10 @@ func ReadsInitialPlan(opts Options) bool {
 // strategy with true anytime behaviour: cancellation and time limits
 // return the best incumbent plus a proven bound.
 func optimizeMILP(ctx context.Context, q *Query, opts Options) (*Result, error) {
+	var incumbents func() *plan.Plan
+	if opts.bus != nil {
+		incumbents = opts.bus.Take
+	}
 	res, err := core.Optimize(ctx, q, core.Options{
 		Precision:         opts.Precision,
 		CardCap:           opts.CardCap,
@@ -105,7 +114,7 @@ func optimizeMILP(ctx context.Context, q *Query, opts Options) (*Result, error) 
 		ChooseOperators:   opts.ChooseOperators,
 		InterestingOrders: opts.InterestingOrders,
 		InitialPlan:       opts.InitialPlan,
-		Incumbents:        opts.incumbents,
+		Incumbents:        incumbents,
 		TimeLimit:         opts.Budget.TimeLimit,
 		GapTol:            opts.Budget.GapTol,
 		Threads:           opts.Budget.Threads,
@@ -188,10 +197,11 @@ func optimizeDPLeftDeep(ctx context.Context, q *Query, opts Options) (*Result, e
 // the optimal tree happens to be linear.
 func optimizeBushy(ctx context.Context, q *Query, opts Options) (*Result, error) {
 	start := time.Now()
-	tree, c, err := dp.OptimizeBushy(ctx, q, opts.spec(), dp.BushyOptions{
-		Options: dp.Options{Deadline: opts.deadline(start)},
-		Cutoff:  opts.cutoff,
-	})
+	bopts := dp.BushyOptions{Options: dp.Options{Deadline: opts.deadline(start)}}
+	if opts.bus != nil {
+		bopts.Cutoff = opts.bus.BestCost
+	}
+	tree, c, err := dp.OptimizeBushy(ctx, q, opts.spec(), bopts)
 	if err != nil {
 		return nil, mapBaselineErr(ctx, err)
 	}
