@@ -20,6 +20,7 @@ import (
 	"milpjoin/internal/cost"
 	"milpjoin/internal/dp"
 	"milpjoin/internal/experiments"
+	"milpjoin/internal/qopt"
 	"milpjoin/internal/workload"
 )
 
@@ -51,13 +52,13 @@ func BenchmarkFigure1Census(b *testing.B) {
 // benchmarkFigure2Cell optimizes one random query per iteration under a
 // small budget and reports the median proven Cost/LB ratio.
 func benchmarkFigure2Cell(b *testing.B, shape workload.GraphShape, n int, prec core.Precision, budget time.Duration) {
-	opts := core.Options{Precision: prec, Metric: cost.OperatorCost, Op: cost.HashJoin, TimeLimit: budget, Threads: 2}
+	opts := core.Options{Precision: prec, Metric: cost.OperatorCost, Op: cost.HashJoin, Threads: 2}
 	var gapSum float64
 	var plans int
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q := workload.Generate(shape, n, int64(i%5)+1, workload.Config{})
-		res, err := core.Optimize(context.Background(), q, opts)
+		res, err := optimizeWithin(q, opts, budget)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,12 +103,12 @@ func benchmarkFigure2DP(b *testing.B, shape workload.GraphShape, n int, budget t
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q := workload.Generate(shape, n, int64(i%5)+1, workload.Config{})
-		_, _, err := dp.OptimizeLeftDeep(context.Background(), q, cost.DefaultSpec(), dp.Options{
-			Deadline: time.Now().Add(budget),
-		})
+		ctx, cancel := context.WithTimeout(context.Background(), budget)
+		_, _, err := dp.OptimizeLeftDeep(ctx, q, cost.DefaultSpec(), dp.Options{})
+		cancel()
 		if err == nil {
 			plans++
-		} else if !errors.Is(err, dp.ErrTimeout) && !errors.Is(err, dp.ErrTooLarge) {
+		} else if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, dp.ErrTooLarge) {
 			b.Fatal(err)
 		}
 	}
@@ -130,10 +131,10 @@ func BenchmarkFigure2Chain30DP(b *testing.B) {
 // on a query size every configuration can close.
 func benchmarkPrecisionAblation(b *testing.B, prec core.Precision) {
 	q := workload.Generate(workload.Star, 10, 3, workload.Config{})
-	opts := core.Options{Precision: prec, Metric: cost.OperatorCost, Op: cost.HashJoin, TimeLimit: 30 * time.Second, Threads: 2}
+	opts := core.Options{Precision: prec, Metric: cost.OperatorCost, Op: cost.HashJoin, Threads: 2}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Optimize(context.Background(), q, opts)
+		res, err := optimizeWithin(q, opts, 30*time.Second)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -152,10 +153,10 @@ func BenchmarkAblationPrecisionLow(b *testing.B) { benchmarkPrecisionAblation(b,
 // Parallel search ablation (the solver feature the paper highlights).
 func benchmarkThreads(b *testing.B, threads int) {
 	q := workload.Generate(workload.Chain, 10, 4, workload.Config{})
-	opts := core.Options{Precision: core.PrecisionMedium, Metric: cost.OperatorCost, Op: cost.HashJoin, TimeLimit: 30 * time.Second, Threads: threads}
+	opts := core.Options{Precision: core.PrecisionMedium, Metric: cost.OperatorCost, Op: cost.HashJoin, Threads: threads}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Optimize(context.Background(), q, opts); err != nil {
+		if _, err := optimizeWithin(q, opts, 30*time.Second); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -170,10 +171,10 @@ func BenchmarkAblationThreads4(b *testing.B) { benchmarkThreads(b, 4) }
 func benchmarkCuts(b *testing.B, rounds int) {
 	q := workload.Generate(workload.Star, 10, 3, workload.Config{})
 	opts := core.Options{Precision: core.PrecisionMedium, Metric: cost.OperatorCost, Op: cost.HashJoin,
-		TimeLimit: 10 * time.Second, Threads: 2, CutRounds: rounds}
+		Threads: 2, CutRounds: rounds}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Optimize(context.Background(), q, opts)
+		res, err := optimizeWithin(q, opts, 10*time.Second)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -191,10 +192,10 @@ func BenchmarkAblationCuts2Rounds(b *testing.B) { benchmarkCuts(b, 2) }
 // model with no start.
 func BenchmarkAblationMIPStartOn(b *testing.B) {
 	q := workload.Generate(workload.Star, 12, 2, workload.Config{})
-	opts := core.Options{Precision: core.PrecisionMedium, Metric: cost.OperatorCost, Op: cost.HashJoin, TimeLimit: 2 * time.Second, Threads: 2}
+	opts := core.Options{Precision: core.PrecisionMedium, Metric: cost.OperatorCost, Op: cost.HashJoin, Threads: 2}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Optimize(context.Background(), q, opts)
+		res, err := optimizeWithin(q, opts, 2*time.Second)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -220,6 +221,13 @@ func BenchmarkAblationMIPStartOff(b *testing.B) {
 			b.ReportMetric(boolMetric(res.HasIncumbent), "has-plan")
 		}
 	}
+}
+
+// optimizeWithin runs core.Optimize under a context deadline limit away.
+func optimizeWithin(q *qopt.Query, opts core.Options, limit time.Duration) (*core.Result, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), limit)
+	defer cancel()
+	return core.Optimize(ctx, q, opts)
 }
 
 func boolMetric(b bool) float64 {

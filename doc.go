@@ -11,7 +11,7 @@
 //
 //	res, err := joinorder.Optimize(ctx, query, joinorder.Options{
 //		Strategy: "milp", // or dp-leftdeep, dp-bushy, ikkbz, greedy, ...
-//		// TimeLimit composes with the ctx deadline (min wins).
+//		// TimeLimit is a deadline on ctx: the earlier one wins.
 //		Budget: joinorder.Budget{TimeLimit: 10 * time.Second},
 //	})
 //

@@ -51,7 +51,7 @@ func TestDocResolverCatches(t *testing.T) {
 		{"generic", "`cache.Memo[*resolved]`", nil},
 		{"unqualified", "`Options.Budget`, `canonicalResult.serve`, `OptimizeConv`", nil},
 		{"main package", "`examples/server`, `examples/server/main.go`, `server.Config.Cache`", nil},
-		{"member list, wildcard, embedded field", "`decomp.Options.{Spec, SeamFrac}`, `cost.Params.*`, `dp.BushyOptions.Options`", nil},
+		{"member list, wildcard, embedded field", "`decomp.Options.{Spec, SeamFrac}`, `cost.Params.*`, `bb.pairBasis.Basis`", nil},
 		{"metric", "`cluster.forward_share`, `persist.replay_ms`", nil},
 		{"open item", "ROADMAP item 1, ROADMAP 5(c)", nil},
 		{"fenced block", "```\n`internal/solver` ROADMAP 22\n```", nil},

@@ -27,8 +27,8 @@ func main() {
 	fmt.Printf("chain query, %d tables — anytime MILP optimization (budget %v)\n", tables, budget)
 	fmt.Printf("%-10s %-14s %-14s %s\n", "time", "incumbent", "lower bound", "proven Cost/LB")
 
-	// The context deadline composes with Budget.TimeLimit: the solver
-	// stops at whichever budget expires first — here the context's.
+	// Budget.TimeLimit becomes a deadline on this context: the solver
+	// stops at whichever deadline comes first — here the context's.
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
 

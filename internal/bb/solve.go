@@ -19,17 +19,23 @@ import (
 // (when HasIncumbent) is in computational-form coordinates: the first
 // NumStructural entries are model variables.
 //
-// Cancelling ctx stops the search promptly: a watcher raises the stop flag
-// that the worker loops observe between nodes and the simplex iteration
-// loops poll, so the call returns with StatusCanceled (context.Canceled) or
-// StatusTimeLimit (context.DeadlineExceeded) carrying the best incumbent
-// and proven bound found so far. A context deadline and Params.TimeLimit
-// compose: whichever comes first ends the search with StatusTimeLimit.
+// Cancelling ctx stops the search promptly: the context's end raises the
+// stop flag that the worker loops observe between nodes and the simplex
+// iteration loops poll, so the call returns with StatusCanceled
+// (context.Canceled) or StatusTimeLimit (context.DeadlineExceeded) carrying
+// the best incumbent and proven bound found so far. Params.TimeLimit is a
+// context deadline too: whichever comes first ends the search with
+// StatusTimeLimit.
 func Solve(ctx context.Context, comp *milp.Computational, params Params) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	params = params.withDefaults()
+	if params.TimeLimit > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, params.TimeLimit)
+		defer cancel()
+	}
 	s := &searcher{
 		comp:      comp,
 		params:    params,
@@ -39,9 +45,6 @@ func Solve(ctx context.Context, comp *milp.Computational, params Params) (*Resul
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.nodesPerWorker = make([]int, params.Threads)
-	if params.TimeLimit > 0 {
-		s.deadline = s.start.Add(params.TimeLimit)
-	}
 	heap.Push(&s.open, &node{bound: math.Inf(-1)})
 	if err := ctx.Err(); err != nil {
 		// Already ended: report without exploring a single node, so the
@@ -73,20 +76,19 @@ func Solve(ctx context.Context, comp *milp.Computational, params Params) (*Resul
 		s.completeAndOffer(nil, params.InitialIncumbent, nil)
 	}
 
-	// The watcher translates context cancellation into the shared stop
-	// flag so that workers blocked on the condition variable or busy in a
-	// node LP notice promptly.
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			s.mu.Lock()
+	// The context's end becomes the shared stop flag, so that workers
+	// blocked on the condition variable or busy in a node LP notice
+	// promptly. A search already done keeps its status: a deadline that
+	// fires after the last node does not make a finished search a time
+	// limit.
+	defer context.AfterFunc(ctx, func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if !s.done {
 			s.setStop(ContextStatus(ctx.Err()))
 			s.cond.Broadcast()
-			s.mu.Unlock()
-		case <-watchDone:
 		}
-	}()
+	})()
 
 	// pprof labels attribute worker CPU time to the search phase, so a
 	// CPU profile splits solver time by phase and worker.
@@ -104,7 +106,6 @@ func Solve(ctx context.Context, comp *milp.Computational, params Params) (*Resul
 		}(w)
 	}
 	wg.Wait()
-	close(watchDone)
 
 	return s.finish(), nil
 }
@@ -166,8 +167,7 @@ type searcher struct {
 	// is touched only by its worker goroutine.
 	workers []*workerState
 
-	start    time.Time
-	deadline time.Time
+	start time.Time
 }
 
 // workerState is the per-worker arena for the node-LP hot path. The shared
@@ -355,13 +355,9 @@ func (s *searcher) setStop(st Status) {
 	s.done = true
 }
 
-// checkTermination evaluates gap and time limits. Caller holds s.mu.
+// checkTermination evaluates the gap limit. Caller holds s.mu.
 func (s *searcher) checkTermination() {
 	if s.done {
-		return
-	}
-	if !s.deadline.IsZero() && time.Now().After(s.deadline) {
-		s.setStop(StatusTimeLimit)
 		return
 	}
 	if s.hasInc {
@@ -556,7 +552,6 @@ func (s *searcher) reducedCostFixing(lp *simplex.Result) {
 func (s *searcher) solveLP(w *workerState, warm *simplex.Basis) (*simplex.Result, int, simplex.Status) {
 	w.prob.L, w.prob.U = w.l, w.u
 	res, err := simplex.Solve(&w.prob, warm, simplex.Options{
-		Deadline:   s.deadline,
 		Stop:       &s.stopFlag,
 		PreferDual: s.params.UseDualSimplex && warm != nil,
 		Workspace:  w.ws,

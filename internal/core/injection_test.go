@@ -33,12 +33,13 @@ func TestLiveIncumbentInjectionInstalls(t *testing.T) {
 	bus.Publish("dp-leftdeep", optPlan, optCost)
 
 	injectedEvents := 0
-	res, err := Optimize(context.Background(), q, Options{
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	res, err := Optimize(ctx, q, Options{
 		Metric:     cost.Cout,
 		Precision:  PrecisionHigh,
 		Incumbents: bus.Take,
 		Threads:    2,
-		TimeLimit:  5 * time.Second,
 		OnEvent: func(ev obs.Event) {
 			if ev.Kind == obs.KindInjected {
 				injectedEvents++
@@ -104,12 +105,13 @@ func TestInjectionRaceMonotoneEvents(t *testing.T) {
 		bound           = math.Inf(-1)
 		injected  int
 	)
-	res, err := Optimize(context.Background(), q, Options{
+	ctx, cancel := context.WithTimeout(context.Background(), 1500*time.Millisecond)
+	defer cancel()
+	res, err := Optimize(ctx, q, Options{
 		Metric:     cost.Cout,
 		Precision:  PrecisionMedium,
 		Incumbents: bus.Take,
 		Threads:    4,
-		TimeLimit:  1500 * time.Millisecond,
 		OnEvent: func(ev obs.Event) {
 			if int64(ev.Seq) <= lastSeq {
 				t.Errorf("sequence not increasing: %d after %d", ev.Seq, lastSeq)

@@ -71,7 +71,7 @@ func (o Options) Spec() cost.Spec {
 //
 // Cancelling the context mid-solve returns promptly with bb.StatusCanceled
 // and the best incumbent plan found so far; a context deadline ends the
-// search with bb.StatusTimeLimit, as Options.TimeLimit does.
+// search with bb.StatusTimeLimit.
 func Optimize(ctx context.Context, q *qopt.Query, opts Options) (*Result, error) {
 	enc, err := Encode(q, opts)
 	if err != nil {
@@ -170,7 +170,6 @@ func solve(ctx context.Context, m *milp.Model, opts Options, start []float64, in
 
 	comp := work.Compile()
 	params := bb.Params{
-		TimeLimit:  opts.TimeLimit,
 		GapTol:     opts.GapTol,
 		Threads:    opts.Threads,
 		MaxNodes:   opts.MaxNodes,

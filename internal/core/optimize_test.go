@@ -110,7 +110,7 @@ func TestUnboundedThroughSolve(t *testing.T) {
 	}
 }
 
-// TestTimeLimitStatus: a search stopped by Options.TimeLimit keeps a
+// TestTimeLimitStatus: a search stopped by a context deadline keeps a
 // model-space incumbent no better than its bound.
 func TestTimeLimitStatus(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
@@ -123,7 +123,12 @@ func TestTimeLimitStatus(t *testing.T) {
 		e = e.Add(v, w)
 	}
 	m.AddConstr(e, milp.LE, 100, "cap")
-	res := solveModel(t, m, Options{TimeLimit: 30 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	res, err := solve(ctx, m, Options{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Status != bb.StatusTimeLimit && res.Status != bb.StatusOptimal {
 		t.Fatalf("status = %v", res.Status)
 	}

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"milpjoin/internal/cost"
 	"milpjoin/internal/obs"
@@ -118,15 +117,14 @@ type Options struct {
 	Incumbents func() *plan.Plan
 
 	// The search knobs, handed to branch and bound as the paper hands
-	// them to Gurobi. TimeLimit bounds wall-clock time (zero: none; a
-	// context deadline ends the search too). GapTol is the relative MIP
-	// gap at which search stops (default 1e-6). Threads is the number of
-	// parallel workers (default 1). MaxNodes bounds explored nodes (zero:
-	// none); see bb.Params.MaxNodes for how the limit counts.
-	TimeLimit time.Duration
-	GapTol    float64
-	Threads   int
-	MaxNodes  int
+	// them to Gurobi; the context's deadline is the time limit. GapTol is
+	// the relative MIP gap at which search stops (default 1e-6). Threads
+	// is the number of parallel workers (default 1). MaxNodes bounds
+	// explored nodes (zero: none); see bb.Params.MaxNodes for how the
+	// limit counts.
+	GapTol   float64
+	Threads  int
+	MaxNodes int
 	// OnEvent receives the full structured event stream of the solve:
 	// cut rounds, the root LP relaxation, incumbents, bound improvements,
 	// node batches, and worker lifecycle. Callbacks are serialised (never

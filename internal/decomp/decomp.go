@@ -41,12 +41,11 @@ type Options struct {
 	// PartitionCap bounds partition size (0: DefaultPartitionCap; at
 	// least 2 and at most dp.MaxTables, the left-deep DP's ceiling).
 	PartitionCap int
-	// SeamFrac is the fraction of the remaining budget reserved for seam
-	// re-optimization after partition solves and stitching (0: default).
+	// SeamFrac is the fraction of the time left before the context's
+	// deadline that is reserved for seam re-optimization after partition
+	// solves and stitching (0: default). Without a deadline every
+	// partition DP runs to completion.
 	SeamFrac float64
-	// Deadline bounds the whole run (zero: every partition DP runs to
-	// completion).
-	Deadline time.Time
 	// OnImprovement receives every new best global plan with its exact
 	// cost: the first stitched plan, then each improving seam window.
 	OnImprovement func(*plan.Plan, float64)
@@ -80,7 +79,8 @@ type Result struct {
 	// Optimal reports Cost == Bound (outside degenerate cases, only with
 	// the bushy bound).
 	Optimal bool
-	// TimedOut reports the deadline or context cut the run short.
+	// TimedOut reports the context, or the solve phase's share of its
+	// deadline, cut the run short.
 	TimedOut bool
 }
 
@@ -113,17 +113,18 @@ func Optimize(ctx context.Context, q *qopt.Query, opts Options) (*Result, error)
 
 	// The seam fraction of the budget is reserved for the polish loop;
 	// every partition DP and the quotient DP run under the rest.
-	var solveDeadline time.Time
-	hasDeadline := !opts.Deadline.IsZero()
-	if hasDeadline {
-		remaining := time.Until(opts.Deadline)
-		solveDeadline = time.Now().Add(time.Duration((1 - opts.SeamFrac) * float64(remaining)))
+	solveCtx := ctx
+	if dl, ok := ctx.Deadline(); ok {
+		now := time.Now()
+		var cancel context.CancelFunc
+		solveCtx, cancel = context.WithDeadline(ctx, now.Add(time.Duration((1-opts.SeamFrac)*float64(dl.Sub(now)))))
+		defer cancel()
 	}
 
 	orders := make([][]int, len(parts))
 	for i, p := range parts {
 		var exact bool
-		orders[i], exact = solvePartition(ctx, q, p, opts.Spec, solveDeadline)
+		orders[i], exact = solvePartition(solveCtx, q, p, opts.Spec)
 		if !exact {
 			res.TimedOut = true
 		}
@@ -133,7 +134,7 @@ func Optimize(ctx context.Context, q *qopt.Query, opts Options) (*Result, error)
 	var partOrder []int
 	if len(parts) <= quotientDPMax {
 		var ok bool
-		partOrder, ok = st.orderDP(solveDeadline)
+		partOrder, ok = st.orderDP(solveCtx)
 		if !ok {
 			partOrder = st.orderGreedy()
 		}
@@ -155,14 +156,14 @@ func Optimize(ctx context.Context, q *qopt.Query, opts Options) (*Result, error)
 	// sit below the exact coster's floating-point resolution on huge
 	// C_out values, so the published (and returned) trajectory is gated
 	// on a strict decrease of the recomputed exact cost.
-	if ctx.Err() == nil && (!hasDeadline || time.Now().Before(opts.Deadline)) {
+	if ctx.Err() == nil {
 		boundaries := make([]int, 0, len(partOrder)-1)
 		at := 0
 		for _, p := range partOrder[:len(partOrder)-1] {
 			at += st.sizes[p]
 			boundaries = append(boundaries, at)
 		}
-		order, _ = seamOptimize(q, opts.Spec, order, boundaries, opts.Deadline, func(cur []int) {
+		order, _ = seamOptimize(ctx, q, opts.Spec, order, boundaries, func(cur []int) {
 			p2 := &plan.Plan{Order: append([]int(nil), cur...)}
 			if c2, cerr := plan.Cost(q, p2, opts.Spec); cerr == nil && c2 < bestCost {
 				bestPlan, bestCost = p2, c2
@@ -181,7 +182,7 @@ func Optimize(ctx context.Context, q *qopt.Query, opts Options) (*Result, error)
 			}
 		}
 	}
-	if hasDeadline && time.Now().After(opts.Deadline) {
+	if ctx.Err() != nil {
 		res.TimedOut = true
 	}
 
@@ -190,9 +191,7 @@ func Optimize(ctx context.Context, q *qopt.Query, opts Options) (*Result, error)
 	res.Bound = lowerBound(q, opts.Spec)
 	if len(parts) == 1 && q.NumTables() <= boundDPMax {
 		// The bushy optimum bounds every plan, and it is cheap this small.
-		if _, c, err := dp.OptimizeBushy(ctx, q, opts.Spec, dp.BushyOptions{
-			Options: dp.Options{Deadline: opts.Deadline},
-		}); err == nil {
+		if _, c, err := dp.OptimizeBushy(ctx, q, opts.Spec, dp.BushyOptions{}); err == nil {
 			res.Bound = c
 		}
 	}
@@ -202,15 +201,15 @@ func Optimize(ctx context.Context, q *qopt.Query, opts Options) (*Result, error)
 
 // solvePartition returns one partition's join order in global table ids:
 // the left-deep optimum of its sub-query, or the greedy order when the
-// context or deadline ends the DP first. exact reports the former.
-func solvePartition(ctx context.Context, q *qopt.Query, p Partition, spec cost.Spec, deadline time.Time) (order []int, exact bool) {
+// context ends the DP first. exact reports the former.
+func solvePartition(ctx context.Context, q *qopt.Query, p Partition, spec cost.Spec) (order []int, exact bool) {
 	if len(p.Tables) == 1 {
 		return []int{p.Tables[0]}, true
 	}
 	sub, _ := subQuery(q, p)
 	var pl *plan.Plan
-	if ctx.Err() == nil && (deadline.IsZero() || time.Now().Before(deadline)) {
-		pl, _, _ = dp.OptimizeLeftDeep(ctx, sub, spec, dp.Options{Deadline: deadline})
+	if ctx.Err() == nil {
+		pl, _, _ = dp.OptimizeLeftDeep(ctx, sub, spec, dp.Options{})
 	}
 	exact = pl != nil
 	if !exact {

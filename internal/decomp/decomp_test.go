@@ -145,7 +145,7 @@ func TestOrderDPIsOptimalOverPermutations(t *testing.T) {
 		}
 		for _, spec := range specs() {
 			st := newStitcher(q, spec, orders)
-			po, ok := st.orderDP(time.Time{})
+			po, ok := st.orderDP(context.Background())
 			if !ok {
 				t.Fatal("orderDP gave up without a deadline")
 			}
@@ -178,7 +178,7 @@ func TestSeamFullWindowFindsLeftDeepOptimum(t *testing.T) {
 			q := enrich(workload.Generate(shape, n, seed, workload.Config{}))
 			for _, spec := range specs() {
 				order := []int{0, 1, 2, 3, 4, 5, 6}
-				order, _ = seamOptimize(q, spec, order, nil, time.Time{}, nil)
+				order, _ = seamOptimize(context.Background(), q, spec, order, nil, nil)
 				got, err := plan.Cost(q, &plan.Plan{Order: order}, spec)
 				if err != nil {
 					t.Fatal(err)
@@ -208,7 +208,7 @@ func TestSeamNeverWorsens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		order, improved := seamOptimize(q, spec, order, []int{8, 16}, time.Time{}, nil)
+		order, improved := seamOptimize(context.Background(), q, spec, order, []int{8, 16}, nil)
 		after, err := plan.Cost(q, &plan.Plan{Order: order}, spec)
 		if err != nil {
 			t.Fatal(err)
@@ -352,14 +352,15 @@ func TestOptimizeEndToEnd(t *testing.T) {
 		q := workload.Generate(shape, tc.n, 5, workload.Config{})
 		for _, spec := range specs() {
 			var trajectory []float64
-			res, err := Optimize(context.Background(), q, Options{
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			res, err := Optimize(ctx, q, Options{
 				Spec:         spec,
 				PartitionCap: tc.cap,
-				Deadline:     time.Now().Add(5 * time.Second),
 				OnImprovement: func(pl *plan.Plan, c float64) {
 					trajectory = append(trajectory, c)
 				},
 			})
+			cancel()
 			if err != nil {
 				t.Fatalf("%v %v: %v", shape, spec.Metric, err)
 			}
@@ -443,7 +444,7 @@ func TestPartitionsAreLeftDeepOptimal(t *testing.T) {
 		q := workload.Generate(tc.shape, tc.n, tc.seed, workload.Config{})
 		for _, spec := range specs() {
 			for _, p := range partitionGraph(q, 8) {
-				order, exact := solvePartition(context.Background(), q, p, spec, time.Time{})
+				order, exact := solvePartition(context.Background(), q, p, spec)
 				if !exact {
 					t.Fatalf("%v: partition %v fell back to greedy without a deadline", tc.shape, p.Tables)
 				}
@@ -469,14 +470,15 @@ func TestPartitionsAreLeftDeepOptimal(t *testing.T) {
 	}
 }
 
-// TestOptimizeFeasibleUnderTinyDeadline: an already-expired budget still
+// TestOptimizeFeasibleUnderTinyDeadline: a 1 ms context deadline still
 // yields a valid plan via the greedy fallbacks.
 func TestOptimizeFeasibleUnderTinyDeadline(t *testing.T) {
 	q := workload.Generate(workload.Snowflake, 60, 9, workload.Config{})
-	res, err := Optimize(context.Background(), q, Options{
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	res, err := Optimize(ctx, q, Options{
 		Spec:         cost.Spec{Metric: cost.Cout, Params: cost.Params{}.WithDefaults()},
 		PartitionCap: 10,
-		Deadline:     time.Now().Add(time.Millisecond),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,9 @@
 package decomp
 
 import (
+	"context"
 	"math"
 	"math/bits"
-	"time"
 
 	"milpjoin/internal/cost"
 	"milpjoin/internal/plan"
@@ -23,10 +23,10 @@ const seamWindow = 10
 //
 // The first pass centers windows on the partition seams (boundaries);
 // later passes slide across the whole order until a pass finds nothing or
-// the deadline expires. onImproved (optional) fires with the full updated
+// the context ends. onImproved (optional) fires with the full updated
 // order after every improving window. Returns the final order and whether
 // any improvement was found.
-func seamOptimize(q *qopt.Query, spec cost.Spec, order []int, boundaries []int, deadline time.Time, onImproved func([]int)) ([]int, bool) {
+func seamOptimize(ctx context.Context, q *qopt.Query, spec cost.Spec, order []int, boundaries []int, onImproved func([]int)) ([]int, bool) {
 	n := len(order)
 	w := seamWindow
 	if w > n {
@@ -38,7 +38,7 @@ func seamOptimize(q *qopt.Query, spec cost.Spec, order []int, boundaries []int, 
 	ix := plan.NewIndex(q)
 	improvedAny := false
 	expired := func() bool {
-		return !deadline.IsZero() && time.Now().After(deadline)
+		return ctx.Err() != nil
 	}
 
 	runWindow := func(s int) bool {

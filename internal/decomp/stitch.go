@@ -1,9 +1,9 @@
 package decomp
 
 import (
+	"context"
 	"math"
 	"math/bits"
-	"time"
 
 	"milpjoin/internal/cost"
 	"milpjoin/internal/plan"
@@ -108,9 +108,9 @@ func (st *stitcher) appendCost(placedMask uint64, p int, card float64) (float64,
 
 // orderDP finds the exact-cost-minimal partition ordering by DP over
 // partition subsets (cardinality per subset is order-independent, so the
-// state is just the mask). Returns ok=false when the deadline expires
+// state is just the mask). Returns ok=false when the context ends
 // mid-search; the caller falls back to orderGreedy.
-func (st *stitcher) orderDP(deadline time.Time) ([]int, bool) {
+func (st *stitcher) orderDP(ctx context.Context) ([]int, bool) {
 	P := len(st.orders)
 	full := uint64(1)<<uint(P) - 1
 	costs := make([]float64, full+1)
@@ -125,7 +125,7 @@ func (st *stitcher) orderDP(deadline time.Time) ([]int, bool) {
 		if costs[mask] == math.Inf(1) && mask != 0 {
 			continue
 		}
-		if checkEvery++; checkEvery&1023 == 0 && !deadline.IsZero() && time.Now().After(deadline) {
+		if checkEvery++; checkEvery&1023 == 0 && ctx.Err() != nil {
 			return nil, false
 		}
 		for p := 0; p < P; p++ {

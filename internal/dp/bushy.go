@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"time"
 
 	"milpjoin/internal/cost"
 	"milpjoin/internal/plan"
@@ -23,10 +22,8 @@ const maxBushyTables = 20
 // incumbent rather than a failure.
 var ErrNoneBetter = errors.New("dp: no plan better than cutoff")
 
-// BushyOptions extend Options with the anytime hooks of the layered bushy
-// search.
+// BushyOptions carry the anytime hook of the layered bushy search.
 type BushyOptions struct {
-	Options
 	// Cutoff, when non-nil, returns the exact cost of the best plan known
 	// so far from outside the search (for example a racing portfolio
 	// peer's incumbent). Layers re-read it and prune every subset whose
@@ -50,7 +47,7 @@ type BushyOptions struct {
 // anytime interface. Subsets are priced on package plan's cardinality
 // lattice, as plan.TreeCost prices trees: a split's evaluation cost is the
 // lattice's Eval, billed on whichever half is the left operand. The subset
-// loop polls the context and the deadline.
+// loop polls the context.
 func OptimizeBushy(ctx context.Context, q *qopt.Query, spec cost.Spec, opts BushyOptions) (*plan.Tree, float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -104,9 +101,6 @@ func OptimizeBushy(ctx context.Context, q *qopt.Query, spec cost.Spec, opts Bush
 			if check++; check&0x3FFF == 0 {
 				if err := ctx.Err(); err != nil {
 					return nil, 0, fmt.Errorf("dp: %w", err)
-				}
-				if !opts.Deadline.IsZero() && time.Now().After(opts.Deadline) {
-					return nil, 0, ErrTimeout
 				}
 			}
 			bit := s & -s

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"time"
 
 	"milpjoin/internal/cost"
 	"milpjoin/internal/plan"
@@ -24,18 +23,12 @@ import (
 // ErrTooLarge reports that the query exceeds the subset-table budget.
 var ErrTooLarge = errors.New("dp: query too large for dynamic programming")
 
-// ErrTimeout reports that the deadline expired before DP finished. No plan
-// is available in that case (DP has no anytime behaviour).
-var ErrTimeout = errors.New("dp: deadline exceeded")
-
 // MaxTables is the largest query OptimizeLeftDeep accepts: it guards the
 // left-deep DP against the 2^n memory blow-up.
 const MaxTables = 24
 
 // Options tune the DP run.
 type Options struct {
-	// Deadline, when nonzero, aborts the run once passed.
-	Deadline time.Time
 	// ChooseOperators selects the cheapest operator per join instead of
 	// the Spec's fixed operator (only relevant for OperatorCost).
 	ChooseOperators bool
@@ -45,8 +38,8 @@ type Options struct {
 // allowed) by dynamic programming over table subsets, priced on the
 // cardinality lattice of package plan so the DP's cost is the cost
 // plan.Cost reports for its plan. The subset loop polls the context
-// periodically; a canceled context aborts with its error (DP has no
-// anytime behaviour, so no partial plan is returned).
+// periodically; a context that ends, by deadline or cancel, aborts with its
+// error (DP has no anytime behaviour, so no partial plan is returned).
 func OptimizeLeftDeep(ctx context.Context, q *qopt.Query, spec cost.Spec, opts Options) (*plan.Plan, float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -73,14 +66,11 @@ func OptimizeLeftDeep(ctx context.Context, q *qopt.Query, spec cost.Spec, opts O
 	chooseOps := opts.ChooseOperators && spec.Metric == cost.OperatorCost
 
 	full := size - 1
-	deadlineCheck := 0
+	check := 0
 	for s := 1; s < size; s++ {
-		if deadlineCheck++; deadlineCheck&0xFFFF == 0 {
+		if check++; check&0xFFFF == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, 0, fmt.Errorf("dp: %w", err)
-			}
-			if !opts.Deadline.IsZero() && time.Now().After(opts.Deadline) {
-				return nil, 0, ErrTimeout
 			}
 		}
 		// Left-deep recurrence: last joined table r. Under C_out the join's

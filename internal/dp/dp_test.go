@@ -181,13 +181,15 @@ func TestDPTooLarge(t *testing.T) {
 	}
 }
 
+// TestDPTimeout: a context deadline far shorter than the DP ends it with
+// the context's error and no plan.
 func TestDPTimeout(t *testing.T) {
 	q := workload.Generate(workload.Chain, 20, 1, workload.Config{})
-	_, _, err := OptimizeLeftDeep(context.Background(), q, cost.CoutSpec(), Options{
-		Deadline: time.Now().Add(time.Millisecond),
-	})
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	pl, _, err := OptimizeLeftDeep(ctx, q, cost.CoutSpec(), Options{})
+	if !errors.Is(err, context.DeadlineExceeded) || pl != nil {
+		t.Fatalf("plan %v, err = %v, want no plan and context.DeadlineExceeded", pl, err)
 	}
 }
 
@@ -356,7 +358,9 @@ func TestBushyGuards(t *testing.T) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 	q2 := workload.Generate(workload.Chain, 16, 1, workload.Config{})
-	if _, _, err := OptimizeBushy(context.Background(), q2, cost.CoutSpec(), BushyOptions{Options: Options{Deadline: time.Now().Add(time.Millisecond)}}); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	if _, _, err := OptimizeBushy(ctx, q2, cost.CoutSpec(), BushyOptions{}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }

@@ -158,8 +158,10 @@ func Figure2(ctx context.Context, cfg Figure2Config, progress func(cell Figure2C
 func runDP(ctx context.Context, q *qopt.Query, cfg Figure2Config) *Trace {
 	tr := &Trace{}
 	spec := cost.Spec{Metric: cfg.Metric, Op: cfg.Op, Params: cost.Params{}.WithDefaults()}
+	ctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
+	defer cancel()
 	start := time.Now()
-	_, optCost, err := dp.OptimizeLeftDeep(ctx, q, spec, dp.Options{Deadline: start.Add(cfg.Timeout)})
+	_, optCost, err := dp.OptimizeLeftDeep(ctx, q, spec, dp.Options{})
 	if err != nil {
 		return tr // too large or timed out: no plan within the budget
 	}
@@ -174,11 +176,12 @@ func runDP(ctx context.Context, q *qopt.Query, cfg Figure2Config) *Trace {
 // the trace needs no ad-hoc solver hooks.
 func runMILP(ctx context.Context, q *qopt.Query, cfg Figure2Config, prec core.Precision) (*Trace, error) {
 	tr := &Trace{}
+	ctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
+	defer cancel()
 	res, err := core.Optimize(ctx, q, core.Options{
 		Precision: prec,
 		Metric:    cfg.Metric,
 		Op:        cfg.Op,
-		TimeLimit: cfg.Timeout,
 		Threads:   cfg.Threads,
 		OnEvent: func(ev obs.Event) {
 			if ev.Kind != obs.KindIncumbent && ev.Kind != obs.KindBound {

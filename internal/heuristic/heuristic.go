@@ -24,8 +24,6 @@ import (
 type Options struct {
 	// Seed drives all randomness (deterministic given a seed).
 	Seed int64
-	// Deadline bounds the wall-clock time; zero means the default effort.
-	Deadline time.Time
 	// OnImprovement, when non-nil, observes every strict improvement.
 	OnImprovement func(p *plan.Plan, cost float64, elapsed time.Duration)
 }
@@ -61,14 +59,10 @@ func newSearch(ctx context.Context, q *qopt.Query, spec cost.Spec, opts Options)
 	}, nil
 }
 
-// expired reports whether the search budget is exhausted: the configured
-// deadline passed or the caller's context ended. The search is anytime,
-// so an expired search still returns the best plan found.
+// expired reports whether the context ended, by deadline or cancel. The
+// search is anytime, so an expired search still returns the best plan found.
 func (s *search) expired() bool {
-	if s.ctx.Err() != nil {
-		return true
-	}
-	return !s.opts.Deadline.IsZero() && time.Now().After(s.opts.Deadline)
+	return s.ctx.Err() != nil
 }
 
 // planCost prices an order; math.Inf(1) on (impossible) evaluation errors.
@@ -80,8 +74,11 @@ func (s *search) planCost(order []int) float64 {
 	return c
 }
 
+// offer keeps order when it is cheaper than the best plan, or the first plan
+// offered whatever its cost: on queries whose costs all overflow to +Inf
+// that plan is still an answer.
 func (s *search) offer(order []int, c float64) {
-	if c < s.bestCost {
+	if s.best == nil || c < s.bestCost {
 		s.bestCost = c
 		s.best = append(s.best[:0], order...)
 		if s.opts.OnImprovement != nil {

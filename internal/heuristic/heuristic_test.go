@@ -69,8 +69,9 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	}
 }
 
-// TestDeadlineRespected: a 10ms deadline stops a search whose default
-// effort takes far longer, and the search still returns a valid plan.
+// TestDeadlineRespected: a 10ms context deadline stops a search whose
+// default effort takes far longer, and the search still returns a valid
+// plan.
 func TestDeadlineRespected(t *testing.T) {
 	q := workload.Generate(workload.Chain, 60, 5, workload.Config{})
 	start := time.Now()
@@ -80,10 +81,9 @@ func TestDeadlineRespected(t *testing.T) {
 	full := time.Since(start)
 
 	start = time.Now()
-	pl, _, err := GradientDescent(context.Background(), q, cost.CoutSpec(), Options{
-		Seed:     1,
-		Deadline: start.Add(10 * time.Millisecond),
-	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	pl, _, err := GradientDescent(ctx, q, cost.CoutSpec(), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,6 +92,32 @@ func TestDeadlineRespected(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > full/2 {
 		t.Errorf("ran %v under a 10ms deadline; the whole search takes %v", elapsed, full)
+	}
+}
+
+// TestKeepsPlanOfInfiniteCost: on a 150-table chain every plan's cost
+// overflows to +Inf, and the search still returns the first plan it tried,
+// as greedy does, rather than no plan.
+func TestKeepsPlanOfInfiniteCost(t *testing.T) {
+	q := workload.Generate(workload.Chain, 150, 1, workload.Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	var improvements int
+	pl, c, err := GradientDescent(ctx, q, cost.DefaultSpec(), Options{
+		Seed:          1,
+		OnImprovement: func(*plan.Plan, float64, time.Duration) { improvements++ },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.Validate(q); err != nil {
+		t.Fatalf("invalid plan: %v", err)
+	}
+	if !math.IsInf(c, 1) {
+		t.Fatalf("cost %g: the query no longer overflows, so the test shows nothing", c)
+	}
+	if improvements != 1 {
+		t.Errorf("%d improvements reported, want 1: the first plan", improvements)
 	}
 }
 

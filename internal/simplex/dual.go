@@ -17,7 +17,7 @@ const (
 	// dualGiveUp: dual feasibility was lost or the budget ran out — the
 	// caller falls back to the composite primal phase 1.
 	dualGiveUp
-	// dualAborted: deadline or stop flag.
+	// dualAborted: the stop flag.
 	dualAborted
 )
 

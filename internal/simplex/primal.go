@@ -463,13 +463,7 @@ func (s *solver) aborted() bool {
 	if s.iters%32 != 0 {
 		return false
 	}
-	if s.opts.Stop != nil && s.opts.Stop.Load() {
-		return true
-	}
-	if !s.opts.Deadline.IsZero() && time.Now().After(s.opts.Deadline) {
-		return true
-	}
-	return false
+	return s.opts.Stop != nil && s.opts.Stop.Load()
 }
 
 // ftranColumn computes the transformed entering column w = B⁻¹·a_q and

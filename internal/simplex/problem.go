@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-	"time"
 
 	"milpjoin/internal/sparse"
 )
@@ -170,7 +169,7 @@ const (
 	StatusUnbounded
 	// StatusIterLimit means the iteration limit was exhausted.
 	StatusIterLimit
-	// StatusAborted means a deadline or stop flag interrupted the solve.
+	// StatusAborted means the stop flag interrupted the solve.
 	StatusAborted
 )
 
@@ -256,8 +255,6 @@ type Options struct {
 	// RefactorEvery bounds the eta file length before refactorization
 	// (default 64).
 	RefactorEvery int
-	// Deadline, when nonzero, aborts the solve once passed.
-	Deadline time.Time
 	// Stop, when non-nil, aborts the solve once set.
 	Stop *atomic.Bool
 	// PreferDual tries dual simplex iterations first when a warm-start

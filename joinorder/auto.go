@@ -232,8 +232,8 @@ func optimizeAuto(ctx context.Context, q *Query, opts Options) (*Result, error) 
 	wg.Wait()
 
 	if best == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrCanceled, err)
+		if _, err := ended(ctx, StatusFeasible); err != nil {
+			return nil, err
 		}
 		if memberErr != nil {
 			return nil, memberErr
@@ -245,6 +245,9 @@ func optimizeAuto(ctx context.Context, q *Query, opts Options) (*Result, error) 
 	out.Strategy = "auto"
 	out.Winner = winner
 	out.Elapsed = time.Since(start)
+	// The race ends like any strategy: a deadline that stopped it is a
+	// time limit, whichever member's plan won.
+	out.Status, _ = ended(ctx, out.Status)
 	if emitter != nil {
 		emitter.Emit(Event{
 			Kind:         KindWinner,

@@ -13,8 +13,9 @@ import (
 //
 // A zero field means "not set": the strategy default applies.
 type Budget struct {
-	// TimeLimit bounds wall-clock time (zero: none). It composes with
-	// the context deadline: the effective budget is the minimum.
+	// TimeLimit bounds wall-clock time (zero: none). It becomes a
+	// deadline on the strategy's context, so the earlier of it and the
+	// caller's deadline ends the run.
 	TimeLimit time.Duration
 	// GapTol is the relative optimality gap at which the MILP search
 	// stops (zero: the 1e-6 default).

@@ -52,18 +52,10 @@ func (o *Optimizer) refreshCorrected(ctx context.Context, q, corrected *joinorde
 	o.Invalidate(q, opts)
 	o.ctr.feedbackRefreshes.Add(1)
 
-	// The background solve is severed from the request: no callbacks, its
-	// own budget, survives the caller's cancellation.
-	bgOpts := opts
-	bgOpts.OnEvent, bgOpts.OnPlan = nil, nil
-	bgOpts.InitialPlan = nil
-	bgOpts.Budget.TimeLimit = o.cfg.BackgroundBudget
-	bgCtx := context.WithoutCancel(ctx)
-	o.bg.Add(1)
-	go func() {
-		defer o.bg.Done()
-		bctx, cancel := context.WithTimeout(bgCtx, o.cfg.BackgroundBudget)
-		defer cancel()
+	// The stale plan is no warm start for the corrected query.
+	fresh := opts
+	fresh.InitialPlan = nil
+	o.refine(ctx, fresh, func(bctx context.Context, bgOpts joinorder.Options) {
 		// The underlying optimizer solves the corrected query outside the
 		// cache: it stores no entry or donor of its own.
 		res, err := o.cfg.Optimize(bctx, corrected, bgOpts)
@@ -78,5 +70,5 @@ func (o *Optimizer) refreshCorrected(ctx context.Context, q, corrected *joinorde
 			return
 		}
 		o.storeExact(ExactKey(ce, opts), storeForm(res, ce), o.cfg.now())
-	}()
+	})
 }

@@ -450,20 +450,11 @@ func (o *Optimizer) serveDegraded(ctx context.Context, q *joinorder.Query, opts 
 		// The refine keeps the request's Strategy (and Portfolio): an
 		// "auto" request is refined by the full portfolio race, so the
 		// cached answer is the race winner's plan, not only the MILP's.
-		// Callbacks are severed — the requester already returned.
-		bgOpts := opts
-		bgOpts.OnEvent, bgOpts.OnPlan = nil, nil
-		bgOpts.Budget.TimeLimit = o.cfg.BackgroundBudget
-		bgCtx := context.WithoutCancel(ctx)
-		o.bg.Add(1)
-		go func() {
-			defer o.bg.Done()
-			bctx, cancel := context.WithTimeout(bgCtx, o.cfg.BackgroundBudget)
-			defer cancel()
+		o.refine(ctx, opts, func(bctx context.Context, bgOpts joinorder.Options) {
 			_, cres, err := o.solve(bctx, q, bgOpts, ce, ekey, newCallEmitter(o.cfg.now(), bgOpts))
 			o.flights.complete(ekey, f, cres, err)
 			o.ctr.refines.Add(1)
-		}()
+		})
 	}
 	fopts := opts
 	fopts.Strategy = fallbackStrategy
@@ -474,6 +465,22 @@ func (o *Optimizer) serveDegraded(ctx context.Context, q *joinorder.Query, opts 
 	}
 	em.emitResult(joinorder.KindDegraded, res)
 	return res, nil
+}
+
+// refine runs solve in the background on a copy of opts severed from the
+// request: no callbacks, a context that outlives the caller's, and
+// BackgroundBudget as its one deadline. Budget.TimeLimit is cleared, so a
+// degraded request's tight budget cannot cut the refine short.
+func (o *Optimizer) refine(ctx context.Context, opts joinorder.Options, solve func(context.Context, joinorder.Options)) {
+	opts.OnEvent, opts.OnPlan = nil, nil
+	opts.Budget.TimeLimit = 0
+	bctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), o.cfg.BackgroundBudget)
+	o.bg.Add(1)
+	go func() {
+		defer o.bg.Done()
+		defer cancel()
+		solve(bctx, opts)
+	}()
 }
 
 // serve translates a canonical-space cached result into the labels of the

@@ -25,15 +25,17 @@ var (
 	// excludes every join order).
 	ErrInfeasible = errors.New("joinorder: no feasible plan")
 
-	// ErrCanceled reports that the context ended before the strategy
-	// found any plan to return. Strategies with anytime behaviour
-	// return a Result with StatusCanceled instead once they hold an
+	// ErrCanceled reports that the caller's context ended, by cancel or
+	// by its own deadline, before the strategy found any plan to return.
+	// Strategies with anytime behaviour return a Result with
+	// StatusCanceled or StatusTimeLimit instead once they hold an
 	// incumbent.
 	ErrCanceled = errors.New("joinorder: optimization canceled")
 
 	// ErrNoPlan reports that the strategy terminated without a plan for
-	// a reason other than infeasibility or cancellation — a budget too
-	// small to find an incumbent, or a query outside the strategy's
-	// reach (too many tables for DP, cyclic join graph for IKKBZ).
+	// a reason other than infeasibility or cancellation — a
+	// Budget.TimeLimit that ran out before the first plan, or a query
+	// outside the strategy's reach (too many tables for DP, cyclic join
+	// graph for IKKBZ).
 	ErrNoPlan = errors.New("joinorder: no plan found")
 )

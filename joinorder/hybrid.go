@@ -36,7 +36,6 @@ func optimizeHybrid(ctx context.Context, q *Query, opts Options) (*Result, error
 		Spec:         opts.spec(),
 		PartitionCap: opts.PartitionCap,
 		SeamFrac:     opts.SeamBudgetFrac,
-		Deadline:     opts.deadline(start),
 	}
 	if a != nil {
 		dopts.OnImprovement = func(pl *plan.Plan, c float64) {
@@ -58,8 +57,6 @@ func optimizeHybrid(ctx context.Context, q *Query, opts Options) (*Result, error
 		Elapsed:   time.Since(start),
 	}
 	switch {
-	case ctx.Err() != nil:
-		out.Status = StatusCanceled
 	case res.Optimal:
 		out.Status = StatusOptimal
 	case res.TimedOut:
@@ -67,5 +64,6 @@ func optimizeHybrid(ctx context.Context, q *Query, opts Options) (*Result, error
 	default:
 		out.Status = StatusFeasible
 	}
+	out.Status, _ = ended(ctx, out.Status)
 	return out, nil
 }

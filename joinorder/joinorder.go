@@ -15,9 +15,13 @@
 // Cancellation is first-class, matching the paper's anytime selling
 // point: cancel the context mid-solve and the MILP strategy returns
 // promptly with StatusCanceled carrying the best plan found so far plus a
-// proven lower bound on the optimum. A context deadline composes with
-// Options.Budget.TimeLimit as the minimum of the two. Strategies without
-// anytime behaviour (the DP baselines) return ErrCanceled instead.
+// proven lower bound on the optimum. Options.Budget.TimeLimit is a
+// deadline on the same context, so a run has one clock: whichever
+// deadline comes first, the caller's or the budget's, ends every anytime
+// strategy with StatusTimeLimit (a proven StatusOptimal stands).
+// Strategies without anytime behaviour (the DP baselines) return
+// ErrNoPlan when the budget runs out and ErrCanceled when the caller's
+// context ends.
 //
 // The internal/ packages (encoder, solver, simplex, baselines) are
 // implementation detail; their APIs may change freely between versions.
@@ -344,16 +348,6 @@ func (o Options) spec() cost.Spec {
 	return cost.Spec{Metric: o.Metric, Op: o.Op, Params: cost.Params{}.WithDefaults()}
 }
 
-// deadline converts the time limit into an absolute deadline (zero when
-// no limit is configured).
-func (o Options) deadline(now time.Time) time.Time {
-	limit := o.Budget.TimeLimit
-	if limit <= 0 {
-		return time.Time{}
-	}
-	return now.Add(limit)
-}
-
 // Status classifies the outcome of a successful optimization (err == nil).
 type Status int
 
@@ -364,8 +358,9 @@ const (
 	// StatusFeasible means the plan carries no optimality proof: it
 	// came from a heuristic, or the search stopped early on a limit.
 	StatusFeasible
-	// StatusTimeLimit means the time budget (Budget.TimeLimit or the
-	// context deadline) expired; Plan is the best incumbent found.
+	// StatusTimeLimit means the run's deadline (Budget.TimeLimit or the
+	// context's, whichever came first) passed; Plan is the best incumbent
+	// found.
 	StatusTimeLimit
 	// StatusCanceled means the context was canceled mid-solve; Plan is
 	// the best incumbent found before cancellation.

@@ -2,6 +2,7 @@ package joinorder
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -9,9 +10,10 @@ import (
 
 // Optimizer is the common shape of every join-ordering strategy: given a
 // validated query and options, produce the best plan the strategy can find
-// before the context ends. Implementations must honor cancellation — an
-// anytime strategy returns its incumbent with StatusCanceled, others
-// return ErrCanceled.
+// before the context ends. Implementations must honor the context's end —
+// an anytime strategy returns its incumbent with StatusTimeLimit at a
+// deadline and StatusCanceled at a cancel; one without a plan returns
+// ErrCanceled, or ErrNoPlan when Budget.TimeLimit ran out.
 type Optimizer interface {
 	// Name is the registry key, as accepted by Options.Strategy.
 	Name() string
@@ -94,8 +96,46 @@ type strategy struct {
 
 func (s strategy) Name() string        { return s.name }
 func (s strategy) Description() string { return s.desc }
+
+// Optimize runs the strategy with Budget.TimeLimit as a deadline on its
+// context: the one place the budget becomes a clock, so every layer below
+// stops on its context alone.
 func (s strategy) Optimize(ctx context.Context, q *Query, opts Options) (*Result, error) {
+	if opts.Budget.TimeLimit > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeoutCause(ctx, opts.Budget.TimeLimit, errTimeLimit)
+		defer cancel()
+	}
 	return s.fn(ctx, q, opts)
+}
+
+// errTimeLimit is the cause of the deadline strategy.Optimize derives from
+// Budget.TimeLimit; it tells a run out of its own budget from one whose
+// caller's context ended.
+var errTimeLimit = errors.New("time budget ran out")
+
+// ended maps how ctx ended onto a run that stops now; every built-in
+// strategy ends by this one rule. While ctx is live, status stands and err
+// is nil. Once it ended, a deadline, Budget.TimeLimit's or the caller's,
+// gives StatusTimeLimit and a cancel StatusCanceled, but a proof stands:
+// StatusOptimal stays StatusOptimal. err is what a run holding no plan
+// returns: ErrNoPlan when Budget.TimeLimit ran out, ErrCanceled when the
+// caller's context ended.
+func ended(ctx context.Context, status Status) (Status, error) {
+	cerr := ctx.Err()
+	if cerr == nil {
+		return status, nil
+	}
+	if status != StatusOptimal {
+		status = StatusCanceled
+		if errors.Is(cerr, context.DeadlineExceeded) {
+			status = StatusTimeLimit
+		}
+	}
+	if context.Cause(ctx) == errTimeLimit {
+		return status, fmt.Errorf("%w: %w", ErrNoPlan, errTimeLimit)
+	}
+	return status, fmt.Errorf("%w: %w", ErrCanceled, cerr)
 }
 
 // mustRegister backs the built-in init registrations, where a duplicate

@@ -376,7 +376,7 @@ func (f *callFlags) observe(ev joinorder.Event) {
 
 // serve runs one prepared request through admission and the cached
 // optimizer; it is the only code that touches the admitter, sheds,
-// shrinks the budget and settles the outcome counters. onEvent, when
+// sets the request's deadline and settles the outcome counters. onEvent, when
 // non-nil, additionally receives every solver event (the SSE relay).
 // Exactly one of the response and the error is non-nil.
 func (s *Server) serve(ctx context.Context, pr *prepared, onEvent func(joinorder.Event)) (*OptimizeResponse, *httpError) {
@@ -442,14 +442,9 @@ func (s *Server) serve(ctx context.Context, pr *prepared, onEvent func(joinorder
 	s.ctr.queueNanos.Add(int64(queueWait))
 	s.ctr.solves.Add(1)
 
-	// The budget shrinks by the time spent queueing. It never reaches
-	// zero — that would mean "unlimited" to the optimizer; the context
-	// deadline set above ends an already-exhausted budget immediately.
-	opts := pr.opts
-	if remaining := deadline.Sub(s.cfg.now()); remaining < opts.Budget.TimeLimit {
-		opts.Budget.TimeLimit = max(remaining, time.Millisecond)
-	}
-	return s.runSolve(waitCtx, pr, opts, queueWait, onEvent)
+	// waitCtx's deadline, arrival plus budget, is the request's clock: the
+	// time spent queueing has already come off it.
+	return s.runSolve(waitCtx, pr, pr.opts, queueWait, onEvent)
 }
 
 // serveDegraded answers a shed request immediately through the cache's

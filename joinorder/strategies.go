@@ -115,7 +115,6 @@ func optimizeMILP(ctx context.Context, q *Query, opts Options) (*Result, error) 
 		InterestingOrders: opts.InterestingOrders,
 		InitialPlan:       opts.InitialPlan,
 		Incumbents:        incumbents,
-		TimeLimit:         opts.Budget.TimeLimit,
 		GapTol:            opts.Budget.GapTol,
 		Threads:           opts.Budget.Threads,
 		MaxNodes:          opts.Budget.MaxNodes,
@@ -140,8 +139,8 @@ func optimizeMILP(ctx context.Context, q *Query, opts Options) (*Result, error) 
 		return nil, fmt.Errorf("%w: the MILP proved no plan fits the encoding (try a higher CardCap)", ErrInfeasible)
 	}
 	if res.Plan == nil {
-		if res.Status == bb.StatusCanceled || ctx.Err() != nil {
-			return nil, fmt.Errorf("%w: no incumbent found before the context ended", ErrCanceled)
+		if _, err := ended(ctx, StatusFeasible); err != nil {
+			return nil, err
 		}
 		return nil, fmt.Errorf("%w: solver stopped with status %v", ErrNoPlan, res.Status)
 	}
@@ -152,16 +151,12 @@ func optimizeMILP(ctx context.Context, q *Query, opts Options) (*Result, error) 
 	if opts.OnPlan != nil {
 		opts.OnPlan(PlanUpdate{Strategy: "milp", Plan: res.Plan, Cost: res.ExactCost, Elapsed: res.Elapsed})
 	}
-	switch res.Status {
-	case bb.StatusOptimal:
+	// A node limit or numerical no-progress leaves a plan without proof.
+	out.Status = StatusFeasible
+	if res.Status == bb.StatusOptimal {
 		out.Status = StatusOptimal
-	case bb.StatusTimeLimit:
-		out.Status = StatusTimeLimit
-	case bb.StatusCanceled:
-		out.Status = StatusCanceled
-	default: // node limit, numerical no-progress: a plan without proof
-		out.Status = StatusFeasible
 	}
+	out.Status, _ = ended(ctx, out.Status)
 	return out, nil
 }
 
@@ -171,7 +166,6 @@ func optimizeMILP(ctx context.Context, q *Query, opts Options) (*Result, error) 
 func optimizeDPLeftDeep(ctx context.Context, q *Query, opts Options) (*Result, error) {
 	start := time.Now()
 	pl, c, err := dp.OptimizeLeftDeep(ctx, q, opts.spec(), dp.Options{
-		Deadline:        opts.deadline(start),
 		ChooseOperators: opts.ChooseOperators,
 	})
 	if err != nil {
@@ -197,7 +191,7 @@ func optimizeDPLeftDeep(ctx context.Context, q *Query, opts Options) (*Result, e
 // the optimal tree happens to be linear.
 func optimizeBushy(ctx context.Context, q *Query, opts Options) (*Result, error) {
 	start := time.Now()
-	bopts := dp.BushyOptions{Options: dp.Options{Deadline: opts.deadline(start)}}
+	var bopts dp.BushyOptions
 	if opts.bus != nil {
 		bopts.Cutoff = opts.bus.BestCost
 	}
@@ -256,8 +250,8 @@ func optimizeIKKBZ(ctx context.Context, q *Query, opts Options) (*Result, error)
 // with.
 func optimizeGreedy(ctx context.Context, q *Query, opts Options) (*Result, error) {
 	start := time.Now()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCanceled, err)
+	if _, err := ended(ctx, StatusFeasible); err != nil {
+		return nil, err
 	}
 	pl, c, err := dp.GreedyLeftDeep(q, opts.spec())
 	if err != nil {
@@ -279,16 +273,12 @@ func optimizeGreedy(ctx context.Context, q *Query, opts Options) (*Result, error
 }
 
 // optimizeGradient runs the randomized anytime gradient-descent search,
-// routing every strict improvement to the uniform anytime surface, and
-// classifies how it stopped: a canceled context yields StatusCanceled with
-// the best plan found, an expired budget StatusTimeLimit, and a completed
-// search StatusFeasible (the heuristic never certifies optimality).
+// routing every strict improvement to the uniform anytime surface. A search
+// the context ends returns its best plan with the status ended gives, a
+// completed one StatusFeasible (the heuristic never certifies optimality).
 func optimizeGradient(ctx context.Context, q *Query, opts Options) (*Result, error) {
 	start := time.Now()
-	h := heuristic.Options{
-		Seed:     opts.Seed,
-		Deadline: opts.deadline(start),
-	}
+	h := heuristic.Options{Seed: opts.Seed}
 	if a := newAnytime("gradient", opts); a != nil {
 		h.OnImprovement = func(p *plan.Plan, c float64, elapsed time.Duration) {
 			a.improved(p, c, elapsed, math.Inf(-1))
@@ -296,19 +286,12 @@ func optimizeGradient(ctx context.Context, q *Query, opts Options) (*Result, err
 	}
 	pl, c, err := heuristic.GradientDescent(ctx, q, opts.spec(), h)
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("%w: %w", ErrCanceled, cerr)
+		if _, cerr := ended(ctx, StatusFeasible); cerr != nil {
+			return nil, cerr
 		}
 		return nil, fmt.Errorf("%w: %v", ErrNoPlan, err)
 	}
-	status := StatusFeasible
-	limit := opts.Budget.TimeLimit
-	switch {
-	case ctx.Err() != nil:
-		status = StatusCanceled
-	case limit > 0 && time.Since(start) >= limit:
-		status = StatusTimeLimit
-	}
+	status, _ := ended(ctx, StatusFeasible)
 	return &Result{
 		Strategy:  "gradient",
 		Status:    status,
@@ -323,20 +306,18 @@ func optimizeGradient(ctx context.Context, q *Query, opts Options) (*Result, err
 }
 
 // mapBaselineErr translates baseline-package failures into the public
-// typed errors.
+// typed errors; a run the context ended gets ended's error.
 func mapBaselineErr(ctx context.Context, err error) error {
 	switch {
-	case errors.Is(err, context.Canceled):
-		return fmt.Errorf("%w: %w", ErrCanceled, context.Canceled)
-	case errors.Is(err, context.DeadlineExceeded):
-		return fmt.Errorf("%w: %w", ErrCanceled, context.DeadlineExceeded)
 	case errors.Is(err, dp.ErrNoneBetter):
 		// Preserve the chain: the portfolio orchestrator reads this as a
 		// proof that its racing incumbent is optimal, not as a failure.
 		return fmt.Errorf("%w: %w", ErrNoPlan, err)
-	case errors.Is(err, dp.ErrTimeout), errors.Is(err, dp.ErrTooLarge), errors.Is(err, dp.ErrNotAcyclic):
+	case errors.Is(err, dp.ErrTooLarge), errors.Is(err, dp.ErrNotAcyclic):
 		return fmt.Errorf("%w: %v", ErrNoPlan, err)
-	default:
-		return err
 	}
+	if _, cerr := ended(ctx, StatusFeasible); cerr != nil {
+		return cerr
+	}
+	return err
 }
