@@ -5,11 +5,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
+	"time"
 
 	"milpjoin/internal/milp"
+	"milpjoin/internal/obs"
+	"milpjoin/internal/simplex"
 )
 
 // knapsackMILP builds a feasible multi-row knapsack (every row ≤, x = 0
@@ -144,5 +149,61 @@ func TestReusedArenaLeavesNoTraceConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestHandedBackArenaHoldsNoSearch solves with an event stream, an
+// injection feed and a MIP start, and takes the arena Solve handed back
+// from the pool: it keeps the storage the search grew, and no matrix,
+// bounds, node link, basis link or callback of the search.
+func TestHandedBackArenaHoldsNoSearch(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one pool shard
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	comp := knapsackMILP(2, 20, 10).Compile()
+	params := Params{
+		Threads:          2,
+		Events:           obs.NewEmitter(time.Now(), func(obs.Event) {}),
+		Incumbents:       func() []float64 { return nil },
+		InitialIncumbent: make([]float64, comp.NumStructural),
+	}
+	// The race detector's pool drops some of what is put back, so try a
+	// few times for a handed-back arena.
+	var a *arena
+	for try := 0; try < 20 && a == nil; try++ {
+		for len(arenas.Get().(*arena).workers) > 0 { // empty the pool
+		}
+		if _, err := Solve(context.Background(), comp, params); err != nil {
+			t.Fatal(err)
+		}
+		if got := arenas.Get().(*arena); len(got.workers) > 0 {
+			a = got
+		}
+	}
+	if a == nil {
+		t.Fatal("Solve handed no arena back")
+	}
+	defer arenas.Put(a)
+	if len(a.workers) != 2 || len(a.nodes) == 0 || len(a.bases) == 0 || cap(a.rootL) == 0 {
+		t.Fatalf("handed-back arena has %d workers, %d nodes, %d bases; it dropped the search's storage",
+			len(a.workers), len(a.nodes), len(a.bases))
+	}
+	for _, w := range a.workers {
+		if !reflect.DeepEqual(w.prob, simplex.Problem{}) {
+			t.Error("a handed-back worker keeps the search's problem")
+		}
+	}
+	for _, nd := range a.nodes {
+		if *nd != (node{}) {
+			t.Fatal("a handed-back node keeps its links")
+		}
+	}
+	for _, nd := range a.open[:cap(a.open)] {
+		if nd != nil {
+			t.Fatal("the handed-back open heap keeps a node")
+		}
+	}
+	if a.used != 0 || len(a.open) != 0 || len(a.inFlight) != 0 || len(a.rootL) != 0 {
+		t.Errorf("handed-back arena: %d nodes in use, %d open, %d in flight, %d root bounds",
+			a.used, len(a.open), len(a.inFlight), len(a.rootL))
 	}
 }

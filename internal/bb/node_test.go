@@ -12,7 +12,7 @@ import (
 // does (LP solved, pruned, retrying cold), never earlier and never twice, and
 // the next branching overwrites it in full.
 func TestWarmBasisRecycledAfterBothChildren(t *testing.T) {
-	s := &searcher{}
+	s := &searcher{ar: new(arena)}
 	lp := &simplex.Basis{Status: []simplex.VarStatus{simplex.Basic, simplex.NonbasicUpper, simplex.Basic}, Head: []int{2, 0}}
 	shared := s.childBasis(lp)
 	if shared.warm() == lp || !slices.Equal(shared.Status, lp.Status) || !slices.Equal(shared.Head, lp.Head) {

@@ -14,13 +14,14 @@ type pseudocosts struct {
 	inits   int // variables with at least one observation
 }
 
-func newPseudocosts(n int) *pseudocosts {
-	return &pseudocosts{
-		upSum:   make([]float64, n),
-		upCnt:   make([]int, n),
-		downSum: make([]float64, n),
-		downCnt: make([]int, n),
-	}
+// reset readies pc for n variables without observations, keeping its
+// storage.
+func (pc *pseudocosts) reset(n int) {
+	pc.upSum = growZeroed(pc.upSum, n)
+	pc.upCnt = growZeroed(pc.upCnt, n)
+	pc.downSum = growZeroed(pc.downSum, n)
+	pc.downCnt = growZeroed(pc.downCnt, n)
+	pc.inits = 0
 }
 
 // record logs the observed degradation for branching variable v in the

@@ -36,44 +36,59 @@ func Solve(ctx context.Context, comp *milp.Computational, params Params) (*Resul
 		ctx, cancel = context.WithTimeout(ctx, params.TimeLimit)
 		defer cancel()
 	}
+	a := arenas.Get().(*arena)
+	if a.inFlight == nil {
+		a.inFlight = make(map[int]float64)
+	}
 	s := &searcher{
 		comp:      comp,
 		params:    params,
+		ar:        a,
+		rootL:     a.rootL[:0],
+		rootU:     a.rootU[:0],
+		intVars:   a.intVars[:0],
+		open:      a.open[:0],
+		inFlight:  a.inFlight,
+		freeBases: append(a.free[:0], a.bases...),
 		start:     time.Now(),
 		incObj:    math.Inf(1),
 		lastBound: math.Inf(-1),
 	}
+	defer s.handBack()
 	s.cond = sync.NewCond(&s.mu)
 	s.nodesPerWorker = make([]int, params.Threads)
-	heap.Push(&s.open, &node{bound: math.Inf(-1)})
+	root := s.newNode()
+	root.bound = math.Inf(-1)
+	heap.Push(&s.open, root)
 	if err := ctx.Err(); err != nil {
 		// Already ended: report without exploring a single node, so the
 		// bound is the unsolved root's −Inf.
 		s.setStop(ContextStatus(err))
 		return s.finish(), nil
 	}
-	n := comp.Problem.NumCols()
-	s.rootL = append([]float64(nil), comp.Problem.L...)
-	s.rootU = append([]float64(nil), comp.Problem.U...)
+	s.rootL = append(s.rootL, comp.Problem.L...)
+	s.rootU = append(s.rootU, comp.Problem.U...)
 	for j := 0; j < comp.NumStructural; j++ {
 		if comp.Integral[j] {
 			s.intVars = append(s.intVars, j)
 		}
 	}
-	s.pc = newPseudocosts(n)
-	s.inFlight = make(map[int]float64)
-	s.workers = make([]*workerState, params.Threads)
-	for w := range s.workers {
-		st := workerPool.Get().(*workerState)
+	a.pc.reset(comp.Problem.NumCols())
+	s.pc = &a.pc
+	for len(a.workers) < params.Threads {
+		a.workers = append(a.workers, &workerState{ws: simplex.NewWorkspace()})
+	}
+	s.workers = a.workers[:params.Threads]
+	for _, st := range s.workers {
 		st.prob.A = comp.Problem.A
 		st.prob.B = comp.Problem.B
 		st.prob.C = comp.Problem.C
-		s.workers[w] = st
 	}
-	defer s.releaseWorkers()
 
+	// The MIP start is completed in worker 0's scratch before the
+	// workers start.
 	if len(params.InitialIncumbent) == comp.NumStructural {
-		s.completeAndOffer(nil, params.InitialIncumbent, nil)
+		s.completeAndOffer(s.workers[0], params.InitialIncumbent, nil)
 	}
 
 	// The context's end becomes the shared stop flag, so that workers
@@ -122,6 +137,7 @@ func ContextStatus(err error) Status {
 type searcher struct {
 	comp   *milp.Computational
 	params Params
+	ar     *arena // the storage this search draws on (see arena)
 
 	rootL, rootU []float64
 	intVars      []int // integral structural variable indices
@@ -133,7 +149,8 @@ type searcher struct {
 	// freeBases holds the warm bases both of whose nodes are done — solved,
 	// or pruned before their LP — for the next branching to copy into. A
 	// basis is two arrays over all columns and rows, and without the list
-	// one per branched node is a third of the bytes a search allocates.
+	// one per branched node is a third of the bytes a search allocates. A
+	// search starts with every basis its arena owns on the list.
 	freeBases []*pairBasis
 
 	incumbent    []float64
@@ -170,15 +187,34 @@ type searcher struct {
 	start time.Time
 }
 
+// arena is the storage of a search that outlives it. Solve takes one from
+// arenas and hands it back holding nothing of the search (see handBack), so
+// a process that solves many models (one per partition, one per request)
+// grows its search memory once. The pool lets the collector free arenas
+// that sit idle, so no cap is needed.
+type arena struct {
+	workers      []*workerState // a search uses the first Params.Threads
+	pc           pseudocosts
+	rootL, rootU []float64
+	intVars      []int
+	open         nodeHeap
+	inFlight     map[int]float64
+	// nodes holds every node the arena owns; the first used of them are
+	// the running search's, and the rest are zero. A node is not reused
+	// within a search, as its descendants' bound changes chain through it.
+	nodes []*node
+	used  int
+	// bases holds every warm basis the arena owns, and free the storage
+	// of the search's free list of them.
+	bases, free []*pairBasis
+}
+
+var arenas = sync.Pool{New: func() any { return new(arena) }}
+
 // workerState is the per-worker arena for the node-LP hot path. The shared
 // constraint matrix, rhs, and objective are installed in prob once; only
 // the bound slices change per node, so a node solve performs no problem
 // construction and, once warm, no heap allocation.
-//
-// Arenas outlive a search: Solve takes them from workerPool and hands them
-// back reset, so a process that solves many models (one per partition, one
-// per request) grows its solver memory once. The pool lets the collector
-// free arenas that sit idle, so no cap is needed.
 type workerState struct {
 	ws   *simplex.Workspace
 	prob simplex.Problem // A/B/C fixed; L/U point at l/u
@@ -189,19 +225,36 @@ type workerState struct {
 	compAct []float64 // completion scratch: row activities
 }
 
-var workerPool = sync.Pool{New: func() any {
-	return &workerState{ws: simplex.NewWorkspace()}
-}}
-
-// releaseWorkers hands the search's arenas back to workerPool, holding
-// nothing of this search: the workspace forgets its problem and
-// factorizations, and prob its matrix and bounds.
-func (s *searcher) releaseWorkers() {
+// handBack returns the search's arena to arenas, keeping the storage the
+// search grew and holding nothing of the search: the workspaces forget
+// their problem and factorizations, the worker problems their matrix and
+// bounds, and the nodes their links.
+func (s *searcher) handBack() {
+	a := s.ar
 	for _, st := range s.workers {
 		st.ws.Reset()
 		st.prob = simplex.Problem{}
-		workerPool.Put(st)
 	}
+	for _, nd := range a.nodes[:a.used] {
+		*nd = node{}
+	}
+	a.used = 0
+	clear(s.open)
+	clear(s.inFlight)
+	a.rootL, a.rootU, a.intVars = s.rootL[:0], s.rootU[:0], s.intVars[:0]
+	a.open, a.free = s.open[:0], s.freeBases[:0]
+	arenas.Put(a)
+}
+
+// newNode returns a zero node from the arena. Caller holds s.mu, or no
+// worker runs.
+func (s *searcher) newNode() *node {
+	a := s.ar
+	if a.used == len(a.nodes) {
+		a.nodes = append(a.nodes, new(node))
+	}
+	a.used++
+	return a.nodes[a.used-1]
 }
 
 // worker is the node-processing loop run by each thread.
@@ -241,7 +294,7 @@ func (s *searcher) worker(id int) {
 		}
 		s.mu.Unlock()
 
-		children, repush := s.processNode(nd, id)
+		down, up, repush := s.processNode(nd, id)
 
 		s.mu.Lock()
 		delete(s.inFlight, id)
@@ -250,11 +303,13 @@ func (s *searcher) worker(id int) {
 		} else {
 			s.release(nd)
 		}
-		for _, c := range children {
-			if !(s.hasInc && c.bound >= s.incObj-absGapTol) {
-				heap.Push(&s.open, c)
-			} else {
-				s.release(c)
+		if down != nil {
+			for _, c := range [...]*node{down, up} {
+				if !(s.hasInc && c.bound >= s.incObj-absGapTol) {
+					heap.Push(&s.open, c)
+				} else {
+					s.release(c)
+				}
 			}
 		}
 		if len(s.open) > s.peakOpen {
@@ -288,17 +343,18 @@ func (s *searcher) release(nd *node) {
 }
 
 // childBasis copies the final basis of a node's LP for its two children,
-// into freed storage when there is some.
+// into freed storage when there is some, else into a new basis of the
+// arena.
 func (s *searcher) childBasis(from *simplex.Basis) *pairBasis {
 	var b *pairBasis
 	s.mu.Lock()
 	if n := len(s.freeBases); n > 0 {
 		b, s.freeBases = s.freeBases[n-1], s.freeBases[:n-1]
+	} else {
+		b = new(pairBasis)
+		s.ar.bases = append(s.ar.bases, b)
 	}
 	s.mu.Unlock()
-	if b == nil {
-		b = new(pairBasis)
-	}
 	b.Status = append(b.Status[:0], from.Status...)
 	b.Head = append(b.Head[:0], from.Head...)
 	b.users = 2
@@ -392,11 +448,12 @@ func (s *searcher) globalBoundLocked() float64 {
 	return bound
 }
 
-// processNode solves one node LP and returns children to enqueue, plus an
-// optional node to re-push (used when a solve was aborted mid-flight).
-func (s *searcher) processNode(nd *node, wid int) (children []*node, repush *node) {
+// processNode solves one node LP and returns the children to enqueue (both
+// nil when it does not branch), plus an optional node to re-push (used
+// when a solve was aborted mid-flight).
+func (s *searcher) processNode(nd *node, wid int) (down, up, repush *node) {
 	if s.stopFlag.Load() {
-		return nil, nd
+		return nil, nil, nd
 	}
 	w := s.workers[wid]
 
@@ -428,16 +485,16 @@ func (s *searcher) processNode(nd *node, wid int) (children []*node, repush *nod
 
 	switch st {
 	case simplex.StatusAborted:
-		return nil, nd
+		return nil, nil, nd
 	case simplex.StatusInfeasible:
-		return nil, nil
+		return nil, nil, nil
 	case simplex.StatusUnbounded:
 		if nd.parent == nil {
 			s.mu.Lock()
 			s.setStop(StatusUnbounded)
 			s.mu.Unlock()
 		}
-		return nil, nil
+		return nil, nil, nil
 	case simplex.StatusIterLimit:
 		// Retry once from a cold basis; afterwards give up on the node
 		// but record that the tree is no longer exhaustively explored.
@@ -445,12 +502,12 @@ func (s *searcher) processNode(nd *node, wid int) (children []*node, repush *nod
 			s.mu.Lock()
 			s.release(nd)
 			s.mu.Unlock()
-			return nil, nd
+			return nil, nil, nd
 		}
 		s.mu.Lock()
 		s.failures++
 		s.mu.Unlock()
-		return nil, nil
+		return nil, nil, nil
 	}
 
 	bound := math.Max(nd.bound, lp.Obj)
@@ -467,7 +524,7 @@ func (s *searcher) processNode(nd *node, wid int) (children []*node, repush *nod
 	}
 	s.mu.Unlock()
 	if bound >= cutoff {
-		return nil, nil
+		return nil, nil, nil
 	}
 
 	// Root-only reduced-cost fixing: with an incumbent (e.g. a MIP
@@ -482,7 +539,7 @@ func (s *searcher) processNode(nd *node, wid int) (children []*node, repush *nod
 	frac := w.frac
 	if len(frac) == 0 {
 		s.offerIncumbent(lp.X)
-		return nil, nil
+		return nil, nil, nil
 	}
 
 	// The basis is copied once for both children, which outlive this
@@ -491,7 +548,10 @@ func (s *searcher) processNode(nd *node, wid int) (children []*node, repush *nod
 	bv, bval := s.selectBranchVar(lp.X, frac)
 	f := bval - math.Floor(bval)
 
-	down := &node{
+	s.mu.Lock()
+	down, up = s.newNode(), s.newNode()
+	s.mu.Unlock()
+	*down = node{
 		parent:      nd,
 		change:      boundChange{varIdx: bv, isLower: false, value: math.Floor(bval)},
 		depth:       nd.depth + 1,
@@ -500,7 +560,7 @@ func (s *searcher) processNode(nd *node, wid int) (children []*node, repush *nod
 		frac:        f,
 		parentBound: bound,
 	}
-	up := &node{
+	*up = node{
 		parent:      nd,
 		change:      boundChange{varIdx: bv, isLower: true, value: math.Ceil(bval)},
 		depth:       nd.depth + 1,
@@ -509,7 +569,7 @@ func (s *searcher) processNode(nd *node, wid int) (children []*node, repush *nod
 		frac:        1 - f,
 		parentBound: bound,
 	}
-	return []*node{down, up}, nil
+	return down, up, nil
 }
 
 // reducedCostFixing tightens root bounds of integer variables using the
@@ -662,20 +722,12 @@ func (s *searcher) checkFeasibleComputational(x, ax []float64) bool {
 // block), revalidates the completed point and offers it as an incumbent. It
 // reports whether the point improved the incumbent. A non-nil scale divides
 // the assignment by the column scales first, taking a model-space point into
-// the computational space. A nil worker state (the MIP-start path, before
-// workers exist) falls back to allocating.
+// the computational space. The point is built in w's completion scratch.
 func (s *searcher) completeAndOffer(w *workerState, xs, scale []float64) bool {
 	ns := s.comp.NumStructural
-	ncols, nrows := s.comp.Problem.NumCols(), s.comp.Problem.NumRows()
-	var x, act []float64
-	if w != nil {
-		w.compX = growZeroed(w.compX, ncols)
-		w.compAct = growZeroed(w.compAct, nrows)
-		x, act = w.compX, w.compAct
-	} else {
-		x = make([]float64, ncols)
-		act = make([]float64, nrows)
-	}
+	w.compX = growZeroed(w.compX, s.comp.Problem.NumCols())
+	w.compAct = growZeroed(w.compAct, s.comp.Problem.NumRows())
+	x, act := w.compX, w.compAct
 	copy(x, xs[:ns])
 	for j := range scale {
 		x[j] /= scale[j]
@@ -701,14 +753,12 @@ func (s *searcher) completeAndOffer(w *workerState, xs, scale []float64) bool {
 }
 
 // growZeroed returns s resized to n with every element zeroed.
-func growZeroed(s []float64, n int) []float64 {
+func growZeroed[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
 }
 

@@ -426,7 +426,8 @@ func TestStatusStrings(t *testing.T) {
 }
 
 func TestPseudocostScoring(t *testing.T) {
-	pc := newPseudocosts(3)
+	pc := new(pseudocosts)
+	pc.reset(3)
 	if _, reliable := pc.score(0, 0.5); reliable {
 		t.Error("unobserved variable reported reliable")
 	}

@@ -15,7 +15,7 @@ import (
 // a MIP start or an injection feed.
 func solveModel(t *testing.T, m *milp.Model, opts Options) *Result {
 	t.Helper()
-	res, err := solve(context.Background(), m, opts, nil, nil)
+	res, err := solve(context.Background(), m, new(milp.Computational), opts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

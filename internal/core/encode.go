@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"milpjoin/internal/cost"
 	"milpjoin/internal/milp"
@@ -54,28 +55,41 @@ type Encoding struct {
 	binPreds []int       // predicate indices with ≥ 2 tables
 	lcoMax   float64
 	lcoMin   float64
+
+	// Storage an encoding keeps from one query to the next (see reset).
+	comp  milp.Computational // the compiled model Optimize solves
+	row   milp.LinExpr       // the constraint row under construction
+	cost  milp.LinExpr       // the cost expression under construction
+	vars  []milp.Var         // backing array of the handle slices
+	lists [][]milp.Var       // backing array of the per-join handle lists
 }
 
-// Encode transforms the query into a MILP model.
+// Encode transforms the query into a MILP model. The encoding is the
+// caller's.
 func Encode(q *qopt.Query, opts Options) (*Encoding, error) {
-	if err := q.Validate(); err != nil {
+	e := &Encoding{Model: milp.NewModel("")}
+	if err := e.encode(q, opts); err != nil {
 		return nil, err
+	}
+	return e, nil
+}
+
+// encode transforms the query into e's model, reusing e's storage.
+func (e *Encoding) encode(q *qopt.Query, opts Options) error {
+	if err := q.Validate(); err != nil {
+		return err
 	}
 	opts, err := opts.withDefaults()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if opts.InterestingOrders && !opts.ChooseOperators {
-		return nil, fmt.Errorf("core: InterestingOrders requires ChooseOperators")
+		return fmt.Errorf("core: InterestingOrders requires ChooseOperators")
 	}
 
-	n := q.NumTables()
-	e := &Encoding{
-		Query: q,
-		Opts:  opts,
-		Model: milp.NewModel(fmt.Sprintf("join-order-%d-tables", n)),
-		J:     q.NumJoins(),
-	}
+	e.reset()
+	e.Query, e.Opts, e.J = q, opts, q.NumJoins()
+	e.Model.Reset(fmt.Sprintf("join-order-%d-tables", q.NumTables()))
 	e.prepare()
 	e.Thresholds = opts.thresholds(e.lcoMax)
 
@@ -86,7 +100,7 @@ func Encode(q *qopt.Query, opts Options) (*Encoding, error) {
 
 	if opts.ChooseOperators {
 		if err := e.addOperatorSelection(); err != nil {
-			return nil, err
+			return err
 		}
 	} else {
 		e.addFixedObjective()
@@ -94,7 +108,55 @@ func Encode(q *qopt.Query, opts Options) (*Encoding, error) {
 	if opts.Metric == cost.OperatorCost {
 		e.addExpensivePredicates()
 	}
-	return e, nil
+	return nil
+}
+
+// reset empties the encoding for another query, keeping the storage of
+// its compiled form, scratch expressions, handle slices and derived data
+// (the model is reset apart, with its name). It keeps no pointer into the
+// query or the options it encoded.
+func (e *Encoding) reset() {
+	clear(e.lists)
+	*e = Encoding{
+		Model:    e.Model,
+		effCard:  e.effCard[:0],
+		binPreds: e.binPreds[:0],
+		prods:    e.prods[:0],
+		comp:     e.comp,
+		row:      e.row.Reset(),
+		cost:     e.cost.Reset(),
+		vars:     e.vars[:0],
+		lists:    e.lists[:0],
+	}
+}
+
+// handles returns n handles, each -1 (absent), carved from e's storage.
+func (e *Encoding) handles(n int) []milp.Var {
+	lo := len(e.vars)
+	e.vars = slices.Grow(e.vars, n)[:lo+n]
+	hs := e.vars[lo : lo+n : lo+n]
+	for i := range hs {
+		hs[i] = -1
+	}
+	return hs
+}
+
+// handleLists returns one nil handle list per join, carved from e's
+// storage.
+func (e *Encoding) handleLists() [][]milp.Var {
+	lo := len(e.lists)
+	e.lists = slices.Grow(e.lists, e.J)[:lo+e.J]
+	ls := e.lists[lo : lo+e.J : lo+e.J]
+	clear(ls)
+	return ls
+}
+
+// addRow adds the constraint row sense rhs and keeps row's storage for the
+// next one: rows are built in e.row, emptied by Reset, and AddConstr copies
+// them, so one expression's storage serves every row.
+func (e *Encoding) addRow(row milp.LinExpr, sense milp.Sense, rhs float64, name string) {
+	e.row = row
+	e.Model.AddConstr(row, sense, rhs, name)
 }
 
 // prepare reads the default physical constants and computes effective
@@ -104,9 +166,8 @@ func (e *Encoding) prepare() {
 	e.params = cost.Params{}.WithDefaults()
 	q := e.Query
 	n := q.NumTables()
-	e.effCard = make([]float64, n)
 	for t := 0; t < n; t++ {
-		e.effCard[t] = q.Tables[t].Card
+		e.effCard = append(e.effCard, q.Tables[t].Card)
 	}
 	for pi, p := range q.Predicates {
 		if len(p.Tables) == 1 {
@@ -141,11 +202,11 @@ func (e *Encoding) effLogCard(t int) float64 { return math.Log10(e.effCard[t]) }
 // addJoinOrderVars introduces tio/tii (Table 1, rows 1–2).
 func (e *Encoding) addJoinOrderVars() {
 	n := e.Query.NumTables()
-	e.TIO = make([][]milp.Var, e.J)
-	e.TII = make([][]milp.Var, e.J)
+	e.TIO = e.handleLists()
+	e.TII = e.handleLists()
 	for j := 0; j < e.J; j++ {
-		e.TIO[j] = make([]milp.Var, n)
-		e.TII[j] = make([]milp.Var, n)
+		e.TIO[j] = e.handles(n)
+		e.TII[j] = e.handles(n)
 		for t := 0; t < n; t++ {
 			e.TIO[j][t] = e.Model.AddBinary(0, fmt.Sprintf("tio_%s_%d", e.Query.TableName(t), j))
 			e.TII[j][t] = e.Model.AddBinary(0, fmt.Sprintf("tii_%s_%d", e.Query.TableName(t), j))
@@ -157,29 +218,36 @@ func (e *Encoding) addJoinOrderVars() {
 // single-table operands, no overlap, and the left-deep chaining rule.
 func (e *Encoding) addJoinOrderConstraints() {
 	n := e.Query.NumTables()
-	m := e.Model
 
 	// One table forms the outer operand of the first join.
-	m.AddConstr(milp.Sum(e.TIO[0]...), milp.EQ, 1, "outer0_single")
+	e.addRow(e.sum(e.TIO[0]), milp.EQ, 1, "outer0_single")
 	// One table forms every inner operand.
 	for j := 0; j < e.J; j++ {
-		m.AddConstr(milp.Sum(e.TII[j]...), milp.EQ, 1, fmt.Sprintf("inner%d_single", j))
+		e.addRow(e.sum(e.TII[j]), milp.EQ, 1, fmt.Sprintf("inner%d_single", j))
 	}
 	// Operands of the same join cannot overlap.
 	for j := 0; j < e.J; j++ {
 		for t := 0; t < n; t++ {
-			m.AddConstr(milp.Expr(e.TIO[j][t], 1.0, e.TII[j][t], 1.0), milp.LE, 1,
+			e.addRow(e.row.Reset().Add(e.TIO[j][t], 1).Add(e.TII[j][t], 1), milp.LE, 1,
 				fmt.Sprintf("nooverlap_%d_%d", j, t))
 		}
 	}
 	// The next outer operand is the previous join's result.
 	for j := 1; j < e.J; j++ {
 		for t := 0; t < n; t++ {
-			m.AddConstr(
-				milp.Expr(e.TIO[j][t], 1.0, e.TIO[j-1][t], -1.0, e.TII[j-1][t], -1.0),
+			e.addRow(e.row.Reset().Add(e.TIO[j][t], 1).Add(e.TIO[j-1][t], -1).Add(e.TII[j-1][t], -1),
 				milp.EQ, 0, fmt.Sprintf("chain_%d_%d", j, t))
 		}
 	}
+}
+
+// sum returns the row Σ v over vars, in the scratch expression.
+func (e *Encoding) sum(vars []milp.Var) milp.LinExpr {
+	row := e.row.Reset()
+	for _, v := range vars {
+		row = row.Add(v, 1)
+	}
+	return row
 }
 
 // addPredicateVars introduces pao (and correlated-group pag) variables with
@@ -188,36 +256,33 @@ func (e *Encoding) addJoinOrderConstraints() {
 func (e *Encoding) addPredicateVars() {
 	q := e.Query
 	m := e.Model
-	e.PAO = make([][]milp.Var, e.J)
-	e.PAG = make([][]milp.Var, e.J)
+	e.PAO = e.handleLists()
+	e.PAG = e.handleLists()
 	for j := 1; j < e.J; j++ {
-		e.PAO[j] = make([]milp.Var, len(q.Predicates))
-		for i := range e.PAO[j] {
-			e.PAO[j][i] = -1
-		}
+		e.PAO[j] = e.handles(len(q.Predicates))
 		for _, pi := range e.binPreds {
 			v := m.AddBinary(0, fmt.Sprintf("pao_p%d_%d", pi, j))
 			e.PAO[j][pi] = v
 			for _, t := range q.Predicates[pi].Tables {
-				m.AddConstr(milp.Expr(v, 1.0, e.TIO[j][t], -1.0), milp.LE, 0,
+				e.addRow(e.row.Reset().Add(v, 1).Add(e.TIO[j][t], -1), milp.LE, 0,
 					fmt.Sprintf("papp_p%d_%d_t%d", pi, j, t))
 			}
 		}
 
-		e.PAG[j] = make([]milp.Var, len(q.Correlated))
+		e.PAG[j] = e.handles(len(q.Correlated))
 		for gi, g := range q.Correlated {
 			v := m.AddBinary(0, fmt.Sprintf("pag_g%d_%d", gi, j))
 			e.PAG[j][gi] = v
 			// Forced to one when all member predicates are applied:
 			// pag ≥ 1 − |G| + Σ pao.
-			ge := milp.Expr(v, 1.0)
+			ge := e.row.Reset().Add(v, 1)
 			for _, pi := range g.Predicates {
 				ge = ge.Add(e.PAO[j][pi], -1)
 			}
-			m.AddConstr(ge, milp.GE, 1-float64(len(g.Predicates)), fmt.Sprintf("gfull_g%d_%d", gi, j))
+			e.addRow(ge, milp.GE, 1-float64(len(g.Predicates)), fmt.Sprintf("gfull_g%d_%d", gi, j))
 			// Forced to zero when any member predicate is missing.
 			for _, pi := range g.Predicates {
-				m.AddConstr(milp.Expr(v, 1.0, e.PAO[j][pi], -1.0), milp.LE, 0,
+				e.addRow(e.row.Reset().Add(v, 1).Add(e.PAO[j][pi], -1), milp.LE, 0,
 					fmt.Sprintf("gmem_g%d_%d_p%d", gi, j, pi))
 			}
 		}
@@ -241,23 +306,22 @@ func (e *Encoding) addCardinalityVars() {
 	}
 
 	// Inner operand cardinalities: ci_j = Σ_t Card(t)·tii_tj.
-	e.CI = make([]milp.Var, e.J)
+	e.CI = e.handles(e.J)
 	for j := 0; j < e.J; j++ {
 		e.CI[j] = m.AddContinuous(0, maxEff, 0, fmt.Sprintf("ci_%d", j))
-		expr := milp.Expr(e.CI[j], 1.0)
+		expr := e.row.Reset().Add(e.CI[j], 1)
 		for t := 0; t < n; t++ {
 			expr = expr.Add(e.TII[j][t], -e.effCard[t])
 		}
-		m.AddConstr(expr, milp.EQ, 0, fmt.Sprintf("cidef_%d", j))
+		e.addRow(expr, milp.EQ, 0, fmt.Sprintf("cidef_%d", j))
 	}
 
 	// Joins 1…J−1: logarithmic cardinality, thresholds, approximation.
-	e.LCO = make([]milp.Var, e.J)
-	e.CTO = make([][]milp.Var, e.J)
-	e.LCO[0] = -1
+	e.LCO = e.handles(e.J)
+	e.CTO = e.handleLists()
 	for j := 1; j < e.J; j++ {
 		e.LCO[j] = m.AddContinuous(e.lcoMin, e.lcoMax, 0, fmt.Sprintf("lco_%d", j))
-		expr := milp.Expr(e.LCO[j], 1.0)
+		expr := e.row.Reset().Add(e.LCO[j], 1)
 		for t := 0; t < n; t++ {
 			expr = expr.Add(e.TIO[j][t], -e.effLogCard(t))
 		}
@@ -267,20 +331,20 @@ func (e *Encoding) addCardinalityVars() {
 		for gi, g := range q.Correlated {
 			expr = expr.Add(e.PAG[j][gi], -math.Log10(g.CorrectionSel))
 		}
-		m.AddConstr(expr, milp.EQ, 0, fmt.Sprintf("lcodef_%d", j))
+		e.addRow(expr, milp.EQ, 0, fmt.Sprintf("lcodef_%d", j))
 
 		// Threshold activation: lco_j − M_r·cto_jr ≤ log θ_r.
-		e.CTO[j] = make([]milp.Var, len(e.Thresholds))
+		e.CTO[j] = e.handles(len(e.Thresholds))
 		for r, th := range e.Thresholds {
 			v := m.AddBinary(0, fmt.Sprintf("cto_%d_%d", j, r))
 			e.CTO[j][r] = v
 			logTh := math.Log10(th)
 			bigM := math.Max(e.lcoMax-logTh, 0) + 1
-			m.AddConstr(milp.Expr(e.LCO[j], 1.0, v, -bigM), milp.LE, logTh,
+			e.addRow(e.row.Reset().Add(e.LCO[j], 1).Add(v, -bigM), milp.LE, logTh,
 				fmt.Sprintf("cthr_%d_%d", j, r))
 			// Ladder ordering strengthens the LP relaxation.
 			if r > 0 {
-				m.AddConstr(milp.Expr(v, 1.0, e.CTO[j][r-1], -1.0), milp.LE, 0,
+				e.addRow(e.row.Reset().Add(v, 1).Add(e.CTO[j][r-1], -1), milp.LE, 0,
 					fmt.Sprintf("cord_%d_%d", j, r))
 			}
 		}
@@ -312,24 +376,22 @@ func (e *Encoding) ladder(g func(card float64) float64) (base float64, deltas []
 	return base, deltas
 }
 
-// outerCostAffine returns the linear expression (plus constant) that
-// approximates the outer-operand cost of join j under cost function g
-// (monotone in the operand cardinality). Join 0 is priced exactly per
-// candidate table.
-func (e *Encoding) outerCostAffine(j int, g func(card float64) float64) (milp.LinExpr, float64) {
+// outerCost appends to the cost expression e.cost the linear part of the
+// approximated outer-operand cost of join j under cost function g
+// (monotone in the operand cardinality), and returns its constant. Join 0
+// is priced exactly per candidate table.
+func (e *Encoding) outerCost(j int, g func(card float64) float64) float64 {
 	if j == 0 {
-		expr := milp.LinExpr{}
 		for t := 0; t < e.Query.NumTables(); t++ {
-			expr = expr.Add(e.TIO[0][t], g(e.effCard[t]))
+			e.cost = e.cost.Add(e.TIO[0][t], g(e.effCard[t]))
 		}
-		return expr, 0
+		return 0
 	}
 	base, deltas := e.ladder(g)
-	expr := milp.LinExpr{}
 	for r := range e.Thresholds {
-		expr = expr.Add(e.CTO[j][r], deltas[r])
+		e.cost = e.cost.Add(e.CTO[j][r], deltas[r])
 	}
-	return expr, base
+	return base
 }
 
 // product records u = x·b for binaries x and b, as priceOuter links it.
@@ -345,7 +407,7 @@ func (e *Encoding) priceOuter(j int, b milp.Var, k float64, name string) {
 	m := e.Model
 	link := func(x milp.Var, c float64, r int) {
 		u := m.AddContinuous(0, 1, k*c, fmt.Sprintf("%s_%d", name, r))
-		m.AddConstr(milp.Expr(u, 1.0, x, -1.0, b, -1.0), milp.GE, -1, fmt.Sprintf("%sdef_%d", name, r))
+		e.addRow(e.row.Reset().Add(u, 1).Add(x, -1).Add(b, -1), milp.GE, -1, fmt.Sprintf("%sdef_%d", name, r))
 		e.prods = append(e.prods, product{u, x, b})
 	}
 	if j == 0 {
@@ -361,20 +423,17 @@ func (e *Encoding) priceOuter(j int, b milp.Var, k float64, name string) {
 	}
 }
 
-// innerCostExpr returns the exact linear expression for the inner-operand
+// innerCost appends to the cost expression e.cost the exact inner-operand
 // cost of join j, with per-table cost function gt.
-func (e *Encoding) innerCostExpr(j int, gt func(t int) float64) milp.LinExpr {
-	expr := milp.LinExpr{}
+func (e *Encoding) innerCost(j int, gt func(t int) float64) {
 	for t := 0; t < e.Query.NumTables(); t++ {
-		expr = expr.Add(e.TII[j][t], gt(t))
+		e.cost = e.cost.Add(e.TII[j][t], gt(t))
 	}
-	return expr
 }
 
 // addFixedObjective installs the objective for the basic model: C_out or a
 // single fixed operator's cost summed over all joins (Section 4.3).
 func (e *Encoding) addFixedObjective() {
-	m := e.Model
 	switch e.Opts.Metric {
 	case cost.Cout:
 		// Σ_{j≥1} co_j: the sum of intermediate result cardinalities
@@ -382,53 +441,58 @@ func (e *Encoding) addFixedObjective() {
 		// The ladder goes directly into the objective so no equality
 		// row has to mix unit and cardinality-scale coefficients.
 		for j := 1; j < e.J; j++ {
-			expr, c := e.outerCostAffine(j, func(card float64) float64 { return card })
-			expr.Terms(func(v milp.Var, coef float64) {
-				m.SetObjCoeff(v, m.ObjCoeff(v)+coef)
-			})
-			m.AddObjConstant(c)
+			e.cost = e.cost.Reset()
+			e.addCostToObjective(e.outerCost(j, func(card float64) float64 { return card }))
 		}
 	case cost.OperatorCost:
 		for j := 0; j < e.J; j++ {
-			expr, c := e.operatorCostAffine(j, e.Opts.Op)
-			expr.Terms(func(v milp.Var, coef float64) {
-				m.SetObjCoeff(v, m.ObjCoeff(v)+coef)
-			})
-			m.AddObjConstant(c)
+			e.cost = e.cost.Reset()
+			e.addCostToObjective(e.operatorCost(j, e.Opts.Op))
 		}
 	}
 }
 
-// operatorCostAffine builds the affine cost of running operator op for
-// join j. For the block nested loop join it introduces the linearisation
-// variables for the blocks×inner-pages product (Section 4.3).
-func (e *Encoding) operatorCostAffine(j int, op cost.Operator) (milp.LinExpr, float64) {
+// addCostToObjective adds the cost expression e.cost plus the constant c to
+// the objective.
+func (e *Encoding) addCostToObjective(c float64) {
+	m := e.Model
+	e.cost.Terms(func(v milp.Var, coef float64) {
+		m.SetObjCoeff(v, m.ObjCoeff(v)+coef)
+	})
+	m.AddObjConstant(c)
+}
+
+// operatorCost appends to the cost expression e.cost the affine cost of
+// running operator op for join j, and returns its constant. For the block
+// nested loop join it introduces the linearisation variables for the
+// blocks×inner-pages product (Section 4.3).
+func (e *Encoding) operatorCost(j int, op cost.Operator) float64 {
 	p := e.params
 	pages := func(card float64) float64 { return p.Pages(card) }
 
 	switch op {
 	case cost.HashJoin:
-		outer, c := e.outerCostAffine(j, func(card float64) float64 { return 3 * pages(card) })
-		inner := e.innerCostExpr(j, func(t int) float64 { return 3 * pages(e.effCard[t]) })
-		return outer.AddExpr(inner), c
+		c := e.outerCost(j, func(card float64) float64 { return 3 * pages(card) })
+		e.innerCost(j, func(t int) float64 { return 3 * pages(e.effCard[t]) })
+		return c
 	case cost.SortMergeJoin:
 		smj := func(card float64) float64 { return cost.SortMergeInput(pages(card)) }
-		outer, c := e.outerCostAffine(j, smj)
-		inner := e.innerCostExpr(j, func(t int) float64 { return smj(e.effCard[t]) })
-		return outer.AddExpr(inner), c
+		c := e.outerCost(j, smj)
+		e.innerCost(j, func(t int) float64 { return smj(e.effCard[t]) })
+		return c
 	case cost.BlockNestedLoopJoin:
-		return e.bnlCostAffine(j)
+		return e.bnlCost(j)
 	default:
 		panic(fmt.Sprintf("core: unsupported operator %v", op))
 	}
 }
 
-// bnlCostAffine prices a block nested loop join: scanning the outer plus
-// blocks·innerPages, where blocks = ⌈pg_outer/buffer⌉. The product of the
-// binary tii with the continuous blocks variable is linearised with one
-// auxiliary variable per table (the paper's second representation, linear
-// in the number of tables).
-func (e *Encoding) bnlCostAffine(j int) (milp.LinExpr, float64) {
+// bnlCost prices a block nested loop join into the cost expression e.cost:
+// scanning the outer plus blocks·innerPages, where blocks =
+// ⌈pg_outer/buffer⌉. The product of the binary tii with the continuous
+// blocks variable is linearised with one auxiliary variable per table (the
+// paper's second representation, linear in the number of tables).
+func (e *Encoding) bnlCost(j int) float64 {
 	m := e.Model
 	p := e.params
 	n := e.Query.NumTables()
@@ -436,47 +500,41 @@ func (e *Encoding) bnlCostAffine(j int) (milp.LinExpr, float64) {
 	maxBlocks := math.Max(blocksOf(e.coMax()), blocksOf(maxSlice(e.effCard)))
 
 	if e.BLOCKS == nil {
-		e.BLOCKS = make([]milp.Var, e.J)
-		e.BNLZ = make([][]milp.Var, e.J)
-		for jj := range e.BLOCKS {
-			e.BLOCKS[jj] = -1
-		}
+		e.BLOCKS = e.handles(e.J)
+		e.BNLZ = e.handleLists()
 	}
 
 	// blocks_j as a continuous variable.
 	blocks := m.AddContinuous(1, maxBlocks, 0, fmt.Sprintf("blocks_%d", j))
 	e.BLOCKS[j] = blocks
-	e.BNLZ[j] = make([]milp.Var, n)
+	e.BNLZ[j] = e.handles(n)
 	if j == 0 {
-		expr := milp.Expr(blocks, 1.0)
+		expr := e.row.Reset().Add(blocks, 1)
 		for t := 0; t < n; t++ {
 			expr = expr.Add(e.TIO[0][t], -blocksOf(e.effCard[t]))
 		}
-		m.AddConstr(expr, milp.EQ, 0, "blocksdef_0")
+		e.addRow(expr, milp.EQ, 0, "blocksdef_0")
 	} else {
 		base, deltas := e.ladder(blocksOf)
-		expr := milp.Expr(blocks, 1.0)
+		expr := e.row.Reset().Add(blocks, 1)
 		for r := range e.Thresholds {
 			expr = expr.Add(e.CTO[j][r], -deltas[r])
 		}
-		m.AddConstr(expr, milp.EQ, base, fmt.Sprintf("blocksdef_%d", j))
+		e.addRow(expr, milp.EQ, base, fmt.Sprintf("blocksdef_%d", j))
 	}
 
 	// z_t = tii_t · blocks, linearised from below (cost minimisation
 	// pushes z down, so only the lower bounds are needed):
 	// z ≥ 0 and z ≥ blocks − maxBlocks·(1 − tii).
-	total := milp.LinExpr{}
 	for t := 0; t < n; t++ {
 		z := m.AddContinuous(0, maxBlocks, 0, fmt.Sprintf("bnlz_%d_%d", j, t))
 		e.BNLZ[j][t] = z
-		m.AddConstr(
-			milp.Expr(z, 1.0, blocks, -1.0, e.TII[j][t], -maxBlocks),
+		e.addRow(e.row.Reset().Add(z, 1).Add(blocks, -1).Add(e.TII[j][t], -maxBlocks),
 			milp.GE, -maxBlocks, fmt.Sprintf("bnlzlb_%d_%d", j, t))
-		total = total.Add(z, p.Pages(e.effCard[t]))
+		e.cost = e.cost.Add(z, p.Pages(e.effCard[t]))
 	}
 	// Plus scanning the outer operand once.
-	outer, c := e.outerCostAffine(j, func(card float64) float64 { return p.Pages(card) })
-	return total.AddExpr(outer), c
+	return e.outerCost(j, func(card float64) float64 { return p.Pages(card) })
 }
 
 // blocksOf returns ⌈pages(card)/buffer⌉, at least 1 — the outer-loop count

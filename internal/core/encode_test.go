@@ -72,7 +72,8 @@ func TestPaperExampleOptimalPlan(t *testing.T) {
 	if res.ExactCost != 1000 {
 		t.Errorf("plan %v has exact cost %g, want 1000", res.Plan.Order, res.ExactCost)
 	}
-	if err := res.Encoding.CheckPlanRepresentation(res.Solution); err != nil {
+	enc := encodingOf(t, q, Options{Metric: cost.Cout, Precision: PrecisionHigh})
+	if err := enc.CheckPlanRepresentation(res.Solution); err != nil {
 		t.Error(err)
 	}
 }
@@ -108,7 +109,7 @@ func milpVsDP(t *testing.T, q *qopt.Query, opts Options, spec cost.Spec) {
 	if res.ExactCost < optCost-1e-6*(1+optCost) {
 		t.Fatalf("MILP plan cost %g below DP optimum %g: costing bug", res.ExactCost, optCost)
 	}
-	if err := res.Encoding.CheckPlanRepresentation(res.Solution); err != nil {
+	if err := encodingOf(t, q, opts).CheckPlanRepresentation(res.Solution); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -44,11 +44,11 @@ func (e *Encoding) addOperatorSelection() error {
 	maxBlocks := math.Ceil(p.Pages(capVal) / p.BufferPages)
 	smjOuter := func(card float64) float64 { return cost.SortMergeInput(p.Pages(card)) }
 
-	e.JOS = make([][]milp.Var, e.J)
-	e.AJC = make([][]milp.Var, e.J)
+	e.JOS = e.handleLists()
+	e.AJC = e.handleLists()
 	for j := 0; j < e.J; j++ {
-		e.JOS[j] = make([]milp.Var, numOps)
-		e.AJC[j] = make([]milp.Var, numOps)
+		e.JOS[j] = e.handles(numOps)
+		e.AJC[j] = e.handles(numOps)
 		for i := 0; i < numOps; i++ {
 			name := "presorted-smj"
 			if i < len(e.ops) {
@@ -56,29 +56,29 @@ func (e *Encoding) addOperatorSelection() error {
 			}
 			e.JOS[j][i] = m.AddBinary(0, fmt.Sprintf("jos_%d_%s", j, name))
 		}
-		m.AddConstr(milp.Sum(e.JOS[j]...), milp.EQ, 1, fmt.Sprintf("onesel_%d", j))
+		e.addRow(e.sum(e.JOS[j]), milp.EQ, 1, fmt.Sprintf("onesel_%d", j))
 
 		for i := 0; i < numOps; i++ {
-			var expr milp.LinExpr
 			var c, bigM float64
+			e.cost = e.cost.Reset()
 			switch {
 			case i == presortedIdx:
 				// Pre-sorted SMJ: merge passes only on the outer
 				// side; inner still sorts unless the table is
 				// stored sorted.
-				expr, c = e.outerCostAffine(j, func(card float64) float64 { return p.Pages(card) })
-				expr = expr.AddExpr(e.innerCostExpr(j, e.smjInnerCost))
+				c = e.outerCost(j, func(card float64) float64 { return p.Pages(card) })
+				e.innerCost(j, e.smjInnerCost)
 				bigM = p.Pages(capVal) + maxInnerSMJ
 				// Applicable only when the outer operand is sorted.
-				m.AddConstr(milp.Expr(e.JOS[j][i], 1.0, e.OHP[j], -1.0), milp.LE, 0,
+				e.addRow(e.row.Reset().Add(e.JOS[j][i], 1).Add(e.OHP[j], -1), milp.LE, 0,
 					fmt.Sprintf("needsorted_%d", j))
 			case e.ops[i] == cost.SortMergeJoin && e.Opts.InterestingOrders:
 				// Regular SMJ with sort-aware inner costing.
-				expr, c = e.outerCostAffine(j, smjOuter)
-				expr = expr.AddExpr(e.innerCostExpr(j, e.smjInnerCost))
+				c = e.outerCost(j, smjOuter)
+				e.innerCost(j, e.smjInnerCost)
 				bigM = smjOuter(capVal) + maxInnerSMJ
 			default:
-				expr, c = e.operatorCostAffine(j, e.ops[i])
+				c = e.operatorCost(j, e.ops[i])
 				switch e.ops[i] {
 				case cost.HashJoin:
 					bigM = 3 * (p.Pages(capVal) + maxInnerPages)
@@ -95,12 +95,11 @@ func (e *Encoding) addOperatorSelection() error {
 			// zero elsewhere.
 			ajc := m.AddContinuous(0, bigM, 1, fmt.Sprintf("ajc_%d_%d", j, i))
 			e.AJC[j][i] = ajc
-			con := milp.Expr(ajc, 1.0, e.JOS[j][i], -bigM)
-			negExpr := milp.LinExpr{}
-			expr.Terms(func(v milp.Var, coef float64) {
-				negExpr = negExpr.Add(v, -coef)
+			row := e.row.Reset().Add(ajc, 1).Add(e.JOS[j][i], -bigM)
+			e.cost.Terms(func(v milp.Var, coef float64) {
+				row = row.Add(v, -coef)
 			})
-			m.AddConstr(con.AddExpr(negExpr), milp.GE, c-bigM, fmt.Sprintf("ajcdef_%d_%d", j, i))
+			e.addRow(row, milp.GE, c-bigM, fmt.Sprintf("ajcdef_%d_%d", j, i))
 		}
 	}
 	if e.Opts.InterestingOrders {
@@ -126,17 +125,17 @@ func (e *Encoding) smjInnerCost(t int) float64 {
 // sorted iff the producing operator was a sort-merge variant.
 func (e *Encoding) addSortednessVars() {
 	m := e.Model
-	e.OHP = make([]milp.Var, e.J)
+	e.OHP = e.handles(e.J)
 	for j := 0; j < e.J; j++ {
 		e.OHP[j] = m.AddBinary(0, fmt.Sprintf("ohp_%d", j))
 	}
-	expr := milp.Expr(e.OHP[0], 1.0)
+	expr := e.row.Reset().Add(e.OHP[0], 1)
 	for t := 0; t < e.Query.NumTables(); t++ {
 		if e.Query.Tables[t].Sorted {
 			expr = expr.Add(e.TIO[0][t], -1)
 		}
 	}
-	m.AddConstr(expr, milp.EQ, 0, "ohpdef_0")
+	e.addRow(expr, milp.EQ, 0, "ohpdef_0")
 	// ohp_{j} = jos_{j−1,smj} + jos_{j−1,presorted} is installed after
 	// the jos variables exist; see linkSortedness.
 }
@@ -145,11 +144,11 @@ func (e *Encoding) addSortednessVars() {
 // Called from addOperatorSelection once jos variables exist for join j−1.
 func (e *Encoding) linkSortedness(smjIdx, presortedIdx int) {
 	for j := 1; j < e.J; j++ {
-		expr := milp.Expr(e.OHP[j], 1.0, e.JOS[j-1][smjIdx], -1.0)
+		expr := e.row.Reset().Add(e.OHP[j], 1).Add(e.JOS[j-1][smjIdx], -1)
 		if presortedIdx >= 0 {
 			expr = expr.Add(e.JOS[j-1][presortedIdx], -1)
 		}
-		e.Model.AddConstr(expr, milp.EQ, 0, fmt.Sprintf("ohpdef_%d", j))
+		e.addRow(expr, milp.EQ, 0, fmt.Sprintf("ohpdef_%d", j))
 	}
 }
 
@@ -166,18 +165,15 @@ func (e *Encoding) addExpensivePredicates() {
 			continue
 		}
 		if e.PCO == nil {
-			e.PCO = make([][]milp.Var, e.J)
+			e.PCO = e.handleLists()
 			for j := range e.PCO {
-				e.PCO[j] = make([]milp.Var, len(q.Predicates))
-				for i := range e.PCO[j] {
-					e.PCO[j][i] = -1
-				}
+				e.PCO[j] = e.handles(len(q.Predicates))
 			}
 		}
 		for j := 0; j < e.J; j++ {
 			v := m.AddBinary(0, fmt.Sprintf("pco_p%d_%d", pi, j))
 			e.PCO[j][pi] = v
-			expr, rhs := milp.Expr(v, 1.0), 0.0
+			expr, rhs := e.row.Reset().Add(v, 1), 0.0
 			if t := p.Tables[0]; len(p.Tables) == 1 {
 				// pco_pj = tii_{t,j}, plus tio_{t,0} at join 0.
 				expr = expr.Add(e.TII[j][t], -1)
@@ -196,7 +192,7 @@ func (e *Encoding) addExpensivePredicates() {
 					expr = expr.Add(e.PAO[j][pi], 1)
 				}
 			}
-			m.AddConstr(expr, milp.EQ, rhs, fmt.Sprintf("pcodef_p%d_%d", pi, j))
+			e.addRow(expr, milp.EQ, rhs, fmt.Sprintf("pcodef_p%d_%d", pi, j))
 			e.priceOuter(j, v, p.EvalCostPerTuple, fmt.Sprintf("epc_p%d_%d", pi, j))
 		}
 	}

@@ -98,7 +98,7 @@ func TestInterestingOrdersEncodeAndSolve(t *testing.T) {
 	// Sortedness variables must be consistent with the selected
 	// operators: ohp_j = 1 exactly when join j−1 was a sort-merge
 	// variant (or, for j = 0, the first table is sorted).
-	enc := res.Encoding
+	enc := encodingOf(t, q, opts)
 	sol := res.Solution
 	for j := 1; j < enc.J; j++ {
 		smj := sol.Value(enc.JOS[j-1][1]) > 0.5
@@ -160,7 +160,7 @@ func TestExpensivePredicatesEvaluatedExactlyOnce(t *testing.T) {
 	if res.MIPStart != "greedy" {
 		t.Errorf("MIP start %q, want the greedy plan", res.MIPStart)
 	}
-	enc := res.Encoding
+	enc := encodingOf(t, q, opts)
 	sol := res.Solution
 	for _, pi := range []int{0, 2, len(q.Predicates) - 1} {
 		total := 0.0
@@ -234,10 +234,10 @@ func TestExpensivePredicatesFeasibleAtEveryCap(t *testing.T) {
 			if res.Solution == nil || base.Solution == nil {
 				t.Fatalf("%v/%g: no incumbent", prec, cardCap)
 			}
-			if err := res.Encoding.Model.CheckFeasible(res.Solution.Values, 1e-5); err != nil {
+			m := encodingOf(t, expensiveChain(), opts).Model
+			if err := m.CheckFeasible(res.Solution.Values, 1e-5); err != nil {
 				t.Errorf("%v/%g: incumbent infeasible: %v", prec, cardCap, err)
 			}
-			m := res.Encoding.Model
 			for i := 0; i < m.NumConstrs(); i++ {
 				expr, _, _, name := m.Constr(i)
 				if !strings.HasPrefix(name, "epc_") && !strings.HasPrefix(name, "pcodef_") {
@@ -275,7 +275,7 @@ func TestOperatorSelectionWithExpensivePredicates(t *testing.T) {
 		t.Fatal("operators missing")
 	}
 	// The expensive predicate is evaluated exactly once.
-	enc, sol := res.Encoding, res.Solution
+	enc, sol := encodingOf(t, q, operatorOpts()), res.Solution
 	total := 0.0
 	for j := 0; j < enc.J; j++ {
 		if v := enc.PCO[j][1]; v >= 0 {
@@ -328,7 +328,7 @@ func TestExpensivePredicatesNearLeftDeepOptimum(t *testing.T) {
 			if res.MIPStart != "greedy" || res.Solution == nil {
 				t.Fatalf("%v/%d: MIP start %q", shape, seed, res.MIPStart)
 			}
-			if err := res.Encoding.Model.CheckFeasible(res.Solution.Values, 1e-5); err != nil {
+			if err := encodingOf(t, q, opts).Model.CheckFeasible(res.Solution.Values, 1e-5); err != nil {
 				t.Errorf("%v/%d: incumbent infeasible: %v", shape, seed, err)
 			}
 			best, opt, err := dp.OptimizeLeftDeep(context.Background(), q, opts.Spec(), dp.Options{})

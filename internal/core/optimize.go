@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/pprof"
+	"sync"
 	"time"
 
 	"milpjoin/internal/bb"
@@ -41,9 +42,6 @@ type Result struct {
 	// iterations, LU refactorizations, peak open-node count, and
 	// per-worker node counts.
 	Stats obs.Stats
-	// Encoding is retained for inspection (model statistics, decode of
-	// alternative solutions).
-	Encoding *Encoding
 	// MIPStart reports which initial incumbent survived the feasibility
 	// check and seeded branch and bound: "plan" (Options.InitialPlan),
 	// "greedy" (the default heuristic), or "" when the search started
@@ -72,9 +70,15 @@ func (o Options) Spec() cost.Spec {
 // Cancelling the context mid-solve returns promptly with bb.StatusCanceled
 // and the best incumbent plan found so far; a context deadline ends the
 // search with bb.StatusTimeLimit.
+//
+// The model is built and compiled into an encoding from a process-wide
+// pool and handed back once the plan is decoded and costed, so a process
+// that optimizes many queries grows its model storage once. Nothing in the
+// Result refers to it.
 func Optimize(ctx context.Context, q *qopt.Query, opts Options) (*Result, error) {
-	enc, err := Encode(q, opts)
-	if err != nil {
+	enc := encodings.Get().(*Encoding)
+	defer enc.release()
+	if err := enc.encode(q, opts); err != nil {
 		return nil, err
 	}
 	mipStart := ""
@@ -90,11 +94,11 @@ func Optimize(ctx context.Context, q *qopt.Query, opts Options) (*Result, error)
 	if opts.Incumbents != nil {
 		incumbents = func() []float64 { return enc.feasibleAssignment(opts.Incumbents()) }
 	}
-	out, err := solve(ctx, enc.Model, opts, start, incumbents)
+	out, err := solve(ctx, enc.Model, &enc.comp, opts, start, incumbents)
 	if err != nil {
 		return nil, err
 	}
-	out.Encoding, out.MIPStart = enc, mipStart
+	out.MIPStart = mipStart
 	if out.Solution == nil {
 		return out, nil
 	}
@@ -105,6 +109,17 @@ func Optimize(ctx context.Context, q *qopt.Query, opts Options) (*Result, error)
 		return nil, err
 	}
 	return out, nil
+}
+
+// encodings holds the encodings Optimize builds its models in.
+var encodings = sync.Pool{New: func() any { return &Encoding{Model: milp.NewModel("")} }}
+
+// release hands the encoding back to the pool, holding nothing of the
+// query it encoded: no query, options, callback or name.
+func (e *Encoding) release() {
+	e.reset()
+	e.Model.Reset("")
+	encodings.Put(e)
 }
 
 // feasibleAssignment returns the model-space assignment of pl when the
@@ -121,12 +136,12 @@ func (e *Encoding) feasibleAssignment(pl *plan.Plan) []float64 {
 }
 
 // solve minimizes m under the search knobs of opts: optional root cut
-// rounds, compilation, then branch and bound from the model-space MIP start
-// (nil: none) with the live injection feed. Events, Bound and the
-// incumbent's objective include the model's objective constant; the
-// incumbent is unscaled and rounded to integral values where that stays
-// feasible.
-func solve(ctx context.Context, m *milp.Model, opts Options, start []float64, incumbents func() []float64) (*Result, error) {
+// rounds, compilation into comp, then branch and bound from the model-space
+// MIP start (nil: none, else scaled in place) with the live injection
+// feed. Events, Bound and the incumbent's objective include the model's
+// objective constant; the incumbent is unscaled and rounded to integral
+// values where that stays feasible.
+func solve(ctx context.Context, m *milp.Model, comp *milp.Computational, opts Options, start []float64, incumbents func() []float64) (*Result, error) {
 	begin := time.Now()
 	// The emitter serialises events from every phase against one
 	// solve-wide clock. The sink shifts objective values by the model's
@@ -168,7 +183,7 @@ func solve(ctx context.Context, m *milp.Model, opts Options, start []float64, in
 		cutTime = time.Since(cutStart)
 	}
 
-	comp := work.Compile()
+	work.CompileInto(comp)
 	params := bb.Params{
 		GapTol:     opts.GapTol,
 		Threads:    opts.Threads,
@@ -177,10 +192,10 @@ func solve(ctx context.Context, m *milp.Model, opts Options, start []float64, in
 		Incumbents: incumbents,
 	}
 	if start != nil {
-		params.InitialIncumbent = make([]float64, len(start))
-		for j, v := range start {
-			params.InitialIncumbent[j] = v / comp.ColScale[j]
+		for j := range start {
+			start[j] /= comp.ColScale[j]
 		}
+		params.InitialIncumbent = start
 	}
 	res, err := bb.Solve(ctx, comp, params)
 	if err != nil {

@@ -11,61 +11,73 @@ import (
 	"milpjoin/internal/cost"
 	"milpjoin/internal/milp"
 	"milpjoin/internal/obs"
+	"milpjoin/internal/qopt"
 	"milpjoin/internal/workload"
 )
 
+// encodingOf encodes q under opts as Optimize does: encoding is
+// deterministic, so the model is the one Optimize solved and its handles
+// index Optimize's solution.
+func encodingOf(t *testing.T, q *qopt.Query, opts Options) *Encoding {
+	t.Helper()
+	enc, err := Encode(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
 // coutOptimum solves a C_out encoding, whose objective constant is not
-// zero, to optimality and returns the result with the incumbent and bound
-// events of the solve.
-func coutOptimum(t *testing.T) (*Result, []obs.Event) {
+// zero, to optimality and returns the result and the model solved, with the
+// incumbent and bound events of the solve.
+func coutOptimum(t *testing.T) (*Result, *milp.Model, []obs.Event) {
 	t.Helper()
 	q := workload.Generate(workload.Chain, 6, 3, workload.Config{})
 	var seen []obs.Event
-	res, err := Optimize(context.Background(), q, Options{
-		Metric:    cost.Cout,
-		Precision: PrecisionHigh,
-		OnEvent: func(ev obs.Event) {
-			if ev.Kind == obs.KindIncumbent || ev.Kind == obs.KindBound {
-				seen = append(seen, ev)
-			}
-		},
-	})
+	opts := Options{Metric: cost.Cout, Precision: PrecisionHigh}
+	opts.OnEvent = func(ev obs.Event) {
+		if ev.Kind == obs.KindIncumbent || ev.Kind == obs.KindBound {
+			seen = append(seen, ev)
+		}
+	}
+	res, err := Optimize(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != bb.StatusOptimal || res.Solution == nil {
 		t.Fatalf("status = %v, solution %v", res.Status, res.Solution)
 	}
-	if res.Encoding.Model.ObjConstant() == 0 {
+	m := encodingOf(t, q, opts).Model
+	if m.ObjConstant() == 0 {
 		t.Fatal("the C_out encoding has no objective constant; the test needs one")
 	}
-	return res, seen
+	return res, m, seen
 }
 
 // TestObjectiveConstantPropagates: the proven bound is in the model's
 // objective space, constant included, so at optimality it meets the
 // decoded objective.
 func TestObjectiveConstantPropagates(t *testing.T) {
-	res, _ := coutOptimum(t)
+	res, m, _ := coutOptimum(t)
 	obj := res.Solution.Obj
-	if obj != res.Encoding.Model.EvalObjective(res.Solution.Values) {
+	if obj != m.EvalObjective(res.Solution.Values) {
 		t.Errorf("Solution.Obj %g is not the model objective of its values", obj)
 	}
 	if math.Abs(res.Bound-obj) > 1e-6*math.Max(1, math.Abs(obj)) {
-		t.Errorf("bound %g vs objective %g at optimality (constant %g lost?)", res.Bound, obj, res.Encoding.Model.ObjConstant())
+		t.Errorf("bound %g vs objective %g at optimality (constant %g lost?)", res.Bound, obj, m.ObjConstant())
 	}
 }
 
 // TestAnytimeCallbackIncludesConstant: the event stream reports incumbents
 // in the same space, so the last incumbent event is the decoded objective.
 func TestAnytimeCallbackIncludesConstant(t *testing.T) {
-	res, seen := coutOptimum(t)
+	res, m, seen := coutOptimum(t)
 	if len(seen) == 0 {
 		t.Fatal("no incumbent or bound events")
 	}
 	final := seen[len(seen)-1]
 	if obj := res.Solution.Obj; math.Abs(final.Incumbent-obj) > 1e-6*math.Max(1, math.Abs(obj)) {
-		t.Errorf("callback incumbent %g vs final obj %g (constant %g lost?)", final.Incumbent, obj, res.Encoding.Model.ObjConstant())
+		t.Errorf("callback incumbent %g vs final obj %g (constant %g lost?)", final.Incumbent, obj, m.ObjConstant())
 	}
 }
 
@@ -125,7 +137,7 @@ func TestTimeLimitStatus(t *testing.T) {
 	m.AddConstr(e, milp.LE, 100, "cap")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	res, err := solve(ctx, m, Options{}, nil, nil)
+	res, err := solve(ctx, m, new(milp.Computational), Options{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

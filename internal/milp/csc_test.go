@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"milpjoin/internal/core"
@@ -36,10 +37,15 @@ func sameCSC(t *testing.T, name string, got, want *sparse.CSC) {
 }
 
 // sameCompiled fails unless Compile's form got and the reference want agree
-// bit for bit on A, B, ColScale, L, U and C.
+// bit for bit on A, B, ColScale, L, U and C, and in NumStructural and
+// Integral.
 func sameCompiled(t *testing.T, name string, got, want *milp.Computational) {
 	t.Helper()
 	sameCSC(t, name, got.Problem.A, want.Problem.A)
+	if got.NumStructural != want.NumStructural || !slices.Equal(got.Integral, want.Integral) {
+		t.Fatalf("%s: %d structural columns, integral %v; reference %d, %v",
+			name, got.NumStructural, got.Integral, want.NumStructural, want.Integral)
+	}
 	for _, arr := range []struct {
 		name      string
 		got, want []float64
@@ -123,8 +129,33 @@ func TestCompileMatrixMatchesTripletRandom(t *testing.T) {
 	}
 }
 
+// largerModel is a model with more variables than any model
+// FuzzCompileMatchesReference decodes, and more rows and nonzeros than its
+// seeds, every objective coefficient and bound nonzero, so that a Computational compiled from it holds stale
+// values wherever CompileInto fails to write a smaller model's element.
+func largerModel() *milp.Model {
+	rng := rand.New(rand.NewSource(43))
+	m := milp.NewModel("larger")
+	for j := 0; j < 12; j++ {
+		if j%3 == 0 {
+			m.AddBinary(1+float64(j), "")
+		} else {
+			m.AddContinuous(-7-float64(j), 100, 1e3*float64(j+1), "")
+		}
+	}
+	for i := 0; i < 40; i++ {
+		var e milp.LinExpr
+		for j := 0; j < 12; j++ {
+			e = e.Add(milp.Var(j), (1+rng.Float64())*math.Pow(10, float64(rng.Intn(9)-4)))
+		}
+		m.AddConstr(e, milp.Sense(i%3), 3+rng.Float64(), "")
+	}
+	return m
+}
+
 // FuzzCompileMatchesReference holds Compile to the dense reference on
-// models decoded from arbitrary bytes. The first byte sets the number of
+// models decoded from arbitrary bytes, and CompileInto a Computational last
+// compiled from largerModel to Compile, field for field. The first byte sets the number of
 // variables (1–8) and the second their types; every further three bytes
 // add one term: the variable (a set high bit starts a new row), and a
 // coefficient that is 0, −0, or of magnitude 1e-300 to 1e300. Rows repeat
@@ -134,6 +165,7 @@ func FuzzCompileMatchesReference(f *testing.F) {
 	f.Add([]byte{3, 0b010, 0, 150, 9, 1, 200, 17, 2, 40, 1, 0x80, 255, 25, 0x81, 0, 2})
 	f.Add([]byte{7, 0b1010101, 0, 0, 8, 1, 100, 16, 0, 250, 24, 0x82, 150, 3, 2, 150, 11, 2, 160, 19, 0x83, 0, 1})
 	f.Add([]byte{1, 0, 0, 60, 8, 0, 60, 12, 0x80, 230, 9, 0, 50, 8})
+	larger := largerModel()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -172,5 +204,6 @@ func FuzzCompileMatchesReference(f *testing.F) {
 		}
 		addRow()
 		sameCompiled(t, "fuzz", m.Compile(), m.TripletMatrix())
+		sameCompiled(t, "fuzz, compiled into reused storage", m.CompileInto(larger.Compile()), m.Compile())
 	})
 }

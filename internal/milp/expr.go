@@ -61,11 +61,10 @@ func (e LinExpr) Add(v Var, c float64) LinExpr {
 	return e
 }
 
-// AddExpr appends all terms of o.
-func (e LinExpr) AddExpr(o LinExpr) LinExpr {
-	e.terms = append(e.terms, o.terms...)
-	return e
-}
+// Reset returns an empty expression over e's storage, so that an expression
+// built again and again grows only once. What is added to the result
+// overwrites e's terms; use the returned value, not e.
+func (e LinExpr) Reset() LinExpr { return LinExpr{terms: e.terms[:0]} }
 
 // Terms invokes f for each stored term (duplicates possible before
 // compaction).

@@ -80,6 +80,27 @@ func NewModel(name string) *Model {
 	return &Model{Name: name}
 }
 
+// Reset empties the model and renames it, keeping the capacity of its
+// storage, so that one model can be built again and again without growing
+// anew. Names of the old variables and rows are dropped.
+func (m *Model) Reset(name string) {
+	clear(m.varNames)
+	clear(m.rowNames)
+	*m = Model{
+		Name:     name,
+		lb:       m.lb[:0],
+		ub:       m.ub[:0],
+		obj:      m.obj[:0],
+		vtype:    m.vtype[:0],
+		varNames: m.varNames[:0],
+		terms:    m.terms[:0],
+		rowEnd:   m.rowEnd[:0],
+		sense:    m.sense[:0],
+		rhs:      m.rhs[:0],
+		rowNames: m.rowNames[:0],
+	}
+}
+
 // AddVar adds a variable with the given bounds, objective coefficient,
 // type, and name, returning its handle. Binary variables have their bounds
 // clipped to [0, 1].
@@ -236,7 +257,16 @@ func (c *Computational) Unscale(scaled []float64) []float64 {
 
 // Compile converts the model into computational form: one logical column is
 // appended per constraint so that the last m columns of A form an identity
-// block, as the simplex solver requires.
+// block, as the simplex solver requires. It is CompileInto on new storage.
+func (m *Model) Compile() *Computational { return m.CompileInto(new(Computational)) }
+
+// CompileInto compiles the model into dst, reusing the storage of the arrays
+// dst holds (its Problem's A, B, C, L and U, Integral and ColScale) and
+// returns dst. Every element of the result is written, whatever dst held
+// before, so a Computational last compiled from another model gives the
+// bits Compile gives. A is a new matrix header over the reused arrays: a
+// simplex workspace that keyed a factorization by the old header cannot
+// mistake the new contents for it.
 //
 // The constraint matrix is equilibrated first: alternating row and column
 // scaling passes bring all coefficient magnitudes near 1, so that the
@@ -247,17 +277,30 @@ func (c *Computational) Unscale(scaled []float64) []float64 {
 // and branching are unaffected — and is undone via Computational.ColScale.
 // The passes scale the compressed columns of the row store in place;
 // entries scaled to exactly zero are then dropped.
-func (m *Model) Compile() *Computational {
+func (m *Model) CompileInto(dst *Computational) *Computational {
 	n, rows := m.NumVars(), m.NumConstrs()
-	colPtr, rowInd, val := m.columns(rows)
-	b := make([]float64, rows)
+	prob := dst.Problem
+	if prob == nil {
+		prob = new(simplex.Problem)
+	}
+	var old sparse.CSC
+	if prob.A != nil {
+		old = *prob.A
+	}
+	colPtr, rowInd, val := m.columns(rows, old.ColPtr, old.RowInd, old.Val)
+	b := grow(prob.B, rows)
 	copy(b, m.rhs)
-	colScale := make([]float64, n)
+	colScale := grow(dst.ColScale, n)
 	for j := range colScale {
 		colScale[j] = 1
 	}
+	l := grow(prob.L, n+rows)
+	u := grow(prob.U, n+rows)
+	c := grow(prob.C, n+rows)
 
-	rowScale := make([]float64, rows)
+	// The row scales live in the logical columns' lower bounds until
+	// those are written below.
+	rowScale := l[n:]
 	for pass := 0; pass < 2; pass++ {
 		// Rows: scale by the largest magnitude (only downward).
 		for i := range rowScale {
@@ -321,10 +364,7 @@ func (m *Model) Compile() *Computational {
 		colPtr[n+i+1] = len(rowInd)
 	}
 
-	l := make([]float64, n+rows)
-	u := make([]float64, n+rows)
-	c := make([]float64, n+rows)
-	integral := make([]bool, n)
+	integral := grow(dst.Integral, n)
 	for j := 0; j < n; j++ {
 		l[j] = m.lb[j] / colScale[j]
 		u[j] = m.ub[j] / colScale[j]
@@ -337,35 +377,45 @@ func (m *Model) Compile() *Computational {
 			l[n+i], u[n+i] = 0, math.Inf(1)
 		case GE:
 			l[n+i], u[n+i] = math.Inf(-1), 0
-		case EQ:
+		default: // EQ
 			l[n+i], u[n+i] = 0, 0
 		}
+		c[n+i] = 0
 	}
-	return &Computational{
-		Problem: &simplex.Problem{
-			A: sparse.NewCSC(rows, n+rows, colPtr, rowInd, val),
-			B: b, C: c, L: l, U: u,
-		},
+	*prob = simplex.Problem{
+		A: sparse.NewCSC(rows, n+rows, colPtr, rowInd, val),
+		B: b, C: c, L: l, U: u,
+	}
+	*dst = Computational{
+		Problem:       prob,
 		NumStructural: n,
 		Integral:      integral,
 		ColScale:      colScale,
 	}
+	return dst
 }
 
 // columns transposes the row store into compressed columns, unscaled, with
-// room for spare more columns of one entry each. Rows are read in ascending
-// order, so every column comes out sorted by row, one entry per row.
-func (m *Model) columns(spare int) (colPtr, rowInd []int, val []float64) {
+// room for spare more columns of one entry each, in the storage of the
+// given arrays where it is large enough. Rows are read in ascending order,
+// so every column comes out sorted by row, one entry per row.
+func (m *Model) columns(spare int, colPtr, rowInd []int, val []float64) ([]int, []int, []float64) {
 	n, nnz := m.NumVars(), len(m.terms)
-	colPtr = make([]int, n+spare+1)
+	colPtr = grow(colPtr, n+spare+1)
+	clear(colPtr)
 	for _, t := range m.terms {
 		colPtr[t.v+1]++
 	}
 	for j := 0; j < n; j++ {
 		colPtr[j+1] += colPtr[j]
 	}
-	rowInd = make([]int, nnz, nnz+spare)
-	val = make([]float64, nnz, nnz+spare)
+	if cap(rowInd) < nnz+spare {
+		rowInd = make([]int, nnz, nnz+spare)
+	}
+	if cap(val) < nnz+spare {
+		val = make([]float64, nnz, nnz+spare)
+	}
+	rowInd, val = rowInd[:nnz], val[:nnz]
 	// colPtr[j] is column j's fill cursor; once every row is in, it holds
 	// the column's end, and shifting colPtr by one restores the starts.
 	for i := range m.rowEnd {
@@ -378,6 +428,15 @@ func (m *Model) columns(spare int) (colPtr, rowInd []int, val []float64) {
 	copy(colPtr[1:n+1], colPtr[:n])
 	colPtr[0] = 0
 	return colPtr, rowInd, val
+}
+
+// grow returns s with length n, reusing its storage when it is large
+// enough. The elements are not cleared.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Solution is a variable assignment with its objective value.

@@ -61,7 +61,7 @@ func (m *Model) WriteMPS(w io.Writer) error {
 
 	// Column-major entries: the objective, then the constraint
 	// coefficients from the row store's transpose.
-	colPtr, rowInd, val := m.columns(0)
+	colPtr, rowInd, val := m.columns(0, nil, nil, nil)
 	fmt.Fprintln(bw, "COLUMNS")
 	inInt := false
 	marker := 0

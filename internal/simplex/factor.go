@@ -116,9 +116,9 @@ type basisFactor struct {
 
 // reset prepares the factor for a new solve over an m-row basis, keeping
 // buffer capacity and — unless m changed — the retained factorizations. An
-// eta chunk is kept while it has room for etaChunkCols full columns of m,
-// so a workspace handed from a larger problem to a smaller one reuses its
-// eta arena.
+// eta chunk is kept while it has room for one full column of m, all update
+// needs before it moves to the next chunk, so a workspace handed from one
+// problem to another, larger or smaller, reuses its eta arena.
 func (f *basisFactor) reset(m int) {
 	if m != f.m {
 		for i := range f.slots {
@@ -126,7 +126,7 @@ func (f *basisFactor) reset(m int) {
 		}
 		kept := f.chunks[:0]
 		for _, c := range f.chunks {
-			if len(c.ind) >= etaChunkCols*m {
+			if len(c.ind) >= m {
 				kept = append(kept, c)
 			}
 		}
